@@ -61,9 +61,6 @@ def _run_link_file(path: str, csv_dir: str | None) -> InvariantReport:
     return report
 
 
-run_link_file = _run_link_file
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fbk",

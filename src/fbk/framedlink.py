@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .numkit import DEFAULT_TOL, Tolerances, orthonormalize
-from .spinlift import RotationLoop, Z2, loop_class
+from .spinlift import _MAX_DIM, RotationLoop, Z2, loop_class
 
 _MIN_SAMPLES = 16
 _NORMAL_ORTHO_CHECK = 1e-8
@@ -393,20 +393,24 @@ def frame_matrix_loop(
     framing: NormalFraming,
     ambient: AmbientPresentation,
     tol: Tolerances = DEFAULT_TOL,
+    middle: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> RotationLoop:
-    """Rotation loop of assembled frames [manifold normals, tangent, framing].
+    """Rotation loop of assembled frames [manifold normals, middle row, framing].
 
-    Each sample yields the N x N matrix whose rows are the orthonormalized
-    frame expressed in the standard basis; the determinant must be +1 at
-    every sample. When both the loop and the framing can be resampled, the
-    returned loop carries a refiner that re-evaluates the geometry.
+    The middle row is the curve tangent, or middle(point) when a map from
+    points to middle rows is given. Each sample yields the N x N matrix
+    whose rows are the orthonormalized frame expressed in the standard
+    basis; the determinant must be +1 at every sample. When both the loop
+    and the framing can be resampled, the returned loop carries a refiner
+    that re-evaluates the geometry.
     """
     samples = []
     for k in range(len(loop)):
+        p = loop.points[k]
         R = _assemble_frame(
             ambient,
-            loop.points[k],
-            loop.tangent_at_sample(k),
+            p,
+            loop.tangent_at_sample(k) if middle is None else middle(p),
             framing.at_sample(k),
             tol,
             where=f"sample {k}",
@@ -416,10 +420,11 @@ def frame_matrix_loop(
     if loop.resample is not None and framing.resample is not None:
 
         def refiner(t: float) -> np.ndarray:
+            p = loop.point(t)
             return _assemble_frame(
                 ambient,
-                loop.point(t),
-                loop.tangent(t),
+                p,
+                loop.tangent(t) if middle is None else middle(p),
                 framing.at(t),
                 tol,
                 where=f"parameter {t % 1.0:.6f}",
@@ -528,33 +533,59 @@ class InvariantReport:
         }
 
 
-def invariant_report(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
-    """Per-component indices, winding parity where defined, and kappa."""
-    comps = []
-    bits = []
+def _link_indices(link: FramedLink, tol: Tolerances):
+    """(bit, loop) per component, and the deepest lift refinement any needed."""
+    pairs = []
     depth = 0
     for loop, framing in link.components:
         stats: dict = {}
-        bit = index_of_circle(loop, framing, link.ambient, tol, stats)
-        bits.append(bit)
+        pairs.append((index_of_circle(loop, framing, link.ambient, tol, stats), loop))
         depth = max(depth, stats.get("max_depth", 0))
+    return pairs, depth
+
+
+def _report(
+    pairs: Sequence[tuple[Z2, SampledLoop]],
+    depth: int,
+    ambient: AmbientPresentation,
+    tol: Tolerances,
+    trace_stats: Sequence[dict] | None = None,
+    seeds_skipped: int = 0,
+) -> InvariantReport:
+    """The one InvariantReport builder.
+
+    pairs holds (bit, loop) per component and depth the deepest lift
+    refinement. Traced links also pass the tracer's stats per component and
+    the number of skipped seeds; their diagnostics then carry the largest
+    corrector residual, the closure errors and that number.
+    """
+    comps = []
+    for bit, loop in pairs:
         winding = None
-        if link.ambient.periodic_plane is not None:
-            winding = int(winding_parity(loop, link.ambient.periodic_plane))
+        if ambient.periodic_plane is not None:
+            winding = int(winding_parity(loop, ambient.periodic_plane))
         comps.append(ComponentReport(int(bit), winding, len(loop), loop.length()))
+    bits = [bit for bit, _ in pairs]
     total = reduce(lambda a, b: a ^ b, bits, Z2(0))
     nonzero = Z2(sum(int(b) for b in bits) & 1)
     diagnostics = {
         "max_residual": None,
         "refinement_depth": depth,
-        "tolerances": {
-            "ortho_tol": tol.ortho_tol,
-            "newton_tol": tol.newton_tol,
-            "closure_tol": tol.closure_tol,
-            "lift_angle_max": tol.lift_angle_max,
-        },
+        "tolerances": asdict(tol),
     }
+    if trace_stats is not None:
+        diagnostics["max_residual"] = max(
+            (s["max_residual"] for s in trace_stats), default=None
+        )
+        diagnostics["closure_errors"] = [s["closure_error"] for s in trace_stats]
+        diagnostics["seeds_skipped"] = seeds_skipped
     return InvariantReport(comps, total, nonzero, diagnostics)
+
+
+def invariant_report(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
+    """Per-component indices, winding parity where defined, and kappa."""
+    pairs, depth = _link_indices(link, tol)
+    return _report(pairs, depth, link.ambient, tol)
 
 
 def _require(condition: bool, message: str):
@@ -573,7 +604,10 @@ def load_link(document: dict) -> FramedLink:
     _require("dimension" in amb, "missing field: ambient.dimension")
     kind = amb["kind"]
     dim = amb["dimension"]
-    _require(isinstance(dim, int) and dim >= 3, "ambient.dimension must be an integer >= 3")
+    _require(
+        isinstance(dim, int) and 3 <= dim <= _MAX_DIM,
+        f"ambient.dimension must be an integer in [3, {_MAX_DIM}]",
+    )
     spin = amb.get("spin_twist", "standard")
     if kind == "euclidean":
         _require(spin == "standard", "euclidean space has a unique spin structure")

@@ -1,16 +1,18 @@
 """Small dense linear algebra used everywhere else.
 
 Everything here works on plain float64 numpy arrays (1-d vectors, 2-d
-matrices) at desk scale (dimension <= 12). Orthonormalization is modified
-Gram-Schmidt with one re-orthogonalization pass, which is plenty stable at
-these sizes; least squares and kernel extraction are built on top of it so
-rank decisions all go through the same tolerance.
+matrices) at desk scale (dimension <= 12). `_mgs` is the package's one
+Gram-Schmidt: modified Gram-Schmidt with one re-orthogonalization pass,
+which is plenty stable at these sizes. orthonormalize (frame assembly),
+least_squares and kernel_direction are built on it, so rank decisions all
+go through the same tolerance; the tracer's target_basis and
+transport_closed_frame call it directly with their own 1e-8 threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,9 +36,9 @@ class Tolerances:
     lift_angle_max: float = math.pi / 4
 
     def __post_init__(self):
-        for name in ("ortho_tol", "newton_tol", "closure_tol", "lift_angle_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be strictly positive")
         if not self.lift_angle_max < math.pi / 2:
             raise ValueError("lift_angle_max must be below pi/2")
 
@@ -53,20 +55,32 @@ def _as_vec(v) -> np.ndarray:
     return a
 
 
-def _mgs(vectors: Sequence[np.ndarray], tol: float, drop_dependent: bool = False):
+def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent: bool = False):
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
-    Returns (basis, coeffs, kept) where basis[j] are orthonormal,
-    vectors[i] = sum_j coeffs[i][j] * basis[j] for every kept index i, and
-    kept lists the input indices that produced a basis vector. Dependent
-    inputs either raise RankDeficient or, with drop_dependent, are skipped
-    (their coefficient rows are still recorded).
+    vectors is a sequence of equal-length 1-d vectors or a 2-d array of
+    rows; the stack is validated once. Returns (basis, coeffs, kept) where
+    basis[j] are orthonormal, vectors[i] = sum_j coeffs[i][j] * basis[j] for
+    every kept index i, and kept lists the input indices that produced a
+    basis vector. Dependent inputs either raise RankDeficient or, with
+    drop_dependent, are skipped (their coefficient rows are still recorded).
     """
+    try:
+        V = np.array(vectors, dtype=float)
+    except ValueError as exc:
+        raise ValueError("vectors must share one dimension") from exc
+    if V.ndim != 2 or V.shape[1] < 1:
+        raise ValueError("expected a stack of 1-d vectors")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("vector has non-finite entries")
+    count, dim = V.shape
+    if count > dim and not drop_dependent:
+        raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}")
     basis: list[np.ndarray] = []
     coeffs: list[list[float]] = []
     kept: list[int] = []
-    for i, v in enumerate(vectors):
-        w = _as_vec(v).copy()
+    for i in range(count):
+        w = V[i]  # a row of the private copy, safe to update in place
         row = [0.0] * len(basis)
         for _pass in range(2):
             for j, q in enumerate(basis):
@@ -94,15 +108,9 @@ def orthonormalize(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL)
     preceding directions are projected out. Raises RankDeficient when a
     residual drops below ortho_tol.
     """
-    vecs = [_as_vec(v) for v in vectors]
-    if not vecs:
+    if len(vectors) == 0:
         return []
-    dim = vecs[0].size
-    if any(v.size != dim for v in vecs):
-        raise ValueError("vectors must share one dimension")
-    if len(vecs) > dim:
-        raise RankDeficient(f"{len(vecs)} vectors cannot be independent in R^{dim}")
-    basis, _, _ = _mgs(vecs, tol.ortho_tol)
+    basis, _, _ = _mgs(vectors, tol.ortho_tol)
     return basis
 
 
@@ -121,7 +129,7 @@ def least_squares(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -
     k, _ = A.shape
     if b.size != k:
         raise ValueError("right-hand side length must match the row count")
-    basis, coeffs, _ = _mgs(list(A), tol.ortho_tol)
+    basis, coeffs, _ = _mgs(A, tol.ortho_tol)
     c = np.zeros(k)
     for i in range(k):
         s = b[i] - sum(coeffs[i][j] * c[j] for j in range(len(coeffs[i]) - 1))
@@ -148,7 +156,7 @@ def kernel_direction(
     if J.ndim != 2:
         raise ValueError("J must be a matrix")
     n = J.shape[1]
-    basis, _, _ = _mgs(list(J), tol.ortho_tol, drop_dependent=True)
+    basis, _, _ = _mgs(J, tol.ortho_tol, drop_dependent=True)
     rank = len(basis)
     if n - rank != 1:
         raise RankDeficient(f"kernel dimension is {n - rank}, expected 1")

@@ -8,7 +8,7 @@ to expect, so the registry doubles as a regression suite (--check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,6 @@ from .framedlink import (
 from .numkit import Tolerances
 from .tracer import MapSpec, SectionSpec, TraceOptions, kappa_of_map, section_index
 
-_TOL_KEYS = ("ortho_tol", "newton_tol", "closure_tol", "lift_angle_max")
-
 
 @dataclass
 class Scenario:
@@ -42,7 +40,7 @@ class Scenario:
 
 
 def _tolerances(options: dict) -> Tolerances:
-    kwargs = {k: float(options[k]) for k in _TOL_KEYS if k in options}
+    kwargs = {f.name: float(options[f.name]) for f in fields(Tolerances) if f.name in options}
     return Tolerances(**kwargs)
 
 
@@ -390,7 +388,7 @@ _register(
 def resolve_options(scenario: Scenario, overrides: dict | None) -> dict:
     options = dict(scenario.defaults)
     if overrides:
-        allowed = set(scenario.defaults) | set(_TOL_KEYS)
+        allowed = set(scenario.defaults) | {f.name for f in fields(Tolerances)}
         for key, value in overrides.items():
             if key not in allowed:
                 raise ValidationError(

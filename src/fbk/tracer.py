@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import reduce as _reduce
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     AmbientMismatch,
@@ -41,25 +39,26 @@ from .errors import (
 )
 from .framedlink import (
     AmbientPresentation,
-    ComponentReport,
     FramedLink,
     InvariantReport,
     NormalFraming,
     SampledLoop,
-    _assemble_frame,
-    invariant_report,
+    _link_indices,
+    _report,
+    frame_matrix_loop,
     sphere_ambient,
     twist_framing,
 )
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
+    _mgs,
     jacobian_fd,
     kernel_direction,
     least_squares,
     orthonormalize,
 )
-from .spinlift import RotationLoop, Z2, loop_class
+from .spinlift import Z2, loop_class
 
 
 @dataclass
@@ -140,19 +139,8 @@ def target_basis(spec: MapSpec, target_dim: int) -> np.ndarray:
     if spec.target == "rn":
         return np.eye(target_dim)
     x0 = spec.regular_value
-    rows: list[np.ndarray] = []
-    for i in range(x0.size):
-        w = np.zeros(x0.size)
-        w[i] = 1.0
-        w = w - (x0 @ w) * x0
-        for q in rows:
-            w = w - (q @ w) * q
-        n = np.linalg.norm(w)
-        if n > 1e-8:
-            rows.append(w / n)
-        if len(rows) == target_dim:
-            break
-    return np.vstack(rows)
+    basis, _, _ = _mgs([x0, *np.eye(x0.size)], 1e-8, drop_dependent=True)
+    return np.vstack(basis[1 : target_dim + 1])
 
 
 class _TracedSystem:
@@ -198,12 +186,14 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
     return _TracedSystem(residual, jacobian, spec.dimension)
 
 
-def _frame_jacobian(spec: MapSpec, p: np.ndarray) -> np.ndarray:
-    """Derivative of the reduced map restricted to the domain tangent space."""
+def _frame_jacobian(spec: MapSpec, p: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """Derivative of the reduced map restricted to the domain tangent space.
+
+    basis is target_basis for sphere targets and None for R^n targets.
+    """
     raw_jac = spec.jacobian or (lambda q: jacobian_fd(spec.evaluator, q))
     J = np.asarray(raw_jac(p), dtype=float)
-    if spec.target == "sphere":
-        basis = target_basis(spec, np.asarray(spec.regular_value).size - 1)
+    if basis is not None:
         J = basis @ J
     if spec.domain == "unit_sphere":
         J = J - np.outer(J @ p, p)
@@ -442,11 +432,12 @@ def induced_framing(
         # right-hand sides in the reduced target coordinates
         rhs = src @ B.T
     else:
-        count = _frame_jacobian(spec, loop.points[0]).shape[0]
+        B = None
+        count = _frame_jacobian(spec, loop.points[0], B).shape[0]
         rhs = np.eye(count) if basis is None else np.asarray(basis, dtype=float)
 
     def fields_at(p: np.ndarray) -> np.ndarray:
-        J = _frame_jacobian(spec, p)
+        J = _frame_jacobian(spec, p, B)
         try:
             return np.vstack([least_squares(J, rhs[i]) for i in range(count)])
         except RankDeficient as exc:
@@ -531,15 +522,6 @@ def _check_distinct(loops: Sequence[SampledLoop], tol: Tolerances):
                 raise DuplicateComponent(f"seeds {i} and {j} traced the same component")
 
 
-def _tolerances_dict(tol: Tolerances) -> dict:
-    return {
-        "ortho_tol": tol.ortho_tol,
-        "newton_tol": tol.newton_tol,
-        "closure_tol": tol.closure_tol,
-        "lift_angle_max": tol.lift_angle_max,
-    }
-
-
 def kappa_of_map(
     spec: MapSpec, opts: TraceOptions, ambient: AmbientPresentation
 ) -> InvariantReport:
@@ -570,13 +552,8 @@ def kappa_of_map(
         framing = induced_framing(spec, loop)
         loop, framing = _oriented(loop, framing, ambient)
         components.append((loop, framing))
-    report = invariant_report(FramedLink(components, ambient), tol)
-    report.diagnostics["max_residual"] = max(
-        (s["max_residual"] for s in trace_stats), default=None
-    )
-    report.diagnostics["closure_errors"] = [s["closure_error"] for s in trace_stats]
-    report.diagnostics["seeds_skipped"] = skipped
-    return report
+    pairs, depth = _link_indices(FramedLink(components, ambient), tol)
+    return _report(pairs, depth, ambient, tol, trace_stats, skipped)
 
 
 def transport_closed_frame(
@@ -598,34 +575,23 @@ def transport_closed_frame(
     if count < 1:
         raise ValueError("the curve has no normal directions inside the manifold")
 
+    def normal_directions(candidates, p: np.ndarray, tangent: np.ndarray):
+        """Orthonormal directions the candidates add to [normals of M, tangent]."""
+        fixed = [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
+        basis, _, _ = _mgs([*fixed, *candidates], 1e-8, drop_dependent=True)
+        return basis[len(fixed) :]
+
     def project(vecs: Sequence[np.ndarray], p: np.ndarray, tangent: np.ndarray):
-        killed = [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
-        frame: list[np.ndarray] = []
-        for v in vecs:
-            w = np.asarray(v, dtype=float).copy()
-            for _ in range(2):
-                for q in killed:
-                    w = w - (q @ w) * q
-                for q in frame:
-                    w = w - (q @ w) * q
-            r = float(np.linalg.norm(w))
-            if r < 1e-8:
-                raise RankDeficient("normal space of the curve lost a dimension")
-            frame.append(w / r)
+        frame = normal_directions(vecs, p, tangent)
+        if len(frame) != len(vecs):
+            raise RankDeficient("normal space of the curve lost a dimension")
         return frame
 
     def initial_frame(p: np.ndarray, tangent: np.ndarray):
-        frame: list[np.ndarray] = []
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = 1.0
-            try:
-                frame = project(frame + [e], p, tangent)
-            except RankDeficient:
-                continue
-            if len(frame) == count:
-                return frame
-        raise RankDeficient("could not complete an initial normal frame")
+        frame = normal_directions(np.eye(dim), p, tangent)
+        if len(frame) != count:
+            raise RankDeficient("could not complete an initial normal frame")
+        return frame
 
     raw = [initial_frame(loop.points[0], loop.tangent_at_sample(0))]
     for i in range(1, k):
@@ -656,25 +622,55 @@ def transport_closed_frame(
     return NormalFraming(fields, resample)
 
 
+# Eigenvalues of (H + H^T)/2 closer than this (about the square root of the
+# machine epsilon) are one cluster; see _principal_log_blocks.
+_COSINE_CLUSTER_TOL = 1e-8
+
+
 def _principal_log_blocks(H: np.ndarray):
-    """Schur frame and plane angles of an SO(n) matrix (a log, up to full turns)."""
-    T, Q = schur(H, output="real")
+    """Rotation planes and angles in [0, pi] of an SO(n) matrix: its principal log.
+
+    H is normal, so S = (H + H^T)/2 and K = (H - H^T)/2 commute (Golub and
+    Van Loan, Matrix Computations, sections 7.4 and 8.1). S acts on each
+    rotation plane as cos(theta), so the eigenspaces of S, clustered by
+    eigenvalue, are invariant under K, which turns each of their planes a
+    quarter turn and scales it by sin(theta). In every cluster, the direction
+    u with the largest |K u| and its partner w, K u projected back into the
+    cluster and normalized, span one plane, with angle atan2(w.Hu, u.Hu); K
+    separates angles near 0 and pi that cos(theta) cannot. Directions where
+    |K u| is at most 1e-10 are fixed or reversed, and reversed ones, paired
+    since det H = 1, form pi-planes. Returns (Q, planes): Q orthogonal and
+    planes (a, b, theta) indexing the columns of Q.
+    """
     n = H.shape[0]
+    K = (H - H.T) / 2.0
+    cosines, V = np.linalg.eigh((H + H.T) / 2.0)
+    columns: list[np.ndarray] = []
     planes = []
-    minus_ones = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 1e-10:
-            planes.append((i, i + 1, math.atan2(T[i + 1, i], T[i, i])))
-            i += 2
-        else:
-            if T[i, i] < -0.99:
-                minus_ones.append(i)
-            i += 1
-    # det +1 forces -1 eigenvalues to come in pairs; join them as pi-planes.
-    for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
-        planes.append((a, b, math.pi))
-    return Q, planes
+    start = 0
+    for stop in range(1, n + 1):
+        if stop < n and cosines[stop] - cosines[stop - 1] < _COSINE_CLUSTER_TOL:
+            continue
+        C = V[:, start:stop]
+        while C.shape[1] > 1:
+            Kc = C.T @ K @ C
+            _, sing, vt = np.linalg.svd(Kc)
+            if sing[0] <= 1e-10:
+                break
+            # complete QR of [a, Kc a]: the partner, orthogonal to a, and the
+            # rest of the cluster in its last columns
+            a = vt[0]
+            Qc, _ = np.linalg.qr(np.column_stack([a, Kc @ a]), mode="complete")
+            u, w = C @ Qc[:, 0], C @ Qc[:, 1]
+            planes.append((len(columns), len(columns) + 1, math.atan2(w @ H @ u, u @ H @ u)))
+            columns += [u, w]
+            C = C @ Qc[:, 2:]
+        if cosines[start] < 0.0:
+            for j in range(0, C.shape[1] - 1, 2):
+                planes.append((len(columns) + j, len(columns) + j + 1, math.pi))
+        columns += list(C.T)
+        start = stop
+    return np.column_stack(columns), planes
 
 
 def _rotation_power(blocks, power: float) -> np.ndarray:
@@ -736,14 +732,6 @@ def _section_derivative_fields(
     return NormalFraming(fields, resample)
 
 
-def _section_term2_det(spec: SectionSpec, loop: SampledLoop, tau: NormalFraming, k: int) -> float:
-    x = loop.points[k]
-    radial = x / np.linalg.norm(x)
-    v = np.asarray(spec.splitting_field(x), dtype=float)
-    rows = [radial, v] + list(tau.at_sample(k))
-    return float(np.linalg.det(np.vstack(rows)))
-
-
 def _negate_field(framing: NormalFraming, index: int) -> NormalFraming:
     fields = [f.copy() for f in framing.fields]
     fields[index] = -fields[index]
@@ -759,36 +747,6 @@ def _negate_field(framing: NormalFraming, index: int) -> NormalFraming:
     return NormalFraming(fields, resample)
 
 
-def _assembled_loop(loop, middle_at_sample, framing, ambient, tol, middle_resample=None):
-    """Rotation loop with rows [manifold normals, middle row, framing fields]."""
-    samples = []
-    for idx in range(len(loop)):
-        samples.append(
-            _assemble_frame(
-                ambient,
-                loop.points[idx],
-                middle_at_sample(idx),
-                framing.at_sample(idx),
-                tol,
-                where=f"sample {idx}",
-            )
-        )
-    refiner = None
-    if loop.resample is not None and framing.resample is not None and middle_resample is not None:
-
-        def refiner(t: float) -> np.ndarray:
-            return _assemble_frame(
-                ambient,
-                loop.point(t),
-                middle_resample(t),
-                framing.at(t),
-                tol,
-                where=f"parameter {t % 1.0:.6f}",
-            )
-
-    return RotationLoop(samples, refiner, list(loop.params))
-
-
 def _component_section_index(spec, loop, ambient, tol, aux_twist_turns):
     def build(loop_):
         aux_ = transport_closed_frame(loop_, ambient.manifold_normals, tol)
@@ -797,43 +755,28 @@ def _component_section_index(spec, loop, ambient, tol, aux_twist_turns):
         tau_ = _section_derivative_fields(spec, loop_, aux_)
         return aux_, tau_
 
+    def v_of(p: np.ndarray) -> np.ndarray:
+        return np.asarray(spec.splitting_field(p), dtype=float)
+
     aux, tau = build(loop)
     try:
         orthonormalize(list(tau.at_sample(0)), tol)
     except RankDeficient as exc:
         raise NonTransverse("section derivative degenerates on the normal space") from exc
     d1 = _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0)
-    d2 = _section_term2_det(spec, loop, tau, 0)
-    if d2 < 0.0:
+    if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
         aux = _negate_field(aux, 0)
         tau = _negate_field(tau, 0)
         d1 = -d1
     if d1 < 0.0:
         loop = loop.reversed()
         aux, tau = build(loop)
-        if _section_term2_det(spec, loop, tau, 0) < 0.0:
+        if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
             aux = _negate_field(aux, 0)
             tau = _negate_field(tau, 0)
     stats: dict = {}
-    term1 = _assembled_loop(
-        loop,
-        loop.tangent_at_sample,
-        aux,
-        ambient,
-        tol,
-        middle_resample=(loop.tangent if loop.resample is not None else None),
-    )
-    v_of = lambda p: np.asarray(spec.splitting_field(p), dtype=float)  # noqa: E731
-    term2 = _assembled_loop(
-        loop,
-        lambda idx: v_of(loop.points[idx]),
-        tau,
-        ambient,
-        tol,
-        middle_resample=(
-            (lambda t: v_of(loop.point(t))) if loop.resample is not None else None
-        ),
-    )
+    term1 = frame_matrix_loop(loop, aux, ambient, tol)
+    term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
     bit = loop_class(term1, tol, stats) ^ loop_class(term2, tol, stats) ^ Z2(1)
     return bit, stats
 
@@ -880,25 +823,14 @@ def section_index(
     trace_stats = [s for s in all_stats if s is not None]
     skipped = sum(1 for s in all_stats if s is None)
     ambient = sphere_ambient(spec.embedding_dimension)
-    comps = []
-    bits = []
+    pairs = []
     depth = 0
     for loop in loops:
         _check_section_invariants(spec, loop)
         bit, stats = _component_section_index(spec, loop, ambient, tol, aux_twist_turns)
         depth = max(depth, stats.get("max_depth", 0))
-        bits.append(bit)
-        comps.append(ComponentReport(int(bit), None, len(loop), loop.length()))
-    total = _reduce(lambda a, b: a ^ b, bits, Z2(0))
-    nonzero = Z2(sum(int(b) for b in bits) & 1)
-    diagnostics = {
-        "max_residual": max((s["max_residual"] for s in trace_stats), default=None),
-        "closure_errors": [s["closure_error"] for s in trace_stats],
-        "seeds_skipped": skipped,
-        "refinement_depth": depth,
-        "tolerances": _tolerances_dict(tol),
-    }
-    return InvariantReport(comps, total, nonzero, diagnostics)
+        pairs.append((bit, loop))
+    return _report(pairs, depth, ambient, tol, trace_stats, skipped)
 
 
 def write_loop_csv(loop: SampledLoop, path: str):

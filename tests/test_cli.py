@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import fbk
 import fbk.cli as cli
 from fbk.scenarios import REGISTRY
 
-from test_framedlink import circle_link_doc, write_link_file
+from conftest import standard_framing
+from test_framedlink import circle_link_doc, plane_circle, write_link_file
 
 
 def run_cli(capsys, argv):
@@ -131,3 +136,36 @@ class TestLink:
         code, _, err = run_cli(capsys, ["link", path])
         assert code == 4
         assert "RefinementExhausted" in err
+
+    def test_dimension_above_lift_cap_exit_code(self, capsys, tmp_path):
+        # well formed in R^13, one dimension more than the lift supports
+        loop = plane_circle(16, 13, clockwise=True)
+        framing = standard_framing(loop, 13)
+        doc = {
+            "ambient": {"kind": "euclidean", "dimension": 13},
+            "components": [
+                {
+                    "points": loop.points.tolist(),
+                    "framing": [f.tolist() for f in framing.fields],
+                }
+            ],
+        }
+        code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 3
+        assert "ambient.dimension" in err
+
+    def test_huge_dimension_without_components_exit_code(self, capsys, tmp_path):
+        doc = {"ambient": {"kind": "euclidean", "dimension": 1000000}, "components": []}
+        code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 3
+        assert "ambient.dimension" in err
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fbk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, fbk; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

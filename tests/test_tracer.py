@@ -5,12 +5,14 @@ import pytest
 
 from conftest import random_rotation
 from fbk.errors import DuplicateComponent, NoConvergence, RankDeficient
-from fbk.framedlink import SampledLoop, euclidean_ambient, index_of_circle
+from fbk.framedlink import SampledLoop, euclidean_ambient, index_of_circle, invariant_report
 from fbk.numkit import DEFAULT_TOL
 from fbk.tracer import (
     MapSpec,
     SectionSpec,
     TraceOptions,
+    _principal_log_blocks,
+    _rotation_power,
     hausdorff_distance,
     induced_framing,
     kappa_of_map,
@@ -20,6 +22,7 @@ from fbk.tracer import (
     trace_component,
     transport_closed_frame,
 )
+from test_framedlink import pontryagin_link
 
 
 def quadric(x):
@@ -218,6 +221,73 @@ class TestTransportClosedFrame:
         loop = SampledLoop(np.array(pts))
         with pytest.raises(RankDeficient):
             transport_closed_frame(loop, [])
+
+
+def rotation_with_angles(rng, n, angles):
+    """Randomly oriented SO(n) matrix rotating plane k of some frame by angles[k]."""
+    B = np.eye(n)
+    for k, theta in enumerate(angles):
+        a, b = 2 * k, 2 * k + 1
+        B[a, a] = B[b, b] = math.cos(theta)
+        B[b, a], B[a, b] = math.sin(theta), -math.sin(theta)
+    Q = random_rotation(rng, n)
+    return Q @ B @ Q.T
+
+
+def holonomy_cases(rng):
+    for n in range(2, 7):
+        m = n // 2
+        yield f"identity/{n}", np.eye(n)
+        if n % 2 == 0:
+            yield f"minus-identity/{n}", -np.eye(n)
+        rest = [0.4] * (m - 1)
+        for name, angles in [
+            ("equal", [0.7] * m),
+            ("theta-and-pi-minus-theta", [0.7, math.pi - 0.7][:m]),
+            ("pi-plane", [math.pi] + rest),
+            ("pi-1e-3", [math.pi - 1e-3] + rest),
+            ("pi-1e-6", [math.pi - 1e-6] + rest),
+            ("pi-1e-9", [math.pi - 1e-9] + rest),
+            # cos(theta) cannot tell these planes from fixed or reversed ones
+            ("pi-plane-and-pi-1e-9", [math.pi, math.pi - 1e-9][:m]),
+            ("near-identity", [1e-6] + rest),
+        ]:
+            for _ in range(3):
+                yield f"{name}/{n}", rotation_with_angles(rng, n, angles)
+        for _ in range(20):
+            yield f"random/{n}", random_rotation(rng, n)
+
+
+class TestHolonomyPlanes:
+    def test_principal_powers(self, rng):
+        for name, H in holonomy_cases(rng):
+            n = H.shape[0]
+            blocks = _principal_log_blocks(H)
+            assert np.max(np.abs(_rotation_power(blocks, 1.0) - H)) < 1e-12, name
+            for u in (0.5, -0.3, 0.9):
+                P = _rotation_power(blocks, u)
+                assert np.max(np.abs(P.T @ P - np.eye(n))) < 1e-12, (name, u)
+            half = _rotation_power(blocks, 0.5)
+            assert np.max(np.abs(half @ half - H)) < 1e-12, name
+            # principal square root: no rotation angle of it exceeds pi/2
+            assert np.min(np.linalg.eigvals(half).real) > -1e-12, name
+
+
+def test_diagnostics_keys_per_report_kind():
+    base = {"max_residual", "refinement_depth", "tolerances"}
+    traced = base | {"closure_errors", "seeds_skipped"}
+    link = invariant_report(pontryagin_link())
+    mapped = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]), euclidean_ambient(4))
+    section = section_index(
+        s5_spec(), TraceOptions(seeds=[np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])])
+    )
+    assert set(link.diagnostics) == base
+    assert set(mapped.diagnostics) == traced
+    assert set(section.diagnostics) == traced
+    for report in (link, mapped, section):
+        assert set(report.diagnostics["tolerances"]) == {
+            "ortho_tol", "newton_tol", "closure_tol", "lift_angle_max"
+        }
 
 
 class TestSectionIndex:
