@@ -11,13 +11,10 @@ the map, or of the bundle.
 from .errors import FbkError
 from .numkit import Tolerances
 from .spinlift import (
-    CliffordElement,
     RotationLoop,
     Z2,
-    geometric_product,
     loop_class,
     quaternion_loop_class,
-    rotor_from_rotation,
     stabilize_loop,
 )
 from .framedlink import (
@@ -54,7 +51,6 @@ from .scenarios import run_scenario
 
 __all__ = [
     "AmbientPresentation",
-    "CliffordElement",
     "FbkError",
     "FramedLink",
     "InvariantReport",
@@ -70,7 +66,6 @@ __all__ = [
     "delta_pontryagin",
     "euclidean_ambient",
     "frame_matrix_loop",
-    "geometric_product",
     "hausdorff_distance",
     "index_of_circle",
     "induced_framing",
@@ -80,7 +75,6 @@ __all__ = [
     "load_link_file",
     "loop_class",
     "quaternion_loop_class",
-    "rotor_from_rotation",
     "run_scenario",
     "section_index",
     "section_zero_loops",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,9 +89,18 @@ class SampledLoop:
             raise ValidationError("loop has no resample callback")
         return np.asarray(self.resample(t % 1.0), dtype=float)
 
+    # points and params are never reassigned after __post_init__, so the
+    # values that depend only on them are computed once per loop.
+    @cached_property
     def _gap(self) -> float:
         ts = list(self.params) + [self.params[0] + 1.0]
         return min(b - a for a, b in zip(ts, ts[1:]))
+
+    @cached_property
+    def _arc_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample params and arc fractions, closed by the wrap-around sample."""
+        ts = np.asarray(list(self.params) + [self.params[0] + 1.0])
+        return ts, np.concatenate([self.arc_fractions(), [1.0]])
 
     def tangent_at_sample(self, k: int) -> np.ndarray:
         if self.resample is not None:
@@ -103,7 +112,7 @@ class SampledLoop:
     def tangent(self, t: float) -> np.ndarray:
         if self.resample is None:
             raise ValidationError("loop has no resample callback")
-        h = 0.25 * self._gap()
+        h = 0.25 * self._gap
         d = self.point(t + h) - self.point(t - h)
         nrm = np.linalg.norm(d)
         if nrm == 0.0:
@@ -119,8 +128,7 @@ class SampledLoop:
 
     def arc_fraction(self, t: float) -> float:
         """Arc fraction at parameter t, linearly interpolated between samples."""
-        ts = np.asarray(list(self.params) + [self.params[0] + 1.0])
-        fr = np.concatenate([self.arc_fractions(), [1.0]])
+        ts, fr = self._arc_table
         u = t % 1.0
         i = int(np.searchsorted(ts, u, side="right")) - 1
         i = max(0, min(i, len(ts) - 2))

@@ -2,22 +2,33 @@
 
 A loop of special-orthogonal matrices R(t) in SO(m), m >= 3, is either
 contractible or not; the two cases are told apart by lifting the loop
-continuously to the double cover and checking whether the lift closes on +1
-or on -1. The cover is realized inside the real Clifford algebra Cl(m) with
-generators e_i, e_i e_i = +1, e_i e_j = -e_j e_i: rotations near the
-identity have a canonical lift (the rotor with positive scalar part), so
-the loop is walked in small relative steps R_{k+1} R_k^T, each step lifted
-canonically, and the lifts are accumulated.
+continuously to the double cover Spin(m) and checking whether the lift
+closes on +1 or on -1. Rotations near the identity have a canonical lift
+(the rotor with positive scalar part), so the loop is walked in small
+relative steps R_{k+1} R_k^T, each step lifted canonically, and the lifts
+are multiplied (later steps act on the left).
+
+Spin(m) lives in the even part of the Clifford algebra Cl(m), generated by
+e_1..e_m with e_i e_i = +1 and e_i e_j = -e_j e_i. Only the d coordinates
+that the loop moves (at least 3) take part, and the lift is computed in the
+spin representation of Cl(d): the Jordan-Wigner gamma matrices, Pauli
+strings of size 2^floor(d/2) written as real matrices of size
+N = 2^(floor(d/2)+1) (Lawson-Michelsohn, Spin Geometry, 1989, ch. I;
+Jordan-Wigner, 1928). Every product of two gammas is a signed permutation,
+so one Givens factorization run over the whole stack of steps at once
+yields every step's rotor by gathers and sign flips, and the rotors are
+multiplied as a pairwise tree.
 
 For m = 3 there is an entirely separate lift through unit quaternions
-(quaternion_loop_class), used as an independent cross-check of the Clifford
-route.
+(quaternion_loop_class), used as an independent cross-check of the spin
+representation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +45,9 @@ from .numkit import DEFAULT_TOL, Tolerances
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
 _ORTHO_CHECK = 1e-8
+# Steps lifted per batch. The batch holds (_CHUNK, N, N) arrays, 8 MB each
+# at N = 128 (twelve moving coordinates).
+_CHUNK = 64
 
 
 class Z2(int):
@@ -71,120 +85,6 @@ def _z2_bit(value) -> int:
     return b
 
 
-def _blade_sign(a: int, b: int) -> int:
-    """Sign of e_a * e_b from counting transpositions between blade bitmasks."""
-    a >>= 1
-    total = 0
-    while a:
-        total += (a & b).bit_count()
-        a >>= 1
-    return -1 if total & 1 else 1
-
-
-@dataclass
-class CliffordElement:
-    """Sparse multivector in Cl(m): blade bitmask -> real coefficient."""
-
-    dim: int
-    coeffs: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 3 <= self.dim <= _MAX_DIM:
-            raise DimensionMismatch(f"Clifford dimension {self.dim} outside [3, {_MAX_DIM}]")
-        self.coeffs = {b: float(c) for b, c in self.coeffs.items() if c != 0.0}
-
-    @classmethod
-    def scalar(cls, dim: int, value: float) -> "CliffordElement":
-        return cls(dim, {0: float(value)})
-
-    @classmethod
-    def blade(cls, dim: int, bits: int, value: float = 1.0) -> "CliffordElement":
-        return cls(dim, {bits: float(value)})
-
-    @classmethod
-    def vector(cls, dim: int, coords: Sequence[float]) -> "CliffordElement":
-        return cls(dim, {1 << i: float(c) for i, c in enumerate(coords)})
-
-    @property
-    def scalar_part(self) -> float:
-        return self.coeffs.get(0, 0.0)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs.values()))
-
-    def reverse(self) -> "CliffordElement":
-        out = {}
-        for bits, c in self.coeffs.items():
-            k = bits.bit_count()
-            out[bits] = -c if (k * (k - 1) // 2) & 1 else c
-        return CliffordElement(self.dim, out)
-
-    def grade(self, k: int) -> "CliffordElement":
-        return CliffordElement(
-            self.dim, {b: c for b, c in self.coeffs.items() if b.bit_count() == k}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, CliffordElement):
-            return geometric_product(self, other)
-        return CliffordElement(self.dim, {b: c * float(other) for b, c in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        if self.dim != other.dim:
-            raise DimensionMismatch("cannot add elements of different dimension")
-        out = dict(self.coeffs)
-        for b, c in other.coeffs.items():
-            out[b] = out.get(b, 0.0) + c
-        return CliffordElement(self.dim, out)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (other * -1.0)
-
-    def distance_to_scalar(self, value: float) -> float:
-        diff = dict(self.coeffs)
-        diff[0] = diff.get(0, 0.0) - value
-        return math.sqrt(sum(c * c for c in diff.values()))
-
-    def apply_to_vector(self, v: Sequence[float]) -> np.ndarray:
-        """Sandwich action r v reverse(r), returning the grade-1 part."""
-        x = CliffordElement.vector(self.dim, v)
-        out = geometric_product(geometric_product(self, x), self.reverse())
-        res = np.zeros(self.dim)
-        for i in range(self.dim):
-            res[i] = out.coeffs.get(1 << i, 0.0)
-        return res
-
-    def rotation_matrix(self) -> np.ndarray:
-        """Matrix of the sandwich action on the standard basis (columns)."""
-        cols = [self.apply_to_vector(np.eye(self.dim)[i]) for i in range(self.dim)]
-        return np.column_stack(cols)
-
-    def normalized_rotor(self) -> "CliffordElement":
-        s = geometric_product(self, self.reverse()).scalar_part
-        if s <= 0.0:
-            raise LiftInconsistent("rotor norm collapsed while renormalizing")
-        return self * (1.0 / math.sqrt(s))
-
-
-def geometric_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Bilinear Clifford product with e_i e_i = +1 and e_i e_j = -e_j e_i."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    out: dict[int, float] = {}
-    for ba, ca in a.coeffs.items():
-        for bb, cb in b.coeffs.items():
-            key = ba ^ bb
-            out[key] = out.get(key, 0.0) + _blade_sign(ba, bb) * ca * cb
-    if out:
-        top = max(abs(c) for c in out.values())
-        cutoff = 1e-16 * top
-        out = {b: c for b, c in out.items() if abs(c) > cutoff}
-    return CliffordElement(a.dim, out)
-
-
 def _check_special_orthogonal(R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
@@ -196,50 +96,6 @@ def _check_special_orthogonal(R: np.ndarray) -> np.ndarray:
     if np.linalg.det(R) <= 0.0:
         raise NotOrthogonal("determinant is not positive")
     return R
-
-
-def rotor_from_rotation(R: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CliffordElement:
-    """Canonical rotor (positive scalar part) for a near-identity rotation.
-
-    R is factored into Givens rotations by eliminating below-diagonal
-    entries column by column; each factor has the exact rotor
-    cos(theta/2) - sin(theta/2) e_i e_j, and the factors are multiplied in
-    order. Raises NotNearIdentity when the resulting scalar part is too
-    small for the sign choice to be trustworthy (some principal angle is
-    close to pi).
-    """
-    R = _check_special_orthogonal(R)
-    m = R.shape[0]
-    if not 3 <= m <= _MAX_DIM:
-        raise DimensionMismatch(f"rotation dimension {m} outside [3, {_MAX_DIM}]")
-    M = R.copy()
-    rotor = CliffordElement.scalar(m, 1.0)
-    for j in range(m - 1):
-        for i in range(j + 1, m):
-            a = M[j, j]
-            b = M[i, j]
-            r = math.hypot(a, b)
-            if r < 1e-300 or (abs(b) <= 1e-15 * r and a > 0.0):
-                continue
-            c = a / r
-            s = b / r
-            rj = c * M[j, :] + s * M[i, :]
-            ri = -s * M[j, :] + c * M[i, :]
-            M[j, :] = rj
-            M[i, :] = ri
-            theta = math.atan2(s, c)
-            factor = CliffordElement(
-                m, {0: math.cos(theta / 2.0), (1 << j) | (1 << i): -math.sin(theta / 2.0)}
-            )
-            rotor = rotor * factor
-    if np.max(np.abs(M - np.eye(m))) > 1e-6:
-        raise NotNearIdentity("a principal rotation angle is at pi; no canonical lift")
-    s0 = rotor.scalar_part
-    if abs(s0) < 0.1:
-        raise NotNearIdentity(f"rotor scalar part {s0:.3e} too small for a canonical sign")
-    if s0 < 0.0:
-        rotor = rotor * -1.0
-    return rotor.normalized_rotor()
 
 
 @dataclass
@@ -294,9 +150,17 @@ def _angle_step_bound(lift_angle_max: float) -> float:
 def _refined_steps(
     loop: RotationLoop, tol: Tolerances, stats: dict | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive sample pairs around the cycle, subdivided to the angle bound."""
+    """Consecutive sample pairs around the cycle, subdivided to the angle bound.
+
+    The bound is tested on all sample-to-sample steps at once; only steps
+    over it are split, one refiner evaluation at a time.
+    """
     bound = _angle_step_bound(tol.lift_angle_max)
     k = len(loop)
+    eye = np.eye(loop.dim)
+    samples = np.array(loop.samples)
+    steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
+    within = np.linalg.norm(steps - eye, axis=(1, 2)) <= bound
     for idx in range(k):
         t0 = loop.params[idx]
         r0 = loop.samples[idx]
@@ -309,7 +173,7 @@ def _refined_steps(
         stack = [(t0, r0, t1, r1, 0)]
         while stack:
             a_t, a_r, b_t, b_r, depth = stack.pop()
-            if np.linalg.norm(b_r @ a_r.T - np.eye(loop.dim)) <= bound:
+            if within[idx] if depth == 0 else np.linalg.norm(b_r @ a_r.T - eye) <= bound:
                 if stats is not None:
                     stats["steps"] = stats.get("steps", 0) + 1
                     stats["max_depth"] = max(stats.get("max_depth", 0), depth)
@@ -330,28 +194,152 @@ def _refined_steps(
             stack.append((a_t, a_r, m_t, m_r, depth + 1))
 
 
+def _gammas(d: int) -> list[np.ndarray]:
+    """Jordan-Wigner generators of Cl(d) as real matrices of size 2^(d//2 + 1).
+
+    With n = d // 2, gamma_{2k} and gamma_{2k+1} are the Pauli strings
+    Z^k X I^(n-k-1) and Z^k Y I^(n-k-1), and for odd d the last one is Z^n.
+    A complex entry a + ib is written as the real block a*1 + b*J with
+    J = [[0, -1], [1, 0]]; Y = iJ, so a Y string is its real J string
+    tensored with J, and every other string is tensored with 1.
+    """
+    one = np.eye(2)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    n = d // 2
+
+    def string(k: int, middle: np.ndarray, unit: np.ndarray) -> np.ndarray:
+        factors = [z] * k + [middle] + [one] * (n - k - 1)
+        return np.kron(functools.reduce(np.kron, factors), unit)
+
+    out = []
+    for k in range(n):
+        out += [string(k, x, one), string(k, j, j)]
+    if d % 2:
+        out.append(np.kron(functools.reduce(np.kron, [z] * n), one))
+    return out
+
+
+@functools.cache
+def _spin_tables(d: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Givens planes of R^d and their spin generators as signed permutations.
+
+    planes lists the pairs (j, i), j < i, in elimination order. Column q of
+    the matrix of gamma_j gamma_i for planes[p] is zero except for
+    sign[p, q] in row perm[p, q], so right-multiplying a rotor by it is
+    rotor[..., perm[p]] * sign[p]. Built on first use and read-only.
+    """
+    gammas = _gammas(d)
+    planes = [(j, i) for j in range(d - 1) for i in range(j + 1, d)]
+    products = np.array([gammas[j] @ gammas[i] for j, i in planes])
+    perm = np.argmax(np.abs(products), axis=1)
+    sign = np.take_along_axis(products, perm[:, None, :], axis=1)[:, 0, :]
+    perm.setflags(write=False)
+    sign.setflags(write=False)
+    return planes, perm, sign
+
+
+def _normalized(rotors: np.ndarray) -> np.ndarray:
+    """Rotor matrices divided by their norm sqrt(tr(R R^T) / N)."""
+    size = rotors.shape[-1]
+    return rotors / np.sqrt(np.sum(rotors * rotors, axis=(-2, -1), keepdims=True) / size)
+
+
+def _step_rotors(steps: np.ndarray) -> np.ndarray:
+    """Canonical rotor matrices (positive scalar part) of a (K, d, d) step stack.
+
+    Every step is factored into Givens rotations by eliminating its
+    below-diagonal entries column by column, all steps at once; the factor
+    by theta in the (e_j, e_i) plane has the exact rotor
+    cos(theta/2) - sin(theta/2) gamma_j gamma_i, and the factors are
+    multiplied in order. Raises NotNearIdentity when a step's scalar part
+    (trace / N) is too small for the sign choice to be trustworthy (some
+    principal angle is close to pi).
+    """
+    planes, perm, sign = _spin_tables(steps.shape[1])
+    M = steps.copy()
+    rotors = np.tile(np.eye(perm.shape[1]), (len(steps), 1, 1))
+    for p, (j, i) in enumerate(planes):
+        a = M[:, j, j]
+        b = M[:, i, j]
+        r = np.hypot(a, b)
+        skip = (r < 1e-300) | ((np.abs(b) <= 1e-15 * r) & (a > 0.0))
+        if skip.all():
+            continue
+        r = np.where(skip, 1.0, r)
+        c = np.where(skip, 1.0, a / r)[:, None]
+        s = np.where(skip, 0.0, b / r)[:, None]
+        M[:, j, :], M[:, i, :] = c * M[:, j, :] + s * M[:, i, :], -s * M[:, j, :] + c * M[:, i, :]
+        half = 0.5 * np.arctan2(s, c)[:, :, None]
+        rotors = np.cos(half) * rotors - np.sin(half) * (rotors[:, :, perm[p]] * sign[p])
+    residue = np.max(np.abs(M - np.eye(steps.shape[1])), axis=(1, 2))
+    scalar = np.trace(rotors, axis1=1, axis2=2) / rotors.shape[1]
+    bad = (residue > 1e-6) | (np.abs(scalar) < 0.1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if residue[k] > 1e-6:
+            raise NotNearIdentity("a principal rotation angle is at pi; no canonical lift")
+        raise NotNearIdentity(f"rotor scalar part {scalar[k]:.3e} too small for a canonical sign")
+    return _normalized(np.where(scalar < 0.0, -1.0, 1.0)[:, None, None] * rotors)
+
+
+def _ordered_product(rotors: np.ndarray) -> np.ndarray:
+    """rotors[-1] @ ... @ rotors[0], multiplied pairwise as a tree."""
+    while len(rotors) > 1:
+        even = len(rotors) - len(rotors) % 2
+        paired = rotors[1:even:2] @ rotors[0:even:2]
+        rotors = _normalized(np.concatenate([paired, rotors[even:]]))
+    return rotors[0]
+
+
+def _moved_coordinates(steps: np.ndarray) -> np.ndarray:
+    """The steps restricted to the coordinates some step moves, at least 3.
+
+    A coordinate that no step moves has an exact identity row and column in
+    every step. Each step then rotates only the span of the kept
+    coordinates, so both of its lifts lie in the Clifford algebra of that
+    span, and the canonical one (positive scalar part) is the same rotor
+    there as in Cl(m). The comparison is exact; there is no tolerance.
+    """
+    changed = steps != np.eye(steps.shape[1])
+    moved = changed.any(axis=(0, 1)) | changed.any(axis=(0, 2))
+    keep = np.flatnonzero(moved)
+    if keep.size < 3:
+        keep = np.sort(np.concatenate([keep, np.flatnonzero(~moved)[: 3 - keep.size]]))
+    return steps[:, keep[:, None], keep]
+
+
 def loop_class(
     loop: RotationLoop, tol: Tolerances = DEFAULT_TOL, stats: dict | None = None
 ) -> Z2:
     """Class of a closed SO(m) loop in its fundamental group, as a Z2 bit.
 
     Walks the cycle in relative steps R_{k+1} R_k^T, lifts each step to the
-    canonical rotor and accumulates the lifts (later steps act on the
-    left). On closure the product projects to the identity, so it must be
-    +-1; 0 means the lift closed on +1, 1 means it closed on -1.
+    canonical rotor and multiplies the lifts (later steps act on the left),
+    _CHUNK steps at a time. On closure the product projects to the identity,
+    so it must be +-1; 0 means the lift closed on +1, 1 means it closed on
+    -1. The distance to +-1 is |G -+ I|_F / sqrt(N), which equals the
+    distance of the multivector's coefficients, because the even blades are
+    orthonormal under tr(A^T B) / N.
     """
-    if loop.dim < 3:
-        raise DimensionMismatch("loop classification needs dimension >= 3")
-    g = CliffordElement.scalar(loop.dim, 1.0)
-    count = 0
-    for r_prev, r_next in _refined_steps(loop, tol, stats):
-        step = rotor_from_rotation(r_next @ r_prev.T, tol)
-        g = step * g
-        count += 1
-        if count % 64 == 0:
-            g = g.normalized_rotor()
-    d_plus = g.distance_to_scalar(1.0)
-    d_minus = g.distance_to_scalar(-1.0)
+    m = loop.dim
+    if not 3 <= m <= _MAX_DIM:
+        raise DimensionMismatch(f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}")
+    pairs = list(_refined_steps(loop, tol, stats))
+    before = np.array([a for a, _ in pairs])
+    steps = _moved_coordinates(np.array([b for _, b in pairs]) @ before.transpose(0, 2, 1))
+    # A step is a product of two checked samples, so its determinant is
+    # positive, but the two orthogonality defects add up.
+    defect = np.max(np.abs(steps.transpose(0, 2, 1) @ steps - np.eye(steps.shape[1])))
+    if defect > _ORTHO_CHECK:
+        raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
+    eye = np.eye(2 ** (steps.shape[1] // 2 + 1))
+    g = eye
+    for start in range(0, len(steps), _CHUNK):
+        g = _ordered_product(np.concatenate([g[None], _step_rotors(steps[start:start + _CHUNK])]))
+    d_plus = np.linalg.norm(g - eye) / math.sqrt(len(eye))
+    d_minus = np.linalg.norm(g + eye) / math.sqrt(len(eye))
     if min(d_plus, d_minus) > 1e-4:
         raise LiftInconsistent(
             f"lift closed at distance {min(d_plus, d_minus):.3e} from both +1 and -1"

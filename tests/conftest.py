@@ -29,6 +29,38 @@ def random_waypoint_loop(rng: np.random.Generator, legs: int = 4, per_leg: int =
     return so3_geodesic_loop(waypoints, per_leg)
 
 
+def generic_loop(rng: np.random.Generator, m: int, turns: int, samples: int,
+                 wobble: float = 0.15) -> RotationLoop:
+    """Loop Q P(turns) Q^T C(t) in SO(m), with refiner; its class is turns mod 2.
+
+    P turns `turns` times in the (e_0, e_1) plane and Q is random, so the
+    turning plane is random; C is the Cayley image of a small random
+    skew-symmetric trigonometric loop, which contracts by scaling and adds
+    nothing to the class. Every coordinate moves. With 12 samples per turn
+    no step refines; with 6, each step is split once.
+    """
+    Q = random_rotation(rng, m)
+    harmonics = []
+    for k in (1, 2):
+        a = rng.normal(size=(m, m))
+        b = rng.normal(size=(m, m))
+        harmonics.append((k, a - a.T, b - b.T))
+    scale = wobble / (2.0 * sum(np.linalg.norm(a) + np.linalg.norm(b) for _, a, b in harmonics))
+    eye = np.eye(m)
+
+    def at(t: float) -> np.ndarray:
+        ang = 2.0 * math.pi * t
+        W = sum(scale * (math.cos(k * ang) * A + math.sin(k * ang) * B) for k, A, B in harmonics)
+        P = eye.copy()
+        P[0, 0] = P[1, 1] = math.cos(turns * ang)
+        P[1, 0] = math.sin(turns * ang)
+        P[0, 1] = -P[1, 0]
+        return Q @ P @ Q.T @ np.linalg.solve(eye - W, eye + W)
+
+    params = [i / samples for i in range(samples)]
+    return RotationLoop([at(t) for t in params], at, params)
+
+
 def wavy_circle(rng: np.random.Generator, dim: int = 4, samples: int = 96,
                 amplitude: float = 0.02) -> SampledLoop:
     """Embedded trigonometric loop: a plane circle plus small higher harmonics.

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rotation, random_waypoint_loop
+from cliffref import CliffordElement, geometric_product, rotor_from_rotation, sparse_loop_class
+from conftest import generic_loop, random_rotation, random_waypoint_loop
 from fbk.errors import (
     DimensionMismatch,
     NotNearIdentity,
@@ -11,15 +12,14 @@ from fbk.errors import (
     RefinementExhausted,
 )
 from fbk.spinlift import (
-    CliffordElement,
     RotationLoop,
     Z2,
+    _gammas,
+    _step_rotors,
     concatenate_loops,
-    geometric_product,
     loop_class,
     plane_rotation,
     quaternion_loop_class,
-    rotor_from_rotation,
     so3_geodesic_loop,
     stabilize_loop,
 )
@@ -152,6 +152,127 @@ class TestLoopClass:
         stats = {}
         assert loop_class(loop, stats=stats) == Z2(1)
         assert stats["max_depth"] >= 1
+
+
+def dense_image(r: CliffordElement) -> np.ndarray:
+    """Matrix of a sparse multivector in the spin representation: sum of c_S gamma_S."""
+    gammas = _gammas(r.dim)
+    out = np.zeros_like(gammas[0])
+    for bits, c in r.coeffs.items():
+        blade = np.eye(len(out))
+        for i in range(r.dim):
+            if bits >> i & 1:
+                blade = blade @ gammas[i]
+        out += c * blade
+    return out
+
+
+def cayley_rotation(rng, m: int, size: float) -> np.ndarray:
+    a = rng.normal(size=(m, m))
+    A = size * (a - a.T) / np.linalg.norm(a - a.T)
+    return np.linalg.solve(np.eye(m) - A, np.eye(m) + A)
+
+
+def conjugated_stabilization(loop: RotationLoop, Q: np.ndarray) -> RotationLoop:
+    """Q diag(R, I) Q^T for every R of the loop: dense in every coordinate."""
+    inner = stabilize_loop(loop, Q.shape[0])
+    return RotationLoop(
+        [Q @ R @ Q.T for R in inner.samples],
+        lambda t: Q @ inner.refiner(t) @ Q.T,
+        list(inner.params),
+    )
+
+
+class TestSpinRepresentation:
+    def test_gamma_relations(self):
+        for d in range(3, 13):
+            gammas = _gammas(d)
+            eye = np.eye(2 ** (d // 2 + 1))
+            for i, gi in enumerate(gammas):
+                assert np.array_equal(gi @ gi, eye)
+                for gj in gammas[i + 1:]:
+                    assert np.array_equal(gi @ gj, -gj @ gi)
+
+    def test_even_blades_orthonormal(self):
+        # tr(A^T B) / N is the blade-coefficient inner product, so the
+        # closing distance |G -+ I|_F / sqrt(N) is the coefficient distance.
+        for d in (3, 4, 5, 6):
+            even = [b for b in range(1 << d) if b.bit_count() % 2 == 0]
+            mats = [dense_image(CliffordElement.blade(d, b)) for b in even]
+            n = len(mats[0])
+            gram = np.array([[np.trace(a.T @ b) / n for b in mats] for a in mats])
+            assert np.array_equal(gram, np.eye(len(even)))
+
+    def test_step_rotors_match_sparse_rotors(self, rng):
+        for _ in range(20):
+            m = int(rng.integers(3, 9))
+            steps = np.array([cayley_rotation(rng, m, rng.uniform(0.05, 0.7)) for _ in range(3)])
+            dense = _step_rotors(steps)
+            for R, rotor in zip(steps, dense):
+                sparse = rotor_from_rotation(R)
+                assert np.max(np.abs(rotor - dense_image(sparse))) < 1e-12
+                assert np.trace(rotor) / len(rotor) == pytest.approx(sparse.scalar_part, abs=1e-12)
+
+    def test_flip_to_positive_scalar_part(self):
+        # The Givens factors of this step multiply to scalar part -0.54;
+        # the canonical rotor is its negative.
+        R = plane_rotation(3, 0, 1, -3.0) @ plane_rotation(3, 0, 2, -1.5) @ plane_rotation(
+            3, 1, 2, 2.0
+        )
+        rotor = _step_rotors(R[None])[0]
+        assert np.trace(rotor) / 4 == pytest.approx(0.5441776519095698, abs=1e-12)
+        assert np.max(np.abs(rotor - dense_image(rotor_from_rotation(R)))) < 1e-12
+
+    def test_pi_step_not_near_identity(self):
+        steps = np.array([np.eye(4), plane_rotation(4, 1, 3, math.pi), np.eye(4)])
+        with pytest.raises(NotNearIdentity):
+            _step_rotors(steps)
+
+    def test_non_orthogonal_refiner_output(self):
+        shear = np.eye(3)
+        shear[0, 1] = 0.1  # (R shear)^T (R shear) - I has largest entry 0.1
+        at = lambda t: plane_rotation(3, 0, 1, 2 * math.pi * t) @ shear  # noqa: E731
+        samples = [plane_rotation(3, 0, 1, 2 * math.pi * k / 4) for k in range(4)]
+        with pytest.raises(NotOrthogonal):
+            loop_class(RotationLoop(samples, at, [k / 4 for k in range(4)]))
+
+    def test_constant_loop_moves_no_coordinate(self):
+        for m in (3, 7, 12):
+            assert loop_class(RotationLoop([np.eye(m)] * 4)) == Z2(0)
+
+    def test_dimension_above_cap(self):
+        with pytest.raises(DimensionMismatch):
+            loop_class(RotationLoop([np.eye(13)] * 4))
+
+
+class TestSparseAgreement:
+    @pytest.mark.parametrize("m", (3, 4, 5, 6))
+    def test_generic_loops(self, rng, m):
+        for turns in (0, 1, 2, 3):
+            for per_turn in (12, 6):
+                loop = generic_loop(rng, m, turns, per_turn * max(turns, 1))
+                bit = loop_class(loop)
+                assert bit == sparse_loop_class(loop) == Z2(turns % 2)
+                if m == 3:
+                    assert bit == quaternion_loop_class(loop)
+
+    def test_generic_loops_m8(self, rng):
+        for turns, samples in ((1, 6), (0, 8)):
+            loop = generic_loop(rng, 8, turns, samples)
+            assert loop_class(loop) == sparse_loop_class(loop) == Z2(turns)
+
+
+class TestConjugatedStabilization:
+    def test_up_to_m8(self, rng):
+        for m in range(4, 9):
+            loop = random_waypoint_loop(rng)
+            Q = random_rotation(rng, m)
+            assert loop_class(conjugated_stabilization(loop, Q)) == quaternion_loop_class(loop)
+
+    def test_m12(self, rng):
+        loop = generic_loop(rng, 3, 1, 12)
+        moved = conjugated_stabilization(loop, random_rotation(rng, 12))
+        assert loop_class(moved) == quaternion_loop_class(loop) == Z2(1)
 
 
 class TestQuaternionLoopClass:
