@@ -9,7 +9,7 @@ the map, or of the bundle.
 """
 
 from .errors import FbkError
-from .numkit import Tolerances
+from .numkit import Tolerances, recording
 from .spinlift import (
     RotationLoop,
     Z2,
@@ -75,6 +75,7 @@ __all__ = [
     "load_link_file",
     "loop_class",
     "quaternion_loop_class",
+    "recording",
     "run_scenario",
     "section_index",
     "section_zero_loops",

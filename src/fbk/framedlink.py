@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     ParseError,
 )
-from .numkit import DEFAULT_TOL, Tolerances, orthonormalize
+from .numkit import DEFAULT_TOL, Tolerances, orthonormalize, recording
 from .spinlift import _MAX_DIM, RotationLoop, Z2, loop_class
 
 _MIN_SAMPLES = 16
@@ -39,6 +39,16 @@ _NORMAL_ORTHO_CHECK = 1e-8
 # Tangents of sample-only loops come from chord differences, so the check
 # against manifold normals must absorb the O(h^2) differencing error.
 _NORMAL_TANGENT_CHECK = 1e-4
+# A link file's frame rows [manifold normals, chord tangent, framing fields]
+# must have |det| / (product of row norms) above this at every sample: the
+# ratio is 1 for orthogonal rows and 0 for dependent ones, which frame
+# assembly would reject later as a numerical failure.
+_MIN_FRAME_VOLUME = 1e-6
+# Components are disjoint when no sample comes closer than this to another
+# component's polyline, relative to the link's radius (the largest distance
+# of a sample from the centroid, at least 1). The distances come from inner
+# products of centered points, exact to about 2e-8 of that radius.
+_MIN_SEPARATION = 1e-6
 
 
 @dataclass
@@ -363,6 +373,59 @@ class FramedLink:
                 raise ValidationError(
                     f"component {n}: framing vectors have the wrong dimension"
                 )
+        if len(self.components) > 1:
+            _check_disjoint([loop.points for loop, _ in self.components])
+
+
+def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Distance from each point to each segment [starts[s], ends[s]], as a matrix.
+
+    Uses |p - a - t d|^2 = |p - a|^2 - 2 t (p - a).d + t^2 |d|^2, with t the
+    clipped projection parameter, expanded into inner products so that no
+    (points x segments x dimension) array is formed. Segments must have
+    positive length.
+    """
+    d = ends - starts
+    dd = np.einsum("sn,sn->s", d, d)
+    wd = points @ d.T - np.einsum("sn,sn->s", starts, d)
+    ww = (
+        np.einsum("kn,kn->k", points, points)[:, None]
+        - 2.0 * (points @ starts.T)
+        + np.einsum("sn,sn->s", starts, starts)
+    )
+    t = np.clip(wd / dd, 0.0, 1.0)
+    return np.sqrt(np.maximum(ww - 2.0 * t * wd + t * t * dd, 0.0))
+
+
+def _check_disjoint(point_sets: Sequence[np.ndarray]):
+    """Raise ValidationError when a sample of one loop lies on another loop's polyline.
+
+    A polyline lies in the bounding box of its samples, so only loops whose
+    boxes, widened by the separation, overlap are compared point by segment.
+    """
+    center = np.mean(np.concatenate(point_sets), axis=0)
+    centered = [p - center for p in point_sets]
+    radius = max(1.0, max(float(np.max(np.linalg.norm(p, axis=1))) for p in centered))
+    limit = _MIN_SEPARATION * radius
+    low = [p.min(axis=0) - limit for p in centered]
+    high = [p.max(axis=0) + limit for p in centered]
+    for n, points in enumerate(centered):
+        others = [
+            q
+            for m, q in enumerate(centered)
+            if m != n and np.all(low[m] <= high[n]) and np.all(low[n] <= high[m])
+        ]
+        if not others:
+            continue
+        starts = np.concatenate(others)
+        ends = np.concatenate([np.roll(q, -1, axis=0) for q in others])
+        nearest = np.min(_segment_distances(points, starts, ends), axis=1)
+        k = int(np.argmin(nearest))
+        if nearest[k] <= limit:
+            raise ValidationError(
+                f"component {n}: sample {k} lies within {limit:.1e} of another "
+                "component; components must be disjoint"
+            )
 
 
 def _assemble_frame(
@@ -446,10 +509,9 @@ def index_of_circle(
     framing: NormalFraming,
     ambient: AmbientPresentation,
     tol: Tolerances = DEFAULT_TOL,
-    stats: dict | None = None,
 ) -> Z2:
     """Index of one framed circle: frame-loop class, flipped once, plus twist."""
-    cls = loop_class(frame_matrix_loop(loop, framing, ambient, tol), tol, stats)
+    cls = loop_class(frame_matrix_loop(loop, framing, ambient, tol), tol)
     return cls ^ Z2(1) ^ ambient.spin_twist(loop)
 
 
@@ -541,31 +603,20 @@ class InvariantReport:
         }
 
 
-def _link_indices(link: FramedLink, tol: Tolerances):
-    """(bit, loop) per component, and the deepest lift refinement any needed."""
-    pairs = []
-    depth = 0
-    for loop, framing in link.components:
-        stats: dict = {}
-        pairs.append((index_of_circle(loop, framing, link.ambient, tol, stats), loop))
-        depth = max(depth, stats.get("max_depth", 0))
-    return pairs, depth
-
-
 def _report(
     pairs: Sequence[tuple[Z2, SampledLoop]],
-    depth: int,
     ambient: AmbientPresentation,
     tol: Tolerances,
-    trace_stats: Sequence[dict] | None = None,
-    seeds_skipped: int = 0,
+    record: dict,
+    traced: bool = False,
 ) -> InvariantReport:
     """The one InvariantReport builder.
 
-    pairs holds (bit, loop) per component and depth the deepest lift
-    refinement. Traced links also pass the tracer's stats per component and
-    the number of skipped seeds; their diagnostics then carry the largest
-    corrector residual, the closure errors and that number.
+    pairs holds (bit, loop) per component, and record the recording scope
+    the caller opened around computing them. The diagnostics carry the
+    deepest lift refinement; for traced links also the largest corrector
+    residual and the closure error of each kept component, and the number
+    of skipped seeds.
     """
     comps = []
     for bit, loop in pairs:
@@ -577,23 +628,24 @@ def _report(
     total = reduce(lambda a, b: a ^ b, bits, Z2(0))
     nonzero = Z2(sum(int(b) for b in bits) & 1)
     diagnostics = {
-        "max_residual": None,
-        "refinement_depth": depth,
+        "max_residual": record.get("max_residual"),
+        "refinement_depth": record.get("refinement_depth", 0),
         "tolerances": asdict(tol),
     }
-    if trace_stats is not None:
-        diagnostics["max_residual"] = max(
-            (s["max_residual"] for s in trace_stats), default=None
-        )
-        diagnostics["closure_errors"] = [s["closure_error"] for s in trace_stats]
-        diagnostics["seeds_skipped"] = seeds_skipped
+    if traced:
+        diagnostics["closure_errors"] = record.get("closure_errors", [])
+        diagnostics["seeds_skipped"] = record.get("seeds_skipped", 0)
     return InvariantReport(comps, total, nonzero, diagnostics)
 
 
 def invariant_report(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
     """Per-component indices, winding parity where defined, and kappa."""
-    pairs, depth = _link_indices(link, tol)
-    return _report(pairs, depth, link.ambient, tol)
+    with recording() as record:
+        pairs = [
+            (index_of_circle(loop, framing, link.ambient, tol), loop)
+            for loop, framing in link.components
+        ]
+    return _report(pairs, link.ambient, tol, record)
 
 
 def _require(condition: bool, message: str):
@@ -642,18 +694,22 @@ def load_link(document: dict) -> FramedLink:
             pts.shape[1] == dim,
             f"component {n}: points live in R^{pts.shape[1]}, ambient is R^{dim}",
         )
+        # directions of the manifold normals; only directions enter the frame check
+        normals = np.zeros((len(pts), len(ambient.manifold_normals), dim))
         if kind == "sphere":
             radii = np.linalg.norm(pts, axis=1)
             _require(
                 bool(np.max(np.abs(radii - 1.0)) < 1e-6),
                 f"component {n}: points must lie on the unit sphere",
             )
+            normals[:, 0] = pts
         if kind == "cylinder":
             rho = np.hypot(pts[:, 0], pts[:, 1])
             _require(
                 bool(np.max(np.abs(rho - 1.0)) < 1e-6),
                 f"component {n}: points must lie on the unit circle factor",
             )
+            normals[:, 0, :2] = pts[:, :2]
         loop = SampledLoop(pts)
         try:
             fields_raw = np.asarray(comp["framing"], dtype=float)
@@ -672,6 +728,15 @@ def load_link(document: dict) -> FramedLink:
             fields_raw.shape[1] == len(loop) and fields_raw.shape[2] == dim,
             f"component {n}: framing shape does not match the loop",
         )
+        chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+        rows = np.concatenate([normals, chords[:, None], fields_raw.transpose(1, 0, 2)], axis=1)
+        scale = np.prod(np.linalg.norm(rows, axis=2), axis=1)
+        flat = np.flatnonzero(np.abs(np.linalg.det(rows)) <= _MIN_FRAME_VOLUME * scale)
+        if flat.size:
+            raise ValidationError(
+                f"component {n}: frame [manifold normals, tangent, framing] is degenerate "
+                f"at sample {flat[0]}; |det| / row norms must exceed {_MIN_FRAME_VOLUME:.0e}"
+            )
         framing = NormalFraming([fields_raw[i] for i in range(fields_raw.shape[0])])
         comps.append((loop, framing))
     return FramedLink(comps, ambient)

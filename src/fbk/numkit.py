@@ -7,13 +7,19 @@ which is plenty stable at these sizes. orthonormalize (frame assembly),
 least_squares and kernel_direction are built on it, so rank decisions all
 go through the same tolerance; the tracer's target_basis and
 transport_closed_frame call it directly with their own 1e-8 threshold.
+
+recording() is the package's one diagnostics path: _note_max, _note_add
+and _note_append write a value into every open recording scope and do
+nothing when none is open. The report builders open one around their work.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +50,42 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# The dicts of the open recording scopes, innermost last.
+_SCOPES: ContextVar[tuple[dict, ...]] = ContextVar("fbk_recording_scopes", default=())
+
+
+@contextmanager
+def recording() -> Iterator[dict]:
+    """Collect the diagnostics noted inside the block into the yielded dict.
+
+    Keys appear only when something notes them: refinement_depth (deepest
+    lift refinement) and lift_steps (lifted steps) from every loop_class
+    call; closure_errors (a list) and max_residual from every traced
+    component that is kept; seeds_skipped from seeds whose trace did not
+    converge. Scopes nest, and a note reaches every open one.
+    """
+    record: dict = {}
+    token = _SCOPES.set(_SCOPES.get() + (record,))
+    try:
+        yield record
+    finally:
+        _SCOPES.reset(token)
+
+
+def _note_max(key: str, value) -> None:
+    for record in _SCOPES.get():
+        record[key] = max(record[key], value) if key in record else value
+
+
+def _note_add(key: str, value: int) -> None:
+    for record in _SCOPES.get():
+        record[key] = record.get(key, 0) + value
+
+
+def _note_append(key: str, value) -> None:
+    for record in _SCOPES.get():
+        record.setdefault(key, []).append(value)
 
 
 def _as_vec(v) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     NotOrthogonal,
     RefinementExhausted,
 )
-from .numkit import DEFAULT_TOL, Tolerances
+from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max
 
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
@@ -148,12 +148,13 @@ def _angle_step_bound(lift_angle_max: float) -> float:
 
 
 def _refined_steps(
-    loop: RotationLoop, tol: Tolerances, stats: dict | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    loop: RotationLoop, tol: Tolerances
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     """Consecutive sample pairs around the cycle, subdivided to the angle bound.
 
     The bound is tested on all sample-to-sample steps at once; only steps
-    over it are split, one refiner evaluation at a time.
+    over it are split, one refiner evaluation at a time. Returns the pairs
+    in cycle order and the deepest subdivision any step needed.
     """
     bound = _angle_step_bound(tol.lift_angle_max)
     k = len(loop)
@@ -161,6 +162,8 @@ def _refined_steps(
     samples = np.array(loop.samples)
     steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
     within = np.linalg.norm(steps - eye, axis=(1, 2)) <= bound
+    pairs = []
+    max_depth = 0
     for idx in range(k):
         t0 = loop.params[idx]
         r0 = loop.samples[idx]
@@ -174,10 +177,8 @@ def _refined_steps(
         while stack:
             a_t, a_r, b_t, b_r, depth = stack.pop()
             if within[idx] if depth == 0 else np.linalg.norm(b_r @ a_r.T - eye) <= bound:
-                if stats is not None:
-                    stats["steps"] = stats.get("steps", 0) + 1
-                    stats["max_depth"] = max(stats.get("max_depth", 0), depth)
-                yield a_r, b_r
+                pairs.append((a_r, b_r))
+                max_depth = max(max_depth, depth)
                 continue
             if loop.refiner is None:
                 raise RefinementExhausted(
@@ -192,6 +193,7 @@ def _refined_steps(
             m_r = _check_special_orthogonal(loop.refiner(m_t % 1.0))
             stack.append((m_t, m_r, b_t, b_r, depth + 1))
             stack.append((a_t, a_r, m_t, m_r, depth + 1))
+    return pairs, max_depth
 
 
 def _gammas(d: int) -> list[np.ndarray]:
@@ -310,9 +312,7 @@ def _moved_coordinates(steps: np.ndarray) -> np.ndarray:
     return steps[:, keep[:, None], keep]
 
 
-def loop_class(
-    loop: RotationLoop, tol: Tolerances = DEFAULT_TOL, stats: dict | None = None
-) -> Z2:
+def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """Class of a closed SO(m) loop in its fundamental group, as a Z2 bit.
 
     Walks the cycle in relative steps R_{k+1} R_k^T, lifts each step to the
@@ -326,7 +326,9 @@ def loop_class(
     m = loop.dim
     if not 3 <= m <= _MAX_DIM:
         raise DimensionMismatch(f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}")
-    pairs = list(_refined_steps(loop, tol, stats))
+    pairs, depth = _refined_steps(loop, tol)
+    _note_max("refinement_depth", depth)
+    _note_add("lift_steps", len(pairs))
     before = np.array([a for a, _ in pairs])
     steps = _moved_coordinates(np.array([b for _, b in pairs]) @ before.transpose(0, 2, 1))
     # A step is a product of two checked samples, so its determinant is
@@ -384,7 +386,7 @@ def quaternion_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> 
         raise DimensionMismatch("the quaternion lift is specific to SO(3)")
     q_start = None
     q_prev = None
-    for r_prev, r_next in _refined_steps(loop, tol):
+    for r_prev, r_next in _refined_steps(loop, tol)[0]:
         if q_start is None:
             q_start = _quat_from_matrix(r_prev)
             for x in q_start:

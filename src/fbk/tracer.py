@@ -43,9 +43,9 @@ from .framedlink import (
     InvariantReport,
     NormalFraming,
     SampledLoop,
-    _link_indices,
     _report,
     frame_matrix_loop,
+    index_of_circle,
     sphere_ambient,
     twist_framing,
 )
@@ -53,10 +53,14 @@ from .numkit import (
     DEFAULT_TOL,
     Tolerances,
     _mgs,
+    _note_add,
+    _note_append,
+    _note_max,
     jacobian_fd,
     kernel_direction,
     least_squares,
     orthonormalize,
+    recording,
 )
 from .spinlift import Z2, loop_class
 
@@ -274,7 +278,8 @@ def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances)
         raise Singular("rank drop along the curve; transversality violated") from exc
 
 
-def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions, stats: dict | None):
+def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
+    """The traced loop, its closure error and its largest corrector residual."""
     tol = opts.tolerances
     seed = np.asarray(seed, dtype=float)
     if seed.size != system.dimension:
@@ -339,11 +344,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions, stats: d
         out, _ = _newton(system, (1.0 - w) * a + w * b, tol)
         return out
 
-    if stats is not None:
-        stats["closure_error"] = closure_error
-        stats["max_residual"] = max(residuals)
-        stats["steps"] = len(points)
-    return SampledLoop(pts, resample, params)
+    return SampledLoop(pts, resample, params), closure_error, max(residuals)
 
 
 def suggest_seeds(
@@ -392,9 +393,7 @@ def suggest_seeds(
     return kept
 
 
-def trace_component(
-    spec: MapSpec, seed: np.ndarray, opts: TraceOptions, stats: dict | None = None
-) -> SampledLoop:
+def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> SampledLoop:
     """Trace the closed solution curve through the component nearest a seed.
 
     The seed is Newton-corrected onto the solution set (NoConvergence when
@@ -405,12 +404,14 @@ def trace_component(
     resamples itself by re-running the corrector.
     """
     system = _map_system(spec)
-    loop = _trace(system, seed, opts, stats)
+    loop, closure_error, max_residual = _trace(system, seed, opts)
     if spec.target == "sphere":
         x0 = spec.regular_value
         val = float(np.asarray(spec.evaluator(loop.points[0]), dtype=float) @ x0)
         if val <= 0.0:
             raise NoConvergence("seed converged to the preimage of the antipodal value")
+    _note_append("closure_errors", closure_error)
+    _note_max("max_residual", max_residual)
     return loop
 
 
@@ -536,24 +537,20 @@ def kappa_of_map(
     want_normals = 1 if spec.domain == "unit_sphere" else 0
     if len(ambient.manifold_normals) != want_normals or ambient.dimension != spec.dimension:
         raise AmbientMismatch("ambient presentation does not match the map's domain")
-    loops = []
-    trace_stats = []
-    skipped = 0
-    for seed in opts.seeds:
-        stats: dict = {}
-        try:
-            loops.append(trace_component(spec, np.asarray(seed, dtype=float), opts, stats))
-            trace_stats.append(stats)
-        except NoConvergence:
-            skipped += 1
-    _check_distinct(loops, tol)
-    components = []
-    for loop in loops:
-        framing = induced_framing(spec, loop)
-        loop, framing = _oriented(loop, framing, ambient)
-        components.append((loop, framing))
-    pairs, depth = _link_indices(FramedLink(components, ambient), tol)
-    return _report(pairs, depth, ambient, tol, trace_stats, skipped)
+    with recording() as record:
+        loops = []
+        for seed in opts.seeds:
+            try:
+                loops.append(trace_component(spec, np.asarray(seed, dtype=float), opts))
+            except NoConvergence:
+                _note_add("seeds_skipped", 1)
+        _check_distinct(loops, tol)
+        components = [_oriented(loop, induced_framing(spec, loop), ambient) for loop in loops]
+        pairs = [
+            (index_of_circle(loop, framing, ambient, tol), loop)
+            for loop, framing in FramedLink(components, ambient).components
+        ]
+    return _report(pairs, ambient, tol, record, traced=True)
 
 
 def transport_closed_frame(
@@ -708,10 +705,11 @@ def _section_derivative_fields(
     def tau_at(x: np.ndarray, u_vectors) -> np.ndarray:
         v = np.asarray(spec.splitting_field(x), dtype=float)
         h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        J = None if spec.jacobian is None else np.asarray(spec.jacobian(x), dtype=float)
         out = []
         for u in u_vectors:
-            if spec.jacobian is not None:
-                d = np.asarray(spec.jacobian(x), dtype=float) @ u
+            if J is not None:
+                d = J @ u
             else:
                 xp = x + h * u
                 xm = x - h * u
@@ -774,33 +772,28 @@ def _component_section_index(spec, loop, ambient, tol, aux_twist_turns):
         if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
             aux = _negate_field(aux, 0)
             tau = _negate_field(tau, 0)
-    stats: dict = {}
     term1 = frame_matrix_loop(loop, aux, ambient, tol)
     term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
-    bit = loop_class(term1, tol, stats) ^ loop_class(term2, tol, stats) ^ Z2(1)
-    return bit, stats
+    return loop_class(term1, tol) ^ loop_class(term2, tol) ^ Z2(1)
 
 
-def section_zero_loops(
-    spec: SectionSpec, opts: TraceOptions, stats_out: list | None = None
-) -> list[SampledLoop]:
+def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoop]:
     """Traced zero circles of the section, one per converging seed.
 
-    Seeds whose correction diverges are skipped (recorded as a None entry
-    in stats_out); seeds reaching one component twice raise
-    DuplicateComponent.
+    Seeds whose correction diverges are skipped (noted as seeds_skipped);
+    seeds reaching one component twice raise DuplicateComponent.
     """
     system = _section_system(spec)
     loops = []
     for seed in opts.seeds:
-        stats: dict = {}
         try:
-            loops.append(_trace(system, np.asarray(seed, dtype=float), opts, stats))
-            if stats_out is not None:
-                stats_out.append(stats)
+            loop, closure_error, residual = _trace(system, np.asarray(seed, dtype=float), opts)
         except NoConvergence:
-            if stats_out is not None:
-                stats_out.append(None)
+            _note_add("seeds_skipped", 1)
+            continue
+        _note_append("closure_errors", closure_error)
+        _note_max("max_residual", residual)
+        loops.append(loop)
     _check_distinct(loops, opts.tolerances)
     return loops
 
@@ -818,19 +811,14 @@ def section_index(
     over components (an empty zero locus gives 0).
     """
     tol = opts.tolerances
-    all_stats: list = []
-    loops = section_zero_loops(spec, opts, all_stats)
-    trace_stats = [s for s in all_stats if s is not None]
-    skipped = sum(1 for s in all_stats if s is None)
     ambient = sphere_ambient(spec.embedding_dimension)
-    pairs = []
-    depth = 0
-    for loop in loops:
-        _check_section_invariants(spec, loop)
-        bit, stats = _component_section_index(spec, loop, ambient, tol, aux_twist_turns)
-        depth = max(depth, stats.get("max_depth", 0))
-        pairs.append((bit, loop))
-    return _report(pairs, depth, ambient, tol, trace_stats, skipped)
+    with recording() as record:
+        pairs = []
+        for loop in section_zero_loops(spec, opts):
+            _check_section_invariants(spec, loop)
+            bit = _component_section_index(spec, loop, ambient, tol, aux_twist_turns)
+            pairs.append((bit, loop))
+    return _report(pairs, ambient, tol, record, traced=True)
 
 
 def write_loop_csv(loop: SampledLoop, path: str):

@@ -185,9 +185,7 @@ def rotor_from_rotation(R: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Cliffor
     return rotor.normalized_rotor()
 
 
-def sparse_loop_class(
-    loop: RotationLoop, tol: Tolerances = DEFAULT_TOL, stats: dict | None = None
-) -> Z2:
+def sparse_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """Class of a closed SO(m) loop in its fundamental group, as a Z2 bit.
 
     Walks the cycle in relative steps R_{k+1} R_k^T, lifts each step to the
@@ -199,7 +197,7 @@ def sparse_loop_class(
         raise DimensionMismatch("loop classification needs dimension >= 3")
     g = CliffordElement.scalar(loop.dim, 1.0)
     count = 0
-    for r_prev, r_next in _refined_steps(loop, tol, stats):
+    for r_prev, r_next in _refined_steps(loop, tol)[0]:
         step = rotor_from_rotation(r_next @ r_prev.T, tol)
         g = step * g
         count += 1

@@ -137,6 +137,36 @@ class TestLink:
         assert code == 4
         assert "RefinementExhausted" in err
 
+    def test_zero_framing_field_exit_code(self, capsys, tmp_path):
+        doc = circle_link_doc()
+        doc["components"][0]["framing"][2] = [[0.0] * 4] * 64
+        code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 3
+        assert "framing" in err
+
+    def test_framing_field_along_sphere_normal_exit_code(self, capsys, tmp_path):
+        loop = plane_circle(64, 5)
+        fields = [np.tile(np.eye(5)[i], (64, 1)) for i in (2, 3, 4)]
+        doc = {
+            "ambient": {"kind": "sphere", "dimension": 5},
+            "components": [
+                {"points": loop.points.tolist(), "framing": [f.tolist() for f in fields]}
+            ],
+        }
+        code, _, _ = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 0
+        doc["components"][0]["framing"][0] = loop.points.tolist()
+        code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 3
+        assert "framing" in err
+
+    def test_coincident_components_exit_code(self, capsys, tmp_path):
+        doc = circle_link_doc()
+        doc["components"] *= 2
+        code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 3
+        assert "disjoint" in err
+
     def test_dimension_above_lift_cap_exit_code(self, capsys, tmp_path):
         # well formed in R^13, one dimension more than the lift supports
         loop = plane_circle(16, 13, clockwise=True)

@@ -160,6 +160,20 @@ class TestKappa:
         link = FramedLink([(loop, framing), (far, framing)], base.ambient)
         assert kappa(link) == Z2(0)
 
+    def test_touching_components_rejected(self):
+        loop, framing = pontryagin_link().components[0]
+        with pytest.raises(ValidationError, match="disjoint"):
+            FramedLink([(loop, framing), (loop, framing)], euclidean_ambient(4))
+        # a circle in the (0, 2) plane whose sample 48 is the midpoint of the
+        # first segment of the other: it meets that polyline, not its samples
+        mid = 0.5 * (loop.points[0] + loop.points[1])
+        ring = plane_circle(96, 4, center=[mid[0] + 1.0, 0.0, mid[1], 0.0])
+        ring = SampledLoop(ring.points[:, [0, 2, 1, 3]])
+        with pytest.raises(ValidationError, match="component 1: sample 48"):
+            FramedLink([(loop, framing), (ring, framing)], euclidean_ambient(4))
+        near = loop.translated(np.array([0.0, 0.0, 1e-3, 0.0]))
+        assert kappa(FramedLink([(loop, framing), (near, framing)], euclidean_ambient(4))) == Z2(0)
+
     def test_cylinder_two_circles_spin_independent(self):
         comps = []
         for c, center in enumerate([np.zeros(5), np.array([0, 0, 1.5, 0, 0.0])]):

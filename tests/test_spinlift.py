@@ -11,6 +11,7 @@ from fbk.errors import (
     NotOrthogonal,
     RefinementExhausted,
 )
+from fbk.numkit import _SCOPES, Tolerances, recording
 from fbk.spinlift import (
     RotationLoop,
     Z2,
@@ -149,9 +150,51 @@ class TestLoopClass:
         at = lambda t: plane_rotation(3, 0, 1, 2 * math.pi * t)  # noqa: E731
         samples = [at(k / 4) for k in range(4)]
         loop = RotationLoop(samples, at, [k / 4 for k in range(4)])
-        stats = {}
-        assert loop_class(loop, stats=stats) == Z2(1)
-        assert stats["max_depth"] >= 1
+        with recording() as record:
+            assert loop_class(loop) == Z2(1)
+        assert record["refinement_depth"] >= 1
+
+
+class TestRecording:
+    # Four quarter turns against a step bound just above pi/4: each is split
+    # once. At the default bound of exactly pi/4, rounding decides.
+    COARSE = {"refinement_depth": 1, "lift_steps": 8}
+    TOL = Tolerances(lift_angle_max=0.8)
+
+    def test_coarse_loop_counts(self):
+        with recording() as record:
+            loop_class(rotation_loop_in_plane(2 * math.pi, 4), self.TOL)
+        assert record == self.COARSE
+
+    def test_no_scope_records_nothing(self):
+        assert loop_class(rotation_loop_in_plane(2 * math.pi, 4)) == Z2(1)
+        assert _SCOPES.get() == ()
+        with recording() as record:
+            assert _SCOPES.get() == (record,)
+        assert record == {}
+        assert _SCOPES.get() == ()
+
+    def test_nested_scopes_both_see_inner_notes(self):
+        with recording() as outer:
+            loop_class(rotation_loop_in_plane(2 * math.pi, 16))
+            with recording() as inner:
+                loop_class(rotation_loop_in_plane(2 * math.pi, 4), self.TOL)
+        assert inner == self.COARSE
+        assert outer == {"refinement_depth": 1, "lift_steps": 16 + 8}
+
+    def test_sequential_scopes_do_not_share_state(self):
+        with recording() as first:
+            loop_class(rotation_loop_in_plane(2 * math.pi, 4), self.TOL)
+        with recording() as second:
+            loop_class(rotation_loop_in_plane(2 * math.pi, 16))
+        assert first == self.COARSE
+        assert second == {"refinement_depth": 0, "lift_steps": 16}
+
+    def test_scope_closes_on_error(self):
+        with pytest.raises(RefinementExhausted):
+            with recording():
+                loop_class(RotationLoop(rotation_loop_in_plane(2 * math.pi, 4).samples))
+        assert _SCOPES.get() == ()
 
 
 def dense_image(r: CliffordElement) -> np.ndarray:

@@ -5,8 +5,14 @@ import pytest
 
 from conftest import random_rotation
 from fbk.errors import DuplicateComponent, NoConvergence, RankDeficient
-from fbk.framedlink import SampledLoop, euclidean_ambient, index_of_circle, invariant_report
-from fbk.numkit import DEFAULT_TOL
+from fbk.framedlink import (
+    SampledLoop,
+    euclidean_ambient,
+    index_of_circle,
+    invariant_report,
+    sphere_ambient,
+)
+from fbk.numkit import DEFAULT_TOL, recording
 from fbk.tracer import (
     MapSpec,
     SectionSpec,
@@ -66,13 +72,14 @@ SEED = np.array([1.1, 0.0, 0.05, -0.02])
 
 class TestTraceComponent:
     def test_circle_geometry_and_closure(self):
-        stats = {}
-        loop = trace_component(quadric_spec(), SEED, TraceOptions(), stats)
+        with recording() as record:
+            loop = trace_component(quadric_spec(), SEED, TraceOptions())
         radii = np.hypot(loop.points[:, 0], loop.points[:, 1])
         assert np.max(np.abs(radii - 1.0)) < 1e-8
         assert np.max(np.abs(loop.points[:, 2:])) < 1e-8
-        assert stats["closure_error"] < 1e-8
-        assert stats["max_residual"] < 10 * DEFAULT_TOL.newton_tol
+        [closure_error] = record["closure_errors"]
+        assert closure_error < 1e-8
+        assert record["max_residual"] < 10 * DEFAULT_TOL.newton_tol
         assert len(loop) >= 16
 
     def test_residuals_on_all_samples(self):
@@ -170,6 +177,33 @@ class TestKappaOfMap:
         assert int(report.nonzero_count_mod2) == int(report.kappa)
         assert report.diagnostics["max_residual"] < 10 * DEFAULT_TOL.newton_tol
         assert all(e < DEFAULT_TOL.closure_tol for e in report.diagnostics["closure_errors"])
+
+    def test_antipodal_seed_is_skipped_without_trace_diagnostics(self):
+        from fbk.scenarios import _HOPF_VALUES, _suspended_hopf
+
+        data = _HOPF_VALUES["default"]
+        spec = MapSpec(
+            _suspended_hopf,
+            dimension=5,
+            target="sphere",
+            regular_value=data["x0"],
+            domain="unit_sphere",
+        )
+        # y = j sends i to j i conj(j) = -i, so this seed lies near the
+        # preimage of the antipodal value, which the tracer closes as well
+        antipodal = np.array([0.02, 0.05, 0.12, 0.99, -0.07])
+        with recording() as record:
+            with pytest.raises(NoConvergence, match="antipodal"):
+                trace_component(spec, antipodal, TraceOptions())
+        assert record == {}
+        opts = TraceOptions(seeds=[data["seed"], antipodal])
+        with recording() as outer:
+            report = kappa_of_map(spec, opts, sphere_ambient(5))
+        assert len(report.components) == 1
+        assert report.diagnostics["seeds_skipped"] == 1
+        assert len(report.diagnostics["closure_errors"]) == 1
+        for key in ("closure_errors", "max_residual", "seeds_skipped", "refinement_depth"):
+            assert outer[key] == report.diagnostics[key], key
 
 
 class TestTransportClosedFrame:
@@ -320,8 +354,8 @@ class TestSectionIndex:
         recorded = []
         original = tracer_mod.loop_class
 
-        def spy(loop, tol=DEFAULT_TOL, stats=None):
-            bit = original(loop, tol, stats)
+        def spy(loop, tol=DEFAULT_TOL):
+            bit = original(loop, tol)
             recorded.append(int(bit))
             return bit
 
@@ -404,10 +438,11 @@ class TestSphereDomainTrace:
             regular_value=data["x0"],
             domain="unit_sphere",
         )
-        stats = {}
-        loop = trace_component(spec, data["seed"], TraceOptions(), stats)
+        with recording() as record:
+            loop = trace_component(spec, data["seed"], TraceOptions())
         # traced points stay on the domain sphere and map onto the value
         assert np.max(np.abs(np.linalg.norm(loop.points, axis=1) - 1.0)) < 1e-8
         vals = np.array([_suspended_hopf(p) for p in loop.points])
         assert np.max(np.linalg.norm(vals - data["x0"], axis=1)) < 1e-8
-        assert stats["closure_error"] < 1e-6
+        [closure_error] = record["closure_errors"]
+        assert closure_error < 1e-6
