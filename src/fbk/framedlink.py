@@ -44,11 +44,19 @@ _NORMAL_TANGENT_CHECK = 1e-4
 # ratio is 1 for orthogonal rows and 0 for dependent ones, which frame
 # assembly would reject later as a numerical failure.
 _MIN_FRAME_VOLUME = 1e-6
+# Gram-Schmidt on those rows leaves each a residual of at least its norm
+# times that ratio (the ratio is the product of the per-row residual
+# fractions, each at most 1). Normals and tangent enter with unit norm, so
+# framing fields longer than this keep every residual above ortho_tol.
+_MIN_FIELD_NORM = DEFAULT_TOL.ortho_tol / _MIN_FRAME_VOLUME
 # Components are disjoint when no sample comes closer than this to another
 # component's polyline, relative to the link's radius (the largest distance
 # of a sample from the centroid, at least 1). The distances come from inner
 # products of centered points, exact to about 2e-8 of that radius.
 _MIN_SEPARATION = 1e-6
+# Point-segment pairs per block of that check: each of its float64
+# temporaries is then at most 8 MB.
+_DISTANCE_BLOCK_PAIRS = 1 << 20
 
 
 @dataclass
@@ -400,32 +408,27 @@ def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray)
 def _check_disjoint(point_sets: Sequence[np.ndarray]):
     """Raise ValidationError when a sample of one loop lies on another loop's polyline.
 
-    A polyline lies in the bounding box of its samples, so only loops whose
-    boxes, widened by the separation, overlap are compared point by segment.
+    Samples are compared with all other loops' segments in row blocks of at
+    most _DISTANCE_BLOCK_PAIRS point-segment pairs, so memory stays bounded
+    however densely the loops are sampled.
     """
     center = np.mean(np.concatenate(point_sets), axis=0)
     centered = [p - center for p in point_sets]
     radius = max(1.0, max(float(np.max(np.linalg.norm(p, axis=1))) for p in centered))
     limit = _MIN_SEPARATION * radius
-    low = [p.min(axis=0) - limit for p in centered]
-    high = [p.max(axis=0) + limit for p in centered]
     for n, points in enumerate(centered):
-        others = [
-            q
-            for m, q in enumerate(centered)
-            if m != n and np.all(low[m] <= high[n]) and np.all(low[n] <= high[m])
-        ]
-        if not others:
-            continue
+        others = [q for m, q in enumerate(centered) if m != n]
         starts = np.concatenate(others)
         ends = np.concatenate([np.roll(q, -1, axis=0) for q in others])
-        nearest = np.min(_segment_distances(points, starts, ends), axis=1)
-        k = int(np.argmin(nearest))
-        if nearest[k] <= limit:
-            raise ValidationError(
-                f"component {n}: sample {k} lies within {limit:.1e} of another "
-                "component; components must be disjoint"
-            )
+        rows = max(1, _DISTANCE_BLOCK_PAIRS // len(starts))
+        for first in range(0, len(points), rows):
+            block = _segment_distances(points[first : first + rows], starts, ends)
+            close = np.flatnonzero(np.min(block, axis=1) <= limit)
+            if close.size:
+                raise ValidationError(
+                    f"component {n}: sample {first + close[0]} lies within {limit:.1e} of "
+                    "another component; components must be disjoint"
+                )
 
 
 def _assemble_frame(
@@ -730,12 +733,15 @@ def load_link(document: dict) -> FramedLink:
         )
         chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
         rows = np.concatenate([normals, chords[:, None], fields_raw.transpose(1, 0, 2)], axis=1)
-        scale = np.prod(np.linalg.norm(rows, axis=2), axis=1)
-        flat = np.flatnonzero(np.abs(np.linalg.det(rows)) <= _MIN_FRAME_VOLUME * scale)
+        norms = np.linalg.norm(rows, axis=2)
+        bad = np.abs(np.linalg.det(rows)) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)
+        bad |= np.any(norms[:, -fields_raw.shape[0] :] <= _MIN_FIELD_NORM, axis=1)
+        flat = np.flatnonzero(bad)
         if flat.size:
             raise ValidationError(
                 f"component {n}: frame [manifold normals, tangent, framing] is degenerate "
-                f"at sample {flat[0]}; |det| / row norms must exceed {_MIN_FRAME_VOLUME:.0e}"
+                f"at sample {flat[0]}; |det| / row norms must exceed {_MIN_FRAME_VOLUME:.0e} "
+                f"and framing fields must be longer than {_MIN_FIELD_NORM:.0e}"
             )
         framing = NormalFraming([fields_raw[i] for i in range(fields_raw.shape[0])])
         comps.append((loop, framing))

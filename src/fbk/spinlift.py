@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,14 +147,11 @@ def _angle_step_bound(lift_angle_max: float) -> float:
     return 2.0 * math.sqrt(2.0) * math.sin(lift_angle_max / 2.0)
 
 
-def _refined_steps(
-    loop: RotationLoop, tol: Tolerances
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+def _refined_steps(loop: RotationLoop, tol: Tolerances) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Consecutive sample pairs around the cycle, subdivided to the angle bound.
 
     The bound is tested on all sample-to-sample steps at once; only steps
-    over it are split, one refiner evaluation at a time. Returns the pairs
-    in cycle order and the deepest subdivision any step needed.
+    over it are split, one refiner evaluation at a time.
     """
     bound = _angle_step_bound(tol.lift_angle_max)
     k = len(loop)
@@ -162,8 +159,6 @@ def _refined_steps(
     samples = np.array(loop.samples)
     steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
     within = np.linalg.norm(steps - eye, axis=(1, 2)) <= bound
-    pairs = []
-    max_depth = 0
     for idx in range(k):
         t0 = loop.params[idx]
         r0 = loop.samples[idx]
@@ -177,8 +172,9 @@ def _refined_steps(
         while stack:
             a_t, a_r, b_t, b_r, depth = stack.pop()
             if within[idx] if depth == 0 else np.linalg.norm(b_r @ a_r.T - eye) <= bound:
-                pairs.append((a_r, b_r))
-                max_depth = max(max_depth, depth)
+                _note_add("lift_steps", 1)
+                _note_max("refinement_depth", depth)
+                yield a_r, b_r
                 continue
             if loop.refiner is None:
                 raise RefinementExhausted(
@@ -193,7 +189,6 @@ def _refined_steps(
             m_r = _check_special_orthogonal(loop.refiner(m_t % 1.0))
             stack.append((m_t, m_r, b_t, b_r, depth + 1))
             stack.append((a_t, a_r, m_t, m_r, depth + 1))
-    return pairs, max_depth
 
 
 def _gammas(d: int) -> list[np.ndarray]:
@@ -326,9 +321,7 @@ def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     m = loop.dim
     if not 3 <= m <= _MAX_DIM:
         raise DimensionMismatch(f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}")
-    pairs, depth = _refined_steps(loop, tol)
-    _note_max("refinement_depth", depth)
-    _note_add("lift_steps", len(pairs))
+    pairs = list(_refined_steps(loop, tol))
     before = np.array([a for a, _ in pairs])
     steps = _moved_coordinates(np.array([b for _, b in pairs]) @ before.transpose(0, 2, 1))
     # A step is a product of two checked samples, so its determinant is
@@ -386,7 +379,7 @@ def quaternion_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> 
         raise DimensionMismatch("the quaternion lift is specific to SO(3)")
     q_start = None
     q_prev = None
-    for r_prev, r_next in _refined_steps(loop, tol)[0]:
+    for r_prev, r_next in _refined_steps(loop, tol):
         if q_start is None:
             q_start = _quat_from_matrix(r_prev)
             for x in q_start:

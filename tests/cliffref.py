@@ -197,7 +197,7 @@ def sparse_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
         raise DimensionMismatch("loop classification needs dimension >= 3")
     g = CliffordElement.scalar(loop.dim, 1.0)
     count = 0
-    for r_prev, r_next in _refined_steps(loop, tol)[0]:
+    for r_prev, r_next in _refined_steps(loop, tol):
         step = rotor_from_rotation(r_next @ r_prev.T, tol)
         g = step * g
         count += 1

@@ -144,6 +144,17 @@ class TestLink:
         assert code == 3
         assert "framing" in err
 
+    def test_short_framing_field_exit_code(self, capsys, tmp_path):
+        # orthogonal to the other rows, but too short for Gram-Schmidt's
+        # absolute residual threshold; a field of length 1e-3 is fine
+        doc = circle_link_doc()
+        fields = np.asarray(doc["components"][0]["framing"])
+        for scale, want in ((1e-3, 0), (1e-11, 3)):
+            doc["components"][0]["framing"] = (fields * [[[1.0]], [[1.0]], [[scale]]]).tolist()
+            code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+            assert code == want
+        assert "framing" in err
+
     def test_framing_field_along_sphere_normal_exit_code(self, capsys, tmp_path):
         loop = plane_circle(64, 5)
         fields = [np.tile(np.eye(5)[i], (64, 1)) for i in (2, 3, 4)]

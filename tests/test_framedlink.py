@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,26 @@ class TestKappa:
             FramedLink([(loop, framing), (ring, framing)], euclidean_ambient(4))
         near = loop.translated(np.array([0.0, 0.0, 1e-3, 0.0]))
         assert kappa(FramedLink([(loop, framing), (near, framing)], euclidean_ambient(4))) == Z2(0)
+
+    def test_dense_linked_components_in_bounded_memory(self):
+        # a Hopf link: the two circles' bounding boxes overlap, so every
+        # sample is compared with every segment of the other circle; all
+        # 4000 x 4000 distances at once would need 128 MB per temporary
+        samples = 4000
+        loop = plane_circle(samples, 4)
+        framing = constant_framing(loop, (1, 2, 3))
+        ring = plane_circle(samples, 4, center=[1.0, 0.0, 0.0, 0.0]).points[:, [0, 2, 1, 3]]
+        tracemalloc.start()
+        try:
+            FramedLink([(loop, framing), (SampledLoop(ring), framing)], euclidean_ambient(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        # a sample far from the first block lands on the other polyline
+        ring[3000] = 0.5 * (loop.points[1000] + loop.points[1001])
+        with pytest.raises(ValidationError, match="component 1: sample 3000 "):
+            FramedLink([(loop, framing), (SampledLoop(ring), framing)], euclidean_ambient(4))
 
     def test_cylinder_two_circles_spin_independent(self):
         comps = []
