@@ -16,7 +16,15 @@ class NumericalError(FbkError):
 
 
 class RankDeficient(NumericalError):
-    """A vector set or matrix lost rank below the working tolerance."""
+    """A vector set or matrix lost rank below the working tolerance.
+
+    index is the position of the failing set when a stack of sets was
+    checked at once, otherwise None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionMismatch(FbkError):

@@ -6,12 +6,15 @@ data: how many dimensions the embedding space has, unit normal fields of
 the manifold inside that space, and a spin-twist evaluator that scores
 loops by the chosen spin structure (zero for the reference structure).
 
-The index of a framed circle is computed by assembling, sample by sample,
+The index of a framed circle is computed by assembling, at every sample,
 the square matrix whose rows are [manifold normals, curve tangent, framing
 fields] orthonormalized, classifying that rotation loop, and flipping the
-bit once (plus the spin twist). kappa of a link is the xor of the
-component indices; on Euclidean ambients it agrees with the classical
-count that also adds the number of components mod 2.
+bit once (plus the spin twist). A loop's frames are assembled as one
+(samples, N, N) stack, with one batched QR and one batched determinant;
+the refiner goes through the same code one parameter at a time. kappa of
+a link is the xor of the component indices; on Euclidean ambients it
+agrees with the classical count that also adds the number of components
+mod 2.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import numpy as np
 from .errors import (
     AmbientMismatch,
     OrientationMismatch,
+    RankDeficient,
     TooFewFields,
     ValidationError,
     ParseError,
 )
-from .numkit import DEFAULT_TOL, Tolerances, orthonormalize, recording
+from .numkit import DEFAULT_TOL, Tolerances, _note_add, orthonormalize, recording
 from .spinlift import _MAX_DIM, RotationLoop, Z2, loop_class
 
 _MIN_SAMPLES = 16
@@ -44,8 +48,8 @@ _NORMAL_TANGENT_CHECK = 1e-4
 # ratio is 1 for orthogonal rows and 0 for dependent ones, which frame
 # assembly would reject later as a numerical failure.
 _MIN_FRAME_VOLUME = 1e-6
-# Gram-Schmidt on those rows leaves each a residual of at least its norm
-# times that ratio (the ratio is the product of the per-row residual
+# Orthonormalizing those rows leaves each a residual |R_ii| of at least its
+# norm times that ratio (the ratio is the product of the per-row residual
 # fractions, each at most 1). Normals and tangent enter with unit norm, so
 # framing fields longer than this keep every residual above ortho_tol.
 _MIN_FIELD_NORM = DEFAULT_TOL.ortho_tol / _MIN_FRAME_VOLUME
@@ -120,12 +124,18 @@ class SampledLoop:
         ts = np.asarray(list(self.params) + [self.params[0] + 1.0])
         return ts, np.concatenate([self.arc_fractions(), [1.0]])
 
+    @cached_property
+    def _chord_tangents(self) -> np.ndarray:
+        """Unit chords from each sample's predecessor to its successor (read-only)."""
+        d = np.roll(self.points, -1, axis=0) - np.roll(self.points, 1, axis=0)
+        out = d / np.linalg.norm(d, axis=1, keepdims=True)
+        out.setflags(write=False)
+        return out
+
     def tangent_at_sample(self, k: int) -> np.ndarray:
         if self.resample is not None:
             return self.tangent(self.params[k])
-        n = len(self)
-        d = self.points[(k + 1) % n] - self.points[(k - 1) % n]
-        return d / np.linalg.norm(d)
+        return self._chord_tangents[k].copy()
 
     def tangent(self, t: float) -> np.ndarray:
         if self.resample is None:
@@ -433,33 +443,51 @@ def _check_disjoint(point_sets: Sequence[np.ndarray]):
 
 def _assemble_frame(
     ambient: AmbientPresentation,
-    point: np.ndarray,
-    tangent: np.ndarray,
-    field_vectors: Sequence[np.ndarray],
+    points: np.ndarray,
+    middles: np.ndarray,
+    fields: np.ndarray,
     tol: Tolerances,
-    where: str,
+    where: Callable[[int], str],
 ) -> np.ndarray:
-    normals = [np.asarray(n(point), dtype=float) for n in ambient.manifold_normals]
-    for a in range(len(normals)):
-        for b in range(a, len(normals)):
-            want = 1.0 if a == b else 0.0
-            if abs(float(normals[a] @ normals[b]) - want) > _NORMAL_ORTHO_CHECK:
-                raise ValidationError(
-                    f"manifold normals are not orthonormal at {where}"
-                )
-        if abs(float(normals[a] @ tangent)) > _NORMAL_TANGENT_CHECK:
-            raise ValidationError(
-                f"manifold normal {a} is not orthogonal to the curve at {where}"
-            )
-    rows = normals + [tangent] + [np.asarray(v, dtype=float) for v in field_vectors]
-    basis = orthonormalize(rows, tol)
-    R = np.vstack(basis)
-    if np.linalg.det(R) < 0.0:
+    """Frames [manifold normals, middle row, framing fields] at K points, as (K, N, N).
+
+    points and middles are (K, N) and fields is (K, k, N). The manifold
+    normals are evaluated point by point; the checks then run over the whole
+    stack, each in turn, and an error names where(first failing index).
+    """
+    count = len(ambient.manifold_normals)
+    normals = np.array(
+        [[n(p) for n in ambient.manifold_normals] for p in points], dtype=float
+    ).reshape(len(points), count, points.shape[1])
+    gram = normals @ normals.transpose(0, 2, 1)
+    skewed = np.any(np.abs(gram - np.eye(count)) > _NORMAL_ORTHO_CHECK, axis=(1, 2))
+    leaning = np.abs(np.einsum("kan,kn->ka", normals, middles)) > _NORMAL_TANGENT_CHECK
+    bad = np.flatnonzero(skewed | leaning.any(axis=1))
+    if bad.size:
+        k = bad[0]
+        if skewed[k]:
+            raise ValidationError(f"manifold normals are not orthonormal at {where(k)}")
+        raise ValidationError(
+            f"manifold normal {np.argmax(leaning[k])} is not orthogonal to the curve "
+            f"at {where(k)}"
+        )
+    rows = np.concatenate([normals, middles[:, None], fields], axis=1)
+    try:
+        frames = orthonormalize(rows, tol)
+    except RankDeficient as exc:
+        if exc.index is None:
+            raise
+        raise RankDeficient(
+            f"frame rows [manifold normals, tangent, framing fields] are dependent at "
+            f"{where(exc.index)}: {exc}"
+        ) from exc
+    flipped = np.flatnonzero(np.linalg.det(frames) < 0.0)
+    if flipped.size:
         raise OrientationMismatch(
-            f"assembled frame has determinant -1 at {where}; row order is "
+            f"assembled frame has determinant -1 at {where(flipped[0])}; row order is "
             "[manifold normals, tangent, framing fields]"
         )
-    return R
+    return frames
 
 
 def frame_matrix_loop(
@@ -474,37 +502,44 @@ def frame_matrix_loop(
     The middle row is the curve tangent, or middle(point) when a map from
     points to middle rows is given. Each sample yields the N x N matrix
     whose rows are the orthonormalized frame expressed in the standard
-    basis; the determinant must be +1 at every sample. When both the loop
-    and the framing can be resampled, the returned loop carries a refiner
-    that re-evaluates the geometry.
+    basis; the determinant must be +1 at every sample. All samples are
+    assembled as one stack. When both the loop and the framing can be
+    resampled, the returned loop carries a refiner that re-evaluates the
+    geometry through the same assembly. Every assembled frame is noted as
+    frames_assembled.
     """
-    samples = []
-    for k in range(len(loop)):
-        p = loop.points[k]
-        R = _assemble_frame(
-            ambient,
-            p,
-            loop.tangent_at_sample(k) if middle is None else middle(p),
-            framing.at_sample(k),
-            tol,
-            where=f"sample {k}",
-        )
-        samples.append(R)
+    if middle is not None:
+        middles = np.array([middle(p) for p in loop.points], dtype=float)
+    elif loop.resample is not None:
+        middles = np.array([loop.tangent_at_sample(k) for k in range(len(loop))])
+    else:
+        middles = loop._chord_tangents
+    samples = _assemble_frame(
+        ambient,
+        loop.points,
+        middles,
+        np.stack(framing.fields, axis=1),
+        tol,
+        where=lambda k: f"sample {k}",
+    )
+    _note_add("frames_assembled", len(loop))
     refiner = None
     if loop.resample is not None and framing.resample is not None:
 
         def refiner(t: float) -> np.ndarray:
             p = loop.point(t)
-            return _assemble_frame(
+            frame = _assemble_frame(
                 ambient,
-                p,
-                loop.tangent(t) if middle is None else middle(p),
-                framing.at(t),
+                p[None],
+                np.asarray(loop.tangent(t) if middle is None else middle(p), dtype=float)[None],
+                np.array(framing.at(t), dtype=float)[None],
                 tol,
-                where=f"parameter {t % 1.0:.6f}",
+                where=lambda _: f"parameter {t % 1.0:.6f}",
             )
+            _note_add("frames_assembled", 1)
+            return frame[0]
 
-    return RotationLoop(samples, refiner, list(loop.params))
+    return RotationLoop(list(samples), refiner, list(loop.params))
 
 
 def index_of_circle(

@@ -1,12 +1,16 @@
 """Small dense linear algebra used everywhere else.
 
 Everything here works on plain float64 numpy arrays (1-d vectors, 2-d
-matrices) at desk scale (dimension <= 12). `_mgs` is the package's one
-Gram-Schmidt: modified Gram-Schmidt with one re-orthogonalization pass,
-which is plenty stable at these sizes. orthonormalize (frame assembly),
-least_squares and kernel_direction are built on it, so rank decisions all
-go through the same tolerance; the tracer's target_basis and
+matrices) at desk scale (dimension <= 12). orthonormalize, which frame
+assembly uses, takes one ordered vector set or a stack of them and runs one
+batched Householder QR (Golub-Van Loan, Matrix Computations, 5.2), with
+the signs fixed so that diag(R) > 0. `_mgs` is the Gram-Schmidt for the
+one-off factorizations: modified Gram-Schmidt with one re-orthogonalization
+pass, which is plenty stable at these sizes. least_squares and
+kernel_direction are built on it; the tracer's target_basis and
 transport_closed_frame call it directly with their own 1e-8 threshold.
+Every rank decision compares a residual norm (|R_ii| for the QR) with a
+tolerance.
 
 recording() is the package's one diagnostics path: _note_max, _note_add
 and _note_append write a value into every open recording scope and do
@@ -61,7 +65,8 @@ def recording() -> Iterator[dict]:
 
     Keys appear only when something notes them: refinement_depth (deepest
     lift refinement) and lift_steps (lifted steps) from every loop_class
-    call; closure_errors (a list) and max_residual from every traced
+    call; frames_assembled (frames built by frame_matrix_loop, its refiner
+    included); closure_errors (a list) and max_residual from every traced
     component that is kept; seeds_skipped from seeds whose trace did not
     converge. Scopes nest, and a note reaches every open one.
     """
@@ -143,17 +148,46 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent:
     return basis, coeffs, kept
 
 
-def orthonormalize(vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormalize an ordered vector set, preserving order and orientation.
+def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL):
+    """Orthonormalize ordered vector sets, preserving order and orientation.
 
-    Each output keeps a positive inner product with its input after the
-    preceding directions are projected out. Raises RankDeficient when a
-    residual drops below ortho_tol.
+    vectors is one set (a sequence of equal-length vectors or a (c, N)
+    array), for which a list of c orthonormal vectors is returned, or a
+    (K, c, N) stack of sets, for which a (K, c, N) array is returned. All
+    sets are factored by one batched QR of the transposed stack, and each
+    column of Q is flipped so that diag(R) > 0: each output keeps a
+    positive inner product with its input after the preceding directions
+    are projected out, as Gram-Schmidt gives. Raises RankDeficient when
+    some |R_ii| drops below ortho_tol; for a stack, the message names the
+    first failing set and its index is the exception's `index`.
     """
     if len(vectors) == 0:
         return []
-    basis, _, _ = _mgs(vectors, tol.ortho_tol)
-    return basis
+    try:
+        V = np.array(vectors, dtype=float)
+    except ValueError as exc:
+        raise ValueError("vectors must share one dimension") from exc
+    single = V.ndim == 2
+    if V.ndim not in (2, 3) or V.shape[-1] < 1:
+        raise ValueError("expected a vector set or a stack of vector sets")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("vector has non-finite entries")
+    count, dim = V.shape[-2:]
+    if count > dim:
+        raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}")
+    stack = V[None] if single else V
+    Q, R = np.linalg.qr(stack.transpose(0, 2, 1))
+    diag = np.diagonal(R, axis1=1, axis2=2)
+    dependent = np.abs(diag) < tol.ortho_tol
+    if dependent.any():
+        k, i = np.argwhere(dependent)[0]
+        which = f"vector {i}" if single else f"vector {i} of set {k}"
+        raise RankDeficient(
+            f"{which} is dependent on its predecessors (residual {abs(diag[k, i]):.3e})",
+            index=None if single else int(k),
+        )
+    basis = (Q * np.sign(diag)[:, None, :]).transpose(0, 2, 1)
+    return list(basis[0]) if single else basis
 
 
 def least_squares(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

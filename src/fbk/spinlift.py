@@ -86,15 +86,24 @@ def _z2_bit(value) -> int:
 
 
 def _check_special_orthogonal(R: np.ndarray) -> np.ndarray:
+    """One (m, m) rotation or a (K, m, m) stack of them, checked and returned as float.
+
+    A stack is checked with one matmul and one batched determinant; the
+    error names the first failing sample and, as a sample-by-sample check
+    would, the first test it fails there (orthogonality before sign).
+    """
     R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+    if R.ndim not in (2, 3) or R.shape[-1] != R.shape[-2]:
         raise NotOrthogonal("rotation sample is not square")
-    m = R.shape[0]
-    defect = np.max(np.abs(R.T @ R - np.eye(m)))
-    if defect > _ORTHO_CHECK:
-        raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
-    if np.linalg.det(R) <= 0.0:
-        raise NotOrthogonal("determinant is not positive")
+    defect = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(R.shape[-1])).max(axis=(-2, -1))
+    skewed = ~(defect <= _ORTHO_CHECK)  # also catches non-finite entries
+    bad = skewed | (np.linalg.det(R) <= 0.0)
+    if bad.any():
+        k = np.argmax(bad)
+        at = "" if R.ndim == 2 else f"sample {k}: "
+        if np.ravel(skewed)[k]:
+            raise NotOrthogonal(f"{at}orthogonality defect {np.ravel(defect)[k]:.3e}")
+        raise NotOrthogonal(f"{at}determinant is not positive")
     return R
 
 
@@ -116,10 +125,12 @@ class RotationLoop:
     def __post_init__(self):
         if len(self.samples) < 1:
             raise ValueError("a rotation loop needs at least one sample")
-        self.samples = [_check_special_orthogonal(R) for R in self.samples]
-        m = self.samples[0].shape[0]
-        if any(R.shape[0] != m for R in self.samples):
+        shapes = {np.shape(R) for R in self.samples}
+        if any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
+            raise NotOrthogonal("rotation sample is not square")
+        if len(shapes) > 1:
             raise DimensionMismatch("samples have mixed dimensions")
+        self.samples = list(_check_special_orthogonal(np.array(self.samples, dtype=float)))
         if self.params is None:
             k = len(self.samples)
             self.params = [i / k for i in range(k)]
@@ -143,8 +154,10 @@ class RotationLoop:
 def _angle_step_bound(lift_angle_max: float) -> float:
     # A rotation whose principal angles are all <= theta satisfies
     # |R - I|_F <= 2*sqrt(2)*sin(theta/2) with equality on a single plane,
-    # so bounding the Frobenius defect bounds every principal angle.
-    return 2.0 * math.sqrt(2.0) * math.sin(lift_angle_max / 2.0)
+    # so bounding the Frobenius defect bounds every principal angle. The
+    # relative slack of 1e-12 accepts a step of exactly lift_angle_max
+    # whatever the rounding of its defect.
+    return 2.0 * math.sqrt(2.0) * math.sin(lift_angle_max / 2.0) * (1.0 + 1e-12)
 
 
 def _refined_steps(loop: RotationLoop, tol: Tolerances) -> Iterator[tuple[np.ndarray, np.ndarray]]:

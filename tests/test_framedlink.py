@@ -10,6 +10,7 @@ from fbk.errors import (
     AmbientMismatch,
     OrientationMismatch,
     ParseError,
+    RankDeficient,
     RefinementExhausted,
     TooFewFields,
     ValidationError,
@@ -31,6 +32,7 @@ from fbk.framedlink import (
     winding_number,
     winding_parity,
 )
+from fbk.numkit import recording
 from fbk.spinlift import RotationLoop, Z2, loop_class
 
 
@@ -131,6 +133,59 @@ class TestFrameMatrixLoop:
         )
         with pytest.raises(OrientationMismatch):
             frame_matrix_loop(loop, bad, euclidean_ambient(4))
+
+    def test_rank_drop_names_its_sample(self):
+        # the first field turns parallel to the chord tangent at sample 17 only
+        circle = plane_circle(64, 4, clockwise=True)
+        loop = SampledLoop(circle.points)
+        fields = [f.copy() for f in standard_framing(circle, 4).fields]
+        fields[0][17] = loop.tangent_at_sample(17)
+        with pytest.raises(RankDeficient, match=r"at sample 17: vector 1 of set 17 "):
+            frame_matrix_loop(loop, NormalFraming(fields), euclidean_ambient(4))
+
+    def test_orientation_flip_names_first_negative_sample(self):
+        loop = plane_circle(64, 4, clockwise=True)
+        fields = [f.copy() for f in standard_framing(loop, 4).fields]
+        fields[2][40:] *= -1.0
+        fields[2][23] *= -1.0
+        with pytest.raises(OrientationMismatch, match=r"at sample 23;"):
+            frame_matrix_loop(loop, NormalFraming(fields), euclidean_ambient(4))
+
+    def test_refiner_errors_name_the_parameter(self):
+        loop = plane_circle(64, 4, clockwise=True)
+        framing = standard_framing(loop, 4)
+        flipped = NormalFraming(framing.fields, lambda t: -framing.resample(t))
+        rl = frame_matrix_loop(loop, flipped, euclidean_ambient(4))
+        with pytest.raises(OrientationMismatch, match=r"at parameter 0\.250000;"):
+            rl.refiner(0.25)
+
+    def test_batched_frames_match_single_frames(self, rng):
+        # the sample stack and the refiner's one-frame stack give the same frames
+        loop = wavy_circle(rng, dim=6, samples=48)
+        framing = standard_framing(loop, 6)
+        rl = frame_matrix_loop(loop, framing, euclidean_ambient(6))
+        for k in (0, 13, 47):
+            assert np.max(np.abs(rl.refiner(loop.params[k]) - rl.samples[k])) < 1e-12
+
+    def test_frames_assembled_per_component(self):
+        base = pontryagin_link(samples=64)
+        loop, framing = base.components[0]
+        far = loop.translated(np.array([4.0, 0, 0, 0]))
+        link = FramedLink([(loop, framing), (far, framing)], base.ambient)
+        with recording() as record:
+            invariant_report(link)
+        assert record["frames_assembled"] == 2 * 64
+        assert record["lift_steps"] == 2 * 64
+
+    def test_frames_assembled_counts_refiner_evaluations(self):
+        # three turns of the framing on 16 samples: every step is split, and
+        # each split is one refiner evaluation and one more lifted step
+        loop = plane_circle(16, 4, clockwise=True)
+        framing = twist_framing(loop, standard_framing(loop, 4), 3)
+        with recording() as record:
+            assert index_of_circle(loop, framing, euclidean_ambient(4)) == Z2(1)
+        assert record["refinement_depth"] >= 1
+        assert record["frames_assembled"] == record["lift_steps"] > 16
 
 
 class TestIndexOfCircle:

@@ -7,6 +7,7 @@ from fbk.errors import RankDeficient
 from fbk.numkit import (
     DEFAULT_TOL,
     Tolerances,
+    _mgs,
     jacobian_fd,
     kernel_direction,
     least_squares,
@@ -54,6 +55,44 @@ class TestOrthonormalize:
                 for q in out[:i]:
                     w = w - (q @ w) * q
                 assert u @ w > 0
+
+
+class TestBatchedOrthonormalize:
+    def test_matches_gram_schmidt_per_set(self, rng):
+        for n in range(3, 13):
+            for c in range(1, n + 1):
+                stack = rng.normal(size=(4, c, n))
+                out = orthonormalize(stack)
+                assert out.shape == (4, c, n)
+                for k in range(4):
+                    basis, _, _ = _mgs(stack[k], DEFAULT_TOL.ortho_tol)
+                    assert np.max(np.abs(out[k] - np.array(basis))) < 1e-12
+
+    def test_triangular_factor_has_positive_diagonal(self, rng):
+        for n in (3, 7, 12):
+            stack = rng.normal(size=(8, n, n))
+            out = orthonormalize(stack)
+            R = stack @ out.transpose(0, 2, 1)  # lower triangular: V = R Q
+            assert np.max(np.abs(np.triu(R, 1))) < 1e-12
+            assert np.all(np.diagonal(R, axis1=1, axis2=2) > 0.0)
+
+    def test_single_set_agrees_with_stack(self, rng):
+        vecs = rng.normal(size=(3, 5))
+        single = orthonormalize(list(vecs))
+        assert isinstance(single, list) and len(single) == 3
+        assert np.array_equal(np.array(single), orthonormalize(vecs[None])[0])
+
+    def test_too_many_vectors_in_a_stack(self):
+        with pytest.raises(RankDeficient, match="cannot be independent"):
+            orthonormalize(np.ones((5, 4, 3)))
+
+    def test_dependent_set_is_named(self, rng):
+        stack = rng.normal(size=(6, 3, 5))
+        stack[4, 2] = 2.0 * stack[4, 0] - stack[4, 1]
+        stack[5, 1] = stack[5, 0]
+        with pytest.raises(RankDeficient, match="vector 2 of set 4 ") as info:
+            orthonormalize(stack)
+        assert info.value.index == 4
 
 
 class TestLeastSquares:

@@ -155,15 +155,56 @@ class TestLoopClass:
         assert record["refinement_depth"] >= 1
 
 
+class TestRotationLoopValidation:
+    def test_bad_sample_is_named(self):
+        samples = rotation_loop_in_plane(2 * math.pi, 32).samples
+        skewed = list(samples)
+        skewed[5] = skewed[5] + 1e-6
+        with pytest.raises(NotOrthogonal, match="sample 5: orthogonality defect"):
+            RotationLoop(skewed)
+        reflected = list(samples)
+        reflected[9] = reflected[9] @ np.diag([1.0, 1.0, -1.0])
+        reflected[20] = reflected[20] + 1e-6
+        with pytest.raises(NotOrthogonal, match="sample 9: determinant is not positive"):
+            RotationLoop(reflected)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_non_finite_sample(self):
+        samples = list(rotation_loop_in_plane(2 * math.pi, 32).samples)
+        samples[5] = np.full((3, 3), np.nan)
+        with pytest.raises(NotOrthogonal, match="sample 5: orthogonality defect nan"):
+            RotationLoop(samples)
+
+    def test_validated_samples_are_float_matrices(self):
+        loop = RotationLoop([np.eye(3, dtype=int)] * 4)
+        assert all(R.dtype == float and R.shape == (3, 3) for R in loop.samples)
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            RotationLoop([np.eye(3), np.eye(4), np.eye(3)])
+
+    def test_non_square_sample(self):
+        with pytest.raises(NotOrthogonal, match="not square"):
+            RotationLoop([np.eye(3), np.eye(3)[:2]])
+        with pytest.raises(NotOrthogonal, match="not square"):
+            RotationLoop([np.eye(3)[:2]] * 4)
+
+
 class TestRecording:
     # Four quarter turns against a step bound just above pi/4: each is split
-    # once. At the default bound of exactly pi/4, rounding decides.
+    # once.
     COARSE = {"refinement_depth": 1, "lift_steps": 8}
     TOL = Tolerances(lift_angle_max=0.8)
 
     def test_coarse_loop_counts(self):
         with recording() as record:
             loop_class(rotation_loop_in_plane(2 * math.pi, 4), self.TOL)
+        assert record == self.COARSE
+
+    def test_step_of_exactly_the_default_bound_is_not_split(self):
+        # the halves of a quarter turn are exactly pi/4, the default bound
+        with recording() as record:
+            assert loop_class(rotation_loop_in_plane(2 * math.pi, 4)) == Z2(1)
         assert record == self.COARSE
 
     def test_no_scope_records_nothing(self):
