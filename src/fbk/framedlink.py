@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     AmbientMismatch,
+    EvaluationFailure,
     OrientationMismatch,
     RankDeficient,
     TooFewFields,
@@ -65,11 +66,20 @@ _DISTANCE_BLOCK_PAIRS = 1 << 20
 
 @dataclass
 class SampledLoop:
-    """Closed curve in R^N: cyclic samples plus an optional exact resampler."""
+    """Closed curve in R^N: cyclic samples plus an optional exact resampler.
+
+    tangents, when given, are the unit tangents at the samples as a (K, N)
+    array, stored read-only; a traced loop carries the kernel tangents its
+    tracer found. tangent_at_sample reads them before anything else, then
+    falls back on central differences of the resampler, then on chords.
+    The cycled, reversed, transformed and translated copies carry them
+    along; with_samples drops them.
+    """
 
     points: np.ndarray
     resample: Callable[[float], np.ndarray] | None = None
     params: Sequence[float] | None = None
+    tangents: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -94,6 +104,16 @@ class SampledLoop:
                 raise ValidationError("loop params must lie in [0, 1)")
             if any(b <= a for a, b in zip(self.params, self.params[1:])):
                 raise ValidationError("loop params must be strictly increasing")
+        if self.tangents is not None:
+            self.tangents = np.array(self.tangents, dtype=float)
+            if self.tangents.shape != self.points.shape:
+                raise ValidationError(
+                    f"loop tangents must have the points' shape {self.points.shape}, "
+                    f"got {self.tangents.shape}"
+                )
+            if not np.all(np.isfinite(self.tangents)):
+                raise ValidationError("loop tangents must be finite")
+            self.tangents.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -133,6 +153,8 @@ class SampledLoop:
         return out
 
     def tangent_at_sample(self, k: int) -> np.ndarray:
+        if self.tangents is not None:
+            return self.tangents[k].copy()
         if self.resample is not None:
             return self.tangent(self.params[k])
         return self._chord_tangents[k].copy()
@@ -179,7 +201,8 @@ class SampledLoop:
         if self.resample is not None:
             inner = self.resample
             resample = lambda t, b=base: inner((t + b) % 1.0)  # noqa: E731
-        return SampledLoop(pts, resample, params)
+        tangents = None if self.tangents is None else np.roll(self.tangents, -shift, axis=0)
+        return SampledLoop(pts, resample, params, tangents)
 
     def transformed(self, Q: np.ndarray) -> "SampledLoop":
         Q = np.asarray(Q, dtype=float)
@@ -187,7 +210,11 @@ class SampledLoop:
         if self.resample is not None:
             inner = self.resample
             resample = lambda t: Q @ inner(t)  # noqa: E731
-        return SampledLoop(self.points @ Q.T, resample, list(self.params))
+        tangents = None
+        if self.tangents is not None:
+            tangents = self.tangents @ Q.T
+            tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+        return SampledLoop(self.points @ Q.T, resample, list(self.params), tangents)
 
     def translated(self, offset: np.ndarray) -> "SampledLoop":
         offset = np.asarray(offset, dtype=float)
@@ -195,7 +222,7 @@ class SampledLoop:
         if self.resample is not None:
             inner = self.resample
             resample = lambda t: inner(t) + offset  # noqa: E731
-        return SampledLoop(self.points + offset, resample, list(self.params))
+        return SampledLoop(self.points + offset, resample, list(self.params), self.tangents)
 
     def reversed(self) -> "SampledLoop":
         k = len(self)
@@ -206,7 +233,8 @@ class SampledLoop:
         if self.resample is not None:
             inner = self.resample
             resample = lambda t: inner((1.0 - t) % 1.0)  # noqa: E731
-        return SampledLoop(pts, resample, params)
+        tangents = None if self.tangents is None else -self.tangents[idx]
+        return SampledLoop(pts, resample, params, tangents)
 
 
 @dataclass
@@ -453,12 +481,19 @@ def _assemble_frame(
 
     points and middles are (K, N) and fields is (K, k, N). The manifold
     normals are evaluated point by point; the checks then run over the whole
-    stack, each in turn, and an error names where(first failing index).
+    stack, each in turn, and an error names where(first failing index). A
+    non-finite normal, middle row or field is an EvaluationFailure, checked
+    first.
     """
     count = len(ambient.manifold_normals)
     normals = np.array(
         [[n(p) for n in ambient.manifold_normals] for p in points], dtype=float
     ).reshape(len(points), count, points.shape[1])
+    rows = np.concatenate([normals, middles[:, None], fields], axis=1)
+    if not np.isfinite(rows).all():
+        k, i = np.argwhere(~np.isfinite(rows).all(axis=2))[0]
+        name = "manifold normal" if i < count else "middle row" if i == count else "framing field"
+        raise EvaluationFailure(f"non-finite {name} at {where(k)}")
     gram = normals @ normals.transpose(0, 2, 1)
     skewed = np.any(np.abs(gram - np.eye(count)) > _NORMAL_ORTHO_CHECK, axis=(1, 2))
     leaning = np.abs(np.einsum("kan,kn->ka", normals, middles)) > _NORMAL_TANGENT_CHECK
@@ -471,7 +506,6 @@ def _assemble_frame(
             f"manifold normal {np.argmax(leaning[k])} is not orthogonal to the curve "
             f"at {where(k)}"
         )
-    rows = np.concatenate([normals, middles[:, None], fields], axis=1)
     try:
         frames = orthonormalize(rows, tol)
     except RankDeficient as exc:
@@ -499,19 +533,22 @@ def frame_matrix_loop(
 ) -> RotationLoop:
     """Rotation loop of assembled frames [manifold normals, middle row, framing].
 
-    The middle row is the curve tangent, or middle(point) when a map from
-    points to middle rows is given. Each sample yields the N x N matrix
-    whose rows are the orthonormalized frame expressed in the standard
-    basis; the determinant must be +1 at every sample. All samples are
-    assembled as one stack. When both the loop and the framing can be
-    resampled, the returned loop carries a refiner that re-evaluates the
-    geometry through the same assembly. Every assembled frame is noted as
-    frames_assembled.
+    The middle row is the curve tangent (the loop's carried tangents when it
+    has them), or middle(point) when a map from points to middle rows is
+    given. Each sample yields the N x N matrix whose rows are the
+    orthonormalized frame expressed in the standard basis; the determinant
+    must be +1 at every sample. All samples are assembled as one stack.
+    When both the loop and the framing can be resampled, the returned loop
+    carries a refiner that re-evaluates the geometry through the same
+    assembly (the refiner's tangents are central differences of the
+    resampler). Every assembled frame is noted as frames_assembled.
     """
     if middle is not None:
         middles = np.array([middle(p) for p in loop.points], dtype=float)
+    elif loop.tangents is not None:
+        middles = loop.tangents
     elif loop.resample is not None:
-        middles = np.array([loop.tangent_at_sample(k) for k in range(len(loop))])
+        middles = np.array([loop.tangent(t) for t in loop.params])
     else:
         middles = loop._chord_tangents
     samples = _assemble_frame(

@@ -9,6 +9,8 @@ one-off factorizations: modified Gram-Schmidt with one re-orthogonalization
 pass, which is plenty stable at these sizes. least_squares and
 kernel_direction are built on it; the tracer's target_basis and
 transport_closed_frame call it directly with their own 1e-8 threshold.
+The tracer's induced framing solves a whole loop's minimum-norm systems with
+one batched QR of its own; least_squares is the one-system form.
 Every rank decision compares a residual norm (|R_ii| for the QR) with a
 tolerance.
 
@@ -68,7 +70,11 @@ def recording() -> Iterator[dict]:
     call; frames_assembled (frames built by frame_matrix_loop, its refiner
     included); closure_errors (a list) and max_residual from every traced
     component that is kept; seeds_skipped from seeds whose trace did not
-    converge. Scopes nest, and a note reaches every open one.
+    converge. Three work counters come from the tracer: newton_calls
+    (Newton corrections started), newton_iterations (their correction
+    steps) and jacobian_evaluations (point Jacobians of a traced system or
+    of a map whose framing is pulled back). Scopes nest, and a note reaches
+    every open one.
     """
     record: dict = {}
     token = _SCOPES.set(_SCOPES.get() + (record,))

@@ -58,7 +58,6 @@ from .numkit import (
     _note_max,
     jacobian_fd,
     kernel_direction,
-    least_squares,
     orthonormalize,
     recording,
 )
@@ -166,6 +165,7 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
             return basis @ (np.asarray(spec.evaluator(p), dtype=float) - x0)
 
         def j_target(p):
+            _note_add("jacobian_evaluations", 1)
             return basis @ np.asarray(raw_jac(p), dtype=float)
 
     else:
@@ -174,6 +174,7 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
             return np.asarray(spec.evaluator(p), dtype=float)
 
         def j_target(p):
+            _note_add("jacobian_evaluations", 1)
             return np.asarray(raw_jac(p), dtype=float)
 
     if spec.domain == "unit_sphere":
@@ -190,17 +191,19 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
     return _TracedSystem(residual, jacobian, spec.dimension)
 
 
-def _frame_jacobian(spec: MapSpec, p: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    """Derivative of the reduced map restricted to the domain tangent space.
+def _frame_jacobian(spec: MapSpec, points: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """Derivatives of the reduced map restricted to the domain tangent space.
 
-    basis is target_basis for sphere targets and None for R^n targets.
+    points is (K, N) and the result (K, rows, N). basis is target_basis for
+    sphere targets and None for R^n targets.
     """
     raw_jac = spec.jacobian or (lambda q: jacobian_fd(spec.evaluator, q))
-    J = np.asarray(raw_jac(p), dtype=float)
+    _note_add("jacobian_evaluations", len(points))
+    J = np.array([raw_jac(p) for p in points], dtype=float)
     if basis is not None:
         J = basis @ J
     if spec.domain == "unit_sphere":
-        J = J - np.outer(J @ p, p)
+        J = J - (J @ points[:, :, None]) * points[:, None, :]
     return J
 
 
@@ -213,6 +216,7 @@ def _section_system(spec: SectionSpec) -> _TracedSystem:
         )
 
     def jacobian(p):
+        _note_add("jacobian_evaluations", 1)
         return np.vstack([np.asarray(raw_jac(p), dtype=float), p])
 
     return _TracedSystem(residual, jacobian, spec.embedding_dimension)
@@ -229,8 +233,11 @@ def _newton(
 
     max_move bounds the total correction distance; it turns the correction
     into a local operation so that seeds far from the solution set fail
-    instead of wandering onto an arbitrary component.
+    instead of wandering onto an arbitrary component. A non-finite Jacobian
+    is an EvaluationFailure. Notes newton_calls and, per correction step,
+    newton_iterations.
     """
+    _note_add("newton_calls", 1)
     p = np.asarray(start, dtype=float).copy()
     scale = 1.0 + float(np.linalg.norm(p))
     budget = 10.0 * scale if max_move is None else max_move
@@ -244,6 +251,9 @@ def _newton(
         if rn < tol.newton_tol:
             return p, rn
         J = system.jacobian(p)
+        if not np.all(np.isfinite(J)):
+            raise EvaluationFailure("non-finite Jacobian during correction")
+        _note_add("newton_iterations", 1)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         sn = float(np.linalg.norm(step))
         if not np.isfinite(sn) or sn > 2.0 * scale:
@@ -272,14 +282,20 @@ def _newton_aligned(system, start, anchor, direction, tol):
 
 
 def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances) -> np.ndarray:
+    J = system.jacobian(p)
+    if not np.all(np.isfinite(J)):
+        raise EvaluationFailure("non-finite Jacobian along the curve")
     try:
-        return kernel_direction(system.jacobian(p), previous, tol)
+        return kernel_direction(J, previous, tol)
     except RankDeficient as exc:
         raise Singular("rank drop along the curve; transversality violated") from exc
 
 
 def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
-    """The traced loop, its closure error and its largest corrector residual."""
+    """The traced loop, its closure error and its largest corrector residual.
+
+    The loop carries the unit kernel tangent found at each of its samples.
+    """
     tol = opts.tolerances
     seed = np.asarray(seed, dtype=float)
     if seed.size != system.dimension:
@@ -288,6 +304,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
     p0, _ = _newton(system, seed, tol, max_move=max(8.0 * opts.initial_step, 0.25))
     t0 = _tangent_of(system, p0, None, tol)
     points = [p0]
+    tangents = [t0]
     residuals = [float(np.linalg.norm(system.residual(p0)))]
     p, t = p0, t0
     h = opts.initial_step
@@ -295,11 +312,12 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
     closure_error = None
     for _step in range(opts.max_steps):
         predictor = p + h * t
+        failure = None
         try:
             q, rn = _newton(system, predictor, tol, max_iter=8)
             ok = float(np.linalg.norm(q - predictor)) <= max(h, 1e3 * tol.newton_tol)
-        except (NoConvergence, EvaluationFailure):
-            q, rn, ok = None, None, False
+        except (NoConvergence, EvaluationFailure) as exc:
+            q, rn, ok, failure = None, None, False, exc
         if ok:
             t_new = _tangent_of(system, q, t, tol)
             if float(t_new @ t) < 0.2:
@@ -307,6 +325,12 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         if not ok:
             h *= 0.5
             if h < opts.min_step:
+                # a curve that runs into points where the map cannot be
+                # evaluated is a failure, not an empty preimage
+                if isinstance(failure, EvaluationFailure):
+                    raise EvaluationFailure(
+                        f"corrector kept failing at the minimum step size: {failure}"
+                    ) from failure
                 raise NoConvergence("corrector kept failing at the minimum step size")
             continue
         dist0 = float(np.linalg.norm(q - p0))
@@ -322,6 +346,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
                 closure_error = err
                 break
         points.append(q)
+        tangents.append(t_new)
         residuals.append(rn)
         p, t = q, t_new
         if float(np.linalg.norm(q - predictor)) < 0.1 * h:
@@ -344,7 +369,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         out, _ = _newton(system, (1.0 - w) * a + w * b, tol)
         return out
 
-    return SampledLoop(pts, resample, params), closure_error, max(residuals)
+    return SampledLoop(pts, resample, params, np.asarray(tangents)), closure_error, max(residuals)
 
 
 def suggest_seeds(
@@ -401,7 +426,9 @@ def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> Samp
     Jacobian kernel and a Gauss-Newton corrector, halving the step on
     corrector failure and doubling it after easy steps, until the walk
     returns to the start point with an aligned tangent. The returned loop
-    resamples itself by re-running the corrector.
+    carries the unit kernel tangent of the Jacobian at every sample, as the
+    walk found it (oriented along the walk), and resamples itself between
+    samples by re-running the corrector.
     """
     system = _map_system(spec)
     loop, closure_error, max_residual = _trace(system, seed, opts)
@@ -425,31 +452,51 @@ def induced_framing(
     constrained Jacobian, hence is tangent to the domain manifold and
     orthogonal to the curve. A caller may supply a different orthonormal
     basis of the target tangent space (rows); the default is target_basis.
+    All samples are solved at once: one batched QR of the transposed
+    Jacobians J^T = Q R, then x = Q R^-T b from one batched solve with the
+    lower-triangular R^T. Any |R_ii| below ortho_tol is Singular, and a
+    non-finite Jacobian an EvaluationFailure, each naming the sample. The
+    resampler runs the same solve at one point.
     """
     if spec.target == "sphere":
         B = target_basis(spec, np.asarray(spec.regular_value).size - 1)
-        count = B.shape[0]
         src = B if basis is None else np.asarray(basis, dtype=float)
         # right-hand sides in the reduced target coordinates
         rhs = src @ B.T
     else:
         B = None
-        count = _frame_jacobian(spec, loop.points[0], B).shape[0]
-        rhs = np.eye(count) if basis is None else np.asarray(basis, dtype=float)
+        rhs = None if basis is None else np.asarray(basis, dtype=float)
 
-    def fields_at(p: np.ndarray) -> np.ndarray:
-        J = _frame_jacobian(spec, p, B)
-        try:
-            return np.vstack([least_squares(J, rhs[i]) for i in range(count)])
-        except RankDeficient as exc:
-            raise Singular("rank drop of the map derivative along the curve") from exc
+    def fields_at(points: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+        """Fields at K points as (K, count, N)."""
+        J = _frame_jacobian(spec, points, B)
+        broken = np.flatnonzero(~np.isfinite(J).reshape(len(J), -1).all(axis=1))
+        if broken.size:
+            raise EvaluationFailure(f"non-finite map derivative at {where(broken[0])}")
+        rows, dim = J.shape[1:]
+        if rows > dim:
+            raise Singular(f"{rows} derivative rows cannot be independent in R^{dim}")
+        Q, R = np.linalg.qr(J.transpose(0, 2, 1))
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        low = np.flatnonzero(~np.all(diag >= DEFAULT_TOL.ortho_tol, axis=1))
+        if low.size:
+            k = low[0]
+            raise Singular(
+                f"rank drop of the map derivative along the curve at {where(k)} "
+                f"(|R_ii| = {np.min(diag[k]):.3e})"
+            )
+        b = np.eye(rows) if rhs is None else rhs
+        C = np.linalg.solve(R.transpose(0, 2, 1), np.broadcast_to(b.T, (len(J), *b.T.shape)))
+        return (Q @ C).transpose(0, 2, 1)
 
-    stacked = [fields_at(loop.points[k]) for k in range(len(loop))]
-    fields = [np.vstack([s[i] for s in stacked]) for i in range(count)]
+    X = fields_at(loop.points, lambda k: f"sample {k}")
     resample = None
     if loop.resample is not None:
-        resample = lambda t: fields_at(loop.point(t))  # noqa: E731
-    return NormalFraming(fields, resample)
+
+        def resample(t: float) -> np.ndarray:
+            return fields_at(loop.point(t)[None], lambda _: f"parameter {t % 1.0:.6f}")[0]
+
+    return NormalFraming([X[:, i] for i in range(X.shape[1])], resample)
 
 
 def _frame_det(loop, middle, framing, ambient, k) -> float:

@@ -8,6 +8,7 @@ import pytest
 from conftest import framing_from_callables, random_rotation, standard_framing, wavy_circle
 from fbk.errors import (
     AmbientMismatch,
+    EvaluationFailure,
     OrientationMismatch,
     ParseError,
     RankDeficient,
@@ -93,7 +94,124 @@ class TestSampledLoop:
         assert np.allclose(t, [0, 1, 0], atol=1e-4)
 
 
+def tilted_circle_with_tangents(samples: int = 48, dim: int = 4) -> SampledLoop:
+    """Unit circle in a tilted plane, unevenly sampled, carrying its exact tangents.
+
+    The resampler is the exact parametrization, so the central-difference
+    tangent(t) is exact up to rounding as well (chords of a circle taken
+    symmetrically about a point are parallel to the tangent there).
+    """
+    u = np.zeros(dim)
+    u[0] = 1.0
+    v = np.zeros(dim)
+    v[1], v[2] = 0.6, 0.8
+
+    def point(t: float) -> np.ndarray:
+        a = 2.0 * math.pi * (t % 1.0)
+        return math.cos(a) * u + math.sin(a) * v
+
+    k = np.arange(samples)
+    params = (k + 0.3 * np.sin(2.0 * math.pi * k / samples)) / samples
+    ang = 2.0 * math.pi * params
+    tangents = -np.sin(ang)[:, None] * u + np.cos(ang)[:, None] * v
+    return SampledLoop(np.array([point(t) for t in params]), point, list(params), tangents)
+
+
+class TestCarriedTangents:
+    def test_copies_carry_the_tangents_of_their_geometry(self, rng):
+        loop = tilted_circle_with_tangents()
+        Q = random_rotation(rng, 4)
+        copies = {
+            "cycled": loop.cycled(7),
+            "reversed": loop.reversed(),
+            "transformed": loop.transformed(Q),
+            "translated": loop.translated(np.array([3.0, -1.0, 0.5, 2.0])),
+        }
+        for name, moved in copies.items():
+            assert moved.tangents is not None, name
+            difference = np.array([moved.tangent(t) for t in moved.params])
+            assert np.max(np.abs(moved.tangents - difference)) < 1e-6, name
+            assert np.min(np.einsum("kn,kn->k", moved.tangents, difference)) > 0.0, name
+            assert np.allclose(np.linalg.norm(moved.tangents, axis=1), 1.0), name
+
+    def test_with_samples_drops_the_tangents(self):
+        loop = tilted_circle_with_tangents()
+        assert loop.with_samples(32).tangents is None
+
+    def test_tangents_are_read_only_copies(self):
+        given = tilted_circle_with_tangents().tangents.copy()
+        loop = SampledLoop(tilted_circle_with_tangents().points, tangents=given)
+        with pytest.raises(ValueError):
+            loop.tangents[0, 0] = 1.0
+        given[:] = 0.0
+        assert np.all(np.linalg.norm(loop.tangents, axis=1) > 0.5)
+        row = loop.tangent_at_sample(3)
+        row[:] = 0.0
+        assert np.any(loop.tangent_at_sample(3) != 0.0)
+
+    def test_wrong_shape_or_non_finite_tangents(self):
+        loop = tilted_circle_with_tangents()
+        with pytest.raises(ValidationError, match="shape"):
+            SampledLoop(loop.points, tangents=loop.tangents[:-1])
+        with pytest.raises(ValidationError, match="shape"):
+            SampledLoop(loop.points, tangents=loop.tangents[:, :3])
+        broken = loop.tangents.copy()
+        broken[5, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            SampledLoop(loop.points, tangents=broken)
+
+    def test_sample_frames_never_resample(self):
+        # the sample path reads the carried tangents; only the refiner resamples
+        loop = tilted_circle_with_tangents()
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return loop.resample(t)
+
+        carried = SampledLoop(loop.points, counted, loop.params, loop.tangents)
+        framing = NormalFraming([f.copy() for f in _tilted_circle_framing(loop)])
+        frame_matrix_loop(carried, framing, euclidean_ambient(4))
+        assert calls == []
+
+
+def _tilted_circle_framing(loop: SampledLoop) -> list:
+    """Radial field, the plane's normal inside span(e1, e2), and e3 (right-handed)."""
+    w = np.array([0.0, 0.8, -0.6, 0.0])
+    k = len(loop)
+    fields = [loop.points.copy(), np.tile(w, (k, 1)), np.tile(np.eye(4)[3], (k, 1))]
+    rows = np.stack([loop.tangents, *fields], axis=1)
+    if np.linalg.det(rows[0]) < 0.0:
+        fields[2] = -fields[2]
+    return fields
+
+
 class TestFrameMatrixLoop:
+    def test_non_finite_middle_row_names_its_sample(self):
+        loop = plane_circle(32, 4, clockwise=True)
+        framing = standard_framing(loop, 4)
+        bad = loop.points[5].copy()
+
+        def middle(p):
+            out = np.array([-p[1], p[0], 0.0, 0.0])
+            return np.full(4, np.nan) if np.array_equal(p, bad) else out
+
+        with pytest.raises(EvaluationFailure, match=r"non-finite middle row at sample 5"):
+            frame_matrix_loop(loop, framing, euclidean_ambient(4), middle=middle)
+
+    def test_non_finite_manifold_normal_names_its_sample(self):
+        loop = plane_circle(32, 5)
+        framing = constant_framing(loop, (2, 3, 4))
+        bad = loop.points[9].copy()
+
+        def normal(p):
+            return np.full(5, np.inf) if np.array_equal(p, bad) else p / np.linalg.norm(p)
+
+        ambient = sphere_ambient(5)
+        ambient.manifold_normals = [normal]
+        with pytest.raises(EvaluationFailure, match=r"non-finite manifold normal at sample 9"):
+            frame_matrix_loop(loop, framing, ambient)
+
     def test_standard_circle_closed_form(self):
         # rows [tangent, radial, e3, e4] of the clockwise unit circle have
         # the closed form below; assembly should reproduce it exactly

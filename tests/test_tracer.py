@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
-from fbk.errors import DuplicateComponent, NoConvergence, RankDeficient
+from fbk.errors import (
+    DuplicateComponent,
+    EvaluationFailure,
+    NoConvergence,
+    RankDeficient,
+    Singular,
+)
 from fbk.framedlink import (
     SampledLoop,
     euclidean_ambient,
+    frame_matrix_loop,
     index_of_circle,
     invariant_report,
     sphere_ambient,
 )
-from fbk.numkit import DEFAULT_TOL, recording
+from fbk.numkit import DEFAULT_TOL, jacobian_fd, least_squares, recording
 from fbk.tracer import (
     MapSpec,
     SectionSpec,
     TraceOptions,
+    _map_system,
+    _newton,
     _principal_log_blocks,
     _rotation_power,
     hausdorff_distance,
@@ -25,6 +34,7 @@ from fbk.tracer import (
     section_index,
     section_zero_loops,
     suggest_seeds,
+    target_basis,
     trace_component,
     transport_closed_frame,
 )
@@ -148,6 +158,155 @@ class TestInducedFraming:
         assert got == want
 
 
+def hopf_spec(value: str = "default") -> MapSpec:
+    from fbk.scenarios import _HOPF_VALUES, _suspended_hopf
+
+    return MapSpec(
+        _suspended_hopf,
+        dimension=5,
+        target="sphere",
+        regular_value=_HOPF_VALUES[value]["x0"],
+        domain="unit_sphere",
+    )
+
+
+def hopf_seed(value: str = "default") -> np.ndarray:
+    from fbk.scenarios import _HOPF_VALUES
+
+    return np.asarray(_HOPF_VALUES[value]["seed"], dtype=float)
+
+
+def pointwise_fields(spec: MapSpec, points, basis=None) -> np.ndarray:
+    """The induced fields solved one point and one field at a time, as (K, count, N)."""
+    raw = spec.jacobian or (lambda q: jacobian_fd(spec.evaluator, q))
+    B = target_basis(spec, spec.regular_value.size - 1) if spec.target == "sphere" else None
+    out = []
+    for p in points:
+        J = np.asarray(raw(p), dtype=float)
+        if B is not None:
+            J = B @ J
+        if spec.domain == "unit_sphere":
+            J = J - np.outer(J @ p, p)
+        if B is not None:
+            rhs = (B if basis is None else basis) @ B.T
+        else:
+            rhs = np.eye(J.shape[0]) if basis is None else basis
+        out.append([least_squares(J, b) for b in rhs])
+    return np.array(out)
+
+
+class TestBatchedPullBack:
+    def test_fields_match_the_pointwise_solve(self, rng):
+        quadric_loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        hopf_loop = trace_component(hopf_spec(), hopf_seed(), TraceOptions())
+        B = target_basis(hopf_spec(), 3)
+        cases = [
+            ("quadric", quadric_spec(), quadric_loop, None),
+            ("quadric-rotated", quadric_spec(), quadric_loop, random_rotation(rng, 3)),
+            ("hopf", hopf_spec(), hopf_loop, None),
+            ("hopf-rotated", hopf_spec(), hopf_loop, random_rotation(rng, 3) @ B),
+        ]
+        for name, spec, loop, basis in cases:
+            framing = induced_framing(spec, loop, basis=basis)
+            got = np.stack(framing.fields, axis=1)
+            want = pointwise_fields(spec, loop.points, basis)
+            assert np.max(np.abs(got - want)) < 1e-12, name
+            at = np.array(framing.at(0.3))
+            want_at = pointwise_fields(spec, [loop.point(0.3)], basis)[0]
+            assert np.max(np.abs(at - want_at)) < 1e-12, name
+
+    def test_rank_drop_names_its_sample(self):
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        bad = loop.points[11].copy()
+
+        def jac(x):
+            J = quadric_jac(x)
+            if np.array_equal(x, bad):
+                J[2] = J[1]
+            return J
+
+        with pytest.raises(Singular, match=r"at sample 11 "):
+            induced_framing(MapSpec(quadric, dimension=4, jacobian=jac), loop)
+
+    def test_non_finite_derivative_names_its_sample(self):
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        bad = loop.points[4].copy()
+
+        def jac(x):
+            J = quadric_jac(x)
+            return J * np.nan if np.array_equal(x, bad) else J
+
+        with pytest.raises(EvaluationFailure, match=r"at sample 4$"):
+            induced_framing(MapSpec(quadric, dimension=4, jacobian=jac), loop)
+
+
+class TestCarriedKernelTangents:
+    def test_traced_loop_carries_exact_unit_tangents(self):
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        p = loop.points
+        exact = np.zeros_like(p)
+        exact[:, 0], exact[:, 1] = -p[:, 1], p[:, 0]
+        exact *= np.sign(exact[0] @ loop.tangents[0])
+        assert np.max(np.abs(loop.tangents - exact)) < 1e-9
+        # oriented along the walk: every sample advances along its tangent
+        steps = np.roll(p, -1, axis=0) - p
+        assert np.all(np.einsum("kn,kn->k", steps, loop.tangents) > 0.0)
+
+    def test_sample_frames_run_no_newton_solve(self):
+        spec = quadric_spec()
+        ambient = euclidean_ambient(4)
+        loop = trace_component(spec, SEED, TraceOptions())
+        loop, framing = _orient(loop, induced_framing(spec, loop), ambient)
+        with recording() as carried:
+            frame_matrix_loop(loop, framing, ambient)
+        assert carried.get("newton_calls", 0) == 0
+        # without the carried tangents every sample costs two resamples
+        bare = SampledLoop(loop.points, loop.resample, loop.params)
+        with recording() as resampled:
+            frame_matrix_loop(bare, framing, ambient)
+        assert resampled["newton_calls"] == 2 * len(loop)
+        assert resampled["jacobian_evaluations"] == resampled["newton_iterations"] > 0
+
+    def test_work_counters_of_a_trace_and_a_pull_back(self):
+        spec = quadric_spec()
+        with recording() as traced:
+            loop = trace_component(spec, SEED, TraceOptions())
+        assert traced["newton_calls"] >= len(loop)
+        assert traced["jacobian_evaluations"] > traced["newton_iterations"] > 0
+        with recording() as pulled:
+            induced_framing(spec, loop)
+        assert pulled == {"jacobian_evaluations": len(loop)}
+
+
+def probe_spec() -> MapSpec:
+    """The unit circle in the (0, 1) plane of R^3, with a Jacobian that is NaN for x > 0.95."""
+
+    def f(x):
+        return np.array([x[0] ** 2 + x[1] ** 2 - 1.0, x[2]])
+
+    def jac(x):
+        J = np.array([[2.0 * x[0], 2.0 * x[1], 0.0], [0.0, 0.0, 1.0]])
+        return J * np.nan if x[0] > 0.95 else J
+
+    return MapSpec(f, dimension=3, jacobian=jac)
+
+
+class TestNonFiniteJacobian:
+    @pytest.mark.parametrize("seed", [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
+    def test_probe_is_a_typed_failure_without_lapack_output(self, seed, capfd):
+        # seed (1, 0, 0) sits in the NaN region; from (-1, 0, 0) the walk runs into it
+        with pytest.raises(EvaluationFailure, match="non-finite Jacobian"):
+            kappa_of_map(probe_spec(), TraceOptions(seeds=[np.array(seed)]), euclidean_ambient(3))
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert "DLASCL" not in err
+
+    def test_newton_refuses_a_non_finite_jacobian(self):
+        spec = MapSpec(quadric, dimension=4, jacobian=lambda x: np.full((3, 4), np.nan))
+        with pytest.raises(EvaluationFailure, match="non-finite Jacobian"):
+            _newton(_map_system(spec), SEED, DEFAULT_TOL)
+
+
 def _orient(loop, framing, ambient):
     from fbk.tracer import _oriented
 
@@ -195,7 +354,8 @@ class TestKappaOfMap:
         with recording() as record:
             with pytest.raises(NoConvergence, match="antipodal"):
                 trace_component(spec, antipodal, TraceOptions())
-        assert record == {}
+        # only the work counters, no trace diagnostics
+        assert set(record) == {"newton_calls", "newton_iterations", "jacobian_evaluations"}
         opts = TraceOptions(seeds=[data["seed"], antipodal])
         with recording() as outer:
             report = kappa_of_map(spec, opts, sphere_ambient(5))
