@@ -12,7 +12,19 @@ transport_closed_frame call it directly with their own 1e-8 threshold.
 The tracer's induced framing solves a whole loop's minimum-norm systems with
 one batched QR of its own; least_squares is the one-system form.
 Every rank decision compares a residual norm (|R_ii| for the QR) with a
-tolerance.
+tolerance. Non-finite input is an EvaluationFailure; a wrong shape stays a
+ValueError.
+
+The tracer calls kernel_direction and jacobian_fd at every step of its
+walk, so both avoid per-call overhead without changing one rounding:
+kernel_direction completes the row basis by projecting exactly only the
+coordinate directions whose estimated residual, 1 - sum_j basis[j][i]^2,
+is within 1e-9 of the largest (the winner is always among them), and
+_norm is np.linalg.norm's own sqrt(x @ x) without its dispatch. The dot
+products stay one 1-d `q @ w` at a time: the BLAS dot rounds differently
+from a matrix-vector product, einsum or a row sum (it fuses multiply-adds
+even at length 2), so a vectorized projection would move the bits of every
+traced sample.
 
 recording() is the package's one diagnostics path: _note_max, _note_add
 and _note_append write a value into every open recording scope and do
@@ -72,9 +84,12 @@ def recording() -> Iterator[dict]:
     component that is kept; seeds_skipped from seeds whose trace did not
     converge. Three work counters come from the tracer: newton_calls
     (Newton corrections started), newton_iterations (their correction
-    steps) and jacobian_evaluations (point Jacobians of a traced system or
-    of a map whose framing is pulled back). Scopes nest, and a note reaches
-    every open one.
+    steps) and jacobian_evaluations (evaluations of a map's or section's
+    Jacobian at one point, analytic or by finite differences: one per
+    correction step and one at every corrected point where the walk takes
+    the tangent; kappa_of_map pulls its framing back through the ones taken
+    at the samples, while induced_framing on its own evaluates one per
+    sample). Scopes nest, and a note reaches every open one.
     """
     record: dict = {}
     token = _SCOPES.set(_SCOPES.get() + (record,))
@@ -103,9 +118,25 @@ def _as_vec(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("expected a 1-d vector")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector has non-finite entries")
+    _require_finite(a)
     return a
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise EvaluationFailure("vector has non-finite entries")
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float vector, bit for bit np.linalg.norm(v).
+
+    np.linalg.norm returns sqrt(x @ x) of x = v.ravel(order="K"), a
+    contiguous copy when v is strided; the copy matters, because BLAS sums
+    a strided dot in another order.
+    """
+    if not v.flags.c_contiguous:
+        v = v.ravel(order="K")
+    return math.sqrt(float(v @ v))
 
 
 def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent: bool = False):
@@ -124,8 +155,7 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent:
         raise ValueError("vectors must share one dimension") from exc
     if V.ndim != 2 or V.shape[1] < 1:
         raise ValueError("expected a stack of 1-d vectors")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("vector has non-finite entries")
+    _require_finite(V)
     count, dim = V.shape
     if count > dim and not drop_dependent:
         raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}")
@@ -140,7 +170,7 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent:
                 c = float(q @ w)
                 w -= c * q
                 row[j] += c
-        r = float(np.linalg.norm(w))
+        r = _norm(w)
         coeffs.append(row)
         if r < tol:
             if drop_dependent:
@@ -176,8 +206,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL):
     single = V.ndim == 2
     if V.ndim not in (2, 3) or V.shape[-1] < 1:
         raise ValueError("expected a vector set or a stack of vector sets")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("vector has non-finite entries")
+    _require_finite(V)
     count, dim = V.shape[-2:]
     if count > dim:
         raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}")
@@ -222,6 +251,13 @@ def least_squares(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -
     return x
 
 
+# Estimated squared residuals within this of the largest one are projected
+# exactly by kernel_direction. The estimates are off by a few ulps of 1 for
+# an orthonormal basis, far inside the window, so the exact winner is never
+# pruned.
+_COMPLETION_WINDOW = 1e-9
+
+
 def kernel_direction(
     J: np.ndarray,
     previous: np.ndarray | None = None,
@@ -242,17 +278,22 @@ def kernel_direction(
     rank = len(basis)
     if n - rank != 1:
         raise RankDeficient(f"kernel dimension is {n - rank}, expected 1")
-    # Complete the row basis: take the coordinate direction with the largest
-    # residual, which is the best-conditioned completion.
+    # Complete the row basis with the coordinate direction of largest
+    # residual, the best-conditioned completion. Only the directions whose
+    # estimated residual (squared) is within _COMPLETION_WINDOW of the
+    # largest are projected exactly; the first one with the largest exact
+    # residual wins, as if every direction had been projected.
+    B = np.array(basis).reshape(rank, n)
+    estimate = 1.0 - np.einsum("ji,ji->i", B, B)
     best = None
     best_norm = 0.0
-    for i in range(n):
+    for i in np.flatnonzero(estimate >= estimate.max() - _COMPLETION_WINDOW):
         w = np.zeros(n)
         w[i] = 1.0
         for _pass in range(2):
             for q in basis:
                 w -= (q @ w) * q
-        r = float(np.linalg.norm(w))
+        r = _norm(w)
         if r > best_norm:
             best_norm = r
             best = w
@@ -280,21 +321,22 @@ def jacobian_fd(
     """Central-difference Jacobian of f at p; entry (i, j) = df_i/dx_j.
 
     The default step is 1e-6 * (1 + |p|). Analytic Jacobians, when a caller
-    has them, should be preferred; this is the fallback.
+    has them, should be preferred; this is the fallback. f is evaluated at
+    the rows of p + h I, then of p - h I. The result is C-contiguous: it
+    feeds _mgs, whose dot products round by memory layout. A non-finite p,
+    or an f that raises, is an EvaluationFailure.
     """
     p = _as_vec(p)
     if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(p)))
+        h = 1e-6 * (1.0 + _norm(p))
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    cols = []
-    for j in range(p.size):
-        e = np.zeros(p.size)
-        e[j] = h
-        try:
-            fp = np.asarray(f(p + e), dtype=float)
-            fm = np.asarray(f(p - e), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - wrap into a typed failure
-            raise EvaluationFailure(f"map evaluation failed near {p!r}") from exc
-        cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols) if cols else np.zeros((0, 0))
+    steps = h * np.eye(p.size)
+    try:
+        fp = np.array([f(x) for x in p + steps], dtype=float)
+        fm = np.array([f(x) for x in p - steps], dtype=float)
+    except Exception as exc:  # noqa: BLE001 - wrap into a typed failure
+        raise EvaluationFailure(f"map evaluation failed near {p!r}") from exc
+    # row j holds column j of the Jacobian
+    columns = ((fp - fm) / (2.0 * h)).reshape(p.size, -1)
+    return np.ascontiguousarray(columns.T)

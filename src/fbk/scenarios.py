@@ -26,7 +26,7 @@ from .framedlink import (
     sphere_ambient,
     twist_framing,
 )
-from .numkit import Tolerances
+from .numkit import Tolerances, _norm
 from .tracer import MapSpec, SectionSpec, TraceOptions, kappa_of_map, section_index
 
 
@@ -141,29 +141,29 @@ def _expect_cylinder_spin(options: dict) -> dict:
     }
 
 
-def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _qmul(a, b) -> tuple:
+    """Quaternion product of two (w, x, y, z) sequences of Python floats."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
 
 
-_QI = np.array([0.0, 1.0, 0.0, 0.0])
-
-
 def _suspended_hopf(p: np.ndarray) -> np.ndarray:
-    """(t, y) on S^4 -> (t, y i conj(y) / |y|) on S^3; smooth away from the poles."""
-    t = p[0]
-    y = p[1:5]
-    ny = float(np.linalg.norm(y))
-    conj = np.array([y[0], -y[1], -y[2], -y[3]])
-    h = _qmul(_qmul(y, _QI), conj)
+    """(t, y) on S^4 -> (t, y i conj(y) / |y|) on S^3; smooth away from the poles.
+
+    The quaternion products run on Python floats, which round exactly as
+    float64 numpy scalars do, at a fraction of their per-operation cost.
+    """
+    t = float(p[0])
+    ny = _norm(p[1:5])
+    y = p[1:5].tolist()
+    conj = (y[0], -y[1], -y[2], -y[3])
+    h = _qmul(_qmul(y, (0.0, 1.0, 0.0, 0.0)), conj)
     return np.array([t, h[1] / ny, h[2] / ny, h[3] / ny])
 
 

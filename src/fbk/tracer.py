@@ -53,6 +53,7 @@ from .numkit import (
     DEFAULT_TOL,
     Tolerances,
     _mgs,
+    _norm,
     _note_add,
     _note_append,
     _note_max,
@@ -147,16 +148,33 @@ def target_basis(spec: MapSpec, target_dim: int) -> np.ndarray:
 
 
 class _TracedSystem:
-    """Residual/Jacobian pair whose zero set is the traced curve."""
+    """Residual/Jacobian pair whose zero set is the traced curve.
 
-    def __init__(self, residual, jacobian, dimension):
+    raw_jacobian(p) is the derivative of the caller's map or section (its
+    analytic Jacobian, else central differences), noted as one
+    jacobian_evaluation; assemble(p, raw) builds the system Jacobian from it.
+    """
+
+    def __init__(self, residual, raw_jacobian, assemble, dimension):
         self.residual = residual
-        self.jacobian = jacobian
+        self.raw_jacobian = raw_jacobian
+        self.assemble = assemble
         self.dimension = dimension
+
+    def jacobian(self, p: np.ndarray) -> np.ndarray:
+        return self.assemble(p, self.raw_jacobian(p))
+
+
+def _counted(raw_jac):
+    def raw_jacobian(p):
+        _note_add("jacobian_evaluations", 1)
+        return np.asarray(raw_jac(p), dtype=float)
+
+    return raw_jacobian
 
 
 def _map_system(spec: MapSpec) -> _TracedSystem:
-    raw_jac = spec.jacobian or (lambda p: jacobian_fd(spec.evaluator, p))
+    raw_jacobian = _counted(spec.jacobian or (lambda p: jacobian_fd(spec.evaluator, p)))
     if spec.target == "sphere":
         x0 = spec.regular_value
         basis = target_basis(spec, x0.size - 1)
@@ -164,42 +182,49 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
         def f_target(p):
             return basis @ (np.asarray(spec.evaluator(p), dtype=float) - x0)
 
-        def j_target(p):
-            _note_add("jacobian_evaluations", 1)
-            return basis @ np.asarray(raw_jac(p), dtype=float)
+        def j_target(raw):
+            return basis @ raw
 
     else:
 
         def f_target(p):
             return np.asarray(spec.evaluator(p), dtype=float)
 
-        def j_target(p):
-            _note_add("jacobian_evaluations", 1)
-            return np.asarray(raw_jac(p), dtype=float)
+        def j_target(raw):
+            return raw
 
     if spec.domain == "unit_sphere":
 
         def residual(p):
             return np.concatenate([f_target(p), [(p @ p - 1.0) / 2.0]])
 
-        def jacobian(p):
-            return np.vstack([j_target(p), p])
+        def assemble(p, raw):
+            return np.vstack([j_target(raw), p])
 
     else:
         residual = f_target
-        jacobian = j_target
-    return _TracedSystem(residual, jacobian, spec.dimension)
+
+        def assemble(p, raw):
+            return j_target(raw)
+
+    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension)
 
 
-def _frame_jacobian(spec: MapSpec, points: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+def _frame_jacobian(
+    spec: MapSpec, points: np.ndarray, basis: np.ndarray | None, raw=None
+) -> np.ndarray:
     """Derivatives of the reduced map restricted to the domain tangent space.
 
     points is (K, N) and the result (K, rows, N). basis is target_basis for
-    sphere targets and None for R^n targets.
+    sphere targets and None for R^n targets. raw holds the map's Jacobians
+    at the points when the caller has them; otherwise they are evaluated
+    here and noted as K jacobian_evaluations.
     """
-    raw_jac = spec.jacobian or (lambda q: jacobian_fd(spec.evaluator, q))
-    _note_add("jacobian_evaluations", len(points))
-    J = np.array([raw_jac(p) for p in points], dtype=float)
+    if raw is None:
+        raw_jac = spec.jacobian or (lambda q: jacobian_fd(spec.evaluator, q))
+        _note_add("jacobian_evaluations", len(points))
+        raw = [raw_jac(p) for p in points]
+    J = np.array(raw, dtype=float)
     if basis is not None:
         J = basis @ J
     if spec.domain == "unit_sphere":
@@ -208,18 +233,17 @@ def _frame_jacobian(spec: MapSpec, points: np.ndarray, basis: np.ndarray | None)
 
 
 def _section_system(spec: SectionSpec) -> _TracedSystem:
-    raw_jac = spec.jacobian or (lambda p: jacobian_fd(spec.section, p))
+    raw_jacobian = _counted(spec.jacobian or (lambda p: jacobian_fd(spec.section, p)))
 
     def residual(p):
         return np.concatenate(
             [np.asarray(spec.section(p), dtype=float), [(p @ p - 1.0) / 2.0]]
         )
 
-    def jacobian(p):
-        _note_add("jacobian_evaluations", 1)
-        return np.vstack([np.asarray(raw_jac(p), dtype=float), p])
+    def assemble(p, raw):
+        return np.vstack([raw, p])
 
-    return _TracedSystem(residual, jacobian, spec.embedding_dimension)
+    return _TracedSystem(residual, raw_jacobian, assemble, spec.embedding_dimension)
 
 
 def _newton(
@@ -239,7 +263,7 @@ def _newton(
     """
     _note_add("newton_calls", 1)
     p = np.asarray(start, dtype=float).copy()
-    scale = 1.0 + float(np.linalg.norm(p))
+    scale = 1.0 + _norm(p)
     budget = 10.0 * scale if max_move is None else max_move
     moved = 0.0
     for _ in range(max_iter):
@@ -247,7 +271,7 @@ def _newton(
             r = system.residual(p)
         except Exception as exc:  # noqa: BLE001
             raise EvaluationFailure("map evaluation failed during correction") from exc
-        rn = float(np.linalg.norm(r))
+        rn = _norm(r)
         if rn < tol.newton_tol:
             return p, rn
         J = system.jacobian(p)
@@ -255,15 +279,14 @@ def _newton(
             raise EvaluationFailure("non-finite Jacobian during correction")
         _note_add("newton_iterations", 1)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        sn = float(np.linalg.norm(step))
+        sn = _norm(step)
         if not np.isfinite(sn) or sn > 2.0 * scale:
             raise NoConvergence("correction step diverged")
         p = p + step
         moved += sn
         if moved > budget:
             raise NoConvergence("correction wandered too far from the start point")
-    r = system.residual(p)
-    rn = float(np.linalg.norm(r))
+    rn = _norm(system.residual(p))
     if rn < tol.newton_tol:
         return p, rn
     raise NoConvergence(f"corrector stalled at residual {rn:.3e}")
@@ -275,26 +298,31 @@ def _newton_aligned(system, start, anchor, direction, tol):
     def residual(p):
         return np.concatenate([system.residual(p), [(p - anchor) @ direction]])
 
-    def jacobian(p):
-        return np.vstack([system.jacobian(p), direction])
+    def assemble(p, raw):
+        return np.vstack([system.assemble(p, raw), direction])
 
-    return _newton(_TracedSystem(residual, jacobian, system.dimension), start, tol)
+    aligned = _TracedSystem(residual, system.raw_jacobian, assemble, system.dimension)
+    return _newton(aligned, start, tol)
 
 
-def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances) -> np.ndarray:
-    J = system.jacobian(p)
+def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances):
+    """Unit kernel tangent at p, and the raw Jacobian it came from."""
+    raw = system.raw_jacobian(p)
+    J = system.assemble(p, raw)
     if not np.all(np.isfinite(J)):
         raise EvaluationFailure("non-finite Jacobian along the curve")
     try:
-        return kernel_direction(J, previous, tol)
+        return kernel_direction(J, previous, tol), raw
     except RankDeficient as exc:
         raise Singular("rank drop along the curve; transversality violated") from exc
 
 
 def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
-    """The traced loop, its closure error and its largest corrector residual.
+    """The traced loop, its raw Jacobians, closure error and largest residual.
 
-    The loop carries the unit kernel tangent found at each of its samples.
+    The loop carries the unit kernel tangent found at each of its samples;
+    the list holds the raw Jacobian (system.raw_jacobian) that tangent came
+    from, one per sample.
     """
     tol = opts.tolerances
     seed = np.asarray(seed, dtype=float)
@@ -302,10 +330,11 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         raise ValueError(f"seed has dimension {seed.size}, expected {system.dimension}")
     # seeds must sit near their component: cap the correction distance
     p0, _ = _newton(system, seed, tol, max_move=max(8.0 * opts.initial_step, 0.25))
-    t0 = _tangent_of(system, p0, None, tol)
+    t0, raw0 = _tangent_of(system, p0, None, tol)
     points = [p0]
     tangents = [t0]
-    residuals = [float(np.linalg.norm(system.residual(p0)))]
+    raws = [raw0]
+    residuals = [_norm(system.residual(p0))]
     p, t = p0, t0
     h = opts.initial_step
     escaped = False
@@ -315,11 +344,11 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         failure = None
         try:
             q, rn = _newton(system, predictor, tol, max_iter=8)
-            ok = float(np.linalg.norm(q - predictor)) <= max(h, 1e3 * tol.newton_tol)
+            ok = _norm(q - predictor) <= max(h, 1e3 * tol.newton_tol)
         except (NoConvergence, EvaluationFailure) as exc:
             q, rn, ok, failure = None, None, False, exc
         if ok:
-            t_new = _tangent_of(system, q, t, tol)
+            t_new, raw = _tangent_of(system, q, t, tol)
             if float(t_new @ t) < 0.2:
                 ok = False
         if not ok:
@@ -333,13 +362,13 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
                     ) from failure
                 raise NoConvergence("corrector kept failing at the minimum step size")
             continue
-        dist0 = float(np.linalg.norm(q - p0))
+        dist0 = _norm(q - p0)
         if not escaped and dist0 > max(4.0 * opts.initial_step, 100.0 * tol.closure_tol):
             escaped = True
         if escaped and dist0 < 1.5 * h and float(t_new @ t0) > 0.9:
             try:
                 closer, _ = _newton_aligned(system, q, p0, t0, tol)
-                err = float(np.linalg.norm(closer - p0))
+                err = _norm(closer - p0)
             except (NoConvergence, EvaluationFailure):
                 err = math.inf
             if err < tol.closure_tol:
@@ -347,9 +376,10 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
                 break
         points.append(q)
         tangents.append(t_new)
+        raws.append(raw)
         residuals.append(rn)
         p, t = q, t_new
-        if float(np.linalg.norm(q - predictor)) < 0.1 * h:
+        if _norm(q - predictor) < 0.1 * h:
             h = min(2.0 * h, opts.max_step)
     if closure_error is None:
         raise NotClosed(f"no closure within {opts.max_steps} steps")
@@ -369,7 +399,8 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         out, _ = _newton(system, (1.0 - w) * a + w * b, tol)
         return out
 
-    return SampledLoop(pts, resample, params, np.asarray(tangents)), closure_error, max(residuals)
+    loop = SampledLoop(pts, resample, params, np.asarray(tangents))
+    return loop, raws, closure_error, max(residuals)
 
 
 def suggest_seeds(
@@ -418,7 +449,9 @@ def suggest_seeds(
     return kept
 
 
-def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> SampledLoop:
+def trace_component(
+    spec: MapSpec, seed: np.ndarray, opts: TraceOptions, jacobians: list | None = None
+) -> SampledLoop:
     """Trace the closed solution curve through the component nearest a seed.
 
     The seed is Newton-corrected onto the solution set (NoConvergence when
@@ -428,10 +461,13 @@ def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> Samp
     returns to the start point with an aligned tangent. The returned loop
     carries the unit kernel tangent of the Jacobian at every sample, as the
     walk found it (oriented along the walk), and resamples itself between
-    samples by re-running the corrector.
+    samples by re-running the corrector. When a list is passed as
+    jacobians, the map's Jacobian at every sample (spec.jacobian or its
+    finite-difference stand-in, as the walk evaluated it for the tangent)
+    is appended to it in sample order; induced_framing takes them.
     """
     system = _map_system(spec)
-    loop, closure_error, max_residual = _trace(system, seed, opts)
+    loop, raws, closure_error, max_residual = _trace(system, seed, opts)
     if spec.target == "sphere":
         x0 = spec.regular_value
         val = float(np.asarray(spec.evaluator(loop.points[0]), dtype=float) @ x0)
@@ -439,11 +475,16 @@ def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> Samp
             raise NoConvergence("seed converged to the preimage of the antipodal value")
     _note_append("closure_errors", closure_error)
     _note_max("max_residual", max_residual)
+    if jacobians is not None:
+        jacobians.extend(raws)
     return loop
 
 
 def induced_framing(
-    spec: MapSpec, loop: SampledLoop, basis: np.ndarray | None = None
+    spec: MapSpec,
+    loop: SampledLoop,
+    basis: np.ndarray | None = None,
+    jacobians: Sequence[np.ndarray] | None = None,
 ) -> NormalFraming:
     """Pull a fixed target-tangent basis back through the map's derivative.
 
@@ -457,7 +498,14 @@ def induced_framing(
     lower-triangular R^T. Any |R_ii| below ortho_tol is Singular, and a
     non-finite Jacobian an EvaluationFailure, each naming the sample. The
     resampler runs the same solve at one point.
+
+    jacobians, when given, are the map's Jacobians at the samples, as
+    trace_component collects them for this loop; they are used instead of
+    evaluating the map's derivative there again. The resampler always
+    evaluates it.
     """
+    if jacobians is not None and len(jacobians) != len(loop):
+        raise ValueError(f"{len(jacobians)} Jacobians for a loop of {len(loop)} samples")
     if spec.target == "sphere":
         B = target_basis(spec, np.asarray(spec.regular_value).size - 1)
         src = B if basis is None else np.asarray(basis, dtype=float)
@@ -467,9 +515,9 @@ def induced_framing(
         B = None
         rhs = None if basis is None else np.asarray(basis, dtype=float)
 
-    def fields_at(points: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+    def fields_at(points: np.ndarray, where: Callable[[int], str], raw=None) -> np.ndarray:
         """Fields at K points as (K, count, N)."""
-        J = _frame_jacobian(spec, points, B)
+        J = _frame_jacobian(spec, points, B, raw)
         broken = np.flatnonzero(~np.isfinite(J).reshape(len(J), -1).all(axis=1))
         if broken.size:
             raise EvaluationFailure(f"non-finite map derivative at {where(broken[0])}")
@@ -489,7 +537,7 @@ def induced_framing(
         C = np.linalg.solve(R.transpose(0, 2, 1), np.broadcast_to(b.T, (len(J), *b.T.shape)))
         return (Q @ C).transpose(0, 2, 1)
 
-    X = fields_at(loop.points, lambda k: f"sample {k}")
+    X = fields_at(loop.points, lambda k: f"sample {k}", jacobians)
     resample = None
     if loop.resample is not None:
 
@@ -585,14 +633,21 @@ def kappa_of_map(
     if len(ambient.manifold_normals) != want_normals or ambient.dimension != spec.dimension:
         raise AmbientMismatch("ambient presentation does not match the map's domain")
     with recording() as record:
-        loops = []
+        traced = []
         for seed in opts.seeds:
+            jacobians: list = []
             try:
-                loops.append(trace_component(spec, np.asarray(seed, dtype=float), opts))
+                loop = trace_component(spec, np.asarray(seed, dtype=float), opts, jacobians)
             except NoConvergence:
                 _note_add("seeds_skipped", 1)
-        _check_distinct(loops, tol)
-        components = [_oriented(loop, induced_framing(spec, loop), ambient) for loop in loops]
+                continue
+            traced.append((loop, jacobians))
+        _check_distinct([loop for loop, _ in traced], tol)
+        # the walk's Jacobians at the samples: each is evaluated once
+        components = [
+            _oriented(loop, induced_framing(spec, loop, jacobians=jacobians), ambient)
+            for loop, jacobians in traced
+        ]
         pairs = [
             (index_of_circle(loop, framing, ambient, tol), loop)
             for loop, framing in FramedLink(components, ambient).components
@@ -751,7 +806,7 @@ def _section_derivative_fields(
 
     def tau_at(x: np.ndarray, u_vectors) -> np.ndarray:
         v = np.asarray(spec.splitting_field(x), dtype=float)
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        h = 1e-6 * (1.0 + _norm(x))
         J = None if spec.jacobian is None else np.asarray(spec.jacobian(x), dtype=float)
         out = []
         for u in u_vectors:
@@ -760,8 +815,8 @@ def _section_derivative_fields(
             else:
                 xp = x + h * u
                 xm = x - h * u
-                wp = np.asarray(spec.section(xp / np.linalg.norm(xp)), dtype=float)
-                wm = np.asarray(spec.section(xm / np.linalg.norm(xm)), dtype=float)
+                wp = np.asarray(spec.section(xp / _norm(xp)), dtype=float)
+                wm = np.asarray(spec.section(xm / _norm(xm)), dtype=float)
                 d = (wp - wm) / (2.0 * h)
             # at zeros of the section the covariant derivative is the plain
             # directional derivative projected into the fiber
@@ -834,7 +889,7 @@ def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoo
     loops = []
     for seed in opts.seeds:
         try:
-            loop, closure_error, residual = _trace(system, np.asarray(seed, dtype=float), opts)
+            loop, _, closure_error, residual = _trace(system, np.asarray(seed, dtype=float), opts)
         except NoConvergence:
             _note_add("seeds_skipped", 1)
             continue

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fbk.errors import RankDeficient
+from fbk.errors import EvaluationFailure, RankDeficient
 from fbk.numkit import (
     DEFAULT_TOL,
     Tolerances,
     _mgs,
+    _norm,
     jacobian_fd,
     kernel_direction,
     least_squares,
@@ -188,6 +189,171 @@ class TestJacobianFd:
             J = jacobian_fd(f, p, h=h)
             exact = A + np.einsum("ijk,k->ij", B + np.transpose(B, (0, 2, 1)), p)
             assert np.max(np.abs(J - exact)) < 100 * h * h
+
+
+def full_completion_kernel_direction(J, previous=None, tol=DEFAULT_TOL):
+    """kernel_direction as it was before the completion was pruned: every
+    coordinate direction is projected, and np.linalg.norm takes the norms."""
+    J = np.asarray(J, dtype=float)
+    n = J.shape[1]
+    basis, _, _ = _mgs(J, tol.ortho_tol, drop_dependent=True)
+    if n - len(basis) != 1:
+        raise RankDeficient("kernel is not one-dimensional")
+    best = None
+    best_norm = 0.0
+    for i in range(n):
+        w = np.zeros(n)
+        w[i] = 1.0
+        for _pass in range(2):
+            for q in basis:
+                w -= (q @ w) * q
+        r = float(np.linalg.norm(w))
+        if r > best_norm:
+            best_norm = r
+            best = w
+    t = best / best_norm
+    if previous is not None:
+        d = float(t @ previous)
+        if d < 0.0:
+            t = -t
+        if d != 0.0:
+            return t
+    for x in t:
+        if abs(x) > tol.ortho_tol:
+            if x < 0.0:
+                t = -t
+            break
+    return t
+
+
+def column_by_column_jacobian_fd(f, p, h=None):
+    """jacobian_fd as it was before the perturbations were stacked."""
+    p = np.asarray(p, dtype=float)
+    if h is None:
+        h = 1e-6 * (1.0 + float(np.linalg.norm(p)))
+    cols = []
+    for j in range(p.size):
+        e = np.zeros(p.size)
+        e[j] = h
+        fp = np.asarray(f(p + e), dtype=float)
+        fm = np.asarray(f(p - e), dtype=float)
+        cols.append((fp - fm) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def kernel_cases(rng):
+    """(J, previous) pairs: generic, with a dependent row, integer-valued, and
+    with the kernel spanned by e_0 + e_1, where residuals tie."""
+    for k in range(2200):
+        n = int(rng.integers(3, 13))
+        kind = k % 4
+        if kind == 0:
+            J = rng.normal(size=(n - 1, n))
+        elif kind == 1:
+            J = rng.normal(size=(n - 1, n))
+            J = np.vstack([J, J[0] - 3.0 * J[-1]])
+        elif kind == 2:
+            J = rng.integers(-2, 3, size=(n - 1, n)).astype(float)
+        else:
+            # rows orthogonal to e_0 + e_1, integer-valued every other case
+            if k % 8 == 3:
+                J = rng.integers(-2, 3, size=(n - 1, n)).astype(float)
+                J[:, 1] = -J[:, 0]
+            else:
+                J = rng.normal(size=(n - 1, n))
+                J -= np.outer(J[:, 0] + J[:, 1], [0.5, 0.5] + [0.0] * (n - 2))
+        previous = None if k % 3 == 0 else rng.normal(size=n)
+        yield J, previous
+
+
+class TestBitwiseReferences:
+    def test_pruned_completion_matches_the_full_one(self, rng):
+        compared = 0
+        for J, previous in kernel_cases(rng):
+            try:
+                want = full_completion_kernel_direction(J, previous)
+            except RankDeficient:
+                with pytest.raises(RankDeficient):
+                    kernel_direction(J, previous)
+                continue
+            got = kernel_direction(J, previous)
+            assert np.array_equal(got, want), (J, previous)
+            compared += 1
+        assert compared >= 2000
+
+    def test_stacked_fd_matches_column_by_column(self, rng):
+        from fbk.scenarios import _quadric_twisted, _suspended_hopf
+
+        def on_sphere(n):
+            p = rng.normal(size=n)
+            return p / np.linalg.norm(p)
+
+        def gaussian(n):
+            return rng.normal(size=n)
+
+        cases = [(_suspended_hopf, on_sphere, 5), (_quadric_twisted, gaussian, 4)]
+        for n, m in [(3, 1), (4, 3), (6, 5), (12, 4)]:
+            A = rng.normal(size=(m, n))
+            B = rng.normal(size=(m, n, n))
+
+            def f(x, A=A, B=B):
+                return A @ np.sin(x) + np.einsum("ijk,j,k->i", B, x, x)
+
+            cases.append((f, gaussian, n))
+        for f, draw, n in cases:
+            for _ in range(40):
+                p = draw(n)
+                got = jacobian_fd(f, p)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, column_by_column_jacobian_fd(f, p))
+
+    def test_scalar_map_gives_one_row(self):
+        p = np.array([2.0, 3.0, -1.0])
+        J = jacobian_fd(lambda x: x[0] * x[1] + x[2], p)
+        assert J.shape == (1, 3) and J.flags.c_contiguous
+        assert np.array_equal(J, column_by_column_jacobian_fd(lambda x: x[0] * x[1] + x[2], p))
+
+    def test_norm_is_bitwise_numpy_norm(self, rng):
+        for n in range(1, 25):
+            for _ in range(60):
+                M = rng.normal(size=(n, n + 1)) * 10.0 ** rng.integers(-8, 9)
+                for v in (M[0], M[:, 0], M[0, ::-1], M[0, ::2]):
+                    assert _norm(v) == float(np.linalg.norm(v))
+
+
+class TestNonFiniteInput:
+    def test_orthonormalize(self):
+        with pytest.raises(EvaluationFailure):
+            orthonormalize([[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]])
+        with pytest.raises(EvaluationFailure):
+            orthonormalize(np.full((2, 2, 3), np.inf))
+        with pytest.raises(ValueError):
+            orthonormalize(np.zeros((2, 2, 2, 3)))
+
+    def test_least_squares(self):
+        A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(EvaluationFailure):
+            least_squares(A, np.array([1.0, np.inf]))
+        with pytest.raises(EvaluationFailure):
+            least_squares(A * np.nan, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            least_squares(A, np.array([1.0, 2.0, 3.0]))
+
+    def test_kernel_direction(self):
+        J = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(EvaluationFailure):
+            kernel_direction(J, previous=np.array([0.0, 0.0, np.nan]))
+        J[1, 2] = -np.inf
+        with pytest.raises(EvaluationFailure):
+            kernel_direction(J)
+        with pytest.raises(ValueError):
+            kernel_direction(np.zeros(3))
+
+    def test_jacobian_fd(self):
+        with pytest.raises(EvaluationFailure):
+            jacobian_fd(lambda x: x, np.array([0.0, np.nan]))
+        with pytest.raises(ValueError):
+            jacobian_fd(lambda x: x, np.zeros((2, 2)))
 
 
 class TestTolerances:

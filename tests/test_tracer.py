@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -276,6 +277,45 @@ class TestCarriedKernelTangents:
         with recording() as pulled:
             induced_framing(spec, loop)
         assert pulled == {"jacobian_evaluations": len(loop)}
+
+
+class TestCarriedJacobians:
+    @pytest.mark.parametrize("make_spec", [quadric_spec, quadric_twisted_spec])
+    def test_each_sample_jacobian_is_evaluated_once(self, make_spec, monkeypatch):
+        import fbk.tracer as tracer
+
+        spec = make_spec()
+        opts = TraceOptions(seeds=[SEED])
+        ambient = euclidean_ambient(4)
+        with recording() as separate:
+            loop = trace_component(spec, SEED, opts)
+            induced_framing(spec, loop)
+        with recording() as carried:
+            report = kappa_of_map(spec, opts, ambient)
+        assert carried["jacobian_evaluations"] == separate["jacobian_evaluations"] - len(loop)
+
+        # the same pipeline with the pull-back evaluating its own Jacobians
+        pull_back = tracer.induced_framing
+        monkeypatch.setattr(
+            tracer, "induced_framing", lambda spec, loop, **_: pull_back(spec, loop)
+        )
+        with recording() as evaluated:
+            again = kappa_of_map(spec, opts, ambient)
+        assert carried["jacobian_evaluations"] == evaluated["jacobian_evaluations"] - len(loop)
+        for key in ("newton_calls", "newton_iterations"):
+            assert carried[key] == evaluated[key] == separate[key]
+        assert json.dumps(report.to_dict()) == json.dumps(again.to_dict())
+
+    def test_jacobians_must_match_the_samples(self):
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        jacobians = [quadric_jac(p) for p in loop.points]
+        with pytest.raises(ValueError, match="Jacobians for a loop of"):
+            induced_framing(quadric_spec(), loop, jacobians=jacobians[1:])
+        with recording() as record:
+            framing = induced_framing(quadric_spec(), loop, jacobians=jacobians)
+        assert record == {}
+        plain = induced_framing(quadric_spec(), loop)
+        assert all(np.array_equal(a, b) for a, b in zip(framing.fields, plain.fields))
 
 
 def probe_spec() -> MapSpec:
