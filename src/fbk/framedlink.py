@@ -70,10 +70,11 @@ class SampledLoop:
 
     tangents, when given, are the unit tangents at the samples as a (K, N)
     array, stored read-only; a traced loop carries the kernel tangents its
-    tracer found. tangent_at_sample reads them before anything else, then
-    falls back on central differences of the resampler, then on chords.
-    The cycled, reversed, transformed and translated copies carry them
-    along; with_samples drops them.
+    tracer found. The tangents at the samples come from one cached place,
+    read by tangent_at_sample and frame_matrix_loop: the carried tangents,
+    else central differences of the resampler, else chords. The cycled,
+    reversed, transformed and translated copies carry them along;
+    with_samples drops them.
     """
 
     points: np.ndarray
@@ -145,19 +146,24 @@ class SampledLoop:
         return ts, np.concatenate([self.arc_fractions(), [1.0]])
 
     @cached_property
-    def _chord_tangents(self) -> np.ndarray:
-        """Unit chords from each sample's predecessor to its successor (read-only)."""
-        d = np.roll(self.points, -1, axis=0) - np.roll(self.points, 1, axis=0)
-        out = d / np.linalg.norm(d, axis=1, keepdims=True)
+    def _sample_tangents(self) -> np.ndarray:
+        """Unit tangents at the samples, read-only.
+
+        The carried tangents, else central differences of the resampler, else
+        unit chords from each sample's predecessor to its successor.
+        """
+        if self.tangents is not None:
+            return self.tangents
+        if self.resample is not None:
+            out = np.array([self.tangent(t) for t in self.params])
+        else:
+            d = np.roll(self.points, -1, axis=0) - np.roll(self.points, 1, axis=0)
+            out = d / np.linalg.norm(d, axis=1, keepdims=True)
         out.setflags(write=False)
         return out
 
     def tangent_at_sample(self, k: int) -> np.ndarray:
-        if self.tangents is not None:
-            return self.tangents[k].copy()
-        if self.resample is not None:
-            return self.tangent(self.params[k])
-        return self._chord_tangents[k].copy()
+        return self._sample_tangents[k].copy()
 
     def tangent(self, t: float) -> np.ndarray:
         if self.resample is None:
@@ -533,8 +539,8 @@ def frame_matrix_loop(
 ) -> RotationLoop:
     """Rotation loop of assembled frames [manifold normals, middle row, framing].
 
-    The middle row is the curve tangent (the loop's carried tangents when it
-    has them), or middle(point) when a map from points to middle rows is
+    The middle row is the curve tangent (the one tangent_at_sample
+    returns), or middle(point) when a map from points to middle rows is
     given. Each sample yields the N x N matrix whose rows are the
     orthonormalized frame expressed in the standard basis; the determinant
     must be +1 at every sample. All samples are assembled as one stack.
@@ -545,12 +551,8 @@ def frame_matrix_loop(
     """
     if middle is not None:
         middles = np.array([middle(p) for p in loop.points], dtype=float)
-    elif loop.tangents is not None:
-        middles = loop.tangents
-    elif loop.resample is not None:
-        middles = np.array([loop.tangent(t) for t in loop.params])
     else:
-        middles = loop._chord_tangents
+        middles = loop._sample_tangents
     samples = _assemble_frame(
         ambient,
         loop.points,

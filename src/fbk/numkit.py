@@ -89,7 +89,9 @@ def recording() -> Iterator[dict]:
     correction step and one at every corrected point where the walk takes
     the tangent; kappa_of_map pulls its framing back through the ones taken
     at the samples, while induced_framing on its own evaluates one per
-    sample). Scopes nest, and a note reaches every open one.
+    sample; section_index evaluates the section's Jacobian once more at
+    every sample of a zero circle for dw, and those count too). Scopes
+    nest, and a note reaches every open one.
     """
     record: dict = {}
     token = _SCOPES.set(_SCOPES.get() + (record,))

@@ -6,7 +6,8 @@ with a tangent-predictor / Newton-corrector walk, and the derivative of the
 map pulls a fixed basis of the target tangent space back to a framing of
 the traced curve. Section zero loci: a transverse section of the subbundle
 of a sphere's tangent bundle orthogonal to a unit splitting field is traced
-through its zeros, and the index of each zero circle is assembled from two
+through its zeros by the same walk, as a map from the unit sphere into its
+ambient space, and the index of each zero circle is assembled from two
 frame loops, one carrying an auxiliary transported frame of the curve's
 normal space, the other carrying the derivative of the section applied to
 that frame. The auxiliary frame drops out of the final bit, which the
@@ -71,10 +72,11 @@ class MapSpec:
 
     target is "rn" (regular value 0 in R^n) or "sphere" (regular value on
     the unit sphere of the evaluator's output space). domain is "euclidean"
-    or "unit_sphere"; in the latter case the evaluator is only consulted on
-    the unit sphere of R^dimension and the sphere equation joins the traced
-    system. An analytic jacobian of the raw evaluator takes precedence over
-    finite differences.
+    or "unit_sphere"; in the latter case the sphere equation joins the
+    traced system, so the traced curve lies on the unit sphere of
+    R^dimension, but the evaluator must be defined near the sphere as well:
+    Newton predictors and finite-difference probes leave it. An analytic
+    jacobian of the raw evaluator takes precedence over finite differences.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -104,6 +106,12 @@ class SectionSpec:
     orthogonal to v, and transverse to zero. The traced object is the zero
     locus of w; the bundle whose degree is computed is the orthogonal
     complement of v inside the tangent bundle.
+
+    jacobian, when given, is the section's ambient Jacobian: the derivative
+    of w as a map R^(n+2) -> R^(n+2), an (n+2) x (n+2) matrix. The walk
+    along the zeros uses it, and so does dw, the section's derivative on
+    the normal space of a zero circle. Without it both use central
+    differences of w (jacobian_fd).
     """
 
     sphere_dimension: int
@@ -150,16 +158,20 @@ def target_basis(spec: MapSpec, target_dim: int) -> np.ndarray:
 class _TracedSystem:
     """Residual/Jacobian pair whose zero set is the traced curve.
 
-    raw_jacobian(p) is the derivative of the caller's map or section (its
-    analytic Jacobian, else central differences), noted as one
-    jacobian_evaluation; assemble(p, raw) builds the system Jacobian from it.
+    raw_jacobian(p) is the derivative of the caller's map (its analytic
+    Jacobian, else central differences), noted as one jacobian_evaluation;
+    every derivative of the map the tracer takes goes through it.
+    assemble(p, raw) builds the system Jacobian from it. basis is the
+    target_basis the residual is projected onto for sphere targets, None for
+    R^n targets.
     """
 
-    def __init__(self, residual, raw_jacobian, assemble, dimension):
+    def __init__(self, residual, raw_jacobian, assemble, dimension, basis):
         self.residual = residual
         self.raw_jacobian = raw_jacobian
         self.assemble = assemble
         self.dimension = dimension
+        self.basis = basis
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
         return self.assemble(p, self.raw_jacobian(p))
@@ -175,6 +187,7 @@ def _counted(raw_jac):
 
 def _map_system(spec: MapSpec) -> _TracedSystem:
     raw_jacobian = _counted(spec.jacobian or (lambda p: jacobian_fd(spec.evaluator, p)))
+    basis = None
     if spec.target == "sphere":
         x0 = spec.regular_value
         basis = target_basis(spec, x0.size - 1)
@@ -207,43 +220,33 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
         def assemble(p, raw):
             return j_target(raw)
 
-    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension)
+    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension, basis)
+
+
+def _section_map(spec: SectionSpec) -> MapSpec:
+    """The section as a map from the unit sphere to R^(n+2); its zeros are traced."""
+    return MapSpec(
+        spec.section, spec.embedding_dimension, jacobian=spec.jacobian, domain="unit_sphere"
+    )
 
 
 def _frame_jacobian(
-    spec: MapSpec, points: np.ndarray, basis: np.ndarray | None, raw=None
+    spec: MapSpec, system: _TracedSystem, points: np.ndarray, raw=None
 ) -> np.ndarray:
     """Derivatives of the reduced map restricted to the domain tangent space.
 
-    points is (K, N) and the result (K, rows, N). basis is target_basis for
-    sphere targets and None for R^n targets. raw holds the map's Jacobians
-    at the points when the caller has them; otherwise they are evaluated
-    here and noted as K jacobian_evaluations.
+    points is (K, N) and the result (K, rows, N). raw holds the map's
+    Jacobians at the points when the caller has them; otherwise they are
+    evaluated here through system.raw_jacobian.
     """
     if raw is None:
-        raw_jac = spec.jacobian or (lambda q: jacobian_fd(spec.evaluator, q))
-        _note_add("jacobian_evaluations", len(points))
-        raw = [raw_jac(p) for p in points]
+        raw = [system.raw_jacobian(p) for p in points]
     J = np.array(raw, dtype=float)
-    if basis is not None:
-        J = basis @ J
+    if system.basis is not None:
+        J = system.basis @ J
     if spec.domain == "unit_sphere":
         J = J - (J @ points[:, :, None]) * points[:, None, :]
     return J
-
-
-def _section_system(spec: SectionSpec) -> _TracedSystem:
-    raw_jacobian = _counted(spec.jacobian or (lambda p: jacobian_fd(spec.section, p)))
-
-    def residual(p):
-        return np.concatenate(
-            [np.asarray(spec.section(p), dtype=float), [(p @ p - 1.0) / 2.0]]
-        )
-
-    def assemble(p, raw):
-        return np.vstack([raw, p])
-
-    return _TracedSystem(residual, raw_jacobian, assemble, spec.embedding_dimension)
 
 
 def _newton(
@@ -301,7 +304,7 @@ def _newton_aligned(system, start, anchor, direction, tol):
     def assemble(p, raw):
         return np.vstack([system.assemble(p, raw), direction])
 
-    aligned = _TracedSystem(residual, system.raw_jacobian, assemble, system.dimension)
+    aligned = _TracedSystem(residual, system.raw_jacobian, assemble, system.dimension, system.basis)
     return _newton(aligned, start, tol)
 
 
@@ -421,13 +424,10 @@ def suggest_seeds(
     """
     opts = opts or TraceOptions()
     if isinstance(spec, SectionSpec):
-        system = _section_system(spec)
-        on_sphere = True
-    else:
-        system = _map_system(spec)
-        on_sphere = spec.domain == "unit_sphere"
+        spec = _section_map(spec)
+    system = _map_system(spec)
     dim = system.dimension
-    if on_sphere:
+    if spec.domain == "unit_sphere":
         gen = np.random.default_rng(0)
         count = max(128, 16 * dim)
         candidates = gen.normal(size=(count, dim))
@@ -506,18 +506,18 @@ def induced_framing(
     """
     if jacobians is not None and len(jacobians) != len(loop):
         raise ValueError(f"{len(jacobians)} Jacobians for a loop of {len(loop)} samples")
-    if spec.target == "sphere":
-        B = target_basis(spec, np.asarray(spec.regular_value).size - 1)
+    system = _map_system(spec)
+    B = system.basis
+    if B is not None:
         src = B if basis is None else np.asarray(basis, dtype=float)
         # right-hand sides in the reduced target coordinates
         rhs = src @ B.T
     else:
-        B = None
         rhs = None if basis is None else np.asarray(basis, dtype=float)
 
     def fields_at(points: np.ndarray, where: Callable[[int], str], raw=None) -> np.ndarray:
         """Fields at K points as (K, count, N)."""
-        J = _frame_jacobian(spec, points, B, raw)
+        J = _frame_jacobian(spec, system, points, raw)
         broken = np.flatnonzero(~np.isfinite(J).reshape(len(J), -1).all(axis=1))
         if broken.size:
             raise EvaluationFailure(f"non-finite map derivative at {where(broken[0])}")
@@ -800,24 +800,19 @@ def _check_section_invariants(spec: SectionSpec, loop: SampledLoop):
 
 
 def _section_derivative_fields(
-    spec: SectionSpec, loop: SampledLoop, aux: NormalFraming
+    spec: SectionSpec, system: _TracedSystem, loop: SampledLoop, aux: NormalFraming
 ) -> NormalFraming:
-    """dw applied to the auxiliary frame, projected into the bundle fibers."""
+    """dw applied to the auxiliary frame, projected into the bundle fibers.
+
+    The section's Jacobian comes from system.raw_jacobian, one per point.
+    """
 
     def tau_at(x: np.ndarray, u_vectors) -> np.ndarray:
         v = np.asarray(spec.splitting_field(x), dtype=float)
-        h = 1e-6 * (1.0 + _norm(x))
-        J = None if spec.jacobian is None else np.asarray(spec.jacobian(x), dtype=float)
+        J = system.raw_jacobian(x)
         out = []
         for u in u_vectors:
-            if J is not None:
-                d = J @ u
-            else:
-                xp = x + h * u
-                xm = x - h * u
-                wp = np.asarray(spec.section(xp / _norm(xp)), dtype=float)
-                wm = np.asarray(spec.section(xm / _norm(xm)), dtype=float)
-                d = (wp - wm) / (2.0 * h)
+            d = J @ u
             # at zeros of the section the covariant derivative is the plain
             # directional derivative projected into the fiber
             d = d - (d @ x) * x - (d @ v) * v
@@ -847,33 +842,25 @@ def _negate_field(framing: NormalFraming, index: int) -> NormalFraming:
     return NormalFraming(fields, resample)
 
 
-def _component_section_index(spec, loop, ambient, tol, aux_twist_turns):
-    def build(loop_):
-        aux_ = transport_closed_frame(loop_, ambient.manifold_normals, tol)
-        if aux_twist_turns:
-            aux_ = twist_framing(loop_, aux_, aux_twist_turns)
-        tau_ = _section_derivative_fields(spec, loop_, aux_)
-        return aux_, tau_
-
+def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns):
     def v_of(p: np.ndarray) -> np.ndarray:
         return np.asarray(spec.splitting_field(p), dtype=float)
 
-    aux, tau = build(loop)
+    aux = transport_closed_frame(loop, ambient.manifold_normals, tol)
+    if aux_twist_turns:
+        aux = twist_framing(loop, aux, aux_twist_turns)
+    tau = _section_derivative_fields(spec, system, loop, aux)
     try:
         orthonormalize(list(tau.at_sample(0)), tol)
     except RankDeficient as exc:
         raise NonTransverse("section derivative degenerates on the normal space") from exc
-    d1 = _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0)
     if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
         aux = _negate_field(aux, 0)
         tau = _negate_field(tau, 0)
-        d1 = -d1
-    if d1 < 0.0:
-        loop = loop.reversed()
-        aux, tau = build(loop)
-        if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
-            aux = _negate_field(aux, 0)
-            tau = _negate_field(tau, 0)
+    # Normal spaces do not depend on the direction of travel, and reversal
+    # keeps sample 0, so the reversed frames keep term 2's sign at sample 0.
+    if _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0:
+        loop, aux, tau = loop.reversed(), aux.reversed(), tau.reversed()
     term1 = frame_matrix_loop(loop, aux, ambient, tol)
     term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
     return loop_class(term1, tol) ^ loop_class(term2, tol) ^ Z2(1)
@@ -885,7 +872,7 @@ def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoo
     Seeds whose correction diverges are skipped (noted as seeds_skipped);
     seeds reaching one component twice raise DuplicateComponent.
     """
-    system = _section_system(spec)
+    system = _map_system(_section_map(spec))
     loops = []
     for seed in opts.seeds:
         try:
@@ -914,11 +901,12 @@ def section_index(
     """
     tol = opts.tolerances
     ambient = sphere_ambient(spec.embedding_dimension)
+    system = _map_system(_section_map(spec))
     with recording() as record:
         pairs = []
         for loop in section_zero_loops(spec, opts):
             _check_section_invariants(spec, loop)
-            bit = _component_section_index(spec, loop, ambient, tol, aux_twist_turns)
+            bit = _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns)
             pairs.append((bit, loop))
     return _report(pairs, ambient, tol, record, traced=True)
 

@@ -13,6 +13,7 @@ from fbk.errors import (
     Singular,
 )
 from fbk.framedlink import (
+    NormalFraming,
     SampledLoop,
     euclidean_ambient,
     frame_matrix_loop,
@@ -21,6 +22,13 @@ from fbk.framedlink import (
     sphere_ambient,
 )
 from fbk.numkit import DEFAULT_TOL, jacobian_fd, least_squares, recording
+from fbk.scenarios import (
+    _S5_SECTION_JAC,
+    _s5_alt_section,
+    _s5_alt_section_jac,
+    _s5_section,
+    _s5_splitting,
+)
 from fbk.tracer import (
     MapSpec,
     SectionSpec,
@@ -79,6 +87,20 @@ def s5_spec():
 
 
 SEED = np.array([1.1, 0.0, 0.05, -0.02])
+
+# The two registered S^5 sections: section, analytic Jacobian, seed.
+S5_SECTIONS = {
+    "s5-vector-fields": (
+        _s5_section,
+        lambda x: _S5_SECTION_JAC,
+        np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02]),
+    ),
+    "s5-alt-section": (
+        _s5_alt_section,
+        _s5_alt_section_jac,
+        np.array([0.05, -0.04, 0.97, 0.12, 0.04, -0.03]),
+    ),
+}
 
 
 class TestTraceComponent:
@@ -587,6 +609,77 @@ class TestSectionIndex:
         assert int(report.kappa) == 0
         assert report.components == []
         assert report.diagnostics["seeds_skipped"] == 2
+
+    def test_every_section_jacobian_is_counted(self, monkeypatch):
+        # the walk, dw and the recorder see one derivative path, and one
+        # auxiliary frame is transported per zero circle
+        import fbk.tracer as tracer
+
+        section, jac, seed = S5_SECTIONS["s5-alt-section"]
+        calls = []
+
+        def counted_jac(x):
+            calls.append(1)
+            return jac(x)
+
+        transported = []
+        transport = tracer.transport_closed_frame
+
+        def counted_transport(*args, **kwargs):
+            transported.append(1)
+            return transport(*args, **kwargs)
+
+        monkeypatch.setattr(tracer, "transport_closed_frame", counted_transport)
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=counted_jac)
+        with recording() as record:
+            report = section_index(spec, TraceOptions(seeds=[seed]))
+        assert record["jacobian_evaluations"] == len(calls) > 0
+        assert len(transported) == len(report.components) == 1
+
+    @pytest.mark.parametrize("turns", [0, 1])
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
+    def test_both_directions_of_a_zero_circle(self, name, analytic, turns, monkeypatch):
+        # a left-handed circle is reversed together with its frames; the
+        # traced circle and its reversal take the two orientation branches.
+        # The circle is traced with the analytic Jacobian (the walk does not
+        # converge from the alt seed with finite differences); the index is
+        # then taken with the spec under test.
+        import fbk.tracer as tracer
+
+        section, jac, seed = S5_SECTIONS[name]
+        opts = TraceOptions(seeds=[seed])
+        [loop] = section_zero_loops(SectionSpec(5, _s5_splitting, section, jacobian=jac), opts)
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
+        flips = []
+        reverse_frames = NormalFraming.reversed
+
+        def counted_reversed(framing):
+            flips[-1] += 1
+            return reverse_frames(framing)
+
+        # both terms' frames follow their loop: resampling a framing at a
+        # sample's parameter gives back that sample's fields
+        gaps = []
+        assemble = tracer.frame_matrix_loop
+
+        def checked_assembly(loop, framing, *args, **kwargs):
+            for k in range(0, len(loop), 4):
+                at_param = np.vstack(framing.at(loop.params[k]))
+                gaps.append(float(np.max(np.abs(at_param - np.vstack(framing.at_sample(k))))))
+            return assemble(loop, framing, *args, **kwargs)
+
+        monkeypatch.setattr(NormalFraming, "reversed", counted_reversed)
+        monkeypatch.setattr(tracer, "frame_matrix_loop", checked_assembly)
+        results = []
+        for circle in (loop, loop.reversed()):
+            monkeypatch.setattr(tracer, "section_zero_loops", lambda *_, c=circle: [c])
+            flips.append(0)
+            report = section_index(spec, opts, aux_twist_turns=turns)
+            results.append((int(report.kappa), [c.index for c in report.components]))
+        assert results == [(1, [1]), (1, [1])]
+        assert sorted(flips) == [0, 2]
+        assert max(gaps) < 1e-9
 
 
 class TestSuggestSeeds:

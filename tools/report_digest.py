@@ -1,19 +1,23 @@
-"""Digest of the CLI's scenario reports: one line per run, for byte-identity diffs.
+"""Digest of the CLI's scenario and link-file reports: one line per run, for byte-identity diffs.
 
     python tools/report_digest.py > digest.txt
     python tools/report_digest.py --against main
 
 Runs `python -m fbk scenario <name> --check` for every registered scenario
-and for the override variants of the acceptance suite, with fbk imported
-from `src/` of the checkout this file sits in. Each output line holds the
-invocation, the exit code, and the sha256 of stdout and of stderr. The tool
-exits 1 when some run exits nonzero, 0 otherwise.
+and for the override variants of the acceptance suite, then `python -m fbk
+link <file>` on a fixed set of closed-form link documents (LINK_DOCUMENTS),
+with fbk imported from `src/` of the checkout this file sits in. The link
+documents are written to a temporary directory and every run starts there,
+so each file is named by the same relative path on every machine. Each
+output line holds the invocation, the exit code, and the sha256 of stdout
+and of stderr. The tool exits 1 when some run exits nonzero, 0 otherwise.
 
 With --against REF, the `src/` of the git ref REF is unpacked with
 `git archive` into a temporary directory and both trees are digested on
 this machine, so CPU and BLAS differences cancel. The lines that differ are
 printed (`-` for REF, `+` for this checkout), and the tool exits 1 when any
-report byte, failure note or exit code moved.
+report byte, failure note or exit code moved. Both trees read the same link
+documents.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +56,84 @@ ACCEPTANCE_OVERRIDES = (
     ("suspended-hopf", ("regular_value=alt",)),
 )
 
+LINK_SAMPLES = 48
+
+
+def _unit(dim: int, index: int) -> list[float]:
+    e = [0.0] * dim
+    e[index] = 1.0
+    return e
+
+
+def _framed_circle(
+    dim: int,
+    clockwise: bool,
+    fixed,
+    radial: bool,
+    turns: int = 0,
+    center: int | None = None,
+) -> dict:
+    """Unit circle in the (0, 1) plane of R^dim, shifted by e_center when given.
+
+    The framing is the outward radial field (when radial) followed by the
+    constant coordinate fields e_i for i in fixed; turns rotates the first
+    two fields that many full turns along the circle.
+    """
+    sign = -1.0 if clockwise else 1.0
+    points, fields = [], [[] for _ in range(int(radial) + len(fixed))]
+    for k in range(LINK_SAMPLES):
+        a = 2.0 * math.pi * k / LINK_SAMPLES
+        p = [math.cos(a), sign * math.sin(a)] + [0.0] * (dim - 2)
+        rows = ([p[:]] if radial else []) + [_unit(dim, i) for i in fixed]
+        if center is not None:
+            p[center] += 1.0
+        if turns:
+            b = 2.0 * math.pi * turns * k / LINK_SAMPLES
+            c, s = math.cos(b), math.sin(b)
+            f0, f1 = rows[0], rows[1]
+            rows[0] = [c * x + s * y for x, y in zip(f0, f1)]
+            rows[1] = [-s * x + c * y for x, y in zip(f0, f1)]
+        points.append(p)
+        for field, row in zip(fields, rows):
+            field.append(row)
+    return {"points": points, "framing": fields}
+
+
+def link_documents() -> dict[str, dict]:
+    """The link files `fbk link` is digested on, by file name."""
+    r4 = {"kind": "euclidean", "dimension": 4}
+    return {
+        "r4-circle.json": {
+            "ambient": r4,
+            "components": [_framed_circle(4, True, (2, 3), radial=True)],
+        },
+        "r4-circle-twisted.json": {
+            "ambient": r4,
+            "components": [_framed_circle(4, True, (2, 3), radial=True, turns=1)],
+        },
+        "s4-great-circle.json": {
+            "ambient": {"kind": "sphere", "dimension": 5},
+            "components": [_framed_circle(5, False, (2, 3, 4), radial=False)],
+        },
+        "cylinder-nonstandard.json": {
+            "ambient": {"kind": "cylinder", "dimension": 5, "spin_twist": "nonstandard"},
+            "components": [_framed_circle(5, False, (2, 3, 4), radial=False)],
+        },
+        "r8-two-circles.json": {
+            "ambient": {"kind": "euclidean", "dimension": 8},
+            "components": [
+                _framed_circle(8, True, range(2, 8), radial=True),
+                _framed_circle(8, True, range(2, 8), radial=True, turns=1, center=2),
+            ],
+        },
+    }
+
+
+def write_link_documents(into: str) -> None:
+    for name, document in link_documents().items():
+        with open(os.path.join(into, name), "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+
 
 def invocations() -> list[list[str]]:
     runs = [["scenario", name, "--check"] for name in SCENARIOS]
@@ -58,15 +142,17 @@ def invocations() -> list[list[str]]:
         for item in sets:
             args += ["--set", item]
         runs.append(args)
+    runs += [["link", name] for name in link_documents()]
     return runs
 
 
-def digest(args: list[str], root: str = ROOT) -> tuple[int, str]:
+def digest(args: list[str], root: str, cwd: str) -> tuple[int, str]:
+    """Run `python -m fbk args` from cwd with the fbk of root/src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
     env["PYTHONHASHSEED"] = "0"
     proc = subprocess.run(
-        [sys.executable, "-m", "fbk", *args], cwd=root, env=env, capture_output=True
+        [sys.executable, "-m", "fbk", *args], cwd=cwd, env=env, capture_output=True
     )
     out = hashlib.sha256(proc.stdout).hexdigest()
     err = hashlib.sha256(proc.stderr).hexdigest()
@@ -85,14 +171,14 @@ def unpack_src(ref: str, into: str) -> None:
         tar.extractall(into, filter="data")
 
 
-def compare(ref: str) -> int:
+def compare(ref: str, docs: str) -> int:
     with tempfile.TemporaryDirectory(prefix="report-digest-") as other:
         unpack_src(ref, other)
         differ = 0
         runs = invocations()
         for args in runs:
-            _, theirs = digest(args, other)
-            _, ours = digest(args, ROOT)
+            _, theirs = digest(args, other, docs)
+            _, ours = digest(args, ROOT, docs)
             if theirs != ours:
                 differ += 1
                 print(f"- {theirs}\n+ {ours}", flush=True)
@@ -104,14 +190,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REF", help="git ref to compare this checkout with")
     ref = parser.parse_args().against
-    if ref is not None:
-        return compare(ref)
-    failed = 0
-    for args in invocations():
-        code, line = digest(args)
-        print(line, flush=True)
-        failed += code != 0
-    return 1 if failed else 0
+    with tempfile.TemporaryDirectory(prefix="report-digest-links-") as docs:
+        write_link_documents(docs)
+        if ref is not None:
+            return compare(ref, docs)
+        failed = 0
+        for args in invocations():
+            code, line = digest(args, ROOT, docs)
+            print(line, flush=True)
+            failed += code != 0
+        return 1 if failed else 0
 
 
 if __name__ == "__main__":
