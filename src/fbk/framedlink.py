@@ -135,15 +135,30 @@ class SampledLoop:
     # points and params are never reassigned after __post_init__, so the
     # values that depend only on them are computed once per loop.
     @cached_property
-    def _gap(self) -> float:
-        ts = list(self.params) + [self.params[0] + 1.0]
-        return min(b - a for a, b in zip(ts, ts[1:]))
+    def _knots(self) -> np.ndarray:
+        """Sample params closed by the wrap-around sample's, params[0] + 1."""
+        return np.asarray(list(self.params) + [self.params[0] + 1.0])
 
     @cached_property
-    def _arc_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample params and arc fractions, closed by the wrap-around sample."""
-        ts = np.asarray(list(self.params) + [self.params[0] + 1.0])
-        return ts, np.concatenate([self.arc_fractions(), [1.0]])
+    def _gap(self) -> float:
+        return float(np.min(np.diff(self._knots)))
+
+    @cached_property
+    def _closed_arc_fractions(self) -> np.ndarray:
+        return np.concatenate([self.arc_fractions(), [1.0]])
+
+    def _segment(self, t: float) -> tuple[int, float]:
+        """Segment i, from sample i to sample i + 1 (cyclically), holding parameter t.
+
+        Returns i and the weight w of the segment's end at t, so that t is
+        (1 - w) params[i] + w params[i + 1], modulo 1.
+        """
+        ts = self._knots
+        u = t % 1.0
+        if u < ts[0]:
+            u += 1.0
+        i = min(int(np.searchsorted(ts, u, side="right")) - 1, len(ts) - 2)
+        return i, (u - ts[i]) / (ts[i + 1] - ts[i])
 
     @cached_property
     def _sample_tangents(self) -> np.ndarray:
@@ -184,11 +199,8 @@ class SampledLoop:
 
     def arc_fraction(self, t: float) -> float:
         """Arc fraction at parameter t, linearly interpolated between samples."""
-        ts, fr = self._arc_table
-        u = t % 1.0
-        i = int(np.searchsorted(ts, u, side="right")) - 1
-        i = max(0, min(i, len(ts) - 2))
-        w = (u - ts[i]) / (ts[i + 1] - ts[i])
+        i, w = self._segment(t)
+        fr = self._closed_arc_fractions
         return float((1.0 - w) * fr[i] + w * fr[i + 1])
 
     def with_samples(self, count: int) -> "SampledLoop":
@@ -245,44 +257,51 @@ class SampledLoop:
 
 @dataclass
 class NormalFraming:
-    """k vector fields along a loop, one (samples x dim) array per field."""
+    """k vector fields along a loop of K samples in R^N, as one (k, K, N) array.
 
-    fields: list[np.ndarray]
+    fields[i] is field i at every sample, and fields[:, s] all fields at
+    sample s. A sequence of k (K, N) arrays is accepted too and stacked into
+    that array. The array is stored read-only, since at_sample returns views
+    of it. at_sample(s) and at(t) give the fields at one place as a (k, N)
+    array; a resampler returns that layout.
+    """
+
+    fields: np.ndarray
     resample: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.fields:
+        fields = [np.asarray(f, dtype=float) for f in self.fields]
+        if not fields:
             raise ValidationError("a framing needs at least one field")
-        self.fields = [np.asarray(f, dtype=float) for f in self.fields]
-        shape = self.fields[0].shape
+        shape = fields[0].shape
         if len(shape) != 2:
             raise ValidationError("each framing field must be a (samples x dim) array")
-        for f in self.fields:
-            if f.shape != shape:
-                raise ValidationError("framing fields must share one shape")
-            if not np.all(np.isfinite(f)):
-                raise ValidationError("framing fields must be finite")
+        if any(f.shape != shape for f in fields):
+            raise ValidationError("framing fields must share one shape")
+        self.fields = np.stack(fields)
+        if not np.isfinite(self.fields).all():
+            raise ValidationError("framing fields must be finite")
+        self.fields.setflags(write=False)
 
     @property
     def count(self) -> int:
-        return len(self.fields)
+        return self.fields.shape[0]
 
     @property
     def sample_count(self) -> int:
-        return self.fields[0].shape[0]
+        return self.fields.shape[1]
 
-    def at_sample(self, k: int) -> list[np.ndarray]:
-        return [f[k] for f in self.fields]
+    def at_sample(self, k: int) -> np.ndarray:
+        return self.fields[:, k]
 
-    def at(self, t: float) -> list[np.ndarray]:
+    def at(self, t: float) -> np.ndarray:
         if self.resample is None:
             raise ValidationError("framing has no resample callback")
-        vals = np.asarray(self.resample(t % 1.0), dtype=float)
-        return [vals[i] for i in range(self.count)]
+        return np.asarray(self.resample(t % 1.0), dtype=float)
 
     def cycled_with(self, loop: SampledLoop, shift: int) -> "NormalFraming":
         base = loop.params[shift % len(loop)]
-        fields = [np.roll(f, -(shift % len(loop)), axis=0) for f in self.fields]
+        fields = np.roll(self.fields, -(shift % len(loop)), axis=1)
         resample = None
         if self.resample is not None:
             inner = self.resample
@@ -291,7 +310,7 @@ class NormalFraming:
 
     def transformed(self, Q: np.ndarray) -> "NormalFraming":
         Q = np.asarray(Q, dtype=float)
-        fields = [f @ Q.T for f in self.fields]
+        fields = self.fields @ Q.T
         resample = None
         if self.resample is not None:
             inner = self.resample
@@ -301,7 +320,7 @@ class NormalFraming:
     def reversed(self) -> "NormalFraming":
         k = self.sample_count
         idx = [0] + list(range(k - 1, 0, -1))
-        fields = [f[idx] for f in self.fields]
+        fields = self.fields[:, idx]
         resample = None
         if self.resample is not None:
             inner = self.resample
@@ -421,7 +440,7 @@ class FramedLink:
                     f"component {n}: framing sampled at {framing.sample_count} points, "
                     f"loop at {len(loop)}"
                 )
-            if framing.fields[0].shape[1] != loop.dimension:
+            if framing.fields.shape[2] != loop.dimension:
                 raise ValidationError(
                     f"component {n}: framing vectors have the wrong dimension"
                 )
@@ -557,7 +576,7 @@ def frame_matrix_loop(
         ambient,
         loop.points,
         middles,
-        np.stack(framing.fields, axis=1),
+        framing.fields.transpose(1, 0, 2),
         tol,
         where=lambda k: f"sample {k}",
     )
@@ -571,14 +590,14 @@ def frame_matrix_loop(
                 ambient,
                 p[None],
                 np.asarray(loop.tangent(t) if middle is None else middle(p), dtype=float)[None],
-                np.array(framing.at(t), dtype=float)[None],
+                framing.at(t)[None],
                 tol,
                 where=lambda _: f"parameter {t % 1.0:.6f}",
             )
             _note_add("frames_assembled", 1)
             return frame[0]
 
-    return RotationLoop(list(samples), refiner, list(loop.params))
+    return RotationLoop(samples, refiner, list(loop.params))
 
 
 def index_of_circle(
@@ -615,6 +634,23 @@ def delta_pontryagin(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> Z2:
     return total
 
 
+def _recombined(
+    framing: NormalFraming, params: Sequence[float], mix: Callable[[float], np.ndarray]
+) -> NormalFraming:
+    """Framing whose field i is sum_j mix(t)[i, j] field j at parameter t.
+
+    mix(t) is a (count, count) matrix. It is applied at the sample params,
+    and inside the resampler when the framing has one.
+    """
+    mixes = np.array([mix(t) for t in params], dtype=float)
+    fields = (mixes @ framing.fields.transpose(1, 0, 2)).transpose(1, 0, 2)
+    resample = None
+    if framing.resample is not None:
+        inner = framing.resample
+        resample = lambda t: mix(t % 1.0) @ np.asarray(inner(t % 1.0), dtype=float)  # noqa: E731
+    return NormalFraming(fields, resample)
+
+
 def twist_framing(loop: SampledLoop, framing: NormalFraming, turns: int) -> NormalFraming:
     """Compose a framing with rotation by 2*pi*turns in its first two fields.
 
@@ -624,27 +660,15 @@ def twist_framing(loop: SampledLoop, framing: NormalFraming, turns: int) -> Norm
     if framing.count < 2:
         raise TooFewFields("twisting needs at least two framing fields")
     turns = int(turns)
-    frac = loop.arc_fractions()
-    f0, f1 = framing.fields[0], framing.fields[1]
-    ang = 2.0 * math.pi * turns * frac
-    c = np.cos(ang)[:, None]
-    s = np.sin(ang)[:, None]
-    new_fields = [c * f0 + s * f1, -s * f0 + c * f1] + [f.copy() for f in framing.fields[2:]]
-    resample = None
-    if framing.resample is not None:
-        inner = framing.resample
 
-        def resample(t: float) -> np.ndarray:
-            vals = np.asarray(inner(t % 1.0), dtype=float).copy()
-            a = 2.0 * math.pi * turns * loop.arc_fraction(t)
-            ca, sa = math.cos(a), math.sin(a)
-            v0 = ca * vals[0] + sa * vals[1]
-            v1 = -sa * vals[0] + ca * vals[1]
-            vals[0] = v0
-            vals[1] = v1
-            return vals
+    def mix(t: float) -> np.ndarray:
+        a = 2.0 * math.pi * turns * loop.arc_fraction(t)
+        c, s = math.cos(a), math.sin(a)
+        out = np.eye(framing.count)
+        out[:2, :2] = [[c, s], [-s, c]]
+        return out
 
-    return NormalFraming(new_fields, resample)
+    return _recombined(framing, loop.params, mix)
 
 
 @dataclass
@@ -817,7 +841,7 @@ def load_link(document: dict) -> FramedLink:
                 f"at sample {flat[0]}; |det| / row norms must exceed {_MIN_FRAME_VOLUME:.0e} "
                 f"and framing fields must be longer than {_MIN_FIELD_NORM:.0e}"
             )
-        framing = NormalFraming([fields_raw[i] for i in range(fields_raw.shape[0])])
+        framing = NormalFraming(fields_raw)
         comps.append((loop, framing))
     return FramedLink(comps, ambient)
 

@@ -145,11 +145,11 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
     vectors is a sequence of equal-length 1-d vectors or a 2-d array of
-    rows; the stack is validated once. Returns (basis, coeffs, kept) where
-    basis[j] are orthonormal, vectors[i] = sum_j coeffs[i][j] * basis[j] for
-    every kept index i, and kept lists the input indices that produced a
-    basis vector. Dependent inputs either raise RankDeficient or, with
-    drop_dependent, are skipped (their coefficient rows are still recorded).
+    rows; the stack is validated once. Returns (basis, coeffs) where
+    basis[j] are orthonormal and vectors[i] = sum_j coeffs[i][j] * basis[j]
+    for every input i that produced a basis vector. Dependent inputs either
+    raise RankDeficient or, with drop_dependent, are skipped (their
+    coefficient rows are still recorded).
     """
     try:
         V = np.array(vectors, dtype=float)
@@ -163,7 +163,6 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent:
         raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}")
     basis: list[np.ndarray] = []
     coeffs: list[list[float]] = []
-    kept: list[int] = []
     for i in range(count):
         w = V[i]  # a row of the private copy, safe to update in place
         row = [0.0] * len(basis)
@@ -182,8 +181,7 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent:
             )
         basis.append(w / r)
         row.append(r)
-        kept.append(i)
-    return basis, coeffs, kept
+    return basis, coeffs
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL):
@@ -242,7 +240,7 @@ def least_squares(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -
     k, _ = A.shape
     if b.size != k:
         raise ValueError("right-hand side length must match the row count")
-    basis, coeffs, _ = _mgs(A, tol.ortho_tol)
+    basis, coeffs = _mgs(A, tol.ortho_tol)
     c = np.zeros(k)
     for i in range(k):
         s = b[i] - sum(coeffs[i][j] * c[j] for j in range(len(coeffs[i]) - 1))
@@ -276,7 +274,7 @@ def kernel_direction(
     if J.ndim != 2:
         raise ValueError("J must be a matrix")
     n = J.shape[1]
-    basis, _, _ = _mgs(J, tol.ortho_tol, drop_dependent=True)
+    basis, _ = _mgs(J, tol.ortho_tol, drop_dependent=True)
     rank = len(basis)
     if n - rank != 1:
         raise RankDeficient(f"kernel dimension is {n - rank}, expected 1")

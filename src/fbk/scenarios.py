@@ -65,12 +65,10 @@ def _circle_loop(
 
 
 def _framing_from(loop: SampledLoop, fns) -> NormalFraming:
-    fields = [
-        np.vstack([np.asarray(fn(loop.points[k]), dtype=float) for k in range(len(loop))])
-        for fn in fns
-    ]
-    resample = lambda t: np.vstack([np.asarray(fn(loop.point(t)), dtype=float) for fn in fns])  # noqa: E731
-    return NormalFraming(fields, resample)
+    def at(points) -> np.ndarray:
+        return np.array([[fn(p) for p in points] for fn in fns], dtype=float)
+
+    return NormalFraming(at(loop.points), lambda t: at([loop.point(t)])[:, 0])
 
 
 def _constant_field(dim: int, index: int):

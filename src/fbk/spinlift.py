@@ -111,6 +111,8 @@ def _check_special_orthogonal(R: np.ndarray) -> np.ndarray:
 class RotationLoop:
     """Cyclic sequence of SO(m) samples, optionally refinable.
 
+    samples may be given as a sequence of (m, m) matrices or as a (K, m, m)
+    array; it is stored as the checked (K, m, m) float array, a copy.
     params are sample parameters in [0, 1), strictly increasing; the loop
     closes from the last sample back to the first. refiner(t) must return
     the underlying rotation at any parameter t in [0, 1) and is used to
@@ -118,7 +120,7 @@ class RotationLoop:
     than interpolating matrices.
     """
 
-    samples: list[np.ndarray]
+    samples: np.ndarray
     refiner: Callable[[float], np.ndarray] | None = None
     params: Sequence[float] | None = None
 
@@ -130,7 +132,7 @@ class RotationLoop:
             raise NotOrthogonal("rotation sample is not square")
         if len(shapes) > 1:
             raise DimensionMismatch("samples have mixed dimensions")
-        self.samples = list(_check_special_orthogonal(np.array(self.samples, dtype=float)))
+        self.samples = _check_special_orthogonal(np.array(self.samples, dtype=float))
         if self.params is None:
             k = len(self.samples)
             self.params = [i / k for i in range(k)]
@@ -145,7 +147,7 @@ class RotationLoop:
 
     @property
     def dim(self) -> int:
-        return self.samples[0].shape[0]
+        return self.samples.shape[1]
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -169,18 +171,18 @@ def _refined_steps(loop: RotationLoop, tol: Tolerances) -> Iterator[tuple[np.nda
     bound = _angle_step_bound(tol.lift_angle_max)
     k = len(loop)
     eye = np.eye(loop.dim)
-    samples = np.array(loop.samples)
+    samples = loop.samples
     steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
     within = np.linalg.norm(steps - eye, axis=(1, 2)) <= bound
     for idx in range(k):
         t0 = loop.params[idx]
-        r0 = loop.samples[idx]
+        r0 = samples[idx]
         if idx + 1 < k:
             t1 = loop.params[idx + 1]
-            r1 = loop.samples[idx + 1]
+            r1 = samples[idx + 1]
         else:
             t1 = loop.params[0] + 1.0
-            r1 = loop.samples[0]
+            r1 = samples[0]
         stack = [(t0, r0, t1, r1, 0)]
         while stack:
             a_t, a_r, b_t, b_r, depth = stack.pop()
@@ -439,7 +441,7 @@ def concatenate_loops(first: RotationLoop, second: RotationLoop) -> RotationLoop
     if first.dim != second.dim:
         raise DimensionMismatch("loops have different dimensions")
     params = [0.5 * t for t in first.params] + [0.5 + 0.5 * t for t in second.params]
-    samples = list(first.samples) + list(second.samples)
+    samples = np.concatenate([first.samples, second.samples])
     refiner = None
     if first.refiner is not None and second.refiner is not None:
         f, s = first.refiner, second.refiner

@@ -44,6 +44,7 @@ from .framedlink import (
     InvariantReport,
     NormalFraming,
     SampledLoop,
+    _recombined,
     _report,
     frame_matrix_loop,
     index_of_circle,
@@ -151,7 +152,7 @@ def target_basis(spec: MapSpec, target_dim: int) -> np.ndarray:
     if spec.target == "rn":
         return np.eye(target_dim)
     x0 = spec.regular_value
-    basis, _, _ = _mgs([x0, *np.eye(x0.size)], 1e-8, drop_dependent=True)
+    basis, _ = _mgs([x0, *np.eye(x0.size)], 1e-8, drop_dependent=True)
     return np.vstack(basis[1 : target_dim + 1])
 
 
@@ -249,6 +250,15 @@ def _frame_jacobian(
     return J
 
 
+# The Newton step drops singular values of the system Jacobian below this
+# fraction of the largest. Central differences (jacobian_fd) are exact to
+# about 1e-10 relative, so a system that is rank deficient by construction
+# (a section's is 7 x 6 of rank 5) keeps a noise singular value near 1e-12,
+# which lstsq's default cutoff of a few machine epsilons would invert into
+# a huge step.
+_NEWTON_RCOND = 1e-8
+
+
 def _newton(
     system: _TracedSystem,
     start: np.ndarray,
@@ -281,7 +291,7 @@ def _newton(
         if not np.all(np.isfinite(J)):
             raise EvaluationFailure("non-finite Jacobian during correction")
         _note_add("newton_iterations", 1)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        step, *_ = np.linalg.lstsq(J, -r, rcond=_NEWTON_RCOND)
         sn = _norm(step)
         if not np.isfinite(sn) or sn > 2.0 * scale:
             raise NoConvergence("correction step diverged")
@@ -387,22 +397,13 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
     if closure_error is None:
         raise NotClosed(f"no closure within {opts.max_steps} steps")
     pts = np.asarray(points)
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    params = list(cum[:-1] / cum[-1])
 
     def resample(t_val: float) -> np.ndarray:
-        u = t_val % 1.0
-        ts = params + [1.0]
-        i = int(np.searchsorted(ts, u, side="right")) - 1
-        i = max(0, min(i, len(points) - 1))
-        a = pts[i]
-        b = pts[(i + 1) % len(points)]
-        w = (u - ts[i]) / (ts[i + 1] - ts[i])
-        out, _ = _newton(system, (1.0 - w) * a + w * b, tol)
+        i, w = loop._segment(t_val)
+        out, _ = _newton(system, (1.0 - w) * pts[i] + w * pts[(i + 1) % len(pts)], tol)
         return out
 
-    loop = SampledLoop(pts, resample, params, np.asarray(tangents))
+    loop = SampledLoop(pts, resample, SampledLoop(pts).arc_fractions(), np.asarray(tangents))
     return loop, raws, closure_error, max(residuals)
 
 
@@ -544,13 +545,13 @@ def induced_framing(
         def resample(t: float) -> np.ndarray:
             return fields_at(loop.point(t)[None], lambda _: f"parameter {t % 1.0:.6f}")[0]
 
-    return NormalFraming([X[:, i] for i in range(X.shape[1])], resample)
+    return NormalFraming(X.transpose(1, 0, 2), resample)
 
 
 def _frame_det(loop, middle, framing, ambient, k) -> float:
     """Sign-relevant determinant of the raw frame rows at sample k."""
     normals = [np.asarray(n(loop.points[k]), dtype=float) for n in ambient.manifold_normals]
-    rows = normals + [middle] + list(framing.at_sample(k))
+    rows = normals + [middle, *framing.at_sample(k)]
     return float(np.linalg.det(np.vstack(rows)))
 
 
@@ -566,17 +567,19 @@ def _point_to_curve_distance(p: np.ndarray, b: SampledLoop) -> float:
     """Distance from a point to a loop, refined through the loop's resampler.
 
     Starts from the nearest stored sample and golden-sections the distance
-    along the parameter; without a resampler the nearest sample distance is
-    returned. Needed because sample-set distances between two traces of one
-    curve are of the order of the step size, far above closure tolerances.
+    along the parameter, between the params of that sample's two neighbours
+    (wrapping across 1), so unevenly spaced params are bracketed too;
+    without a resampler the nearest sample distance is returned. Needed
+    because sample-set distances between two traces of one curve are of the
+    order of the step size, far above closure tolerances.
     """
     d = np.linalg.norm(b.points - p, axis=1)
     j = int(np.argmin(d))
     if b.resample is None:
         return float(d[j])
-    gap = 2.0 / len(b)
-    lo = b.params[j] - gap
-    hi = b.params[j] + gap
+    ts = b._knots
+    lo = ts[j - 1] if j > 0 else ts[-2] - 1.0
+    hi = ts[j + 1]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
@@ -677,7 +680,7 @@ def transport_closed_frame(
     def normal_directions(candidates, p: np.ndarray, tangent: np.ndarray):
         """Orthonormal directions the candidates add to [normals of M, tangent]."""
         fixed = [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
-        basis, _, _ = _mgs([*fixed, *candidates], 1e-8, drop_dependent=True)
+        basis, _ = _mgs([*fixed, *candidates], 1e-8, drop_dependent=True)
         return basis[len(fixed) :]
 
     def project(vecs: Sequence[np.ndarray], p: np.ndarray, tangent: np.ndarray):
@@ -700,25 +703,15 @@ def transport_closed_frame(
     if np.linalg.det(H) < 0.0:
         raise RankDeficient("transport around the loop reversed orientation")
     blocks = _principal_log_blocks(H)
-
-    fields_stacked = []
-    for i in range(k):
-        C = _rotation_power(blocks, -loop.params[i])
-        fields_stacked.append(C @ np.vstack(raw[i]))
-    fields = [np.vstack([fs[i] for fs in fields_stacked]) for i in range(count)]
     resample = None
     if loop.resample is not None:
-        params = list(loop.params)
 
-        def resample(t_val: float) -> np.ndarray:
-            u = t_val % 1.0
-            ts = params + [1.0]
-            i = int(np.searchsorted(ts, u, side="right")) - 1
-            i = max(0, min(i, k - 1))
-            stepped = project(raw[i], loop.point(u), loop.tangent(u))
-            return _rotation_power(blocks, -u) @ np.vstack(stepped)
+        def resample(t: float) -> np.ndarray:
+            i, _ = loop._segment(t)
+            return np.array(project(raw[i], loop.point(t), loop.tangent(t)))
 
-    return NormalFraming(fields, resample)
+    transported = NormalFraming(np.array(raw).transpose(1, 0, 2), resample)
+    return _recombined(transported, loop.params, lambda t: _rotation_power(blocks, -t))
 
 
 # Eigenvalues of (H + H^T)/2 closer than this (about the square root of the
@@ -807,39 +800,18 @@ def _section_derivative_fields(
     The section's Jacobian comes from system.raw_jacobian, one per point.
     """
 
-    def tau_at(x: np.ndarray, u_vectors) -> np.ndarray:
+    def tau_at(x: np.ndarray, U: np.ndarray) -> np.ndarray:
         v = np.asarray(spec.splitting_field(x), dtype=float)
-        J = system.raw_jacobian(x)
-        out = []
-        for u in u_vectors:
-            d = J @ u
-            # at zeros of the section the covariant derivative is the plain
-            # directional derivative projected into the fiber
-            d = d - (d @ x) * x - (d @ v) * v
-            out.append(d)
-        return np.vstack(out)
+        D = U @ system.raw_jacobian(x).T
+        # at zeros of the section the covariant derivative is the plain
+        # directional derivative projected into the fiber
+        return D - np.outer(D @ x, x) - np.outer(D @ v, v)
 
-    stacked = [tau_at(loop.points[i], aux.at_sample(i)) for i in range(len(loop))]
-    fields = [np.vstack([s[i] for s in stacked]) for i in range(aux.count)]
+    stacked = np.array([tau_at(loop.points[i], aux.at_sample(i)) for i in range(len(loop))])
     resample = None
     if loop.resample is not None and aux.resample is not None:
         resample = lambda t: tau_at(loop.point(t), aux.at(t))  # noqa: E731
-    return NormalFraming(fields, resample)
-
-
-def _negate_field(framing: NormalFraming, index: int) -> NormalFraming:
-    fields = [f.copy() for f in framing.fields]
-    fields[index] = -fields[index]
-    resample = None
-    if framing.resample is not None:
-        inner = framing.resample
-
-        def resample(t):
-            vals = np.asarray(inner(t), dtype=float).copy()
-            vals[index] = -vals[index]
-            return vals
-
-    return NormalFraming(fields, resample)
+    return NormalFraming(stacked.transpose(1, 0, 2), resample)
 
 
 def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns):
@@ -851,12 +823,13 @@ def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns):
         aux = twist_framing(loop, aux, aux_twist_turns)
     tau = _section_derivative_fields(spec, system, loop, aux)
     try:
-        orthonormalize(list(tau.at_sample(0)), tol)
+        orthonormalize(tau.at_sample(0), tol)
     except RankDeficient as exc:
         raise NonTransverse("section derivative degenerates on the normal space") from exc
     if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
-        aux = _negate_field(aux, 0)
-        tau = _negate_field(tau, 0)
+        flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
+        aux = _recombined(aux, loop.params, lambda t: flip)
+        tau = _recombined(tau, loop.params, lambda t: flip)
     # Normal spaces do not depend on the direction of travel, and reversal
     # keeps sample 0, so the reversed frames keep term 2's sign at sample 0.
     if _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0:

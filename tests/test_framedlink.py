@@ -175,6 +175,60 @@ class TestCarriedTangents:
         assert calls == []
 
 
+class TestStackedFraming:
+    def test_list_and_stack_give_one_framing(self):
+        loop = tilted_circle_with_tangents()
+        fields = _tilted_circle_framing(loop)
+        from_list = NormalFraming(fields)
+        from_stack = NormalFraming(np.array(fields))
+        assert from_list.fields.shape == (3, len(loop), 4)
+        assert np.array_equal(from_list.fields, from_stack.fields)
+
+    def test_fields_are_a_read_only_copy(self):
+        loop = tilted_circle_with_tangents()
+        given = np.array(_tilted_circle_framing(loop))
+        framing = NormalFraming(given)
+        with pytest.raises(ValueError):
+            framing.fields[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            framing.at_sample(3)[0, 0] = 1.0
+        given[:] = 0.0
+        assert np.all(np.linalg.norm(framing.fields, axis=2) > 0.5)
+        assert framing.at_sample(3).shape == (3, 4)
+        assert np.array_equal(framing.at_sample(3), framing.fields[:, 3])
+
+    def test_field_validation_messages(self):
+        loop = tilted_circle_with_tangents()
+        fields = _tilted_circle_framing(loop)
+        with pytest.raises(ValidationError, match="at least one field"):
+            NormalFraming([])
+        with pytest.raises(ValidationError, match="samples x dim"):
+            NormalFraming(fields[0])
+        with pytest.raises(ValidationError, match="share one shape"):
+            NormalFraming([fields[0], fields[1][:-1]])
+        broken = np.array(fields)
+        broken[1, 7, 2] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            NormalFraming(broken)
+
+
+class TestSegmentLookup:
+    def test_sample_params_start_their_segment(self, rng):
+        params = np.sort(rng.uniform(0.05, 0.95, 40))
+        loop = SampledLoop(plane_circle(40, 3).points, params=params)
+        for i, t in enumerate(loop.params):
+            assert loop._segment(t) == (i, 0.0)
+
+    def test_params_before_the_first_sample_wrap_to_the_last_segment(self):
+        k = 20
+        params = [0.1 + 0.8 * i / k for i in range(k)]
+        loop = SampledLoop(plane_circle(k, 3).points, params=params)
+        for t in (0.05, -0.95):
+            i, w = loop._segment(t)
+            assert i == k - 1
+            assert w == pytest.approx((1.05 - params[-1]) / (1.1 - params[-1]))
+
+
 def _tilted_circle_framing(loop: SampledLoop) -> list:
     """Radial field, the plane's normal inside span(e1, e2), and e3 (right-handed)."""
     w = np.array([0.0, 0.8, -0.6, 0.0])

@@ -66,7 +66,7 @@ class TestBatchedOrthonormalize:
                 out = orthonormalize(stack)
                 assert out.shape == (4, c, n)
                 for k in range(4):
-                    basis, _, _ = _mgs(stack[k], DEFAULT_TOL.ortho_tol)
+                    basis, _ = _mgs(stack[k], DEFAULT_TOL.ortho_tol)
                     assert np.max(np.abs(out[k] - np.array(basis))) < 1e-12
 
     def test_triangular_factor_has_positive_diagonal(self, rng):
@@ -196,7 +196,7 @@ def full_completion_kernel_direction(J, previous=None, tol=DEFAULT_TOL):
     coordinate direction is projected, and np.linalg.norm takes the norms."""
     J = np.asarray(J, dtype=float)
     n = J.shape[1]
-    basis, _, _ = _mgs(J, tol.ortho_tol, drop_dependent=True)
+    basis, _ = _mgs(J, tol.ortho_tol, drop_dependent=True)
     if n - len(basis) != 1:
         raise RankDeficient("kernel is not one-dimensional")
     best = None

@@ -179,6 +179,14 @@ class TestRotationLoopValidation:
         loop = RotationLoop([np.eye(3, dtype=int)] * 4)
         assert all(R.dtype == float and R.shape == (3, 3) for R in loop.samples)
 
+    def test_samples_are_the_checked_float_stack(self):
+        samples = np.array([np.eye(3, dtype=int)] * 4)
+        loop = RotationLoop(samples)
+        assert isinstance(loop.samples, np.ndarray)
+        assert loop.samples.dtype == float and loop.samples.shape == (4, 3, 3)
+        samples[0, 0, 0] = 5
+        assert np.array_equal(loop.samples, np.array([np.eye(3)] * 4))
+
     def test_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch):
             RotationLoop([np.eye(3), np.eye(4), np.eye(3)])

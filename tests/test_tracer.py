@@ -15,11 +15,13 @@ from fbk.errors import (
 from fbk.framedlink import (
     NormalFraming,
     SampledLoop,
+    _recombined,
     euclidean_ambient,
     frame_matrix_loop,
     index_of_circle,
     invariant_report,
     sphere_ambient,
+    twist_framing,
 )
 from fbk.numkit import DEFAULT_TOL, jacobian_fd, least_squares, recording
 from fbk.scenarios import (
@@ -479,6 +481,59 @@ class TestTransportClosedFrame:
             transport_closed_frame(loop, [])
 
 
+def unit_circle(t: float) -> np.ndarray:
+    a = 2.0 * math.pi * (t % 1.0)
+    return np.array([math.cos(a), math.sin(a), 0.0])
+
+
+class TestHausdorffDistance:
+    def test_uneven_params_of_one_curve(self):
+        # the first loop's samples cover only [0, 0.6] of the circle, so the
+        # rest of it lies between its last sample and its first, across 1
+        def sampled(params):
+            pts = np.array([unit_circle(t) for t in params])
+            return SampledLoop(pts, unit_circle, list(params))
+
+        uneven = sampled(np.linspace(0.0, 0.6, 16))
+        uniform = sampled(np.arange(64) / 64)
+        assert hausdorff_distance(uneven, uniform) < 1e-6
+        assert hausdorff_distance(uniform, uneven) < 1e-6
+
+
+def bent_circle(t: float) -> np.ndarray:
+    a = 2.0 * math.pi * (t % 1.0)
+    return np.array([math.cos(a), math.sin(a), 0.3 * math.cos(2 * a), 0.3 * math.sin(3 * a)])
+
+
+class TestRecombinedFields:
+    # sampled from its exact resampler; projection transport around it has a
+    # holonomy of about 0.086 rad, so the closing rotation is not the identity
+    def bent_loop(self) -> SampledLoop:
+        k = 64
+        pts = np.array([bent_circle(i / k) for i in range(k)])
+        return SampledLoop(pts, bent_circle, [i / k for i in range(k)])
+
+    @staticmethod
+    def assert_resampler_reproduces_samples(loop, framing):
+        for k in range(len(loop)):
+            gap = np.max(np.abs(framing.at(loop.params[k]) - framing.at_sample(k)))
+            assert gap < 1e-12, k
+
+    def test_closing_rotation_of_the_transport(self):
+        loop = self.bent_loop()
+        self.assert_resampler_reproduces_samples(loop, transport_closed_frame(loop, []))
+
+    def test_twist_and_sign_flip(self):
+        loop = self.bent_loop()
+        twisted = twist_framing(loop, transport_closed_frame(loop, []), 3)
+        self.assert_resampler_reproduces_samples(loop, twisted)
+        flip = np.diag([-1.0, 1.0, 1.0])
+        flipped = _recombined(twisted, loop.params, lambda t: flip)
+        assert np.array_equal(flipped.fields[0], -twisted.fields[0])
+        assert np.array_equal(flipped.fields[1:], twisted.fields[1:])
+        self.assert_resampler_reproduces_samples(loop, flipped)
+
+
 def rotation_with_angles(rng, n, angles):
     """Randomly oriented SO(n) matrix rotating plane k of some frame by angles[k]."""
     B = np.eye(n)
@@ -568,6 +623,19 @@ class TestSectionIndex:
         assert int(base.kappa) == int(twisted.kappa)
         assert [c.index for c in base.components] == [c.index for c in twisted.components]
 
+    @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
+    def test_finite_difference_sections_keep_their_seed(self, name):
+        # the section system has rank 5 of 6 columns by construction; the
+        # finite-difference Jacobian leaves a noise singular value of about
+        # 1e-12 there, which the Newton step must cut, not invert
+        section, _, seed = S5_SECTIONS[name]
+        report = section_index(
+            SectionSpec(5, _s5_splitting, section), TraceOptions(seeds=[seed])
+        )
+        assert int(report.kappa) == 1
+        assert [c.index for c in report.components] == [1]
+        assert report.diagnostics["seeds_skipped"] == 0
+
     def test_intermediate_term_classes(self, monkeypatch):
         # closed-form frames on the plane zero circle make both matrix loops
         # single full turns, so the two intermediate classes are 1 and 1
@@ -642,9 +710,9 @@ class TestSectionIndex:
     def test_both_directions_of_a_zero_circle(self, name, analytic, turns, monkeypatch):
         # a left-handed circle is reversed together with its frames; the
         # traced circle and its reversal take the two orientation branches.
-        # The circle is traced with the analytic Jacobian (the walk does not
-        # converge from the alt seed with finite differences); the index is
-        # then taken with the spec under test.
+        # The circle is traced once, with the analytic Jacobian, so both
+        # specs see the same samples; the index is then taken with the spec
+        # under test.
         import fbk.tracer as tracer
 
         section, jac, seed = S5_SECTIONS[name]
