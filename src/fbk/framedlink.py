@@ -147,6 +147,11 @@ class SampledLoop:
     def _closed_arc_fractions(self) -> np.ndarray:
         return np.concatenate([self.arc_fractions(), [1.0]])
 
+    def _unwrapped(self, t: float) -> float:
+        """t moved by a whole number into [params[0], params[0] + 1)."""
+        u = t % 1.0
+        return u + 1.0 if u < self.params[0] else u
+
     def _segment(self, t: float) -> tuple[int, float]:
         """Segment i, from sample i to sample i + 1 (cyclically), holding parameter t.
 
@@ -154,9 +159,7 @@ class SampledLoop:
         (1 - w) params[i] + w params[i + 1], modulo 1.
         """
         ts = self._knots
-        u = t % 1.0
-        if u < ts[0]:
-            u += 1.0
+        u = self._unwrapped(t)
         i = min(int(np.searchsorted(ts, u, side="right")) - 1, len(ts) - 2)
         return i, (u - ts[i]) / (ts[i + 1] - ts[i])
 

@@ -710,8 +710,9 @@ def transport_closed_frame(
             i, _ = loop._segment(t)
             return np.array(project(raw[i], loop.point(t), loop.tangent(t)))
 
-    transported = NormalFraming(np.array(raw).transpose(1, 0, 2), resample)
-    return _recombined(transported, loop.params, lambda t: _rotation_power(blocks, -t))
+    # unwrapped, so past the last sample raw[k - 1] meets the rotation near u = 1
+    closing = lambda t: _rotation_power(blocks, -loop._unwrapped(t))  # noqa: E731
+    return _recombined(NormalFraming(np.swapaxes(raw, 0, 1), resample), loop.params, closing)
 
 
 # Eigenvalues of (H + H^T)/2 closer than this (about the square root of the

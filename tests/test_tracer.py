@@ -533,6 +533,20 @@ class TestRecombinedFields:
         assert np.array_equal(flipped.fields[1:], twisted.fields[1:])
         self.assert_resampler_reproduces_samples(loop, flipped)
 
+    def test_closing_segment_of_a_loop_starting_after_zero(self):
+        # the segment from the last sample round to the first holds both ends
+        # of [0, 1); the closed frame stays continuous along all of it, also
+        # across 0 and just below params[0]
+        params = np.linspace(0.1, 0.99, 64)
+        loop = SampledLoop(np.array([bent_circle(t) for t in params]), bent_circle, list(params))
+        framing = transport_closed_frame(loop, [])
+        self.assert_resampler_reproduces_samples(loop, framing)
+        assert np.max(np.abs(framing.at(params[0] - 1e-7) - framing.at_sample(0))) < 1e-5
+        assert np.max(np.abs(framing.at(-1e-7) - framing.at(0.0))) < 1e-5
+        ts = np.linspace(params[-1], params[0] + 1.0, 201)
+        frames = np.array([framing.at(t) for t in ts])
+        assert np.max(np.abs(np.diff(frames, axis=0))) < 0.02
+
 
 def rotation_with_angles(rng, n, angles):
     """Randomly oriented SO(n) matrix rotating plane k of some frame by angles[k]."""
