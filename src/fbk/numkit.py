@@ -78,8 +78,9 @@ def recording() -> Iterator[dict]:
     """Collect the diagnostics noted inside the block into the yielded dict.
 
     Keys appear only when something notes them: refinement_depth (deepest
-    lift refinement) and lift_steps (lifted steps) from every loop_class
-    call; frames_assembled (frames built by frame_matrix_loop, its refiner
+    lift refinement) and lift_steps (lifted steps), noted once per
+    loop_class call when its refinement is done (a refinement that fails
+    notes neither); frames_assembled (frames built by frame_matrix_loop, its refiner
     included); closure_errors (a list) and max_residual from every traced
     component that is kept; seeds_skipped from seeds whose trace did not
     converge. Three work counters come from the tracer: newton_calls

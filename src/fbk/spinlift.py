@@ -10,14 +10,18 @@ are multiplied (later steps act on the left).
 
 Spin(m) lives in the even part of the Clifford algebra Cl(m), generated by
 e_1..e_m with e_i e_i = +1 and e_i e_j = -e_j e_i. Only the d coordinates
-that the loop moves (at least 3) take part, and the lift is computed in the
-spin representation of Cl(d): the Jordan-Wigner gamma matrices, Pauli
-strings of size 2^floor(d/2) written as real matrices of size
-N = 2^(floor(d/2)+1) (Lawson-Michelsohn, Spin Geometry, 1989, ch. I;
-Jordan-Wigner, 1928). Every product of two gammas is a signed permutation,
-so one Givens factorization run over the whole stack of steps at once
-yields every step's rotor by gathers and sign flips, and the rotors are
-multiplied as a pairwise tree.
+that the loop moves (at least 3) take part. A step rotor is carried as its
+2^(d-1) coefficients on the even blades of Cl(d), indexed by blade
+bitmask: right-multiplying by a bivector e_j e_i moves every coefficient
+to another blade with a sign, a signed permutation read from a cached
+table, so one Givens factorization run over the whole stack of steps at
+once yields every step's rotor by gathers and sign flips (Lawson-Michelsohn,
+Spin Geometry, 1989, ch. I; Doran-Lasenby, Geometric Algebra for
+Physicists, 2003, ch. 4). For the product, one more gather writes the
+rotors as matrices of the spin representation: the Jordan-Wigner gamma
+matrices, Pauli strings of size 2^floor(d/2) written as real matrices of
+size N = 2^(floor(d/2)+1) (Jordan-Wigner, 1928), which are multiplied as a
+pairwise tree.
 
 For m = 3 there is an entirely separate lift through unit quaternions
 (quaternion_loop_class), used as an independent cross-check of the spin
@@ -29,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +49,9 @@ from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
 _ORTHO_CHECK = 1e-8
-# Steps lifted per batch. The batch holds (_CHUNK, N, N) arrays, 8 MB each
-# at N = 128 (twelve moving coordinates).
+# Steps lifted per batch. The batch holds (_CHUNK, 2^(d-1)) coefficient
+# arrays, 1 MB each at d = 12 moving coordinates, and for the product its
+# (_CHUNK, N, N) spin images, 8 MB each at N = 128.
 _CHUNK = 64
 
 
@@ -85,12 +90,13 @@ def _z2_bit(value) -> int:
     return b
 
 
-def _check_special_orthogonal(R: np.ndarray) -> np.ndarray:
+def _check_special_orthogonal(R: np.ndarray, params: Sequence[float] | None = None) -> np.ndarray:
     """One (m, m) rotation or a (K, m, m) stack of them, checked and returned as float.
 
     A stack is checked with one matmul and one batched determinant; the
-    error names the first failing sample and, as a sample-by-sample check
-    would, the first test it fails there (orthogonality before sign).
+    error names the first failing sample (by its parameter, when refiner
+    outputs at params are checked) and, as a sample-by-sample check would,
+    the first test it fails there (orthogonality before sign).
     """
     R = np.asarray(R, dtype=float)
     if R.ndim not in (2, 3) or R.shape[-1] != R.shape[-2]:
@@ -100,7 +106,12 @@ def _check_special_orthogonal(R: np.ndarray) -> np.ndarray:
     bad = skewed | (np.linalg.det(R) <= 0.0)
     if bad.any():
         k = np.argmax(bad)
-        at = "" if R.ndim == 2 else f"sample {k}: "
+        if R.ndim == 2:
+            at = ""
+        elif params is None:
+            at = f"sample {k}: "
+        else:
+            at = f"refiner output at parameter {params[k]:.6f}: "
         if np.ravel(skewed)[k]:
             raise NotOrthogonal(f"{at}orthogonality defect {np.ravel(defect)[k]:.3e}")
         raise NotOrthogonal(f"{at}determinant is not positive")
@@ -127,23 +138,28 @@ class RotationLoop:
     def __post_init__(self):
         if len(self.samples) < 1:
             raise ValueError("a rotation loop needs at least one sample")
-        shapes = {np.shape(R) for R in self.samples}
-        if any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
-            raise NotOrthogonal("rotation sample is not square")
-        if len(shapes) > 1:
-            raise DimensionMismatch("samples have mixed dimensions")
+        if isinstance(self.samples, np.ndarray):
+            if self.samples.ndim != 3 or self.samples.shape[1] != self.samples.shape[2]:
+                raise NotOrthogonal("rotation sample is not square")
+        else:
+            shapes = {np.shape(R) for R in self.samples}
+            if any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
+                raise NotOrthogonal("rotation sample is not square")
+            if len(shapes) > 1:
+                raise DimensionMismatch("samples have mixed dimensions")
         self.samples = _check_special_orthogonal(np.array(self.samples, dtype=float))
         if self.params is None:
             k = len(self.samples)
             self.params = [i / k for i in range(k)]
         else:
-            self.params = [float(t) for t in self.params]
-            if len(self.params) != len(self.samples):
+            params = np.array(self.params, dtype=float)
+            if params.shape != (len(self.samples),):
                 raise ValueError("params and samples must have equal length")
-            if any(not 0.0 <= t < 1.0 for t in self.params):
+            if not np.all((params >= 0.0) & (params < 1.0)):
                 raise ValueError("params must lie in [0, 1)")
-            if any(b <= a for a, b in zip(self.params, self.params[1:])):
+            if np.any(params[1:] <= params[:-1]):
                 raise ValueError("params must be strictly increasing")
+            self.params = params.tolist()
 
     @property
     def dim(self) -> int:
@@ -162,48 +178,48 @@ def _angle_step_bound(lift_angle_max: float) -> float:
     return 2.0 * math.sqrt(2.0) * math.sin(lift_angle_max / 2.0) * (1.0 + 1e-12)
 
 
-def _refined_steps(loop: RotationLoop, tol: Tolerances) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive sample pairs around the cycle, subdivided to the angle bound.
+def _refined(loop: RotationLoop, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The loop's samples with every step subdivided to the angle bound, and its steps.
 
-    The bound is tested on all sample-to-sample steps at once; only steps
-    over it are split, one refiner evaluation at a time.
+    Returns the cyclic (K', m, m) sample stack and the (K', m, m) steps
+    stack[k+1] stack[k]^T, the last closing back on stack[0]. Refinement
+    runs level by level: one batched bound test on all steps, then one
+    refiner evaluation at the midpoint of every step over the bound, all
+    checked at once and inserted after their steps. The stack is the one a
+    depth-first split of each step would reach, sample for sample.
     """
     bound = _angle_step_bound(tol.lift_angle_max)
-    k = len(loop)
     eye = np.eye(loop.dim)
     samples = loop.samples
-    steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
-    within = np.linalg.norm(steps - eye, axis=(1, 2)) <= bound
-    for idx in range(k):
-        t0 = loop.params[idx]
-        r0 = samples[idx]
-        if idx + 1 < k:
-            t1 = loop.params[idx + 1]
-            r1 = samples[idx + 1]
-        else:
-            t1 = loop.params[0] + 1.0
-            r1 = samples[0]
-        stack = [(t0, r0, t1, r1, 0)]
-        while stack:
-            a_t, a_r, b_t, b_r, depth = stack.pop()
-            if within[idx] if depth == 0 else np.linalg.norm(b_r @ a_r.T - eye) <= bound:
-                _note_add("lift_steps", 1)
-                _note_max("refinement_depth", depth)
-                yield a_r, b_r
-                continue
-            if loop.refiner is None:
-                raise RefinementExhausted(
-                    f"step at parameter {a_t % 1.0:.6f} exceeds the angle bound "
-                    "and the loop has no refiner"
-                )
-            if depth >= _MAX_REFINE_DEPTH:
-                raise RefinementExhausted(
-                    f"refinement depth {depth} exhausted near parameter {a_t % 1.0:.6f}"
-                )
-            m_t = 0.5 * (a_t + b_t)
-            m_r = _check_special_orthogonal(loop.refiner(m_t % 1.0))
-            stack.append((m_t, m_r, b_t, b_r, depth + 1))
-            stack.append((a_t, a_r, m_t, m_r, depth + 1))
+    params = np.array(loop.params)
+    depth = 0
+    while True:
+        steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
+        over = np.flatnonzero(np.linalg.norm(steps - eye, axis=(1, 2)) > bound)
+        if not over.size:
+            break
+        start = float(params[over[0]]) % 1.0
+        if loop.refiner is None:
+            raise RefinementExhausted(
+                f"step at parameter {start:.6f} exceeds the angle bound and the loop has no refiner"
+            )
+        if depth >= _MAX_REFINE_DEPTH:
+            raise RefinementExhausted(f"refinement depth {depth} exhausted near parameter {start:.6f}")
+        # Params stay unwrapped: the closing step ends at params[0] + 1.
+        mid = 0.5 * (params[over] + np.append(params[1:], params[0] + 1.0)[over])
+        wrapped = [t % 1.0 for t in mid.tolist()]
+        outputs = [np.asarray(loop.refiner(t), dtype=float) for t in wrapped]
+        if len({R.shape for R in outputs}) > 1:
+            raise DimensionMismatch("refiner returned rotations of mixed dimensions")
+        new = _check_special_orthogonal(np.array(outputs), wrapped)
+        if new.shape[1:] != samples.shape[1:]:
+            raise DimensionMismatch(f"refiner returned {new.shape[1]}-dimensional rotations")
+        samples = np.insert(samples, over + 1, new, axis=0)
+        params = np.insert(params, over + 1, mid)
+        depth += 1
+    _note_add("lift_steps", len(samples))
+    _note_max("refinement_depth", depth)
+    return samples, steps
 
 
 def _gammas(d: int) -> list[np.ndarray]:
@@ -233,67 +249,130 @@ def _gammas(d: int) -> list[np.ndarray]:
     return out
 
 
+class _SpinTables(NamedTuple):
+    """Even-blade tables of Cl(d); see _spin_tables."""
+
+    planes: list[tuple[int, int]]
+    blades: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
+    size: int
+    entries: np.ndarray
+    terms: np.ndarray
+    term_sign: np.ndarray
+
+
 @functools.cache
-def _spin_tables(d: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """Givens planes of R^d and their spin generators as signed permutations.
+def _spin_tables(d: int) -> _SpinTables:
+    """Givens planes of R^d, their actions on even coefficients, and the spin images.
 
-    planes lists the pairs (j, i), j < i, in elimination order. Column q of
-    the matrix of gamma_j gamma_i for planes[p] is zero except for
-    sign[p, q] in row perm[p, q], so right-multiplying a rotor by it is
-    rotor[..., perm[p]] * sign[p]. Built on first use and read-only.
+    Coefficient k of an even multivector belongs to the blade whose low d-1
+    bits are k and whose top bit makes the grade even (blades[k]); k = 0 is
+    the scalar. planes lists the pairs (j, i), j < i, in elimination order.
+    Right-multiplying coefficients r by e_j e_i for planes[p] gives
+    r[..., perm[p]] * sign[p]: blade A times e_j e_i is blade A ^ {i, j},
+    with the sign of the transpositions that bring it into order.
+
+    The Jordan-Wigner image of r is the size x size matrix sum_k r[k] G_k,
+    G_k the product of the gammas of blades[k] in increasing order. Only the
+    flat positions entries of it can be nonzero (all of them at odd d, half
+    at even d); position entries[e] is sum_t term_sign[t, e] * r[terms[t, e]].
+    Each G_k is a signed permutation, composed from those of the gammas one
+    bit at a time. Built on first use and read-only.
     """
-    gammas = _gammas(d)
+    gammas = np.array(_gammas(d))
+    size = gammas.shape[1]
+    g_perm = np.argmax(np.abs(gammas), axis=1)
+    g_sign = np.take_along_axis(gammas, g_perm[:, None, :], axis=1)[:, 0, :]
+    # Column q of G_b (every blade b) is zero except for sign_b[q] in row perm_b[q].
+    perm_b = np.empty((1 << d, size), dtype=np.intp)
+    sign_b = np.empty((1 << d, size))
+    perm_b[0] = np.arange(size)
+    sign_b[0] = 1.0
+    for t in range(d):
+        low = 1 << t
+        perm_b[low:2 * low] = perm_b[:low, g_perm[t]]
+        sign_b[low:2 * low] = sign_b[:low, g_perm[t]] * g_sign[t]
+    half = 1 << (d - 1)
+    index = np.arange(half)
+    # bitwise_count returns uint8, too narrow to shift to bit d - 1
+    blades = index | (np.bitwise_count(index).astype(np.intp) & 1) << (d - 1)
+
     planes = [(j, i) for j in range(d - 1) for i in range(j + 1, d)]
-    products = np.array([gammas[j] @ gammas[i] for j, i in planes])
-    perm = np.argmax(np.abs(products), axis=1)
-    sign = np.take_along_axis(products, perm[:, None, :], axis=1)[:, 0, :]
-    perm.setflags(write=False)
-    sign.setflags(write=False)
-    return planes, perm, sign
+    perm = np.empty((len(planes), half), dtype=np.intp)
+    sign = np.empty((len(planes), half))
+    for p, (j, i) in enumerate(planes):
+        source = blades ^ (1 << j | 1 << i)
+        perm[p] = source & (half - 1)
+        swaps = np.bitwise_count(source >> (j + 1)) + np.bitwise_count(source >> (i + 1))
+        sign[p] = 1.0 - 2.0 * (swaps & 1)
 
-
-def _normalized(rotors: np.ndarray) -> np.ndarray:
-    """Rotor matrices divided by their norm sqrt(tr(R R^T) / N)."""
-    size = rotors.shape[-1]
-    return rotors / np.sqrt(np.sum(rotors * rotors, axis=(-2, -1), keepdims=True) / size)
+    flat = (perm_b[blades] * size + np.arange(size)).ravel()
+    order = np.argsort(flat, kind="stable")
+    terms_per_entry = np.count_nonzero(flat == flat[order[0]])
+    entries = flat[order[::terms_per_entry]]
+    terms = (order // size).reshape(-1, terms_per_entry).T.copy()
+    term_sign = sign_b[blades].ravel()[order].reshape(-1, terms_per_entry).T.copy()
+    for table in (blades, perm, sign, entries, terms, term_sign):
+        table.setflags(write=False)
+    return _SpinTables(planes, blades, perm, sign, size, entries, terms, term_sign)
 
 
 def _step_rotors(steps: np.ndarray) -> np.ndarray:
-    """Canonical rotor matrices (positive scalar part) of a (K, d, d) step stack.
+    """Canonical rotors (positive scalar part) of a (K, d, d) step stack, as even coefficients.
 
+    Returns (K, 2^(d-1)) coefficients in the order of _spin_tables(d).blades.
     Every step is factored into Givens rotations by eliminating its
     below-diagonal entries column by column, all steps at once; the factor
     by theta in the (e_j, e_i) plane has the exact rotor
-    cos(theta/2) - sin(theta/2) gamma_j gamma_i, and the factors are
-    multiplied in order. Raises NotNearIdentity when a step's scalar part
-    (trace / N) is too small for the sign choice to be trustworthy (some
-    principal angle is close to pi).
+    cos(theta/2) - sin(theta/2) e_j e_i, and the factors are multiplied in
+    order. Raises NotNearIdentity when a step's scalar part (coefficient 0)
+    is too small for the sign choice to be trustworthy (some principal angle
+    is close to pi). The rotors are divided by their norm, the coefficient
+    2-norm.
     """
-    planes, perm, sign = _spin_tables(steps.shape[1])
-    M = steps.copy()
-    rotors = np.tile(np.eye(perm.shape[1]), (len(steps), 1, 1))
-    for p, (j, i) in enumerate(planes):
-        a = M[:, j, j]
-        b = M[:, i, j]
-        r = np.hypot(a, b)
-        skip = (r < 1e-300) | ((np.abs(b) <= 1e-15 * r) & (a > 0.0))
-        if skip.all():
-            continue
-        r = np.where(skip, 1.0, r)
-        c = np.where(skip, 1.0, a / r)[:, None]
-        s = np.where(skip, 0.0, b / r)[:, None]
-        M[:, j, :], M[:, i, :] = c * M[:, j, :] + s * M[:, i, :], -s * M[:, j, :] + c * M[:, i, :]
-        half = 0.5 * np.arctan2(s, c)[:, :, None]
-        rotors = np.cos(half) * rotors - np.sin(half) * (rotors[:, :, perm[p]] * sign[p])
-    residue = np.max(np.abs(M - np.eye(steps.shape[1])), axis=(1, 2))
-    scalar = np.trace(rotors, axis1=1, axis2=2) / rotors.shape[1]
+    tables = _spin_tables(steps.shape[1])
+    sign = tables.sign[:, :, None]
+    # The steps run along the last axis of M and of rotors, so each row M[j]
+    # and each plane's gather rotors[perm[p]] moves contiguous runs of steps.
+    M = steps.transpose(1, 2, 0).copy()
+    rotors = np.zeros((len(tables.blades), len(steps)))
+    rotors[0] = 1.0
+    for p, (j, i) in enumerate(tables.planes):
+        theta = np.arctan2(M[i, j], M[j, j])
+        c, s = np.cos(theta), np.sin(theta)
+        M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
+        half = 0.5 * theta
+        rotors = np.cos(half) * rotors - np.sin(half) * rotors[tables.perm[p]] * sign[p]
+    residue = np.max(np.abs(M - np.eye(steps.shape[1])[:, :, None]), axis=(0, 1))
+    scalar = rotors[0]
     bad = (residue > 1e-6) | (np.abs(scalar) < 0.1)
     if bad.any():
         k = int(np.argmax(bad))
         if residue[k] > 1e-6:
             raise NotNearIdentity("a principal rotation angle is at pi; no canonical lift")
         raise NotNearIdentity(f"rotor scalar part {scalar[k]:.3e} too small for a canonical sign")
-    return _normalized(np.where(scalar < 0.0, -1.0, 1.0)[:, None, None] * rotors)
+    scale = np.where(scalar < 0.0, -1.0, 1.0) / np.sqrt(np.sum(rotors * rotors, axis=0))
+    return (rotors * scale).T
+
+
+def _spin_images(rotors: np.ndarray) -> np.ndarray:
+    """Jordan-Wigner matrices (K, N, N) of (K, 2^(d-1)) even coefficients."""
+    tables = _spin_tables(rotors.shape[1].bit_length())  # 2^(d-1) has bit length d
+    coeffs = rotors.T
+    term_sign = tables.term_sign[:, :, None]
+    filled = term_sign[0] * coeffs[tables.terms[0]]
+    for t in range(1, len(term_sign)):
+        filled += term_sign[t] * coeffs[tables.terms[t]]
+    images = np.zeros((tables.size * tables.size, len(rotors)))
+    images[tables.entries] = filled
+    return images.T.reshape(len(rotors), tables.size, tables.size)
+
+
+def _normalized(rotors: np.ndarray) -> np.ndarray:
+    """Rotor matrices divided by their norm sqrt(tr(R R^T) / N)."""
+    size = rotors.shape[-1]
+    return rotors / np.sqrt(np.sum(rotors * rotors, axis=(-2, -1), keepdims=True) / size)
 
 
 def _ordered_product(rotors: np.ndarray) -> np.ndarray:
@@ -336,9 +415,7 @@ def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     m = loop.dim
     if not 3 <= m <= _MAX_DIM:
         raise DimensionMismatch(f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}")
-    pairs = list(_refined_steps(loop, tol))
-    before = np.array([a for a, _ in pairs])
-    steps = _moved_coordinates(np.array([b for _, b in pairs]) @ before.transpose(0, 2, 1))
+    steps = _moved_coordinates(_refined(loop, tol)[1])
     # A step is a product of two checked samples, so its determinant is
     # positive, but the two orthogonality defects add up.
     defect = np.max(np.abs(steps.transpose(0, 2, 1) @ steps - np.eye(steps.shape[1])))
@@ -347,7 +424,8 @@ def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     eye = np.eye(2 ** (steps.shape[1] // 2 + 1))
     g = eye
     for start in range(0, len(steps), _CHUNK):
-        g = _ordered_product(np.concatenate([g[None], _step_rotors(steps[start:start + _CHUNK])]))
+        rotors = _spin_images(_step_rotors(steps[start:start + _CHUNK]))
+        g = _ordered_product(np.concatenate([g[None], rotors]))
     d_plus = np.linalg.norm(g - eye) / math.sqrt(len(eye))
     d_minus = np.linalg.norm(g + eye) / math.sqrt(len(eye))
     if min(d_plus, d_minus) > 1e-4:
@@ -392,17 +470,15 @@ def quaternion_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> 
     """
     if loop.dim != 3:
         raise DimensionMismatch("the quaternion lift is specific to SO(3)")
-    q_start = None
-    q_prev = None
-    for r_prev, r_next in _refined_steps(loop, tol):
-        if q_start is None:
-            q_start = _quat_from_matrix(r_prev)
-            for x in q_start:
-                if abs(x) > 1e-8:
-                    if x < 0.0:
-                        q_start = -q_start
-                    break
-            q_prev = q_start
+    samples, _ = _refined(loop, tol)
+    q_start = _quat_from_matrix(samples[0])
+    for x in q_start:
+        if abs(x) > 1e-8:
+            if x < 0.0:
+                q_start = -q_start
+            break
+    q_prev = q_start
+    for r_next in np.roll(samples, -1, axis=0):
         q_next = _quat_from_matrix(r_next)
         d = float(q_next @ q_prev)
         if abs(d) < 0.05:
@@ -410,8 +486,6 @@ def quaternion_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> 
         if d < 0.0:
             q_next = -q_next
         q_prev = q_next
-    if q_start is None:
-        return Z2(0)
     d = float(q_prev @ q_start)
     if abs(d) < 0.9:
         raise LiftInconsistent(f"quaternion lift closed at |dot| = {abs(d):.3f}")

@@ -1,11 +1,12 @@
-"""Sparse Clifford-algebra lift, kept as a reference for the dense kernel.
+"""Sparse Clifford-algebra lift, kept as a reference for the batched kernel.
 
 Multivectors of Cl(m) are dicts from blade bitmasks to coefficients, with
 e_i e_i = +1 and e_i e_j = -e_j e_i. rotor_from_rotation lifts one
 near-identity rotation by a Givens factorization, one Python product per
 factor, and sparse_loop_class accumulates the step lifts of a loop the way
-fbk.spinlift.loop_class did before it became one batched dense kernel. Both
-routes must give the same bit; the tests here compare them.
+fbk.spinlift.loop_class did before it became one batched kernel, reading
+the same refined sample stack. Both routes must give the same bit; the
+tests here compare them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fbk.spinlift import (
     RotationLoop,
     Z2,
     _check_special_orthogonal,
-    _refined_steps,
+    _refined,
 )
 
 
@@ -197,7 +198,8 @@ def sparse_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
         raise DimensionMismatch("loop classification needs dimension >= 3")
     g = CliffordElement.scalar(loop.dim, 1.0)
     count = 0
-    for r_prev, r_next in _refined_steps(loop, tol):
+    samples, _ = _refined(loop, tol)
+    for r_prev, r_next in zip(samples, np.roll(samples, -1, axis=0)):
         step = rotor_from_rotation(r_next @ r_prev.T, tol)
         g = step * g
         count += 1

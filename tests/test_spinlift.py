@@ -11,11 +11,17 @@ from fbk.errors import (
     NotOrthogonal,
     RefinementExhausted,
 )
-from fbk.numkit import _SCOPES, Tolerances, recording
+from fbk.numkit import _SCOPES, DEFAULT_TOL, Tolerances, recording
 from fbk.spinlift import (
+    _MAX_REFINE_DEPTH,
     RotationLoop,
     Z2,
+    _angle_step_bound,
+    _check_special_orthogonal,
     _gammas,
+    _refined,
+    _spin_images,
+    _spin_tables,
     _step_rotors,
     concatenate_loops,
     loop_class,
@@ -198,6 +204,35 @@ class TestRotationLoopValidation:
             RotationLoop([np.eye(3)[:2]] * 4)
 
 
+class TestRotationLoopParams:
+    def test_params_messages(self):
+        samples = rotation_loop_in_plane(2 * math.pi, 4).samples
+        for params, message in (
+            ([0.0, 0.25, 0.5], "equal length"),
+            ([[0.0, 0.25], [0.5, 0.75]], "equal length"),
+            ([0.0, 0.25, 0.5, 1.0], r"lie in \[0, 1\)"),
+            ([-0.1, 0.25, 0.5, 0.75], r"lie in \[0, 1\)"),
+            ([0.0, 0.25, np.nan, 0.75], r"lie in \[0, 1\)"),
+            ([0.0, 0.5, 0.5, 0.75], "strictly increasing"),
+            ([0.0, 0.6, 0.5, 0.75], "strictly increasing"),
+        ):
+            for given in (params, np.array(params)):
+                with pytest.raises(ValueError, match=message):
+                    RotationLoop(samples, None, given)
+
+    def test_params_become_floats(self):
+        loop = RotationLoop(rotation_loop_in_plane(2 * math.pi, 4).samples, None,
+                            np.array([0, 0.25, 0.5, 0.75], dtype=np.float32))
+        assert loop.params == [0.0, 0.25, 0.5, 0.75]
+        assert all(type(t) is float for t in loop.params)
+
+    def test_stack_of_wrong_rank(self):
+        with pytest.raises(NotOrthogonal, match="not square"):
+            RotationLoop(np.eye(3))
+        with pytest.raises(NotOrthogonal, match="not square"):
+            RotationLoop(np.zeros((4, 3, 2)))
+
+
 class TestRecording:
     # Four quarter turns against a step bound just above pi/4: each is split
     # once.
@@ -299,7 +334,7 @@ class TestSpinRepresentation:
         for _ in range(20):
             m = int(rng.integers(3, 9))
             steps = np.array([cayley_rotation(rng, m, rng.uniform(0.05, 0.7)) for _ in range(3)])
-            dense = _step_rotors(steps)
+            dense = _spin_images(_step_rotors(steps))
             for R, rotor in zip(steps, dense):
                 sparse = rotor_from_rotation(R)
                 assert np.max(np.abs(rotor - dense_image(sparse))) < 1e-12
@@ -311,22 +346,46 @@ class TestSpinRepresentation:
         R = plane_rotation(3, 0, 1, -3.0) @ plane_rotation(3, 0, 2, -1.5) @ plane_rotation(
             3, 1, 2, 2.0
         )
-        rotor = _step_rotors(R[None])[0]
+        coeffs = _step_rotors(R[None])
+        assert coeffs[0, 0] == pytest.approx(0.5441776519095698, abs=1e-12)
+        rotor = _spin_images(coeffs)[0]
         assert np.trace(rotor) / 4 == pytest.approx(0.5441776519095698, abs=1e-12)
         assert np.max(np.abs(rotor - dense_image(rotor_from_rotation(R)))) < 1e-12
 
     def test_pi_step_not_near_identity(self):
         steps = np.array([np.eye(4), plane_rotation(4, 1, 3, math.pi), np.eye(4)])
-        with pytest.raises(NotNearIdentity):
+        with pytest.raises(NotNearIdentity, match="too small for a canonical sign"):
             _step_rotors(steps)
+
+    def test_small_scalar_part_not_near_identity(self):
+        # two principal angles of 2.9: no angle at pi, scalar part cos(1.45)^2
+        step = plane_rotation(4, 0, 1, 2.9) @ plane_rotation(4, 2, 3, 2.9)
+        with pytest.raises(NotNearIdentity, match="rotor scalar part 1.452e-02 too small"):
+            _step_rotors(np.array([np.eye(4), step]))
+
+    def test_uneliminated_step_not_near_identity(self):
+        # a reflection has no Givens factorization: the last diagonal entry stays -1
+        with pytest.raises(NotNearIdentity, match="principal rotation angle is at pi"):
+            _step_rotors(np.array([np.eye(3), np.diag([1.0, 1.0, -1.0])]))
 
     def test_non_orthogonal_refiner_output(self):
         shear = np.eye(3)
         shear[0, 1] = 0.1  # (R shear)^T (R shear) - I has largest entry 0.1
         at = lambda t: plane_rotation(3, 0, 1, 2 * math.pi * t) @ shear  # noqa: E731
         samples = [plane_rotation(3, 0, 1, 2 * math.pi * k / 4) for k in range(4)]
-        with pytest.raises(NotOrthogonal):
+        with pytest.raises(NotOrthogonal, match="refiner output at parameter 0.125000: orthogonality"):
             loop_class(RotationLoop(samples, at, [k / 4 for k in range(4)]))
+
+    def test_refiner_output_of_another_dimension(self):
+        at = lambda t: plane_rotation(4, 0, 1, 2 * math.pi * t)  # noqa: E731
+        samples = [plane_rotation(3, 0, 1, 2 * math.pi * k / 4) for k in range(4)]
+        with pytest.raises(DimensionMismatch):
+            loop_class(RotationLoop(samples, at, [k / 4 for k in range(4)]))
+        mixed = lambda t: plane_rotation(3 if t < 0.5 else 4, 0, 1, 2 * math.pi * t)  # noqa: E731
+        with pytest.raises(DimensionMismatch, match="mixed dimensions"):
+            loop_class(RotationLoop(samples, mixed, [k / 4 for k in range(4)]))
+        with pytest.raises(NotOrthogonal, match="not square"):
+            loop_class(RotationLoop(samples, lambda t: np.eye(3)[:2], [k / 4 for k in range(4)]))
 
     def test_constant_loop_moves_no_coordinate(self):
         for m in (3, 7, 12):
@@ -335,6 +394,191 @@ class TestSpinRepresentation:
     def test_dimension_above_cap(self):
         with pytest.raises(DimensionMismatch):
             loop_class(RotationLoop([np.eye(13)] * 4))
+
+
+def two_plane_step(rng, m: int) -> np.ndarray:
+    """Q diag(two plane rotations, I) Q^T: a step that moves all m coordinates."""
+    Q = random_rotation(rng, m)
+    R = plane_rotation(m, 0, 1, rng.uniform(-0.7, 0.7)) @ plane_rotation(
+        m, 2, 3, rng.uniform(-0.7, 0.7)
+    )
+    return Q @ R @ Q.T
+
+
+class TestCoefficientKernel:
+    def assert_matches_sparse(self, steps):
+        blades = _spin_tables(steps.shape[1]).blades
+        for R, coeffs in zip(steps, _step_rotors(steps)):
+            sparse = rotor_from_rotation(R)
+            assert set(sparse.coeffs) <= set(blades.tolist())
+            want = np.array([sparse.coeffs.get(int(b), 0.0) for b in blades])
+            assert np.max(np.abs(coeffs - want)) < 1e-12
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_blade_by_blade_generic_steps(self, rng, m):
+        steps = np.array([cayley_rotation(rng, m, rng.uniform(0.05, 0.7)) for _ in range(4)])
+        self.assert_matches_sparse(steps)
+
+    def test_blade_by_blade_conjugated_two_plane_steps_m12(self, rng):
+        self.assert_matches_sparse(np.array([two_plane_step(rng, 12) for _ in range(2)]))
+
+    def test_scalar_is_coefficient_zero_and_norm_is_one(self, rng):
+        steps = np.array([cayley_rotation(rng, 6, 0.5) for _ in range(5)])
+        coeffs = _step_rotors(steps)
+        assert _spin_tables(6).blades[0] == 0
+        assert np.all(coeffs[:, 0] > 0.1)
+        assert np.allclose(np.linalg.norm(coeffs, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_tables(self, d):
+        tables = _spin_tables(d)
+        half = 1 << (d - 1)
+        assert len(tables.planes) == d * (d - 1) // 2
+        blades = tables.blades.tolist()
+        assert sorted(b & (half - 1) for b in blades) == list(range(half))
+        assert all(b.bit_count() % 2 == 0 and b < 1 << d for b in blades)
+        every = np.arange(half)
+        for perm, sign in zip(tables.perm, tables.sign):
+            # a signed permutation of the coefficients ...
+            assert np.array_equal(np.sort(perm), every)
+            assert np.all(np.abs(sign) == 1.0)
+            # ... that squares to minus the identity: (e_j e_i)^2 = -1
+            assert np.array_equal(perm[perm], every)
+            assert np.all(sign * sign[perm] == -1.0)
+        size = 2 ** (d // 2 + 1)
+        assert tables.size == size
+        assert tables.terms.shape == tables.term_sign.shape
+        assert len(tables.entries) * tables.terms.shape[0] == half * size
+        assert tables.terms.shape[1] == len(tables.entries) == size * size // (2 - d % 2)
+
+    def test_tables_are_read_only(self):
+        tables = _spin_tables(5)
+        with pytest.raises(ValueError):
+            tables.perm[0, 0] = 1
+
+    def test_images_of_blades_are_gamma_products(self):
+        for d in (3, 4, 5, 6):
+            blades = _spin_tables(d).blades
+            images = _spin_images(np.eye(len(blades)))
+            for b, image in zip(blades, images):
+                assert np.array_equal(image, dense_image(CliffordElement.blade(d, int(b))))
+
+
+def depth_first_refined_steps(loop: RotationLoop, tol: Tolerances):
+    """Consecutive sample pairs and their depths, split one step at a time, depth first.
+
+    The refinement fbk.spinlift used before the level-by-level stack, kept
+    as its reference: the stack must hold the first sample of every pair,
+    in order, bit for bit.
+    """
+    bound = _angle_step_bound(tol.lift_angle_max)
+    k = len(loop)
+    eye = np.eye(loop.dim)
+    samples = loop.samples
+    steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
+    within = np.linalg.norm(steps - eye, axis=(1, 2)) <= bound
+    for idx in range(k):
+        t0 = loop.params[idx]
+        r0 = samples[idx]
+        if idx + 1 < k:
+            t1 = loop.params[idx + 1]
+            r1 = samples[idx + 1]
+        else:
+            t1 = loop.params[0] + 1.0
+            r1 = samples[0]
+        stack = [(t0, r0, t1, r1, 0)]
+        while stack:
+            a_t, a_r, b_t, b_r, depth = stack.pop()
+            if within[idx] if depth == 0 else np.linalg.norm(b_r @ a_r.T - eye) <= bound:
+                yield a_r, b_r, depth
+                continue
+            if loop.refiner is None:
+                raise RefinementExhausted(
+                    f"step at parameter {a_t % 1.0:.6f} exceeds the angle bound "
+                    "and the loop has no refiner"
+                )
+            if depth >= _MAX_REFINE_DEPTH:
+                raise RefinementExhausted(
+                    f"refinement depth {depth} exhausted near parameter {a_t % 1.0:.6f}"
+                )
+            m_t = 0.5 * (a_t + b_t)
+            m_r = _check_special_orthogonal(loop.refiner(m_t % 1.0))
+            stack.append((m_t, m_r, b_t, b_r, depth + 1))
+            stack.append((a_t, a_r, m_t, m_r, depth + 1))
+
+
+def resampled(loop: RotationLoop, params) -> RotationLoop:
+    return RotationLoop([loop.refiner(t) for t in params], loop.refiner, list(params))
+
+
+class TestRefinedStack:
+    def assert_matches_depth_first(self, loop, tol=DEFAULT_TOL, depths=None):
+        pairs = list(depth_first_refined_steps(loop, tol))
+        with recording() as record:
+            stack, steps = _refined(loop, tol)
+        assert np.array_equal(stack, np.array([a for a, _, _ in pairs]))
+        assert np.array_equal(np.roll(stack, -1, axis=0), np.array([b for _, b, _ in pairs]))
+        assert np.array_equal(steps, np.roll(stack, -1, axis=0) @ stack.transpose(0, 2, 1))
+        assert record == {
+            "lift_steps": len(pairs),
+            "refinement_depth": max(depth for _, _, depth in pairs),
+        }
+        if depths is not None:
+            assert sorted({depth for _, _, depth in pairs}) == depths
+
+    @pytest.mark.parametrize("tol", (DEFAULT_TOL, Tolerances(lift_angle_max=0.8)))
+    def test_coarse_loops(self, rng, tol):
+        self.assert_matches_depth_first(rotation_loop_in_plane(2 * math.pi, 4), tol, [1])
+        for m in (3, 4, 6, 8):
+            for turns in (1, 2):
+                loop = generic_loop(rng, m, turns, 6 * turns)
+                self.assert_matches_depth_first(loop, tol, [1])
+                self.assert_matches_depth_first(generic_loop(rng, m, turns, 12 * turns), tol, [0])
+
+    def test_params_starting_after_zero(self, rng):
+        # the closing step runs from params[-1] to params[0] + 1, a 0.79 turn
+        # split three times; its midpoints lie above 1 and the refiner sees
+        # them wrapped
+        for m in (3, 5):
+            loop = generic_loop(rng, m, 1, 12)
+            for start in (0.3, 0.71):
+                params = [start + 0.25 * k / 6 for k in range(6)]
+                moved = resampled(loop, params)
+                self.assert_matches_depth_first(moved, depths=[0, 3])
+
+    def test_mixed_depths(self, rng):
+        # steps of 144, 72 and 36 degrees split twice, once and not at all
+        loop = generic_loop(rng, 4, 1, 12)
+        params = [0.0, 0.4, 0.6, 0.7, 0.8, 0.9]
+        self.assert_matches_depth_first(resampled(loop, params), depths=[0, 1, 2])
+        self.assert_matches_depth_first(
+            resampled(loop, [0.05, 0.2, 0.6, 0.7, 0.75]), depths=[0, 1, 2]
+        )
+
+    def test_exhausted_without_refiner(self):
+        loop = RotationLoop([plane_rotation(3, 0, 1, 2 * math.pi * k / 4) for k in range(4)], None,
+                            [0.1 + k / 4 for k in range(4)])
+        with pytest.raises(RefinementExhausted) as want:
+            list(depth_first_refined_steps(loop, DEFAULT_TOL))
+        with pytest.raises(RefinementExhausted) as got:
+            _refined(loop, DEFAULT_TOL)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == (
+            "step at parameter 0.100000 exceeds the angle bound and the loop has no refiner"
+        )
+
+    def test_exhausted_at_depth_limit(self):
+        # a quarter-turn jump at t = 0.37 stays over the bound however fine the split
+        def at(t):
+            return plane_rotation(3, 0, 1, 2 * math.pi * t + (math.pi / 2 if t >= 0.37 else 0.0))
+
+        loop = RotationLoop([at(k / 16) for k in range(16)], at, [k / 16 for k in range(16)])
+        with pytest.raises(RefinementExhausted) as want:
+            list(depth_first_refined_steps(loop, DEFAULT_TOL))
+        with pytest.raises(RefinementExhausted) as got:
+            _refined(loop, DEFAULT_TOL)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"refinement depth {_MAX_REFINE_DEPTH} exhausted near")
 
 
 class TestSparseAgreement:
