@@ -118,6 +118,30 @@ def _check_special_orthogonal(R: np.ndarray, params: Sequence[float] | None = No
     return R
 
 
+def _rotation_stack(
+    samples, params: Sequence[float] | None = None, dim: int | None = None
+) -> np.ndarray:
+    """A sequence or (K, m, m) array of rotations, checked and returned as a float stack.
+
+    An array is checked by its shape, a sequence by the set of its samples'
+    shapes: every sample must be square, all of one size, and of size dim
+    when dim is given. params name the samples in errors, as in
+    _check_special_orthogonal.
+    """
+    if isinstance(samples, np.ndarray):
+        shapes = {samples.shape[1:]}
+    else:
+        shapes = {np.shape(R) for R in samples}
+    if any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
+        raise NotOrthogonal("rotation sample is not square")
+    if len(shapes) > 1:
+        raise DimensionMismatch("samples have mixed dimensions")
+    stack = _check_special_orthogonal(np.array(samples, dtype=float), params)
+    if dim is not None and stack.shape[1] != dim:
+        raise DimensionMismatch(f"samples are {stack.shape[1]}-dimensional, expected {dim}")
+    return stack
+
+
 @dataclass
 class RotationLoop:
     """Cyclic sequence of SO(m) samples, optionally refinable.
@@ -138,16 +162,7 @@ class RotationLoop:
     def __post_init__(self):
         if len(self.samples) < 1:
             raise ValueError("a rotation loop needs at least one sample")
-        if isinstance(self.samples, np.ndarray):
-            if self.samples.ndim != 3 or self.samples.shape[1] != self.samples.shape[2]:
-                raise NotOrthogonal("rotation sample is not square")
-        else:
-            shapes = {np.shape(R) for R in self.samples}
-            if any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
-                raise NotOrthogonal("rotation sample is not square")
-            if len(shapes) > 1:
-                raise DimensionMismatch("samples have mixed dimensions")
-        self.samples = _check_special_orthogonal(np.array(self.samples, dtype=float))
+        self.samples = _rotation_stack(self.samples)
         if self.params is None:
             k = len(self.samples)
             self.params = [i / k for i in range(k)]
@@ -186,7 +201,10 @@ def _refined(loop: RotationLoop, tol: Tolerances) -> tuple[np.ndarray, np.ndarra
     runs level by level: one batched bound test on all steps, then one
     refiner evaluation at the midpoint of every step over the bound, all
     checked at once and inserted after their steps. The stack is the one a
-    depth-first split of each step would reach, sample for sample.
+    depth-first split of each step would reach, sample for sample. When
+    several steps fail, the error raised is one of the shallowest level at
+    which any step fails, not necessarily the earliest step's: a bad refiner
+    output at level 1 is raised before an earlier step exhausts the depth.
     """
     bound = _angle_step_bound(tol.lift_angle_max)
     eye = np.eye(loop.dim)
@@ -208,12 +226,7 @@ def _refined(loop: RotationLoop, tol: Tolerances) -> tuple[np.ndarray, np.ndarra
         # Params stay unwrapped: the closing step ends at params[0] + 1.
         mid = 0.5 * (params[over] + np.append(params[1:], params[0] + 1.0)[over])
         wrapped = [t % 1.0 for t in mid.tolist()]
-        outputs = [np.asarray(loop.refiner(t), dtype=float) for t in wrapped]
-        if len({R.shape for R in outputs}) > 1:
-            raise DimensionMismatch("refiner returned rotations of mixed dimensions")
-        new = _check_special_orthogonal(np.array(outputs), wrapped)
-        if new.shape[1:] != samples.shape[1:]:
-            raise DimensionMismatch(f"refiner returned {new.shape[1]}-dimensional rotations")
+        new = _rotation_stack([loop.refiner(t) for t in wrapped], wrapped, loop.dim)
         samples = np.insert(samples, over + 1, new, axis=0)
         params = np.insert(params, over + 1, mid)
         depth += 1
@@ -295,8 +308,9 @@ def _spin_tables(d: int) -> _SpinTables:
         sign_b[low:2 * low] = sign_b[:low, g_perm[t]] * g_sign[t]
     half = 1 << (d - 1)
     index = np.arange(half)
-    # bitwise_count returns uint8, too narrow to shift to bit d - 1
-    blades = index | (np.bitwise_count(index).astype(np.intp) & 1) << (d - 1)
+    # parity[b]: the parity of the number of set bits of b < 2^d
+    parity = np.array([b.bit_count() & 1 for b in range(1 << d)], dtype=np.intp)
+    blades = index | parity[index] << (d - 1)
 
     planes = [(j, i) for j in range(d - 1) for i in range(j + 1, d)]
     perm = np.empty((len(planes), half), dtype=np.intp)
@@ -304,8 +318,8 @@ def _spin_tables(d: int) -> _SpinTables:
     for p, (j, i) in enumerate(planes):
         source = blades ^ (1 << j | 1 << i)
         perm[p] = source & (half - 1)
-        swaps = np.bitwise_count(source >> (j + 1)) + np.bitwise_count(source >> (i + 1))
-        sign[p] = 1.0 - 2.0 * (swaps & 1)
+        swaps = parity[source >> (j + 1)] ^ parity[source >> (i + 1)]
+        sign[p] = 1.0 - 2.0 * swaps
 
     flat = (perm_b[blades] * size + np.arange(size)).ravel()
     order = np.argsort(flat, kind="stable")
@@ -316,6 +330,12 @@ def _spin_tables(d: int) -> _SpinTables:
     for table in (blades, perm, sign, entries, terms, term_sign):
         table.setflags(write=False)
     return _SpinTables(planes, blades, perm, sign, size, entries, terms, term_sign)
+
+
+def _normalized(rotors: np.ndarray) -> np.ndarray:
+    """Rotor matrices divided by their norm sqrt(tr(R R^T) / N)."""
+    size = rotors.shape[-1]
+    return rotors / np.sqrt(np.sum(rotors * rotors, axis=(-2, -1), keepdims=True) / size)
 
 
 def _step_rotors(steps: np.ndarray) -> np.ndarray:
@@ -367,12 +387,6 @@ def _spin_images(rotors: np.ndarray) -> np.ndarray:
     images = np.zeros((tables.size * tables.size, len(rotors)))
     images[tables.entries] = filled
     return images.T.reshape(len(rotors), tables.size, tables.size)
-
-
-def _normalized(rotors: np.ndarray) -> np.ndarray:
-    """Rotor matrices divided by their norm sqrt(tr(R R^T) / N)."""
-    size = rotors.shape[-1]
-    return rotors / np.sqrt(np.sum(rotors * rotors, axis=(-2, -1), keepdims=True) / size)
 
 
 def _ordered_product(rotors: np.ndarray) -> np.ndarray:

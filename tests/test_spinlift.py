@@ -451,6 +451,13 @@ class TestCoefficientKernel:
         assert len(tables.entries) * tables.terms.shape[0] == half * size
         assert tables.terms.shape[1] == len(tables.entries) == size * size // (2 - d % 2)
 
+    def test_tables_build_without_numpy_2(self, monkeypatch):
+        # fbk supports numpy >= 1.24, which has no np.bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        _spin_tables.cache_clear()
+        for d in (3, 8, 12):
+            assert len(_spin_tables(d).blades) == 1 << (d - 1)
+
     def test_tables_are_read_only(self):
         tables = _spin_tables(5)
         with pytest.raises(ValueError):
@@ -580,6 +587,25 @@ class TestRefinedStack:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"refinement depth {_MAX_REFINE_DEPTH} exhausted near")
 
+
+    def test_first_error_is_of_the_shallowest_failing_level(self):
+        # quarter-turn jumps at 0.37 and 0.65: the step at 0.3125 exhausts
+        # the depth, and the refiner output at 0.65625, the midpoint of the
+        # step at 0.625, is not orthogonal; the depth-first split meets the
+        # first failure first, the level-by-level one the second
+        shear = np.eye(3)
+        shear[0, 1] = 0.1
+
+        def at(t):
+            jumps = (t >= 0.37) + (t >= 0.65)
+            R = plane_rotation(3, 0, 1, 2 * math.pi * t + jumps * math.pi / 2)
+            return R @ shear if 0.65 <= t < 0.66 else R
+
+        loop = RotationLoop([at(k / 16) for k in range(16)], at, [k / 16 for k in range(16)])
+        with pytest.raises(RefinementExhausted, match="exhausted near parameter 0.3"):
+            list(depth_first_refined_steps(loop, DEFAULT_TOL))
+        with pytest.raises(NotOrthogonal, match="refiner output at parameter 0.656250: orthogonality"):
+            _refined(loop, DEFAULT_TOL)
 
 class TestSparseAgreement:
     @pytest.mark.parametrize("m", (3, 4, 5, 6))

@@ -4,7 +4,7 @@
     python tools/lift_timing.py --repeat 1
 
 fbk is imported from `src/` of the checkout this file sits in. For each m in
-3, 4, 6, 8 and 12 the tool builds one seeded generic loop Q P Q^T C(t) in
+3, 4, 6, 8 and 12 the tool builds one generic loop Q P Q^T C(t), seed 0, in
 SO(m) that moves every coordinate (P turns in a plane, C a small Cayley
 wobble; the m = 3 loop is coarse, so each of its steps is split once) and
 prints one line:
@@ -85,11 +85,10 @@ def best_of(repeat: int, fn, calls: int = CALLS) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, help="repeats per timing (default 5)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the loops (default 0)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     print(f"{'m':>3} {'K':>4} {'lift_steps':>10} {'refinement_depth':>16} "
           f"{'tables_ms':>9} {'step_rotors_us':>14} {'loop_class_ms':>13}")
     for m, turns, samples in LOOPS:
