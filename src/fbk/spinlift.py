@@ -1,31 +1,21 @@
 """Homotopy class of closed rotation loops via lifting through the double cover.
 
-A loop of special-orthogonal matrices R(t) in SO(m), m >= 3, is either
-contractible or not; the two cases are told apart by lifting the loop
-continuously to the double cover Spin(m) and checking whether the lift
-closes on +1 or on -1. Rotations near the identity have a canonical lift
-(the rotor with positive scalar part), so the loop is walked in small
-relative steps R_{k+1} R_k^T, each step lifted canonically, and the lifts
-are multiplied (later steps act on the left).
+A loop R(t) in SO(m), m >= 3, is contractible or not as its continuous
+lift to the double cover Spin(m) closes on +1 or on -1. Spin(m) -> SO(m) is
+a covering map, so a path lifts uniquely once its start is chosen
+(Lawson-Michelsohn, Spin Geometry, 1989, ch. I): the loop is refined until
+neighbouring samples are close, every sample is lifted on its own, and the
+signs of the lifts are chosen by continuity.
 
 Spin(m) lives in the even part of the Clifford algebra Cl(m), generated by
 e_1..e_m with e_i e_i = +1 and e_i e_j = -e_j e_i. Only the d coordinates
-that the loop moves (at least 3) take part. A step rotor is carried as its
-2^(d-1) coefficients on the even blades of Cl(d), indexed by blade
-bitmask: right-multiplying by a bivector e_j e_i moves every coefficient
-to another blade with a sign, a signed permutation read from a cached
-table, so one Givens factorization run over the whole stack of steps at
-once yields every step's rotor by gathers and sign flips (Lawson-Michelsohn,
-Spin Geometry, 1989, ch. I; Doran-Lasenby, Geometric Algebra for
-Physicists, 2003, ch. 4). For the product, one more gather writes the
-rotors as matrices of the spin representation: the Jordan-Wigner gamma
-matrices, Pauli strings of size 2^floor(d/2) written as real matrices of
-size N = 2^(floor(d/2)+1) (Jordan-Wigner, 1928), which are multiplied as a
-pairwise tree.
-
-For m = 3 there is an entirely separate lift through unit quaternions
-(quaternion_loop_class), used as an independent cross-check of the spin
-representation.
+that the loop moves (at least 3) take part. A rotor is carried as its
+2^(d-1) coefficients on the even blades of Cl(d); right-multiplying by a
+bivector e_j e_i is a signed permutation of them, read from a cached table,
+so one Givens factorization run over a whole stack of samples yields every
+rotor by gathers and sign flips (Doran-Lasenby, Geometric Algebra for
+Physicists, 2003, ch. 4). For m = 3, quaternion_loop_class lifts through
+unit quaternions instead, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -49,9 +39,9 @@ from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
 _ORTHO_CHECK = 1e-8
-# Steps lifted per batch. The batch holds (_CHUNK, 2^(d-1)) coefficient
-# arrays, 1 MB each at d = 12 moving coordinates, and for the product its
-# (_CHUNK, N, N) spin images, 8 MB each at N = 128.
+# Samples lifted per batch, a bound on memory: the batch holds
+# (_CHUNK, 2^(d-1)) coefficient arrays, 1 MB each at d = 12 moving
+# coordinates, and only one rotor is carried from batch to batch.
 _CHUNK = 64
 
 
@@ -193,15 +183,14 @@ def _angle_step_bound(lift_angle_max: float) -> float:
     return 2.0 * math.sqrt(2.0) * math.sin(lift_angle_max / 2.0) * (1.0 + 1e-12)
 
 
-def _refined(loop: RotationLoop, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The loop's samples with every step subdivided to the angle bound, and its steps.
+def _refined(loop: RotationLoop, tol: Tolerances) -> np.ndarray:
+    """The loop's cyclic (K', m, m) sample stack, every step subdivided to the angle bound.
 
-    Returns the cyclic (K', m, m) sample stack and the (K', m, m) steps
-    stack[k+1] stack[k]^T, the last closing back on stack[0]. Refinement
-    runs level by level: one batched bound test on all steps, then one
-    refiner evaluation at the midpoint of every step over the bound, all
-    checked at once and inserted after their steps. The stack is the one a
-    depth-first split of each step would reach, sample for sample. When
+    A step is stack[k+1] stack[k]^T, the last closing back on stack[0].
+    Refinement runs level by level: one batched bound test on all steps,
+    then one refiner evaluation at the midpoint of every step over the
+    bound, all checked at once and inserted after their steps. The stack is
+    the one a depth-first split of each step would reach, sample for sample. When
     several steps fail, the error raised is one of the shallowest level at
     which any step fails, not necessarily the earliest step's: a bad refiner
     output at level 1 is raised before an earlier step exhausts the depth.
@@ -232,34 +221,7 @@ def _refined(loop: RotationLoop, tol: Tolerances) -> tuple[np.ndarray, np.ndarra
         depth += 1
     _note_add("lift_steps", len(samples))
     _note_max("refinement_depth", depth)
-    return samples, steps
-
-
-def _gammas(d: int) -> list[np.ndarray]:
-    """Jordan-Wigner generators of Cl(d) as real matrices of size 2^(d//2 + 1).
-
-    With n = d // 2, gamma_{2k} and gamma_{2k+1} are the Pauli strings
-    Z^k X I^(n-k-1) and Z^k Y I^(n-k-1), and for odd d the last one is Z^n.
-    A complex entry a + ib is written as the real block a*1 + b*J with
-    J = [[0, -1], [1, 0]]; Y = iJ, so a Y string is its real J string
-    tensored with J, and every other string is tensored with 1.
-    """
-    one = np.eye(2)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    z = np.diag([1.0, -1.0])
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    n = d // 2
-
-    def string(k: int, middle: np.ndarray, unit: np.ndarray) -> np.ndarray:
-        factors = [z] * k + [middle] + [one] * (n - k - 1)
-        return np.kron(functools.reduce(np.kron, factors), unit)
-
-    out = []
-    for k in range(n):
-        out += [string(k, x, one), string(k, j, j)]
-    if d % 2:
-        out.append(np.kron(functools.reduce(np.kron, [z] * n), one))
-    return out
+    return samples
 
 
 class _SpinTables(NamedTuple):
@@ -269,43 +231,20 @@ class _SpinTables(NamedTuple):
     blades: np.ndarray
     perm: np.ndarray
     sign: np.ndarray
-    size: int
-    entries: np.ndarray
-    terms: np.ndarray
-    term_sign: np.ndarray
 
 
 @functools.cache
 def _spin_tables(d: int) -> _SpinTables:
-    """Givens planes of R^d, their actions on even coefficients, and the spin images.
+    """Givens planes of R^d and their actions on even coefficients.
 
     Coefficient k of an even multivector belongs to the blade whose low d-1
     bits are k and whose top bit makes the grade even (blades[k]); k = 0 is
     the scalar. planes lists the pairs (j, i), j < i, in elimination order.
     Right-multiplying coefficients r by e_j e_i for planes[p] gives
     r[..., perm[p]] * sign[p]: blade A times e_j e_i is blade A ^ {i, j},
-    with the sign of the transpositions that bring it into order.
-
-    The Jordan-Wigner image of r is the size x size matrix sum_k r[k] G_k,
-    G_k the product of the gammas of blades[k] in increasing order. Only the
-    flat positions entries of it can be nonzero (all of them at odd d, half
-    at even d); position entries[e] is sum_t term_sign[t, e] * r[terms[t, e]].
-    Each G_k is a signed permutation, composed from those of the gammas one
-    bit at a time. Built on first use and read-only.
+    with the sign of the transpositions that bring it into order. Built on
+    first use and read-only.
     """
-    gammas = np.array(_gammas(d))
-    size = gammas.shape[1]
-    g_perm = np.argmax(np.abs(gammas), axis=1)
-    g_sign = np.take_along_axis(gammas, g_perm[:, None, :], axis=1)[:, 0, :]
-    # Column q of G_b (every blade b) is zero except for sign_b[q] in row perm_b[q].
-    perm_b = np.empty((1 << d, size), dtype=np.intp)
-    sign_b = np.empty((1 << d, size))
-    perm_b[0] = np.arange(size)
-    sign_b[0] = 1.0
-    for t in range(d):
-        low = 1 << t
-        perm_b[low:2 * low] = perm_b[:low, g_perm[t]]
-        sign_b[low:2 * low] = sign_b[:low, g_perm[t]] * g_sign[t]
     half = 1 << (d - 1)
     index = np.arange(half)
     # parity[b]: the parity of the number of set bits of b < 2^d
@@ -320,43 +259,29 @@ def _spin_tables(d: int) -> _SpinTables:
         perm[p] = source & (half - 1)
         swaps = parity[source >> (j + 1)] ^ parity[source >> (i + 1)]
         sign[p] = 1.0 - 2.0 * swaps
-
-    flat = (perm_b[blades] * size + np.arange(size)).ravel()
-    order = np.argsort(flat, kind="stable")
-    terms_per_entry = np.count_nonzero(flat == flat[order[0]])
-    entries = flat[order[::terms_per_entry]]
-    terms = (order // size).reshape(-1, terms_per_entry).T.copy()
-    term_sign = sign_b[blades].ravel()[order].reshape(-1, terms_per_entry).T.copy()
-    for table in (blades, perm, sign, entries, terms, term_sign):
+    for table in (blades, perm, sign):
         table.setflags(write=False)
-    return _SpinTables(planes, blades, perm, sign, size, entries, terms, term_sign)
+    return _SpinTables(planes, blades, perm, sign)
 
 
-def _normalized(rotors: np.ndarray) -> np.ndarray:
-    """Rotor matrices divided by their norm sqrt(tr(R R^T) / N)."""
-    size = rotors.shape[-1]
-    return rotors / np.sqrt(np.sum(rotors * rotors, axis=(-2, -1), keepdims=True) / size)
+def _rotors(rotations: np.ndarray) -> np.ndarray:
+    """Unit rotors covering a (K, d, d) rotation stack, as (K, 2^(d-1)) even coefficients.
 
-
-def _step_rotors(steps: np.ndarray) -> np.ndarray:
-    """Canonical rotors (positive scalar part) of a (K, d, d) step stack, as even coefficients.
-
-    Returns (K, 2^(d-1)) coefficients in the order of _spin_tables(d).blades.
-    Every step is factored into Givens rotations by eliminating its
-    below-diagonal entries column by column, all steps at once; the factor
-    by theta in the (e_j, e_i) plane has the exact rotor
-    cos(theta/2) - sin(theta/2) e_j e_i, and the factors are multiplied in
-    order. Raises NotNearIdentity when a step's scalar part (coefficient 0)
-    is too small for the sign choice to be trustworthy (some principal angle
-    is close to pi). The rotors are divided by their norm, the coefficient
-    2-norm.
+    Coefficients are in the order of _spin_tables(d).blades. Every rotation
+    is factored into Givens rotations by eliminating its below-diagonal
+    entries column by column, all rotations at once; the factor by theta in
+    the (e_j, e_i) plane has the exact rotor cos(theta/2) - sin(theta/2) e_j e_i,
+    and the factors are multiplied in order. Every rotation factors so,
+    whatever its angles, and its rotor is either of its two lifts. Raises
+    NotOrthogonal when the elimination does not reach the identity (a
+    reflection does not).
     """
-    tables = _spin_tables(steps.shape[1])
+    tables = _spin_tables(rotations.shape[1])
     sign = tables.sign[:, :, None]
-    # The steps run along the last axis of M and of rotors, so each row M[j]
-    # and each plane's gather rotors[perm[p]] moves contiguous runs of steps.
-    M = steps.transpose(1, 2, 0).copy()
-    rotors = np.zeros((len(tables.blades), len(steps)))
+    # The rotations run along the last axis of M and of rotors, so each row
+    # M[j] and each plane's gather rotors[perm[p]] moves contiguous runs.
+    M = rotations.transpose(1, 2, 0).copy()
+    rotors = np.zeros((len(tables.blades), len(rotations)))
     rotors[0] = 1.0
     for p, (j, i) in enumerate(tables.planes):
         theta = np.arctan2(M[i, j], M[j, j])
@@ -364,89 +289,72 @@ def _step_rotors(steps: np.ndarray) -> np.ndarray:
         M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
         half = 0.5 * theta
         rotors = np.cos(half) * rotors - np.sin(half) * rotors[tables.perm[p]] * sign[p]
-    residue = np.max(np.abs(M - np.eye(steps.shape[1])[:, :, None]), axis=(0, 1))
-    scalar = rotors[0]
-    bad = (residue > 1e-6) | (np.abs(scalar) < 0.1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if residue[k] > 1e-6:
-            raise NotNearIdentity("a principal rotation angle is at pi; no canonical lift")
-        raise NotNearIdentity(f"rotor scalar part {scalar[k]:.3e} too small for a canonical sign")
-    scale = np.where(scalar < 0.0, -1.0, 1.0) / np.sqrt(np.sum(rotors * rotors, axis=0))
-    return (rotors * scale).T
+    residue = np.max(np.abs(M - np.eye(rotations.shape[1])[:, :, None]), axis=(0, 1))
+    if residue.max() > 1e-6:
+        k = int(np.argmax(residue > 1e-6))
+        raise NotOrthogonal(f"sample {k}: Givens elimination left residue {residue[k]:.3e}")
+    return (rotors / np.sqrt(np.sum(rotors * rotors, axis=0))).T
 
 
-def _spin_images(rotors: np.ndarray) -> np.ndarray:
-    """Jordan-Wigner matrices (K, N, N) of (K, 2^(d-1)) even coefficients."""
-    tables = _spin_tables(rotors.shape[1].bit_length())  # 2^(d-1) has bit length d
-    coeffs = rotors.T
-    term_sign = tables.term_sign[:, :, None]
-    filled = term_sign[0] * coeffs[tables.terms[0]]
-    for t in range(1, len(term_sign)):
-        filled += term_sign[t] * coeffs[tables.terms[t]]
-    images = np.zeros((tables.size * tables.size, len(rotors)))
-    images[tables.entries] = filled
-    return images.T.reshape(len(rotors), tables.size, tables.size)
+def _sign_changes(rotations: np.ndarray) -> int:
+    """How often the rotors L_k of a cyclic (K, d, d) rotation stack change sign along it.
 
-
-def _ordered_product(rotors: np.ndarray) -> np.ndarray:
-    """rotors[-1] @ ... @ rotors[0], multiplied pairwise as a tree."""
-    while len(rotors) > 1:
-        even = len(rotors) - len(rotors) % 2
-        paired = rotors[1:even:2] @ rotors[0:even:2]
-        rotors = _normalized(np.concatenate([paired, rotors[even:]]))
-    return rotors[0]
-
-
-def _moved_coordinates(steps: np.ndarray) -> np.ndarray:
-    """The steps restricted to the coordinates some step moves, at least 3.
-
-    A coordinate that no step moves has an exact identity row and column in
-    every step. Each step then rotates only the span of the kept
-    coordinates, so both of its lifts lie in the Clifford algebra of that
-    span, and the canonical one (positive scalar part) is the same rotor
-    there as in Cl(m). The comparison is exact; there is no tolerance.
+    With s_k the canonical rotor (positive scalar part) of the step
+    R_{k+1} R_k^T, L_{k+1} = eps_k s_k L_k for a sign eps_k, so the
+    coefficient dot product of L_{k+1} and L_k is eps_k times the scalar
+    part of s_k. The count of negative products, the closing pair (K-1, 0)
+    included, is odd exactly when the continuous lift closes on -1. Raises
+    NotNearIdentity when a product is too small for a trustworthy sign.
     """
-    changed = steps != np.eye(steps.shape[1])
+    rotors = _rotors(rotations[:_CHUNK])
+    first = rotors[0]
+    overlaps = [np.sum(rotors[1:] * rotors[:-1], axis=1)]
+    for start in range(_CHUNK, len(rotations), _CHUNK):
+        rotors = np.concatenate([rotors[-1:], _rotors(rotations[start:start + _CHUNK])])
+        overlaps.append(np.sum(rotors[1:] * rotors[:-1], axis=1))
+    c = np.append(np.concatenate(overlaps), rotors[-1] @ first)
+    small = np.abs(c) < 0.1
+    if small.any():
+        raise NotNearIdentity(
+            f"rotor scalar part {c[np.argmax(small)]:.3e} too small for a canonical sign"
+        )
+    return int(np.count_nonzero(c < 0.0))
+
+
+def _moved_coordinates(rotations: np.ndarray) -> np.ndarray:
+    """The rotations restricted to the coordinates some rotation moves, at least 3.
+
+    A coordinate that no rotation moves has an exact identity row and
+    column in every rotation, so the rotations, their lifts and the steps'
+    canonical rotors all lie in the span of the kept coordinates and its
+    Clifford algebra. The comparison is exact; there is no tolerance.
+    """
+    changed = rotations != np.eye(rotations.shape[1])
     moved = changed.any(axis=(0, 1)) | changed.any(axis=(0, 2))
     keep = np.flatnonzero(moved)
     if keep.size < 3:
         keep = np.sort(np.concatenate([keep, np.flatnonzero(~moved)[: 3 - keep.size]]))
-    return steps[:, keep[:, None], keep]
+    return rotations[:, keep[:, None], keep]
 
 
 def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """Class of a closed SO(m) loop in its fundamental group, as a Z2 bit.
 
-    Walks the cycle in relative steps R_{k+1} R_k^T, lifts each step to the
-    canonical rotor and multiplies the lifts (later steps act on the left),
-    _CHUNK steps at a time. On closure the product projects to the identity,
-    so it must be +-1; 0 means the lift closed on +1, 1 means it closed on
-    -1. The distance to +-1 is |G -+ I|_F / sqrt(N), which equals the
-    distance of the multivector's coefficients, because the even blades are
-    orthonormal under tr(A^T B) / N.
+    Lifts every refined sample S_k relative to the first, P_k = S_k S_0^T,
+    in the coordinates the P_k move, and counts the lifts' sign changes
+    around the cycle; 0 means the continuous lift closes on +1, 1 on -1.
     """
     m = loop.dim
     if not 3 <= m <= _MAX_DIM:
         raise DimensionMismatch(f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}")
-    steps = _moved_coordinates(_refined(loop, tol)[1])
-    # A step is a product of two checked samples, so its determinant is
+    samples = _refined(loop, tol)
+    relative = _moved_coordinates(samples @ samples[0].T)
+    # P_k is a product of two checked samples, so its determinant is
     # positive, but the two orthogonality defects add up.
-    defect = np.max(np.abs(steps.transpose(0, 2, 1) @ steps - np.eye(steps.shape[1])))
+    defect = np.max(np.abs(relative.transpose(0, 2, 1) @ relative - np.eye(relative.shape[1])))
     if defect > _ORTHO_CHECK:
         raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
-    eye = np.eye(2 ** (steps.shape[1] // 2 + 1))
-    g = eye
-    for start in range(0, len(steps), _CHUNK):
-        rotors = _spin_images(_step_rotors(steps[start:start + _CHUNK]))
-        g = _ordered_product(np.concatenate([g[None], rotors]))
-    d_plus = np.linalg.norm(g - eye) / math.sqrt(len(eye))
-    d_minus = np.linalg.norm(g + eye) / math.sqrt(len(eye))
-    if min(d_plus, d_minus) > 1e-4:
-        raise LiftInconsistent(
-            f"lift closed at distance {min(d_plus, d_minus):.3e} from both +1 and -1"
-        )
-    return Z2(0 if d_plus <= d_minus else 1)
+    return Z2(_sign_changes(relative) & 1)
 
 
 def _quat_from_matrix(R: np.ndarray) -> np.ndarray:
@@ -484,7 +392,7 @@ def quaternion_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> 
     """
     if loop.dim != 3:
         raise DimensionMismatch("the quaternion lift is specific to SO(3)")
-    samples, _ = _refined(loop, tol)
+    samples = _refined(loop, tol)
     q_start = _quat_from_matrix(samples[0])
     for x in q_start:
         if abs(x) > 1e-8:
@@ -522,89 +430,3 @@ def stabilize_loop(loop: RotationLoop, target: int) -> RotationLoop:
         inner = loop.refiner
         refiner = lambda t: embed(inner(t))  # noqa: E731
     return RotationLoop([embed(R) for R in loop.samples], refiner, list(loop.params))
-
-
-def concatenate_loops(first: RotationLoop, second: RotationLoop) -> RotationLoop:
-    """Traverse first then second, each compressed into half the parameter range."""
-    if first.dim != second.dim:
-        raise DimensionMismatch("loops have different dimensions")
-    params = [0.5 * t for t in first.params] + [0.5 + 0.5 * t for t in second.params]
-    samples = np.concatenate([first.samples, second.samples])
-    refiner = None
-    if first.refiner is not None and second.refiner is not None:
-        f, s = first.refiner, second.refiner
-
-        def refiner(t: float) -> np.ndarray:
-            if t < 0.5:
-                return f(2.0 * t)
-            return s(2.0 * t - 1.0)
-
-    return RotationLoop(samples, refiner, params)
-
-
-def plane_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
-    """Rotation of R^m by theta in the oriented (e_i, e_j) coordinate plane."""
-    if not (0 <= i < m and 0 <= j < m and i != j):
-        raise ValueError("plane indices out of range")
-    R = np.eye(m)
-    c, s = math.cos(theta), math.sin(theta)
-    R[i, i] = c
-    R[j, j] = c
-    R[j, i] = s
-    R[i, j] = -s
-    return R
-
-
-def _so3_log(R: np.ndarray) -> np.ndarray:
-    """Rotation vector (axis * angle) of an SO(3) matrix, angle in [0, pi)."""
-    c = (np.trace(R) - 1.0) / 2.0
-    c = min(1.0, max(-1.0, c))
-    angle = math.acos(c)
-    if angle < 1e-12:
-        return np.zeros(3)
-    if angle > math.pi - 1e-6:
-        raise ValueError("rotation angle at pi; geodesic midpoint is ambiguous")
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return w * (angle / (2.0 * math.sin(angle)))
-
-
-def _so3_exp(w: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-12:
-        return np.eye(3)
-    k = w / angle
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-
-
-def so3_geodesic_loop(waypoints: Sequence[np.ndarray], samples_per_leg: int = 16) -> RotationLoop:
-    """Closed piecewise-geodesic loop through SO(3) waypoints, with exact refiner.
-
-    The loop visits each waypoint in order and returns to the first; every
-    leg is the shortest geodesic, so the refiner re-evaluates the true
-    underlying path at any parameter.
-    """
-    pts = [_check_special_orthogonal(np.asarray(w, dtype=float)) for w in waypoints]
-    if len(pts) < 1:
-        raise ValueError("need at least one waypoint")
-    legs = len(pts)
-    logs = []
-    for i in range(legs):
-        a = pts[i]
-        b = pts[(i + 1) % legs]
-        logs.append(_so3_log(a.T @ b))
-
-    def at(t: float) -> np.ndarray:
-        u = (t % 1.0) * legs
-        i = min(int(u), legs - 1)
-        s = u - i
-        return pts[i] @ _so3_exp(s * logs[i])
-
-    params = []
-    samples = []
-    total = legs * samples_per_leg
-    for k in range(total):
-        t = k / total
-        params.append(t)
-        samples.append(at(t))
-    return RotationLoop(samples, at, params)

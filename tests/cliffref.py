@@ -3,10 +3,10 @@
 Multivectors of Cl(m) are dicts from blade bitmasks to coefficients, with
 e_i e_i = +1 and e_i e_j = -e_j e_i. rotor_from_rotation lifts one
 near-identity rotation by a Givens factorization, one Python product per
-factor, and sparse_loop_class accumulates the step lifts of a loop the way
-fbk.spinlift.loop_class did before it became one batched kernel, reading
-the same refined sample stack. Both routes must give the same bit; the
-tests here compare them.
+factor, and sparse_loop_class multiplies the canonical lifts of a loop's
+steps and reads the bit off the product, where fbk.spinlift.loop_class
+lifts every sample and counts sign changes; both read the same refined
+sample stack and must give the same bit, which the tests compare.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def sparse_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
         raise DimensionMismatch("loop classification needs dimension >= 3")
     g = CliffordElement.scalar(loop.dim, 1.0)
     count = 0
-    samples, _ = _refined(loop, tol)
+    samples = _refined(loop, tol)
     for r_prev, r_next in zip(samples, np.roll(samples, -1, axis=0)):
         step = rotor_from_rotation(r_next @ r_prev.T, tol)
         g = step * g

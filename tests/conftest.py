@@ -1,12 +1,100 @@
 """Shared builders for randomized geometry used across the test modules."""
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from fbk.errors import DimensionMismatch
 from fbk.framedlink import NormalFraming, SampledLoop
-from fbk.spinlift import RotationLoop, so3_geodesic_loop
+from fbk.spinlift import RotationLoop, _check_special_orthogonal
+
+
+def plane_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
+    """Rotation of R^m by theta in the oriented (e_i, e_j) coordinate plane."""
+    if not (0 <= i < m and 0 <= j < m and i != j):
+        raise ValueError("plane indices out of range")
+    R = np.eye(m)
+    c, s = math.cos(theta), math.sin(theta)
+    R[i, i] = c
+    R[j, j] = c
+    R[j, i] = s
+    R[i, j] = -s
+    return R
+
+
+def concatenate_loops(first: RotationLoop, second: RotationLoop) -> RotationLoop:
+    """Traverse first then second, each compressed into half the parameter range."""
+    if first.dim != second.dim:
+        raise DimensionMismatch("loops have different dimensions")
+    params = [0.5 * t for t in first.params] + [0.5 + 0.5 * t for t in second.params]
+    samples = np.concatenate([first.samples, second.samples])
+    refiner = None
+    if first.refiner is not None and second.refiner is not None:
+        f, s = first.refiner, second.refiner
+
+        def refiner(t: float) -> np.ndarray:
+            if t < 0.5:
+                return f(2.0 * t)
+            return s(2.0 * t - 1.0)
+
+    return RotationLoop(samples, refiner, params)
+
+
+def _so3_log(R: np.ndarray) -> np.ndarray:
+    """Rotation vector (axis * angle) of an SO(3) matrix, angle in [0, pi)."""
+    c = (np.trace(R) - 1.0) / 2.0
+    c = min(1.0, max(-1.0, c))
+    angle = math.acos(c)
+    if angle < 1e-12:
+        return np.zeros(3)
+    if angle > math.pi - 1e-6:
+        raise ValueError("rotation angle at pi; geodesic midpoint is ambiguous")
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return w * (angle / (2.0 * math.sin(angle)))
+
+
+def _so3_exp(w: np.ndarray) -> np.ndarray:
+    angle = float(np.linalg.norm(w))
+    if angle < 1e-12:
+        return np.eye(3)
+    k = w / angle
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+def so3_geodesic_loop(waypoints: Sequence[np.ndarray], samples_per_leg: int = 16) -> RotationLoop:
+    """Closed piecewise-geodesic loop through SO(3) waypoints, with exact refiner.
+
+    The loop visits each waypoint in order and returns to the first; every
+    leg is the shortest geodesic, so the refiner re-evaluates the true
+    underlying path at any parameter.
+    """
+    pts = [_check_special_orthogonal(np.asarray(w, dtype=float)) for w in waypoints]
+    if len(pts) < 1:
+        raise ValueError("need at least one waypoint")
+    legs = len(pts)
+    logs = []
+    for i in range(legs):
+        a = pts[i]
+        b = pts[(i + 1) % legs]
+        logs.append(_so3_log(a.T @ b))
+
+    def at(t: float) -> np.ndarray:
+        u = (t % 1.0) * legs
+        i = min(int(u), legs - 1)
+        s = u - i
+        return pts[i] @ _so3_exp(s * logs[i])
+
+    params = []
+    samples = []
+    total = legs * samples_per_leg
+    for k in range(total):
+        t = k / total
+        params.append(t)
+        samples.append(at(t))
+    return RotationLoop(samples, at, params)
 
 
 def random_rotation(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from cliffref import CliffordElement, geometric_product, rotor_from_rotation, sparse_loop_class
-from conftest import generic_loop, random_rotation, random_waypoint_loop
+from conftest import (
+    concatenate_loops,
+    generic_loop,
+    plane_rotation,
+    random_rotation,
+    random_waypoint_loop,
+    so3_geodesic_loop,
+)
+from fbk import framedlink, spinlift
 from fbk.errors import (
     DimensionMismatch,
     NotNearIdentity,
@@ -13,21 +21,18 @@ from fbk.errors import (
 )
 from fbk.numkit import _SCOPES, DEFAULT_TOL, Tolerances, recording
 from fbk.spinlift import (
+    _CHUNK,
     _MAX_REFINE_DEPTH,
     RotationLoop,
     Z2,
     _angle_step_bound,
     _check_special_orthogonal,
-    _gammas,
     _refined,
-    _spin_images,
+    _rotors,
+    _sign_changes,
     _spin_tables,
-    _step_rotors,
-    concatenate_loops,
     loop_class,
-    plane_rotation,
     quaternion_loop_class,
-    so3_geodesic_loop,
     stabilize_loop,
 )
 
@@ -281,17 +286,16 @@ class TestRecording:
         assert _SCOPES.get() == ()
 
 
-def dense_image(r: CliffordElement) -> np.ndarray:
-    """Matrix of a sparse multivector in the spin representation: sum of c_S gamma_S."""
-    gammas = _gammas(r.dim)
-    out = np.zeros_like(gammas[0])
-    for bits, c in r.coeffs.items():
-        blade = np.eye(len(out))
-        for i in range(r.dim):
-            if bits >> i & 1:
-                blade = blade @ gammas[i]
-        out += c * blade
-    return out
+def as_element(coeffs: np.ndarray) -> CliffordElement:
+    """A rotor of the coefficient kernel as a sparse multivector.
+
+    Coefficients of rounding size, below 1e-15, are dropped, so that a
+    rotor that is sparse up to rounding stays sparse; this moves a unit
+    rotor by less than 5e-14 even at d = 12.
+    """
+    d = len(coeffs).bit_length()  # 2^(d-1) coefficients
+    blades = _spin_tables(d).blades.tolist()
+    return CliffordElement(d, {b: c for b, c in zip(blades, coeffs) if abs(c) > 1e-15})
 
 
 def cayley_rotation(rng, m: int, size: float) -> np.ndarray:
@@ -311,62 +315,38 @@ def conjugated_stabilization(loop: RotationLoop, Q: np.ndarray) -> RotationLoop:
 
 
 class TestSpinRepresentation:
-    def test_gamma_relations(self):
-        for d in range(3, 13):
-            gammas = _gammas(d)
-            eye = np.eye(2 ** (d // 2 + 1))
-            for i, gi in enumerate(gammas):
-                assert np.array_equal(gi @ gi, eye)
-                for gj in gammas[i + 1:]:
-                    assert np.array_equal(gi @ gj, -gj @ gi)
-
-    def test_even_blades_orthonormal(self):
-        # tr(A^T B) / N is the blade-coefficient inner product, so the
-        # closing distance |G -+ I|_F / sqrt(N) is the coefficient distance.
-        for d in (3, 4, 5, 6):
-            even = [b for b in range(1 << d) if b.bit_count() % 2 == 0]
-            mats = [dense_image(CliffordElement.blade(d, b)) for b in even]
-            n = len(mats[0])
-            gram = np.array([[np.trace(a.T @ b) / n for b in mats] for a in mats])
-            assert np.array_equal(gram, np.eye(len(even)))
-
     def test_step_rotors_match_sparse_rotors(self, rng):
+        # the rotor of step k is L_{k+1} reverse(L_k), the canonical one up
+        # to sign; its scalar part is the overlap that _sign_changes tests
         for _ in range(20):
             m = int(rng.integers(3, 9))
-            steps = np.array([cayley_rotation(rng, m, rng.uniform(0.05, 0.7)) for _ in range(3)])
-            dense = _spin_images(_step_rotors(steps))
-            for R, rotor in zip(steps, dense):
-                sparse = rotor_from_rotation(R)
-                assert np.max(np.abs(rotor - dense_image(sparse))) < 1e-12
-                assert np.trace(rotor) / len(rotor) == pytest.approx(sparse.scalar_part, abs=1e-12)
-
-    def test_flip_to_positive_scalar_part(self):
-        # The Givens factors of this step multiply to scalar part -0.54;
-        # the canonical rotor is its negative.
-        R = plane_rotation(3, 0, 1, -3.0) @ plane_rotation(3, 0, 2, -1.5) @ plane_rotation(
-            3, 1, 2, 2.0
-        )
-        coeffs = _step_rotors(R[None])
-        assert coeffs[0, 0] == pytest.approx(0.5441776519095698, abs=1e-12)
-        rotor = _spin_images(coeffs)[0]
-        assert np.trace(rotor) / 4 == pytest.approx(0.5441776519095698, abs=1e-12)
-        assert np.max(np.abs(rotor - dense_image(rotor_from_rotation(R)))) < 1e-12
+            samples = [random_rotation(rng, m)]
+            steps = [cayley_rotation(rng, m, rng.uniform(0.05, 0.7)) for _ in range(3)]
+            for step in steps:
+                samples.append(step @ samples[-1])
+            coeffs = _rotors(np.array(samples))
+            lifts = [as_element(c) for c in coeffs]
+            for k, step in enumerate(steps):
+                rotor = geometric_product(lifts[k + 1], lifts[k].reverse())
+                sign = math.copysign(1.0, rotor.scalar_part)
+                assert (rotor * sign - rotor_from_rotation(step)).norm() < 1e-12
+                assert coeffs[k + 1] @ coeffs[k] == pytest.approx(rotor.scalar_part, abs=1e-12)
 
     def test_pi_step_not_near_identity(self):
         steps = np.array([np.eye(4), plane_rotation(4, 1, 3, math.pi), np.eye(4)])
         with pytest.raises(NotNearIdentity, match="too small for a canonical sign"):
-            _step_rotors(steps)
+            _sign_changes(steps)
 
     def test_small_scalar_part_not_near_identity(self):
         # two principal angles of 2.9: no angle at pi, scalar part cos(1.45)^2
         step = plane_rotation(4, 0, 1, 2.9) @ plane_rotation(4, 2, 3, 2.9)
         with pytest.raises(NotNearIdentity, match="rotor scalar part 1.452e-02 too small"):
-            _step_rotors(np.array([np.eye(4), step]))
+            _sign_changes(np.array([np.eye(4), step]))
 
-    def test_uneliminated_step_not_near_identity(self):
+    def test_uneliminated_sample_is_not_orthogonal(self):
         # a reflection has no Givens factorization: the last diagonal entry stays -1
-        with pytest.raises(NotNearIdentity, match="principal rotation angle is at pi"):
-            _step_rotors(np.array([np.eye(3), np.diag([1.0, 1.0, -1.0])]))
+        with pytest.raises(NotOrthogonal, match="sample 1: Givens elimination left residue 2.000e"):
+            _rotors(np.array([np.eye(3), np.diag([1.0, 1.0, -1.0])]))
 
     def test_non_orthogonal_refiner_output(self):
         shear = np.eye(3)
@@ -386,6 +366,34 @@ class TestSpinRepresentation:
             loop_class(RotationLoop(samples, mixed, [k / 4 for k in range(4)]))
         with pytest.raises(NotOrthogonal, match="not square"):
             loop_class(RotationLoop(samples, lambda t: np.eye(3)[:2], [k / 4 for k in range(4)]))
+
+    def test_frame_loop_lifts_its_moved_coordinates_only(self, monkeypatch):
+        # one twisted circle in R^12 whose motion stays in coordinates 0-3,
+        # as in a link file; the bit cannot tell whether its frames were
+        # lifted in 4 coordinates or in 12, so the kernel's input is watched
+        ang = 2.0 * math.pi * np.arange(64) / 64
+        pts = np.zeros((64, 12))
+        pts[:, 0], pts[:, 1], pts[:, 3] = np.cos(ang), -np.sin(ang), 0.05 * np.sin(2.0 * ang)
+        fields = np.zeros((11, 64, 12))
+        fields[0, :, :2] = pts[:, :2]
+        for i in range(1, 11):
+            fields[i, :, i + 1] = 1.0
+        c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
+        fields[0], fields[1] = c * fields[0] + s * fields[1], c * fields[1] - s * fields[0]
+        link = framedlink.load_link({
+            "ambient": {"kind": "euclidean", "dimension": 12},
+            "components": [{"points": pts.tolist(), "framing": fields.tolist()}],
+        })
+        kernel = spinlift._rotors
+        dims = []
+
+        def spy(rotations):
+            dims.append(rotations.shape[1])
+            return kernel(rotations)
+
+        monkeypatch.setattr(spinlift, "_rotors", spy)
+        assert framedlink.invariant_report(link).kappa == Z2(1)
+        assert dims and max(dims) <= 4
 
     def test_constant_loop_moves_no_coordinate(self):
         for m in (3, 7, 12):
@@ -408,7 +416,7 @@ def two_plane_step(rng, m: int) -> np.ndarray:
 class TestCoefficientKernel:
     def assert_matches_sparse(self, steps):
         blades = _spin_tables(steps.shape[1]).blades
-        for R, coeffs in zip(steps, _step_rotors(steps)):
+        for R, coeffs in zip(steps, _rotors(steps)):
             sparse = rotor_from_rotation(R)
             assert set(sparse.coeffs) <= set(blades.tolist())
             want = np.array([sparse.coeffs.get(int(b), 0.0) for b in blades])
@@ -424,7 +432,7 @@ class TestCoefficientKernel:
 
     def test_scalar_is_coefficient_zero_and_norm_is_one(self, rng):
         steps = np.array([cayley_rotation(rng, 6, 0.5) for _ in range(5)])
-        coeffs = _step_rotors(steps)
+        coeffs = _rotors(steps)
         assert _spin_tables(6).blades[0] == 0
         assert np.all(coeffs[:, 0] > 0.1)
         assert np.allclose(np.linalg.norm(coeffs, axis=1), 1.0, rtol=0, atol=1e-15)
@@ -445,11 +453,6 @@ class TestCoefficientKernel:
             # ... that squares to minus the identity: (e_j e_i)^2 = -1
             assert np.array_equal(perm[perm], every)
             assert np.all(sign * sign[perm] == -1.0)
-        size = 2 ** (d // 2 + 1)
-        assert tables.size == size
-        assert tables.terms.shape == tables.term_sign.shape
-        assert len(tables.entries) * tables.terms.shape[0] == half * size
-        assert tables.terms.shape[1] == len(tables.entries) == size * size // (2 - d % 2)
 
     def test_tables_build_without_numpy_2(self, monkeypatch):
         # fbk supports numpy >= 1.24, which has no np.bitwise_count
@@ -463,12 +466,33 @@ class TestCoefficientKernel:
         with pytest.raises(ValueError):
             tables.perm[0, 0] = 1
 
-    def test_images_of_blades_are_gamma_products(self):
-        for d in (3, 4, 5, 6):
-            blades = _spin_tables(d).blades
-            images = _spin_images(np.eye(len(blades)))
-            for b, image in zip(blades, images):
-                assert np.array_equal(image, dense_image(CliffordElement.blade(d, int(b))))
+    def assert_lifts(self, rotations):
+        coeffs = _rotors(rotations)
+        assert np.allclose(np.linalg.norm(coeffs, axis=1), 1.0, rtol=0, atol=1e-12)
+        for R, c in zip(rotations, coeffs):
+            assert np.max(np.abs(as_element(c).rotation_matrix() - R)) < 1e-12
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_arbitrary_rotations(self, rng, m):
+        # Haar-like samples, far from the identity: any rotation factors
+        self.assert_lifts(np.array([random_rotation(rng, m) for _ in range(4)]))
+
+    def test_arbitrary_conjugated_rotations_m12(self, rng):
+        # dense in every coordinate, so all 66 planes are eliminated; one
+        # turning plane keeps the rotor, and its sandwich, sparse
+        Q = random_rotation(rng, 12)
+        R = plane_rotation(12, 0, 1, 2.8)
+        self.assert_lifts(np.array([Q @ R @ Q.T, Q.T @ R.T @ Q]))
+
+    @pytest.mark.parametrize("angle", (math.pi, math.pi - 1e-9))
+    def test_principal_angle_at_or_near_pi(self, rng, angle):
+        for m in (3, 4, 6):
+            Q = random_rotation(rng, m)
+            R = plane_rotation(m, 0, 1, angle)
+            self.assert_lifts(np.array([R, Q @ R @ Q.T]))
+            if m > 3:
+                two = R @ plane_rotation(m, 2, 3, angle)
+                self.assert_lifts(np.array([two, Q @ two @ Q.T]))
 
 
 def depth_first_refined_steps(loop: RotationLoop, tol: Tolerances):
@@ -522,10 +546,9 @@ class TestRefinedStack:
     def assert_matches_depth_first(self, loop, tol=DEFAULT_TOL, depths=None):
         pairs = list(depth_first_refined_steps(loop, tol))
         with recording() as record:
-            stack, steps = _refined(loop, tol)
+            stack = _refined(loop, tol)
         assert np.array_equal(stack, np.array([a for a, _, _ in pairs]))
         assert np.array_equal(np.roll(stack, -1, axis=0), np.array([b for _, b, _ in pairs]))
-        assert np.array_equal(steps, np.roll(stack, -1, axis=0) @ stack.transpose(0, 2, 1))
         assert record == {
             "lift_steps": len(pairs),
             "refinement_depth": max(depth for _, _, depth in pairs),
@@ -610,11 +633,22 @@ class TestRefinedStack:
 class TestSparseAgreement:
     @pytest.mark.parametrize("m", (3, 4, 5, 6))
     def test_generic_loops(self, rng, m):
+        # 13 samples a turn make odd cycles, on which counting the positive
+        # overlaps instead of the negative ones would flip the bit; 25 make
+        # the three-turn cycle longer than one batch of the lift
+        assert 3 * 25 > _CHUNK
         for turns in (0, 1, 2, 3):
-            for per_turn in (12, 6):
+            for per_turn in (12, 6, 13, 25):
                 loop = generic_loop(rng, m, turns, per_turn * max(turns, 1))
                 bit = loop_class(loop)
                 assert bit == sparse_loop_class(loop) == Z2(turns % 2)
+                # the signs counted from the samples themselves, not relative
+                # to the first one, wherever the cycle starts: the lifts
+                # change sign at some pair of every odd loop, and one of the
+                # starts makes it the closing pair
+                samples = _refined(loop, DEFAULT_TOL)
+                for start in range(len(samples)):
+                    assert _sign_changes(np.roll(samples, -start, axis=0)) % 2 == bit
                 if m == 3:
                     assert bit == quaternion_loop_class(loop)
 

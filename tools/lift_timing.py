@@ -1,4 +1,4 @@
-"""Per-layer timings of the spin lift: the step kernel, whole loops, first-use tables.
+"""Per-layer timings of the spin lift: the rotor kernel, whole loops, first-use tables.
 
     python tools/lift_timing.py
     python tools/lift_timing.py --repeat 1
@@ -12,8 +12,9 @@ prints one line:
   - K, the loop's samples, and lift_steps and refinement_depth, as
     fbk.recording() notes them for one loop_class call;
   - tables_ms: the first call of _spin_tables(m) after clearing its cache;
-  - step_rotors_us: microseconds per step of _step_rotors on the loop's K
-    steps, one batch;
+  - lift_us: microseconds per sample of the rotor kernel _rotors on the
+    loop's K samples relative to the first, restricted to the coordinates
+    they move, as loop_class lifts them; one batch;
   - loop_class_ms: milliseconds per loop_class call, refinement included.
 
 Times are the minimum over --repeat repeats, each of a fixed number of
@@ -37,8 +38,8 @@ from fbk import recording  # noqa: E402
 from fbk.spinlift import (  # noqa: E402
     RotationLoop,
     _moved_coordinates,
+    _rotors,
     _spin_tables,
-    _step_rotors,
     loop_class,
 )
 
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     rng = np.random.default_rng(0)
     print(f"{'m':>3} {'K':>4} {'lift_steps':>10} {'refinement_depth':>16} "
-          f"{'tables_ms':>9} {'step_rotors_us':>14} {'loop_class_ms':>13}")
+          f"{'tables_ms':>9} {'lift_us':>7} {'loop_class_ms':>13}")
     for m, turns, samples in LOOPS:
         loop = generic_loop(rng, m, turns, samples)
         _spin_tables.cache_clear()
@@ -103,11 +104,11 @@ def main(argv=None) -> int:
             print(f"m = {m}: loop class {int(bit)}, expected {turns % 2}", file=sys.stderr)
             return 1
         s = loop.samples
-        steps = _moved_coordinates(np.roll(s, -1, axis=0) @ s.transpose(0, 2, 1))
-        step_s = best_of(args.repeat, lambda: _step_rotors(steps)) / len(steps)
+        relative = _moved_coordinates(s @ s[0].T)
+        lift_s = best_of(args.repeat, lambda: _rotors(relative)) / len(relative)
         loop_s = best_of(args.repeat, lambda: loop_class(loop))
         print(f"{m:>3} {len(loop):>4} {record['lift_steps']:>10} {record['refinement_depth']:>16} "
-              f"{tables_s * 1e3:>9.2f} {step_s * 1e6:>14.2f} {loop_s * 1e3:>13.3f}")
+              f"{tables_s * 1e3:>9.2f} {lift_s * 1e6:>7.2f} {loop_s * 1e3:>13.3f}")
     return 0
 
 
