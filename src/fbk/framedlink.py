@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
 )
 from .numkit import DEFAULT_TOL, Tolerances, _note_add, orthonormalize, recording
-from .spinlift import _MAX_DIM, RotationLoop, Z2, loop_class
+from .spinlift import _MAX_DIM, RotationLoop, Z2, _checked_params, loop_class
 
 _MIN_SAMPLES = 16
 _NORMAL_ORTHO_CHECK = 1e-8
@@ -98,13 +98,7 @@ class SampledLoop:
         if self.params is None:
             self.params = [i / k for i in range(k)]
         else:
-            self.params = [float(t) for t in self.params]
-            if len(self.params) != k:
-                raise ValidationError("loop params and points must have equal length")
-            if any(not 0.0 <= t < 1.0 for t in self.params):
-                raise ValidationError("loop params must lie in [0, 1)")
-            if any(b <= a for a, b in zip(self.params, self.params[1:])):
-                raise ValidationError("loop params must be strictly increasing")
+            self.params = _checked_params(self.params, k)
         if self.tangents is not None:
             self.tangents = np.array(self.tangents, dtype=float)
             if self.tangents.shape != self.points.shape:
@@ -302,15 +296,6 @@ class NormalFraming:
             raise ValidationError("framing has no resample callback")
         return np.asarray(self.resample(t % 1.0), dtype=float)
 
-    def cycled_with(self, loop: SampledLoop, shift: int) -> "NormalFraming":
-        base = loop.params[shift % len(loop)]
-        fields = np.roll(self.fields, -(shift % len(loop)), axis=1)
-        resample = None
-        if self.resample is not None:
-            inner = self.resample
-            resample = lambda t, b=base: inner((t + b) % 1.0)  # noqa: E731
-        return NormalFraming(fields, resample)
-
     def transformed(self, Q: np.ndarray) -> "NormalFraming":
         Q = np.asarray(Q, dtype=float)
         fields = self.fields @ Q.T
@@ -349,7 +334,6 @@ class AmbientPresentation:
     )
     spin_twist: Callable[[SampledLoop], Z2] = lambda loop: Z2(0)
     kind: str = "custom"
-    spin_name: str = "standard"
     periodic_plane: tuple[int, int] | None = None
 
     @property
@@ -394,9 +378,7 @@ def cylinder_ambient(dimension: int, spin: str = "standard") -> AmbientPresentat
         twist = lambda loop: Z2(0)  # noqa: E731
     else:
         twist = lambda loop: winding_parity(loop, (0, 1))  # noqa: E731
-    return AmbientPresentation(
-        dimension, [radial], twist, kind="cylinder", spin_name=spin, periodic_plane=(0, 1)
-    )
+    return AmbientPresentation(dimension, [radial], twist, kind="cylinder", periodic_plane=(0, 1))
 
 
 def winding_parity(loop: SampledLoop, plane: tuple[int, int] = (0, 1)) -> Z2:
@@ -537,11 +519,10 @@ def _assemble_frame(
     try:
         frames = orthonormalize(rows, tol)
     except RankDeficient as exc:
-        if exc.index is None:
-            raise
         raise RankDeficient(
             f"frame rows [manifold normals, tangent, framing fields] are dependent at "
-            f"{where(exc.index)}: {exc}"
+            f"{where(exc.index)}: {exc}",
+            index=exc.index,
         ) from exc
     flipped = np.flatnonzero(np.linalg.det(frames) < 0.0)
     if flipped.size:
@@ -835,7 +816,8 @@ def load_link(document: dict) -> FramedLink:
         chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
         rows = np.concatenate([normals, chords[:, None], fields_raw.transpose(1, 0, 2)], axis=1)
         norms = np.linalg.norm(rows, axis=2)
-        bad = np.abs(np.linalg.det(rows)) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)
+        det = np.linalg.det(rows)
+        bad = np.abs(det) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)
         bad |= np.any(norms[:, -fields_raw.shape[0] :] <= _MIN_FIELD_NORM, axis=1)
         flat = np.flatnonzero(bad)
         if flat.size:
@@ -843,6 +825,12 @@ def load_link(document: dict) -> FramedLink:
                 f"component {n}: frame [manifold normals, tangent, framing] is degenerate "
                 f"at sample {flat[0]}; |det| / row norms must exceed {_MIN_FRAME_VOLUME:.0e} "
                 f"and framing fields must be longer than {_MIN_FIELD_NORM:.0e}"
+            )
+        flipped = np.flatnonzero(det < 0.0)
+        if flipped.size:
+            raise ValidationError(
+                f"component {n}: frame [manifold normals, tangent, framing] is left-handed "
+                f"at sample {flipped[0]}; its determinant must be positive"
             )
         framing = NormalFraming(fields_raw)
         comps.append((loop, framing))

@@ -1,16 +1,17 @@
 """Small dense linear algebra used everywhere else.
 
 Everything here works on plain float64 numpy arrays (1-d vectors, 2-d
-matrices) at desk scale (dimension <= 12). orthonormalize, which frame
-assembly uses, takes one ordered vector set or a stack of them and runs one
-batched Householder QR (Golub-Van Loan, Matrix Computations, 5.2), with
-the signs fixed so that diag(R) > 0. `_mgs` is the Gram-Schmidt for the
-one-off factorizations: modified Gram-Schmidt with one re-orthogonalization
-pass, which is plenty stable at these sizes. least_squares and
-kernel_direction are built on it; the tracer's target_basis and
-transport_closed_frame call it directly with their own 1e-8 threshold.
-The tracer's induced framing solves a whole loop's minimum-norm systems with
-one batched QR of its own; least_squares is the one-system form.
+matrices) at desk scale (dimension <= 12). There is one factorization of
+each kind. `_qr` is the batched Householder QR (Golub-Van Loan, Matrix
+Computations, 5.2) of a (K, c, N) stack of ordered vector sets, with the
+signs fixed so that diag(R) > 0 and one rank rule, |R_ii| >= ortho_tol:
+orthonormalize, which frame assembly uses, is its Q, and the tracer's
+induced framing solves a whole loop's minimum-norm systems with its Q and
+R. `_mgs` is the Gram-Schmidt for the one-off bases: modified Gram-Schmidt
+with one re-orthogonalization pass, which is plenty stable at these sizes,
+skipping dependent inputs. kernel_direction is built on it; the tracer's
+target_basis and transport_closed_frame call it directly with their own
+1e-8 threshold.
 Every rank decision compares a residual norm (|R_ii| for the QR) with a
 tolerance. Non-finite input is an EvaluationFailure; a wrong shape stays a
 ValueError.
@@ -61,8 +62,8 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValueError(f"{f.name} must be strictly positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be strictly positive and finite")
         if not self.lift_angle_max < math.pi / 2:
             raise ValueError("lift_angle_max must be below pi/2")
 
@@ -142,15 +143,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent: bool = False):
+def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float) -> list[np.ndarray]:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
     vectors is a sequence of equal-length 1-d vectors or a 2-d array of
-    rows; the stack is validated once. Returns (basis, coeffs) where
-    basis[j] are orthonormal and vectors[i] = sum_j coeffs[i][j] * basis[j]
-    for every input i that produced a basis vector. Dependent inputs either
-    raise RankDeficient or, with drop_dependent, are skipped (their
-    coefficient rows are still recorded).
+    rows; the stack is validated once. Returns the orthonormal basis the
+    inputs span, in input order: an input whose residual after projection
+    is below tol is dependent on its predecessors and skipped.
     """
     try:
         V = np.array(vectors, dtype=float)
@@ -159,97 +158,55 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float, drop_dependent:
     if V.ndim != 2 or V.shape[1] < 1:
         raise ValueError("expected a stack of 1-d vectors")
     _require_finite(V)
-    count, dim = V.shape
-    if count > dim and not drop_dependent:
-        raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}")
     basis: list[np.ndarray] = []
-    coeffs: list[list[float]] = []
-    for i in range(count):
-        w = V[i]  # a row of the private copy, safe to update in place
-        row = [0.0] * len(basis)
+    for w in V:  # rows of the private copy, safe to update in place
         for _pass in range(2):
-            for j, q in enumerate(basis):
-                c = float(q @ w)
-                w -= c * q
-                row[j] += c
+            for q in basis:
+                w -= float(q @ w) * q
         r = _norm(w)
-        coeffs.append(row)
-        if r < tol:
-            if drop_dependent:
-                continue
-            raise RankDeficient(
-                f"vector {i} is dependent on its predecessors (residual {r:.3e})"
-            )
-        basis.append(w / r)
-        row.append(r)
-    return basis, coeffs
+        if r >= tol:
+            basis.append(w / r)
+    return basis
 
 
-def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL):
-    """Orthonormalize ordered vector sets, preserving order and orientation.
+def _qr(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q (K, N, c) and R (K, c, c) of the transposed (K, c, N) float stack.
 
-    vectors is one set (a sequence of equal-length vectors or a (c, N)
-    array), for which a list of c orthonormal vectors is returned, or a
-    (K, c, N) stack of sets, for which a (K, c, N) array is returned. All
-    sets are factored by one batched QR of the transposed stack, and each
-    column of Q is flipped so that diag(R) > 0: each output keeps a
-    positive inner product with its input after the preceding directions
-    are projected out, as Gram-Schmidt gives. Raises RankDeficient when
-    some |R_ii| drops below ortho_tol; for a stack, the message names the
-    first failing set and its index is the exception's `index`.
+    Each column of Q and row of R is flipped so that diag(R) > 0: column i
+    of Q keeps a positive inner product with input i after the preceding
+    directions are projected out, as Gram-Schmidt gives. Raises
+    RankDeficient, whose index is the first failing set, when some
+    |R_ii| < tol or when c > N.
     """
-    if len(vectors) == 0:
-        return []
-    try:
-        V = np.array(vectors, dtype=float)
-    except ValueError as exc:
-        raise ValueError("vectors must share one dimension") from exc
-    single = V.ndim == 2
-    if V.ndim not in (2, 3) or V.shape[-1] < 1:
-        raise ValueError("expected a vector set or a stack of vector sets")
-    _require_finite(V)
-    count, dim = V.shape[-2:]
+    count, dim = stack.shape[1:]
     if count > dim:
-        raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}")
-    stack = V[None] if single else V
+        raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}", index=0)
     Q, R = np.linalg.qr(stack.transpose(0, 2, 1))
     diag = np.diagonal(R, axis1=1, axis2=2)
-    dependent = np.abs(diag) < tol.ortho_tol
+    dependent = np.abs(diag) < tol
     if dependent.any():
         k, i = np.argwhere(dependent)[0]
-        which = f"vector {i}" if single else f"vector {i} of set {k}"
         raise RankDeficient(
-            f"{which} is dependent on its predecessors (residual {abs(diag[k, i]):.3e})",
-            index=None if single else int(k),
+            f"vector {i} of set {k} is dependent on its predecessors "
+            f"(residual {abs(diag[k, i]):.3e})",
+            index=int(k),
         )
-    basis = (Q * np.sign(diag)[:, None, :]).transpose(0, 2, 1)
-    return list(basis[0]) if single else basis
+    sign = np.sign(diag)
+    return Q * sign[:, None, :], R * sign[:, :, None]
 
 
-def least_squares(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Minimum-norm solution of A x = b for a full-row-rank A.
+def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormalize a (K, c, N) stack of ordered vector sets, preserving order and orientation.
 
-    Uses the Gram-Schmidt factorization A = L Q (L lower triangular, Q rows
-    orthonormal): forward-substitute L c = b, then x = Q^T c, which lies in
-    the row space and therefore has minimal norm. Raises RankDeficient when
-    the rows are dependent within ortho_tol.
+    Returns the (K, c, N) stack of orthonormal sets: the Q of `_qr`, whose
+    rank rule raises RankDeficient naming the first failing set, which is
+    also the exception's `index`.
     """
-    A = np.asarray(A, dtype=float)
-    b = _as_vec(b)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    k, _ = A.shape
-    if b.size != k:
-        raise ValueError("right-hand side length must match the row count")
-    basis, coeffs = _mgs(A, tol.ortho_tol)
-    c = np.zeros(k)
-    for i in range(k):
-        s = b[i] - sum(coeffs[i][j] * c[j] for j in range(len(coeffs[i]) - 1))
-        c[i] = s / coeffs[i][-1]
-    x = np.zeros(A.shape[1])
-    for j, q in enumerate(basis):
-        x += c[j] * q
-    return x
+    V = np.asarray(vectors, dtype=float)
+    if V.ndim != 3 or V.shape[-1] < 1:
+        raise ValueError("expected a (sets, vectors, dimension) stack")
+    _require_finite(V)
+    return _qr(V, tol.ortho_tol)[0].transpose(0, 2, 1)
 
 
 # Estimated squared residuals within this of the largest one are projected
@@ -275,7 +232,7 @@ def kernel_direction(
     if J.ndim != 2:
         raise ValueError("J must be a matrix")
     n = J.shape[1]
-    basis, _ = _mgs(J, tol.ortho_tol, drop_dependent=True)
+    basis = _mgs(J, tol.ortho_tol)
     rank = len(basis)
     if n - rank != 1:
         raise RankDeficient(f"kernel dimension is {n - rank}, expected 1")

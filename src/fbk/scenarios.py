@@ -39,11 +39,6 @@ class Scenario:
     expected: Callable[[dict], dict]
 
 
-def _tolerances(options: dict) -> Tolerances:
-    kwargs = {f.name: float(options[f.name]) for f in fields(Tolerances) if f.name in options}
-    return Tolerances(**kwargs)
-
-
 def _circle_loop(
     samples: int,
     dim: int,
@@ -85,53 +80,46 @@ def _report_with_delta(link: FramedLink, tol: Tolerances) -> InvariantReport:
 
 
 def _run_pontryagin_circle(options: dict) -> InvariantReport:
-    tol = _tolerances(options)
-    samples = int(options["samples"])
-    turns = int(options["turns"])
-    loop = _circle_loop(samples, 4, clockwise=True)
+    turns = options["turns"]
+    loop = _circle_loop(options["samples"], 4, clockwise=True)
     framing = _framing_from(
         loop, [lambda p: p, _constant_field(4, 2), _constant_field(4, 3)]
     )
     if turns:
         framing = twist_framing(loop, framing, turns)
     link = FramedLink([(loop, framing)], euclidean_ambient(4))
-    return _report_with_delta(link, tol)
+    return _report_with_delta(link, options["tolerances"])
 
 
 def _expect_pontryagin_circle(options: dict) -> dict:
-    bit = int(options["turns"]) & 1
+    bit = options["turns"] & 1
     return {"kappa": bit, "indices": [bit], "winding": [None], "delta": bit}
 
 
 def _run_sphere_great_circle(options: dict) -> InvariantReport:
-    tol = _tolerances(options)
-    samples = int(options["samples"])
-    loop = _circle_loop(samples, 5)
+    loop = _circle_loop(options["samples"], 5)
     framing = _framing_from(loop, [_constant_field(5, i) for i in (2, 3, 4)])
     link = FramedLink([(loop, framing)], sphere_ambient(5))
-    return invariant_report(link, tol)
+    return invariant_report(link, options["tolerances"])
 
 
 def _run_cylinder_spin(options: dict) -> InvariantReport:
-    tol = _tolerances(options)
-    samples = int(options["samples"])
-    spin = str(options["spin"])
-    circles = int(options["circles"])
+    circles = options["circles"]
     if circles not in (1, 2):
         raise ValidationError("cylinder-spin supports circles=1 or circles=2")
-    ambient = cylinder_ambient(5, spin)
+    ambient = cylinder_ambient(5, options["spin"])
     centers = [np.zeros(5), np.array([0.0, 0.0, 1.5, 0.0, 0.0])]
     comps = []
     for c in range(circles):
-        loop = _circle_loop(samples, 5, center=centers[c])
+        loop = _circle_loop(options["samples"], 5, center=centers[c])
         framing = _framing_from(loop, [_constant_field(5, i) for i in (2, 3, 4)])
         comps.append((loop, framing))
-    return invariant_report(FramedLink(comps, ambient), tol)
+    return invariant_report(FramedLink(comps, ambient), options["tolerances"])
 
 
 def _expect_cylinder_spin(options: dict) -> dict:
     bit = 1 if options["spin"] == "nonstandard" else 0
-    k = int(options["circles"])
+    k = options["circles"]
     return {
         "kappa": bit if k == 1 else 0,
         "indices": [bit] * k,
@@ -178,8 +166,7 @@ _HOPF_VALUES = {
 
 
 def _run_suspended_hopf(options: dict) -> InvariantReport:
-    tol = _tolerances(options)
-    which = str(options["regular_value"])
+    which = options["regular_value"]
     if which not in _HOPF_VALUES:
         raise ValidationError("regular_value must be 'default' or 'alt'")
     data = _HOPF_VALUES[which]
@@ -190,7 +177,7 @@ def _run_suspended_hopf(options: dict) -> InvariantReport:
         regular_value=data["x0"],
         domain="unit_sphere",
     )
-    opts = TraceOptions(seeds=[data["seed"]], tolerances=tol)
+    opts = TraceOptions(seeds=[data["seed"]], tolerances=options["tolerances"])
     return kappa_of_map(spec, opts, sphere_ambient(5))
 
 
@@ -217,12 +204,13 @@ def _quadric_twisted(x: np.ndarray) -> np.ndarray:
 
 
 def _run_quadric(options: dict, twisted: bool) -> InvariantReport:
-    tol = _tolerances(options)
     if twisted:
         spec = MapSpec(_quadric_twisted, dimension=4)
     else:
         spec = MapSpec(_quadric, dimension=4, jacobian=_quadric_jac)
-    opts = TraceOptions(seeds=[np.array([1.1, 0.0, 0.05, -0.02])], tolerances=tol)
+    opts = TraceOptions(
+        seeds=[np.array([1.1, 0.0, 0.05, -0.02])], tolerances=options["tolerances"]
+    )
     return kappa_of_map(spec, opts, euclidean_ambient(4))
 
 
@@ -280,14 +268,13 @@ def _s5_alt_section_jac(x: np.ndarray) -> np.ndarray:
 
 
 def _run_s5(options: dict, alt: bool) -> InvariantReport:
-    tol = _tolerances(options)
     if alt:
         spec = SectionSpec(5, _s5_splitting, _s5_alt_section, jacobian=_s5_alt_section_jac)
         seed = np.array([0.05, -0.04, 0.97, 0.12, 0.04, -0.03])
     else:
         spec = SectionSpec(5, _s5_splitting, _s5_section, jacobian=lambda x: _S5_SECTION_JAC)
         seed = np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])
-    opts = TraceOptions(seeds=[seed], tolerances=tol)
+    opts = TraceOptions(seeds=[seed], tolerances=options["tolerances"])
     return section_index(spec, opts)
 
 
@@ -384,15 +371,33 @@ _register(
 
 
 def resolve_options(scenario: Scenario, overrides: dict | None) -> dict:
+    """The scenario's defaults with the overrides applied, each checked for its type.
+
+    An override of a default must have the default's type, int or str (a
+    bool is not an int). Tolerance keys take an int or float and are
+    gathered, with the defaults for the rest, into one Tolerances under
+    options["tolerances"]. An unknown key or a bad value is a
+    ValidationError.
+    """
     options = dict(scenario.defaults)
-    if overrides:
-        allowed = set(scenario.defaults) | {f.name for f in fields(Tolerances)}
-        for key, value in overrides.items():
-            if key not in allowed:
-                raise ValidationError(
-                    f"scenario {scenario.name!r} does not accept override {key!r}"
-                )
+    tol_names = {f.name for f in fields(Tolerances)}
+    tol = {}
+    for key, value in (overrides or {}).items():
+        if key in tol_names:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(f"override {key}={value!r} must be a number")
+            tol[key] = float(value)
+        elif key in scenario.defaults:
+            kind = type(scenario.defaults[key])
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"override {key}={value!r} must be of type {kind.__name__}")
             options[key] = value
+        else:
+            raise ValidationError(f"scenario {scenario.name!r} does not accept override {key!r}")
+    try:
+        options["tolerances"] = Tolerances(**tol)
+    except ValueError as exc:
+        raise ValidationError(f"bad tolerance override: {exc}") from exc
     return options
 
 

@@ -33,6 +33,7 @@ from .errors import (
     NotNearIdentity,
     NotOrthogonal,
     RefinementExhausted,
+    ValidationError,
 )
 from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max
 
@@ -108,6 +109,25 @@ def _check_special_orthogonal(R: np.ndarray, params: Sequence[float] | None = No
     return R
 
 
+def _checked_params(params, count: int) -> list[float]:
+    """Sample parameters as a list of Python floats.
+
+    params must be count numbers in [0, 1), strictly increasing; anything
+    else, a nested or ragged list included, is a ValidationError.
+    """
+    try:
+        t = np.array(params, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("params must be a list of numbers") from exc
+    if t.shape != (count,):
+        raise ValidationError("params and samples must have equal length")
+    if not np.all((t >= 0.0) & (t < 1.0)):
+        raise ValidationError("params must lie in [0, 1)")
+    if np.any(t[1:] <= t[:-1]):
+        raise ValidationError("params must be strictly increasing")
+    return t.tolist()
+
+
 def _rotation_stack(
     samples, params: Sequence[float] | None = None, dim: int | None = None
 ) -> np.ndarray:
@@ -138,11 +158,11 @@ class RotationLoop:
 
     samples may be given as a sequence of (m, m) matrices or as a (K, m, m)
     array; it is stored as the checked (K, m, m) float array, a copy.
-    params are sample parameters in [0, 1), strictly increasing; the loop
-    closes from the last sample back to the first. refiner(t) must return
-    the underlying rotation at any parameter t in [0, 1) and is used to
-    subdivide steps that rotate too far, re-evaluating the geometry rather
-    than interpolating matrices.
+    params are sample parameters in [0, 1), strictly increasing (else a
+    ValidationError); the loop closes from the last sample back to the
+    first. refiner(t) must return the underlying rotation at any parameter
+    t in [0, 1) and is used to subdivide steps that rotate too far,
+    re-evaluating the geometry rather than interpolating matrices.
     """
 
     samples: np.ndarray
@@ -157,14 +177,7 @@ class RotationLoop:
             k = len(self.samples)
             self.params = [i / k for i in range(k)]
         else:
-            params = np.array(self.params, dtype=float)
-            if params.shape != (len(self.samples),):
-                raise ValueError("params and samples must have equal length")
-            if not np.all((params >= 0.0) & (params < 1.0)):
-                raise ValueError("params must lie in [0, 1)")
-            if np.any(params[1:] <= params[:-1]):
-                raise ValueError("params must be strictly increasing")
-            self.params = params.tolist()
+            self.params = _checked_params(self.params, len(self.samples))
 
     @property
     def dim(self) -> int:

@@ -59,9 +59,9 @@ from .numkit import (
     _note_add,
     _note_append,
     _note_max,
+    _qr,
     jacobian_fd,
     kernel_direction,
-    orthonormalize,
     recording,
 )
 from .spinlift import Z2, loop_class
@@ -152,7 +152,7 @@ def target_basis(spec: MapSpec, target_dim: int) -> np.ndarray:
     if spec.target == "rn":
         return np.eye(target_dim)
     x0 = spec.regular_value
-    basis, _ = _mgs([x0, *np.eye(x0.size)], 1e-8, drop_dependent=True)
+    basis = _mgs([x0, *np.eye(x0.size)], 1e-8)
     return np.vstack(basis[1 : target_dim + 1])
 
 
@@ -494,11 +494,12 @@ def induced_framing(
     constrained Jacobian, hence is tangent to the domain manifold and
     orthogonal to the curve. A caller may supply a different orthonormal
     basis of the target tangent space (rows); the default is target_basis.
-    All samples are solved at once: one batched QR of the transposed
-    Jacobians J^T = Q R, then x = Q R^-T b from one batched solve with the
-    lower-triangular R^T. Any |R_ii| below ortho_tol is Singular, and a
-    non-finite Jacobian an EvaluationFailure, each naming the sample. The
-    resampler runs the same solve at one point.
+    All samples are solved at once: J^T = Q R from numkit's `_qr`, the
+    batched QR that orthonormalizes frames, then x = Q R^-T b from one
+    batched solve with the lower-triangular R^T. A failure of its rank rule
+    (some |R_ii| below ortho_tol, or more rows than dimensions) is
+    Singular, and a non-finite Jacobian an EvaluationFailure, each naming
+    the sample. The resampler runs the same solve at one point.
 
     jacobians, when given, are the map's Jacobians at the samples, as
     trace_component collects them for this loop; they are used instead of
@@ -522,19 +523,13 @@ def induced_framing(
         broken = np.flatnonzero(~np.isfinite(J).reshape(len(J), -1).all(axis=1))
         if broken.size:
             raise EvaluationFailure(f"non-finite map derivative at {where(broken[0])}")
-        rows, dim = J.shape[1:]
-        if rows > dim:
-            raise Singular(f"{rows} derivative rows cannot be independent in R^{dim}")
-        Q, R = np.linalg.qr(J.transpose(0, 2, 1))
-        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        low = np.flatnonzero(~np.all(diag >= DEFAULT_TOL.ortho_tol, axis=1))
-        if low.size:
-            k = low[0]
+        try:
+            Q, R = _qr(J, DEFAULT_TOL.ortho_tol)
+        except RankDeficient as exc:
             raise Singular(
-                f"rank drop of the map derivative along the curve at {where(k)} "
-                f"(|R_ii| = {np.min(diag[k]):.3e})"
-            )
-        b = np.eye(rows) if rhs is None else rhs
+                f"rank drop of the map derivative at {where(exc.index)} along the curve: {exc}"
+            ) from exc
+        b = np.eye(J.shape[1]) if rhs is None else rhs
         C = np.linalg.solve(R.transpose(0, 2, 1), np.broadcast_to(b.T, (len(J), *b.T.shape)))
         return (Q @ C).transpose(0, 2, 1)
 
@@ -680,8 +675,7 @@ def transport_closed_frame(
     def normal_directions(candidates, p: np.ndarray, tangent: np.ndarray):
         """Orthonormal directions the candidates add to [normals of M, tangent]."""
         fixed = [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
-        basis, _ = _mgs([*fixed, *candidates], 1e-8, drop_dependent=True)
-        return basis[len(fixed) :]
+        return _mgs([*fixed, *candidates], 1e-8)[len(fixed) :]
 
     def project(vecs: Sequence[np.ndarray], p: np.ndarray, tangent: np.ndarray):
         frame = normal_directions(vecs, p, tangent)
@@ -823,20 +817,24 @@ def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns):
     if aux_twist_turns:
         aux = twist_framing(loop, aux, aux_twist_turns)
     tau = _section_derivative_fields(spec, system, loop, aux)
-    try:
-        orthonormalize(tau.at_sample(0), tol)
-    except RankDeficient as exc:
-        raise NonTransverse("section derivative degenerates on the normal space") from exc
     if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
         flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
         aux = _recombined(aux, loop.params, lambda t: flip)
         tau = _recombined(tau, loop.params, lambda t: flip)
     # Normal spaces do not depend on the direction of travel, and reversal
     # keeps sample 0, so the reversed frames keep term 2's sign at sample 0.
-    if _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0:
+    turned = _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0
+    if turned:
         loop, aux, tau = loop.reversed(), aux.reversed(), tau.reversed()
     term1 = frame_matrix_loop(loop, aux, ambient, tol)
-    term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
+    try:
+        term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
+    except RankDeficient as exc:
+        # reversal keeps sample 0 and moves sample k to K - k
+        k = -exc.index % len(loop) if turned else exc.index
+        raise NonTransverse(
+            f"section derivative degenerates on the normal space at sample {k}"
+        ) from exc
     return loop_class(term1, tol) ^ loop_class(term2, tol) ^ Z2(1)
 
 

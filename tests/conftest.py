@@ -186,6 +186,17 @@ def framing_from_callables(loop: SampledLoop, fns) -> NormalFraming:
     return NormalFraming(fields, resample)
 
 
+def cycled_with(framing: NormalFraming, loop: SampledLoop, shift: int) -> NormalFraming:
+    """The framing moved along with loop.cycled(shift): sample shift becomes sample 0."""
+    base = loop.params[shift % len(loop)]
+    fields = np.roll(framing.fields, -(shift % len(loop)), axis=1)
+    resample = None
+    if framing.resample is not None:
+        inner = framing.resample
+        resample = lambda t: inner((t + base) % 1.0)  # noqa: E731
+    return NormalFraming(fields, resample)
+
+
 def standard_framing(loop: SampledLoop, dim: int = 4) -> NormalFraming:
     """Radial-plus-constant framing for origin-centered near-circular loops."""
     fns = [lambda p, t: p]

@@ -7,7 +7,13 @@ thresholds and wall-clock budgets are asserted directly.
 import time
 
 import numpy as np
-from conftest import random_rotation, random_waypoint_loop, standard_framing, wavy_circle
+from conftest import (
+    cycled_with,
+    random_rotation,
+    random_waypoint_loop,
+    standard_framing,
+    wavy_circle,
+)
 from fbk.framedlink import (
     FramedLink,
     NormalFraming,
@@ -156,7 +162,7 @@ def test_criterion_8_invariance_suite(rng):
         base = index_of_circle(loop, framing, ambient)
 
         shift = int(rng.integers(1, samples))
-        if index_of_circle(loop.cycled(shift), framing.cycled_with(loop, shift),
+        if index_of_circle(loop.cycled(shift), cycled_with(framing, loop, shift),
                            ambient) != base:
             flips += 1
         cases += 1

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+
 import fbk
 import fbk.cli as cli
 from fbk.scenarios import REGISTRY
@@ -70,6 +72,22 @@ class TestScenario:
         code, _, err = run_cli(capsys, ["scenario", "cylinder-spin", "--set", "circles=3"])
         assert code == 3
         assert "circles" in err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("ortho_tol=-1", "ortho_tol must be strictly positive"),
+            ("newton_tol=inf", "newton_tol must be strictly positive and finite"),
+            ("samples=abc", "samples='abc' must be of type int"),
+            ("lift_angle_max=2", "lift_angle_max must be below pi/2"),
+            ("turns=1.5", "turns=1.5 must be of type int"),
+        ],
+    )
+    def test_mistyped_override_exit_code(self, capsys, override, message):
+        code, out, err = run_cli(capsys, ["scenario", "pontryagin-circle", "--set", override])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_check_full_registry(self, capsys):
         # the registry doubles as the regression suite
@@ -170,6 +188,17 @@ class TestLink:
         code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
         assert code == 3
         assert "framing" in err
+
+    def test_left_handed_framing_exit_code(self, capsys, tmp_path):
+        # negating the last field keeps every frame nondegenerate but
+        # left-handed; frame assembly would end in OrientationMismatch
+        doc = circle_link_doc(samples=32)
+        doc["components"][0]["framing"][-1] = (
+            -np.asarray(doc["components"][0]["framing"][-1])
+        ).tolist()
+        code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 3
+        assert "component 0: " in err and "left-handed at sample 0;" in err
 
     def test_coincident_components_exit_code(self, capsys, tmp_path):
         doc = circle_link_doc()

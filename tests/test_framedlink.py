@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import framing_from_callables, random_rotation, standard_framing, wavy_circle
+from conftest import (
+    cycled_with,
+    framing_from_callables,
+    random_rotation,
+    standard_framing,
+    wavy_circle,
+)
 from fbk.errors import (
     AmbientMismatch,
     EvaluationFailure,
@@ -533,7 +539,7 @@ class TestInvarianceProperties:
         base = index_of_circle(loop, framing, ambient)
         for shift in (17, 40):
             moved = loop.cycled(shift)
-            moved_framing = framing.cycled_with(loop, shift)
+            moved_framing = cycled_with(framing, loop, shift)
             assert index_of_circle(moved, moved_framing, ambient) == base
 
     def test_resample_doubling(self, rng):

@@ -18,7 +18,9 @@ from fbk.errors import (
     NotNearIdentity,
     NotOrthogonal,
     RefinementExhausted,
+    ValidationError,
 )
+from fbk.framedlink import SampledLoop
 from fbk.numkit import _SCOPES, DEFAULT_TOL, Tolerances, recording
 from fbk.spinlift import (
     _CHUNK,
@@ -211,19 +213,34 @@ class TestRotationLoopValidation:
 
 class TestRotationLoopParams:
     def test_params_messages(self):
-        samples = rotation_loop_in_plane(2 * math.pi, 4).samples
+        # one validator serves both loop types; 16 samples is the least a
+        # SampledLoop takes
+        rotations = rotation_loop_in_plane(2 * math.pi, 16).samples
+        points = np.array([[math.cos(a), math.sin(a), 0.0] for a in np.arange(16) * math.pi / 8])
+        builders = (
+            lambda params: RotationLoop(rotations, None, params),
+            lambda params: SampledLoop(points, None, params),
+        )
+        good = [k / 16 for k in range(16)]
+
+        def changed(k, value):
+            out = list(good)
+            out[k] = value
+            return out
+
         for params, message in (
-            ([0.0, 0.25, 0.5], "equal length"),
-            ([[0.0, 0.25], [0.5, 0.75]], "equal length"),
-            ([0.0, 0.25, 0.5, 1.0], r"lie in \[0, 1\)"),
-            ([-0.1, 0.25, 0.5, 0.75], r"lie in \[0, 1\)"),
-            ([0.0, 0.25, np.nan, 0.75], r"lie in \[0, 1\)"),
-            ([0.0, 0.5, 0.5, 0.75], "strictly increasing"),
-            ([0.0, 0.6, 0.5, 0.75], "strictly increasing"),
+            (good[:-1], "equal length"),
+            ([good[:8], good[8:]], "equal length"),
+            (changed(15, 1.0), r"lie in \[0, 1\)"),
+            (changed(0, -0.1), r"lie in \[0, 1\)"),
+            (changed(2, np.nan), r"lie in \[0, 1\)"),
+            (changed(2, good[1]), "strictly increasing"),
+            (changed(1, 0.6), "strictly increasing"),
         ):
-            for given in (params, np.array(params)):
-                with pytest.raises(ValueError, match=message):
-                    RotationLoop(samples, None, given)
+            for make in builders:
+                for given in (params, np.array(params)):
+                    with pytest.raises(ValidationError, match=message):
+                        make(given)
 
     def test_params_become_floats(self):
         loop = RotationLoop(rotation_loop_in_plane(2 * math.pi, 4).samples, None,

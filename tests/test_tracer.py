@@ -9,6 +9,7 @@ from fbk.errors import (
     DuplicateComponent,
     EvaluationFailure,
     NoConvergence,
+    NonTransverse,
     RankDeficient,
     Singular,
 )
@@ -23,7 +24,7 @@ from fbk.framedlink import (
     sphere_ambient,
     twist_framing,
 )
-from fbk.numkit import DEFAULT_TOL, jacobian_fd, least_squares, recording
+from fbk.numkit import DEFAULT_TOL, jacobian_fd, recording
 from fbk.scenarios import (
     _S5_SECTION_JAC,
     _s5_alt_section,
@@ -35,10 +36,12 @@ from fbk.tracer import (
     MapSpec,
     SectionSpec,
     TraceOptions,
+    _component_section_index,
     _map_system,
     _newton,
     _principal_log_blocks,
     _rotation_power,
+    _section_map,
     hausdorff_distance,
     induced_framing,
     kappa_of_map,
@@ -49,6 +52,7 @@ from fbk.tracer import (
     trace_component,
     transport_closed_frame,
 )
+from numref import least_squares
 from test_framedlink import pontryagin_link
 
 
@@ -649,6 +653,25 @@ class TestSectionIndex:
         assert int(report.kappa) == 1
         assert [c.index for c in report.components] == [1]
         assert report.diagnostics["seeds_skipped"] == 0
+
+    def test_derivative_degenerate_at_one_sample_is_non_transverse(self):
+        # dw vanishes at sample 17 of the zero circle and nowhere else, so
+        # the frame [position, v, dw(aux)] drops rank there alone. The traced
+        # circle is reversed before its frames are assembled, its reversal
+        # is not; both name the sample in the numbering they were given.
+        section, jac, seed = S5_SECTIONS["s5-vector-fields"]
+        good = SectionSpec(5, _s5_splitting, section, jacobian=jac)
+        (loop,) = section_zero_loops(good, TraceOptions(seeds=[seed]))
+        bad = loop.points[17].copy()
+
+        def degenerate_jac(x):
+            return np.zeros((6, 6)) if np.array_equal(x, bad) else jac(x)
+
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=degenerate_jac)
+        system = _map_system(_section_map(spec))
+        for circle, k in ((loop, 17), (loop.reversed(), len(loop) - 17)):
+            with pytest.raises(NonTransverse, match=rf"at sample {k}$"):
+                _component_section_index(spec, system, circle, sphere_ambient(6), DEFAULT_TOL, 0)
 
     def test_intermediate_term_classes(self, monkeypatch):
         # closed-form frames on the plane zero circle make both matrix loops
