@@ -64,23 +64,32 @@ _MIN_SEPARATION = 1e-6
 _DISTANCE_BLOCK_PAIRS = 1 << 20
 
 
+def _identity(value):
+    return value
+
+
 @dataclass
 class SampledLoop:
     """Closed curve in R^N: cyclic samples plus an optional exact resampler.
 
     tangents, when given, are the unit tangents at the samples as a (K, N)
     array, stored read-only; a traced loop carries the kernel tangents its
-    tracer found. The tangents at the samples come from one cached place,
-    read by tangent_at_sample and frame_matrix_loop: the carried tangents,
-    else central differences of the resampler, else chords. The cycled,
-    reversed, transformed and translated copies carry them along;
-    with_samples drops them.
+    tracer found. resample_tangent, when given, returns the unit tangent at
+    any parameter; a traced loop's is the kernel at the resampled point, so
+    on and between samples it has one tangent. tangent(t) is
+    resample_tangent, else central differences of the resampler. The
+    tangents at the samples come from one cached place, read by
+    tangent_at_sample and frame_matrix_loop: the carried tangents, else
+    tangent(t) at the params, else chords. The cycled, reversed,
+    transformed and translated copies carry tangents and both resamplers
+    along; with_samples drops the carried tangents.
     """
 
     points: np.ndarray
     resample: Callable[[float], np.ndarray] | None = None
     params: Sequence[float] | None = None
     tangents: np.ndarray | None = None
+    resample_tangent: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -178,6 +187,8 @@ class SampledLoop:
         return self._sample_tangents[k].copy()
 
     def tangent(self, t: float) -> np.ndarray:
+        if self.resample_tangent is not None:
+            return np.asarray(self.resample_tangent(t % 1.0), dtype=float)
         if self.resample is None:
             raise ValidationError("loop has no resample callback")
         h = 0.25 * self._gap
@@ -204,7 +215,24 @@ class SampledLoop:
         if self.resample is None:
             raise ValidationError("resampling a loop requires its resample callback")
         pts = np.array([self.point(i / count) for i in range(count)])
-        return SampledLoop(pts, self.resample, [i / count for i in range(count)])
+        return SampledLoop(
+            pts, self.resample, [i / count for i in range(count)], None, self.resample_tangent
+        )
+
+    def _resamplers(self, param, point=_identity, tangent=_identity):
+        """A copy's resample and resample_tangent, each None when this loop's is.
+
+        The copy at parameter t is this loop at param(t), with point and
+        tangent mapping this loop's values to the copy's.
+        """
+        resample = resample_tangent = None
+        if self.resample is not None:
+            inner = self.resample
+            resample = lambda t: point(inner(param(t)))  # noqa: E731
+        if self.resample_tangent is not None:
+            inner_tangent = self.resample_tangent
+            resample_tangent = lambda t: tangent(inner_tangent(param(t)))  # noqa: E731
+        return resample, resample_tangent
 
     def cycled(self, shift: int) -> "SampledLoop":
         k = len(self)
@@ -212,44 +240,43 @@ class SampledLoop:
         pts = np.roll(self.points, -shift, axis=0)
         base = self.params[shift]
         params = [(self.params[(shift + i) % k] - base) % 1.0 for i in range(k)]
-        resample = None
-        if self.resample is not None:
-            inner = self.resample
-            resample = lambda t, b=base: inner((t + b) % 1.0)  # noqa: E731
+        resample, resample_tangent = self._resamplers(lambda t: (t + base) % 1.0)
         tangents = None if self.tangents is None else np.roll(self.tangents, -shift, axis=0)
-        return SampledLoop(pts, resample, params, tangents)
+        return SampledLoop(pts, resample, params, tangents, resample_tangent)
 
     def transformed(self, Q: np.ndarray) -> "SampledLoop":
         Q = np.asarray(Q, dtype=float)
-        resample = None
-        if self.resample is not None:
-            inner = self.resample
-            resample = lambda t: Q @ inner(t)  # noqa: E731
+
+        def tangent(v):
+            v = Q @ v
+            return v / np.linalg.norm(v)
+
+        resample, resample_tangent = self._resamplers(_identity, lambda p: Q @ p, tangent)
         tangents = None
         if self.tangents is not None:
             tangents = self.tangents @ Q.T
             tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
-        return SampledLoop(self.points @ Q.T, resample, list(self.params), tangents)
+        return SampledLoop(
+            self.points @ Q.T, resample, list(self.params), tangents, resample_tangent
+        )
 
     def translated(self, offset: np.ndarray) -> "SampledLoop":
         offset = np.asarray(offset, dtype=float)
-        resample = None
-        if self.resample is not None:
-            inner = self.resample
-            resample = lambda t: inner(t) + offset  # noqa: E731
-        return SampledLoop(self.points + offset, resample, list(self.params), self.tangents)
+        resample, resample_tangent = self._resamplers(_identity, lambda p: p + offset)
+        return SampledLoop(
+            self.points + offset, resample, list(self.params), self.tangents, resample_tangent
+        )
 
     def reversed(self) -> "SampledLoop":
         k = len(self)
         idx = [0] + list(range(k - 1, 0, -1))
         pts = self.points[idx]
         params = [0.0] + [1.0 - self.params[i] for i in range(k - 1, 0, -1)]
-        resample = None
-        if self.resample is not None:
-            inner = self.resample
-            resample = lambda t: inner((1.0 - t) % 1.0)  # noqa: E731
+        resample, resample_tangent = self._resamplers(
+            lambda t: (1.0 - t) % 1.0, tangent=lambda v: -v
+        )
         tangents = None if self.tangents is None else -self.tangents[idx]
-        return SampledLoop(pts, resample, params, tangents)
+        return SampledLoop(pts, resample, params, tangents, resample_tangent)
 
 
 @dataclass
@@ -486,14 +513,15 @@ def _assemble_frame(
     fields: np.ndarray,
     tol: Tolerances,
     where: Callable[[int], str],
+    middle_name: str,
 ) -> np.ndarray:
     """Frames [manifold normals, middle row, framing fields] at K points, as (K, N, N).
 
     points and middles are (K, N) and fields is (K, k, N). The manifold
     normals are evaluated point by point; the checks then run over the whole
-    stack, each in turn, and an error names where(first failing index). A
-    non-finite normal, middle row or field is an EvaluationFailure, checked
-    first.
+    stack, each in turn, and an error names where(first failing index) and
+    the middle row as middle_name. A non-finite normal, middle row or field
+    is an EvaluationFailure, checked first.
     """
     count = len(ambient.manifold_normals)
     normals = np.array(
@@ -520,7 +548,7 @@ def _assemble_frame(
         frames = orthonormalize(rows, tol)
     except RankDeficient as exc:
         raise RankDeficient(
-            f"frame rows [manifold normals, tangent, framing fields] are dependent at "
+            f"frame rows [manifold normals, {middle_name}, framing fields] are dependent at "
             f"{where(exc.index)}: {exc}",
             index=exc.index,
         ) from exc
@@ -528,7 +556,7 @@ def _assemble_frame(
     if flipped.size:
         raise OrientationMismatch(
             f"assembled frame has determinant -1 at {where(flipped[0])}; row order is "
-            "[manifold normals, tangent, framing fields]"
+            f"[manifold normals, {middle_name}, framing fields]"
         )
     return frames
 
@@ -549,13 +577,14 @@ def frame_matrix_loop(
     must be +1 at every sample. All samples are assembled as one stack.
     When both the loop and the framing can be resampled, the returned loop
     carries a refiner that re-evaluates the geometry through the same
-    assembly (the refiner's tangents are central differences of the
-    resampler). Every assembled frame is noted as frames_assembled.
+    assembly, with loop.tangent(t) or middle(point) as its middle row.
+    Every assembled frame is noted as frames_assembled.
     """
     if middle is not None:
         middles = np.array([middle(p) for p in loop.points], dtype=float)
     else:
         middles = loop._sample_tangents
+    middle_name = "tangent" if middle is None else "middle row"
     samples = _assemble_frame(
         ambient,
         loop.points,
@@ -563,6 +592,7 @@ def frame_matrix_loop(
         framing.fields.transpose(1, 0, 2),
         tol,
         where=lambda k: f"sample {k}",
+        middle_name=middle_name,
     )
     _note_add("frames_assembled", len(loop))
     refiner = None
@@ -577,6 +607,7 @@ def frame_matrix_loop(
                 framing.at(t)[None],
                 tol,
                 where=lambda _: f"parameter {t % 1.0:.6f}",
+                middle_name=middle_name,
             )
             _note_add("frames_assembled", 1)
             return frame[0]

@@ -9,23 +9,20 @@ orthonormalize, which frame assembly uses, is its Q, and the tracer's
 induced framing solves a whole loop's minimum-norm systems with its Q and
 R. `_mgs` is the Gram-Schmidt for the one-off bases: modified Gram-Schmidt
 with one re-orthogonalization pass, which is plenty stable at these sizes,
-skipping dependent inputs. kernel_direction is built on it; the tracer's
-target_basis and transport_closed_frame call it directly with their own
-1e-8 threshold.
-Every rank decision compares a residual norm (|R_ii| for the QR) with a
-tolerance. Non-finite input is an EvaluationFailure; a wrong shape stays a
-ValueError.
+skipping dependent inputs; the tracer's target_basis and
+transport_closed_frame call it with their own 1e-8 threshold. (The tracer's
+walk factors its Jacobians by SVD, with its own relative rank cut.)
+Every rank decision here compares a residual norm (|R_ii| for the QR) with
+a tolerance. Non-finite input is an EvaluationFailure; a wrong shape stays
+a ValueError.
 
-The tracer calls kernel_direction and jacobian_fd at every step of its
-walk, so both avoid per-call overhead without changing one rounding:
-kernel_direction completes the row basis by projecting exactly only the
-coordinate directions whose estimated residual, 1 - sum_j basis[j][i]^2,
-is within 1e-9 of the largest (the winner is always among them), and
-_norm is np.linalg.norm's own sqrt(x @ x) without its dispatch. The dot
-products stay one 1-d `q @ w` at a time: the BLAS dot rounds differently
-from a matrix-vector product, einsum or a row sum (it fuses multiply-adds
-even at length 2), so a vectorized projection would move the bits of every
-traced sample.
+The tracer calls jacobian_fd and _norm at every step of its walk, so both
+avoid per-call overhead without changing one rounding: jacobian_fd
+evaluates one stacked set of perturbations, and _norm is np.linalg.norm's
+own sqrt(x @ x) without its dispatch. The dot products of _mgs stay one
+1-d `q @ w` at a time: the BLAS dot rounds differently from a
+matrix-vector product, einsum or a row sum (it fuses multiply-adds even at
+length 2), so a vectorized projection would move the bits of the bases.
 
 recording() is the package's one diagnostics path: _note_max, _note_add
 and _note_append write a value into every open recording scope and do
@@ -87,13 +84,17 @@ def recording() -> Iterator[dict]:
     converge. Three work counters come from the tracer: newton_calls
     (Newton corrections started), newton_iterations (their correction
     steps) and jacobian_evaluations (evaluations of a map's or section's
-    Jacobian at one point, analytic or by finite differences: one per
-    correction step and one at every corrected point where the walk takes
-    the tangent; kappa_of_map pulls its framing back through the ones taken
-    at the samples, while induced_framing on its own evaluates one per
-    sample; section_index evaluates the section's Jacobian once more at
-    every sample of a zero circle for dw, and those count too). Scopes
-    nest, and a note reaches every open one.
+    Jacobian at one point, analytic or by finite differences: one at every
+    corrected point where the walk takes the tangent, and one per
+    correction step except the first step of each walk correction, which
+    takes the factorization of the last accepted point instead; so an
+    accepted point costs one plus one per corrector iteration after the
+    first. A traced loop's tangent between samples costs one. kappa_of_map
+    pulls its framing back through the ones taken at the samples, while
+    induced_framing on its own evaluates one per sample; section_index
+    evaluates the section's Jacobian once more at every sample of a zero
+    circle for dw, and those count too). Scopes nest, and a note reaches
+    every open one.
     """
     record: dict = {}
     token = _SCOPES.set(_SCOPES.get() + (record,))
@@ -209,68 +210,6 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _qr(V, tol.ortho_tol)[0].transpose(0, 2, 1)
 
 
-# Estimated squared residuals within this of the largest one are projected
-# exactly by kernel_direction. The estimates are off by a few ulps of 1 for
-# an orthonormal basis, far inside the window, so the exact winner is never
-# pruned.
-_COMPLETION_WINDOW = 1e-9
-
-
-def kernel_direction(
-    J: np.ndarray,
-    previous: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Unit vector spanning the one-dimensional kernel of J.
-
-    Rows of J may be dependent (they are dropped); the kernel must end up
-    one-dimensional or RankDeficient is raised. The sign follows `previous`
-    when given, otherwise the first coordinate larger than ortho_tol in
-    magnitude is made positive.
-    """
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2:
-        raise ValueError("J must be a matrix")
-    n = J.shape[1]
-    basis = _mgs(J, tol.ortho_tol)
-    rank = len(basis)
-    if n - rank != 1:
-        raise RankDeficient(f"kernel dimension is {n - rank}, expected 1")
-    # Complete the row basis with the coordinate direction of largest
-    # residual, the best-conditioned completion. Only the directions whose
-    # estimated residual (squared) is within _COMPLETION_WINDOW of the
-    # largest are projected exactly; the first one with the largest exact
-    # residual wins, as if every direction had been projected.
-    B = np.array(basis).reshape(rank, n)
-    estimate = 1.0 - np.einsum("ji,ji->i", B, B)
-    best = None
-    best_norm = 0.0
-    for i in np.flatnonzero(estimate >= estimate.max() - _COMPLETION_WINDOW):
-        w = np.zeros(n)
-        w[i] = 1.0
-        for _pass in range(2):
-            for q in basis:
-                w -= (q @ w) * q
-        r = _norm(w)
-        if r > best_norm:
-            best_norm = r
-            best = w
-    t = best / best_norm
-    if previous is not None:
-        prev = _as_vec(previous)
-        d = float(t @ prev)
-        if d < 0.0:
-            t = -t
-        if d != 0.0:
-            return t
-    for x in t:
-        if abs(x) > tol.ortho_tol:
-            if x < 0.0:
-                t = -t
-            break
-    return t
-
-
 def jacobian_fd(
     f: Callable[[np.ndarray], np.ndarray],
     p: np.ndarray,
@@ -280,9 +219,9 @@ def jacobian_fd(
 
     The default step is 1e-6 * (1 + |p|). Analytic Jacobians, when a caller
     has them, should be preferred; this is the fallback. f is evaluated at
-    the rows of p + h I, then of p - h I. The result is C-contiguous: it
-    feeds _mgs, whose dot products round by memory layout. A non-finite p,
-    or an f that raises, is an EvaluationFailure.
+    the rows of p + h I, then of p - h I. The result is C-contiguous, the
+    layout of the arrays analytic Jacobians return. A non-finite p, or an f
+    that raises, is an EvaluationFailure.
     """
     p = _as_vec(p)
     if h is None:

@@ -61,7 +61,6 @@ from .numkit import (
     _note_max,
     _qr,
     jacobian_fd,
-    kernel_direction,
     recording,
 )
 from .spinlift import Z2, loop_class
@@ -250,13 +249,34 @@ def _frame_jacobian(
     return J
 
 
-# The Newton step drops singular values of the system Jacobian below this
-# fraction of the largest. Central differences (jacobian_fd) are exact to
-# about 1e-10 relative, so a system that is rank deficient by construction
-# (a section's is 7 x 6 of rank 5) keeps a noise singular value near 1e-12,
-# which lstsq's default cutoff of a few machine epsilons would invert into
-# a huge step.
+# Singular values of a system Jacobian at most this fraction of the largest
+# count as zero: the Newton step does not invert them, and at an accepted
+# point the rank left must be one less than the dimension. Central
+# differences (jacobian_fd) are exact to about 1e-10 relative, so a system
+# that is rank deficient by construction (a section's is 7 x 6 of rank 5)
+# keeps a noise singular value near 1e-12, which a cut of a few machine
+# epsilons would invert into a huge step.
 _NEWTON_RCOND = 1e-8
+
+
+def _factored(J: np.ndarray):
+    """(U, S, Vt, rank) of a finite system Jacobian: its full SVD and its rank.
+
+    The rank counts the singular values above _NEWTON_RCOND times the
+    largest. Every step, tangent and rank test of the walk comes from one
+    such factorization.
+    """
+    U, S, Vt = np.linalg.svd(J)
+    return U, S, Vt, int(np.count_nonzero(S > _NEWTON_RCOND * S[0]))
+
+
+def _step(factored, r: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares step -J^+ r, J^+ cut to the factored rank.
+
+    Up to rounding, this is np.linalg.lstsq(J, -r, rcond=_NEWTON_RCOND).
+    """
+    U, S, Vt, rank = factored
+    return -(Vt[:rank].T @ ((U[:, :rank].T @ r) / S[:rank]))
 
 
 def _newton(
@@ -265,14 +285,18 @@ def _newton(
     tol: Tolerances,
     max_iter: int = 12,
     max_move: float | None = None,
+    first=None,
 ):
     """Gauss-Newton correction onto the solution set; returns (point, residual).
 
-    max_move bounds the total correction distance; it turns the correction
-    into a local operation so that seeds far from the solution set fail
-    instead of wandering onto an arbitrary component. A non-finite Jacobian
-    is an EvaluationFailure. Notes newton_calls and, per correction step,
-    newton_iterations.
+    Each step is _step of the _factored Jacobian at the iterate. first,
+    when given, is a _factored Jacobian that the first step takes
+    instead of evaluating one at start: the walk passes the one of the
+    point it predicted start from. max_move bounds the total correction
+    distance; it turns the correction into a local operation so that seeds
+    far from the solution set fail instead of wandering onto an arbitrary
+    component. A non-finite Jacobian is an EvaluationFailure. Notes
+    newton_calls and, per correction step, newton_iterations.
     """
     _note_add("newton_calls", 1)
     p = np.asarray(start, dtype=float).copy()
@@ -287,11 +311,15 @@ def _newton(
         rn = _norm(r)
         if rn < tol.newton_tol:
             return p, rn
-        J = system.jacobian(p)
-        if not np.all(np.isfinite(J)):
-            raise EvaluationFailure("non-finite Jacobian during correction")
+        if first is None:
+            J = system.jacobian(p)
+            if not np.all(np.isfinite(J)):
+                raise EvaluationFailure("non-finite Jacobian during correction")
+            factored = _factored(J)
+        else:
+            factored, first = first, None
         _note_add("newton_iterations", 1)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=_NEWTON_RCOND)
+        step = _step(factored, r)
         sn = _norm(step)
         if not np.isfinite(sn) or sn > 2.0 * scale:
             raise NoConvergence("correction step diverged")
@@ -319,15 +347,30 @@ def _newton_aligned(system, start, anchor, direction, tol):
 
 
 def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances):
-    """Unit kernel tangent at p, and the raw Jacobian it came from."""
+    """Unit kernel tangent at p, the raw Jacobian it came from, and its factorization.
+
+    The tangent is the last right singular vector of the system Jacobian,
+    whose rank must be one less than the dimension (else Singular). It
+    points along previous when given and not orthogonal to it, otherwise
+    its first entry larger than ortho_tol in magnitude is positive.
+    """
     raw = system.raw_jacobian(p)
     J = system.assemble(p, raw)
     if not np.all(np.isfinite(J)):
         raise EvaluationFailure("non-finite Jacobian along the curve")
-    try:
-        return kernel_direction(J, previous, tol), raw
-    except RankDeficient as exc:
-        raise Singular("rank drop along the curve; transversality violated") from exc
+    factored = _factored(J)
+    _, _, Vt, rank = factored
+    n = Vt.shape[0]
+    if rank != n - 1:
+        raise Singular(
+            f"rank drop along the curve: the Jacobian has rank {rank}, expected {n - 1}; "
+            "transversality violated"
+        )
+    t = Vt[n - 1]
+    d = 0.0 if previous is None else float(t @ previous)
+    if d == 0.0:
+        d = t[np.abs(t) > tol.ortho_tol][0]
+    return (-t if d < 0.0 else t), raw, factored
 
 
 def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
@@ -335,7 +378,11 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
 
     The loop carries the unit kernel tangent found at each of its samples;
     the list holds the raw Jacobian (system.raw_jacobian) that tangent came
-    from, one per sample.
+    from, one per sample. That Jacobian's factorization also takes the
+    first correction step from the next predictor, retries after a halved
+    step included. Between samples the loop resamples its points by Newton
+    correction and its tangents as the kernel at the resampled point,
+    signed along the carried tangent of the segment's first sample.
     """
     tol = opts.tolerances
     seed = np.asarray(seed, dtype=float)
@@ -343,7 +390,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         raise ValueError(f"seed has dimension {seed.size}, expected {system.dimension}")
     # seeds must sit near their component: cap the correction distance
     p0, _ = _newton(system, seed, tol, max_move=max(8.0 * opts.initial_step, 0.25))
-    t0, raw0 = _tangent_of(system, p0, None, tol)
+    t0, raw0, factored = _tangent_of(system, p0, None, tol)
     points = [p0]
     tangents = [t0]
     raws = [raw0]
@@ -356,12 +403,12 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         predictor = p + h * t
         failure = None
         try:
-            q, rn = _newton(system, predictor, tol, max_iter=8)
+            q, rn = _newton(system, predictor, tol, max_iter=8, first=factored)
             ok = _norm(q - predictor) <= max(h, 1e3 * tol.newton_tol)
         except (NoConvergence, EvaluationFailure) as exc:
             q, rn, ok, failure = None, None, False, exc
         if ok:
-            t_new, raw = _tangent_of(system, q, t, tol)
+            t_new, raw, factored_new = _tangent_of(system, q, t, tol)
             if float(t_new @ t) < 0.2:
                 ok = False
         if not ok:
@@ -391,19 +438,31 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         tangents.append(t_new)
         raws.append(raw)
         residuals.append(rn)
-        p, t = q, t_new
+        p, t, factored = q, t_new, factored_new
         if _norm(q - predictor) < 0.1 * h:
             h = min(2.0 * h, opts.max_step)
     if closure_error is None:
         raise NotClosed(f"no closure within {opts.max_steps} steps")
     pts = np.asarray(points)
+    carried = np.asarray(tangents)
+    # the latest parameter resampled and its point: the lift's refiners ask
+    # for the point, the tangent and the frames at one parameter in turn
+    last: list = [None, None]
 
     def resample(t_val: float) -> np.ndarray:
-        i, w = loop._segment(t_val)
-        out, _ = _newton(system, (1.0 - w) * pts[i] + w * pts[(i + 1) % len(pts)], tol)
-        return out
+        if t_val != last[0]:
+            i, w = loop._segment(t_val)
+            start = (1.0 - w) * pts[i] + w * pts[(i + 1) % len(pts)]
+            last[:] = t_val, _newton(system, start, tol)[0]
+        return last[1].copy()
 
-    loop = SampledLoop(pts, resample, SampledLoop(pts).arc_fractions(), np.asarray(tangents))
+    def resample_tangent(t_val: float) -> np.ndarray:
+        i, _ = loop._segment(t_val)
+        return _tangent_of(system, resample(t_val), carried[i], tol)[0]
+
+    loop = SampledLoop(
+        pts, resample, SampledLoop(pts).arc_fractions(), carried, resample_tangent
+    )
     return loop, raws, closure_error, max(residuals)
 
 
@@ -462,7 +521,8 @@ def trace_component(
     returns to the start point with an aligned tangent. The returned loop
     carries the unit kernel tangent of the Jacobian at every sample, as the
     walk found it (oriented along the walk), and resamples itself between
-    samples by re-running the corrector. When a list is passed as
+    samples by re-running the corrector, its tangent there being the kernel
+    at the resampled point. When a list is passed as
     jacobians, the map's Jacobian at every sample (spec.jacobian or its
     finite-difference stand-in, as the walk evaluated it for the tangent)
     is appended to it in sample order; induced_framing takes them.
@@ -827,14 +887,25 @@ def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns):
     if turned:
         loop, aux, tau = loop.reversed(), aux.reversed(), tau.reversed()
     term1 = frame_matrix_loop(loop, aux, ambient, tol)
+    degenerate = "section derivative degenerates on the normal space at"
     try:
         term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
     except RankDeficient as exc:
         # reversal keeps sample 0 and moves sample k to K - k
         k = -exc.index % len(loop) if turned else exc.index
-        raise NonTransverse(
-            f"section derivative degenerates on the normal space at sample {k}"
-        ) from exc
+        raise NonTransverse(f"{degenerate} sample {k}") from exc
+    refine = term2.refiner
+
+    def refiner(t: float) -> np.ndarray:
+        try:
+            return refine(t)
+        except RankDeficient as exc:
+            # reversal moves parameter t to 1 - t
+            u = (1.0 - t) % 1.0 if turned else t
+            raise NonTransverse(f"{degenerate} parameter {u:.6f}") from exc
+
+    if refine is not None:
+        term2.refiner = refiner
     return loop_class(term1, tol) ^ loop_class(term2, tol) ^ Z2(1)
 
 

@@ -239,3 +239,38 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_report_digest_names_the_keys_that_moved():
+    import importlib.util
+
+    tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+    spec = importlib.util.spec_from_file_location(
+        "report_digest", os.path.join(tools, "report_digest.py")
+    )
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    before = {
+        "components": [{"index": 1, "samples": 63}],
+        "diagnostics": {"closure_errors": [3e-11], "max_residual": 7e-11, "seeds_skipped": 0},
+        "kappa": 1,
+    }
+    after = {
+        "components": [{"index": 1, "samples": 62}],
+        "diagnostics": {"closure_errors": [2e-11], "max_residual": 7e-11, "margin": 0.5},
+        "kappa": 1,
+    }
+    moved = digest.moved_keys(json.dumps(before).encode(), json.dumps(after).encode())
+    assert moved == [
+        "components[0].samples",
+        "diagnostics.closure_errors[0]",
+        "diagnostics.margin",
+        "diagnostics.seeds_skipped",
+    ]
+    after["components"].append({"index": 0, "samples": 40})
+    assert digest.moved_keys(json.dumps(before).encode(), json.dumps(after).encode())[0] == (
+        "components"
+    )
+    # a failed run prints no report
+    assert digest.moved_keys(b"", json.dumps(after).encode()) == []

@@ -10,10 +10,9 @@ from fbk.numkit import (
     _mgs,
     _norm,
     jacobian_fd,
-    kernel_direction,
     orthonormalize,
 )
-from numref import least_squares
+from numref import kernel_direction, least_squares
 
 
 def orthonormalize_one(vecs) -> np.ndarray:
@@ -130,6 +129,8 @@ class TestLeastSquares:
 
 
 class TestKernelDirection:
+    """tests/numref.py's kernel, the oracle for the tracer's SVD tangent."""
+
     def test_plain(self):
         t = kernel_direction(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
         assert np.allclose(t, [0, 0, 1])
@@ -190,41 +191,6 @@ class TestJacobianFd:
             assert np.max(np.abs(J - exact)) < 100 * h * h
 
 
-def full_completion_kernel_direction(J, previous=None, tol=DEFAULT_TOL):
-    """kernel_direction as it was before the completion was pruned: every
-    coordinate direction is projected, and np.linalg.norm takes the norms."""
-    J = np.asarray(J, dtype=float)
-    n = J.shape[1]
-    basis = _mgs(J, tol.ortho_tol)
-    if n - len(basis) != 1:
-        raise RankDeficient("kernel is not one-dimensional")
-    best = None
-    best_norm = 0.0
-    for i in range(n):
-        w = np.zeros(n)
-        w[i] = 1.0
-        for _pass in range(2):
-            for q in basis:
-                w -= (q @ w) * q
-        r = float(np.linalg.norm(w))
-        if r > best_norm:
-            best_norm = r
-            best = w
-    t = best / best_norm
-    if previous is not None:
-        d = float(t @ previous)
-        if d < 0.0:
-            t = -t
-        if d != 0.0:
-            return t
-    for x in t:
-        if abs(x) > tol.ortho_tol:
-            if x < 0.0:
-                t = -t
-            break
-    return t
-
-
 def column_by_column_jacobian_fd(f, p, h=None):
     """jacobian_fd as it was before the perturbations were stacked."""
     p = np.asarray(p, dtype=float)
@@ -240,46 +206,7 @@ def column_by_column_jacobian_fd(f, p, h=None):
     return np.column_stack(cols)
 
 
-def kernel_cases(rng):
-    """(J, previous) pairs: generic, with a dependent row, integer-valued, and
-    with the kernel spanned by e_0 + e_1, where residuals tie."""
-    for k in range(2200):
-        n = int(rng.integers(3, 13))
-        kind = k % 4
-        if kind == 0:
-            J = rng.normal(size=(n - 1, n))
-        elif kind == 1:
-            J = rng.normal(size=(n - 1, n))
-            J = np.vstack([J, J[0] - 3.0 * J[-1]])
-        elif kind == 2:
-            J = rng.integers(-2, 3, size=(n - 1, n)).astype(float)
-        else:
-            # rows orthogonal to e_0 + e_1, integer-valued every other case
-            if k % 8 == 3:
-                J = rng.integers(-2, 3, size=(n - 1, n)).astype(float)
-                J[:, 1] = -J[:, 0]
-            else:
-                J = rng.normal(size=(n - 1, n))
-                J -= np.outer(J[:, 0] + J[:, 1], [0.5, 0.5] + [0.0] * (n - 2))
-        previous = None if k % 3 == 0 else rng.normal(size=n)
-        yield J, previous
-
-
 class TestBitwiseReferences:
-    def test_pruned_completion_matches_the_full_one(self, rng):
-        compared = 0
-        for J, previous in kernel_cases(rng):
-            try:
-                want = full_completion_kernel_direction(J, previous)
-            except RankDeficient:
-                with pytest.raises(RankDeficient):
-                    kernel_direction(J, previous)
-                continue
-            got = kernel_direction(J, previous)
-            assert np.array_equal(got, want), (J, previous)
-            compared += 1
-        assert compared >= 2000
-
     def test_stacked_fd_matches_column_by_column(self, rng):
         from fbk.scenarios import _quadric_twisted, _suspended_hopf
 

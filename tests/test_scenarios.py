@@ -3,8 +3,9 @@
 The counts are work, not tolerances: a change that moves one of them does
 different work and has to say why. lift_steps is recorded by a scope around
 the whole run, so it includes the lifts behind the "delta" cross-check; the
-column sums to 1944, the lift steps of one round of the scenarios workload
-in perfbench/baseline.json.
+column sums to 1936, the lift steps of one round of the scenarios workload.
+(perfbench/baseline.json records 1944 from before the walk factored each
+Jacobian once by SVD: each traced circle then had 63 samples, not 62.)
 """
 
 import pytest
@@ -15,20 +16,20 @@ from fbk import recording, run_scenario
 # number of closure errors (None: not traced), samples per component, lift_steps
 TABLE = [
     ("cylinder-spin", {}, 0, None, None, [96], 96),
-    ("euclidean-quadric", {}, 0, 0, 1, [63], 63),
-    ("euclidean-quadric-twisted", {}, 0, 0, 1, [63], 63),
+    ("euclidean-quadric", {}, 0, 0, 1, [62], 62),
+    ("euclidean-quadric-twisted", {}, 0, 0, 1, [62], 62),
     ("pontryagin-circle", {}, 0, None, None, [96], 192),
-    ("s5-alt-section", {}, 0, 0, 1, [63], 126),
-    ("s5-vector-fields", {}, 0, 0, 1, [63], 126),
+    ("s5-alt-section", {}, 0, 0, 1, [62], 124),
+    ("s5-vector-fields", {}, 0, 0, 1, [62], 124),
     ("sphere-great-circle", {}, 0, None, None, [96], 96),
-    ("suspended-hopf", {}, 0, 0, 1, [63], 63),
+    ("suspended-hopf", {}, 0, 0, 1, [62], 62),
     ("pontryagin-circle", {"turns": 1}, 0, None, None, [96], 192),
     ("pontryagin-circle", {"turns": 2}, 0, None, None, [96], 192),
     ("pontryagin-circle", {"turns": 3}, 0, None, None, [96], 192),
     ("cylinder-spin", {"spin": "nonstandard", "circles": 1}, 0, None, None, [96], 96),
     ("cylinder-spin", {"spin": "standard", "circles": 2}, 0, None, None, [96, 96], 192),
     ("cylinder-spin", {"spin": "nonstandard", "circles": 2}, 0, None, None, [96, 96], 192),
-    ("suspended-hopf", {"regular_value": "alt"}, 0, 0, 1, [63], 63),
+    ("suspended-hopf", {"regular_value": "alt"}, 0, 0, 1, [62], 62),
 ]
 
 

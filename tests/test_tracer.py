@@ -24,7 +24,7 @@ from fbk.framedlink import (
     sphere_ambient,
     twist_framing,
 )
-from fbk.numkit import DEFAULT_TOL, jacobian_fd, recording
+from fbk.numkit import DEFAULT_TOL, Tolerances, jacobian_fd, recording
 from fbk.scenarios import (
     _S5_SECTION_JAC,
     _s5_alt_section,
@@ -36,12 +36,16 @@ from fbk.tracer import (
     MapSpec,
     SectionSpec,
     TraceOptions,
+    _TracedSystem,
     _component_section_index,
+    _factored,
     _map_system,
     _newton,
     _principal_log_blocks,
     _rotation_power,
     _section_map,
+    _step,
+    _tangent_of,
     hausdorff_distance,
     induced_framing,
     kappa_of_map,
@@ -52,7 +56,7 @@ from fbk.tracer import (
     trace_component,
     transport_closed_frame,
 )
-from numref import least_squares
+from numref import kernel_direction, least_squares
 from test_framedlink import pontryagin_link
 
 
@@ -305,6 +309,177 @@ class TestCarriedKernelTangents:
         with recording() as pulled:
             induced_framing(spec, loop)
         assert pulled == {"jacobian_evaluations": len(loop)}
+
+
+def orthogonal(rng, n: int) -> np.ndarray:
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def constant_system(J: np.ndarray) -> _TracedSystem:
+    """A traced system whose Jacobian is J everywhere."""
+    return _TracedSystem(None, lambda p: J, lambda p, raw: raw, J.shape[1], None)
+
+
+class TestFactoredJacobian:
+    """One SVD per Jacobian gives the Newton step, the tangent and the rank."""
+
+    def test_full_rank_step_and_tangent_match_the_references(self, rng):
+        # singular values in [0.5, 2], so 1e-12 is far above the rounding
+        for n in range(3, 9):
+            for _ in range(40):
+                s = rng.uniform(0.5, 2.0, n - 1)
+                J = (orthogonal(rng, n - 1) * s) @ orthogonal(rng, n)[: n - 1]
+                r = rng.normal(size=n - 1)
+                factored = _factored(J)
+                assert factored[3] == n - 1
+                assert np.max(np.abs(_step(factored, r) - least_squares(J, -r))) < 1e-12
+                previous = rng.normal(size=n)
+                for prev in (None, previous):
+                    t, raw, again = _tangent_of(constant_system(J), np.zeros(n), prev, DEFAULT_TOL)
+                    assert raw is J and again[3] == n - 1
+                    assert np.max(np.abs(t - kernel_direction(J, prev))) < 1e-12
+
+    def test_rank_five_section_systems_cut_the_noise(self, rng):
+        # 7 x 6 of rank 5, as a section's system, with a 1e-12 singular value
+        # off the exact part: the step is the exact part's minimum-norm least
+        # squares step and the tangent its kernel
+        for _ in range(100):
+            U, V = orthogonal(rng, 7), orthogonal(rng, 6)
+            X = U[:, :5] * rng.uniform(0.5, 2.0, 5)
+            J = X @ V[:5] + 1e-12 * np.outer(U[:, 5], V[5])
+            r = rng.normal(size=7)
+            factored = _factored(J)
+            assert factored[3] == 5
+            exact = least_squares(V[:5], np.linalg.solve(X.T @ X, X.T @ -r))
+            assert np.max(np.abs(_step(factored, r) - exact)) < 1e-12
+            t, _, _ = _tangent_of(constant_system(J), np.zeros(6), V[5], DEFAULT_TOL)
+            assert np.max(np.abs(t - V[5])) < 1e-12
+
+    def test_step_is_the_lstsq_step_it_replaced(self, rng):
+        for _ in range(100):
+            J = rng.normal(size=(7, 5)) @ rng.normal(size=(5, 6))
+            J += 1e-12 * rng.normal(size=J.shape)
+            r = rng.normal(size=7)
+            want = np.linalg.lstsq(J, -r, rcond=1e-8)[0]
+            assert np.max(np.abs(_step(_factored(J), r) - want)) < 1e-12
+
+    def test_walk_through_a_rank_drop_is_singular(self):
+        with pytest.raises(Singular, match="the Jacobian has rank 2, expected 3"):
+            trace_component(rank_drop_spec(), SEED, TraceOptions())
+
+    def test_walk_through_a_rank_drop_exits_4(self, capsys, monkeypatch):
+        import fbk.cli as cli
+        import fbk.scenarios as scenarios
+
+        monkeypatch.setattr(scenarios, "_quadric_jac", rank_drop_spec().jacobian)
+        code = cli.main(["scenario", "euclidean-quadric"])
+        assert code == 4
+        assert "error: Singular: rank drop along the curve" in capsys.readouterr().err
+
+    def test_one_jacobian_per_accepted_point_and_per_later_iteration(self, monkeypatch):
+        import fbk.tracer as tracer
+
+        calls = []
+        newton = tracer._newton
+
+        def spy(*args, first=None, **kwargs):
+            with recording() as record:
+                try:
+                    return newton(*args, first=first, **kwargs)
+                finally:
+                    calls.append((first is not None, record.get("newton_iterations", 0)))
+
+        tangents = []
+        tangent_of = tracer._tangent_of
+
+        def counted_tangent_of(*args):
+            tangents.append(1)
+            return tangent_of(*args)
+
+        monkeypatch.setattr(tracer, "_newton", spy)
+        monkeypatch.setattr(tracer, "_tangent_of", counted_tangent_of)
+        for spec in (quadric_spec(), quadric_twisted_spec()):
+            calls.clear()
+            tangents.clear()
+            with recording() as record:
+                loop = trace_component(spec, SEED, TraceOptions())
+            # the seed's correction and the closing one evaluate their own
+            # Jacobians; every walk correction takes the last accepted point's
+            assert [given for given, _ in calls] == [False] + [True] * (len(calls) - 2) + [False]
+            assert len(tangents) >= len(loop)
+            later = sum(max(its - 1, 0) if given else its for given, its in calls)
+            assert record["jacobian_evaluations"] == len(tangents) + later
+            assert record["newton_iterations"] == sum(its for _, its in calls)
+
+
+def rank_drop_spec() -> MapSpec:
+    """The quadric with its x3 row zeroed for x0 < 0: the circle's Jacobian drops rank there."""
+
+    def jac(x):
+        J = quadric_jac(x)
+        if x[0] < 0.0:
+            J[2] = 0.0
+        return J
+
+    return MapSpec(quadric, dimension=4, jacobian=jac)
+
+
+def traced_circles():
+    """The traced quadric circle and both traced S^5 zero circles, with their manifold normals."""
+    yield trace_component(quadric_spec(), SEED, TraceOptions()), []
+    for section, jac, seed in S5_SECTIONS.values():
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=jac)
+        (loop,) = section_zero_loops(spec, TraceOptions(seeds=[seed]))
+        yield loop, sphere_ambient(6).manifold_normals
+
+
+class TestOneTangentOnAndBetweenSamples:
+    def test_resampled_tangent_and_transported_frame_at_the_sample_params(self):
+        for loop, normals in traced_circles():
+            framing = transport_closed_frame(loop, normals)
+            for k, t in enumerate(loop.params):
+                assert np.max(np.abs(loop.tangent(t) - loop.tangent_at_sample(k))) <= 1e-12
+                assert np.max(np.abs(framing.at(t) - framing.at_sample(k))) <= 1e-12
+
+    def test_between_samples_the_tangent_is_the_kernel(self):
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        for t in np.linspace(0.0, 1.0, 37, endpoint=False):
+            p, tangent = loop.point(t), loop.tangent(t)
+            exact = np.array([-p[1], p[0], 0.0, 0.0]) / math.hypot(p[0], p[1])
+            assert np.max(np.abs(tangent - exact)) < 1e-9
+
+    def test_copies_carry_the_tangent_resampler(self, rng):
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        copies = [
+            loop.cycled(5),
+            loop.reversed(),
+            loop.transformed(random_rotation(rng, 4)),
+            loop.translated(rng.normal(size=4)),
+            loop.reversed().cycled(-3),
+        ]
+        for copy in copies:
+            assert copy.resample_tangent is not None
+            for k in range(0, len(copy), 7):
+                gap = copy.tangent(copy.params[k]) - copy.tangent_at_sample(k)
+                assert np.max(np.abs(gap)) < 1e-12
+        with_samples = loop.with_samples(40)
+        assert with_samples.tangents is None
+        assert with_samples.resample_tangent is loop.resample_tangent
+
+    def test_refiner_resamples_the_curve_once(self):
+        spec = quadric_spec()
+        ambient = euclidean_ambient(4)
+        loop = trace_component(spec, SEED, TraceOptions())
+        loop, framing = _orient(loop, induced_framing(spec, loop), ambient)
+        refiner = frame_matrix_loop(loop, framing, ambient).refiner
+        for t in (0.013, 0.5, 0.77):
+            with recording() as record:
+                refiner(t)
+            # the point once; the tangent and the pulled-back fields one
+            # Jacobian each at that point
+            assert record["newton_calls"] == 1
+            assert record["jacobian_evaluations"] == record["newton_iterations"] + 2
 
 
 class TestCarriedJacobians:
@@ -672,6 +847,26 @@ class TestSectionIndex:
         for circle, k in ((loop, 17), (loop.reversed(), len(loop) - 17)):
             with pytest.raises(NonTransverse, match=rf"at sample {k}$"):
                 _component_section_index(spec, system, circle, sphere_ambient(6), DEFAULT_TOL, 0)
+
+    def test_derivative_degenerate_between_samples_is_non_transverse(self):
+        # dw is exact at the samples and zero between them; a lift bound
+        # below the sample spacing makes term 2's refiner assemble frames
+        # between samples, where [position, v, dw(aux)] drops rank
+        section, jac, seed = S5_SECTIONS["s5-vector-fields"]
+        good = SectionSpec(5, _s5_splitting, section, jacobian=jac)
+        (loop,) = section_zero_loops(good, TraceOptions(seeds=[seed]))
+        samples = {tuple(p) for p in loop.points}
+
+        def sampled_jac(x):
+            return jac(x) if tuple(x) in samples else np.zeros((6, 6))
+
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=sampled_jac)
+        system = _map_system(_section_map(spec))
+        tol = Tolerances(lift_angle_max=0.05)
+        for circle in (loop, loop.reversed()):
+            with pytest.raises(NonTransverse, match=r"at parameter 0\.\d{6}$") as info:
+                _component_section_index(spec, system, circle, sphere_ambient(6), tol, 0)
+            assert "middle row" in str(info.value.__cause__)
 
     def test_intermediate_term_classes(self, monkeypatch):
         # closed-form frames on the plane zero circle make both matrix loops

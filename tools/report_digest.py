@@ -15,9 +15,11 @@ and of stderr. The tool exits 1 when some run exits nonzero, 0 otherwise.
 With --against REF, the `src/` of the git ref REF is unpacked with
 `git archive` into a temporary directory and both trees are digested on
 this machine, so CPU and BLAS differences cancel. The lines that differ are
-printed (`-` for REF, `+` for this checkout), and the tool exits 1 when any
-report byte, failure note or exit code moved. Both trees read the same link
-documents.
+printed (`-` for REF, `+` for this checkout), each followed by the dotted
+keys of the JSON report whose values differ, such as
+`components[0].samples` or `diagnostics.closure_errors[0]`, and the tool
+exits 1 when any report byte, failure note or exit code moved. Both trees
+read the same link documents.
 """
 
 from __future__ import annotations
@@ -146,8 +148,11 @@ def invocations() -> list[list[str]]:
     return runs
 
 
-def digest(args: list[str], root: str, cwd: str) -> tuple[int, str]:
-    """Run `python -m fbk args` from cwd with the fbk of root/src."""
+def digest(args: list[str], root: str, cwd: str) -> tuple[int, str, bytes]:
+    """Run `python -m fbk args` from cwd with the fbk of root/src.
+
+    Returns the exit code, the digest line and the report (stdout).
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
     env["PYTHONHASHSEED"] = "0"
@@ -157,7 +162,37 @@ def digest(args: list[str], root: str, cwd: str) -> tuple[int, str]:
     out = hashlib.sha256(proc.stdout).hexdigest()
     err = hashlib.sha256(proc.stderr).hexdigest()
     line = f"fbk {' '.join(args)}\texit={proc.returncode}\tstdout={out}\tstderr={err}"
-    return proc.returncode, line
+    return proc.returncode, line, proc.stdout
+
+
+_ABSENT = object()
+
+
+def moved_keys(theirs: bytes, ours: bytes) -> list[str]:
+    """Dotted keys whose values differ between two JSON reports, in key order.
+
+    A key present in one report only counts as moved, and so does a list
+    whose length changed. A report that is not JSON (a failed run prints
+    none) yields no keys.
+    """
+    try:
+        before, after = json.loads(theirs), json.loads(ours)
+    except ValueError:
+        return []
+    moved: list[str] = []
+
+    def walk(a, b, key: str) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for name in sorted(set(a) | set(b)):
+                walk(a.get(name, _ABSENT), b.get(name, _ABSENT), f"{key}.{name}" if key else name)
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{key}[{i}]")
+        elif a != b or type(a) is not type(b):
+            moved.append(key or "(report)")
+
+    walk(before, after, "")
+    return moved
 
 
 def unpack_src(ref: str, into: str) -> None:
@@ -177,11 +212,14 @@ def compare(ref: str, docs: str) -> int:
         differ = 0
         runs = invocations()
         for args in runs:
-            _, theirs = digest(args, other, docs)
-            _, ours = digest(args, ROOT, docs)
+            _, theirs, their_report = digest(args, other, docs)
+            _, ours, our_report = digest(args, ROOT, docs)
             if theirs != ours:
                 differ += 1
                 print(f"- {theirs}\n+ {ours}", flush=True)
+                keys = moved_keys(their_report, our_report)
+                if keys:
+                    print(f"  moved: {', '.join(keys)}", flush=True)
     print(f"{len(runs) - differ} of {len(runs)} lines identical to {ref}")
     return 1 if differ else 0
 
@@ -196,7 +234,7 @@ def main() -> int:
             return compare(ref, docs)
         failed = 0
         for args in invocations():
-            code, line = digest(args, ROOT, docs)
+            code, line, _ = digest(args, ROOT, docs)
             print(line, flush=True)
             failed += code != 0
         return 1 if failed else 0
