@@ -311,11 +311,6 @@ class TestCarriedKernelTangents:
         assert pulled == {"jacobian_evaluations": len(loop)}
 
 
-def orthogonal(rng, n: int) -> np.ndarray:
-    Q, R = np.linalg.qr(rng.normal(size=(n, n)))
-    return Q * np.sign(np.diag(R))
-
-
 def constant_system(J: np.ndarray) -> _TracedSystem:
     """A traced system whose Jacobian is J everywhere."""
     return _TracedSystem(None, lambda p: J, lambda p, raw: raw, J.shape[1], None)
@@ -329,7 +324,7 @@ class TestFactoredJacobian:
         for n in range(3, 9):
             for _ in range(40):
                 s = rng.uniform(0.5, 2.0, n - 1)
-                J = (orthogonal(rng, n - 1) * s) @ orthogonal(rng, n)[: n - 1]
+                J = (random_rotation(rng, n - 1) * s) @ random_rotation(rng, n)[: n - 1]
                 r = rng.normal(size=n - 1)
                 factored = _factored(J)
                 assert factored[3] == n - 1
@@ -345,7 +340,7 @@ class TestFactoredJacobian:
         # off the exact part: the step is the exact part's minimum-norm least
         # squares step and the tangent its kernel
         for _ in range(100):
-            U, V = orthogonal(rng, 7), orthogonal(rng, 6)
+            U, V = random_rotation(rng, 7), random_rotation(rng, 6)
             X = U[:, :5] * rng.uniform(0.5, 2.0, 5)
             J = X @ V[:5] + 1e-12 * np.outer(U[:, 5], V[5])
             r = rng.normal(size=7)
