@@ -11,7 +11,10 @@ R. `_mgs` is the Gram-Schmidt for the one-off bases: modified Gram-Schmidt
 with one re-orthogonalization pass, which is plenty stable at these sizes,
 skipping dependent inputs; the tracer's target_basis and
 transport_closed_frame call it with their own 1e-8 threshold. (The tracer's
-walk factors its Jacobians by SVD, with its own relative rank cut.)
+walk factors its Jacobians by SVD, with its own relative rank cut, and its
+Newton corrector keeps one factorization as a chord while its steps
+contract, so a walk correction factors a Jacobian of its own only where
+the chord contracts slowly.)
 Every rank decision here compares a residual norm (|R_ii| for the QR) with
 a tolerance. Non-finite input is an EvaluationFailure; a wrong shape stays
 a ValueError.
@@ -85,16 +88,17 @@ def recording() -> Iterator[dict]:
     (Newton corrections started), newton_iterations (their correction
     steps) and jacobian_evaluations (evaluations of a map's or section's
     Jacobian at one point, analytic or by finite differences: one at every
-    corrected point where the walk takes the tangent, and one per
-    correction step except the first step of each walk correction, which
-    takes the factorization of the last accepted point instead; so an
-    accepted point costs one plus one per corrector iteration after the
-    first. A traced loop's tangent between samples costs one. kappa_of_map
-    pulls its framing back through the ones taken at the samples, while
-    induced_framing on its own evaluates one per sample; section_index
-    evaluates the section's Jacobian once more at every sample of a zero
-    circle for dw, and those count too). Scopes nest, and a note reaches
-    every open one.
+    corrected point where the walk takes the tangent, one where a Newton
+    correction starts without a factorization in hand, and one at every
+    refresh, where a correction step shrank the residual by less than the
+    chord's contraction factor. A walk correction starts from the
+    factorization of the last accepted point, so an accepted point whose
+    chord steps all contract costs one. A traced loop's tangent between
+    samples costs one. kappa_of_map pulls its framing back through the
+    ones taken at the samples, and section_index takes dw at the samples of
+    a zero circle from them too, while induced_framing on its own
+    evaluates one per sample). Scopes nest, and a note reaches every open
+    one.
     """
     record: dict = {}
     token = _SCOPES.set(_SCOPES.get() + (record,))

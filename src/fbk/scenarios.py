@@ -37,6 +37,8 @@ class Scenario:
     defaults: dict
     run: Callable[[dict], InvariantReport]
     expected: Callable[[dict], dict]
+    # for the scenarios that trace: the (spec, TraceOptions) run hands the tracer
+    traced: Callable[[dict], tuple] | None = None
 
 
 def _circle_loop(
@@ -165,7 +167,7 @@ _HOPF_VALUES = {
 }
 
 
-def _run_suspended_hopf(options: dict) -> InvariantReport:
+def _hopf_problem(options: dict) -> tuple[MapSpec, TraceOptions]:
     which = options["regular_value"]
     if which not in _HOPF_VALUES:
         raise ValidationError("regular_value must be 'default' or 'alt'")
@@ -177,8 +179,11 @@ def _run_suspended_hopf(options: dict) -> InvariantReport:
         regular_value=data["x0"],
         domain="unit_sphere",
     )
-    opts = TraceOptions(seeds=[data["seed"]], tolerances=options["tolerances"])
-    return kappa_of_map(spec, opts, sphere_ambient(5))
+    return spec, TraceOptions(seeds=[data["seed"]], tolerances=options["tolerances"])
+
+
+def _run_suspended_hopf(options: dict) -> InvariantReport:
+    return kappa_of_map(*_hopf_problem(options), sphere_ambient(5))
 
 
 def _quadric(x: np.ndarray) -> np.ndarray:
@@ -203,7 +208,7 @@ def _quadric_twisted(x: np.ndarray) -> np.ndarray:
     return np.array([c * base[0] - s * base[1], s * base[0] + c * base[1], base[2]])
 
 
-def _run_quadric(options: dict, twisted: bool) -> InvariantReport:
+def _quadric_problem(options: dict, twisted: bool) -> tuple[MapSpec, TraceOptions]:
     if twisted:
         spec = MapSpec(_quadric_twisted, dimension=4)
     else:
@@ -211,7 +216,11 @@ def _run_quadric(options: dict, twisted: bool) -> InvariantReport:
     opts = TraceOptions(
         seeds=[np.array([1.1, 0.0, 0.05, -0.02])], tolerances=options["tolerances"]
     )
-    return kappa_of_map(spec, opts, euclidean_ambient(4))
+    return spec, opts
+
+
+def _run_quadric(options: dict, twisted: bool) -> InvariantReport:
+    return kappa_of_map(*_quadric_problem(options, twisted), euclidean_ambient(4))
 
 
 def _s5_splitting(x: np.ndarray) -> np.ndarray:
@@ -267,15 +276,18 @@ def _s5_alt_section_jac(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _run_s5(options: dict, alt: bool) -> InvariantReport:
+def _s5_problem(options: dict, alt: bool) -> tuple[SectionSpec, TraceOptions]:
     if alt:
         spec = SectionSpec(5, _s5_splitting, _s5_alt_section, jacobian=_s5_alt_section_jac)
         seed = np.array([0.05, -0.04, 0.97, 0.12, 0.04, -0.03])
     else:
         spec = SectionSpec(5, _s5_splitting, _s5_section, jacobian=lambda x: _S5_SECTION_JAC)
         seed = np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])
-    opts = TraceOptions(seeds=[seed], tolerances=options["tolerances"])
-    return section_index(spec, opts)
+    return spec, TraceOptions(seeds=[seed], tolerances=options["tolerances"])
+
+
+def _run_s5(options: dict, alt: bool) -> InvariantReport:
+    return section_index(*_s5_problem(options, alt))
 
 
 def _expect_bit(bit: int, components: int = 1, winding=None):
@@ -330,6 +342,7 @@ _register(
         {"regular_value": "default"},
         _run_suspended_hopf,
         _expect_bit(1),
+        _hopf_problem,
     )
 )
 _register(
@@ -339,6 +352,7 @@ _register(
         {},
         lambda options: _run_quadric(options, twisted=False),
         _expect_bit(0),
+        lambda options: _quadric_problem(options, twisted=False),
     )
 )
 _register(
@@ -348,6 +362,7 @@ _register(
         {},
         lambda options: _run_quadric(options, twisted=True),
         _expect_bit(1),
+        lambda options: _quadric_problem(options, twisted=True),
     )
 )
 _register(
@@ -357,6 +372,7 @@ _register(
         {},
         lambda options: _run_s5(options, alt=False),
         _expect_bit(1),
+        lambda options: _s5_problem(options, alt=False),
     )
 )
 _register(
@@ -366,6 +382,7 @@ _register(
         {},
         lambda options: _run_s5(options, alt=True),
         _expect_bit(1),
+        lambda options: _s5_problem(options, alt=True),
     )
 )
 

@@ -258,6 +258,14 @@ def _frame_jacobian(
 # epsilons would invert into a huge step.
 _NEWTON_RCOND = 1e-8
 
+# A correction step that leaves more than this fraction of the residual
+# norm it started from makes _newton refactor the Jacobian at the iterate.
+# A chord step contracts by about the distance the factorization was taken
+# from times the curvature of the map; at the walk's longest steps
+# (max_step 0.1) the twisted quadric's chord contracts by about 0.1 a step,
+# which a factor of 0.25 would accept, taking the walk's whole iteration cap.
+_CHORD_CONTRACTION = 0.05
+
 
 def _factored(J: np.ndarray):
     """(U, S, Vt, rank) of a finite system Jacobian: its full SVD and its rank.
@@ -287,22 +295,29 @@ def _newton(
     max_move: float | None = None,
     first=None,
 ):
-    """Gauss-Newton correction onto the solution set; returns (point, residual).
+    """Gauss-Newton-chord correction onto the solution set; returns (point, residual).
 
-    Each step is _step of the _factored Jacobian at the iterate. first,
-    when given, is a _factored Jacobian that the first step takes
-    instead of evaluating one at start: the walk passes the one of the
-    point it predicted start from. max_move bounds the total correction
-    distance; it turns the correction into a local operation so that seeds
-    far from the solution set fail instead of wandering onto an arbitrary
-    component. A non-finite Jacobian is an EvaluationFailure. Notes
-    newton_calls and, per correction step, newton_iterations.
+    Every step is _step of one held _factored Jacobian: first when given
+    (the walk passes the one of the point it predicted start from), else
+    the Jacobian at start. The held factorization takes the next step as
+    long as the last one shrank the residual norm by at least the factor
+    _CHORD_CONTRACTION; after a step that contracted less, the Jacobian at
+    the iterate is evaluated and factored, and the steps go on from it
+    (the chord method with a contraction-triggered refresh: Kelley,
+    Solving Nonlinear Equations with Newton's Method, 2003, ch. 5).
+    max_move bounds the total correction distance; it turns the correction
+    into a local operation so that seeds far from the solution set fail
+    instead of wandering onto an arbitrary component. A non-finite
+    Jacobian is an EvaluationFailure. Notes newton_calls and, per
+    correction step, newton_iterations.
     """
     _note_add("newton_calls", 1)
     p = np.asarray(start, dtype=float).copy()
     scale = 1.0 + _norm(p)
     budget = 10.0 * scale if max_move is None else max_move
     moved = 0.0
+    factored = first
+    previous = math.inf
     for _ in range(max_iter):
         try:
             r = system.residual(p)
@@ -311,13 +326,12 @@ def _newton(
         rn = _norm(r)
         if rn < tol.newton_tol:
             return p, rn
-        if first is None:
+        if factored is None or rn > _CHORD_CONTRACTION * previous:
             J = system.jacobian(p)
             if not np.all(np.isfinite(J)):
                 raise EvaluationFailure("non-finite Jacobian during correction")
             factored = _factored(J)
-        else:
-            factored, first = first, None
+        previous = rn
         _note_add("newton_iterations", 1)
         step = _step(factored, r)
         sn = _norm(step)
@@ -378,11 +392,14 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
 
     The loop carries the unit kernel tangent found at each of its samples;
     the list holds the raw Jacobian (system.raw_jacobian) that tangent came
-    from, one per sample. That Jacobian's factorization also takes the
-    first correction step from the next predictor, retries after a halved
-    step included. Between samples the loop resamples its points by Newton
-    correction and its tangents as the kernel at the resampled point,
-    signed along the carried tangent of the segment's first sample.
+    from, one per sample. That Jacobian's factorization is the chord the
+    next predictor's correction holds, retries after a halved step
+    included: _newton takes every step from it and evaluates a new
+    Jacobian only after a step that contracts too little, so most accepted
+    points cost the one Jacobian of their tangent. Between samples the loop
+    resamples its points by Newton correction and its tangents as the
+    kernel at the resampled point, signed along the carried tangent of the
+    segment's first sample.
     """
     tol = opts.tolerances
     seed = np.asarray(seed, dtype=float)
@@ -848,35 +865,43 @@ def _check_section_invariants(spec: SectionSpec, loop: SampledLoop):
 
 
 def _section_derivative_fields(
-    spec: SectionSpec, system: _TracedSystem, loop: SampledLoop, aux: NormalFraming
+    spec: SectionSpec, system: _TracedSystem, loop: SampledLoop, aux: NormalFraming, raws=None
 ) -> NormalFraming:
     """dw applied to the auxiliary frame, projected into the bundle fibers.
 
-    The section's Jacobian comes from system.raw_jacobian, one per point.
+    The section's Jacobian comes from system.raw_jacobian, one per point;
+    raws, when given, are the ones the walk evaluated at the samples, as
+    section_zero_loops collects them, and are used there instead.
     """
 
-    def tau_at(x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def tau_at(x: np.ndarray, U: np.ndarray, raw: np.ndarray) -> np.ndarray:
         v = np.asarray(spec.splitting_field(x), dtype=float)
-        D = U @ system.raw_jacobian(x).T
+        D = U @ raw.T
         # at zeros of the section the covariant derivative is the plain
         # directional derivative projected into the fiber
         return D - np.outer(D @ x, x) - np.outer(D @ v, v)
 
-    stacked = np.array([tau_at(loop.points[i], aux.at_sample(i)) for i in range(len(loop))])
+    if raws is None:
+        raws = [system.raw_jacobian(x) for x in loop.points]
+    stacked = np.array([tau_at(x, aux.at_sample(i), raws[i]) for i, x in enumerate(loop.points)])
     resample = None
     if loop.resample is not None and aux.resample is not None:
-        resample = lambda t: tau_at(loop.point(t), aux.at(t))  # noqa: E731
+
+        def resample(t: float) -> np.ndarray:
+            x = loop.point(t)
+            return tau_at(x, aux.at(t), system.raw_jacobian(x))
+
     return NormalFraming(stacked.transpose(1, 0, 2), resample)
 
 
-def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns):
+def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns, raws=None):
     def v_of(p: np.ndarray) -> np.ndarray:
         return np.asarray(spec.splitting_field(p), dtype=float)
 
     aux = transport_closed_frame(loop, ambient.manifold_normals, tol)
     if aux_twist_turns:
         aux = twist_framing(loop, aux, aux_twist_turns)
-    tau = _section_derivative_fields(spec, system, loop, aux)
+    tau = _section_derivative_fields(spec, system, loop, aux, raws)
     if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
         flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
         aux = _recombined(aux, loop.params, lambda t: flip)
@@ -909,23 +934,32 @@ def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns):
     return loop_class(term1, tol) ^ loop_class(term2, tol) ^ Z2(1)
 
 
-def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoop]:
+def section_zero_loops(
+    spec: SectionSpec, opts: TraceOptions, jacobians: list | None = None
+) -> list[SampledLoop]:
     """Traced zero circles of the section, one per converging seed.
 
     Seeds whose correction diverges are skipped (noted as seeds_skipped);
-    seeds reaching one component twice raise DuplicateComponent.
+    seeds reaching one component twice raise DuplicateComponent. When a
+    list is passed as jacobians, one list per returned loop is appended to
+    it: the section's Jacobians at that loop's samples, in sample order, as
+    the walk evaluated them for the tangent; section_index takes them for dw.
     """
     system = _map_system(_section_map(spec))
     loops = []
     for seed in opts.seeds:
         try:
-            loop, _, closure_error, residual = _trace(system, np.asarray(seed, dtype=float), opts)
+            loop, raws, closure_error, residual = _trace(
+                system, np.asarray(seed, dtype=float), opts
+            )
         except NoConvergence:
             _note_add("seeds_skipped", 1)
             continue
         _note_append("closure_errors", closure_error)
         _note_max("max_residual", residual)
         loops.append(loop)
+        if jacobians is not None:
+            jacobians.append(raws)
     _check_distinct(loops, opts.tolerances)
     return loops
 
@@ -947,9 +981,15 @@ def section_index(
     system = _map_system(_section_map(spec))
     with recording() as record:
         pairs = []
-        for loop in section_zero_loops(spec, opts):
+        jacobians: list = []
+        loops = section_zero_loops(spec, opts, jacobians)
+        # the walk's Jacobians at the samples, when the loops came with them
+        jacobians = jacobians if len(jacobians) == len(loops) else [None] * len(loops)
+        for loop, raws in zip(loops, jacobians):
             _check_section_invariants(spec, loop)
-            bit = _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns)
+            bit = _component_section_index(
+                spec, system, loop, ambient, tol, aux_twist_turns, raws
+            )
             pairs.append((bit, loop))
     return _report(pairs, ambient, tol, record, traced=True)
 

@@ -27,12 +27,15 @@ from fbk.framedlink import (
 from fbk.numkit import DEFAULT_TOL, Tolerances, jacobian_fd, recording
 from fbk.scenarios import (
     _S5_SECTION_JAC,
+    REGISTRY,
     _s5_alt_section,
     _s5_alt_section_jac,
     _s5_section,
     _s5_splitting,
+    resolve_options,
 )
 from fbk.tracer import (
+    _CHORD_CONTRACTION,
     MapSpec,
     SectionSpec,
     TraceOptions,
@@ -46,6 +49,7 @@ from fbk.tracer import (
     _section_map,
     _step,
     _tangent_of,
+    _trace,
     hausdorff_distance,
     induced_framing,
     kappa_of_map,
@@ -298,14 +302,21 @@ class TestCarriedKernelTangents:
         with recording() as resampled:
             frame_matrix_loop(bare, framing, ambient)
         assert resampled["newton_calls"] == 2 * len(loop)
-        assert resampled["jacobian_evaluations"] == resampled["newton_iterations"] > 0
+        # each resample factors the Jacobian at its start; near a sample the
+        # chord contracts and takes its further steps without a refresh
+        assert resampled["jacobian_evaluations"] == resampled["newton_calls"]
+        assert resampled["newton_iterations"] > resampled["newton_calls"]
 
     def test_work_counters_of_a_trace_and_a_pull_back(self):
         spec = quadric_spec()
         with recording() as traced:
             loop = trace_component(spec, SEED, TraceOptions())
         assert traced["newton_calls"] >= len(loop)
-        assert traced["jacobian_evaluations"] > traced["newton_iterations"] > 0
+        # one Jacobian per accepted point, its tangent's; the walk's chord
+        # steps on the quadric never refresh, only the seed's and the
+        # closing correction, which start without a factorization, add some
+        assert len(loop) < traced["jacobian_evaluations"] <= len(loop) + 6
+        assert traced["newton_iterations"] > traced["jacobian_evaluations"]
         with recording() as pulled:
             induced_framing(spec, loop)
         assert pulled == {"jacobian_evaluations": len(loop)}
@@ -372,18 +383,21 @@ class TestFactoredJacobian:
         assert code == 4
         assert "error: Singular: rank drop along the curve" in capsys.readouterr().err
 
-    def test_one_jacobian_per_accepted_point_and_per_later_iteration(self, monkeypatch):
+    def test_one_jacobian_per_accepted_point_and_per_refresh(self, monkeypatch):
         import fbk.tracer as tracer
 
         calls = []
+        factored = []
         newton = tracer._newton
 
         def spy(*args, first=None, **kwargs):
+            before = len(factored)
             with recording() as record:
                 try:
                     return newton(*args, first=first, **kwargs)
                 finally:
-                    calls.append((first is not None, record.get("newton_iterations", 0)))
+                    its = record.get("newton_iterations", 0)
+                    calls.append((first is not None, its, len(factored) - before))
 
         tangents = []
         tangent_of = tracer._tangent_of
@@ -392,20 +406,149 @@ class TestFactoredJacobian:
             tangents.append(1)
             return tangent_of(*args)
 
+        factor = tracer._factored
+
+        def counted_factored(J):
+            factored.append(1)
+            return factor(J)
+
         monkeypatch.setattr(tracer, "_newton", spy)
         monkeypatch.setattr(tracer, "_tangent_of", counted_tangent_of)
-        for spec in (quadric_spec(), quadric_twisted_spec()):
+        monkeypatch.setattr(tracer, "_factored", counted_factored)
+        # walk refreshes per spec: the quadric's chord (an analytic Jacobian
+        # of a map with one quadratic row) contracts by far more than
+        # _CHORD_CONTRACTION, the twisted quadric's by about 0.1 a step
+        for spec, walk_refreshes in ((quadric_spec(), 0), (quadric_twisted_spec(), 1)):
             calls.clear()
             tangents.clear()
+            factored.clear()
             with recording() as record:
                 loop = trace_component(spec, SEED, TraceOptions())
             # the seed's correction and the closing one evaluate their own
-            # Jacobians; every walk correction takes the last accepted point's
-            assert [given for given, _ in calls] == [False] + [True] * (len(calls) - 2) + [False]
+            # Jacobians; every walk correction holds the last accepted point's
+            assert [given for given, _, _ in calls] == [False] + [True] * (len(calls) - 2) + [False]
             assert len(tangents) >= len(loop)
-            later = sum(max(its - 1, 0) if given else its for given, its in calls)
-            assert record["jacobian_evaluations"] == len(tangents) + later
-            assert record["newton_iterations"] == sum(its for _, its in calls)
+            # every Jacobian the trace evaluates is factored once: at a
+            # tangent, at the start of an uncarried correction, at a refresh
+            assert record["jacobian_evaluations"] == len(factored)
+            assert len(factored) == len(tangents) + sum(evals for _, _, evals in calls)
+            assert record["newton_iterations"] == sum(its for _, its, _ in calls)
+            for given, its, evals in calls:
+                # a refresh follows a step, so it never exceeds the steps after the first
+                assert (0 if given else 1) <= evals <= (its - 1 if given else its)
+            assert {evals for given, _, evals in calls if given} == {walk_refreshes}
+
+
+def registry_systems():
+    """(case, traced system, TraceOptions) of every traced registry scenario.
+
+    The suspended Hopf map's other regular value joins the eight defaults.
+    """
+    cases = [(name, {}) for name, scenario in REGISTRY.items() if scenario.traced]
+    for name, overrides in cases + [("suspended-hopf", {"regular_value": "alt"})]:
+        scenario = REGISTRY[name]
+        spec, opts = scenario.traced(resolve_options(scenario, overrides))
+        if isinstance(spec, SectionSpec):
+            spec = _section_map(spec)
+        yield f"{name}{overrides or ''}", _map_system(spec), opts
+
+
+def logged_quadric(jac=quadric_jac):
+    """The quadric's traced system, logging ("r", |residual|) and ("J",) in call order."""
+    log = []
+
+    def residual(p):
+        r = quadric(p)
+        log.append(("r", float(np.linalg.norm(r))))
+        return r
+
+    def raw_jacobian(p):
+        log.append(("J",))
+        return jac(p)
+
+    return _TracedSystem(residual, raw_jacobian, lambda p, raw: raw, 4, None), log
+
+
+# The quadric's Jacobian at x0 = 2: as a chord near the circle x0 = 1 it
+# contracts the quadratic row by about 1 - 2/4 = 0.5 a step.
+FAR_CHORD = _factored(quadric_jac(np.array([2.0, 0.0, 0.0, 0.0])))
+NEAR = np.array([1.1, 0.0, 0.05, -0.02])
+
+
+class TestChordCorrector:
+    """_newton holds one factorization while its steps contract by _CHORD_CONTRACTION."""
+
+    @pytest.mark.parametrize("first", [None, FAR_CHORD], ids=["uncarried", "carried"])
+    def test_refreshes_exactly_after_a_step_that_contracts_too_little(self, first):
+        system, log = logged_quadric()
+        _, rn = _newton(system, NEAR, DEFAULT_TOL, first=first)
+        assert rn < DEFAULT_TOL.newton_tol
+        norms = [entry[1] for entry in log if entry[0] == "r"]
+        # whether a Jacobian was evaluated right after each residual
+        refreshed = [log[i + 1 : i + 2] == [("J",)] for i, e in enumerate(log) if e[0] == "r"]
+        assert refreshed[0] == (first is None)
+        for k in range(1, len(norms)):
+            converged = norms[k] < DEFAULT_TOL.newton_tol
+            slow = norms[k] > _CHORD_CONTRACTION * norms[k - 1]
+            assert refreshed[k] == (slow and not converged), k
+        # both branches of the rule are taken
+        assert any(refreshed[1:]) and not all(refreshed[1:-1])
+
+    def test_a_slow_chord_refreshes_and_converges(self):
+        with recording() as record:
+            p, rn = _newton(_map_system(quadric_spec()), NEAR, DEFAULT_TOL, first=FAR_CHORD)
+        assert rn < DEFAULT_TOL.newton_tol
+        assert np.max(np.abs(quadric(p))) < DEFAULT_TOL.newton_tol
+        # held, that chord would need about 30 steps; refreshed once after
+        # its first step, the correction ends within the cap of 12 and 2 to spare
+        assert record["jacobian_evaluations"] == 1
+        assert record["newton_iterations"] <= 12 - 2
+
+    def test_registry_corrections_keep_two_iterations_to_spare(self, monkeypatch):
+        import inspect
+
+        import fbk.tracer as tracer
+
+        newton = tracer._newton
+        default_cap = inspect.signature(newton).parameters["max_iter"].default
+        spare = []
+
+        def spy(*args, **kwargs):
+            with recording() as record:
+                out = newton(*args, **kwargs)
+            spare.append(kwargs.get("max_iter", default_cap) - record["newton_iterations"])
+            return out
+
+        monkeypatch.setattr(tracer, "_newton", spy)
+        for case, system, opts in registry_systems():
+            spare.clear()
+            loop, _, _, _ = _trace(system, opts.seeds[0], opts)
+            assert len(spare) > len(loop), case
+            assert min(spare) >= 2, case
+
+    def test_every_traced_sample_is_below_newton_tol(self):
+        for case, system, opts in registry_systems():
+            loop, _, _, max_residual = _trace(system, opts.seeds[0], opts)
+            norms = [np.linalg.norm(system.residual(p)) for p in loop.points]
+            assert max(norms) < opts.tolerances.newton_tol, case
+            assert max_residual < opts.tolerances.newton_tol, case
+
+    def test_non_finite_jacobian_at_a_refresh_is_an_evaluation_failure(self):
+        system, log = logged_quadric(lambda x: np.full((3, 4), np.nan))
+        with pytest.raises(EvaluationFailure, match="non-finite Jacobian during correction"):
+            _newton(system, NEAR, DEFAULT_TOL, first=FAR_CHORD)
+        # the carried chord took the first step, the refresh came after it
+        assert [e[0] for e in log] == ["r", "r", "J"]
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_seed_beyond_max_move_is_no_convergence(self, carried):
+        far = np.array([1.6, 0.0, 0.0, 0.0])
+        first = _factored(quadric_jac(far)) if carried else None
+        with pytest.raises(NoConvergence, match="wandered too far"):
+            _newton(_map_system(quadric_spec()), far, DEFAULT_TOL, max_move=0.4, first=first)
+        # the trace's seed correction caps the move at 0.4 for the default steps
+        with pytest.raises(NoConvergence, match="wandered too far"):
+            trace_component(quadric_spec(), far, TraceOptions())
 
 
 def rank_drop_spec() -> MapSpec:
@@ -471,10 +614,12 @@ class TestOneTangentOnAndBetweenSamples:
         for t in (0.013, 0.5, 0.77):
             with recording() as record:
                 refiner(t)
-            # the point once; the tangent and the pulled-back fields one
-            # Jacobian each at that point
+            # the point once, its correction factoring one Jacobian at its
+            # start and taking every further chord step from it; the tangent
+            # and the pulled-back fields one Jacobian each at that point
             assert record["newton_calls"] == 1
-            assert record["jacobian_evaluations"] == record["newton_iterations"] + 2
+            assert record["newton_iterations"] >= 2
+            assert record["jacobian_evaluations"] == 1 + 2
 
 
 class TestCarriedJacobians:
@@ -930,6 +1075,41 @@ class TestSectionIndex:
             report = section_index(spec, TraceOptions(seeds=[seed]))
         assert record["jacobian_evaluations"] == len(calls) > 0
         assert len(transported) == len(report.components) == 1
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
+    def test_dw_takes_the_walk_jacobians(self, name, analytic, monkeypatch):
+        # dw at the samples is the same function at the same points whether
+        # it takes the walk's Jacobians or evaluates its own: the fields are
+        # bit for bit equal, and handing them over spares one per sample
+        import fbk.tracer as tracer
+        from fbk.tracer import _section_derivative_fields
+
+        section, jac, seed = S5_SECTIONS[name]
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
+        opts = TraceOptions(seeds=[seed])
+        jacobians: list = []
+        [loop] = section_zero_loops(spec, opts, jacobians)
+        [raws] = jacobians
+        system = _map_system(_section_map(spec))
+        aux = transport_closed_frame(loop, sphere_ambient(6).manifold_normals)
+        with recording() as record:
+            handed = _section_derivative_fields(spec, system, loop, aux, raws)
+        assert record == {}
+        evaluated = _section_derivative_fields(spec, system, loop, aux)
+        assert np.array_equal(handed.fields, evaluated.fields)
+
+        with recording() as carried:
+            report = section_index(spec, opts)
+        zero_loops = tracer.section_zero_loops
+        # the same circles, without their Jacobians: dw evaluates its own
+        monkeypatch.setattr(
+            tracer, "section_zero_loops", lambda spec, opts, *_: zero_loops(spec, opts)
+        )
+        with recording() as own:
+            again = section_index(spec, opts)
+        assert carried["jacobian_evaluations"] == own["jacobian_evaluations"] - len(loop)
+        assert json.dumps(report.to_dict()) == json.dumps(again.to_dict())
 
     @pytest.mark.parametrize("turns", [0, 1])
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])

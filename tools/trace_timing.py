@@ -1,0 +1,127 @@
+"""Per-layer timings of the tracer: the walk per component, the corrector per call.
+
+    python tools/trace_timing.py
+    python tools/trace_timing.py --repeat 1
+
+fbk is imported from `src/` of the checkout this file sits in. For every
+registered scenario that traces (and suspended-hopf with its other regular
+value) the tool builds the traced system and seed the scenario's run hands
+the tracer (`Scenario.traced`) and prints one line:
+
+  - K, the samples of the traced component;
+  - trace_ms: milliseconds per `tracer._trace` call, the whole walk from the
+    seed's correction to closure, for the one component;
+  - newton_us: microseconds per `tracer._newton` call over the walk's
+    corrections, replayed from the traced loop: from every sample, the
+    predictor at the distance of the next sample along the carried tangent,
+    holding that sample's factorization as the walk does (taken before the
+    clock starts);
+  - newton_calls, newton_iterations and jacobian_evaluations of one
+    `_trace` call, as fbk.recording() notes them;
+  - svds: the calls of numpy.linalg.svd during one more `_trace` call,
+    counted by a wrapper around numpy's function, outside the timings. The
+    walk factors every Jacobian it evaluates once, so this equals
+    jacobian_evaluations.
+
+Times are the minimum over --repeat repeats; nothing is asserted about them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import sys
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from fbk import recording  # noqa: E402
+from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
+from fbk.tracer import (  # noqa: E402
+    SectionSpec,
+    _factored,
+    _map_system,
+    _newton,
+    _section_map,
+    _trace,
+)
+
+# The walk's cap on the iterations of one correction (tracer._trace).
+WALK_MAX_ITER = 8
+
+
+def traced_cases():
+    """(label, traced system, TraceOptions) per traced scenario run."""
+    runs = [(name, {}) for name, scenario in REGISTRY.items() if scenario.traced]
+    for name, overrides in runs + [("suspended-hopf", {"regular_value": "alt"})]:
+        scenario = REGISTRY[name]
+        spec, opts = scenario.traced(resolve_options(scenario, overrides))
+        if isinstance(spec, SectionSpec):
+            spec = _section_map(spec)
+        label = name + "".join(f" {key}={value}" for key, value in overrides.items())
+        yield label, _map_system(spec), opts
+
+
+def best_of(repeat: int, fn) -> float:
+    """Seconds of one fn() call, the minimum over repeats."""
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def svd_calls(fn) -> int:
+    """Calls of numpy.linalg.svd while fn() runs."""
+    svd = np.linalg.svd
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return svd(*args, **kwargs)
+
+    np.linalg.svd = counted
+    try:
+        fn()
+    finally:
+        np.linalg.svd = svd
+    return count[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5, help="repeats per timing (default 5)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'newton_calls':>12} "
+          f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'svds':>5}")
+    for label, system, opts in traced_cases():
+        seed, tol = opts.seeds[0], opts.tolerances
+        with recording() as record:
+            loop, _, _, _ = _trace(system, seed, opts)
+        svds = svd_calls(lambda: _trace(system, seed, opts))
+        trace_s = best_of(args.repeat, lambda: _trace(system, seed, opts))
+        points, tangents = loop.points, loop.tangents
+        steps = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
+        predictors = points + steps[:, None] * tangents
+        chords = [_factored(system.jacobian(p)) for p in points]
+
+        def corrections():
+            for predictor, chord in zip(predictors, chords):
+                _newton(system, predictor, tol, max_iter=WALK_MAX_ITER, first=chord)
+
+        newton_s = best_of(args.repeat, corrections) / len(loop)
+        print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {newton_s * 1e6:>9.1f} "
+              f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
+              f"{record['jacobian_evaluations']:>20} {svds:>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
