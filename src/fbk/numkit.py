@@ -7,14 +7,16 @@ Computations, 5.2) of a (K, c, N) stack of ordered vector sets, with the
 signs fixed so that diag(R) > 0 and one rank rule, |R_ii| >= ortho_tol:
 orthonormalize, which frame assembly uses, is its Q, and the tracer's
 induced framing solves a whole loop's minimum-norm systems with its Q and
-R. `_mgs` is the Gram-Schmidt for the one-off bases: modified Gram-Schmidt
-with one re-orthogonalization pass, which is plenty stable at these sizes,
-skipping dependent inputs; the tracer's target_basis and
-transport_closed_frame call it with their own 1e-8 threshold. (The tracer's
-walk factors its Jacobians by SVD, with its own relative rank cut, and its
-Newton corrector keeps one factorization as a chord while its steps
-contract, so a walk correction factors a Jacobian of its own only where
-the chord contracts slowly.)
+R, and its transported normal frame is one batched `_qr` of a chain of
+projected frames (the whole loop, unless the loop turns sharply). `_mgs`
+is the Gram-Schmidt for the one-off bases: modified Gram-Schmidt with one
+re-orthogonalization pass, which is plenty stable at these sizes, skipping
+dependent inputs; only the tracer's target_basis and the transported
+frame's initial coordinate completion call it, with their own 1e-8
+threshold. (The tracer's walk factors its Jacobians by SVD, with its own
+relative rank cut, and its Newton corrector keeps one factorization as a
+chord while its steps contract, so a walk correction factors a Jacobian
+of its own only where the chord contracts slowly.)
 Every rank decision here compares a residual norm (|R_ii| for the QR) with
 a tolerance. Non-finite input is an EvaluationFailure; a wrong shape stays
 a ValueError.
@@ -25,7 +27,10 @@ evaluates one stacked set of perturbations, and _norm is np.linalg.norm's
 own sqrt(x @ x) without its dispatch. The dot products of _mgs stay one
 1-d `q @ w` at a time: the BLAS dot rounds differently from a
 matrix-vector product, einsum or a row sum (it fuses multiply-adds even at
-length 2), so a vectorized projection would move the bits of the bases.
+length 2), so a vectorized projection would move the bits of the two bases
+_mgs builds. The transported frame's projections are matrix products; its
+frames agree with per-sample Gram-Schmidt to rounding, not bit for bit, and
+drop out of every reported bit.
 
 recording() is the package's one diagnostics path: _note_max, _note_add
 and _note_append write a value into every open recording scope and do

@@ -60,6 +60,7 @@ from .numkit import (
     _note_append,
     _note_max,
     _qr,
+    _require_finite,
     jacobian_fd,
     recording,
 )
@@ -308,43 +309,49 @@ def _newton(
     max_move bounds the total correction distance; it turns the correction
     into a local operation so that seeds far from the solution set fail
     instead of wandering onto an arbitrary component. A non-finite
-    Jacobian is an EvaluationFailure. Notes newton_calls and, per
-    correction step, newton_iterations.
+    Jacobian is an EvaluationFailure. Counts its correction steps and notes
+    them as newton_iterations, with one newton_calls, once when it returns
+    or raises.
     """
-    _note_add("newton_calls", 1)
-    p = np.asarray(start, dtype=float).copy()
-    scale = 1.0 + _norm(p)
-    budget = 10.0 * scale if max_move is None else max_move
-    moved = 0.0
-    factored = first
-    previous = math.inf
-    for _ in range(max_iter):
-        try:
-            r = system.residual(p)
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationFailure("map evaluation failed during correction") from exc
-        rn = _norm(r)
+    iterations = 0
+    try:
+        p = np.asarray(start, dtype=float).copy()
+        scale = 1.0 + _norm(p)
+        budget = 10.0 * scale if max_move is None else max_move
+        moved = 0.0
+        factored = first
+        previous = math.inf
+        for _ in range(max_iter):
+            try:
+                r = system.residual(p)
+            except Exception as exc:  # noqa: BLE001
+                raise EvaluationFailure("map evaluation failed during correction") from exc
+            rn = _norm(r)
+            if rn < tol.newton_tol:
+                return p, rn
+            if factored is None or rn > _CHORD_CONTRACTION * previous:
+                J = system.jacobian(p)
+                if not np.all(np.isfinite(J)):
+                    raise EvaluationFailure("non-finite Jacobian during correction")
+                factored = _factored(J)
+            previous = rn
+            iterations += 1
+            step = _step(factored, r)
+            sn = _norm(step)
+            if not np.isfinite(sn) or sn > 2.0 * scale:
+                raise NoConvergence("correction step diverged")
+            p = p + step
+            moved += sn
+            if moved > budget:
+                raise NoConvergence("correction wandered too far from the start point")
+        rn = _norm(system.residual(p))
         if rn < tol.newton_tol:
             return p, rn
-        if factored is None or rn > _CHORD_CONTRACTION * previous:
-            J = system.jacobian(p)
-            if not np.all(np.isfinite(J)):
-                raise EvaluationFailure("non-finite Jacobian during correction")
-            factored = _factored(J)
-        previous = rn
-        _note_add("newton_iterations", 1)
-        step = _step(factored, r)
-        sn = _norm(step)
-        if not np.isfinite(sn) or sn > 2.0 * scale:
-            raise NoConvergence("correction step diverged")
-        p = p + step
-        moved += sn
-        if moved > budget:
-            raise NoConvergence("correction wandered too far from the start point")
-    rn = _norm(system.residual(p))
-    if rn < tol.newton_tol:
-        return p, rn
-    raise NoConvergence(f"corrector stalled at residual {rn:.3e}")
+        raise NoConvergence(f"corrector stalled at residual {rn:.3e}")
+    finally:
+        _note_add("newton_calls", 1)
+        if iterations:
+            _note_add("newton_iterations", iterations)
 
 
 def _newton_aligned(system, start, anchor, direction, tol):
@@ -730,6 +737,59 @@ def kappa_of_map(
     return _report(pairs, ambient, tol, record, traced=True)
 
 
+# The transport's rank threshold: a frame direction is lost where a
+# projection leaves less than this fraction of it, and a manifold normal,
+# the tangent or a coordinate direction is dependent where its unit vector
+# keeps a residual below it.
+_TRANSPORT_TOL = 1e-8
+
+# How far the projections of one transport chain may stretch the condition
+# number of the carried frame before the chain is orthonormalized and the
+# next one starts from its last frame. The batched QR recovers every frame
+# of a chain to about this factor times the machine epsilon.
+_TRANSPORT_STRETCH = 1e3
+
+
+def _transported(frame: np.ndarray, bases: np.ndarray):
+    """An orthonormal frame carried through the complements of bases, orthonormalized.
+
+    frame is an orthonormal (count, N) set and bases an (L, b, N) stack of
+    orthonormal rows. The frame is carried unnormalized, A_i = A_(i-1)
+    (I - B_i^T B_i), one matmul per projection with the projectors built
+    as one stack, and the chain [frame, A_1, ..., A_L] is orthonormalized
+    by one batched _qr. Returns (frames, lost): the (L, count, N)
+    orthonormal frames, and the first i (from 0) whose projection leaves
+    some |R_jj| below _TRANSPORT_TOL times the one before it, or None.
+    """
+    projectors = np.eye(frame.shape[1]) - bases.transpose(0, 2, 1) @ bases
+    chain = np.empty((len(bases) + 1, *frame.shape))
+    chain[0] = frame
+    for i, projector in enumerate(projectors):
+        np.matmul(chain[i], projector, out=chain[i + 1])
+    Q, R = _qr(chain, 0.0)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    dropped = (diag[1:] < _TRANSPORT_TOL * diag[:-1]).any(axis=1)
+    lost = int(np.argmax(dropped)) if dropped.any() else None
+    return Q[1:].transpose(0, 2, 1), lost
+
+
+def _chain_slices(cosines: np.ndarray):
+    """Slices of consecutive projections, each stretching the frame by at most _TRANSPORT_STRETCH.
+
+    A projection between spans whose smallest principal-angle cosine is c
+    stretches the condition number of the carried frame by at most 1 / c.
+    Every slice holds at least one projection.
+    """
+    limit = math.log(_TRANSPORT_STRETCH)
+    start, total = 0, 0.0
+    for i, stretch in enumerate((-np.log(np.maximum(cosines, _TRANSPORT_TOL))).tolist()):
+        if i > start and total + stretch > limit:
+            yield slice(start, i)
+            start, total = i, 0.0
+        total += stretch
+    yield slice(start, len(cosines))
+
+
 def transport_closed_frame(
     loop: SampledLoop,
     normals_of_M: Sequence[Callable[[np.ndarray], np.ndarray]],
@@ -737,11 +797,34 @@ def transport_closed_frame(
 ) -> NormalFraming:
     """Closed orthonormal frame of the curve's normal space inside the manifold.
 
-    The frame starts from coordinate projections, is carried along the loop
-    by projection transport (project the previous frame onto the current
-    normal space and re-orthonormalize), and is closed by distributing the
-    inverse of the resulting holonomy along the loop via the principal
-    logarithm of the holonomy rotation.
+    The frame starts from coordinate projections (one _mgs of the
+    coordinate directions after the manifold normals and the tangent), is
+    carried along the loop by projection transport (project the previous
+    frame onto the current normal space and re-orthonormalize), and is
+    closed by distributing the inverse of the resulting holonomy along the
+    loop via the principal logarithm of the holonomy rotation.
+
+    The bases B_i of [manifold normals, tangent] at all samples come from
+    one _qr. The frame is carried unnormalized, A_i = A_(i-1) (I - B_i^T
+    B_i), round the loop back to sample 0, and the chain of carried
+    frames is orthonormalized by one batched _qr. That equals
+    re-orthonormalizing after every projection: if F_(i-1) = L A_(i-1)
+    with L lower triangular with a positive diagonal, projecting F_(i-1)
+    gives L A_i, and the orthonormal rows with diag(R) > 0 do not change
+    under such an L (Golub-Van Loan, Matrix Computations, 5.2). The same
+    identity keeps the rank rule per sample: the residual of frame
+    direction j after the projection at sample i is |R_jj(i)| / |R_jj(i-1)|
+    of the chain's QR, and sample i loses a dimension (RankDeficient,
+    index i, 0 for the closing projection) when some ratio is below 1e-8.
+    A projection stretches the condition number of the unnormalized frame
+    by at most the inverse of the smallest principal-angle cosine between
+    the two spans it goes between, so the chain is cut where the product
+    of those factors would pass _TRANSPORT_STRETCH, and the next chain
+    starts from the last orthonormal frame: a smooth loop, such as every
+    traced circle of the scenario registry, is one chain, and a loop whose
+    tangent turns by tens of degrees from sample to sample is several.
+    The resampler carries the frame of the segment's first sample to the
+    resampled point as a chain of one projection.
     """
     k = len(loop)
     dim = loop.dimension
@@ -749,28 +832,35 @@ def transport_closed_frame(
     if count < 1:
         raise ValueError("the curve has no normal directions inside the manifold")
 
-    def normal_directions(candidates, p: np.ndarray, tangent: np.ndarray):
-        """Orthonormal directions the candidates add to [normals of M, tangent]."""
-        fixed = [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
-        return _mgs([*fixed, *candidates], 1e-8)[len(fixed) :]
+    def fixed(p: np.ndarray, tangent: np.ndarray) -> list[np.ndarray]:
+        return [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
 
-    def project(vecs: Sequence[np.ndarray], p: np.ndarray, tangent: np.ndarray):
-        frame = normal_directions(vecs, p, tangent)
-        if len(frame) != len(vecs):
-            raise RankDeficient("normal space of the curve lost a dimension")
-        return frame
+    def bases(points, tangents) -> np.ndarray:
+        """Orthonormal rows spanning [normals of M, tangent] at each point."""
+        rows = np.array([fixed(p, t) for p, t in zip(points, tangents)])
+        _require_finite(rows)
+        return _qr(rows, _TRANSPORT_TOL)[0].transpose(0, 2, 1)
 
-    def initial_frame(p: np.ndarray, tangent: np.ndarray):
-        frame = normal_directions(np.eye(dim), p, tangent)
-        if len(frame) != count:
-            raise RankDeficient("could not complete an initial normal frame")
-        return frame
-
-    raw = [initial_frame(loop.points[0], loop.tangent_at_sample(0))]
-    for i in range(1, k):
-        raw.append(project(raw[i - 1], loop.points[i], loop.tangent_at_sample(i)))
-    closed = project(raw[-1], loop.points[0], loop.tangent_at_sample(0))
-    H = np.array([[float(a @ b) for b in raw[0]] for a in closed])
+    lost_a_dimension = "normal space of the curve lost a dimension at"
+    tangents = [loop.tangent_at_sample(i) for i in range(k)]
+    initial = _mgs([*fixed(loop.points[0], tangents[0]), *np.eye(dim)], _TRANSPORT_TOL)
+    if len(initial) != len(normals_of_M) + 1 + count:
+        raise RankDeficient("could not complete an initial normal frame")
+    B = bases(loop.points, tangents)
+    # projection i carries the frame from sample i to sample i + 1 (mod k)
+    steps = np.roll(B, -1, axis=0)
+    # the smallest principal-angle cosine between the spans of each projection
+    cosines = np.linalg.svd(B @ steps.transpose(0, 2, 1), compute_uv=False)[:, -1]
+    carried = [np.array(initial[-count:])[None]]
+    for part in _chain_slices(cosines):
+        frames, lost = _transported(carried[-1][-1], steps[part])
+        if lost is not None:
+            sample = (part.start + lost + 1) % k
+            raise RankDeficient(f"{lost_a_dimension} sample {sample}", index=sample)
+        carried.append(frames)
+    frames = np.concatenate(carried)
+    raw = frames[:k]
+    H = frames[k] @ raw[0].T
     if np.linalg.det(H) < 0.0:
         raise RankDeficient("transport around the loop reversed orientation")
     blocks = _principal_log_blocks(H)
@@ -779,11 +869,15 @@ def transport_closed_frame(
 
         def resample(t: float) -> np.ndarray:
             i, _ = loop._segment(t)
-            return np.array(project(raw[i], loop.point(t), loop.tangent(t)))
+            basis = bases([loop.point(t)], [loop.tangent(t)])
+            frames, lost = _transported(raw[i], basis)
+            if lost is not None:
+                raise RankDeficient(f"{lost_a_dimension} parameter {t % 1.0:.6f}")
+            return frames[0]
 
     # unwrapped, so past the last sample raw[k - 1] meets the rotation near u = 1
     closing = lambda t: _rotation_power(blocks, -loop._unwrapped(t))  # noqa: E731
-    return _recombined(NormalFraming(np.swapaxes(raw, 0, 1), resample), loop.params, closing)
+    return _recombined(NormalFraming(raw.transpose(1, 0, 2), resample), loop.params, closing)
 
 
 # Eigenvalues of (H + H^T)/2 closer than this (about the square root of the
@@ -865,13 +959,13 @@ def _check_section_invariants(spec: SectionSpec, loop: SampledLoop):
 
 
 def _section_derivative_fields(
-    spec: SectionSpec, system: _TracedSystem, loop: SampledLoop, aux: NormalFraming, raws=None
+    spec: SectionSpec, system: _TracedSystem, loop: SampledLoop, aux: NormalFraming, raws
 ) -> NormalFraming:
     """dw applied to the auxiliary frame, projected into the bundle fibers.
 
-    The section's Jacobian comes from system.raw_jacobian, one per point;
-    raws, when given, are the ones the walk evaluated at the samples, as
-    section_zero_loops collects them, and are used there instead.
+    raws are the section's Jacobians at the samples, as the walk evaluated
+    them and section_zero_loops collects them; the resampler evaluates one
+    per point through system.raw_jacobian.
     """
 
     def tau_at(x: np.ndarray, U: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -881,8 +975,6 @@ def _section_derivative_fields(
         # directional derivative projected into the fiber
         return D - np.outer(D @ x, x) - np.outer(D @ v, v)
 
-    if raws is None:
-        raws = [system.raw_jacobian(x) for x in loop.points]
     stacked = np.array([tau_at(x, aux.at_sample(i), raws[i]) for i, x in enumerate(loop.points)])
     resample = None
     if loop.resample is not None and aux.resample is not None:
@@ -894,7 +986,7 @@ def _section_derivative_fields(
     return NormalFraming(stacked.transpose(1, 0, 2), resample)
 
 
-def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns, raws=None):
+def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns, raws):
     def v_of(p: np.ndarray) -> np.ndarray:
         return np.asarray(spec.splitting_field(p), dtype=float)
 
@@ -983,9 +1075,8 @@ def section_index(
         pairs = []
         jacobians: list = []
         loops = section_zero_loops(spec, opts, jacobians)
-        # the walk's Jacobians at the samples, when the loops came with them
-        jacobians = jacobians if len(jacobians) == len(loops) else [None] * len(loops)
-        for loop, raws in zip(loops, jacobians):
+        # dw at the samples takes the walk's Jacobians there
+        for loop, raws in zip(loops, jacobians, strict=True):
             _check_section_invariants(spec, loop)
             bit = _component_section_index(
                 spec, system, loop, ambient, tol, aux_twist_turns, raws

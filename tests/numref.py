@@ -6,14 +6,22 @@ where fbk.tracer.induced_framing solves a whole loop's systems with one
 batched QR and the tracer's Newton step takes a truncated SVD.
 kernel_direction finds the kernel of an (n - 1) x n system by
 Gram-Schmidt and a coordinate completion, where the tracer takes the last
-right singular vector. The tests compare each pair.
+right singular vector. projection_transport carries a closed normal frame
+around a loop by one Gram-Schmidt projection per sample, where
+fbk.tracer.transport_closed_frame carries the unnormalized frame and
+orthonormalizes the whole chain with one batched QR. The tests compare
+each pair.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
+from fbk import tracer
 from fbk.errors import EvaluationFailure, RankDeficient
+from fbk.framedlink import NormalFraming, SampledLoop, _recombined
 from fbk.numkit import DEFAULT_TOL, Tolerances, _mgs
 
 
@@ -104,3 +112,62 @@ def kernel_direction(J, previous=None, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     if d == 0.0:
         d = t[np.abs(t) > tol.ortho_tol][0]
     return -t if d < 0.0 else t
+
+
+def projection_transport(
+    loop: SampledLoop,
+    normals_of_M: Sequence[Callable[[np.ndarray], np.ndarray]],
+    tol: Tolerances = DEFAULT_TOL,
+) -> NormalFraming:
+    """Closed orthonormal frame of the curve's normal space inside the manifold.
+
+    The frame starts from coordinate projections, is carried along the loop
+    by projection transport (project the previous frame onto the current
+    normal space and re-orthonormalize by Gram-Schmidt, one sample at a
+    time), and is closed by distributing the inverse of the resulting
+    holonomy along the loop via the principal logarithm of the holonomy
+    rotation. A projection that loses a dimension is RankDeficient, whose
+    index is the sample (0 for the closing projection). The holonomy goes
+    through tracer._principal_log_blocks, looked up at call time.
+    """
+    k = len(loop)
+    dim = loop.dimension
+    count = dim - len(normals_of_M) - 1
+    if count < 1:
+        raise ValueError("the curve has no normal directions inside the manifold")
+
+    def normal_directions(candidates, p: np.ndarray, tangent: np.ndarray):
+        """Orthonormal directions the candidates add to [normals of M, tangent]."""
+        fixed = [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
+        return _mgs([*fixed, *candidates], 1e-8)[len(fixed) :]
+
+    def project(vecs: Sequence[np.ndarray], p: np.ndarray, tangent: np.ndarray, i=None):
+        frame = normal_directions(vecs, p, tangent)
+        if len(frame) != len(vecs):
+            raise RankDeficient("normal space of the curve lost a dimension", index=i)
+        return frame
+
+    def initial_frame(p: np.ndarray, tangent: np.ndarray):
+        frame = normal_directions(np.eye(dim), p, tangent)
+        if len(frame) != count:
+            raise RankDeficient("could not complete an initial normal frame")
+        return frame
+
+    raw = [initial_frame(loop.points[0], loop.tangent_at_sample(0))]
+    for i in range(1, k):
+        raw.append(project(raw[i - 1], loop.points[i], loop.tangent_at_sample(i), i))
+    closed = project(raw[-1], loop.points[0], loop.tangent_at_sample(0), 0)
+    H = np.array([[float(a @ b) for b in raw[0]] for a in closed])
+    if np.linalg.det(H) < 0.0:
+        raise RankDeficient("transport around the loop reversed orientation")
+    blocks = tracer._principal_log_blocks(H)
+    resample = None
+    if loop.resample is not None:
+
+        def resample(t: float) -> np.ndarray:
+            i, _ = loop._segment(t)
+            return np.array(project(raw[i], loop.point(t), loop.tangent(t)))
+
+    # unwrapped, so past the last sample raw[k - 1] meets the rotation near u = 1
+    closing = lambda t: tracer._rotation_power(blocks, -loop._unwrapped(t))  # noqa: E731
+    return _recombined(NormalFraming(np.swapaxes(raw, 0, 1), resample), loop.params, closing)

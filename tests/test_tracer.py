@@ -60,7 +60,7 @@ from fbk.tracer import (
     trace_component,
     transport_closed_frame,
 )
-from numref import kernel_direction, least_squares
+from numref import kernel_direction, least_squares, projection_transport
 from test_framedlink import pontryagin_link
 
 
@@ -781,7 +781,8 @@ class TestTransportClosedFrame:
             assert np.max(np.abs(G - np.eye(3))) < 1e-9
             assert max(abs(v @ t) for v in vs) < 1e-6
 
-    def test_collapsing_normal_space(self):
+    @staticmethod
+    def collapsing_loop() -> SampledLoop:
         # consecutive chord tangents made exactly perpendicular: the normal
         # planes share only a line, so transporting a full frame must fail
         pts = [np.array([0.1 * i, 0.0, 0.0]) for i in range(8)]
@@ -795,9 +796,15 @@ class TestTransportClosedFrame:
         for i in range(7):
             pts.append(pts[-1] + np.array([-0.12, 0.01 * (i + 1), 0.0]))
         del tangent_at_8
-        loop = SampledLoop(np.array(pts))
-        with pytest.raises(RankDeficient):
+        return SampledLoop(np.array(pts))
+
+    def test_collapsing_normal_space(self):
+        loop = self.collapsing_loop()
+        # the tangents at samples 8 and 9 are perpendicular: the projection
+        # at sample 9 is the first to lose a dimension
+        with pytest.raises(RankDeficient, match=r"at sample 9$") as info:
             transport_closed_frame(loop, [])
+        assert info.value.index == 9
 
 
 def unit_circle(t: float) -> np.ndarray:
@@ -865,6 +872,100 @@ class TestRecombinedFields:
         ts = np.linspace(params[-1], params[0] + 1.0, 201)
         frames = np.array([framing.at(t) for t in ts])
         assert np.max(np.abs(np.diff(frames, axis=0))) < 0.02
+
+
+def torus_knot(samples: int, m: int) -> SampledLoop:
+    """A (1, m) curve on the unit S^3, sampled evenly, with its exact points and unit tangents."""
+
+    def point(t: float) -> np.ndarray:
+        a = 2.0 * math.pi * t
+        return np.array([math.cos(a), math.sin(a), math.cos(m * a), math.sin(m * a)]) / math.sqrt(2)
+
+    def tangent(t: float) -> np.ndarray:
+        a = 2.0 * math.pi * t
+        v = np.array([-math.sin(a), math.cos(a), -m * math.sin(m * a), m * math.cos(m * a)])
+        return v / np.linalg.norm(v)
+
+    params = [i / samples for i in range(samples)]
+    return SampledLoop(
+        np.array([point(t) for t in params]),
+        point,
+        params,
+        np.array([tangent(t) for t in params]),
+        tangent,
+    )
+
+
+# Two curves whose tangent turns about 60 degrees from sample to sample: a
+# coarse one, and a long one along which projecting without re-orthonormalizing
+# would let the carried frame's rows become parallel to working precision.
+COARSE_KNOTS = {"16 samples": (16, 3), "600 samples": (600, 100)}
+
+
+class TestStackedTransport:
+    """transport_closed_frame against the per-sample Gram-Schmidt projection of numref."""
+
+    def transports(self, loop, normals, monkeypatch):
+        """(framing, holonomy) of the stacked transport and of the reference."""
+        import fbk.tracer as tracer
+
+        holonomies = []
+        blocks = tracer._principal_log_blocks
+
+        def spy(H):
+            holonomies.append(H)
+            return blocks(H)
+
+        monkeypatch.setattr(tracer, "_principal_log_blocks", spy)
+        stacked = transport_closed_frame(loop, normals)
+        reference = projection_transport(loop, normals)
+        return (stacked, holonomies[0]), (reference, holonomies[1])
+
+    def cases(self):
+        yield from traced_circles()
+        yield TestRecombinedFields().bent_loop(), []
+        for samples, m in COARSE_KNOTS.values():
+            yield torus_knot(samples, m), sphere_ambient(4).manifold_normals
+            yield torus_knot(samples, m), []
+
+    def test_frames_and_holonomy_match_the_reference(self, monkeypatch):
+        params = np.linspace(0.0, 1.0, 17, endpoint=False) + 0.0123
+        for loop, normals in self.cases():
+            (stacked, H), (reference, H_ref) = self.transports(loop, normals, monkeypatch)
+            assert np.max(np.abs(stacked.fields - reference.fields)) <= 1e-12
+            for t in params:
+                assert np.max(np.abs(stacked.at(t) - reference.at(t))) <= 1e-12
+            assert np.max(np.abs(H - H_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("samples, m", COARSE_KNOTS.values(), ids=COARSE_KNOTS)
+    def test_coarse_loops_turn_about_sixty_degrees(self, samples, m):
+        tangents = torus_knot(samples, m).tangents
+        turns = np.degrees(np.arccos(np.sum(tangents * np.roll(tangents, -1, axis=0), axis=1)))
+        assert np.all((55.0 < turns) & (turns < 70.0))
+
+    def test_both_lose_a_dimension_at_the_same_sample(self):
+        loop = TestTransportClosedFrame.collapsing_loop()
+        indices = []
+        for transport in (transport_closed_frame, projection_transport):
+            with pytest.raises(RankDeficient) as info:
+                transport(loop, [])
+            indices.append(info.value.index)
+        assert indices == [9, 9]
+
+    def test_one_gram_schmidt_per_loop(self, monkeypatch):
+        import fbk.tracer as tracer
+
+        calls = []
+        mgs = tracer._mgs
+
+        def counted(*args):
+            calls.append(1)
+            return mgs(*args)
+
+        monkeypatch.setattr(tracer, "_mgs", counted)
+        loop, normals = next(traced_circles())
+        transport_closed_frame(loop, normals)
+        assert len(calls) == 1
 
 
 def rotation_with_angles(rng, n, angles):
@@ -985,8 +1086,11 @@ class TestSectionIndex:
         spec = SectionSpec(5, _s5_splitting, section, jacobian=degenerate_jac)
         system = _map_system(_section_map(spec))
         for circle, k in ((loop, 17), (loop.reversed(), len(loop) - 17)):
+            raws = [degenerate_jac(x) for x in circle.points]
             with pytest.raises(NonTransverse, match=rf"at sample {k}$"):
-                _component_section_index(spec, system, circle, sphere_ambient(6), DEFAULT_TOL, 0)
+                _component_section_index(
+                    spec, system, circle, sphere_ambient(6), DEFAULT_TOL, 0, raws
+                )
 
     def test_derivative_degenerate_between_samples_is_non_transverse(self):
         # dw is exact at the samples and zero between them; a lift bound
@@ -1004,8 +1108,9 @@ class TestSectionIndex:
         system = _map_system(_section_map(spec))
         tol = Tolerances(lift_angle_max=0.05)
         for circle in (loop, loop.reversed()):
+            raws = [sampled_jac(x) for x in circle.points]
             with pytest.raises(NonTransverse, match=r"at parameter 0\.\d{6}$") as info:
-                _component_section_index(spec, system, circle, sphere_ambient(6), tol, 0)
+                _component_section_index(spec, system, circle, sphere_ambient(6), tol, 0, raws)
             assert "middle row" in str(info.value.__cause__)
 
     def test_intermediate_term_classes(self, monkeypatch):
@@ -1080,8 +1185,9 @@ class TestSectionIndex:
     @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
     def test_dw_takes_the_walk_jacobians(self, name, analytic, monkeypatch):
         # dw at the samples is the same function at the same points whether
-        # it takes the walk's Jacobians or evaluates its own: the fields are
-        # bit for bit equal, and handing them over spares one per sample
+        # it takes the walk's Jacobians or Jacobians evaluated again there:
+        # the fields are bit for bit equal, and handing the walk's over
+        # spares one evaluation per sample
         import fbk.tracer as tracer
         from fbk.tracer import _section_derivative_fields
 
@@ -1096,20 +1202,25 @@ class TestSectionIndex:
         with recording() as record:
             handed = _section_derivative_fields(spec, system, loop, aux, raws)
         assert record == {}
-        evaluated = _section_derivative_fields(spec, system, loop, aux)
+        again = [system.raw_jacobian(x) for x in loop.points]
+        evaluated = _section_derivative_fields(spec, system, loop, aux, again)
         assert np.array_equal(handed.fields, evaluated.fields)
 
         with recording() as carried:
             report = section_index(spec, opts)
         zero_loops = tracer.section_zero_loops
-        # the same circles, without their Jacobians: dw evaluates its own
-        monkeypatch.setattr(
-            tracer, "section_zero_loops", lambda spec, opts, *_: zero_loops(spec, opts)
-        )
+
+        def evaluating_again(spec, opts, jacobians):
+            # the same circles, with Jacobians evaluated again at their samples
+            loops = zero_loops(spec, opts)
+            jacobians.extend([system.raw_jacobian(x) for x in c.points] for c in loops)
+            return loops
+
+        monkeypatch.setattr(tracer, "section_zero_loops", evaluating_again)
         with recording() as own:
-            again = section_index(spec, opts)
+            own_report = section_index(spec, opts)
         assert carried["jacobian_evaluations"] == own["jacobian_evaluations"] - len(loop)
-        assert json.dumps(report.to_dict()) == json.dumps(again.to_dict())
+        assert json.dumps(report.to_dict()) == json.dumps(own_report.to_dict())
 
     @pytest.mark.parametrize("turns", [0, 1])
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
@@ -1126,6 +1237,7 @@ class TestSectionIndex:
         opts = TraceOptions(seeds=[seed])
         [loop] = section_zero_loops(SectionSpec(5, _s5_splitting, section, jacobian=jac), opts)
         spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
+        system = _map_system(_section_map(spec))
         flips = []
         reverse_frames = NormalFraming.reversed
 
@@ -1148,7 +1260,14 @@ class TestSectionIndex:
         monkeypatch.setattr(tracer, "frame_matrix_loop", checked_assembly)
         results = []
         for circle in (loop, loop.reversed()):
-            monkeypatch.setattr(tracer, "section_zero_loops", lambda *_, c=circle: [c])
+            # the circle and the spec's Jacobians at its samples, as the walk hands them over
+            raws = [system.raw_jacobian(x) for x in circle.points]
+
+            def stand_in(spec, opts, jacobians, c=circle, raws=raws):
+                jacobians.append(raws)
+                return [c]
+
+            monkeypatch.setattr(tracer, "section_zero_loops", stand_in)
             flips.append(0)
             report = section_index(spec, opts, aux_twist_turns=turns)
             results.append((int(report.kappa), [c.index for c in report.components]))

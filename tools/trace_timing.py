@@ -21,7 +21,12 @@ the tracer (`Scenario.traced`) and prints one line:
   - svds: the calls of numpy.linalg.svd during one more `_trace` call,
     counted by a wrapper around numpy's function, outside the timings. The
     walk factors every Jacobian it evaluates once, so this equals
-    jacobian_evaluations.
+    jacobian_evaluations;
+  - on the S^5 zero circles (the cases that trace a section), transport_ms:
+    milliseconds per `tracer.transport_closed_frame` call on the traced
+    circle, the section index's auxiliary frame; and dw_ms: milliseconds
+    per `tracer._section_derivative_fields` call, dw applied to that frame
+    at the samples from the walk's Jacobians. Other cases print "-".
 
 Times are the minimum over --repeat repeats; nothing is asserted about them.
 """
@@ -41,13 +46,16 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from fbk import recording  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
+from fbk.framedlink import sphere_ambient  # noqa: E402
 from fbk.tracer import (  # noqa: E402
     SectionSpec,
     _factored,
     _map_system,
     _newton,
+    _section_derivative_fields,
     _section_map,
     _trace,
+    transport_closed_frame,
 )
 
 # The walk's cap on the iterations of one correction (tracer._trace).
@@ -55,15 +63,16 @@ WALK_MAX_ITER = 8
 
 
 def traced_cases():
-    """(label, traced system, TraceOptions) per traced scenario run."""
+    """(label, traced system, TraceOptions, SectionSpec or None) per traced scenario run."""
     runs = [(name, {}) for name, scenario in REGISTRY.items() if scenario.traced]
     for name, overrides in runs + [("suspended-hopf", {"regular_value": "alt"})]:
         scenario = REGISTRY[name]
         spec, opts = scenario.traced(resolve_options(scenario, overrides))
-        if isinstance(spec, SectionSpec):
-            spec = _section_map(spec)
+        section = spec if isinstance(spec, SectionSpec) else None
+        if section is not None:
+            spec = _section_map(section)
         label = name + "".join(f" {key}={value}" for key, value in overrides.items())
-        yield label, _map_system(spec), opts
+        yield label, _map_system(spec), opts, section
 
 
 def best_of(repeat: int, fn) -> float:
@@ -100,11 +109,12 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'newton_calls':>12} "
-          f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'svds':>5}")
-    for label, system, opts in traced_cases():
+          f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'svds':>5} "
+          f"{'transport_ms':>12} {'dw_ms':>6}")
+    for label, system, opts, section in traced_cases():
         seed, tol = opts.seeds[0], opts.tolerances
         with recording() as record:
-            loop, _, _, _ = _trace(system, seed, opts)
+            loop, raws, _, _ = _trace(system, seed, opts)
         svds = svd_calls(lambda: _trace(system, seed, opts))
         trace_s = best_of(args.repeat, lambda: _trace(system, seed, opts))
         points, tangents = loop.points, loop.tangents
@@ -117,9 +127,18 @@ def main(argv=None) -> int:
                 _newton(system, predictor, tol, max_iter=WALK_MAX_ITER, first=chord)
 
         newton_s = best_of(args.repeat, corrections) / len(loop)
+        transport_ms = dw_ms = "-"
+        if section is not None:
+            normals = sphere_ambient(section.embedding_dimension).manifold_normals
+            aux = transport_closed_frame(loop, normals, tol)
+            transport_s = best_of(args.repeat, lambda: transport_closed_frame(loop, normals, tol))
+            dw_s = best_of(
+                args.repeat, lambda: _section_derivative_fields(section, system, loop, aux, raws)
+            )
+            transport_ms, dw_ms = f"{transport_s * 1e3:.2f}", f"{dw_s * 1e3:.2f}"
         print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {newton_s * 1e6:>9.1f} "
               f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
-              f"{record['jacobian_evaluations']:>20} {svds:>5}")
+              f"{record['jacobian_evaluations']:>20} {svds:>5} {transport_ms:>12} {dw_ms:>6}")
     return 0
 
 
