@@ -150,10 +150,10 @@ class SampledLoop:
     def _closed_arc_fractions(self) -> np.ndarray:
         return np.concatenate([self.arc_fractions(), [1.0]])
 
-    def _unwrapped(self, t: float) -> float:
-        """t moved by a whole number into [params[0], params[0] + 1)."""
+    def _unwrapped(self, t):
+        """t moved by a whole number into [params[0], params[0] + 1); t may be an array."""
         u = t % 1.0
-        return u + 1.0 if u < self.params[0] else u
+        return u + (u < self.params[0])
 
     def _segment(self, t: float) -> tuple[int, float]:
         """Segment i, from sample i to sample i + 1 (cyclically), holding parameter t.
@@ -205,11 +205,9 @@ class SampledLoop:
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         return cum[:-1] / cum[-1]
 
-    def arc_fraction(self, t: float) -> float:
-        """Arc fraction at parameter t, linearly interpolated between samples."""
-        i, w = self._segment(t)
-        fr = self._closed_arc_fractions
-        return float((1.0 - w) * fr[i] + w * fr[i + 1])
+    def arc_fraction(self, t):
+        """Arc fraction at parameter t (or an array of them), linear between samples."""
+        return np.interp(self._unwrapped(t), self._knots, self._closed_arc_fractions)
 
     def with_samples(self, count: int) -> "SampledLoop":
         if self.resample is None:
@@ -650,37 +648,43 @@ def delta_pontryagin(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> Z2:
 
 
 def _recombined(
-    framing: NormalFraming, params: Sequence[float], mix: Callable[[float], np.ndarray]
+    framing: NormalFraming, params: Sequence[float], mix: Callable[[np.ndarray], np.ndarray]
 ) -> NormalFraming:
     """Framing whose field i is sum_j mix(t)[i, j] field j at parameter t.
 
-    mix(t) is a (count, count) matrix. It is applied at the sample params,
-    and inside the resampler when the framing has one.
+    mix takes a (K,) array of parameters to the (K, count, count) stack of
+    matrices there. It is applied to all sample params in one call, and
+    inside the resampler to a one-element array when the framing has one.
     """
-    mixes = np.array([mix(t) for t in params], dtype=float)
-    fields = (mixes @ framing.fields.transpose(1, 0, 2)).transpose(1, 0, 2)
+    fields = mix(np.asarray(params, dtype=float)) @ framing.fields.transpose(1, 0, 2)
     resample = None
     if framing.resample is not None:
         inner = framing.resample
-        resample = lambda t: mix(t % 1.0) @ np.asarray(inner(t % 1.0), dtype=float)  # noqa: E731
-    return NormalFraming(fields, resample)
+
+        def resample(t: float) -> np.ndarray:
+            return mix(np.array([t % 1.0]))[0] @ np.asarray(inner(t % 1.0), dtype=float)
+
+    return NormalFraming(fields.transpose(1, 0, 2), resample)
 
 
 def twist_framing(loop: SampledLoop, framing: NormalFraming, turns: int) -> NormalFraming:
     """Compose a framing with rotation by 2*pi*turns in its first two fields.
 
-    The rotation angle advances with normalized arclength, so integer turns
-    keep the framing cyclically continuous.
+    The rotation angle advances with normalized arclength, so a whole
+    number of turns keeps the framing cyclically continuous; any other
+    number is a ValidationError.
     """
     if framing.count < 2:
         raise TooFewFields("twisting needs at least two framing fields")
+    if not float(turns).is_integer():
+        raise ValidationError(f"a twist needs a whole number of turns, got {turns!r}")
     turns = int(turns)
 
-    def mix(t: float) -> np.ndarray:
-        a = 2.0 * math.pi * turns * loop.arc_fraction(t)
-        c, s = math.cos(a), math.sin(a)
-        out = np.eye(framing.count)
-        out[:2, :2] = [[c, s], [-s, c]]
+    def mix(ts: np.ndarray) -> np.ndarray:
+        a = 2.0 * math.pi * turns * loop.arc_fraction(ts)
+        c, s = np.cos(a), np.sin(a)
+        out = np.tile(np.eye(framing.count), (len(ts), 1, 1))
+        out[:, :2, :2] = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
         return out
 
     return _recombined(framing, loop.params, mix)

@@ -8,8 +8,9 @@ the traced curve. Section zero loci: a transverse section of the subbundle
 of a sphere's tangent bundle orthogonal to a unit splitting field is traced
 through its zeros by the same walk, as a map from the unit sphere into its
 ambient space, and the index of each zero circle is assembled from two
-frame loops, one carrying an auxiliary transported frame of the curve's
-normal space, the other carrying the derivative of the section applied to
+frame loops, one carrying an auxiliary frame of the curve's normal space
+(transported round the circle and closed along a Givens factorization of
+its holonomy), the other carrying the derivative of the section applied to
 that frame. The auxiliary frame drops out of the final bit, which the
 closure-twist invariance suite checks explicitly.
 
@@ -801,8 +802,12 @@ def transport_closed_frame(
     coordinate directions after the manifold normals and the tangent), is
     carried along the loop by projection transport (project the previous
     frame onto the current normal space and re-orthonormalize), and is
-    closed by distributing the inverse of the resulting holonomy along the
-    loop via the principal logarithm of the holonomy rotation.
+    closed along the Givens factorization of the resulting holonomy H:
+    the frame at parameter t is turned by _givens_path at u = t - params[0]
+    (t unwrapped), which is I at sample 0 and H^-1 where the loop returns
+    to it. Any closed, continuous frame gives the same section index; this
+    path turns the frame by at most |t' - t| sum_p |theta_p| between t and
+    t', more than the geodesic from I to H^-1 would, but needs no logarithm.
 
     The bases B_i of [manifold normals, tangent] at all samples come from
     one _qr. The frame is carried unnormalized, A_i = A_(i-1) (I - B_i^T
@@ -863,7 +868,7 @@ def transport_closed_frame(
     H = frames[k] @ raw[0].T
     if np.linalg.det(H) < 0.0:
         raise RankDeficient("transport around the loop reversed orientation")
-    blocks = _principal_log_blocks(H)
+    planes = _givens_planes(H)
     resample = None
     if loop.resample is not None:
 
@@ -875,73 +880,45 @@ def transport_closed_frame(
                 raise RankDeficient(f"{lost_a_dimension} parameter {t % 1.0:.6f}")
             return frames[0]
 
-    # unwrapped, so past the last sample raw[k - 1] meets the rotation near u = 1
-    closing = lambda t: _rotation_power(blocks, -loop._unwrapped(t))  # noqa: E731
+    def closing(ts: np.ndarray) -> np.ndarray:
+        # u runs from 0 at sample 0 to 1 where the last segment meets it again
+        return _givens_path(planes, count, loop._unwrapped(ts) - loop.params[0])
+
     return _recombined(NormalFraming(raw.transpose(1, 0, 2), resample), loop.params, closing)
 
 
-# Eigenvalues of (H + H^T)/2 closer than this (about the square root of the
-# machine epsilon) are one cluster; see _principal_log_blocks.
-_COSINE_CLUSTER_TOL = 1e-8
+def _givens_planes(H: np.ndarray) -> list[tuple[int, int, float]]:
+    """Planes (j, i) and angles theta whose Givens rotations take an SO(n) matrix H to I.
 
-
-def _principal_log_blocks(H: np.ndarray):
-    """Rotation planes and angles in [0, pi] of an SO(n) matrix: its principal log.
-
-    H is normal, so S = (H + H^T)/2 and K = (H - H^T)/2 commute (Golub and
-    Van Loan, Matrix Computations, sections 7.4 and 8.1). S acts on each
-    rotation plane as cos(theta), so the eigenspaces of S, clustered by
-    eigenvalue, are invariant under K, which turns each of their planes a
-    quarter turn and scales it by sin(theta). In every cluster, the direction
-    u with the largest |K u| and its partner w, K u projected back into the
-    cluster and normalized, span one plane, with angle atan2(w.Hu, u.Hu); K
-    separates angles near 0 and pi that cos(theta) cannot. Directions where
-    |K u| is at most 1e-10 are fixed or reversed, and reversed ones, paired
-    since det H = 1, form pi-planes. Returns (Q, planes): Q orthogonal and
-    planes (a, b, theta) indexing the columns of Q.
+    Column by column, the rotation G by theta = atan2(M[i, j], M[j, j]) in
+    the (e_j, e_i) plane zeroes M[i, j] of M = G ... H (Golub and Van Loan,
+    Matrix Computations, 5.1.8), as spinlift._rotors eliminates its
+    rotations. Each eliminated column j leaves M[j, j] = 1 and, M being
+    orthogonal, row j = e_j; the last diagonal entry is det H = 1. So
+    G_p ... G_1 H = I for the returned (j, i, theta) in order.
     """
-    n = H.shape[0]
-    K = (H - H.T) / 2.0
-    cosines, V = np.linalg.eigh((H + H.T) / 2.0)
-    columns: list[np.ndarray] = []
+    M = H.copy()
     planes = []
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and cosines[stop] - cosines[stop - 1] < _COSINE_CLUSTER_TOL:
-            continue
-        C = V[:, start:stop]
-        while C.shape[1] > 1:
-            Kc = C.T @ K @ C
-            _, sing, vt = np.linalg.svd(Kc)
-            if sing[0] <= 1e-10:
-                break
-            # complete QR of [a, Kc a]: the partner, orthogonal to a, and the
-            # rest of the cluster in its last columns
-            a = vt[0]
-            Qc, _ = np.linalg.qr(np.column_stack([a, Kc @ a]), mode="complete")
-            u, w = C @ Qc[:, 0], C @ Qc[:, 1]
-            planes.append((len(columns), len(columns) + 1, math.atan2(w @ H @ u, u @ H @ u)))
-            columns += [u, w]
-            C = C @ Qc[:, 2:]
-        if cosines[start] < 0.0:
-            for j in range(0, C.shape[1] - 1, 2):
-                planes.append((len(columns) + j, len(columns) + j + 1, math.pi))
-        columns += list(C.T)
-        start = stop
-    return np.column_stack(columns), planes
+    for j in range(len(M) - 1):
+        for i in range(j + 1, len(M)):
+            theta = math.atan2(M[i, j], M[j, j])
+            c, s = math.cos(theta), math.sin(theta)
+            M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
+            planes.append((j, i, theta))
+    return planes
 
 
-def _rotation_power(blocks, power: float) -> np.ndarray:
-    Q, planes = blocks
-    B = np.eye(Q.shape[0])
-    for (a, b, theta) in planes:
-        c = math.cos(power * theta)
-        s = math.sin(power * theta)
-        B[a, a] = c
-        B[b, b] = c
-        B[b, a] = s
-        B[a, b] = -s
-    return Q @ B @ Q.T
+def _givens_path(planes, n: int, u: np.ndarray) -> np.ndarray:
+    """The (K, n, n) stack G_p(u theta_p) ... G_1(u theta_1) at a (K,) array u.
+
+    planes are _givens_planes(H): the path is exactly I at u = 0 and H^-1
+    at u = 1. It is not a one-parameter group, so only its ends are fixed.
+    """
+    P = np.tile(np.eye(n), (len(u), 1, 1))
+    for j, i, theta in planes:
+        c, s = np.cos(u * theta)[:, None], np.sin(u * theta)[:, None]
+        P[:, j], P[:, i] = c * P[:, j] + s * P[:, i], c * P[:, i] - s * P[:, j]
+    return P
 
 
 def _check_section_invariants(spec: SectionSpec, loop: SampledLoop):
@@ -996,30 +973,27 @@ def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns, 
     tau = _section_derivative_fields(spec, system, loop, aux, raws)
     if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
         flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
-        aux = _recombined(aux, loop.params, lambda t: flip)
-        tau = _recombined(tau, loop.params, lambda t: flip)
-    # Normal spaces do not depend on the direction of travel, and reversal
-    # keeps sample 0, so the reversed frames keep term 2's sign at sample 0.
-    turned = _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0
-    if turned:
-        loop, aux, tau = loop.reversed(), aux.reversed(), tau.reversed()
-    term1 = frame_matrix_loop(loop, aux, ambient, tol)
+        flips = lambda ts: np.broadcast_to(flip, (len(ts), *flip.shape))  # noqa: E731
+        aux = _recombined(aux, loop.params, flips)
+        tau = _recombined(tau, loop.params, flips)
+    # Only term 1's middle row, the tangent, depends on the direction of
+    # travel; a loop traversed backwards has the same class.
+    if _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0:
+        term1 = frame_matrix_loop(loop.reversed(), aux.reversed(), ambient, tol)
+    else:
+        term1 = frame_matrix_loop(loop, aux, ambient, tol)
     degenerate = "section derivative degenerates on the normal space at"
     try:
         term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
     except RankDeficient as exc:
-        # reversal keeps sample 0 and moves sample k to K - k
-        k = -exc.index % len(loop) if turned else exc.index
-        raise NonTransverse(f"{degenerate} sample {k}") from exc
+        raise NonTransverse(f"{degenerate} sample {exc.index}") from exc
     refine = term2.refiner
 
     def refiner(t: float) -> np.ndarray:
         try:
             return refine(t)
         except RankDeficient as exc:
-            # reversal moves parameter t to 1 - t
-            u = (1.0 - t) % 1.0 if turned else t
-            raise NonTransverse(f"{degenerate} parameter {u:.6f}") from exc
+            raise NonTransverse(f"{degenerate} parameter {t:.6f}") from exc
 
     if refine is not None:
         term2.refiner = refiner

@@ -124,11 +124,12 @@ def projection_transport(
     The frame starts from coordinate projections, is carried along the loop
     by projection transport (project the previous frame onto the current
     normal space and re-orthonormalize by Gram-Schmidt, one sample at a
-    time), and is closed by distributing the inverse of the resulting
-    holonomy along the loop via the principal logarithm of the holonomy
-    rotation. A projection that loses a dimension is RankDeficient, whose
-    index is the sample (0 for the closing projection). The holonomy goes
-    through tracer._principal_log_blocks, looked up at call time.
+    time), and is closed along the Givens factorization of the inverse of
+    the resulting holonomy, as transport_closed_frame closes its frame. A
+    projection that loses a dimension is RankDeficient, whose index is the
+    sample (0 for the closing projection). The holonomy goes through
+    tracer._givens_planes and the closing through tracer._givens_path, both
+    looked up at call time.
     """
     k = len(loop)
     dim = loop.dimension
@@ -160,7 +161,7 @@ def projection_transport(
     H = np.array([[float(a @ b) for b in raw[0]] for a in closed])
     if np.linalg.det(H) < 0.0:
         raise RankDeficient("transport around the loop reversed orientation")
-    blocks = tracer._principal_log_blocks(H)
+    planes = tracer._givens_planes(H)
     resample = None
     if loop.resample is not None:
 
@@ -168,6 +169,8 @@ def projection_transport(
             i, _ = loop._segment(t)
             return np.array(project(raw[i], loop.point(t), loop.tangent(t)))
 
-    # unwrapped, so past the last sample raw[k - 1] meets the rotation near u = 1
-    closing = lambda t: tracer._rotation_power(blocks, -loop._unwrapped(t))  # noqa: E731
+    def closing(ts: np.ndarray) -> np.ndarray:
+        # u runs from 0 at sample 0 to 1 where the last segment meets it again
+        return tracer._givens_path(planes, count, loop._unwrapped(ts) - loop.params[0])
+
     return _recombined(NormalFraming(np.swapaxes(raw, 0, 1), resample), loop.params, closing)

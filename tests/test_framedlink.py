@@ -377,6 +377,15 @@ class TestIndexOfCircle:
         loop, framing = link.components[0]
         assert index_of_circle(loop, framing, link.ambient) == Z2(1)
 
+    def test_twist_takes_whole_turns_only(self):
+        loop, framing = pontryagin_link().components[0]
+        for turns in (1.5, -0.25, math.nan):
+            with pytest.raises(ValidationError, match="whole number of turns"):
+                twist_framing(loop, framing, turns)
+        once = twist_framing(loop, framing, 1)
+        for turns in (np.int64(1), 1.0):
+            assert np.array_equal(twist_framing(loop, framing, turns).fields, once.fields)
+
     def test_great_circle_in_sphere(self):
         loop = plane_circle(96, 5)
         framing = constant_framing(loop, (2, 3, 4))

@@ -12,6 +12,7 @@ from fbk.errors import (
     NonTransverse,
     RankDeficient,
     Singular,
+    ValidationError,
 )
 from fbk.framedlink import (
     NormalFraming,
@@ -42,10 +43,10 @@ from fbk.tracer import (
     _TracedSystem,
     _component_section_index,
     _factored,
+    _givens_path,
+    _givens_planes,
     _map_system,
     _newton,
-    _principal_log_blocks,
-    _rotation_power,
     _section_map,
     _step,
     _tangent_of,
@@ -854,7 +855,7 @@ class TestRecombinedFields:
         twisted = twist_framing(loop, transport_closed_frame(loop, []), 3)
         self.assert_resampler_reproduces_samples(loop, twisted)
         flip = np.diag([-1.0, 1.0, 1.0])
-        flipped = _recombined(twisted, loop.params, lambda t: flip)
+        flipped = _recombined(twisted, loop.params, lambda ts: np.array([flip] * len(ts)))
         assert np.array_equal(flipped.fields[0], -twisted.fields[0])
         assert np.array_equal(flipped.fields[1:], twisted.fields[1:])
         self.assert_resampler_reproduces_samples(loop, flipped)
@@ -910,23 +911,26 @@ class TestStackedTransport:
         import fbk.tracer as tracer
 
         holonomies = []
-        blocks = tracer._principal_log_blocks
+        planes = tracer._givens_planes
 
         def spy(H):
             holonomies.append(H)
-            return blocks(H)
+            return planes(H)
 
-        monkeypatch.setattr(tracer, "_principal_log_blocks", spy)
+        monkeypatch.setattr(tracer, "_givens_planes", spy)
         stacked = transport_closed_frame(loop, normals)
         reference = projection_transport(loop, normals)
         return (stacked, holonomies[0]), (reference, holonomies[1])
 
-    def cases(self):
-        yield from traced_circles()
+    def untraced_cases(self):
         yield TestRecombinedFields().bent_loop(), []
         for samples, m in COARSE_KNOTS.values():
             yield torus_knot(samples, m), sphere_ambient(4).manifold_normals
             yield torus_knot(samples, m), []
+
+    def cases(self):
+        yield from traced_circles()
+        yield from self.untraced_cases()
 
     def test_frames_and_holonomy_match_the_reference(self, monkeypatch):
         params = np.linspace(0.0, 1.0, 17, endpoint=False) + 0.0123
@@ -936,6 +940,14 @@ class TestStackedTransport:
             for t in params:
                 assert np.max(np.abs(stacked.at(t) - reference.at(t))) <= 1e-12
             assert np.max(np.abs(H - H_ref)) <= 1e-12
+
+    def test_closed_frames_are_continuous_across_the_wrap(self, monkeypatch):
+        # each has a holonomy the closing must undo
+        for loop, normals in self.untraced_cases():
+            (framing, H), _ = self.transports(loop, normals, monkeypatch)
+            assert np.max(np.abs(H - np.eye(len(H)))) > 1e-3
+            gap = np.max(np.abs(framing.at(loop.params[0] - 1e-9) - framing.at_sample(0)))
+            assert gap < 1e-6
 
     @pytest.mark.parametrize("samples, m", COARSE_KNOTS.values(), ids=COARSE_KNOTS)
     def test_coarse_loops_turn_about_sixty_degrees(self, samples, m):
@@ -1004,18 +1016,14 @@ def holonomy_cases(rng):
 
 
 class TestHolonomyPlanes:
-    def test_principal_powers(self, rng):
+    def test_givens_path_runs_from_identity_to_the_inverse(self, rng):
+        u = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
         for name, H in holonomy_cases(rng):
             n = H.shape[0]
-            blocks = _principal_log_blocks(H)
-            assert np.max(np.abs(_rotation_power(blocks, 1.0) - H)) < 1e-12, name
-            for u in (0.5, -0.3, 0.9):
-                P = _rotation_power(blocks, u)
-                assert np.max(np.abs(P.T @ P - np.eye(n))) < 1e-12, (name, u)
-            half = _rotation_power(blocks, 0.5)
-            assert np.max(np.abs(half @ half - H)) < 1e-12, name
-            # principal square root: no rotation angle of it exceeds pi/2
-            assert np.min(np.linalg.eigvals(half).real) > -1e-12, name
+            P = _givens_path(_givens_planes(H), n, u)
+            assert np.array_equal(P[0], np.eye(n)), name
+            assert np.max(np.abs(P[-1] - H.T)) < 1e-12, name
+            assert np.max(np.abs(P @ P.transpose(0, 2, 1) - np.eye(n))) < 1e-12, name
 
 
 def test_diagnostics_keys_per_report_kind():
@@ -1057,6 +1065,28 @@ class TestSectionIndex:
         assert int(base.kappa) == int(twisted.kappa)
         assert [c.index for c in base.components] == [c.index for c in twisted.components]
 
+    def test_aux_twist_takes_whole_turns_only(self):
+        opts = TraceOptions(seeds=[np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])])
+        with pytest.raises(ValidationError, match="whole number of turns"):
+            section_index(s5_spec(), opts, aux_twist_turns=1.5)
+        assert int(section_index(s5_spec(), opts, aux_twist_turns=np.int64(1)).kappa) == 1
+
+    @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
+    def test_cycled_zero_circles_keep_their_bit(self, name):
+        # a cycled circle starts its transport, and so its closing, elsewhere
+        section, jac, seed = S5_SECTIONS[name]
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=jac)
+        system = _map_system(_section_map(spec))
+        (loop,) = section_zero_loops(spec, TraceOptions(seeds=[seed]))
+        for shift in (1, 17, 40):
+            circle = loop.cycled(shift)
+            raws = [jac(x) for x in circle.points]
+            for turns in (0, 1):
+                bit = _component_section_index(
+                    spec, system, circle, sphere_ambient(6), DEFAULT_TOL, turns, raws
+                )
+                assert int(bit) == 1, (shift, turns)
+
     @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
     def test_finite_difference_sections_keep_their_seed(self, name):
         # the section system has rank 5 of 6 columns by construction; the
@@ -1072,9 +1102,9 @@ class TestSectionIndex:
 
     def test_derivative_degenerate_at_one_sample_is_non_transverse(self):
         # dw vanishes at sample 17 of the zero circle and nowhere else, so
-        # the frame [position, v, dw(aux)] drops rank there alone. The traced
-        # circle is reversed before its frames are assembled, its reversal
-        # is not; both name the sample in the numbering they were given.
+        # the frame [position, v, dw(aux)] drops rank there alone. Term 2 is
+        # never reversed, so the traced circle and its reversal both name
+        # the sample in the numbering they were given.
         section, jac, seed = S5_SECTIONS["s5-vector-fields"]
         good = SectionSpec(5, _s5_splitting, section, jacobian=jac)
         (loop,) = section_zero_loops(good, TraceOptions(seeds=[seed]))
@@ -1226,8 +1256,9 @@ class TestSectionIndex:
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
     def test_both_directions_of_a_zero_circle(self, name, analytic, turns, monkeypatch):
-        # a left-handed circle is reversed together with its frames; the
-        # traced circle and its reversal take the two orientation branches.
+        # term 1 of a left-handed circle takes the circle and its auxiliary
+        # frame reversed, term 2 never; the traced circle and its reversal
+        # take the two orientation branches.
         # The circle is traced once, with the analytic Jacobian, so both
         # specs see the same samples; the index is then taken with the spec
         # under test.
@@ -1272,7 +1303,7 @@ class TestSectionIndex:
             report = section_index(spec, opts, aux_twist_turns=turns)
             results.append((int(report.kappa), [c.index for c in report.components]))
         assert results == [(1, [1]), (1, [1])]
-        assert sorted(flips) == [0, 2]
+        assert sorted(flips) == [0, 1]
         assert max(gaps) < 1e-9
 
 

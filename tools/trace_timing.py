@@ -24,9 +24,13 @@ the tracer (`Scenario.traced`) and prints one line:
     jacobian_evaluations;
   - on the S^5 zero circles (the cases that trace a section), transport_ms:
     milliseconds per `tracer.transport_closed_frame` call on the traced
-    circle, the section index's auxiliary frame; and dw_ms: milliseconds
-    per `tracer._section_derivative_fields` call, dw applied to that frame
-    at the samples from the walk's Jacobians. Other cases print "-".
+    circle, the section index's auxiliary frame; closing_deg: the largest
+    rotation, in degrees, that the transport's closing adds to that frame
+    between two consecutive samples (the closing segment included), next
+    to lift_deg, the case's lift_angle_max in degrees, which bounds every
+    step of the lift; and dw_ms: milliseconds per
+    `tracer._section_derivative_fields` call, dw applied to that frame at
+    the samples from the walk's Jacobians. Other cases print "-".
 
 Times are the minimum over --repeat repeats; nothing is asserted about them.
 """
@@ -44,7 +48,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from fbk import recording  # noqa: E402
+from fbk import recording, tracer  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
 from fbk.framedlink import sphere_ambient  # noqa: E402
 from fbk.tracer import (  # noqa: E402
@@ -102,6 +106,33 @@ def svd_calls(fn) -> int:
     return count[0]
 
 
+def closing_degrees(loop, normals, tol) -> float:
+    """Largest rotation angle of P(u_(k+1)) P(u_k)^T over the closing path of the transport.
+
+    u_k = params[k] - params[0] at the samples and 1 where the loop returns
+    to sample 0; the holonomy's Givens planes are caught by a wrapper
+    around tracer._givens_planes during one transport. The largest
+    rotation angle of a rotation R is 2 arcsin(|R - I|_2 / 2).
+    """
+    caught = []
+    givens_planes = tracer._givens_planes
+
+    def catching(H):
+        caught.append(givens_planes(H))
+        return caught[-1]
+
+    tracer._givens_planes = catching
+    try:
+        aux = transport_closed_frame(loop, normals, tol)
+    finally:
+        tracer._givens_planes = givens_planes
+    u = np.append(np.asarray(loop.params) - loop.params[0], 1.0)
+    P = tracer._givens_path(caught[0], aux.count, u)
+    steps = P[1:] @ P[:-1].transpose(0, 2, 1) - np.eye(aux.count)
+    largest = float(np.max(np.linalg.norm(steps, ord=2, axis=(1, 2))))
+    return math.degrees(2.0 * math.asin(min(1.0, largest / 2.0)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, help="repeats per timing (default 5)")
@@ -110,7 +141,7 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'newton_calls':>12} "
           f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'svds':>5} "
-          f"{'transport_ms':>12} {'dw_ms':>6}")
+          f"{'transport_ms':>12} {'closing_deg':>11} {'lift_deg':>8} {'dw_ms':>6}")
     for label, system, opts, section in traced_cases():
         seed, tol = opts.seeds[0], opts.tolerances
         with recording() as record:
@@ -127,7 +158,7 @@ def main(argv=None) -> int:
                 _newton(system, predictor, tol, max_iter=WALK_MAX_ITER, first=chord)
 
         newton_s = best_of(args.repeat, corrections) / len(loop)
-        transport_ms = dw_ms = "-"
+        transport_ms = closing_deg = lift_deg = dw_ms = "-"
         if section is not None:
             normals = sphere_ambient(section.embedding_dimension).manifold_normals
             aux = transport_closed_frame(loop, normals, tol)
@@ -136,9 +167,12 @@ def main(argv=None) -> int:
                 args.repeat, lambda: _section_derivative_fields(section, system, loop, aux, raws)
             )
             transport_ms, dw_ms = f"{transport_s * 1e3:.2f}", f"{dw_s * 1e3:.2f}"
+            closing_deg = f"{closing_degrees(loop, normals, tol):.2g}"
+            lift_deg = f"{math.degrees(tol.lift_angle_max):.1f}"
         print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {newton_s * 1e6:>9.1f} "
               f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
-              f"{record['jacobian_evaluations']:>20} {svds:>5} {transport_ms:>12} {dw_ms:>6}")
+              f"{record['jacobian_evaluations']:>20} {svds:>5} {transport_ms:>12} "
+              f"{closing_deg:>11} {lift_deg:>8} {dw_ms:>6}")
     return 0
 
 
