@@ -9,7 +9,7 @@ the map, or of the bundle.
 """
 
 from .errors import FbkError
-from .numkit import Tolerances, recording
+from .numkit import Tolerances, recording, stacked
 from .spinlift import (
     RotationLoop,
     Z2,
@@ -81,6 +81,7 @@ __all__ = [
     "section_zero_loops",
     "sphere_ambient",
     "stabilize_loop",
+    "stacked",
     "suggest_seeds",
     "trace_component",
     "transport_closed_frame",

@@ -36,7 +36,16 @@ from .errors import (
     ValidationError,
     ParseError,
 )
-from .numkit import DEFAULT_TOL, Tolerances, _note_add, orthonormalize, recording
+from .numkit import (
+    DEFAULT_TOL,
+    Tolerances,
+    _note_add,
+    _on_stack,
+    _row_norms,
+    orthonormalize,
+    recording,
+    stacked,
+)
 from .spinlift import _MAX_DIM, RotationLoop, Z2, _checked_params, loop_class
 
 _MIN_SAMPLES = 16
@@ -72,6 +81,9 @@ def _identity(value):
 class SampledLoop:
     """Closed curve in R^N: cyclic samples plus an optional exact resampler.
 
+    resample maps a parameter to its point and resample_tangent to its unit
+    tangent; either may be declared with numkit's `stacked`, and then maps
+    a (K,) array of params to a (K, N) stack in one call.
     tangents, when given, are the unit tangents at the samples as a (K, N)
     array, stored read-only; a traced loop carries the kernel tangents its
     tracer found. resample_tangent, when given, returns the unit tangent at
@@ -80,9 +92,11 @@ class SampledLoop:
     resample_tangent, else central differences of the resampler. The
     tangents at the samples come from one cached place, read by
     tangent_at_sample and frame_matrix_loop: the carried tangents, else
-    tangent(t) at the params, else chords. The cycled, reversed,
+    tangent(t) at the params, else chords. Central differences at K params
+    are one resampler call on the 2K shifted params. The cycled, reversed,
     transformed and translated copies carry tangents and both resamplers
-    along; with_samples drops the carried tangents.
+    along, as stack-native callbacks that call this loop's once per stack;
+    with_samples drops the carried tangents.
     """
 
     points: np.ndarray
@@ -131,9 +145,32 @@ class SampledLoop:
         return float(np.sum(np.linalg.norm(steps, axis=1)))
 
     def point(self, t: float) -> np.ndarray:
+        return self._points_at(np.array([t]))[0]
+
+    def _points_at(self, ts: np.ndarray) -> np.ndarray:
+        """The points at a (K,) array of params, as (K, N), from one resampler call."""
         if self.resample is None:
             raise ValidationError("loop has no resample callback")
-        return np.asarray(self.resample(t % 1.0), dtype=float)
+        return _on_stack(self.resample, ts % 1.0, "resampler", self.dimension)
+
+    def _tangents_at(self, ts: np.ndarray) -> np.ndarray:
+        """Unit tangents at a (K,) array of params, as (K, N).
+
+        resample_tangent when the loop has one, else central differences:
+        one resampler call on the params shifted by +h and by -h.
+        """
+        if self.resample_tangent is not None:
+            return _on_stack(self.resample_tangent, ts % 1.0, "resampled tangent", self.dimension)
+        if self.resample is None:
+            raise ValidationError("loop has no resample callback")
+        h = 0.25 * self._gap
+        shifted = self._points_at(np.concatenate([ts + h, ts - h]))
+        d = shifted[: len(ts)] - shifted[len(ts) :]
+        nrm = _row_norms(d)
+        flat = np.flatnonzero(nrm == 0.0)
+        if flat.size:
+            raise ValidationError(f"degenerate tangent at parameter {ts[flat[0]] % 1.0:.6f}")
+        return d / nrm[:, None]
 
     # points and params are never reassigned after __post_init__, so the
     # values that depend only on them are computed once per loop.
@@ -175,8 +212,8 @@ class SampledLoop:
         """
         if self.tangents is not None:
             return self.tangents
-        if self.resample is not None:
-            out = np.array([self.tangent(t) for t in self.params])
+        if self.resample is not None or self.resample_tangent is not None:
+            out = self._tangents_at(np.asarray(self.params))
         else:
             d = np.roll(self.points, -1, axis=0) - np.roll(self.points, 1, axis=0)
             out = d / np.linalg.norm(d, axis=1, keepdims=True)
@@ -187,16 +224,7 @@ class SampledLoop:
         return self._sample_tangents[k].copy()
 
     def tangent(self, t: float) -> np.ndarray:
-        if self.resample_tangent is not None:
-            return np.asarray(self.resample_tangent(t % 1.0), dtype=float)
-        if self.resample is None:
-            raise ValidationError("loop has no resample callback")
-        h = 0.25 * self._gap
-        d = self.point(t + h) - self.point(t - h)
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0:
-            raise ValidationError(f"degenerate tangent at parameter {t % 1.0:.6f}")
-        return d / nrm
+        return self._tangents_at(np.array([t]))[0]
 
     def arc_fractions(self) -> np.ndarray:
         """Normalized cumulative polygonal arclength at each sample (starts at 0)."""
@@ -212,24 +240,25 @@ class SampledLoop:
     def with_samples(self, count: int) -> "SampledLoop":
         if self.resample is None:
             raise ValidationError("resampling a loop requires its resample callback")
-        pts = np.array([self.point(i / count) for i in range(count)])
+        params = np.arange(count) / count
         return SampledLoop(
-            pts, self.resample, [i / count for i in range(count)], None, self.resample_tangent
+            self._points_at(params), self.resample, params.tolist(), None, self.resample_tangent
         )
 
     def _resamplers(self, param, point=_identity, tangent=_identity):
         """A copy's resample and resample_tangent, each None when this loop's is.
 
         The copy at parameter t is this loop at param(t), with point and
-        tangent mapping this loop's values to the copy's.
+        tangent mapping this loop's values to the copy's. param maps a (K,)
+        array of params, point and tangent a (K, N) stack; the copy's
+        callbacks are stack-native and call this loop's once per stack
+        (row by row when this loop's are not stack-native).
         """
         resample = resample_tangent = None
         if self.resample is not None:
-            inner = self.resample
-            resample = lambda t: point(inner(param(t)))  # noqa: E731
+            resample = stacked(lambda ts: point(self._points_at(param(ts))))
         if self.resample_tangent is not None:
-            inner_tangent = self.resample_tangent
-            resample_tangent = lambda t: tangent(inner_tangent(param(t)))  # noqa: E731
+            resample_tangent = stacked(lambda ts: tangent(self._tangents_at(param(ts))))
         return resample, resample_tangent
 
     def cycled(self, shift: int) -> "SampledLoop":
@@ -245,11 +274,15 @@ class SampledLoop:
     def transformed(self, Q: np.ndarray) -> "SampledLoop":
         Q = np.asarray(Q, dtype=float)
 
-        def tangent(v):
-            v = Q @ v
-            return v / np.linalg.norm(v)
+        def point(P):
+            # one matrix-vector product per row, as Q @ p rounds
+            return (Q @ P[:, :, None])[:, :, 0]
 
-        resample, resample_tangent = self._resamplers(_identity, lambda p: Q @ p, tangent)
+        def tangent(V):
+            V = point(V)
+            return V / _row_norms(V)[:, None]
+
+        resample, resample_tangent = self._resamplers(_identity, point, tangent)
         tangents = None
         if self.tangents is not None:
             tangents = self.tangents @ Q.T
@@ -346,11 +379,12 @@ class AmbientPresentation:
     """How the ambient manifold sits in R^N.
 
     manifold_normals are callables giving pointwise-orthonormal unit normal
-    fields of the manifold inside R^N along any curve; spin_twist evaluates
-    the chosen spin structure on a loop (constant 0 for the reference
-    structure). Ambients with a periodic coordinate declare the plane in
-    which winding is counted, which is also what the non-reference spin
-    structure pairs with.
+    fields of the manifold inside R^N along any curve, each called once per
+    stack of points when declared with numkit's `stacked` (the sphere's and
+    the cylinder's are); spin_twist evaluates the chosen spin structure on
+    a loop (constant 0 for the reference structure). Ambients with a
+    periodic coordinate declare the plane in which winding is counted,
+    which is also what the non-reference spin structure pairs with.
     """
 
     dimension: int
@@ -373,9 +407,9 @@ def euclidean_ambient(dimension: int) -> AmbientPresentation:
 def sphere_ambient(dimension: int) -> AmbientPresentation:
     """Unit sphere in R^dimension; the radial field is the single normal."""
 
-    def radial(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return p / np.linalg.norm(p)
+    @stacked
+    def radial(P: np.ndarray) -> np.ndarray:
+        return P / _row_norms(P)[:, None]
 
     return AmbientPresentation(dimension, [radial], lambda loop: Z2(0), kind="sphere")
 
@@ -391,12 +425,10 @@ def cylinder_ambient(dimension: int, spin: str = "standard") -> AmbientPresentat
     if spin not in ("standard", "nonstandard"):
         raise ValidationError(f"unknown spin structure {spin!r}")
 
-    def radial(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        out = np.zeros_like(p)
-        rho = math.hypot(p[0], p[1])
-        out[0] = p[0] / rho
-        out[1] = p[1] / rho
+    @stacked
+    def radial(P: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(P)
+        out[:, :2] = P[:, :2] / np.hypot(P[:, 0], P[:, 1])[:, None]
         return out
 
     if spin == "standard":
@@ -504,6 +536,17 @@ def _check_disjoint(point_sets: Sequence[np.ndarray]):
                 )
 
 
+def _normals_at(manifold_normals: Sequence[Callable], points: np.ndarray) -> np.ndarray:
+    """The manifold normal fields at a (K, N) stack of points, as (K, count, N).
+
+    One adapter call per field, so a stack-native field is called once per
+    stack.
+    """
+    k, dim = points.shape
+    normals = [_on_stack(n, points, "manifold normal", dim) for n in manifold_normals]
+    return np.stack(normals, axis=1) if normals else np.empty((k, 0, dim))
+
+
 def _assemble_frame(
     ambient: AmbientPresentation,
     points: np.ndarray,
@@ -516,15 +559,13 @@ def _assemble_frame(
     """Frames [manifold normals, middle row, framing fields] at K points, as (K, N, N).
 
     points and middles are (K, N) and fields is (K, k, N). The manifold
-    normals are evaluated point by point; the checks then run over the whole
-    stack, each in turn, and an error names where(first failing index) and
-    the middle row as middle_name. A non-finite normal, middle row or field
+    normals are evaluated on the stack of points; the checks then run over
+    the whole stack, each in turn, and an error names where(first failing
+    index) and the middle row as middle_name. A non-finite normal, middle row or field
     is an EvaluationFailure, checked first.
     """
     count = len(ambient.manifold_normals)
-    normals = np.array(
-        [[n(p) for n in ambient.manifold_normals] for p in points], dtype=float
-    ).reshape(len(points), count, points.shape[1])
+    normals = _normals_at(ambient.manifold_normals, points)
     rows = np.concatenate([normals, middles[:, None], fields], axis=1)
     if not np.isfinite(rows).all():
         k, i = np.argwhere(~np.isfinite(rows).all(axis=2))[0]
@@ -570,18 +611,21 @@ def frame_matrix_loop(
 
     The middle row is the curve tangent (the one tangent_at_sample
     returns), or middle(point) when a map from points to middle rows is
-    given. Each sample yields the N x N matrix whose rows are the
-    orthonormalized frame expressed in the standard basis; the determinant
-    must be +1 at every sample. All samples are assembled as one stack.
+    given (called once on all samples when declared `stacked`). Each sample
+    yields the N x N matrix whose rows are the orthonormalized frame
+    expressed in the standard basis; the determinant must be +1 at every
+    sample. All samples are assembled as one stack.
     When both the loop and the framing can be resampled, the returned loop
     carries a refiner that re-evaluates the geometry through the same
     assembly, with loop.tangent(t) or middle(point) as its middle row.
     Every assembled frame is noted as frames_assembled.
     """
-    if middle is not None:
-        middles = np.array([middle(p) for p in loop.points], dtype=float)
-    else:
-        middles = loop._sample_tangents
+    dim = loop.dimension
+
+    def middles_at(points: np.ndarray) -> np.ndarray:
+        return _on_stack(middle, points, "middle row", dim)
+
+    middles = loop._sample_tangents if middle is None else middles_at(loop.points)
     middle_name = "tangent" if middle is None else "middle row"
     samples = _assemble_frame(
         ambient,
@@ -597,11 +641,11 @@ def frame_matrix_loop(
     if loop.resample is not None and framing.resample is not None:
 
         def refiner(t: float) -> np.ndarray:
-            p = loop.point(t)
+            p = loop.point(t)[None]
             frame = _assemble_frame(
                 ambient,
-                p[None],
-                np.asarray(loop.tangent(t) if middle is None else middle(p), dtype=float)[None],
+                p,
+                loop.tangent(t)[None] if middle is None else middles_at(p),
                 framing.at(t)[None],
                 tol,
                 where=lambda _: f"parameter {t % 1.0:.6f}",
@@ -814,22 +858,19 @@ def load_link(document: dict) -> FramedLink:
             pts.shape[1] == dim,
             f"component {n}: points live in R^{pts.shape[1]}, ambient is R^{dim}",
         )
-        # directions of the manifold normals; only directions enter the frame check
-        normals = np.zeros((len(pts), len(ambient.manifold_normals), dim))
         if kind == "sphere":
             radii = np.linalg.norm(pts, axis=1)
             _require(
                 bool(np.max(np.abs(radii - 1.0)) < 1e-6),
                 f"component {n}: points must lie on the unit sphere",
             )
-            normals[:, 0] = pts
         if kind == "cylinder":
             rho = np.hypot(pts[:, 0], pts[:, 1])
             _require(
                 bool(np.max(np.abs(rho - 1.0)) < 1e-6),
                 f"component {n}: points must lie on the unit circle factor",
             )
-            normals[:, 0, :2] = pts[:, :2]
+        normals = _normals_at(ambient.manifold_normals, pts)
         loop = SampledLoop(pts)
         try:
             fields_raw = np.asarray(comp["framing"], dtype=float)

@@ -26,7 +26,7 @@ from .framedlink import (
     sphere_ambient,
     twist_framing,
 )
-from .numkit import Tolerances, _norm
+from .numkit import Tolerances, _norm, _on_stack, stacked
 from .tracer import MapSpec, SectionSpec, TraceOptions, kappa_of_map, section_index
 
 
@@ -39,6 +39,8 @@ class Scenario:
     expected: Callable[[dict], dict]
     # for the scenarios that trace: the (spec, TraceOptions) run hands the tracer
     traced: Callable[[dict], tuple] | None = None
+    # for the scenarios that frame closed-form circles: the FramedLink run reports on
+    link: Callable[[dict], FramedLink] | None = None
 
 
 def _circle_loop(
@@ -50,47 +52,61 @@ def _circle_loop(
     offset = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     sign = -1.0 if clockwise else 1.0
 
-    def point(t: float) -> np.ndarray:
-        a = 2.0 * math.pi * (t % 1.0)
-        p = offset.copy()
-        p[0] += math.cos(a)
-        p[1] += sign * math.sin(a)
-        return p
+    @stacked
+    def point(ts: np.ndarray) -> np.ndarray:
+        a = 2.0 * math.pi * (ts % 1.0)
+        P = np.tile(offset, (len(a), 1))
+        P[:, 0] += np.cos(a)
+        P[:, 1] += sign * np.sin(a)
+        return P
 
-    pts = np.array([point(i / samples) for i in range(samples)])
-    return SampledLoop(pts, point, [i / samples for i in range(samples)])
+    params = np.arange(samples) / samples
+    return SampledLoop(point(params), point, params.tolist())
 
 
 def _framing_from(loop: SampledLoop, fns) -> NormalFraming:
-    def at(points) -> np.ndarray:
-        return np.array([[fn(p) for p in points] for fn in fns], dtype=float)
+    """Fields fns (stack-native or per point) at the samples, with their resampler."""
 
-    return NormalFraming(at(loop.points), lambda t: at([loop.point(t)])[:, 0])
+    def at(points: np.ndarray) -> np.ndarray:
+        return np.stack([_on_stack(fn, points, "framing field", loop.dimension) for fn in fns])
+
+    return NormalFraming(at(loop.points), lambda t: at(loop.point(t)[None])[:, 0])
+
+
+@stacked
+def _identity_field(P: np.ndarray) -> np.ndarray:
+    return P
 
 
 def _constant_field(dim: int, index: int):
     e = np.zeros(dim)
     e[index] = 1.0
-    return lambda p: e
+    return stacked(lambda P: np.broadcast_to(e, P.shape))
 
 
-def _report_with_delta(link: FramedLink, tol: Tolerances) -> InvariantReport:
-    report = invariant_report(link, tol)
-    if link.ambient.kind == "euclidean":
-        report.diagnostics["delta"] = int(delta_pontryagin(link, tol))
-    return report
+def _framed_run(link: Callable[[dict], FramedLink]) -> Callable[[dict], InvariantReport]:
+    """The run of a scenario that reports on link(options); Euclidean links add delta."""
+
+    def run(options: dict) -> InvariantReport:
+        framed = link(options)
+        tol = options["tolerances"]
+        report = invariant_report(framed, tol)
+        if framed.ambient.kind == "euclidean":
+            report.diagnostics["delta"] = int(delta_pontryagin(framed, tol))
+        return report
+
+    return run
 
 
-def _run_pontryagin_circle(options: dict) -> InvariantReport:
+def _pontryagin_link(options: dict) -> FramedLink:
     turns = options["turns"]
     loop = _circle_loop(options["samples"], 4, clockwise=True)
     framing = _framing_from(
-        loop, [lambda p: p, _constant_field(4, 2), _constant_field(4, 3)]
+        loop, [_identity_field, _constant_field(4, 2), _constant_field(4, 3)]
     )
     if turns:
         framing = twist_framing(loop, framing, turns)
-    link = FramedLink([(loop, framing)], euclidean_ambient(4))
-    return _report_with_delta(link, options["tolerances"])
+    return FramedLink([(loop, framing)], euclidean_ambient(4))
 
 
 def _expect_pontryagin_circle(options: dict) -> dict:
@@ -98,14 +114,13 @@ def _expect_pontryagin_circle(options: dict) -> dict:
     return {"kappa": bit, "indices": [bit], "winding": [None], "delta": bit}
 
 
-def _run_sphere_great_circle(options: dict) -> InvariantReport:
+def _great_circle_link(options: dict) -> FramedLink:
     loop = _circle_loop(options["samples"], 5)
     framing = _framing_from(loop, [_constant_field(5, i) for i in (2, 3, 4)])
-    link = FramedLink([(loop, framing)], sphere_ambient(5))
-    return invariant_report(link, options["tolerances"])
+    return FramedLink([(loop, framing)], sphere_ambient(5))
 
 
-def _run_cylinder_spin(options: dict) -> InvariantReport:
+def _cylinder_link(options: dict) -> FramedLink:
     circles = options["circles"]
     if circles not in (1, 2):
         raise ValidationError("cylinder-spin supports circles=1 or circles=2")
@@ -116,7 +131,7 @@ def _run_cylinder_spin(options: dict) -> InvariantReport:
         loop = _circle_loop(options["samples"], 5, center=centers[c])
         framing = _framing_from(loop, [_constant_field(5, i) for i in (2, 3, 4)])
         comps.append((loop, framing))
-    return invariant_report(FramedLink(comps, ambient), options["tolerances"])
+    return FramedLink(comps, ambient)
 
 
 def _expect_cylinder_spin(options: dict) -> dict:
@@ -223,8 +238,14 @@ def _run_quadric(options: dict, twisted: bool) -> InvariantReport:
     return kappa_of_map(*_quadric_problem(options, twisted), euclidean_ambient(4))
 
 
+_S5_PAIRS = [1, 0, 3, 2, 5, 4]
+_S5_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+
+
+@stacked
 def _s5_splitting(x: np.ndarray) -> np.ndarray:
-    return np.array([-x[1], x[0], -x[3], x[2], -x[5], x[4]])
+    """(-x1, x0, -x3, x2, -x5, x4) at a point (6,) or at each row of a (K, 6) stack."""
+    return x[..., _S5_PAIRS] * _S5_SIGNS
 
 
 def _s5_section(x: np.ndarray) -> np.ndarray:
@@ -313,8 +334,9 @@ _register(
         "pontryagin-circle",
         "standard circle in R^4 with radial+constant framing, twistable",
         {"turns": 0, "samples": 96, },
-        _run_pontryagin_circle,
+        _framed_run(_pontryagin_link),
         _expect_pontryagin_circle,
+        link=_pontryagin_link,
     )
 )
 _register(
@@ -322,8 +344,9 @@ _register(
         "sphere-great-circle",
         "great circle in S^4 with constant normal framing",
         {"samples": 96},
-        _run_sphere_great_circle,
+        _framed_run(_great_circle_link),
         _expect_bit(0),
+        link=_great_circle_link,
     )
 )
 _register(
@@ -331,8 +354,9 @@ _register(
         "cylinder-spin",
         "product circles in S^1 x R^3 under both spin structures",
         {"samples": 96, "spin": "standard", "circles": 1},
-        _run_cylinder_spin,
+        _framed_run(_cylinder_link),
         _expect_cylinder_spin,
+        link=_cylinder_link,
     )
 )
 _register(

@@ -45,6 +45,7 @@ from .framedlink import (
     InvariantReport,
     NormalFraming,
     SampledLoop,
+    _normals_at,
     _recombined,
     _report,
     frame_matrix_loop,
@@ -60,7 +61,9 @@ from .numkit import (
     _note_add,
     _note_append,
     _note_max,
+    _on_stack,
     _qr,
+    _row_norms,
     _require_finite,
     jacobian_fd,
     recording,
@@ -630,9 +633,8 @@ def induced_framing(
 
 def _frame_det(loop, middle, framing, ambient, k) -> float:
     """Sign-relevant determinant of the raw frame rows at sample k."""
-    normals = [np.asarray(n(loop.points[k]), dtype=float) for n in ambient.manifold_normals]
-    rows = normals + [middle, *framing.at_sample(k)]
-    return float(np.linalg.det(np.vstack(rows)))
+    normals = _normals_at(ambient.manifold_normals, loop.points[k : k + 1])[0]
+    return float(np.linalg.det(np.vstack([normals, middle, framing.at_sample(k)])))
 
 
 def _oriented(loop, framing, ambient):
@@ -643,38 +645,45 @@ def _oriented(loop, framing, ambient):
     return loop.reversed(), framing.reversed()
 
 
-def _point_to_curve_distance(p: np.ndarray, b: SampledLoop) -> float:
-    """Distance from a point to a loop, refined through the loop's resampler.
+def _curve_distances(P: np.ndarray, b: SampledLoop) -> np.ndarray:
+    """Distance from each row of a (M, N) stack of points to a loop, refined through its resampler.
 
-    Starts from the nearest stored sample and golden-sections the distance
-    along the parameter, between the params of that sample's two neighbours
-    (wrapping across 1), so unevenly spaced params are bracketed too;
-    without a resampler the nearest sample distance is returned. Needed
-    because sample-set distances between two traces of one curve are of the
-    order of the step size, far above closure tolerances.
+    Each point starts from its nearest stored sample and golden-sections the
+    distance along the parameter, between the params of that sample's two
+    neighbours (wrapping across 1), so unevenly spaced params are bracketed
+    too; all points take their golden-section steps together, one resampler
+    call on the M new params per step. Without a resampler the nearest
+    sample distances are returned. Needed because sample-set distances
+    between two traces of one curve are of the order of the step size, far
+    above closure tolerances.
     """
-    d = np.linalg.norm(b.points - p, axis=1)
-    j = int(np.argmin(d))
+    d = np.linalg.norm(b.points[None] - P[:, None], axis=2)
+    j = np.argmin(d, axis=1)
+    nearest = d[np.arange(len(P)), j]
     if b.resample is None:
-        return float(d[j])
+        return nearest
     ts = b._knots
-    lo = ts[j - 1] if j > 0 else ts[-2] - 1.0
+    lo = np.where(j > 0, ts[j - 1], ts[-2] - 1.0)
     hi = ts[j + 1]
+
+    def distance(x: np.ndarray) -> np.ndarray:
+        return _row_norms(b._points_at(x) - P)
+
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
-    f1 = float(np.linalg.norm(b.point(x1) - p))
-    f2 = float(np.linalg.norm(b.point(x2) - p))
+    f1, f2 = distance(x1), distance(x2)
     for _ in range(36):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = float(np.linalg.norm(b.point(x1) - p))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = float(np.linalg.norm(b.point(x2) - p))
-    return min(f1, f2, float(d[j]))
+        # where f1 <= f2 the bracket keeps [lo, x2] and a new x1 is probed,
+        # elsewhere it keeps [x1, hi] and a new x2 is probed
+        left = f1 <= f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x_new = np.where(left, hi - phi * (hi - lo), lo + phi * (hi - lo))
+        f_new = distance(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    return np.minimum(np.minimum(f1, f2), nearest)
 
 
 def hausdorff_distance(a: SampledLoop, b: SampledLoop, probes: int = 16) -> float:
@@ -686,10 +695,7 @@ def hausdorff_distance(a: SampledLoop, b: SampledLoop, probes: int = 16) -> floa
 
     def one_sided(src: SampledLoop, dst: SampledLoop) -> float:
         stride = max(1, len(src) // probes)
-        return max(
-            _point_to_curve_distance(src.points[k], dst)
-            for k in range(0, len(src), stride)
-        )
+        return float(np.max(_curve_distances(src.points[::stride], dst)))
 
     return max(one_sided(a, b), one_sided(b, a))
 
@@ -837,21 +843,22 @@ def transport_closed_frame(
     if count < 1:
         raise ValueError("the curve has no normal directions inside the manifold")
 
-    def fixed(p: np.ndarray, tangent: np.ndarray) -> list[np.ndarray]:
-        return [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
-
-    def bases(points, tangents) -> np.ndarray:
-        """Orthonormal rows spanning [normals of M, tangent] at each point."""
-        rows = np.array([fixed(p, t) for p, t in zip(points, tangents)])
+    def fixed(points: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+        """Rows [normals of M, tangent] at a (K, N) stack of points, as (K, count, N)."""
+        rows = np.concatenate([_normals_at(normals_of_M, points), tangents[:, None]], axis=1)
         _require_finite(rows)
+        return rows
+
+    def bases(rows: np.ndarray) -> np.ndarray:
+        """Orthonormal rows spanning each set of fixed rows."""
         return _qr(rows, _TRANSPORT_TOL)[0].transpose(0, 2, 1)
 
     lost_a_dimension = "normal space of the curve lost a dimension at"
-    tangents = [loop.tangent_at_sample(i) for i in range(k)]
-    initial = _mgs([*fixed(loop.points[0], tangents[0]), *np.eye(dim)], _TRANSPORT_TOL)
+    rows = fixed(loop.points, loop._sample_tangents)
+    initial = _mgs([*rows[0], *np.eye(dim)], _TRANSPORT_TOL)
     if len(initial) != len(normals_of_M) + 1 + count:
         raise RankDeficient("could not complete an initial normal frame")
-    B = bases(loop.points, tangents)
+    B = bases(rows)
     # projection i carries the frame from sample i to sample i + 1 (mod k)
     steps = np.roll(B, -1, axis=0)
     # the smallest principal-angle cosine between the spans of each projection
@@ -874,7 +881,7 @@ def transport_closed_frame(
 
         def resample(t: float) -> np.ndarray:
             i, _ = loop._segment(t)
-            basis = bases([loop.point(t)], [loop.tangent(t)])
+            basis = bases(fixed(loop.point(t)[None], loop.tangent(t)[None]))
             frames, lost = _transported(raw[i], basis)
             if lost is not None:
                 raise RankDeficient(f"{lost_a_dimension} parameter {t % 1.0:.6f}")
@@ -922,17 +929,24 @@ def _givens_path(planes, n: int, u: np.ndarray) -> np.ndarray:
 
 
 def _check_section_invariants(spec: SectionSpec, loop: SampledLoop):
-    stride = max(1, len(loop) // 16)
-    for idx in range(0, len(loop), stride):
-        x = loop.points[idx]
-        v = np.asarray(spec.splitting_field(x), dtype=float)
-        w = np.asarray(spec.section(x), dtype=float)
-        if abs(float(v @ v) - 1.0) > 1e-8 or abs(float(v @ x)) > 1e-8:
-            raise ValidationError("splitting field must be a unit tangent field of the sphere")
-        if abs(float(w @ x)) > 1e-6 or abs(float(w @ v)) > 1e-6:
-            raise ValidationError(
-                "section values must be tangent and orthogonal to the splitting field"
-            )
+    """Check v and w at every (len(loop) // 16)-th sample; the first failing one raises."""
+    X = loop.points[:: max(1, len(loop) // 16)]
+    dim = loop.dimension
+    V = _on_stack(spec.splitting_field, X, "splitting field", dim)
+    W = _on_stack(spec.section, X, "section", dim)
+
+    def dots(A, B):
+        return np.abs((A[:, None, :] @ B[:, :, None])[:, 0, 0])
+
+    bad_v = (np.abs(dots(V, V) - 1.0) > 1e-8) | (dots(V, X) > 1e-8)
+    bad_w = (dots(W, X) > 1e-6) | (dots(W, V) > 1e-6)
+    first = np.flatnonzero(bad_v | bad_w)
+    if first.size and bad_v[first[0]]:
+        raise ValidationError("splitting field must be a unit tangent field of the sphere")
+    if first.size:
+        raise ValidationError(
+            "section values must be tangent and orthogonal to the splitting field"
+        )
 
 
 def _section_derivative_fields(
@@ -942,36 +956,38 @@ def _section_derivative_fields(
 
     raws are the section's Jacobians at the samples, as the walk evaluated
     them and section_zero_loops collects them; the resampler evaluates one
-    per point through system.raw_jacobian.
+    per point through system.raw_jacobian. The splitting field is evaluated
+    on the stack of samples.
     """
 
-    def tau_at(x: np.ndarray, U: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        v = np.asarray(spec.splitting_field(x), dtype=float)
-        D = U @ raw.T
+    def tau_at(X: np.ndarray, U: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """(K, count, N) fields at the points X from the frames U and Jacobians raw."""
+        V = _on_stack(spec.splitting_field, X, "splitting field", X.shape[1])
+        D = U @ raw.transpose(0, 2, 1)
         # at zeros of the section the covariant derivative is the plain
-        # directional derivative projected into the fiber
-        return D - np.outer(D @ x, x) - np.outer(D @ v, v)
+        # directional derivative projected into the fiber; D @ x is one
+        # matrix-vector product per sample
+        return D - (D @ X[:, :, None]) * X[:, None] - (D @ V[:, :, None]) * V[:, None]
 
-    stacked = np.array([tau_at(x, aux.at_sample(i), raws[i]) for i, x in enumerate(loop.points)])
+    fields = tau_at(loop.points, aux.fields.transpose(1, 0, 2), np.asarray(raws, dtype=float))
     resample = None
     if loop.resample is not None and aux.resample is not None:
 
         def resample(t: float) -> np.ndarray:
-            x = loop.point(t)
-            return tau_at(x, aux.at(t), system.raw_jacobian(x))
+            x = loop.point(t)[None]
+            return tau_at(x, aux.at(t)[None], system.raw_jacobian(x[0])[None])[0]
 
-    return NormalFraming(stacked.transpose(1, 0, 2), resample)
+    return NormalFraming(fields.transpose(1, 0, 2), resample)
 
 
 def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns, raws):
-    def v_of(p: np.ndarray) -> np.ndarray:
-        return np.asarray(spec.splitting_field(p), dtype=float)
-
+    v_of = spec.splitting_field
     aux = transport_closed_frame(loop, ambient.manifold_normals, tol)
     if aux_twist_turns:
         aux = twist_framing(loop, aux, aux_twist_turns)
     tau = _section_derivative_fields(spec, system, loop, aux, raws)
-    if _frame_det(loop, v_of(loop.points[0]), tau, ambient, 0) < 0.0:
+    v0 = _on_stack(v_of, loop.points[:1], "splitting field", loop.dimension)[0]
+    if _frame_det(loop, v0, tau, ambient, 0) < 0.0:
         flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
         flips = lambda ts: np.broadcast_to(flip, (len(ts), *flip.shape))  # noqa: E731
         aux = _recombined(aux, loop.params, flips)
