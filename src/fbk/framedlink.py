@@ -620,10 +620,8 @@ def frame_matrix_loop(
     assembly, with loop.tangent(t) or middle(point) as its middle row.
     Every assembled frame is noted as frames_assembled.
     """
-    dim = loop.dimension
-
     def middles_at(points: np.ndarray) -> np.ndarray:
-        return _on_stack(middle, points, "middle row", dim)
+        return _on_stack(middle, points, "middle row", loop.dimension)
 
     middles = loop._sample_tangents if middle is None else middles_at(loop.points)
     middle_name = "tangent" if middle is None else "middle row"

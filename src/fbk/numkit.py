@@ -199,8 +199,6 @@ def _on_stack(fn, inputs: np.ndarray, role: str, width: int) -> np.ndarray:
     of any other shape is an EvaluationFailure naming role and both
     shapes; nothing is broadcast.
     """
-    if not len(inputs):
-        return np.empty((0, width))
     if getattr(fn, "fbk_stacked", False):
         values = fn(inputs)
     else:

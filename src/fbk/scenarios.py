@@ -238,14 +238,15 @@ def _run_quadric(options: dict, twisted: bool) -> InvariantReport:
     return kappa_of_map(*_quadric_problem(options, twisted), euclidean_ambient(4))
 
 
-_S5_PAIRS = [1, 0, 3, 2, 5, 4]
-_S5_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-
-
 @stacked
 def _s5_splitting(x: np.ndarray) -> np.ndarray:
-    """(-x1, x0, -x3, x2, -x5, x4) at a point (6,) or at each row of a (K, 6) stack."""
-    return x[..., _S5_PAIRS] * _S5_SIGNS
+    """(-x1, x0, -x3, x2, -x5, x4) at a point (6,) or at each row of a (K, 6) stack.
+
+    The sections evaluate it at one point per walk step, so a point costs
+    one array of six scalars, as a per-point field would.
+    """
+    y = x.T
+    return np.array([-y[1], y[0], -y[3], y[2], -y[5], y[4]]).T
 
 
 def _s5_section(x: np.ndarray) -> np.ndarray:
