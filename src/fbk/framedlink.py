@@ -95,15 +95,15 @@ class SampledLoop:
     tangent(t) at the params, else chords. Central differences at K params
     are one resampler call on the 2K shifted params. The cycled, reversed,
     transformed and translated copies carry tangents and both resamplers
-    along, as stack-native callbacks that call this loop's once per stack;
-    with_samples drops the carried tangents.
+    along, as stack-native callbacks that call this loop's once per stack
+    and also take one param; with_samples drops the carried tangents.
     """
 
     points: np.ndarray
-    resample: Callable[[float], np.ndarray] | None = None
+    resample: Callable[[float | np.ndarray], np.ndarray] | None = None
     params: Sequence[float] | None = None
     tangents: np.ndarray | None = None
-    resample_tangent: Callable[[float], np.ndarray] | None = None
+    resample_tangent: Callable[[float | np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -212,7 +212,7 @@ class SampledLoop:
         """
         if self.tangents is not None:
             return self.tangents
-        if self.resample is not None or self.resample_tangent is not None:
+        if self.resample is not None:
             out = self._tangents_at(np.asarray(self.params))
         else:
             d = np.roll(self.points, -1, axis=0) - np.roll(self.points, 1, axis=0)
@@ -252,13 +252,22 @@ class SampledLoop:
         tangent mapping this loop's values to the copy's. param maps a (K,)
         array of params, point and tangent a (K, N) stack; the copy's
         callbacks are stack-native and call this loop's once per stack
-        (row by row when this loop's are not stack-native).
+        (row by row when this loop's are not stack-native). They also map
+        one param to one row, as this loop's may.
         """
+
+        def one_or_stack(on_params):
+            def resampler(ts):
+                ts = np.asarray(ts, dtype=float)
+                return on_params(ts) if ts.ndim else on_params(ts[None])[0]
+
+            return stacked(resampler)
+
         resample = resample_tangent = None
         if self.resample is not None:
-            resample = stacked(lambda ts: point(self._points_at(param(ts))))
+            resample = one_or_stack(lambda ts: point(self._points_at(param(ts))))
         if self.resample_tangent is not None:
-            resample_tangent = stacked(lambda ts: tangent(self._tangents_at(param(ts))))
+            resample_tangent = one_or_stack(lambda ts: tangent(self._tangents_at(param(ts))))
         return resample, resample_tangent
 
     def cycled(self, shift: int) -> "SampledLoop":
@@ -405,11 +414,15 @@ def euclidean_ambient(dimension: int) -> AmbientPresentation:
 
 
 def sphere_ambient(dimension: int) -> AmbientPresentation:
-    """Unit sphere in R^dimension; the radial field is the single normal."""
+    """Unit sphere in R^dimension; the radial field is the single normal.
+
+    radial is stack-native and also takes one point, returning one row.
+    """
 
     @stacked
     def radial(P: np.ndarray) -> np.ndarray:
-        return P / _row_norms(P)[:, None]
+        P = np.asarray(P, dtype=float)
+        return P / _row_norms(P)[..., None]
 
     return AmbientPresentation(dimension, [radial], lambda loop: Z2(0), kind="sphere")
 
@@ -420,15 +433,17 @@ def cylinder_ambient(dimension: int, spin: str = "standard") -> AmbientPresentat
     The reference ("standard") spin structure is the one that extends over
     the filled disc of the circle factor, so its twist evaluator is
     constantly zero; the non-standard structure pairs a loop with its
-    winding parity around the circle factor.
+    winding parity around the circle factor. Its radial normal, like the
+    sphere's, is stack-native and also takes one point.
     """
     if spin not in ("standard", "nonstandard"):
         raise ValidationError(f"unknown spin structure {spin!r}")
 
     @stacked
     def radial(P: np.ndarray) -> np.ndarray:
+        P = np.asarray(P, dtype=float)
         out = np.zeros_like(P)
-        out[:, :2] = P[:, :2] / np.hypot(P[:, 0], P[:, 1])[:, None]
+        out[..., :2] = P[..., :2] / np.hypot(P[..., 0], P[..., 1])[..., None]
         return out
 
     if spin == "standard":

@@ -171,10 +171,11 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of a (K, N) float stack, each bit for bit _norm(row).
 
     The (1, N) @ (N, 1) products of the batched matmul are BLAS dots, as
-    _norm's `v @ v` is; a row sum or einsum would round differently.
+    _norm's `v @ v` is; a row sum or einsum would round differently. A
+    single (N,) row gives its norm as a 0-d array.
     """
     V = np.ascontiguousarray(V)
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
 
 
 def stacked(fn):

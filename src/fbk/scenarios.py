@@ -54,10 +54,11 @@ def _circle_loop(
 
     @stacked
     def point(ts: np.ndarray) -> np.ndarray:
-        a = 2.0 * math.pi * (ts % 1.0)
-        P = np.tile(offset, (len(a), 1))
-        P[:, 0] += np.cos(a)
-        P[:, 1] += sign * np.sin(a)
+        """The (K, dim) points at a (K,) array of params, or the point at one param."""
+        a = 2.0 * math.pi * (np.asarray(ts, dtype=float) % 1.0)
+        P = np.tile(offset, (*a.shape, 1))
+        P[..., 0] += np.cos(a)
+        P[..., 1] += sign * np.sin(a)
         return P
 
     params = np.arange(samples) / samples

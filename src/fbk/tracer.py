@@ -63,7 +63,6 @@ from .numkit import (
     _note_max,
     _on_stack,
     _qr,
-    _row_norms,
     _require_finite,
     jacobian_fd,
     recording,
@@ -645,45 +644,38 @@ def _oriented(loop, framing, ambient):
     return loop.reversed(), framing.reversed()
 
 
-def _curve_distances(P: np.ndarray, b: SampledLoop) -> np.ndarray:
-    """Distance from each row of a (M, N) stack of points to a loop, refined through its resampler.
+def _point_to_curve_distance(p: np.ndarray, b: SampledLoop) -> float:
+    """Distance from a point to a loop, refined through the loop's resampler.
 
-    Each point starts from its nearest stored sample and golden-sections the
-    distance along the parameter, between the params of that sample's two
-    neighbours (wrapping across 1), so unevenly spaced params are bracketed
-    too; all points take their golden-section steps together, one resampler
-    call on the M new params per step. Without a resampler the nearest
-    sample distances are returned. Needed because sample-set distances
-    between two traces of one curve are of the order of the step size, far
-    above closure tolerances.
+    Starts from the nearest stored sample and golden-sections the distance
+    along the parameter, between the params of that sample's two neighbours
+    (wrapping across 1), so unevenly spaced params are bracketed too;
+    without a resampler the nearest sample distance is returned. Needed
+    because sample-set distances between two traces of one curve are of the
+    order of the step size, far above closure tolerances.
     """
-    d = np.linalg.norm(b.points[None] - P[:, None], axis=2)
-    j = np.argmin(d, axis=1)
-    nearest = d[np.arange(len(P)), j]
+    d = np.linalg.norm(b.points - p, axis=1)
+    j = int(np.argmin(d))
     if b.resample is None:
-        return nearest
+        return float(d[j])
     ts = b._knots
-    lo = np.where(j > 0, ts[j - 1], ts[-2] - 1.0)
+    lo = ts[j - 1] if j > 0 else ts[-2] - 1.0
     hi = ts[j + 1]
-
-    def distance(x: np.ndarray) -> np.ndarray:
-        return _row_norms(b._points_at(x) - P)
-
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
-    f1, f2 = distance(x1), distance(x2)
+    f1 = float(np.linalg.norm(b.point(x1) - p))
+    f2 = float(np.linalg.norm(b.point(x2) - p))
     for _ in range(36):
-        # where f1 <= f2 the bracket keeps [lo, x2] and a new x1 is probed,
-        # elsewhere it keeps [x1, hi] and a new x2 is probed
-        left = f1 <= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x_new = np.where(left, hi - phi * (hi - lo), lo + phi * (hi - lo))
-        f_new = distance(x_new)
-        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    return np.minimum(np.minimum(f1, f2), nearest)
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - phi * (hi - lo)
+            f1 = float(np.linalg.norm(b.point(x1) - p))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + phi * (hi - lo)
+            f2 = float(np.linalg.norm(b.point(x2) - p))
+    return min(f1, f2, float(d[j]))
 
 
 def hausdorff_distance(a: SampledLoop, b: SampledLoop, probes: int = 16) -> float:
@@ -695,7 +687,10 @@ def hausdorff_distance(a: SampledLoop, b: SampledLoop, probes: int = 16) -> floa
 
     def one_sided(src: SampledLoop, dst: SampledLoop) -> float:
         stride = max(1, len(src) // probes)
-        return float(np.max(_curve_distances(src.points[::stride], dst)))
+        return max(
+            _point_to_curve_distance(src.points[k], dst)
+            for k in range(0, len(src), stride)
+        )
 
     return max(one_sided(a, b), one_sided(b, a))
 

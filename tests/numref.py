@@ -22,7 +22,7 @@ import numpy as np
 from fbk import tracer
 from fbk.errors import EvaluationFailure, RankDeficient
 from fbk.framedlink import NormalFraming, SampledLoop, _recombined
-from fbk.numkit import DEFAULT_TOL, Tolerances, _mgs, _on_stack
+from fbk.numkit import DEFAULT_TOL, Tolerances, _mgs
 
 
 def _finite(a) -> np.ndarray:
@@ -139,8 +139,7 @@ def projection_transport(
 
     def normal_directions(candidates, p: np.ndarray, tangent: np.ndarray):
         """Orthonormal directions the candidates add to [normals of M, tangent]."""
-        fixed = [_on_stack(n, p[None], "manifold normal", dim)[0] for n in normals_of_M]
-        fixed.append(tangent)
+        fixed = [np.asarray(n(p), dtype=float) for n in normals_of_M] + [tangent]
         return _mgs([*fixed, *candidates], 1e-8)[len(fixed) :]
 
     def project(vecs: Sequence[np.ndarray], p: np.ndarray, tangent: np.ndarray, i=None):

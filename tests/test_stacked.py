@@ -391,3 +391,59 @@ class TestPerPointCallbacksStillWork:
         report = fbk.run_scenario(name, overrides).to_dict()
         assert invariant_report(slow).to_dict() == report
         assert invariant_report(link).to_dict() == report
+
+
+class TestPublicCallablesTakeOnePoint:
+    """fbk's own stack-native callables also map one point, or one param, to one row."""
+
+    @pytest.mark.parametrize("ambient", [sphere_ambient(5), cylinder_ambient(5)])
+    def test_normals(self, ambient, rng):
+        [radial] = ambient.manifold_normals
+        P = rng.normal(size=(8, 5))
+        rows = radial(P)
+        for p, row in zip(P, rows):
+            assert radial(p).shape == (5,)
+            assert np.array_equal(radial(p), row)
+            assert np.array_equal(radial(p.tolist()), row)
+
+    def test_circle_points(self):
+        loop = _circle_loop(96, 5, center=np.arange(5.0))
+        ts = np.array([0.0, 0.3, 0.77])
+        for t, row in zip(ts, loop.resample(ts)):
+            assert loop.resample(float(t)).shape == (5,)
+            assert np.array_equal(loop.resample(float(t)), row)
+
+    def test_copies(self, rng):
+        @stacked
+        def tangent(ts):
+            a = 2.0 * math.pi * ts
+            return np.stack([-np.sin(a), np.cos(a), 0 * a, 0 * a], axis=1)
+
+        native = _circle_loop(64, 4)
+        native = SampledLoop(native.points, native.resample, native.params, None, tangent)
+        slow = SampledLoop(
+            native.points, per_point(native.resample), native.params, None, per_point(tangent)
+        )
+        ts = np.array([0.0, 0.3, 0.77])
+        for loop in (native, slow):
+            for copy in (
+                loop.cycled(5),
+                loop.reversed(),
+                loop.transformed(random_rotation(rng, 4)),
+                loop.translated(np.array([0.1, 0.0, -0.2, 0.5])),
+            ):
+                points, tangents = copy._points_at(ts), copy._tangents_at(ts)
+                for t, p, v in zip(ts.tolist(), points, tangents):
+                    assert np.array_equal(copy.resample(t), p)
+                    assert np.array_equal(copy.resample_tangent(t), v)
+                    assert np.array_equal(copy.point(t), p)
+
+    def test_a_tangent_resampler_alone_leaves_the_sample_tangents_chords(self):
+        # sample tangents come from the resampler's central differences, or
+        # from resample_tangent when the loop also has a resampler; a
+        # resample_tangent alone does not replace the chords
+        circle = _circle_loop(32, 4)
+        chords = SampledLoop(circle.points, None, circle.params)._sample_tangents
+        loop = SampledLoop(circle.points, None, circle.params, None, lambda t: np.eye(4)[0])
+        assert np.array_equal(loop._sample_tangents, chords)
+        assert np.array_equal(loop.tangent(0.3), np.eye(4)[0])

@@ -30,28 +30,26 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from fbk import frame_matrix_loop, recording  # noqa: E402
+from fbk.cli import _parse_override  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
-
-# The override variants of the acceptance suite that frame closed-form circles.
-OVERRIDES = (
-    ("pontryagin-circle", {"turns": 1}),
-    ("pontryagin-circle", {"turns": 2}),
-    ("pontryagin-circle", {"turns": 3}),
-    ("cylinder-spin", {"spin": "nonstandard", "circles": 1}),
-    ("cylinder-spin", {"spin": "standard", "circles": 2}),
-    ("cylinder-spin", {"spin": "nonstandard", "circles": 2}),
-)
+from report_digest import ACCEPTANCE_OVERRIDES  # noqa: E402
 
 
 def framed_cases():
-    """(label, scenario, options) per framed scenario run."""
-    runs = [(name, {}) for name, scenario in sorted(REGISTRY.items()) if scenario.link]
-    for name, overrides in runs + list(OVERRIDES):
+    """(label, scenario, options) per framed scenario run.
+
+    The defaults of every scenario with a `link`, then the acceptance
+    overrides of those scenarios, parsed as the CLI parses `--set`.
+    """
+    runs = [(name, ()) for name, scenario in sorted(REGISTRY.items()) if scenario.link]
+    runs += [(name, sets) for name, sets in ACCEPTANCE_OVERRIDES if REGISTRY[name].link]
+    for name, sets in runs:
         scenario = REGISTRY[name]
-        label = name + "".join(f" {key}={value}" for key, value in overrides.items())
-        yield label, scenario, resolve_options(scenario, overrides)
+        overrides = dict(_parse_override(item) for item in sets)
+        yield " ".join([name, *sets]), scenario, resolve_options(scenario, overrides)
 
 
 def timed(scenario, options, repeat: int):
