@@ -534,12 +534,13 @@ def _check_disjoint(point_sets: Sequence[np.ndarray]):
     """
     center = np.mean(np.concatenate(point_sets), axis=0)
     centered = [p - center for p in point_sets]
+    # each component's segment ends, built once for all the others' checks
+    segment_ends = [np.roll(p, -1, axis=0) for p in centered]
     radius = max(1.0, max(float(np.max(np.linalg.norm(p, axis=1))) for p in centered))
     limit = _MIN_SEPARATION * radius
     for n, points in enumerate(centered):
-        others = [q for m, q in enumerate(centered) if m != n]
-        starts = np.concatenate(others)
-        ends = np.concatenate([np.roll(q, -1, axis=0) for q in others])
+        starts = np.concatenate([q for m, q in enumerate(centered) if m != n])
+        ends = np.concatenate([q for m, q in enumerate(segment_ends) if m != n])
         rows = max(1, _DISTANCE_BLOCK_PAIRS // len(starts))
         for first in range(0, len(points), rows):
             block = _segment_distances(points[first : first + rows], starts, ends)
@@ -667,7 +668,8 @@ def frame_matrix_loop(
             _note_add("frames_assembled", 1)
             return frame[0]
 
-    return RotationLoop(samples, refiner, list(loop.params))
+    # _assemble_frame has checked the frames and SampledLoop the params
+    return RotationLoop._prechecked(samples, refiner, list(loop.params))
 
 
 def index_of_circle(

@@ -30,11 +30,13 @@ stack; any other callback is called row by row there. `_on_stack` is the
 only place that loops over points to call one, and the one place that
 checks what comes back.
 
-The tracer calls jacobian_fd and _norm at every step of its walk, so both
-avoid per-call overhead without changing one rounding: _norm is
-np.linalg.norm's own sqrt(x @ x) without its dispatch, and _row_norms is
-the same per row of a stack. jacobian_fd calls f once per row of the
-stacked perturbations p + h I and p - h I, 2N calls. The traced map stays
+The tracer calls jacobian_fd at every Jacobian of its walk and _norm at
+every residual, so both avoid per-call overhead without changing one
+rounding: _norm is np.linalg.norm's own sqrt(x @ x) without its dispatch
+(the corrector takes the same dot itself on its own contiguous iterate
+and steps, which need no layout check), and _row_norms is the same per
+row of a stack. jacobian_fd calls f once per row of the stacked
+perturbations p + h I and p - h I, 2N calls. The traced map stays
 a per-point callable because the walk evaluates its residual one point at
 a time: on a 2-core Xeon VM a stacked suspended-Hopf map cost 54 us at
 K = 1 against 12 us per point, and stacking jacobian_fd saved 0.05 s per

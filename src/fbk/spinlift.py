@@ -179,6 +179,21 @@ class RotationLoop:
         else:
             self.params = _checked_params(self.params, len(self.samples))
 
+    @classmethod
+    def _prechecked(
+        cls, samples: np.ndarray, refiner: Callable[[float], np.ndarray] | None, params: list[float]
+    ) -> RotationLoop:
+        """A loop of a (K, m, m) float stack and params that the caller has already checked.
+
+        Runs neither the SO(m) test nor the params test: frame_matrix_loop's
+        frames are the Q of a QR whose determinants it has tested, and its
+        params are a SampledLoop's checked ones. The refiner's outputs are
+        still checked where the lift asks for them.
+        """
+        loop = cls.__new__(cls)
+        loop.samples, loop.refiner, loop.params = samples, refiner, params
+        return loop
+
     @property
     def dim(self) -> int:
         return self.samples.shape[1]

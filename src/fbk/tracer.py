@@ -213,10 +213,18 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
     if spec.domain == "unit_sphere":
 
         def residual(p):
-            return np.concatenate([f_target(p), [(p @ p - 1.0) / 2.0]])
+            f = f_target(p)
+            r = np.empty(len(f) + 1)
+            r[:-1] = f
+            r[-1] = (p @ p - 1.0) / 2.0
+            return r
 
         def assemble(p, raw):
-            return np.vstack([j_target(raw), p])
+            rows = j_target(raw)
+            J = np.empty((rows.shape[0] + 1, rows.shape[1]))
+            J[:-1] = rows
+            J[-1] = p
+            return J
 
     else:
         residual = f_target
@@ -272,23 +280,30 @@ _CHORD_CONTRACTION = 0.05
 
 
 def _factored(J: np.ndarray):
-    """(U, S, Vt, rank) of a finite system Jacobian: its full SVD and its rank.
+    """(V, Ut, S, rank, Vt) of a finite system Jacobian: its SVD, cut to its rank.
 
     The rank counts the singular values above _NEWTON_RCOND times the
-    largest. Every step, tangent and rank test of the walk comes from one
-    such factorization.
+    largest. V, Ut and S are the views Vt[:rank].T, U[:, :rank].T and
+    S[:rank] of the full SVD U diag(S) Vt, taken once here so that every
+    chord step is two matrix-vector products and one division; Vt is the
+    full right factor, whose last row is the kernel tangent. Every step,
+    tangent and rank test of the walk comes from one such factorization.
     """
     U, S, Vt = np.linalg.svd(J)
-    return U, S, Vt, int(np.count_nonzero(S > _NEWTON_RCOND * S[0]))
+    rank = int(np.count_nonzero(S > _NEWTON_RCOND * S[0]))
+    return Vt[:rank].T, U[:, :rank].T, S[:rank], rank, Vt
 
 
-def _step(factored, r: np.ndarray) -> np.ndarray:
-    """The minimum-norm least-squares step -J^+ r, J^+ cut to the factored rank.
+def _descent(factored, r: np.ndarray) -> np.ndarray:
+    """J^+ r, J^+ the pseudo-inverse cut to the factored rank: the Newton step is its negative.
 
-    Up to rounding, this is np.linalg.lstsq(J, -r, rcond=_NEWTON_RCOND).
+    Up to rounding, -_descent(factored, r) is np.linalg.lstsq(J, -r,
+    rcond=_NEWTON_RCOND); bit for bit it is Vt[:rank].T @ ((U[:, :rank].T
+    @ r) / S[:rank]), the views kept as views: a contiguous copy of a
+    factor changes the BLAS kernel and the rounding of the product.
     """
-    U, S, Vt, rank = factored
-    return -(Vt[:rank].T @ ((U[:, :rank].T @ r) / S[:rank]))
+    V, Ut, S = factored[:3]
+    return V @ ((Ut @ r) / S)
 
 
 def _newton(
@@ -301,13 +316,13 @@ def _newton(
 ):
     """Gauss-Newton-chord correction onto the solution set; returns (point, residual).
 
-    Every step is _step of one held _factored Jacobian: first when given
-    (the walk passes the one of the point it predicted start from), else
-    the Jacobian at start. The held factorization takes the next step as
-    long as the last one shrank the residual norm by at least the factor
-    _CHORD_CONTRACTION; after a step that contracted less, the Jacobian at
-    the iterate is evaluated and factored, and the steps go on from it
-    (the chord method with a contraction-triggered refresh: Kelley,
+    Every step subtracts the _descent of one held _factored Jacobian: first
+    when given (the walk passes the one of the point it predicted start
+    from), else the Jacobian at start. The held factorization takes the
+    next step as long as the last one shrank the residual norm by at least
+    the factor _CHORD_CONTRACTION; after a step that contracted less, the
+    Jacobian at the iterate is evaluated and factored, and the steps go on
+    from it (the chord method with a contraction-triggered refresh: Kelley,
     Solving Nonlinear Equations with Newton's Method, 2003, ch. 5).
     max_move bounds the total correction distance; it turns the correction
     into a local operation so that seeds far from the solution set fail
@@ -318,8 +333,9 @@ def _newton(
     """
     iterations = 0
     try:
+        # p and every descent are contiguous, so sqrt(x @ x) is _norm(x)
         p = np.asarray(start, dtype=float).copy()
-        scale = 1.0 + _norm(p)
+        scale = 1.0 + math.sqrt(p @ p)
         budget = 10.0 * scale if max_move is None else max_move
         moved = 0.0
         factored = first
@@ -334,16 +350,16 @@ def _newton(
                 return p, rn
             if factored is None or rn > _CHORD_CONTRACTION * previous:
                 J = system.jacobian(p)
-                if not np.all(np.isfinite(J)):
+                if not np.isfinite(J).all():
                     raise EvaluationFailure("non-finite Jacobian during correction")
                 factored = _factored(J)
             previous = rn
             iterations += 1
-            step = _step(factored, r)
-            sn = _norm(step)
-            if not np.isfinite(sn) or sn > 2.0 * scale:
+            descent = _descent(factored, r)
+            sn = math.sqrt(descent @ descent)
+            if not math.isfinite(sn) or sn > 2.0 * scale:
                 raise NoConvergence("correction step diverged")
-            p = p + step
+            p = p - descent
             moved += sn
             if moved > budget:
                 raise NoConvergence("correction wandered too far from the start point")
@@ -380,10 +396,10 @@ def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances)
     """
     raw = system.raw_jacobian(p)
     J = system.assemble(p, raw)
-    if not np.all(np.isfinite(J)):
+    if not np.isfinite(J).all():
         raise EvaluationFailure("non-finite Jacobian along the curve")
     factored = _factored(J)
-    _, _, Vt, rank = factored
+    rank, Vt = factored[3:]
     n = Vt.shape[0]
     if rank != n - 1:
         raise Singular(
@@ -431,7 +447,8 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         failure = None
         try:
             q, rn = _newton(system, predictor, tol, max_iter=8, first=factored)
-            ok = _norm(q - predictor) <= max(h, 1e3 * tol.newton_tol)
+            gap = _norm(q - predictor)
+            ok = gap <= max(h, 1e3 * tol.newton_tol)
         except (NoConvergence, EvaluationFailure) as exc:
             q, rn, ok, failure = None, None, False, exc
         if ok:
@@ -466,7 +483,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         raws.append(raw)
         residuals.append(rn)
         p, t, factored = q, t_new, factored_new
-        if _norm(q - predictor) < 0.1 * h:
+        if gap < 0.1 * h:
             h = min(2.0 * h, opts.max_step)
     if closure_error is None:
         raise NotClosed(f"no closure within {opts.max_steps} steps")

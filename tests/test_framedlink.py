@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from fbk.framedlink import (
     index_of_circle,
     invariant_report,
     kappa,
+    load_link,
     load_link_file,
     sphere_ambient,
     twist_framing,
@@ -355,6 +357,29 @@ class TestFrameMatrixLoop:
         assert record["frames_assembled"] == 2 * 64
         assert record["lift_steps"] == 2 * 64
 
+    def test_frame_stacks_are_checked_once(self, monkeypatch):
+        # the frames are the Q of _assemble_frame's QR with their determinants
+        # tested, and the SampledLoop checked the params: the rotation loop is
+        # built without either test running again
+        import fbk.spinlift as spinlift
+
+        calls = []
+        for name in ("_check_special_orthogonal", "_checked_params"):
+
+            def spy(*args, real=getattr(spinlift, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(spinlift, name, spy)
+        loop = plane_circle(32, 4, clockwise=True)
+        rl = frame_matrix_loop(loop, standard_framing(loop, 4), euclidean_ambient(4))
+        assert calls == []
+        assert rl.params == loop.params and rl.samples.shape == (32, 4, 4)
+        # a loop built by hand from the same stack runs both
+        again = RotationLoop(rl.samples, None, rl.params)
+        assert calls == ["_check_special_orthogonal", "_checked_params"]
+        assert np.array_equal(again.samples, rl.samples) and again.params == rl.params
+
     def test_frames_assembled_counts_refiner_evaluations(self):
         # three turns of the framing on 16 samples: every step is split, and
         # each split is one refiner evaluation and one more lifted step
@@ -364,6 +389,78 @@ class TestFrameMatrixLoop:
             assert index_of_circle(loop, framing, euclidean_ambient(4)) == Z2(1)
         assert record["refinement_depth"] >= 1
         assert record["frames_assembled"] == record["lift_steps"] > 16
+
+
+def _load_tool(path: str):
+    """The module at path, loaded once under a name of its own."""
+    import importlib.util
+    import sys
+
+    name = "_tool_" + os.path.basename(path)[:-3]
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up by name while the class is built
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+class TestPrecheckedFrameStacks:
+    """frame_matrix_loop's rotation loops skip the SO(m) and params tests, and need neither.
+
+    Every stack it returns, on every framed scenario run (the registry and the
+    acceptance overrides), on the link documents the report digest reads and
+    on the link-files benchmark documents, meets the RotationLoop contract:
+    orthogonality defect at most 1e-8, determinant positive, params strictly
+    increasing in [0, 1).
+    """
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        caught = []
+        build = RotationLoop._prechecked.__func__
+
+        def spy(cls, *args):
+            caught.append(build(cls, *args))
+            return caught[-1]
+
+        monkeypatch.setattr(RotationLoop, "_prechecked", classmethod(spy))
+        return caught
+
+    @staticmethod
+    def assert_contract(loops):
+        assert loops
+        for rl in loops:
+            S = rl.samples
+            defect = np.abs(S.transpose(0, 2, 1) @ S - np.eye(rl.dim)).max(axis=(1, 2))
+            assert np.all(defect <= 1e-8)
+            assert np.all(np.linalg.det(S) > 0.0)
+            t = np.array(rl.params)
+            assert t.shape == (len(S),) and t[0] >= 0.0 and t[-1] < 1.0
+            assert np.all(np.diff(t) > 0.0)
+
+    def test_scenario_runs(self, stacks):
+        from fbk.scenarios import run_scenario
+        from test_scenarios import TABLE
+
+        for name, overrides, *_ in TABLE:
+            stacks.clear()
+            run_scenario(name, overrides)
+            self.assert_contract(stacks)
+
+    def test_link_documents(self, stacks, tmp_path):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        digest = _load_tool(os.path.join(repo, "tools", "report_digest.py"))
+        workloads = _load_tool(os.path.join(repo, "perfbench", "workloads.py"))
+        links = [load_link(doc) for doc in digest.link_documents().values()]
+        for case in workloads.build_cases("link-files", 7, str(tmp_path)):
+            path = os.path.join(tmp_path, "links-seed7", f"{case.case_id}.json")
+            links.append(load_link_file(path))
+        for link in links:
+            stacks.clear()
+            invariant_report(link)
+            self.assert_contract(stacks)
 
 
 class TestIndexOfCircle:

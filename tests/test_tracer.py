@@ -42,13 +42,13 @@ from fbk.tracer import (
     TraceOptions,
     _TracedSystem,
     _component_section_index,
+    _descent,
     _factored,
     _givens_path,
     _givens_planes,
     _map_system,
     _newton,
     _section_map,
-    _step,
     _tangent_of,
     _trace,
     hausdorff_distance,
@@ -328,6 +328,30 @@ def constant_system(J: np.ndarray) -> _TracedSystem:
     return _TracedSystem(None, lambda p: J, lambda p, raw: raw, J.shape[1], None)
 
 
+class TestUnitSphereSystem:
+    """The sphere equation joins a traced system as one last entry and row."""
+
+    def test_residual_and_jacobian_match_their_concatenated_forms(self, rng):
+        # a sphere target (the suspended Hopf map's 4 x 5 system) and an R^n
+        # target (a section's 7 x 6 one): equal to np.concatenate and
+        # np.vstack of the map's rows and the sphere's, bit for bit
+        hopf, _ = REGISTRY["suspended-hopf"].traced(resolve_options(REGISTRY["suspended-hopf"], {}))
+        for spec, shape in ((hopf, (4, 5)), (_section_map(s5_spec()), (7, 6))):
+            system = _map_system(spec)
+            for _ in range(20):
+                p = rng.normal(size=spec.dimension)
+                f = spec.evaluator(p)
+                if system.basis is not None:
+                    f = system.basis @ (f - spec.regular_value)
+                raw = system.raw_jacobian(p)
+                rows = raw if system.basis is None else system.basis @ raw
+                r, J = system.residual(p), system.assemble(p, raw)
+                assert np.array_equal(r, np.concatenate([f, [(p @ p - 1.0) / 2.0]]))
+                assert np.array_equal(J, np.vstack([rows, p]))
+                assert r.flags.c_contiguous and J.flags.c_contiguous
+                assert J.shape == shape
+
+
 class TestFactoredJacobian:
     """One SVD per Jacobian gives the Newton step, the tangent and the rank."""
 
@@ -340,7 +364,7 @@ class TestFactoredJacobian:
                 r = rng.normal(size=n - 1)
                 factored = _factored(J)
                 assert factored[3] == n - 1
-                assert np.max(np.abs(_step(factored, r) - least_squares(J, -r))) < 1e-12
+                assert np.max(np.abs(-_descent(factored, r) - least_squares(J, -r))) < 1e-12
                 previous = rng.normal(size=n)
                 for prev in (None, previous):
                     t, raw, again = _tangent_of(constant_system(J), np.zeros(n), prev, DEFAULT_TOL)
@@ -359,7 +383,7 @@ class TestFactoredJacobian:
             factored = _factored(J)
             assert factored[3] == 5
             exact = least_squares(V[:5], np.linalg.solve(X.T @ X, X.T @ -r))
-            assert np.max(np.abs(_step(factored, r) - exact)) < 1e-12
+            assert np.max(np.abs(-_descent(factored, r) - exact)) < 1e-12
             t, _, _ = _tangent_of(constant_system(J), np.zeros(6), V[5], DEFAULT_TOL)
             assert np.max(np.abs(t - V[5])) < 1e-12
 
@@ -369,7 +393,30 @@ class TestFactoredJacobian:
             J += 1e-12 * rng.normal(size=J.shape)
             r = rng.normal(size=7)
             want = np.linalg.lstsq(J, -r, rcond=1e-8)[0]
-            assert np.max(np.abs(_step(_factored(J), r) - want)) < 1e-12
+            assert np.max(np.abs(-_descent(_factored(J), r) - want)) < 1e-12
+
+    def test_descent_is_the_rank_cut_product_bit_for_bit(self, rng):
+        # the views _factored keeps give the bits of the product on the full
+        # SVD, and subtracting the descent those of adding the Newton step:
+        # full-rank systems of the walk's sizes (3 x 4 to 7 x 8), and 7 x 6
+        # section systems of rank 5
+        systems = []
+        for _ in range(40):
+            systems += [rng.normal(size=(n - 1, n)) for n in range(4, 9)]
+            U, V = random_rotation(rng, 7), random_rotation(rng, 6)
+            X = U[:, :5] * rng.uniform(0.5, 2.0, 5)
+            systems.append(X @ V[:5] + 1e-12 * np.outer(U[:, 5], V[5]))
+        for J in systems:
+            U, S, Vt = np.linalg.svd(J)
+            factored = _factored(J)
+            rank = factored[3]
+            assert rank == min(J.shape) - (J.shape == (7, 6))
+            r, p = rng.normal(size=len(J)), rng.normal(size=J.shape[1])
+            step = -(Vt[:rank].T @ ((U[:, :rank].T @ r) / S[:rank]))
+            descent = _descent(factored, r)
+            assert np.array_equal(-descent, step)
+            assert np.array_equal(p - descent, p + step)
+            assert math.sqrt(descent @ descent) == np.linalg.norm(step)
 
     def test_walk_through_a_rank_drop_is_singular(self):
         with pytest.raises(Singular, match="the Jacobian has rank 2, expected 3"):

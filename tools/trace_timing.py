@@ -16,6 +16,12 @@ the tracer (`Scenario.traced`) and prints one line:
     predictor at the distance of the next sample along the carried tangent,
     holding that sample's factorization as the walk does (taken before the
     clock starts);
+  - step_us: the same replay's time per Newton iteration, one residual
+    and one chord step (plus a refactorization where the chord contracts
+    too slowly), the per-step cost of the corrector;
+  - tangent_us: microseconds per `tracer._tangent_of` call at the samples,
+    signed along the previous sample's tangent as the walk does: one map
+    Jacobian, its assembly and one SVD;
   - newton_calls, newton_iterations and jacobian_evaluations of one
     `_trace` call, as fbk.recording() notes them;
   - svds: the calls of numpy.linalg.svd during one more `_trace` call,
@@ -58,6 +64,7 @@ from fbk.tracer import (  # noqa: E402
     _newton,
     _section_derivative_fields,
     _section_map,
+    _tangent_of,
     _trace,
     transport_closed_frame,
 )
@@ -139,7 +146,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'newton_calls':>12} "
+    print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'step_us':>7} "
+          f"{'tangent_us':>10} {'newton_calls':>12} "
           f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'svds':>5} "
           f"{'transport_ms':>12} {'closing_deg':>11} {'lift_deg':>8} {'dw_ms':>6}")
     for label, system, opts, section in traced_cases():
@@ -157,7 +165,18 @@ def main(argv=None) -> int:
             for predictor, chord in zip(predictors, chords):
                 _newton(system, predictor, tol, max_iter=WALK_MAX_ITER, first=chord)
 
-        newton_s = best_of(args.repeat, corrections) / len(loop)
+        with recording() as replayed:
+            corrections()
+        corrections_s = best_of(args.repeat, corrections)
+        newton_s = corrections_s / len(loop)
+        step_s = corrections_s / replayed["newton_iterations"]
+        previous = np.roll(tangents, 1, axis=0)
+
+        def tangents_at_samples():
+            for p, t in zip(points, previous):
+                _tangent_of(system, p, t, tol)
+
+        tangent_s = best_of(args.repeat, tangents_at_samples) / len(loop)
         transport_ms = closing_deg = lift_deg = dw_ms = "-"
         if section is not None:
             normals = sphere_ambient(section.embedding_dimension).manifold_normals
@@ -170,7 +189,8 @@ def main(argv=None) -> int:
             closing_deg = f"{closing_degrees(loop, normals, tol):.2g}"
             lift_deg = f"{math.degrees(tol.lift_angle_max):.1f}"
         print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {newton_s * 1e6:>9.1f} "
-              f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
+              f"{step_s * 1e6:>7.1f} {tangent_s * 1e6:>10.1f} {record['newton_calls']:>12} "
+              f"{record['newton_iterations']:>17} "
               f"{record['jacobian_evaluations']:>20} {svds:>5} {transport_ms:>12} "
               f"{closing_deg:>11} {lift_deg:>8} {dw_ms:>6}")
     return 0
