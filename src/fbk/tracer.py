@@ -221,6 +221,9 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
 
         def assemble(p, raw):
             rows = j_target(raw)
+            if rows.ndim == 1:
+                # one row, as np.vstack would take it
+                rows = rows[None]
             J = np.empty((rows.shape[0] + 1, rows.shape[1]))
             J[:-1] = rows
             J[-1] = p

@@ -350,6 +350,13 @@ class TestUnitSphereSystem:
                 assert np.array_equal(J, np.vstack([rows, p]))
                 assert r.flags.c_contiguous and J.flags.c_contiguous
                 assert J.shape == shape
+        # a one-row map on S^2 whose Jacobian comes as a vector
+        one_row = _map_system(
+            MapSpec(lambda x: x[2:], 3, jacobian=lambda x: np.eye(3)[2], domain="unit_sphere")
+        )
+        p = rng.normal(size=3)
+        J = one_row.assemble(p, one_row.raw_jacobian(p))
+        assert np.array_equal(J, np.vstack([np.eye(3)[2], p]))
 
 
 class TestFactoredJacobian:
