@@ -9,12 +9,13 @@ loops by the chosen spin structure (zero for the reference structure).
 The index of a framed circle is computed by assembling, at every sample,
 the square matrix whose rows are [manifold normals, curve tangent, framing
 fields] orthonormalized, classifying that rotation loop, and flipping the
-bit once (plus the spin twist). A loop's frames are assembled as one
-(samples, N, N) stack, with one batched QR and one batched determinant;
-the refiner goes through the same code one parameter at a time. kappa of
-a link is the xor of the component indices; on Euclidean ambients it
-agrees with the classical count that also adds the number of components
-mod 2.
+bit once (plus the spin twist). A report assembles the frames of all its
+components as one (samples, N, N) stack, with one batched QR and one
+batched determinant, and lifts all the frame loops together; a frame
+loop's refiner goes through the same assembly one parameter at a time.
+Errors stay those of the components taken one after another. kappa of a
+link is the xor of the component indices; on Euclidean ambients it agrees
+with the classical count that also adds the number of components mod 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property, reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,14 +40,17 @@ from .errors import (
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
+    _batched,
     _note_add,
     _on_stack,
+    _predecessors,
     _row_norms,
+    _successors,
     orthonormalize,
     recording,
     stacked,
 )
-from .spinlift import _MAX_DIM, RotationLoop, Z2, _checked_params, loop_class
+from .spinlift import _MAX_DIM, RotationLoop, Z2, _checked_params, _loop_classes
 
 _MIN_SAMPLES = 16
 _NORMAL_ORTHO_CHECK = 1e-8
@@ -114,9 +118,7 @@ class SampledLoop:
         k = self.points.shape[0]
         if k < _MIN_SAMPLES:
             raise ValidationError(f"a loop needs at least {_MIN_SAMPLES} samples, got {k}")
-        steps = np.roll(self.points, -1, axis=0) - self.points
-        norms = np.linalg.norm(steps, axis=1)
-        if np.any(norms == 0.0):
+        if np.any(self._segment_lengths == 0.0):
             raise ValidationError("consecutive loop points must be distinct")
         if self.params is None:
             self.params = [i / k for i in range(k)]
@@ -141,8 +143,7 @@ class SampledLoop:
         return self.points.shape[0]
 
     def length(self) -> float:
-        steps = np.roll(self.points, -1, axis=0) - self.points
-        return float(np.sum(np.linalg.norm(steps, axis=1)))
+        return float(np.sum(self._segment_lengths))
 
     def point(self, t: float) -> np.ndarray:
         return self._points_at(np.array([t]))[0]
@@ -174,6 +175,16 @@ class SampledLoop:
 
     # points and params are never reassigned after __post_init__, so the
     # values that depend only on them are computed once per loop.
+    @cached_property
+    def _segment_lengths(self) -> np.ndarray:
+        """Lengths of the successor steps points[k + 1] - points[k], the last closing on points[0]."""
+        return np.linalg.norm(_successors(self.points) - self.points, axis=1)
+
+    @cached_property
+    def _chords(self) -> np.ndarray:
+        """points[k + 1] - points[k - 1] at every sample, cyclically."""
+        return _successors(self.points) - _predecessors(self.points)
+
     @cached_property
     def _knots(self) -> np.ndarray:
         """Sample params closed by the wrap-around sample's, params[0] + 1."""
@@ -215,7 +226,7 @@ class SampledLoop:
         if self.resample is not None:
             out = self._tangents_at(np.asarray(self.params))
         else:
-            d = np.roll(self.points, -1, axis=0) - np.roll(self.points, 1, axis=0)
+            d = self._chords
             out = d / np.linalg.norm(d, axis=1, keepdims=True)
         out.setflags(write=False)
         return out
@@ -228,9 +239,7 @@ class SampledLoop:
 
     def arc_fractions(self) -> np.ndarray:
         """Normalized cumulative polygonal arclength at each sample (starts at 0)."""
-        steps = np.roll(self.points, -1, axis=0) - self.points
-        seg = np.linalg.norm(steps, axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        cum = np.concatenate([[0.0], np.cumsum(self._segment_lengths)])
         return cum[:-1] / cum[-1]
 
     def arc_fraction(self, t):
@@ -535,7 +544,7 @@ def _check_disjoint(point_sets: Sequence[np.ndarray]):
     center = np.mean(np.concatenate(point_sets), axis=0)
     centered = [p - center for p in point_sets]
     # each component's segment ends, built once for all the others' checks
-    segment_ends = [np.roll(p, -1, axis=0) for p in centered]
+    segment_ends = [_successors(p) for p in centered]
     radius = max(1.0, max(float(np.max(np.linalg.norm(p, axis=1))) for p in centered))
     limit = _MIN_SEPARATION * radius
     for n, points in enumerate(centered):
@@ -616,6 +625,113 @@ def _assemble_frame(
     return frames
 
 
+class _FramePart(NamedTuple):
+    """One frame loop to assemble: frame_matrix_loop's arguments, and its rank error.
+
+    rank_error, when given, maps the place of a rank error of the part's
+    frames ("sample k" or "parameter t") to the exception raised instead of
+    RankDeficient, at the samples and in the refiner alike.
+    """
+
+    loop: SampledLoop
+    framing: NormalFraming
+    middle: Callable[[np.ndarray], np.ndarray] | None = None
+    rank_error: Callable[[str], Exception] | None = None
+
+
+def _frame_loops(
+    parts: Sequence[_FramePart], ambient: AmbientPresentation, tol: Tolerances
+) -> list[RotationLoop]:
+    """frame_matrix_loop of every part, all samples assembled as one stack.
+
+    The parts' points, middle rows and fields are stacked into one
+    _assemble_frame call; each part's RotationLoop holds a view of the
+    frame stack and the part's own refiner. Errors are those of the parts
+    in turn: the first failing part's.
+    """
+
+    def assembled(batch: Sequence[_FramePart]) -> list[RotationLoop]:
+        # With several parts an error only signals that some part fails:
+        # _batched then assembles the parts alone, each naming its samples.
+        if not batch:
+            return []
+        first = batch[0]
+        middles = [
+            part.loop._sample_tangents
+            if part.middle is None
+            else _on_stack(part.middle, part.loop.points, "middle row", part.loop.dimension)
+            for part in batch
+        ]
+        fields = [part.framing.fields.transpose(1, 0, 2) for part in batch]
+        points = [part.loop.points for part in batch]
+        points, middles, fields = (np.concatenate(a) for a in (points, middles, fields))
+        try:
+            frames = _assemble_frame(
+                ambient,
+                points,
+                middles,
+                fields,
+                tol,
+                where=lambda k: f"sample {k}",
+                middle_name=_middle_name(first.middle),
+            )
+        except RankDeficient as exc:
+            if first.rank_error is None:
+                raise
+            raise first.rank_error(f"sample {exc.index}") from exc
+        _note_add("frames_assembled", len(frames))
+        loops = []
+        start = 0
+        for part in batch:
+            end = start + len(part.loop)
+            # _assemble_frame has checked the frames and SampledLoop the params
+            loops.append(
+                RotationLoop._prechecked(
+                    frames[start:end], _frame_refiner(part, ambient, tol), list(part.loop.params)
+                )
+            )
+            start = end
+        return loops
+
+    return _batched(assembled, parts)
+
+
+def _middle_name(middle) -> str:
+    return "tangent" if middle is None else "middle row"
+
+
+def _frame_refiner(part: _FramePart, ambient: AmbientPresentation, tol: Tolerances):
+    """The part's frame at one parameter, through _assemble_frame; None unless both resample."""
+    loop, framing, middle, rank_error = part
+    if loop.resample is None or framing.resample is None:
+        return None
+
+    def refiner(t: float) -> np.ndarray:
+        try:
+            p = loop.point(t)[None]
+            if middle is None:
+                middles = loop.tangent(t)[None]
+            else:
+                middles = _on_stack(middle, p, "middle row", loop.dimension)
+            frame = _assemble_frame(
+                ambient,
+                p,
+                middles,
+                framing.at(t)[None],
+                tol,
+                where=lambda _: f"parameter {t % 1.0:.6f}",
+                middle_name=_middle_name(middle),
+            )
+        except RankDeficient as exc:
+            if rank_error is None:
+                raise
+            raise rank_error(f"parameter {t % 1.0:.6f}") from exc
+        _note_add("frames_assembled", 1)
+        return frame[0]
+
+    return refiner
+
+
 def frame_matrix_loop(
     loop: SampledLoop,
     framing: NormalFraming,
@@ -634,42 +750,39 @@ def frame_matrix_loop(
     When both the loop and the framing can be resampled, the returned loop
     carries a refiner that re-evaluates the geometry through the same
     assembly, with loop.tangent(t) or middle(point) as its middle row.
-    Every assembled frame is noted as frames_assembled.
+    Every assembled frame is noted as frames_assembled. The reports
+    assemble the frame loops of all their components as one stack, of
+    which this is the stack of one.
     """
-    def middles_at(points: np.ndarray) -> np.ndarray:
-        return _on_stack(middle, points, "middle row", loop.dimension)
+    return _frame_loops([_FramePart(loop, framing, middle)], ambient, tol)[0]
 
-    middles = loop._sample_tangents if middle is None else middles_at(loop.points)
-    middle_name = "tangent" if middle is None else "middle row"
-    samples = _assemble_frame(
-        ambient,
-        loop.points,
-        middles,
-        framing.fields.transpose(1, 0, 2),
-        tol,
-        where=lambda k: f"sample {k}",
-        middle_name=middle_name,
-    )
-    _note_add("frames_assembled", len(loop))
-    refiner = None
-    if loop.resample is not None and framing.resample is not None:
 
-        def refiner(t: float) -> np.ndarray:
-            p = loop.point(t)[None]
-            frame = _assemble_frame(
-                ambient,
-                p,
-                loop.tangent(t)[None] if middle is None else middles_at(p),
-                framing.at(t)[None],
-                tol,
-                where=lambda _: f"parameter {t % 1.0:.6f}",
-                middle_name=middle_name,
-            )
-            _note_add("frames_assembled", 1)
-            return frame[0]
+def _frame_classes(
+    components: Sequence[tuple[SampledLoop, NormalFraming]],
+    ambient: AmbientPresentation,
+    tol: Tolerances,
+) -> list[Z2]:
+    """loop_class of every component's frame loop: one frame stack and one lift for all."""
+    parts = [_FramePart(loop, framing) for loop, framing in components]
+    return _loop_classes(_frame_loops(parts, ambient, tol), tol)
 
-    # _assemble_frame has checked the frames and SampledLoop the params
-    return RotationLoop._prechecked(samples, refiner, list(loop.params))
+
+def _circle_indices(
+    components: Sequence[tuple[SampledLoop, NormalFraming]],
+    ambient: AmbientPresentation,
+    tol: Tolerances,
+) -> list[Z2]:
+    """index_of_circle of every component, with one frame stack and one lift for all.
+
+    Errors are those of the components in turn: one component's frames,
+    refinement, lift and spin twist all come before the next component's.
+    """
+
+    def indices(batch) -> list[Z2]:
+        classes = _frame_classes(batch, ambient, tol)
+        return [cls ^ Z2(1) ^ ambient.spin_twist(loop) for cls, (loop, _) in zip(classes, batch)]
+
+    return _batched(indices, components)
 
 
 def index_of_circle(
@@ -679,17 +792,12 @@ def index_of_circle(
     tol: Tolerances = DEFAULT_TOL,
 ) -> Z2:
     """Index of one framed circle: frame-loop class, flipped once, plus twist."""
-    cls = loop_class(frame_matrix_loop(loop, framing, ambient, tol), tol)
-    return cls ^ Z2(1) ^ ambient.spin_twist(loop)
+    return _circle_indices([(loop, framing)], ambient, tol)[0]
 
 
 def kappa(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """Degree of a framed link: xor of the component indices (empty link: 0)."""
-    bits = [
-        index_of_circle(loop, framing, link.ambient, tol)
-        for loop, framing in link.components
-    ]
-    return reduce(lambda a, b: a ^ b, bits, Z2(0))
+    return reduce(lambda a, b: a ^ b, _circle_indices(link.components, link.ambient, tol), Z2(0))
 
 
 def delta_pontryagin(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> Z2:
@@ -700,10 +808,8 @@ def delta_pontryagin(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """
     if link.ambient.kind != "euclidean" or link.ambient.manifold_normals:
         raise AmbientMismatch("this count is defined on Euclidean ambients only")
-    total = Z2(len(link.components) & 1)
-    for loop, framing in link.components:
-        total = total ^ loop_class(frame_matrix_loop(loop, framing, link.ambient, tol), tol)
-    return total
+    classes = _batched(lambda batch: _frame_classes(batch, link.ambient, tol), link.components)
+    return reduce(lambda a, b: a ^ b, classes, Z2(len(link.components) & 1))
 
 
 def _recombined(
@@ -783,7 +889,8 @@ class InvariantReport:
 
 
 def _report(
-    pairs: Sequence[tuple[Z2, SampledLoop]],
+    bits: Sequence[Z2],
+    loops: Sequence[SampledLoop],
     ambient: AmbientPresentation,
     tol: Tolerances,
     record: dict,
@@ -791,19 +898,18 @@ def _report(
 ) -> InvariantReport:
     """The one InvariantReport builder.
 
-    pairs holds (bit, loop) per component, and record the recording scope
-    the caller opened around computing them. The diagnostics carry the
-    deepest lift refinement; for traced links also the largest corrector
-    residual and the closure error of each kept component, and the number
-    of skipped seeds.
+    bits and loops hold each component's bit and loop, and record the
+    recording scope the caller opened around computing them. The
+    diagnostics carry the deepest lift refinement; for traced links also
+    the largest corrector residual and the closure error of each kept
+    component, and the number of skipped seeds.
     """
     comps = []
-    for bit, loop in pairs:
+    for bit, loop in zip(bits, loops, strict=True):
         winding = None
         if ambient.periodic_plane is not None:
             winding = int(winding_parity(loop, ambient.periodic_plane))
         comps.append(ComponentReport(int(bit), winding, len(loop), loop.length()))
-    bits = [bit for bit, _ in pairs]
     total = reduce(lambda a, b: a ^ b, bits, Z2(0))
     nonzero = Z2(sum(int(b) for b in bits) & 1)
     diagnostics = {
@@ -820,11 +926,8 @@ def _report(
 def invariant_report(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> InvariantReport:
     """Per-component indices, winding parity where defined, and kappa."""
     with recording() as record:
-        pairs = [
-            (index_of_circle(loop, framing, link.ambient, tol), loop)
-            for loop, framing in link.components
-        ]
-    return _report(pairs, link.ambient, tol, record)
+        bits = _circle_indices(link.components, link.ambient, tol)
+    return _report(bits, [loop for loop, _ in link.components], link.ambient, tol, record)
 
 
 def _require(condition: bool, message: str):
@@ -904,8 +1007,9 @@ def load_link(document: dict) -> FramedLink:
             fields_raw.shape[1] == len(loop) and fields_raw.shape[2] == dim,
             f"component {n}: framing shape does not match the loop",
         )
-        chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-        rows = np.concatenate([normals, chords[:, None], fields_raw.transpose(1, 0, 2)], axis=1)
+        rows = np.concatenate(
+            [normals, loop._chords[:, None], fields_raw.transpose(1, 0, 2)], axis=1
+        )
         norms = np.linalg.norm(rows, axis=2)
         det = np.linalg.det(rows)
         bad = np.abs(det) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)

@@ -35,10 +35,10 @@ every residual, so both avoid per-call overhead without changing one
 rounding: _norm is np.linalg.norm's own sqrt(x @ x) without its dispatch
 (the corrector takes the same dot itself on its own contiguous iterate
 and steps, which need no layout check), and _row_norms is the same per
-row of a stack. jacobian_fd calls f once per row of the stacked
-perturbations p + h I and p - h I, 2N calls. The traced map stays
-a per-point callable because the walk evaluates its residual one point at
-a time: on a 2-core Xeon VM a stacked suspended-Hopf map cost 54 us at
+row of a stack. jacobian_fd calls f once per row of one (2N, N) stack of
+perturbations, p + h I on top of p - h I, and makes one array of the 2N
+values. The traced map stays a per-point callable because the walk
+evaluates its residual one point at a time: on a 2-core Xeon VM a stacked suspended-Hopf map cost 54 us at
 K = 1 against 12 us per point, and stacking jacobian_fd saved 0.05 s per
 3 scenarios rounds while the residual lost 0.11 s. The dot products of
 _mgs stay one 1-d `q @ w` at a time: the BLAS dot rounds differently from
@@ -47,6 +47,10 @@ at length 2), so a vectorized projection would move the bits of the two
 bases _mgs builds. The transported frame's projections are matrix
 products; its frames agree with per-sample Gram-Schmidt to rounding, not
 bit for bit, and drop out of every reported bit.
+
+The reports batch their per-component work (one frame stack, one lift
+for all components); _batched runs such a batch and, when it fails,
+raises the error that running the components one after another would.
 
 recording() is the package's one diagnostics path: _note_max, _note_add
 and _note_append write a value into every open recording scope and do
@@ -218,6 +222,41 @@ def _on_stack(fn, inputs: np.ndarray, role: str, width: int) -> np.ndarray:
     return out
 
 
+def _successors(a: np.ndarray) -> np.ndarray:
+    """The rows of a cycled up by one, row k being a[k + 1] and the last a[0].
+
+    np.roll(a, -1, axis=0) as one slice concatenation, which costs a fifth of it.
+    """
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _predecessors(a: np.ndarray) -> np.ndarray:
+    """The rows of a cycled down by one: np.roll(a, 1, axis=0), row k being a[k - 1]."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def _batched(run: Callable[[Sequence], list], items: Sequence) -> list:
+    """run(items), one batch over all items; when it raises, the first failing item's error.
+
+    A batch runs each of its steps over all items before the next step (all
+    frames, then all lifts), so the first error it meets need not be the
+    one that running the items one after another would meet. When the batch
+    raises, every item is run alone, in order, and the first error raised
+    is the one raised; a batch that fails although no item fails alone
+    raises its own error. Any exception counts, since the items' geometry
+    callbacks may raise anything.
+    """
+    try:
+        return run(items)
+    except Exception as exc:  # noqa: BLE001 - re-raised below unless an item fails first
+        if len(items) < 2:
+            raise
+        failure = exc
+    for item in items:
+        run([item])
+    raise failure
+
+
 def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float) -> list[np.ndarray]:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
@@ -293,21 +332,22 @@ def jacobian_fd(
 
     The default step is 1e-6 * (1 + |p|). Analytic Jacobians, when a caller
     has them, should be preferred; this is the fallback. f is evaluated at
-    the rows of p + h I, then of p - h I. The result is C-contiguous, the
-    layout of the arrays analytic Jacobians return. A non-finite p, or an f
-    that raises, is an EvaluationFailure.
+    the 2N rows of one stack, p + h I on top of p - h I, in row order, and
+    its values make one array. The result is C-contiguous, the layout of
+    the arrays analytic Jacobians return. A non-finite p, or an f that
+    raises, is an EvaluationFailure.
     """
     p = _as_vec(p)
+    n = p.size
     if h is None:
         h = 1e-6 * (1.0 + _norm(p))
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    steps = h * np.eye(p.size)
+    steps = h * np.eye(n)
     try:
-        fp = np.array([f(x) for x in p + steps], dtype=float)
-        fm = np.array([f(x) for x in p - steps], dtype=float)
+        F = np.array([f(x) for x in np.concatenate((p + steps, p - steps))], dtype=float)
     except Exception as exc:  # noqa: BLE001 - wrap into a typed failure
         raise EvaluationFailure(f"map evaluation failed near {p!r}") from exc
     # row j holds column j of the Jacobian
-    columns = ((fp - fm) / (2.0 * h)).reshape(p.size, -1)
+    columns = ((F[:n] - F[n:]) / (2.0 * h)).reshape(n, -1)
     return np.ascontiguousarray(columns.T)

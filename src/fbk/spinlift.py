@@ -14,13 +14,17 @@ that the loop moves (at least 3) take part. A rotor is carried as its
 bivector e_j e_i is a signed permutation of them, read from a cached table,
 so one Givens factorization run over a whole stack of samples yields every
 rotor by gathers and sign flips (Doran-Lasenby, Geometric Algebra for
-Physicists, 2003, ch. 4). For m = 3, quaternion_loop_class lifts through
-unit quaternions instead, as an independent cross-check.
+Physicists, 2003, ch. 4). That stack is every loop a report lifts: the
+reports hand all their frame loops to _loop_classes, which runs one such
+pass per moved-coordinate count (in slices of bounded memory), and
+loop_class is its batch of one. For m = 3, quaternion_loop_class lifts
+through unit quaternions instead, as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -35,15 +39,16 @@ from .errors import (
     RefinementExhausted,
     ValidationError,
 )
-from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max
+from .numkit import DEFAULT_TOL, Tolerances, _batched, _note_add, _note_max, _successors
 
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
 _ORTHO_CHECK = 1e-8
-# Samples lifted per batch, a bound on memory: the batch holds
-# (_CHUNK, 2^(d-1)) coefficient arrays, 1 MB each at d = 12 moving
-# coordinates, and only one rotor is carried from batch to batch.
-_CHUNK = 64
+# Rotor coefficients per pass of the lift, a bound on memory: a pass holds
+# (rows, 2^(d-1)) coefficient arrays of at most this size, 1 MB each (64
+# rows at d = 12 moving coordinates, 1024 at d = 8), and only one rotor is
+# carried from pass to pass.
+_PASS_COEFFS = 64 << 11
 
 
 class Z2(int):
@@ -229,7 +234,7 @@ def _refined(loop: RotationLoop, tol: Tolerances) -> np.ndarray:
     params = np.array(loop.params)
     depth = 0
     while True:
-        steps = np.roll(samples, -1, axis=0) @ samples.transpose(0, 2, 1)
+        steps = _successors(samples) @ samples.transpose(0, 2, 1)
         over = np.flatnonzero(np.linalg.norm(steps - eye, axis=(1, 2)) > bound)
         if not over.size:
             break
@@ -321,11 +326,56 @@ def _rotors(rotations: np.ndarray) -> np.ndarray:
     if residue.max() > 1e-6:
         k = int(np.argmax(residue > 1e-6))
         raise NotOrthogonal(f"sample {k}: Givens elimination left residue {residue[k]:.3e}")
-    return (rotors / np.sqrt(np.sum(rotors * rotors, axis=0))).T
+    # one rotor per contiguous row, the layout _overlaps sums over
+    return np.divide(rotors.T, np.sqrt(np.sum(rotors * rotors, axis=0))[:, None], order="C")
 
 
-def _sign_changes(rotations: np.ndarray) -> int:
-    """How often the rotors L_k of a cyclic (K, d, d) rotation stack change sign along it.
+def _overlaps(rotations: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The rotor overlaps of cyclic loops stacked one after another in a (K, d, d) stack.
+
+    Loop i holds the next lengths[i] rotations, rows s to e - 1. Overlap k
+    is the coefficient dot product of the rotors of row k and of its
+    successor in its loop: row k + 1, and row s for the loop's last row, so
+    a loop's overlaps are rows s to e - 1 of the result, its consecutive
+    pairs in order and then its closing pair. _rotors runs in passes of
+    balanced lengths, each of at most _PASS_COEFFS coefficients: one pass,
+    as a whole link at d <= 8 takes, pairs every row with a gather of its
+    successor's; over several, the last rotor of a pass is carried into
+    the next and each loop's first and last rotors are kept for its
+    closing pair. Every overlap is the row sum of the
+    product of two contiguous coefficient rows, so a loop's overlaps are
+    bit for bit the same wherever the passes cut the stack and whatever
+    loops share it, as long as no pass holds a single row (only a stack of
+    one rotation does).
+    """
+    n, d = rotations.shape[:2]
+    ends = list(itertools.accumulate(lengths))
+    firsts = [e - length for e, length in zip(ends, lengths)]
+    lasts = [e - 1 for e in ends]
+    passes = -(-n * (1 << (d - 1)) // _PASS_COEFFS)
+    if passes == 1:
+        rotors = _rotors(rotations)
+        successor = np.arange(1, n + 1)
+        successor[lasts] = firsts
+        return np.add.reduce(rotors[successor] * rotors, axis=1)
+    overlaps = np.empty(n)
+    edges = firsts + lasts
+    edge_rotors = np.empty((len(edges), 1 << (d - 1)))
+    cuts = [n * p // passes for p in range(passes + 1)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        fresh = _rotors(rotations[lo:hi])
+        rotors = np.concatenate((rotors[-1:], fresh)) if lo else fresh
+        overlaps[max(lo - 1, 0) : hi - 1] = np.add.reduce(rotors[1:] * rotors[:-1], axis=1)
+        inside = [i for i, row in enumerate(edges) if lo <= row < hi]
+        edge_rotors[inside] = fresh[[edges[i] - lo for i in inside]]
+    # the closing pairs replace the pairs that ran from a loop into the next
+    count = len(ends)
+    overlaps[lasts] = np.add.reduce(edge_rotors[:count] * edge_rotors[count:], axis=1)
+    return overlaps
+
+
+def _sign_changes(overlaps: np.ndarray) -> int:
+    """How often the rotors L_k of a cyclic rotation loop change sign along it, from _overlaps.
 
     With s_k the canonical rotor (positive scalar part) of the step
     R_{k+1} R_k^T, L_{k+1} = eps_k s_k L_k for a sign eps_k, so the
@@ -334,19 +384,12 @@ def _sign_changes(rotations: np.ndarray) -> int:
     included, is odd exactly when the continuous lift closes on -1. Raises
     NotNearIdentity when a product is too small for a trustworthy sign.
     """
-    rotors = _rotors(rotations[:_CHUNK])
-    first = rotors[0]
-    overlaps = [np.sum(rotors[1:] * rotors[:-1], axis=1)]
-    for start in range(_CHUNK, len(rotations), _CHUNK):
-        rotors = np.concatenate([rotors[-1:], _rotors(rotations[start:start + _CHUNK])])
-        overlaps.append(np.sum(rotors[1:] * rotors[:-1], axis=1))
-    c = np.append(np.concatenate(overlaps), rotors[-1] @ first)
-    small = np.abs(c) < 0.1
+    small = np.abs(overlaps) < 0.1
     if small.any():
         raise NotNearIdentity(
-            f"rotor scalar part {c[np.argmax(small)]:.3e} too small for a canonical sign"
+            f"rotor scalar part {overlaps[np.argmax(small)]:.3e} too small for a canonical sign"
         )
-    return int(np.count_nonzero(c < 0.0))
+    return int(np.count_nonzero(overlaps < 0.0))
 
 
 def _moved_coordinates(rotations: np.ndarray) -> np.ndarray:
@@ -365,24 +408,72 @@ def _moved_coordinates(rotations: np.ndarray) -> np.ndarray:
     return rotations[:, keep[:, None], keep]
 
 
+def _lift_overlaps(loops: Sequence[RotationLoop], tol: Tolerances) -> list[np.ndarray]:
+    """Every loop's rotor overlaps (see _overlaps), the loops lifted together.
+
+    Each loop is refined with its own refiner, in order; its refined
+    samples S_k give the relative stack P_k = S_k S_0^T, restricted to the
+    coordinates the P_k move. The loops that move the same number d of
+    coordinates are lifted as one stack: one orthogonality check and one
+    _overlaps run per d. A loop is never padded into more coordinates,
+    which would reorder its coefficients and the rounding of its sums, so
+    its overlaps are bit for bit those it gets alone. When several loops
+    fail, the error raised is some failing loop's, not necessarily the
+    first one's; _loop_classes sorts that out.
+    """
+    relative = []
+    for loop in loops:
+        m = loop.dim
+        if not 3 <= m <= _MAX_DIM:
+            raise DimensionMismatch(
+                f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}"
+            )
+        samples = _refined(loop, tol)
+        relative.append(_moved_coordinates(samples @ samples[0].T))
+    groups: dict[int, list[int]] = {}
+    for i, P in enumerate(relative):
+        groups.setdefault(P.shape[1], []).append(i)
+    out: list = [None] * len(loops)
+    for d, members in groups.items():
+        stack = relative[members[0]]
+        if len(members) > 1:
+            stack = np.concatenate([relative[i] for i in members])
+        # P_k is a product of two checked samples, so its determinant is
+        # positive, but the two orthogonality defects add up.
+        defect = np.max(np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(d)))
+        if defect > _ORTHO_CHECK:
+            raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
+        lengths = [len(relative[i]) for i in members]
+        overlaps = _overlaps(stack, lengths)
+        start = 0
+        for i, length in zip(members, lengths):
+            out[i] = overlaps[start : start + length]
+            start += length
+    return out
+
+
+def _loop_classes(loops: Sequence[RotationLoop], tol: Tolerances = DEFAULT_TOL) -> list[Z2]:
+    """loop_class of every loop, from one lift of all of them (_lift_overlaps).
+
+    Errors are those of the loops in turn: one loop's refinement and lift
+    both come before the next loop's.
+    """
+
+    def classes(batch: Sequence[RotationLoop]) -> list[Z2]:
+        return [Z2(_sign_changes(c) & 1) for c in _lift_overlaps(batch, tol)]
+
+    return _batched(classes, loops)
+
+
 def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """Class of a closed SO(m) loop in its fundamental group, as a Z2 bit.
 
     Lifts every refined sample S_k relative to the first, P_k = S_k S_0^T,
     in the coordinates the P_k move, and counts the lifts' sign changes
     around the cycle; 0 means the continuous lift closes on +1, 1 on -1.
+    The batch of one of _loop_classes.
     """
-    m = loop.dim
-    if not 3 <= m <= _MAX_DIM:
-        raise DimensionMismatch(f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}")
-    samples = _refined(loop, tol)
-    relative = _moved_coordinates(samples @ samples[0].T)
-    # P_k is a product of two checked samples, so its determinant is
-    # positive, but the two orthogonality defects add up.
-    defect = np.max(np.abs(relative.transpose(0, 2, 1) @ relative - np.eye(relative.shape[1])))
-    if defect > _ORTHO_CHECK:
-        raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
-    return Z2(_sign_changes(relative) & 1)
+    return _loop_classes([loop], tol)[0]
 
 
 def _quat_from_matrix(R: np.ndarray) -> np.ndarray:

@@ -45,17 +45,19 @@ from .framedlink import (
     InvariantReport,
     NormalFraming,
     SampledLoop,
+    _circle_indices,
+    _frame_loops,
+    _FramePart,
     _normals_at,
     _recombined,
     _report,
-    frame_matrix_loop,
-    index_of_circle,
     sphere_ambient,
     twist_framing,
 )
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
+    _batched,
     _mgs,
     _norm,
     _note_add,
@@ -67,7 +69,7 @@ from .numkit import (
     jacobian_fd,
     recording,
 )
-from .spinlift import Z2, loop_class
+from .spinlift import Z2, _loop_classes
 
 
 @dataclass
@@ -181,16 +183,39 @@ class _TracedSystem:
         return self.assemble(p, self.raw_jacobian(p))
 
 
-def _counted(raw_jac):
+def _counted(spec: MapSpec):
+    """spec's raw Jacobian (analytic, else jacobian_fd), noted and shaped as (outputs, N).
+
+    outputs is the length of the evaluator's values, read from one extra
+    evaluation at the first analytic Jacobian (jacobian_fd's rows are those
+    values). A vector of length N is one row; any other shape is an
+    EvaluationFailure naming it and the point's.
+    """
+    dimension = spec.dimension
+    rows = None
+
     def raw_jacobian(p):
+        nonlocal rows
         _note_add("jacobian_evaluations", 1)
-        return np.asarray(raw_jac(p), dtype=float)
+        if spec.jacobian is None:
+            return jacobian_fd(spec.evaluator, p)
+        J = np.asarray(spec.jacobian(p), dtype=float)
+        if rows is None:
+            rows = np.asarray(spec.evaluator(p), dtype=float).size
+        if J.shape == (dimension,) and rows == 1:
+            return J[None]
+        if J.shape != (rows, dimension):
+            raise EvaluationFailure(
+                f"map Jacobian returned shape {J.shape} at a point of shape {np.shape(p)}; "
+                f"expected {(rows, dimension)}"
+            )
+        return J
 
     return raw_jacobian
 
 
 def _map_system(spec: MapSpec) -> _TracedSystem:
-    raw_jacobian = _counted(spec.jacobian or (lambda p: jacobian_fd(spec.evaluator, p)))
+    raw_jacobian = _counted(spec)
     basis = None
     if spec.target == "sphere":
         x0 = spec.regular_value
@@ -221,9 +246,6 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
 
         def assemble(p, raw):
             rows = j_target(raw)
-            if rows.ndim == 1:
-                # one row, as np.vstack would take it
-                rows = rows[None]
             J = np.empty((rows.shape[0] + 1, rows.shape[1]))
             J[:-1] = rows
             J[-1] = p
@@ -752,11 +774,9 @@ def kappa_of_map(
             _oriented(loop, induced_framing(spec, loop, jacobians=jacobians), ambient)
             for loop, jacobians in traced
         ]
-        pairs = [
-            (index_of_circle(loop, framing, ambient, tol), loop)
-            for loop, framing in FramedLink(components, ambient).components
-        ]
-    return _report(pairs, ambient, tol, record, traced=True)
+        link = FramedLink(components, ambient)
+        bits = _circle_indices(link.components, ambient, tol)
+    return _report(bits, [loop for loop, _ in components], ambient, tol, record, traced=True)
 
 
 # The transport's rank threshold: a frame direction is lost where a
@@ -995,7 +1015,13 @@ def _section_derivative_fields(
     return NormalFraming(fields.transpose(1, 0, 2), resample)
 
 
-def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns, raws):
+def _section_parts(spec, system, loop, ambient, tol, aux_twist_turns, raws):
+    """The frame loops of one zero circle, term 1 and term 2, as _FrameParts.
+
+    Term 1 is [position, tangent, aux], term 2 [position, v, dw(aux)]; a
+    rank error of term 2's frames, at a sample or in its refiner, is the
+    section failing to be transverse (NonTransverse).
+    """
     v_of = spec.splitting_field
     aux = transport_closed_frame(loop, ambient.manifold_normals, tol)
     if aux_twist_turns:
@@ -1010,25 +1036,35 @@ def _component_section_index(spec, system, loop, ambient, tol, aux_twist_turns, 
     # Only term 1's middle row, the tangent, depends on the direction of
     # travel; a loop traversed backwards has the same class.
     if _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0:
-        term1 = frame_matrix_loop(loop.reversed(), aux.reversed(), ambient, tol)
+        term1 = _FramePart(loop.reversed(), aux.reversed())
     else:
-        term1 = frame_matrix_loop(loop, aux, ambient, tol)
-    degenerate = "section derivative degenerates on the normal space at"
-    try:
-        term2 = frame_matrix_loop(loop, tau, ambient, tol, middle=v_of)
-    except RankDeficient as exc:
-        raise NonTransverse(f"{degenerate} sample {exc.index}") from exc
-    refine = term2.refiner
+        term1 = _FramePart(loop, aux)
+    return term1, _FramePart(loop, tau, v_of, _non_transverse)
 
-    def refiner(t: float) -> np.ndarray:
-        try:
-            return refine(t)
-        except RankDeficient as exc:
-            raise NonTransverse(f"{degenerate} parameter {t:.6f}") from exc
 
-    if refine is not None:
-        term2.refiner = refiner
-    return loop_class(term1, tol) ^ loop_class(term2, tol) ^ Z2(1)
+def _non_transverse(where: str) -> NonTransverse:
+    """Term 2's rank error at where: the section's derivative is not transverse there."""
+    return NonTransverse(f"section derivative degenerates on the normal space at {where}")
+
+
+def _section_indices(spec, system, circles, ambient, tol, aux_twist_turns) -> list[Z2]:
+    """The index of every zero circle, given as (loop, the section's Jacobians at its samples).
+
+    Both terms of every circle are assembled as one frame stack and lifted
+    together. Errors are those of the circles in turn: one circle's checks,
+    transport, frames and lift come before the next circle's, and within a
+    circle term 1's frames, term 2's frames, term 1's lift, term 2's lift.
+    """
+
+    def indices(batch) -> list[Z2]:
+        parts = []
+        for loop, raws in batch:
+            _check_section_invariants(spec, loop)
+            parts += _section_parts(spec, system, loop, ambient, tol, aux_twist_turns, raws)
+        classes = _loop_classes(_frame_loops(parts, ambient, tol), tol)
+        return [c1 ^ c2 ^ Z2(1) for c1, c2 in zip(classes[::2], classes[1::2])]
+
+    return _batched(indices, circles)
 
 
 def section_zero_loops(
@@ -1077,17 +1113,12 @@ def section_index(
     ambient = sphere_ambient(spec.embedding_dimension)
     system = _map_system(_section_map(spec))
     with recording() as record:
-        pairs = []
         jacobians: list = []
         loops = section_zero_loops(spec, opts, jacobians)
         # dw at the samples takes the walk's Jacobians there
-        for loop, raws in zip(loops, jacobians, strict=True):
-            _check_section_invariants(spec, loop)
-            bit = _component_section_index(
-                spec, system, loop, ambient, tol, aux_twist_turns, raws
-            )
-            pairs.append((bit, loop))
-    return _report(pairs, ambient, tol, record, traced=True)
+        circles = list(zip(loops, jacobians, strict=True))
+        bits = _section_indices(spec, system, circles, ambient, tol, aux_twist_turns)
+    return _report(bits, loops, ambient, tol, record, traced=True)
 
 
 def write_loop_csv(loop: SampledLoop, path: str):

@@ -16,6 +16,7 @@ from conftest import (
 from fbk.errors import (
     AmbientMismatch,
     EvaluationFailure,
+    NotNearIdentity,
     OrientationMismatch,
     ParseError,
     RankDeficient,
@@ -41,7 +42,7 @@ from fbk.framedlink import (
     winding_number,
     winding_parity,
 )
-from fbk.numkit import recording
+from fbk.numkit import DEFAULT_TOL, recording
 from fbk.spinlift import RotationLoop, Z2, loop_class
 
 
@@ -93,6 +94,21 @@ class TestSampledLoop:
     def test_length_of_unit_circle(self):
         loop = plane_circle(256, 3)
         assert loop.length() == pytest.approx(2 * math.pi, rel=1e-3)
+
+    def test_steps_are_built_once_and_match_rolled_arrays(self, rng, monkeypatch):
+        # the successor steps, segment lengths and chords as np.roll built
+        # them, bit for bit; the steps are formed once per loop
+        pts = rng.normal(size=(40, 5))
+        loop = SampledLoop(pts)
+        rolled = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(rolled)])
+        chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+        monkeypatch.setattr(np.linalg, "norm", None)
+        assert loop.length() == float(np.sum(rolled))
+        assert np.array_equal(loop.arc_fractions(), cum[:-1] / cum[-1])
+        monkeypatch.undo()
+        assert np.array_equal(loop._chords, chords)
+        assert np.array_equal(loop._sample_tangents, chords / np.linalg.norm(chords, axis=1, keepdims=True))
 
     def test_resample_and_tangent(self):
         loop = plane_circle(64, 3)
@@ -453,13 +469,21 @@ class TestPrecheckedFrameStacks:
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         digest = _load_tool(os.path.join(repo, "tools", "report_digest.py"))
         workloads = _load_tool(os.path.join(repo, "perfbench", "workloads.py"))
-        links = [load_link(doc) for doc in digest.link_documents().values()]
+        links = [
+            (load_link(doc), digest.expected_exit(["link", name]))
+            for name, doc in digest.link_documents().items()
+        ]
         for case in workloads.build_cases("link-files", 7, str(tmp_path)):
             path = os.path.join(tmp_path, "links-seed7", f"{case.case_id}.json")
-            links.append(load_link_file(path))
-        for link in links:
+            links.append((load_link_file(path), 0))
+        for link, code in links:
             stacks.clear()
-            invariant_report(link)
+            if code:
+                # a document that fails on purpose fails in the lift, after its frames
+                with pytest.raises(RefinementExhausted):
+                    invariant_report(link)
+            else:
+                invariant_report(link)
             self.assert_contract(stacks)
 
 
@@ -799,3 +823,160 @@ class TestLinkFiles:
         link = load_link_file(write_link_file(tmp_path, doc))
         with pytest.raises(RefinementExhausted):
             kappa(link)
+
+
+def twisted_circle(
+    dim: int, samples: int, twists=(0, 0), offset: float = 0.0, wobble=None, flip: bool = False
+):
+    """A clockwise circle in the (0, 1) plane of R^dim, shifted by offset e_3, and its framing.
+
+    The framing is the radial field and e_2 .. e_{dim-1}, with fields
+    (0, 1) turned twists[0] times and fields (2, 3) twists[1] times along
+    the circle; flip negates field 0, which makes every frame left-handed.
+    wobble, an array of shape (2, 2, dim), adds cos/sin harmonics 2 and 3,
+    so the circle moves the coordinates wobble has entries in. The loop
+    has no resampler, so its frame loop has no refiner.
+    """
+    ang = 2.0 * math.pi * np.arange(samples) / samples
+    pts = np.zeros((samples, dim))
+    pts[:, 0], pts[:, 1] = np.cos(ang), -np.sin(ang)
+    if wobble is not None:
+        for k, (u, v) in zip((2, 3), wobble):
+            pts += np.outer(np.cos(k * ang), u) + np.outer(np.sin(k * ang), v)
+    pts[:, 3] += offset
+    fields = np.zeros((dim - 1, samples, dim))
+    fields[0, :, :2] = pts[:, :2]
+    for i in range(1, dim - 1):
+        fields[i, :, i + 1] = 1.0
+    for (a, b), turns in zip(((0, 1), (2, 3)), twists):
+        c, s = np.cos(turns * ang)[:, None], np.sin(turns * ang)[:, None]
+        fields[a], fields[b] = c * fields[a] + s * fields[b], c * fields[b] - s * fields[a]
+    if flip:
+        fields[0] = -fields[0]
+    return SampledLoop(pts), NormalFraming(fields)
+
+
+class TestLinkStack:
+    """A report assembles all its components' frames as one stack and lifts them in one pass."""
+
+    def spied(self, monkeypatch):
+        import fbk.numkit as numkit
+        import fbk.spinlift as spinlift
+
+        calls = {"_rotors": 0, "_qr": 0}
+        for module, name in ((spinlift, "_rotors"), (numkit, "_qr")):
+
+            def spy(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_one_qr_and_one_kernel_pass_per_report(self, rng, monkeypatch):
+        # link-files-shaped: 4 components of 64 samples in R^8, all moving
+        # the same 4 coordinates
+        comps = [
+            twisted_circle(8, 64, (t, 0), 3.0 * i, rng.normal(size=(2, 2, 8)) * 0.02 * (np.arange(8) < 4))
+            for i, t in enumerate((0, 1, 2, 3))
+        ]
+        link = FramedLink(comps, euclidean_ambient(8))
+        alone = [index_of_circle(loop, framing, link.ambient) for loop, framing in comps]
+        assert alone == [Z2(0), Z2(1), Z2(0), Z2(1)]
+        calls = self.spied(monkeypatch)
+        report = invariant_report(link)
+        assert calls == {"_rotors": 1, "_qr": 1}
+        assert [c.index for c in report.components] == [int(b) for b in alone]
+        assert kappa(link) == Z2(0) and delta_pontryagin(link) == Z2(0)
+        assert calls == {"_rotors": 3, "_qr": 3}
+
+    def test_stacked_frames_are_the_lone_frames(self, rng):
+        from fbk.framedlink import _frame_loops, _FramePart
+
+        comps = [twisted_circle(6, 24 + 8 * i, (i, 1), 3.0 * i) for i in range(3)]
+        loop = wavy_circle(rng, dim=6, samples=40).translated(np.array([0, 0, 0, 9.0, 0, 0]))
+        comps.append((loop, twist_framing(loop, standard_framing(loop, 6), 2)))
+        ambient = euclidean_ambient(6)
+        stacked = _frame_loops([_FramePart(*comp) for comp in comps], ambient, DEFAULT_TOL)
+        for rl, (loop, framing) in zip(stacked, comps):
+            lone = frame_matrix_loop(loop, framing, ambient)
+            assert np.array_equal(rl.samples, lone.samples) and rl.params == lone.params
+            assert (rl.refiner is None) == (lone.refiner is None)
+        assert np.array_equal(stacked[-1].refiner(0.3), lone.refiner(0.3))
+
+    def test_components_moving_different_coordinate_counts(self, rng, monkeypatch):
+        import fbk.spinlift as spinlift
+
+        # the plain circles move 3 coordinates of R^7, the wobbling ones 4 and 6
+        shapes = [np.arange(7) < 4, None, np.arange(7) < 6, None]
+        comps = [
+            twisted_circle(
+                7, 48, (i, 0), 3.0 * i, None if w is None else rng.normal(size=(2, 2, 7)) * 0.02 * w
+            )
+            for i, w in enumerate(shapes)
+        ]
+        link = FramedLink(comps, euclidean_ambient(7))
+        alone = [index_of_circle(loop, framing, link.ambient) for loop, framing in comps]
+        dims = []
+        kernel = spinlift._rotors
+
+        def spy(rotations):
+            dims.append(rotations.shape[1])
+            return kernel(rotations)
+
+        monkeypatch.setattr(spinlift, "_rotors", spy)
+        report = invariant_report(link)
+        assert [c.index for c in report.components] == [int(b) for b in alone]
+        assert len(dims) == len(set(dims)) == 3
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """Components failing in frames, refinement or the lift's sign test, and a good one.
+
+        With the step bound raised to a Frobenius defect of 2.9, 16 samples
+        turned half a turn a step in one plane pass refinement and fail the
+        sign test, and turned 3/8 of a turn in two planes exceed the bound.
+        """
+        import fbk.spinlift as spinlift
+
+        monkeypatch.setattr(spinlift, "_angle_step_bound", lambda angle: 2.9)
+        return {
+            "good": twisted_circle(5, 16, (1, 0), 0.0),
+            "frames": twisted_circle(5, 16, (1, 0), 3.0, flip=True),
+            "refinement": twisted_circle(5, 16, (6, 6), 6.0),
+            "sign": twisted_circle(5, 16, (8, 0), 9.0),
+        }
+
+    def test_each_component_alone_fails_its_own_way(self, failing):
+        ambient = euclidean_ambient(5)
+        assert index_of_circle(*failing["good"], ambient) == Z2(1)
+        for name, error, message in (
+            ("frames", OrientationMismatch, "assembled frame has determinant -1 at sample 0;"),
+            ("refinement", RefinementExhausted, "step at parameter 0.000000 exceeds"),
+            ("sign", NotNearIdentity, "too small for a canonical sign"),
+        ):
+            with pytest.raises(error, match=message):
+                index_of_circle(*failing[name], ambient)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("frames", "refinement"),
+            ("refinement", "frames"),
+            ("frames", "sign"),
+            ("sign", "frames"),
+            ("refinement", "sign"),
+            ("sign", "refinement"),
+        ],
+    )
+    def test_first_failing_component_wins(self, failing, first, second):
+        # component by component, the first failing component's frames,
+        # refinement and lift all come before the second's
+        ambient = euclidean_ambient(5)
+        with pytest.raises(Exception) as alone:
+            index_of_circle(*failing[first], ambient)
+        link = FramedLink([failing["good"], failing[first], failing[second]], ambient)
+        for report in (invariant_report, kappa, delta_pontryagin):
+            with pytest.raises(type(alone.value)) as caught:
+                report(link)
+            assert str(caught.value) == str(alone.value)

@@ -23,12 +23,14 @@ from fbk.errors import (
 from fbk.framedlink import SampledLoop
 from fbk.numkit import _SCOPES, DEFAULT_TOL, Tolerances, recording
 from fbk.spinlift import (
-    _CHUNK,
     _MAX_REFINE_DEPTH,
     RotationLoop,
     Z2,
     _angle_step_bound,
     _check_special_orthogonal,
+    _lift_overlaps,
+    _loop_classes,
+    _overlaps,
     _refined,
     _rotors,
     _sign_changes,
@@ -37,6 +39,11 @@ from fbk.spinlift import (
     quaternion_loop_class,
     stabilize_loop,
 )
+
+
+def sign_changes(rotations: np.ndarray) -> int:
+    """_sign_changes of one cyclic rotation stack."""
+    return _sign_changes(_overlaps(rotations, [len(rotations)]))
 
 
 def rotation_loop_in_plane(total_angle: float, samples: int, m: int = 3) -> RotationLoop:
@@ -352,13 +359,13 @@ class TestSpinRepresentation:
     def test_pi_step_not_near_identity(self):
         steps = np.array([np.eye(4), plane_rotation(4, 1, 3, math.pi), np.eye(4)])
         with pytest.raises(NotNearIdentity, match="too small for a canonical sign"):
-            _sign_changes(steps)
+            sign_changes(steps)
 
     def test_small_scalar_part_not_near_identity(self):
         # two principal angles of 2.9: no angle at pi, scalar part cos(1.45)^2
         step = plane_rotation(4, 0, 1, 2.9) @ plane_rotation(4, 2, 3, 2.9)
         with pytest.raises(NotNearIdentity, match="rotor scalar part 1.452e-02 too small"):
-            _sign_changes(np.array([np.eye(4), step]))
+            sign_changes(np.array([np.eye(4), step]))
 
     def test_uneliminated_sample_is_not_orthogonal(self):
         # a reflection has no Givens factorization: the last diagonal entry stays -1
@@ -651,9 +658,7 @@ class TestSparseAgreement:
     @pytest.mark.parametrize("m", (3, 4, 5, 6))
     def test_generic_loops(self, rng, m):
         # 13 samples a turn make odd cycles, on which counting the positive
-        # overlaps instead of the negative ones would flip the bit; 25 make
-        # the three-turn cycle longer than one batch of the lift
-        assert 3 * 25 > _CHUNK
+        # overlaps instead of the negative ones would flip the bit
         for turns in (0, 1, 2, 3):
             for per_turn in (12, 6, 13, 25):
                 loop = generic_loop(rng, m, turns, per_turn * max(turns, 1))
@@ -665,7 +670,7 @@ class TestSparseAgreement:
                 # starts makes it the closing pair
                 samples = _refined(loop, DEFAULT_TOL)
                 for start in range(len(samples)):
-                    assert _sign_changes(np.roll(samples, -start, axis=0)) % 2 == bit
+                    assert sign_changes(np.roll(samples, -start, axis=0)) % 2 == bit
                 if m == 3:
                     assert bit == quaternion_loop_class(loop)
 
@@ -762,3 +767,113 @@ class TestLoopProperties:
                 list(loop.params),
             )
             assert loop_class(moved) == loop_class(loop)
+
+
+def lone_overlaps(loop: RotationLoop) -> np.ndarray:
+    (overlaps,) = _lift_overlaps([loop], DEFAULT_TOL)
+    return overlaps
+
+
+class TestBatchLift:
+    """Loops lifted together keep, bit for bit, the overlaps each gets alone."""
+
+    @staticmethod
+    def mixed_loop(rng, m: int) -> RotationLoop:
+        # a generic loop in k <= m coordinates, block-embedded in SO(m): the
+        # lift moves k coordinates, and some steps split once
+        k = int(rng.integers(3, m + 1))
+        turns = int(rng.integers(0, 3))
+        per_turn = 6 if rng.random() < 0.3 else 12
+        return stabilize_loop(generic_loop(rng, k, turns, per_turn * max(turns, 1)), m)
+
+    def test_batches_of_mixed_loops(self, rng):
+        for _ in range(12):
+            m = int(rng.integers(3, 9))
+            batch = [self.mixed_loop(rng, m) for _ in range(int(rng.integers(1, 6)))]
+            alone = [lone_overlaps(loop) for loop in batch]
+            together = _lift_overlaps(batch, DEFAULT_TOL)
+            assert len(together) == len(batch)
+            for a, b in zip(alone, together):
+                assert np.array_equal(a, b)
+            assert _loop_classes(batch) == [loop_class(loop) for loop in batch]
+            if m <= 4:
+                assert _loop_classes(batch) == [sparse_loop_class(loop) for loop in batch]
+
+    def test_loops_of_several_dimensions(self, rng):
+        batch = [self.mixed_loop(rng, m) for m in (8, 3, 5, 3, 6)]
+        together = _lift_overlaps(batch, DEFAULT_TOL)
+        for loop, overlaps in zip(batch, together):
+            assert np.array_equal(overlaps, lone_overlaps(loop))
+
+    def test_loop_of_twelve_coordinates_in_a_batch(self, rng):
+        # 70 samples at d = 12 take two passes alone, cut after row 35;
+        # behind 20 samples of two other loops the cut falls after its row 25
+        big = generic_loop(rng, 12, 1, 70)
+        others = [generic_loop(rng, 12, 0, 8), generic_loop(rng, 12, 1, 12)]
+        assert [moved_count(loop) for loop in (*others, big)] == [12, 12, 12]
+        together = _lift_overlaps([*others, big], DEFAULT_TOL)
+        assert np.array_equal(together[2], lone_overlaps(big))
+        assert [_sign_changes(c) % 2 for c in together] == [0, 1, 1]
+
+    def test_pass_boundaries(self, rng, monkeypatch):
+        # passes of at most 5 rows at d = 3 and 2 at d = 4 carry one rotor
+        # from pass to pass; a loop's overlaps do not see where they cut
+        batch = [self.mixed_loop(rng, 4) for _ in range(4)]
+        batch += [generic_loop(rng, 3, 3, 25), generic_loop(rng, 4, 1, 13)]
+        expected = [lone_overlaps(loop) for loop in batch]
+        bits = _loop_classes(batch)
+        calls = []
+        kernel = spinlift._rotors
+
+        def spy(rotations):
+            calls.append(len(rotations))
+            return kernel(rotations)
+
+        monkeypatch.setattr(spinlift, "_rotors", spy)
+        monkeypatch.setattr(spinlift, "_PASS_COEFFS", 5 << 2)
+        assert np.array_equal(lone_overlaps(batch[4]), expected[4])
+        for overlaps, want in zip(_lift_overlaps(batch, DEFAULT_TOL), expected):
+            assert np.array_equal(overlaps, want)
+        assert 1 < max(calls) <= 5 and len(calls) > len(batch)
+        assert _loop_classes(batch) == bits
+        assert bits[4:] == [Z2(1), Z2(1)]
+
+    def test_one_kernel_call_per_coordinate_count(self, rng, monkeypatch):
+        batch = [self.mixed_loop(rng, 6) for _ in range(5)]
+        counts = {moved_count(loop) for loop in batch}
+        dims = []
+        kernel = spinlift._rotors
+
+        def spy(rotations):
+            dims.append(rotations.shape[1])
+            return kernel(rotations)
+
+        monkeypatch.setattr(spinlift, "_rotors", spy)
+        _loop_classes(batch)
+        assert sorted(dims) == sorted(counts)
+
+    def test_first_failing_loop_raises(self, rng, monkeypatch):
+        # with the step bound raised to a Frobenius defect of 2.9, half-turn
+        # steps in one plane pass refinement and fail the sign test, and
+        # 2/3-turn steps in two planes exceed the bound
+        monkeypatch.setattr(spinlift, "_angle_step_bound", lambda angle: 2.9)
+        fine = generic_loop(rng, 4, 1, 12)
+        sign = RotationLoop([plane_rotation(3, 0, 1, math.pi * k) for k in range(4)])
+        double = [plane_rotation(4, 0, 1, a) @ plane_rotation(4, 2, 3, a) for a in (0.0, 2.1, 4.2)]
+        coarse = RotationLoop(double)
+        wrong = RotationLoop([np.eye(13)] * 4)
+        for loops, error in (
+            ([fine, sign, coarse], NotNearIdentity),
+            ([fine, coarse, sign], RefinementExhausted),
+            ([sign, wrong], NotNearIdentity),
+            ([wrong, sign], DimensionMismatch),
+            ([coarse, wrong, fine], RefinementExhausted),
+        ):
+            with pytest.raises(error):
+                _loop_classes(loops)
+
+
+def moved_count(loop: RotationLoop) -> int:
+    """How many coordinates the lift of the loop moves."""
+    samples = _refined(loop, DEFAULT_TOL)
+    return spinlift._moved_coordinates(samples @ samples[0].T).shape[1]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from fbk.tracer import (
     SectionSpec,
     TraceOptions,
     _TracedSystem,
-    _component_section_index,
+    _section_indices,
     _descent,
     _factored,
     _givens_path,
@@ -357,6 +358,35 @@ class TestUnitSphereSystem:
         p = rng.normal(size=3)
         J = one_row.assemble(p, one_row.raw_jacobian(p))
         assert np.array_equal(J, np.vstack([np.eye(3)[2], p]))
+
+
+class TestJacobianShape:
+    """A traced map's Jacobian is checked once, as (outputs, N), where it is evaluated."""
+
+    @staticmethod
+    def equator_report(jacobian):
+        # the preimage of 0 under x -> x[2] on the unit sphere of R^3
+        spec = MapSpec(lambda x: x[2:], 3, jacobian=jacobian, domain="unit_sphere")
+        opts = TraceOptions(seeds=[np.array([1.0, 0.0, 0.0])])
+        with recording() as record:
+            report = kappa_of_map(spec, opts, sphere_ambient(3))
+        return json.dumps(report.to_dict()), record
+
+    def test_vector_jacobian_is_one_row(self):
+        vector = self.equator_report(lambda x: np.array([0.0, 0.0, 1.0]))
+        row = self.equator_report(lambda x: np.array([[0.0, 0.0, 1.0]]))
+        assert vector == row
+        assert json.loads(vector[0])["components"][0]["samples"] > 16
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1), (4,), (1, 4)])
+    def test_wrong_shape_is_an_evaluation_failure(self, shape):
+        expected = re.escape(f"returned shape {shape} at a point of shape (3,); expected (1, 3)")
+        with pytest.raises(EvaluationFailure, match=expected):
+            self.equator_report(lambda x: np.ones(shape))
+        # a two-output map takes no vector
+        spec = MapSpec(lambda x: x[1:], 3, jacobian=lambda x: np.eye(3)[2])
+        with pytest.raises(EvaluationFailure, match=re.escape("expected (2, 3)")):
+            _map_system(spec).raw_jacobian(np.array([1.0, 0.0, 0.0]))
 
 
 class TestFactoredJacobian:
@@ -1136,8 +1166,8 @@ class TestSectionIndex:
             circle = loop.cycled(shift)
             raws = [jac(x) for x in circle.points]
             for turns in (0, 1):
-                bit = _component_section_index(
-                    spec, system, circle, sphere_ambient(6), DEFAULT_TOL, turns, raws
+                (bit,) = _section_indices(
+                    spec, system, [(circle, raws)], sphere_ambient(6), DEFAULT_TOL, turns
                 )
                 assert int(bit) == 1, (shift, turns)
 
@@ -1172,9 +1202,7 @@ class TestSectionIndex:
         for circle, k in ((loop, 17), (loop.reversed(), len(loop) - 17)):
             raws = [degenerate_jac(x) for x in circle.points]
             with pytest.raises(NonTransverse, match=rf"at sample {k}$"):
-                _component_section_index(
-                    spec, system, circle, sphere_ambient(6), DEFAULT_TOL, 0, raws
-                )
+                _section_indices(spec, system, [(circle, raws)], sphere_ambient(6), DEFAULT_TOL, 0)
 
     def test_derivative_degenerate_between_samples_is_non_transverse(self):
         # dw is exact at the samples and zero between them; a lift bound
@@ -1194,7 +1222,7 @@ class TestSectionIndex:
         for circle in (loop, loop.reversed()):
             raws = [sampled_jac(x) for x in circle.points]
             with pytest.raises(NonTransverse, match=r"at parameter 0\.\d{6}$") as info:
-                _component_section_index(spec, system, circle, sphere_ambient(6), tol, 0, raws)
+                _section_indices(spec, system, [(circle, raws)], sphere_ambient(6), tol, 0)
             assert "middle row" in str(info.value.__cause__)
 
     def test_intermediate_term_classes(self, monkeypatch):
@@ -1203,17 +1231,18 @@ class TestSectionIndex:
         import fbk.tracer as tracer_mod
 
         recorded = []
-        original = tracer_mod.loop_class
+        original = tracer_mod._loop_classes
 
-        def spy(loop, tol=DEFAULT_TOL):
-            bit = original(loop, tol)
-            recorded.append(int(bit))
-            return bit
+        def spy(loops, tol=DEFAULT_TOL):
+            bits = original(loops, tol)
+            recorded.append([int(bit) for bit in bits])
+            return bits
 
-        monkeypatch.setattr(tracer_mod, "loop_class", spy)
+        monkeypatch.setattr(tracer_mod, "_loop_classes", spy)
         opts = TraceOptions(seeds=[np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])])
         report = section_index(s5_spec(), opts)
-        assert recorded == [1, 1]
+        # both terms lifted in one pass
+        assert recorded == [[1, 1]]
         assert int(report.kappa) == 1
 
     def test_nowhere_vanishing_section_on_s7(self):
@@ -1333,16 +1362,17 @@ class TestSectionIndex:
         # both terms' frames follow their loop: resampling a framing at a
         # sample's parameter gives back that sample's fields
         gaps = []
-        assemble = tracer.frame_matrix_loop
+        assemble = tracer._frame_loops
 
-        def checked_assembly(loop, framing, *args, **kwargs):
-            for k in range(0, len(loop), 4):
-                at_param = np.vstack(framing.at(loop.params[k]))
-                gaps.append(float(np.max(np.abs(at_param - np.vstack(framing.at_sample(k))))))
-            return assemble(loop, framing, *args, **kwargs)
+        def checked_assembly(parts, *args, **kwargs):
+            for loop, framing, *_ in parts:
+                for k in range(0, len(loop), 4):
+                    at_param = np.vstack(framing.at(loop.params[k]))
+                    gaps.append(float(np.max(np.abs(at_param - np.vstack(framing.at_sample(k))))))
+            return assemble(parts, *args, **kwargs)
 
         monkeypatch.setattr(NormalFraming, "reversed", counted_reversed)
-        monkeypatch.setattr(tracer, "frame_matrix_loop", checked_assembly)
+        monkeypatch.setattr(tracer, "_frame_loops", checked_assembly)
         results = []
         for circle in (loop, loop.reversed()):
             # the circle and the spec's Jacobians at its samples, as the walk hands them over

@@ -1,4 +1,4 @@
-"""Per-layer timing of frame assembly: `frame_matrix_loop` per loop, with its frame count.
+"""Per-layer timing of frame assembly: `frame_matrix_loop` per loop, and a link's report.
 
     python tools/frame_timing.py
     python tools/frame_timing.py --repeat 1
@@ -17,22 +17,35 @@ builds the scenario's FramedLink and prints one line:
   - frames_assembled: the frames one pass over the components assembles,
     as fbk.recording() notes them.
 
-Each time is per component, the minimum over --repeat freshly built links;
-nothing is asserted about it.
+Each time is per component, the minimum over --repeat freshly built links.
+Then, for links shaped like link files (4 circles of 64 samples in R^4,
+R^8 and R^12, moving 4 coordinates, without resamplers), one line each:
+
+  - report_ms: milliseconds per `invariant_report` of the link, which
+    assembles all its components' frames as one stack and lifts them
+    together, the minimum over --repeat calls;
+  - frames_assembled, as above, and givens_passes: the calls of the lift's
+    Givens kernel `spinlift._rotors` in one report.
+
+Nothing is asserted about the times.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
-from fbk import frame_matrix_loop, recording  # noqa: E402
+from fbk import frame_matrix_loop, recording, spinlift  # noqa: E402
+from fbk.framedlink import invariant_report, load_link  # noqa: E402
 from fbk.cli import _parse_override  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
 from report_digest import ACCEPTANCE_OVERRIDES  # noqa: E402
@@ -77,6 +90,56 @@ def timed(scenario, options, repeat: int):
     return k, count, 1e3 * fresh, 1e3 * cached, record.get("frames_assembled", 0)
 
 
+def link_file_shaped(rng, dim: int, components: int = 4, samples: int = 64):
+    """A FramedLink like a link file: twisted circles whose motion stays in coordinates 0-3.
+
+    Component i is the clockwise circle in the (0, 1) plane with a small
+    random wobble in coordinates 0-3, shifted by 3 i along e_3, framed by
+    the radial field and e_2 .. e_{dim-1} with the first two fields turned
+    i times.
+    """
+    ang = 2.0 * math.pi * np.arange(samples) / samples
+    comps = []
+    for i in range(components):
+        pts = np.zeros((samples, dim))
+        pts[:, 0], pts[:, 1] = np.cos(ang), -np.sin(ang)
+        for k in (2, 3):
+            u, v = rng.normal(size=(2, 4)) * 0.02
+            pts[:, :4] += np.outer(np.cos(k * ang), u) + np.outer(np.sin(k * ang), v)
+        pts[:, 3] += 3.0 * i
+        fields = np.zeros((dim - 1, samples, dim))
+        fields[0, :, :2] = pts[:, :2]
+        for j in range(1, dim - 1):
+            fields[j, :, j + 1] = 1.0
+        c, s = np.cos(i * ang)[:, None], np.sin(i * ang)[:, None]
+        fields[0], fields[1] = c * fields[0] + s * fields[1], c * fields[1] - s * fields[0]
+        comps.append({"points": pts.tolist(), "framing": fields.tolist()})
+    return load_link({"ambient": {"kind": "euclidean", "dimension": dim}, "components": comps})
+
+
+def timed_report(link, repeat: int):
+    """(report_ms, frames_assembled, givens_passes) of one link's invariant_report."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        invariant_report(link)
+        best = min(best, time.perf_counter() - start)
+    kernel = spinlift._rotors
+    passes = []
+
+    def counted(rotations):
+        passes.append(len(rotations))
+        return kernel(rotations)
+
+    spinlift._rotors = counted
+    try:
+        with recording() as record:
+            invariant_report(link)
+    finally:
+        spinlift._rotors = kernel
+    return 1e3 * best, record.get("frames_assembled", 0), len(passes)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=20, help="freshly built links per case")
@@ -88,6 +151,16 @@ def main(argv=None) -> int:
     for label, scenario, options in framed_cases():
         k, count, fresh, cached, frames = timed(scenario, options, args.repeat)
         print(f"{label:40s} {k:4d} {count:5d} {fresh:9.3f} {cached:9.3f} {frames:16d}")
+    print()
+    print(f"{'link-file-shaped link':40s} {'K':>4s} {'loops':>5s} {'report_ms':>9s} "
+          f"{'frames_assembled':>16s} {'givens_passes':>13s}")
+    rng = np.random.default_rng(7)
+    for dim in (4, 8, 12):
+        link = link_file_shaped(rng, dim)
+        report_ms, frames, passes = timed_report(link, args.repeat)
+        count, k = len(link.components), len(link.components[0][0])
+        print(f"{f'R{dim} {count}x{k}':40s} {k:4d} {count:5d} {report_ms:9.3f} "
+              f"{frames:16d} {passes:13d}")
     return 0
 
 

@@ -10,7 +10,10 @@ with fbk imported from `src/` of the checkout this file sits in. The link
 documents are written to a temporary directory and every run starts there,
 so each file is named by the same relative path on every machine. Each
 output line holds the invocation, the exit code, and the sha256 of stdout
-and of stderr. The tool exits 1 when some run exits nonzero, 0 otherwise.
+and of stderr. The tool exits 1 when some run exits with another code than
+it should, 0 otherwise: every run should exit 0 except the link documents
+that fail on purpose (FAILING_LINKS), whose stderr pins which of several
+errors a report raises.
 
 With --against REF, the `src/` of the git ref REF is unpacked with
 `git archive` into a temporary directory and both trees are digested on
@@ -59,6 +62,9 @@ ACCEPTANCE_OVERRIDES = (
 )
 
 LINK_SAMPLES = 48
+# Link documents whose report fails on purpose, and the exit code of that
+# failure (fbk.cli's EXIT_NUMERICAL).
+FAILING_LINKS = {"r4-two-coarse-circles.json": 4}
 
 
 def _unit(dim: int, index: int) -> list[float]:
@@ -74,12 +80,16 @@ def _framed_circle(
     radial: bool,
     turns: int = 0,
     center: int | None = None,
+    bumps: tuple[int, ...] = (),
+    twist_from: int = 0,
 ) -> dict:
     """Unit circle in the (0, 1) plane of R^dim, shifted by e_center when given.
 
     The framing is the outward radial field (when radial) followed by the
     constant coordinate fields e_i for i in fixed; turns rotates the first
-    two fields that many full turns along the circle.
+    two fields that many full turns along the circle, evenly over the
+    samples from twist_from on. Coordinate bumps[n] of the points moves by
+    0.1 sin(2a + n) at angle a, so the circle leaves its plane.
     """
     sign = -1.0 if clockwise else 1.0
     points, fields = [], [[] for _ in range(int(radial) + len(fixed))]
@@ -89,8 +99,10 @@ def _framed_circle(
         rows = ([p[:]] if radial else []) + [_unit(dim, i) for i in fixed]
         if center is not None:
             p[center] += 1.0
+        for n, i in enumerate(bumps):
+            p[i] += 0.1 * math.sin(2.0 * a + n)
         if turns:
-            b = 2.0 * math.pi * turns * k / LINK_SAMPLES
+            b = 2.0 * math.pi * turns * max(0, k - twist_from) / (LINK_SAMPLES - twist_from)
             c, s = math.cos(b), math.sin(b)
             f0, f1 = rows[0], rows[1]
             rows[0] = [c * x + s * y for x, y in zip(f0, f1)]
@@ -128,6 +140,25 @@ def link_documents() -> dict[str, dict]:
                 _framed_circle(8, True, range(2, 8), radial=True, turns=1, center=2),
             ],
         },
+        # the lift moves 3, 4 and 5 coordinates of the three components
+        "r8-mixed-coordinates.json": {
+            "ambient": {"kind": "euclidean", "dimension": 8},
+            "components": [
+                _framed_circle(8, True, range(2, 8), radial=True, turns=1),
+                _framed_circle(8, True, range(2, 8), radial=True, turns=2, center=3, bumps=(5,)),
+                _framed_circle(8, True, range(2, 8), radial=True, turns=1, center=4, bumps=(5, 6)),
+            ],
+        },
+        # 60-degree framing steps and no refiner: component 0 fails its
+        # refinement at parameter 0.5, where its twist starts, and
+        # component 1 at parameter 0
+        "r4-two-coarse-circles.json": {
+            "ambient": r4,
+            "components": [
+                _framed_circle(4, True, (2, 3), radial=True, turns=4, twist_from=24),
+                _framed_circle(4, True, (2, 3), radial=True, turns=8, center=2),
+            ],
+        },
     }
 
 
@@ -146,6 +177,11 @@ def invocations() -> list[list[str]]:
         runs.append(args)
     runs += [["link", name] for name in link_documents()]
     return runs
+
+
+def expected_exit(args: list[str]) -> int:
+    """The exit code the run `python -m fbk args` should give."""
+    return FAILING_LINKS.get(args[1], 0) if args[0] == "link" else 0
 
 
 def digest(args: list[str], root: str, cwd: str) -> tuple[int, str, bytes]:
@@ -236,7 +272,7 @@ def main() -> int:
         for args in invocations():
             code, line, _ = digest(args, ROOT, docs)
             print(line, flush=True)
-            failed += code != 0
+            failed += code != expected_exit(args)
         return 1 if failed else 0
 
 
