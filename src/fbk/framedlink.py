@@ -177,7 +177,7 @@ class SampledLoop:
     # values that depend only on them are computed once per loop.
     @cached_property
     def _segment_lengths(self) -> np.ndarray:
-        """Lengths of the successor steps points[k + 1] - points[k], the last closing on points[0]."""
+        """Lengths of the steps points[k + 1] - points[k], the last one closing on points[0]."""
         return np.linalg.norm(_successors(self.points) - self.points, axis=1)
 
     @cached_property

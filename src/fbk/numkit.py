@@ -38,9 +38,10 @@ and steps, which need no layout check), and _row_norms is the same per
 row of a stack. jacobian_fd calls f once per row of one (2N, N) stack of
 perturbations, p + h I on top of p - h I, and makes one array of the 2N
 values. The traced map stays a per-point callable because the walk
-evaluates its residual one point at a time: on a 2-core Xeon VM a stacked suspended-Hopf map cost 54 us at
-K = 1 against 12 us per point, and stacking jacobian_fd saved 0.05 s per
-3 scenarios rounds while the residual lost 0.11 s. The dot products of
+evaluates its residual one point at a time: on a 2-core Xeon VM a
+stacked suspended-Hopf map cost 54 us at K = 1 against 12 us per point,
+and stacking jacobian_fd saved 0.05 s per 3 scenarios rounds while the
+residual lost 0.11 s. The dot products of
 _mgs stay one 1-d `q @ w` at a time: the BLAS dot rounds differently from
 a matrix-vector product, einsum or a row sum (it fuses multiply-adds even
 at length 2), so a vectorized projection would move the bits of the two
@@ -306,7 +307,11 @@ def _qr(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             index=int(k),
         )
     sign = np.sign(diag)
-    return Q * sign[:, None, :], R * sign[:, :, None]
+    # in place: Q and R are this call's own arrays, and a report's frame
+    # stack makes them the largest temporaries of its assembly
+    Q *= sign[:, None, :]
+    R *= sign[:, :, None]
+    return Q, R
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -108,7 +108,8 @@ class TestSampledLoop:
         assert np.array_equal(loop.arc_fractions(), cum[:-1] / cum[-1])
         monkeypatch.undo()
         assert np.array_equal(loop._chords, chords)
-        assert np.array_equal(loop._sample_tangents, chords / np.linalg.norm(chords, axis=1, keepdims=True))
+        unit = chords / np.linalg.norm(chords, axis=1, keepdims=True)
+        assert np.array_equal(loop._sample_tangents, unit)
 
     def test_resample_and_tangent(self):
         loop = plane_circle(64, 3)
@@ -876,8 +877,9 @@ class TestLinkStack:
     def test_one_qr_and_one_kernel_pass_per_report(self, rng, monkeypatch):
         # link-files-shaped: 4 components of 64 samples in R^8, all moving
         # the same 4 coordinates
+        in_four = np.arange(8) < 4
         comps = [
-            twisted_circle(8, 64, (t, 0), 3.0 * i, rng.normal(size=(2, 2, 8)) * 0.02 * (np.arange(8) < 4))
+            twisted_circle(8, 64, (t, 0), 3.0 * i, rng.normal(size=(2, 2, 8)) * 0.02 * in_four)
             for i, t in enumerate((0, 1, 2, 3))
         ]
         link = FramedLink(comps, euclidean_ambient(8))
