@@ -51,7 +51,8 @@ bit for bit, and drop out of every reported bit.
 
 The reports batch their per-component work (one frame stack, one lift
 for all components); _batched runs such a batch and, when it fails,
-raises the error that running the components one after another would.
+raises the error, and notes the work, that running the components one
+after another would.
 
 recording() is the package's one diagnostics path: _note_max, _note_add
 and _note_append write a value into every open recording scope and do
@@ -245,17 +246,31 @@ def _batched(run: Callable[[Sequence], list], items: Sequence) -> list:
     raises, every item is run alone, in order, and the first error raised
     is the one raised; a batch that fails although no item fails alone
     raises its own error. Any exception counts, since the items' geometry
-    callbacks may raise anything.
+    callbacks may raise anything. A failing report so repeats work: with
+    batches nested in items, frames and lifts run up to three times, user
+    refiners included. The open recording scopes drop what a failed batch
+    noted, so they count only the work of the items run in turn up to the
+    error, as running the items one after another counts it.
     """
+    scopes = _SCOPES.get()
+    before = [_copied(record) for record in scopes] if len(items) > 1 else []
     try:
         return run(items)
     except Exception as exc:  # noqa: BLE001 - re-raised below unless an item fails first
         if len(items) < 2:
             raise
         failure = exc
+    for record, saved in zip(scopes, before):
+        record.clear()
+        record.update(saved)
     for item in items:
         run([item])
     raise failure
+
+
+def _copied(record: dict) -> dict:
+    """A recording scope's dict with its lists copied, as a snapshot to restore."""
+    return {key: list(value) if isinstance(value, list) else value for key, value in record.items()}
 
 
 def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float) -> list[np.ndarray]:

@@ -338,26 +338,19 @@ def _overlaps(rotations: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     successor in its loop: row k + 1, and row s for the loop's last row, so
     a loop's overlaps are rows s to e - 1 of the result, its consecutive
     pairs in order and then its closing pair. _rotors runs in passes of
-    balanced lengths, each of at most _PASS_COEFFS coefficients: one pass,
-    as a whole link at d <= 8 takes, pairs every row with a gather of its
-    successor's; over several, the last rotor of a pass is carried into
-    the next and each loop's first and last rotors are kept for its
-    closing pair. Every overlap is the row sum of the
-    product of two contiguous coefficient rows, so a loop's overlaps are
-    bit for bit the same wherever the passes cut the stack and whatever
-    loops share it, as long as no pass holds a single row (only a stack of
-    one rotation does).
+    balanced lengths, each of at most _PASS_COEFFS coefficients (a whole
+    link at d <= 8 takes one); the last rotor of a pass is carried into the
+    next, and each loop's first and last rotors are kept for its closing
+    pair. Every overlap is the row sum of the product of two contiguous
+    coefficient rows, so a loop's overlaps are bit for bit the same
+    wherever the passes cut the stack and whatever loops share it, as long
+    as no pass holds a single row (only a stack of one rotation does).
     """
     n, d = rotations.shape[:2]
     ends = list(itertools.accumulate(lengths))
     firsts = [e - length for e, length in zip(ends, lengths)]
     lasts = [e - 1 for e in ends]
     passes = -(-n * (1 << (d - 1)) // _PASS_COEFFS)
-    if passes == 1:
-        rotors = _rotors(rotations)
-        successor = np.arange(1, n + 1)
-        successor[lasts] = firsts
-        return np.add.reduce(rotors[successor] * rotors, axis=1)
     overlaps = np.empty(n)
     edges = firsts + lasts
     edge_rotors = np.empty((len(edges), 1 << (d - 1)))
@@ -366,8 +359,10 @@ def _overlaps(rotations: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
         fresh = _rotors(rotations[lo:hi])
         rotors = np.concatenate((rotors[-1:], fresh)) if lo else fresh
         overlaps[max(lo - 1, 0) : hi - 1] = np.add.reduce(rotors[1:] * rotors[:-1], axis=1)
-        inside = [i for i, row in enumerate(edges) if lo <= row < hi]
-        edge_rotors[inside] = fresh[[edges[i] - lo for i in inside]]
+        # row by row: for the few edges of a report, cheaper than fancy indexing
+        for i, row in enumerate(edges):
+            if lo <= row < hi:
+                edge_rotors[i] = fresh[row - lo]
     # the closing pairs replace the pairs that ran from a loop into the next
     count = len(ends)
     overlaps[lasts] = np.add.reduce(edge_rotors[:count] * edge_rotors[count:], axis=1)

@@ -9,9 +9,7 @@ Gram-Schmidt and a coordinate completion, where the tracer takes the last
 right singular vector. projection_transport carries a closed normal frame
 around a loop by one Gram-Schmidt projection per sample, where
 fbk.tracer.transport_closed_frame carries the unnormalized frame and
-orthonormalizes the whole chain with one batched QR. two_stack_jacobian_fd
-evaluates the perturbations p + h I and p - h I as two stacks of values,
-where fbk.numkit.jacobian_fd evaluates one stack of both. The tests compare
+orthonormalizes the whole chain with one batched QR. The tests compare
 each pair.
 """
 
@@ -176,14 +174,3 @@ def projection_transport(
         return tracer._givens_path(planes, count, loop._unwrapped(ts) - loop.params[0])
 
     return _recombined(NormalFraming(np.swapaxes(raw, 0, 1), resample), loop.params, closing)
-
-
-def two_stack_jacobian_fd(f: Callable[[np.ndarray], np.ndarray], p, h: float | None = None):
-    """Central differences of f at p from two arrays of values, at p + h I and at p - h I."""
-    p = _finite(p)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(p)))
-    steps = h * np.eye(p.size)
-    fp = np.array([f(x) for x in p + steps], dtype=float)
-    fm = np.array([f(x) for x in p - steps], dtype=float)
-    return np.ascontiguousarray(((fp - fm) / (2.0 * h)).reshape(p.size, -1).T)

@@ -982,3 +982,21 @@ class TestLinkStack:
             with pytest.raises(type(alone.value)) as caught:
                 report(link)
             assert str(caught.value) == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "first, second", [("frames", "sign"), ("refinement", "frames"), ("sign", "refinement")]
+    )
+    def test_failing_report_notes_the_work_done_in_turn(self, failing, first, second):
+        # an open recording scope sees the work of the components run one
+        # after another up to the error, not the failed batch's work as well
+        ambient = euclidean_ambient(5)
+        with recording() as want:
+            index_of_circle(*failing["good"], ambient)
+            with pytest.raises(Exception):
+                index_of_circle(*failing[first], ambient)
+        assert want["frames_assembled"] >= 16
+        link = FramedLink([failing["good"], failing[first], failing[second]], ambient)
+        for report in (invariant_report, kappa, delta_pontryagin):
+            with recording() as got, pytest.raises(Exception):
+                report(link)
+            assert got == want
