@@ -68,13 +68,19 @@ _MIN_FRAME_VOLUME = 1e-6
 # framing fields longer than this keep every residual above ortho_tol.
 _MIN_FIELD_NORM = DEFAULT_TOL.ortho_tol / _MIN_FRAME_VOLUME
 # Components are disjoint when no sample comes closer than this to another
-# component's polyline, relative to the link's radius (the largest distance
-# of a sample from the centroid, at least 1). The distances come from inner
-# products of centered points, exact to about 2e-8 of that radius.
+# component's polyline and no two of their segments come this close,
+# relative to the link's radius (the largest distance of a sample from the
+# centroid, at least 1). Each distance is the norm of a difference of
+# centered points, exact to a few units of rounding of that radius.
 _MIN_SEPARATION = 1e-6
-# Point-segment pairs per block of that check: each of its float64
-# temporaries is then at most 8 MB.
+# Candidate segment pairs per block of that check, times the dimension:
+# each of its temporaries, pair indices or the pairs' coordinates, is then
+# at most 16 MB.
 _DISTANCE_BLOCK_PAIRS = 1 << 20
+# Its sweep widens every interval by half the separation and by this much
+# of the radius, far above the rounding of the interval ends, so no pair
+# within the separation falls outside the candidates.
+_SWEEP_SLACK = 1e-12
 
 
 def _identity(value):
@@ -514,51 +520,135 @@ class FramedLink:
             _check_disjoint([loop.points for loop, _ in self.components])
 
 
-def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Distance from each point to each segment [starts[s], ends[s]], as a matrix.
+def _point_gaps(
+    starts: np.ndarray, chords: np.ndarray, lengths: np.ndarray, query: np.ndarray, other: np.ndarray
+) -> np.ndarray:
+    """Distance from sample starts[query[k]] to segment other[k], for every k.
 
-    Uses |p - a - t d|^2 = |p - a|^2 - 2 t (p - a).d + t^2 |d|^2, with t the
-    clipped projection parameter, expanded into inner products so that no
-    (points x segments x dimension) array is formed. Segments must have
-    positive length.
+    Segment s runs from starts[s] along chords[s], of squared length
+    lengths[s] > 0; the distance is |p - a - t d| at the projection
+    parameter t clamped to [0, 1].
     """
-    d = ends - starts
-    dd = np.einsum("sn,sn->s", d, d)
-    wd = points @ d.T - np.einsum("sn,sn->s", starts, d)
-    ww = (
-        np.einsum("kn,kn->k", points, points)[:, None]
-        - 2.0 * (points @ starts.T)
-        + np.einsum("sn,sn->s", starts, starts)
-    )
-    t = np.clip(wd / dd, 0.0, 1.0)
-    return np.sqrt(np.maximum(ww - 2.0 * t * wd + t * t * dd, 0.0))
+    offset = starts[query] - starts[other]
+    d = chords[other]
+    t = np.clip(np.einsum("kn,kn->k", offset, d) / lengths[other], 0.0, 1.0)
+    gap = offset - t[:, None] * d
+    return np.sqrt(np.einsum("kn,kn->k", gap, gap))
+
+
+def _segment_gaps(
+    starts: np.ndarray, chords: np.ndarray, lengths: np.ndarray, query: np.ndarray, other: np.ndarray
+) -> np.ndarray:
+    """Distance between segment query[k] and segment other[k], for every k.
+
+    Segment s runs from starts[s] along chords[s], of squared length
+    lengths[s] > 0. The closest points are the clamped solution of the two
+    segments' normal equations (Ericson, Real-Time Collision Detection,
+    2005, section 5.1.9): the unconstrained parameter on the first segment
+    clamped to [0, 1], the second's projected from it, and where that one
+    clamps, the first's projected back.
+    """
+    u, v = chords[query], chords[other]
+    r = starts[query] - starts[other]
+    a, e = lengths[query], lengths[other]
+    b = np.einsum("kn,kn->k", u, v)
+    c = np.einsum("kn,kn->k", u, r)
+    f = np.einsum("kn,kn->k", v, r)
+    denom = a * e - b * b
+    s = np.divide(b * f - c * e, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    t = (b * s + f) / e
+    s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0), s)
+    s = np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s)
+    gap = r + s[:, None] * u - np.clip(t, 0.0, 1.0)[:, None] * v
+    return np.sqrt(np.einsum("kn,kn->k", gap, gap))
 
 
 def _check_disjoint(point_sets: Sequence[np.ndarray]):
-    """Raise ValidationError when a sample of one loop lies on another loop's polyline.
+    """Raise ValidationError when two components come within the separation of each other.
 
-    Samples are compared with all other loops' segments in row blocks of at
-    most _DISTANCE_BLOCK_PAIRS point-segment pairs, so memory stays bounded
-    however densely the loops are sampled.
+    A sample within it of another component's polyline is reported first,
+    at the lowest component and sample. Otherwise two segments of different
+    components that come that close (they cross between samples) are
+    reported, at the lowest segment and then the lowest segment it meets.
+
+    The candidate pairs come from one sort-and-sweep along the coordinate
+    where the samples spread widest. Each segment's interval there, widened
+    by half the separation and a rounding slack, is sorted by its lower end;
+    two intervals overlap exactly when the later one starts inside the
+    earlier, so each segment's candidates are the intervals that start
+    inside its own, one binary search away. The pairs are expanded in
+    blocks of at most _DISTANCE_BLOCK_PAIRS / dimension, so memory stays
+    bounded even when all intervals overlap. Pairs within one component, and
+    pairs whose boxes (the segments' ranges in every coordinate, widened the
+    same way) do not meet, are dropped; the rest are tested by their exact
+    clamped distances: each segment's start sample to the other segment,
+    then segment to segment. The candidate pairs are noted as
+    disjoint_pairs.
     """
-    center = np.mean(np.concatenate(point_sets), axis=0)
-    centered = [p - center for p in point_sets]
-    # each component's segment ends, built once for all the others' checks
-    segment_ends = [_successors(p) for p in centered]
-    radius = max(1.0, max(float(np.max(np.linalg.norm(p, axis=1))) for p in centered))
+    starts = np.concatenate(point_sets)
+    center = np.mean(starts, axis=0)
+    starts = starts - center
+    ends = np.concatenate([_successors(p) for p in point_sets]) - center
+    chords = ends - starts
+    lengths = np.einsum("kn,kn->k", chords, chords)
+    sizes = [len(p) for p in point_sets]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    firsts = np.cumsum([0] + sizes[:-1])
+    radius = max(1.0, float(np.max(np.linalg.norm(starts, axis=1))))
     limit = _MIN_SEPARATION * radius
-    for n, points in enumerate(centered):
-        starts = np.concatenate([q for m, q in enumerate(centered) if m != n])
-        ends = np.concatenate([q for m, q in enumerate(segment_ends) if m != n])
-        rows = max(1, _DISTANCE_BLOCK_PAIRS // len(starts))
-        for first in range(0, len(points), rows):
-            block = _segment_distances(points[first : first + rows], starts, ends)
-            close = np.flatnonzero(np.min(block, axis=1) <= limit)
-            if close.size:
-                raise ValidationError(
-                    f"component {n}: sample {first + close[0]} lies within {limit:.1e} of "
-                    "another component; components must be disjoint"
-                )
+    axis = int(np.argmax(np.max(starts, axis=0) - np.min(starts, axis=0)))
+    pad = 0.5 * limit + _SWEEP_SLACK * radius
+    # each segment's box, its coordinate ranges widened by pad, as center and half-widths
+    middles, halves = 0.5 * (starts + ends), 0.5 * np.abs(chords) + pad
+    low = np.minimum(starts[:, axis], ends[:, axis]) - pad
+    order = np.argsort(low, kind="stable")
+    low = low[order]
+    high = np.maximum(starts[order, axis], ends[order, axis]) + pad
+    counts = np.searchsorted(low, high, "right") - np.arange(1, len(low) + 1)
+    bounds = np.cumsum(counts)
+    _note_add("disjoint_pairs", int(bounds[-1]))
+    block = max(1, _DISTANCE_BLOCK_PAIRS // starts.shape[1])
+    samples, crossings = [], []
+    first = 0
+    while first < len(low):
+        done = int(bounds[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(bounds, done + block, "right")))
+        reps = counts[first:last]
+        left = np.repeat(np.arange(first, last), reps)
+        right = left + 1 + np.arange(int(bounds[last - 1]) - done)
+        right -= np.repeat(bounds[first:last] - reps - done, reps)
+        a, b = order[left], order[right]
+        keep = owner[a] != owner[b]
+        a, b = a[keep], b[keep]
+        keep = np.all(np.abs(middles[a] - middles[b]) <= halves[a] + halves[b], axis=1)
+        a, b = a[keep], b[keep]
+        first = last
+        if not a.size:
+            continue
+        query, other = np.concatenate([a, b]), np.concatenate([b, a])
+        near = query[_point_gaps(starts, chords, lengths, query, other) <= limit]
+        if near.size:
+            samples.append(int(np.min(near)))
+        elif not samples:
+            met = _segment_gaps(starts, chords, lengths, a, b) <= limit
+            if np.any(met):
+                lower, upper = np.minimum(a[met], b[met]), np.maximum(a[met], b[met])
+                crossings.append((int(np.min(lower)), int(np.min(upper[lower == np.min(lower)]))))
+    if samples:
+        sample = min(samples)
+        n = int(owner[sample])
+        raise ValidationError(
+            f"component {n}: sample {sample - firsts[n]} lies within {limit:.1e} of "
+            "another component; components must be disjoint"
+        )
+    if crossings:
+        s, t = min(crossings)
+        n, m = int(owner[s]), int(owner[t])
+        raise ValidationError(
+            f"component {n}: segment {s - firsts[n]} comes within {limit:.1e} of "
+            f"component {m}: segment {t - firsts[m]}; components must be disjoint"
+        )
 
 
 def _normals_at(manifold_normals: Sequence[Callable], points: np.ndarray) -> np.ndarray:

@@ -124,8 +124,9 @@ def recording() -> Iterator[dict]:
     samples costs one. kappa_of_map pulls its framing back through the
     ones taken at the samples, and section_index takes dw at the samples of
     a zero circle from them too, while induced_framing on its own
-    evaluates one per sample). Scopes nest, and a note reaches every open
-    one.
+    evaluates one per sample). disjoint_pairs counts the candidate segment
+    pairs of a link's disjointness check. Scopes nest, and a note reaches
+    every open one.
     """
     record: dict = {}
     token = _SCOPES.set(_SCOPES.get() + (record,))

@@ -9,8 +9,11 @@ Gram-Schmidt and a coordinate completion, where the tracer takes the last
 right singular vector. projection_transport carries a closed normal frame
 around a loop by one Gram-Schmidt projection per sample, where
 fbk.tracer.transport_closed_frame carries the unnormalized frame and
-orthonormalizes the whole chain with one batched QR. The tests compare
-each pair.
+orthonormalizes the whole chain with one batched QR. check_disjoint
+compares every sample with every segment of the other components, and
+every segment with every other component's segments, where
+fbk.framedlink._check_disjoint tests only the candidates of one
+sort-and-sweep. The tests compare each pair.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fbk import tracer
-from fbk.errors import EvaluationFailure, RankDeficient
-from fbk.framedlink import NormalFraming, SampledLoop, _recombined
+from fbk.errors import EvaluationFailure, RankDeficient, ValidationError
+from fbk.framedlink import _MIN_SEPARATION, NormalFraming, SampledLoop, _recombined
 from fbk.numkit import DEFAULT_TOL, Tolerances, _mgs
 
 
@@ -174,3 +177,94 @@ def projection_transport(
         return tracer._givens_path(planes, count, loop._unwrapped(ts) - loop.params[0])
 
     return _recombined(NormalFraming(np.swapaxes(raw, 0, 1), resample), loop.params, closing)
+
+
+def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Distance from each point to each segment [starts[s], ends[s]], as a matrix.
+
+    Uses |p - a - t d|^2 = |p - a|^2 - 2 t (p - a).d + t^2 |d|^2, with t the
+    clipped projection parameter, expanded into inner products so that no
+    (points x segments x dimension) array is formed. Segments must have
+    positive length.
+    """
+    d = ends - starts
+    dd = np.einsum("sn,sn->s", d, d)
+    wd = points @ d.T - np.einsum("sn,sn->s", starts, d)
+    ww = (
+        np.einsum("kn,kn->k", points, points)[:, None]
+        - 2.0 * (points @ starts.T)
+        + np.einsum("sn,sn->s", starts, starts)
+    )
+    t = np.clip(wd / dd, 0.0, 1.0)
+    return np.sqrt(np.maximum(ww - 2.0 * t * wd + t * t * dd, 0.0))
+
+
+def segment_gaps(
+    firsts: np.ndarray, lasts: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Distance from each segment [firsts[i], lasts[i]] to each [starts[j], ends[j]], as a matrix.
+
+    The smallest of the four endpoint-to-segment distances and, where the
+    stationary point of |firsts[i] + s u - starts[j] - t v|^2 has both
+    parameters inside (0, 1), its distance, from the 2 x 2 normal
+    equations by Cramer's rule.
+    """
+    best = np.minimum.reduce(
+        [
+            segment_distances(firsts, starts, ends),
+            segment_distances(lasts, starts, ends),
+            segment_distances(starts, firsts, lasts).T,
+            segment_distances(ends, firsts, lasts).T,
+        ]
+    )
+    u, v = lasts - firsts, ends - starts
+    r = firsts[:, None] - starts[None]
+    uu, vv, uv = np.einsum("in,in->i", u, u)[:, None], np.einsum("jn,jn->j", v, v), u @ v.T
+    ur, vr = np.einsum("ijn,in->ij", r, u), np.einsum("ijn,jn->ij", r, v)
+    det = uu * vv - uv * uv
+    inside = det > 0.0
+    safe = np.where(inside, det, 1.0)
+    s = np.where(inside, uv * vr - vv * ur, 0.0) / safe
+    t = np.where(inside, uu * vr - uv * ur, 0.0) / safe
+    inside &= (s > 0.0) & (s < 1.0) & (t > 0.0) & (t < 1.0)
+    gap = r + s[..., None] * u[:, None] - t[..., None] * v[None]
+    return np.where(inside, np.minimum(best, np.linalg.norm(gap, axis=2)), best)
+
+
+def check_disjoint(point_sets: Sequence[np.ndarray]):
+    """fbk.framedlink._check_disjoint's rule, by comparing every pair.
+
+    The samples of each component in turn are compared with all segments
+    of the other components; the first sample within the separation
+    raises. Otherwise each segment, in order, is compared with the
+    segments of every other component; the first pair within it raises.
+    """
+    center = np.mean(np.concatenate(point_sets), axis=0)
+    centered = [p - center for p in point_sets]
+    segment_ends = [np.roll(p, -1, axis=0) for p in centered]
+    radius = max(1.0, max(float(np.max(np.linalg.norm(p, axis=1))) for p in centered))
+    limit = _MIN_SEPARATION * radius
+    for n, points in enumerate(centered):
+        starts = np.concatenate([q for m, q in enumerate(centered) if m != n])
+        ends = np.concatenate([q for m, q in enumerate(segment_ends) if m != n])
+        close = np.flatnonzero(np.min(segment_distances(points, starts, ends), axis=1) <= limit)
+        if close.size:
+            raise ValidationError(
+                f"component {n}: sample {close[0]} lies within {limit:.1e} of "
+                "another component; components must be disjoint"
+            )
+    for n, points in enumerate(centered[:-1]):
+        later = [(m, j) for m in range(n + 1, len(centered)) for j in range(len(centered[m]))]
+        gaps = segment_gaps(
+            points,
+            segment_ends[n],
+            np.concatenate(centered[n + 1 :]),
+            np.concatenate(segment_ends[n + 1 :]),
+        )
+        met = np.argwhere(gaps <= limit)
+        if met.size:
+            i, (m, j) = met[0][0], later[met[0][1]]
+            raise ValidationError(
+                f"component {n}: segment {i} comes within {limit:.1e} of "
+                f"component {m}: segment {j}; components must be disjoint"
+            )

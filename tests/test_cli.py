@@ -12,7 +12,18 @@ import fbk.cli as cli
 from fbk.scenarios import REGISTRY
 
 from conftest import standard_framing
-from test_framedlink import circle_link_doc, plane_circle, write_link_file
+from test_framedlink import circle_link_doc, crossing_circles, plane_circle, write_link_file
+
+
+def link_doc(components, dim: int) -> dict:
+    """The link-file document of framed components in R^dim."""
+    return {
+        "ambient": {"kind": "euclidean", "dimension": dim},
+        "components": [
+            {"points": loop.points.tolist(), "framing": framing.fields.tolist()}
+            for loop, framing in components
+        ],
+    }
 
 
 def run_cli(capsys, argv):
@@ -130,6 +141,11 @@ class TestLink:
         assert code == 3
         assert "line" in err
 
+    def test_unreadable_path_exit_code(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["link", str(tmp_path / "missing.json")])
+        assert code == 3
+        assert "cannot read" in err and "missing.json" in err
+
     def test_validation_error_exit_code(self, capsys, tmp_path):
         doc = circle_link_doc()
         doc["components"][0]["framing"] = doc["components"][0]["framing"][:1]
@@ -206,6 +222,17 @@ class TestLink:
         code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
         assert code == 3
         assert "disjoint" in err
+
+    def test_crossing_components_exit_code(self, capsys, tmp_path):
+        path = write_link_file(tmp_path, link_doc(crossing_circles(), 3))
+        code, _, err = run_cli(capsys, ["link", path])
+        assert code == 3
+        assert "component 0: segment 0 " in err and "component 1: segment 15;" in err
+        assert "disjoint" in err
+        for shift in (0.02, -0.02, 1e-3, -1e-3):
+            path = write_link_file(tmp_path, link_doc(crossing_circles(shift), 3))
+            code, _, _ = run_cli(capsys, ["link", path])
+            assert code == 0
 
     def test_dimension_above_lift_cap_exit_code(self, capsys, tmp_path):
         # well formed in R^13, one dimension more than the lift supports

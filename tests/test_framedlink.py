@@ -26,6 +26,7 @@ from fbk.errors import (
 )
 from fbk.framedlink import (
     FramedLink,
+    _check_disjoint,
     NormalFraming,
     SampledLoop,
     cylinder_ambient,
@@ -44,6 +45,7 @@ from fbk.framedlink import (
 )
 from fbk.numkit import DEFAULT_TOL, recording
 from fbk.spinlift import RotationLoop, Z2, loop_class
+from numref import check_disjoint
 
 
 def plane_circle(samples: int, dim: int, clockwise: bool = False, center=None) -> SampledLoop:
@@ -77,6 +79,30 @@ def pontryagin_link(samples: int = 96, turns: int = 0) -> FramedLink:
     if turns:
         framing = twist_framing(loop, framing, turns)
     return FramedLink([(loop, framing)], euclidean_ambient(4))
+
+
+def crossing_circles(shift: float = 0.0) -> tuple:
+    """Two framed 32-sample circles in R^3 whose chords cross, moved apart by shift.
+
+    The first circle runs clockwise in the (0, 1) plane; the second lies
+    in a plane parallel to (0, 2), placed so that its chord (15, 16) has
+    the midpoint m of the first circle's chord (0, 1), and crosses it there
+    at a right angle. shift moves the second circle along e_0, which puts
+    the chords |shift| cos(pi / 32) apart and no other points closer. Each
+    circle is framed by its radial field and the constant normal of its
+    plane, so both frames are right-handed.
+    """
+    samples = 32
+    first = plane_circle(samples, 3, clockwise=True)
+    mid = 0.5 * (first.points[0] + first.points[1])
+    ang = 2.0 * math.pi * (np.arange(samples) + 0.5) / samples
+    radial = np.stack([np.cos(ang), np.zeros(samples), np.sin(ang)], axis=1)
+    center = mid + np.array([math.cos(math.pi / samples) + shift, 0.0, 0.0])
+    second = SampledLoop(center + radial)
+    return (
+        (first, standard_framing(first, 3)),
+        (second, NormalFraming([radial, np.tile([0.0, 1.0, 0.0], (samples, 1))])),
+    )
 
 
 class TestSampledLoop:
@@ -514,6 +540,26 @@ class TestIndexOfCircle:
         assert index_of_circle(loop, framing, sphere_ambient(5)) == Z2(0)
 
 
+class TestFramedLinkChecks:
+    # link files fail load_link's own checks first; a link built in code
+    # meets these
+    @pytest.mark.parametrize(
+        "dim, fields, samples, width, message",
+        [
+            (3, 2, 96, 3, "component 0: points live in R^3, ambient is R^4"),
+            (4, 2, 96, 4, "component 0: framing has 2 fields, ambient requires 3"),
+            (4, 3, 48, 4, "component 0: framing sampled at 48 points, loop at 96"),
+            (4, 3, 96, 5, "component 0: framing vectors have the wrong dimension"),
+        ],
+    )
+    def test_malformed_component(self, dim, fields, samples, width, message):
+        loop = plane_circle(96, dim)
+        framing = NormalFraming(np.ones((fields, samples, width)))
+        with pytest.raises(ValidationError) as caught:
+            FramedLink([(loop, framing)], euclidean_ambient(4))
+        assert str(caught.value) == message
+
+
 class TestKappa:
     def test_empty_link(self):
         assert kappa(FramedLink([], euclidean_ambient(4))) == Z2(0)
@@ -539,6 +585,21 @@ class TestKappa:
         near = loop.translated(np.array([0.0, 0.0, 1e-3, 0.0]))
         assert kappa(FramedLink([(loop, framing), (near, framing)], euclidean_ambient(4))) == Z2(0)
 
+    def test_touching_names_the_first_sample(self):
+        # sample 0 of the first circle and sample 32 of the second face each
+        # other along coordinate 0, where the sweep runs: their segments'
+        # intervals there meet only once widened by the separation
+        loop = plane_circle(64, 4)
+        framing = constant_framing(loop, (1, 2, 3))
+        near = plane_circle(64, 4, center=[2.0 + 1e-6, 0.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="^component 0: sample 0 lies within 2.0e-06 "):
+            FramedLink([(loop, framing), (near, framing)], euclidean_ambient(4))
+        far = plane_circle(64, 4, center=[2.0 + 4e-6, 0.0, 0.0, 0.0])
+        FramedLink([(loop, framing), (far, framing)], euclidean_ambient(4))
+        # every sample of a repeated circle touches; the first is named
+        with pytest.raises(ValidationError, match="^component 0: sample 0 lies within 1.0e-06 "):
+            FramedLink([(loop, framing), (loop, framing)], euclidean_ambient(4))
+
     def test_dense_linked_components_in_bounded_memory(self):
         # a Hopf link: the two circles' bounding boxes overlap, so every
         # sample is compared with every segment of the other circle; all
@@ -558,6 +619,78 @@ class TestKappa:
         ring[3000] = 0.5 * (loop.points[1000] + loop.points[1001])
         with pytest.raises(ValidationError, match="component 1: sample 3000 "):
             FramedLink([(loop, framing), (SampledLoop(ring), framing)], euclidean_ambient(4))
+
+    def test_dense_hopf_link_of_20000_samples(self):
+        # the sweep's candidate pairs grow with the samples, not their square:
+        # the all-pairs check took about 30 s here
+        samples = 20000
+        ang = 2.0 * math.pi * np.arange(samples) / samples
+        circle = np.zeros((samples, 4))
+        circle[:, 0], circle[:, 1] = np.cos(ang), np.sin(ang)
+        ring = np.zeros((samples, 4))
+        ring[:, 0], ring[:, 2] = 1.0 + np.cos(ang), np.sin(ang)
+        framing = NormalFraming(np.broadcast_to(np.eye(4)[1:, None], (3, samples, 4)))
+        loop = SampledLoop(circle)
+        tracemalloc.start()
+        try:
+            with recording() as record:
+                FramedLink([(loop, framing), (SampledLoop(ring), framing)], euclidean_ambient(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert record["disjoint_pairs"] < 10 * 2 * samples
+        ring[15000] = 0.5 * (circle[4000] + circle[4001])
+        with pytest.raises(ValidationError, match="component 1: sample 15000 "):
+            FramedLink([(loop, framing), (SampledLoop(ring), framing)], euclidean_ambient(4))
+
+    def test_crossing_components_rejected(self):
+        # no sample of either circle is near the other, but their chords
+        # (0, 1) and (15, 16) cross at their common midpoint
+        first, second = crossing_circles()
+        with pytest.raises(
+            ValidationError,
+            match="component 0: segment 0 comes within 2.0e-06 of component 1: segment 15; "
+            "components must be disjoint",
+        ):
+            FramedLink([first, second], euclidean_ambient(3))
+        for shift in (0.02, -0.02, 1e-3, -1e-3):
+            link = FramedLink(list(crossing_circles(shift)), euclidean_ambient(3))
+            assert len(invariant_report(link).components) == 2
+
+    def test_disjointness_agrees_with_brute_force(self, rng):
+        # random polylines in a box of radius below 1, so the separation is
+        # 1e-6; some with a sample or a crossing segment planted at half or
+        # twice that distance from a segment of another component
+        seen = set()
+        for _ in range(120):
+            dim, count = int(rng.integers(3, 6)), int(rng.integers(2, 5))
+            sets = [rng.uniform(-0.3, 0.3, size=(int(rng.integers(16, 40)), dim))
+                    for _ in range(count)]
+            plant = int(rng.integers(0, 3))
+            if plant:
+                n, m = rng.choice(count, 2, replace=False)
+                j = int(rng.integers(len(sets[m])))
+                a, d = sets[m][j], sets[m][(j + 1) % len(sets[m])] - sets[m][j]
+                on = a + rng.uniform(0.1, 0.9) * d
+                off, across = np.linalg.qr(np.stack([d, *rng.normal(size=(2, dim))]).T)[0].T[1:]
+                off *= rng.choice([0.5, 2.0]) * 1e-6
+                i = int(rng.integers(len(sets[n])))
+                if plant == 1:
+                    sets[n][i] = on + off
+                else:
+                    sets[n][i] = on + off + 0.05 * across
+                    sets[n][(i + 1) % len(sets[n])] = on + off - 0.05 * across
+            outcomes = []
+            for check in (_check_disjoint, check_disjoint):
+                try:
+                    check(sets)
+                    outcomes.append(None)
+                except ValidationError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            seen.add(outcomes[0] and outcomes[0].split(" ")[2])
+        assert seen == {None, "sample", "segment"}
 
     def test_cylinder_two_circles_spin_independent(self):
         comps = []

@@ -27,15 +27,29 @@ R^8 and R^12, moving 4 coordinates, without resamplers), one line each:
   - frames_assembled, as above, and givens_passes: the calls of the lift's
     Givens kernel `spinlift._rotors` in one report.
 
-Nothing is asserted about the times.
+Last, the link-file load, for the same three links written as JSON link
+files and for a dense Hopf link (two linked circles of 4000 and of 20000
+samples), one line each:
+
+  - load_ms: milliseconds per `load_link_file` of the file (JSON decoding,
+    the document's checks and the disjointness check);
+  - disjoint_ms: milliseconds per disjointness check of its components'
+    samples, `framedlink._check_disjoint`;
+  - disjoint_pairs: the candidate segment pairs of that check's sweep, as
+    fbk.recording() notes them.
+
+Both times are the minimum over --repeat calls. Nothing is asserted about
+the times.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -45,7 +59,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from fbk import frame_matrix_loop, recording, spinlift  # noqa: E402
-from fbk.framedlink import invariant_report, load_link  # noqa: E402
+from fbk.framedlink import _check_disjoint, invariant_report, load_link, load_link_file  # noqa: E402
 from fbk.cli import _parse_override  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
 from report_digest import ACCEPTANCE_OVERRIDES  # noqa: E402
@@ -90,8 +104,8 @@ def timed(scenario, options, repeat: int):
     return k, count, 1e3 * fresh, 1e3 * cached, record.get("frames_assembled", 0)
 
 
-def link_file_shaped(rng, dim: int, components: int = 4, samples: int = 64):
-    """A FramedLink like a link file: twisted circles whose motion stays in coordinates 0-3.
+def link_file_shaped(rng, dim: int, components: int = 4, samples: int = 64) -> dict:
+    """A link document like a link file: twisted circles whose motion stays in coordinates 0-3.
 
     Component i is the clockwise circle in the (0, 1) plane with a small
     random wobble in coordinates 0-3, shifted by 3 i along e_3, framed by
@@ -114,7 +128,28 @@ def link_file_shaped(rng, dim: int, components: int = 4, samples: int = 64):
         c, s = np.cos(i * ang)[:, None], np.sin(i * ang)[:, None]
         fields[0], fields[1] = c * fields[0] + s * fields[1], c * fields[1] - s * fields[0]
         comps.append({"points": pts.tolist(), "framing": fields.tolist()})
-    return load_link({"ambient": {"kind": "euclidean", "dimension": dim}, "components": comps})
+    return {"ambient": {"kind": "euclidean", "dimension": dim}, "components": comps}
+
+
+def hopf_link(samples: int) -> dict:
+    """The link document of a Hopf link in R^4 with `samples` samples per circle.
+
+    The clockwise unit circle in the (0, 1) plane, framed by its radial
+    field, e_2 and e_3, and its image under the quarter turn of the (1, 2)
+    plane moved by e_0, which threads it once.
+    """
+    ang = 2.0 * math.pi * np.arange(samples) / samples
+    pts = np.zeros((samples, 4))
+    pts[:, 0], pts[:, 1] = np.cos(ang), -np.sin(ang)
+    fields = np.zeros((3, samples, 4))
+    fields[0, :, :2] = pts[:, :2]
+    fields[1, :, 2] = fields[2, :, 3] = 1.0
+    turn = np.eye(4)[[0, 2, 1, 3]] * [1.0, -1.0, 1.0, 1.0]
+    comps = [
+        {"points": pts.tolist(), "framing": fields.tolist()},
+        {"points": (pts @ turn.T + np.eye(4)[0]).tolist(), "framing": (fields @ turn.T).tolist()},
+    ]
+    return {"ambient": {"kind": "euclidean", "dimension": 4}, "components": comps}
 
 
 def timed_report(link, repeat: int):
@@ -140,6 +175,26 @@ def timed_report(link, repeat: int):
     return 1e3 * best, record.get("frames_assembled", 0), len(passes)
 
 
+def timed_load(document: dict, directory: str, repeat: int):
+    """(load_ms, disjoint_ms, disjoint_pairs) of one link document written as a file."""
+    path = os.path.join(directory, "link.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh)
+    load = check = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        link = load_link_file(path)
+        load = min(load, time.perf_counter() - start)
+    points = [loop.points for loop, _ in link.components]
+    for _ in range(repeat):
+        start = time.perf_counter()
+        _check_disjoint(points)
+        check = min(check, time.perf_counter() - start)
+    with recording() as record:
+        _check_disjoint(points)
+    return 1e3 * load, 1e3 * check, record.get("disjoint_pairs", 0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=20, help="freshly built links per case")
@@ -155,12 +210,26 @@ def main(argv=None) -> int:
     print(f"{'link-file-shaped link':40s} {'K':>4s} {'loops':>5s} {'report_ms':>9s} "
           f"{'frames_assembled':>16s} {'givens_passes':>13s}")
     rng = np.random.default_rng(7)
+    documents = {}
     for dim in (4, 8, 12):
-        link = link_file_shaped(rng, dim)
+        document = link_file_shaped(rng, dim)
+        link = load_link(document)
         report_ms, frames, passes = timed_report(link, args.repeat)
         count, k = len(link.components), len(link.components[0][0])
-        print(f"{f'R{dim} {count}x{k}':40s} {k:4d} {count:5d} {report_ms:9.3f} "
-              f"{frames:16d} {passes:13d}")
+        label = f"R{dim} {count}x{k}"
+        documents[label] = document
+        print(f"{label:40s} {k:4d} {count:5d} {report_ms:9.3f} {frames:16d} {passes:13d}")
+    for samples in (4000, 20000):
+        documents[f"Hopf R4 2x{samples}"] = hopf_link(samples)
+    print()
+    print(f"{'link-file load':40s} {'K':>5s} {'loops':>5s} {'load_ms':>9s} {'disjoint_ms':>11s} "
+          f"{'disjoint_pairs':>14s}")
+    with tempfile.TemporaryDirectory() as directory:
+        for label, document in documents.items():
+            load_ms, disjoint_ms, pairs = timed_load(document, directory, args.repeat)
+            comps = document["components"]
+            print(f"{label:40s} {len(comps[0]['points']):5d} {len(comps):5d} {load_ms:9.3f} "
+                  f"{disjoint_ms:11.3f} {pairs:14d}")
     return 0
 
 
