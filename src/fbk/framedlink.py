@@ -13,13 +13,17 @@ bit once (plus the spin twist). A report assembles the frames of all its
 components as one (samples, N, N) stack, with one batched QR and one
 batched determinant, and lifts all the frame loops together; a frame
 loop's refiner goes through the same assembly one parameter at a time.
-Errors stay those of the components taken one after another. kappa of a
+Each stage returns the results of the components before the first failing
+one, and its error, which the report raises: one pass meets the error of
+the components taken one after another. kappa of a
 link is the xor of the component indices; on Euclidean ambients it agrees
 with the classical count that also adds the number of components mod 2.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field
@@ -40,13 +44,13 @@ from .errors import (
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
-    _batched,
     _note_add,
     _on_stack,
+    _orthonormal_sets,
     _predecessors,
     _row_norms,
     _successors,
-    orthonormalize,
+    _values,
     recording,
     stacked,
 )
@@ -662,59 +666,6 @@ def _normals_at(manifold_normals: Sequence[Callable], points: np.ndarray) -> np.
     return np.stack(normals, axis=1) if normals else np.empty((k, 0, dim))
 
 
-def _assemble_frame(
-    ambient: AmbientPresentation,
-    points: np.ndarray,
-    middles: np.ndarray,
-    fields: np.ndarray,
-    tol: Tolerances,
-    where: Callable[[int], str],
-    middle_name: str,
-) -> np.ndarray:
-    """Frames [manifold normals, middle row, framing fields] at K points, as (K, N, N).
-
-    points and middles are (K, N) and fields is (K, k, N). The manifold
-    normals are evaluated on the stack of points; the checks then run over
-    the whole stack, each in turn, and an error names where(first failing
-    index) and the middle row as middle_name. A non-finite normal, middle row or field
-    is an EvaluationFailure, checked first.
-    """
-    count = len(ambient.manifold_normals)
-    normals = _normals_at(ambient.manifold_normals, points)
-    rows = np.concatenate([normals, middles[:, None], fields], axis=1)
-    if not np.isfinite(rows).all():
-        k, i = np.argwhere(~np.isfinite(rows).all(axis=2))[0]
-        name = "manifold normal" if i < count else "middle row" if i == count else "framing field"
-        raise EvaluationFailure(f"non-finite {name} at {where(k)}")
-    gram = normals @ normals.transpose(0, 2, 1)
-    skewed = np.any(np.abs(gram - np.eye(count)) > _NORMAL_ORTHO_CHECK, axis=(1, 2))
-    leaning = np.abs(np.einsum("kan,kn->ka", normals, middles)) > _NORMAL_TANGENT_CHECK
-    bad = np.flatnonzero(skewed | leaning.any(axis=1))
-    if bad.size:
-        k = bad[0]
-        if skewed[k]:
-            raise ValidationError(f"manifold normals are not orthonormal at {where(k)}")
-        raise ValidationError(
-            f"manifold normal {np.argmax(leaning[k])} is not orthogonal to the curve "
-            f"at {where(k)}"
-        )
-    try:
-        frames = orthonormalize(rows, tol)
-    except RankDeficient as exc:
-        raise RankDeficient(
-            f"frame rows [manifold normals, {middle_name}, framing fields] are dependent at "
-            f"{where(exc.index)}: {exc}",
-            index=exc.index,
-        ) from exc
-    flipped = np.flatnonzero(np.linalg.det(frames) < 0.0)
-    if flipped.size:
-        raise OrientationMismatch(
-            f"assembled frame has determinant -1 at {where(flipped[0])}; row order is "
-            f"[manifold normals, {middle_name}, framing fields]"
-        )
-    return frames
-
-
 class _FramePart(NamedTuple):
     """One frame loop to assemble: frame_matrix_loop's arguments, and its rank error.
 
@@ -729,61 +680,116 @@ class _FramePart(NamedTuple):
     rank_error: Callable[[str], Exception] | None = None
 
 
+def _frame_rows(ambient: AmbientPresentation, points, middles, fields) -> np.ndarray:
+    """The (K, N, N) rows [manifold normals, middle row, framing fields] at (K, N) points."""
+    normals = _normals_at(ambient.manifold_normals, points)
+    return np.concatenate([normals, middles[:, None], fields], axis=1)
+
+
+def _assemble_frames(
+    ambient: AmbientPresentation,
+    parts: Sequence[_FramePart],
+    rows: Sequence[np.ndarray],
+    tol: Tolerances,
+    where: Callable[[int], str],
+) -> tuple[list[np.ndarray], Exception | None]:
+    """The (K, N, N) frames of the parts before the first failing one, and its error.
+
+    rows holds the _frame_rows of the first parts, orthonormalized by one
+    QR. Each check runs over the parts that passed the earlier ones:
+    finite rows, orthonormal normals orthogonal to the middle row, rank
+    (or the part's rank_error), orientation. A failing row cuts the stack
+    before its part, and the error names it as where(k), k in the part.
+    """
+    if not rows:
+        return [], None
+    count = len(ambient.manifold_normals)
+    ends = list(itertools.accumulate(map(len, rows)))
+    stack = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    failure = None
+
+    def cut(row: int) -> tuple[_FramePart, int]:
+        """Cut the stack before the part of row; that part, and row counted in it."""
+        nonlocal stack
+        p = bisect.bisect_right(ends, row)
+        k = row - (ends[p - 1] if p else 0)
+        del ends[p:]
+        stack = stack[: ends[-1] if ends else 0]
+        return parts[p], k
+
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=2)
+        row = int(np.argmin(finite.all(axis=1)))
+        i = int(np.argmin(finite[row]))
+        name = "manifold normal" if i < count else "middle row" if i == count else "framing field"
+        failure = EvaluationFailure(f"non-finite {name} at {where(cut(row)[1])}")
+    normals = stack[:, :count]
+    gram = normals @ normals.transpose(0, 2, 1)
+    skewed = np.any(np.abs(gram - np.eye(count)) > _NORMAL_ORTHO_CHECK, axis=(1, 2))
+    leaning = np.abs(np.einsum("kan,kn->ka", normals, stack[:, count])) > _NORMAL_TANGENT_CHECK
+    bad = skewed | leaning.any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        at = where(cut(row)[1])
+        if skewed[row]:
+            failure = ValidationError(f"manifold normals are not orthonormal at {at}")
+        else:
+            failure = ValidationError(
+                f"manifold normal {np.argmax(leaning[row])} is not orthogonal to the curve at {at}"
+            )
+    frames, dependent = _orthonormal_sets(stack, tol.ortho_tol, [0, *ends[:-1]])
+    if dependent is not None:
+        part, k = cut(dependent.index)
+        failure = RankDeficient(
+            f"frame rows [manifold normals, {_middle_name(part.middle)}, framing fields] are "
+            f"dependent at {where(k)}: {dependent}",
+            index=k,
+        )
+        if part.rank_error is not None:
+            cause, failure = failure, part.rank_error(where(k))
+            failure.__cause__ = cause
+    if not ends:  # every part failed; with more rows than N, frames is not square
+        return [], failure
+    frames = frames[: len(stack)]
+    flipped = np.linalg.det(frames) < 0.0
+    if flipped.any():
+        part, k = cut(int(np.argmax(flipped)))
+        failure = OrientationMismatch(
+            f"assembled frame has determinant -1 at {where(k)}; row order is "
+            f"[manifold normals, {_middle_name(part.middle)}, framing fields]"
+        )
+    return [frames[a:b] for a, b in zip([0, *ends], ends)], failure
+
+
 def _frame_loops(
     parts: Sequence[_FramePart], ambient: AmbientPresentation, tol: Tolerances
-) -> list[RotationLoop]:
-    """frame_matrix_loop of every part, all samples assembled as one stack.
+) -> tuple[list[RotationLoop], Exception | None]:
+    """frame_matrix_loop of the parts before the first failing one, and its error (or None).
 
-    The parts' points, middle rows and fields are stacked into one
-    _assemble_frame call; each part's RotationLoop holds a view of the
-    frame stack and the part's own refiner. Errors are those of the parts
-    in turn: the first failing part's.
+    The callbacks run part by part, once per stack, and one that raises
+    fails its part. Each RotationLoop holds a view of the frames and its
+    part's refiner. Nothing is noted.
     """
-
-    def assembled(batch: Sequence[_FramePart]) -> list[RotationLoop]:
-        # With several parts an error only signals that some part fails:
-        # _batched then assembles the parts alone, each naming its samples.
-        if not batch:
-            return []
-        first = batch[0]
-        middles = [
-            part.loop._sample_tangents
-            if part.middle is None
-            else _on_stack(part.middle, part.loop.points, "middle row", part.loop.dimension)
-            for part in batch
-        ]
-        fields = [part.framing.fields.transpose(1, 0, 2) for part in batch]
-        points = [part.loop.points for part in batch]
-        points, middles, fields = (np.concatenate(a) for a in (points, middles, fields))
+    rows, failure = [], None
+    for part in parts:
+        loop = part.loop
         try:
-            frames = _assemble_frame(
-                ambient,
-                points,
-                middles,
-                fields,
-                tol,
-                where=lambda k: f"sample {k}",
-                middle_name=_middle_name(first.middle),
-            )
-        except RankDeficient as exc:
-            if first.rank_error is None:
-                raise
-            raise first.rank_error(f"sample {exc.index}") from exc
-        _note_add("frames_assembled", len(frames))
-        loops = []
-        start = 0
-        for part in batch:
-            end = start + len(part.loop)
-            # _assemble_frame has checked the frames and SampledLoop the params
-            loops.append(
-                RotationLoop._prechecked(
-                    frames[start:end], _frame_refiner(part, ambient, tol), list(part.loop.params)
-                )
-            )
-            start = end
-        return loops
-
-    return _batched(assembled, parts)
+            if part.middle is None:
+                middles = loop._sample_tangents
+            else:
+                middles = _on_stack(part.middle, loop.points, "middle row", loop.dimension)
+            fields = part.framing.fields.transpose(1, 0, 2)
+            rows.append(_frame_rows(ambient, loop.points, middles, fields))
+        except Exception as exc:  # noqa: BLE001 - a geometry callback's error is its part's
+            failure = exc
+            break
+    frames, assembly_failure = _assemble_frames(ambient, parts, rows, tol, lambda k: f"sample {k}")
+    # _assemble_frames has checked the frames and SampledLoop the params
+    loops = [
+        RotationLoop._prechecked(f, _frame_refiner(part, ambient, tol), list(part.loop.params))
+        for part, f in zip(parts, frames)
+    ]
+    return loops, assembly_failure or failure
 
 
 def _middle_name(middle) -> str:
@@ -791,31 +797,20 @@ def _middle_name(middle) -> str:
 
 
 def _frame_refiner(part: _FramePart, ambient: AmbientPresentation, tol: Tolerances):
-    """The part's frame at one parameter, through _assemble_frame; None unless both resample."""
-    loop, framing, middle, rank_error = part
+    """The part's frame at one parameter, through _assemble_frames; None unless both resample."""
+    loop, framing, middle, _ = part
     if loop.resample is None or framing.resample is None:
         return None
 
     def refiner(t: float) -> np.ndarray:
-        try:
-            p = loop.point(t)[None]
-            if middle is None:
-                middles = loop.tangent(t)[None]
-            else:
-                middles = _on_stack(middle, p, "middle row", loop.dimension)
-            frame = _assemble_frame(
-                ambient,
-                p,
-                middles,
-                framing.at(t)[None],
-                tol,
-                where=lambda _: f"parameter {t % 1.0:.6f}",
-                middle_name=_middle_name(middle),
-            )
-        except RankDeficient as exc:
-            if rank_error is None:
-                raise
-            raise rank_error(f"parameter {t % 1.0:.6f}") from exc
+        p = loop.point(t)[None]
+        if middle is None:
+            middles = loop.tangent(t)[None]
+        else:
+            middles = _on_stack(middle, p, "middle row", loop.dimension)
+        rows = _frame_rows(ambient, p, middles, framing.at(t)[None])
+        where = lambda _: f"parameter {t % 1.0:.6f}"  # noqa: E731
+        (frame,) = _values(_assemble_frames(ambient, [part], [rows], tol, where))
         _note_add("frames_assembled", 1)
         return frame[0]
 
@@ -844,35 +839,38 @@ def frame_matrix_loop(
     assemble the frame loops of all their components as one stack, of
     which this is the stack of one.
     """
-    return _frame_loops([_FramePart(loop, framing, middle)], ambient, tol)[0]
+    (rl,) = _values(_frame_loops([_FramePart(loop, framing, middle)], ambient, tol))
+    _note_add("frames_assembled", len(rl))
+    return rl
 
 
-def _frame_classes(
+def _frame_bits(
     components: Sequence[tuple[SampledLoop, NormalFraming]],
     ambient: AmbientPresentation,
     tol: Tolerances,
+    bit: Callable[[Z2, SampledLoop], Z2],
 ) -> list[Z2]:
-    """loop_class of every component's frame loop: one frame stack and one lift for all."""
-    parts = [_FramePart(loop, framing) for loop, framing in components]
-    return _loop_classes(_frame_loops(parts, ambient, tol), tol)
+    """bit(class of its frame loop, loop) of every component: one frame stack and one lift for all.
 
-
-def _circle_indices(
-    components: Sequence[tuple[SampledLoop, NormalFraming]],
-    ambient: AmbientPresentation,
-    tol: Tolerances,
-) -> list[Z2]:
-    """index_of_circle of every component, with one frame stack and one lift for all.
-
-    Errors are those of the components in turn: one component's frames,
-    refinement, lift and spin twist all come before the next component's.
+    The error raised, and the frames noted, are those of the components
+    one after another up to the first failing one.
     """
+    loops, failure = _frame_loops([_FramePart(*c) for c in components], ambient, tol)
+    classes, lift_failure = _loop_classes(loops, tol)
+    bits = []
+    for frames, cls, (loop, _) in zip(loops, classes, components):
+        _note_add("frames_assembled", len(frames))
+        bits.append(bit(cls, loop))
+    if lift_failure is not None:
+        # the failing component's frames were assembled before its lift
+        _note_add("frames_assembled", len(loops[len(classes)]))
+    return _values((bits, lift_failure or failure))
 
-    def indices(batch) -> list[Z2]:
-        classes = _frame_classes(batch, ambient, tol)
-        return [cls ^ Z2(1) ^ ambient.spin_twist(loop) for cls, (loop, _) in zip(classes, batch)]
 
-    return _batched(indices, components)
+def _circle_indices(components, ambient: AmbientPresentation, tol: Tolerances) -> list[Z2]:
+    """index_of_circle of every (loop, framing) component, through _frame_bits."""
+    twisted = lambda cls, loop: cls ^ Z2(1) ^ ambient.spin_twist(loop)  # noqa: E731
+    return _frame_bits(components, ambient, tol, twisted)
 
 
 def index_of_circle(
@@ -898,7 +896,7 @@ def delta_pontryagin(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """
     if link.ambient.kind != "euclidean" or link.ambient.manifold_normals:
         raise AmbientMismatch("this count is defined on Euclidean ambients only")
-    classes = _batched(lambda batch: _frame_classes(batch, link.ambient, tol), link.components)
+    classes = _frame_bits(link.components, link.ambient, tol, lambda cls, loop: cls)
     return reduce(lambda a, b: a ^ b, classes, Z2(len(link.components) & 1))
 
 

@@ -4,11 +4,12 @@ Everything here works on plain float64 numpy arrays (1-d vectors, 2-d
 matrices) at desk scale (dimension <= 12). There is one factorization of
 each kind. `_qr` is the batched Householder QR (Golub-Van Loan, Matrix
 Computations, 5.2) of a (K, c, N) stack of ordered vector sets, with the
-signs fixed so that diag(R) > 0 and one rank rule, |R_ii| >= ortho_tol:
-orthonormalize, which frame assembly uses, is its Q, and the tracer's
-induced framing solves a whole loop's minimum-norm systems with its Q and
-R, and its transported normal frame is one batched `_qr` of a chain of
-projected frames (the whole loop, unless the loop turns sharply). `_mgs`
+signs fixed so that diag(R) > 0 and one rank rule, |R_ii| >= ortho_tol,
+whose failure it returns as a value: frame assembly and orthonormalize
+take its Q, the tracer's induced framing solves a whole loop's
+minimum-norm systems with its Q and R, and its transported normal frame
+is one batched `_qr` of a chain of projected frames (the whole loop,
+unless the loop turns sharply). `_mgs`
 is the Gram-Schmidt for the one-off bases: modified Gram-Schmidt with one
 re-orthogonalization pass, which is plenty stable at these sizes, skipping
 dependent inputs; only the tracer's target_basis and the transported
@@ -48,11 +49,6 @@ at length 2), so a vectorized projection would move the bits of the two
 bases _mgs builds. The transported frame's projections are matrix
 products; its frames agree with per-sample Gram-Schmidt to rounding, not
 bit for bit, and drop out of every reported bit.
-
-The reports batch their per-component work (one frame stack, one lift
-for all components); _batched runs such a batch and, when it fails,
-raises the error, and notes the work, that running the components one
-after another would.
 
 recording() is the package's one diagnostics path: _note_max, _note_add
 and _note_append write a value into every open recording scope and do
@@ -106,10 +102,10 @@ def recording() -> Iterator[dict]:
     """Collect the diagnostics noted inside the block into the yielded dict.
 
     Keys appear only when something notes them: refinement_depth (deepest
-    lift refinement) and lift_steps (lifted steps), noted once per
-    loop_class call when its refinement is done (a refinement that fails
-    notes neither); frames_assembled (frames built by frame_matrix_loop, its refiner
-    included); closure_errors (a list) and max_residual from every traced
+    lift refinement) and lift_steps (lifted steps), noted once per loop
+    when its refinement is done (a refinement that fails notes neither);
+    frames_assembled (the frames of frame_matrix_loop and of the reports'
+    components, their refiners included); closure_errors (a list) and max_residual from every traced
     component that is kept; seeds_skipped from seeds whose trace did not
     converge. Three work counters come from the tracer: newton_calls
     (Newton corrections started), newton_iterations (their correction
@@ -127,6 +123,15 @@ def recording() -> Iterator[dict]:
     evaluates one per sample). disjoint_pairs counts the candidate segment
     pairs of a link's disjointness check. Scopes nest, and a note reaches
     every open one.
+
+    A report that fails notes the work of its components up to the failing
+    one, as running them one after another would, with one exception. Its
+    lift refines every loop, in order up to the first that cannot be
+    refined, before it tests any loop's signs. So when a component fails
+    after its refinement (its lift's sign test, or its spin twist), the
+    refinement of the loops after it is noted too: their lift_steps and
+    refinement_depth, and the frames and Jacobian evaluations their
+    refiners note.
     """
     record: dict = {}
     token = _SCOPES.set(_SCOPES.get() + (record,))
@@ -238,40 +243,12 @@ def _predecessors(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
-def _batched(run: Callable[[Sequence], list], items: Sequence) -> list:
-    """run(items), one batch over all items; when it raises, the first failing item's error.
-
-    A batch runs each of its steps over all items before the next step (all
-    frames, then all lifts), so the first error it meets need not be the
-    one that running the items one after another would meet. When the batch
-    raises, every item is run alone, in order, and the first error raised
-    is the one raised; a batch that fails although no item fails alone
-    raises its own error. Any exception counts, since the items' geometry
-    callbacks may raise anything. A failing report so repeats work: with
-    batches nested in items, frames and lifts run up to three times, user
-    refiners included. The open recording scopes drop what a failed batch
-    noted, so they count only the work of the items run in turn up to the
-    error, as running the items one after another counts it.
-    """
-    scopes = _SCOPES.get()
-    before = [_copied(record) for record in scopes] if len(items) > 1 else []
-    try:
-        return run(items)
-    except Exception as exc:  # noqa: BLE001 - re-raised below unless an item fails first
-        if len(items) < 2:
-            raise
-        failure = exc
-    for record, saved in zip(scopes, before):
-        record.clear()
-        record.update(saved)
-    for item in items:
-        run([item])
-    raise failure
-
-
-def _copied(record: dict) -> dict:
-    """A recording scope's dict with its lists copied, as a snapshot to restore."""
-    return {key: list(value) if isinstance(value, list) else value for key, value in record.items()}
+def _values(outcome: tuple):
+    """The values of a batched stage's (values, error or None) outcome; its error is raised."""
+    values, failure = outcome
+    if failure is not None:
+        raise failure
+    return values
 
 
 def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float) -> list[np.ndarray]:
@@ -300,26 +277,30 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float) -> list[np.ndar
     return basis
 
 
-def _qr(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q (K, N, c) and R (K, c, c) of the transposed (K, c, N) float stack.
+def _qr(stack: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
+    """Q (K, N, c) and R (K, c, c) of the transposed (K, c, N) float stack, and its rank failure.
 
     Each column of Q and row of R is flipped so that diag(R) > 0: column i
     of Q keeps a positive inner product with input i after the preceding
-    directions are projected out, as Gram-Schmidt gives. Raises
-    RankDeficient, whose index is the first failing set, when some
-    |R_ii| < tol or when c > N.
+    directions are projected out, as Gram-Schmidt gives. The failure is
+    None, or the RankDeficient of the first set with some |R_ii| < tol,
+    index its place in the stack and counted in its message from the last
+    of starts at or before it; the sets before it keep their Q and R. When
+    c > N it is the whole stack's, index 0, and Q and R hold no sets.
     """
     count, dim = stack.shape[1:]
     if count > dim:
-        raise RankDeficient(f"{count} vectors cannot be independent in R^{dim}", index=0)
+        failure = RankDeficient(f"{count} vectors cannot be independent in R^{dim}", index=0)
+        return np.empty((0, dim, count)), np.empty((0, count, count)), failure
     Q, R = np.linalg.qr(stack.transpose(0, 2, 1))
     diag = np.diagonal(R, axis1=1, axis2=2)
     dependent = np.abs(diag) < tol
+    failure = None
     if dependent.any():
         k, i = np.argwhere(dependent)[0]
-        raise RankDeficient(
-            f"vector {i} of set {k} is dependent on its predecessors "
-            f"(residual {abs(diag[k, i]):.3e})",
+        failure = RankDeficient(
+            f"vector {i} of set {k - max(s for s in starts if s <= k)} is dependent on its "
+            f"predecessors (residual {abs(diag[k, i]):.3e})",
             index=int(k),
         )
     sign = np.sign(diag)
@@ -327,7 +308,13 @@ def _qr(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     # stack makes them the largest temporaries of its assembly
     Q *= sign[:, None, :]
     R *= sign[:, :, None]
-    return Q, R
+    return Q, R, failure
+
+
+def _orthonormal_sets(V: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
+    """The Q of `_qr` as the (K, c, N) orthonormal sets of the finite stack V, and _qr's failure."""
+    Q, _, failure = _qr(V, tol, starts)
+    return Q.transpose(0, 2, 1), failure
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -341,7 +328,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if V.ndim != 3 or V.shape[-1] < 1:
         raise ValueError("expected a (sets, vectors, dimension) stack")
     _require_finite(V)
-    return _qr(V, tol.ortho_tol)[0].transpose(0, 2, 1)
+    return _values(_orthonormal_sets(V, tol.ortho_tol))
 
 
 def jacobian_fd(

@@ -39,7 +39,7 @@ from .errors import (
     RefinementExhausted,
     ValidationError,
 )
-from .numkit import DEFAULT_TOL, Tolerances, _batched, _note_add, _note_max, _successors
+from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max, _successors, _values
 
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
@@ -403,61 +403,65 @@ def _moved_coordinates(rotations: np.ndarray) -> np.ndarray:
     return rotations[:, keep[:, None], keep]
 
 
-def _lift_overlaps(loops: Sequence[RotationLoop], tol: Tolerances) -> list[np.ndarray]:
-    """Every loop's rotor overlaps (see _overlaps), the loops lifted together.
+def _lift_overlaps(loops: Sequence[RotationLoop], tol: Tolerances) -> tuple:
+    """The rotor overlaps (see _overlaps) of the loops before the first failing one, and its error.
 
-    Each loop is refined with its own refiner, in order; its refined
-    samples S_k give the relative stack P_k = S_k S_0^T, restricted to the
-    coordinates the P_k move. The loops that move the same number d of
-    coordinates are lifted as one stack: one orthogonality check and one
-    _overlaps run per d. A loop is never padded into more coordinates,
-    which would reorder its coefficients and the rounding of its sums, so
-    its overlaps are bit for bit those it gets alone. When several loops
-    fail, the error raised is some failing loop's, not necessarily the
-    first one's; _loop_classes sorts that out.
+    Each loop in turn has its dimension checked and is refined with its own
+    refiner; its refined samples S_k give the relative stack P_k =
+    S_k S_0^T, restricted to the coordinates the P_k move and checked
+    orthogonal. The first loop to fail stops these steps, and its error is
+    returned (None when none fails). The loops before it that move the same
+    number d of coordinates are lifted as one stack: one _overlaps run per
+    d. A loop is never padded into more coordinates, which would reorder
+    its coefficients and the rounding of its sums, so its overlaps are bit
+    for bit those it gets alone.
     """
     relative = []
+    failure = None
     for loop in loops:
-        m = loop.dim
-        if not 3 <= m <= _MAX_DIM:
-            raise DimensionMismatch(
-                f"loop classification needs dimension in [3, {_MAX_DIM}], got {m}"
-            )
-        samples = _refined(loop, tol)
-        relative.append(_moved_coordinates(samples @ samples[0].T))
+        try:
+            if not 3 <= loop.dim <= _MAX_DIM:
+                raise DimensionMismatch(
+                    f"loop classification needs dimension in [3, {_MAX_DIM}], got {loop.dim}"
+                )
+            samples = _refined(loop, tol)
+            P = _moved_coordinates(samples @ samples[0].T)
+            # P_k is a product of two checked samples, so its determinant is
+            # positive, but the two orthogonality defects add up.
+            defect = np.max(np.abs(P.transpose(0, 2, 1) @ P - np.eye(P.shape[1])))
+            if defect > _ORTHO_CHECK:
+                raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
+        except Exception as exc:  # noqa: BLE001 - its refiner may raise anything
+            failure = exc
+            break
+        relative.append(P)
     groups: dict[int, list[int]] = {}
     for i, P in enumerate(relative):
         groups.setdefault(P.shape[1], []).append(i)
-    out: list = [None] * len(loops)
-    for d, members in groups.items():
-        stack = relative[members[0]]
-        if len(members) > 1:
-            stack = np.concatenate([relative[i] for i in members])
-        # P_k is a product of two checked samples, so its determinant is
-        # positive, but the two orthogonality defects add up.
-        defect = np.max(np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(d)))
-        if defect > _ORTHO_CHECK:
-            raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
-        lengths = [len(relative[i]) for i in members]
-        overlaps = _overlaps(stack, lengths)
-        start = 0
-        for i, length in zip(members, lengths):
-            out[i] = overlaps[start : start + length]
-            start += length
-    return out
+    out: list = [None] * len(relative)
+    for members in groups.values():
+        stacks = [relative[i] for i in members]
+        lengths = [len(P) for P in stacks]
+        overlaps = _overlaps(stacks[0] if len(stacks) == 1 else np.concatenate(stacks), lengths)
+        for i, end, length in zip(members, itertools.accumulate(lengths), lengths):
+            out[i] = overlaps[end - length : end]
+    return out, failure
 
 
-def _loop_classes(loops: Sequence[RotationLoop], tol: Tolerances = DEFAULT_TOL) -> list[Z2]:
-    """loop_class of every loop, from one lift of all of them (_lift_overlaps).
+def _loop_classes(loops: Sequence[RotationLoop], tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """loop_class of the loops before the first failing one, and its error, from one lift.
 
-    Errors are those of the loops in turn: one loop's refinement and lift
-    both come before the next loop's.
+    Each loop's refinement, lift and sign test come before the next loop's,
+    as classifying the loops one after another meets them.
     """
-
-    def classes(batch: Sequence[RotationLoop]) -> list[Z2]:
-        return [Z2(_sign_changes(c) & 1) for c in _lift_overlaps(batch, tol)]
-
-    return _batched(classes, loops)
+    overlaps, failure = _lift_overlaps(loops, tol)
+    classes = []
+    for c in overlaps:
+        try:
+            classes.append(Z2(_sign_changes(c) & 1))
+        except NotNearIdentity as exc:
+            return classes, exc
+    return classes, failure
 
 
 def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
@@ -468,7 +472,7 @@ def loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
     around the cycle; 0 means the continuous lift closes on +1, 1 on -1.
     The batch of one of _loop_classes.
     """
-    return _loop_classes([loop], tol)[0]
+    return _values(_loop_classes([loop], tol))[0]
 
 
 def _quat_from_matrix(R: np.ndarray) -> np.ndarray:

@@ -57,15 +57,16 @@ from .framedlink import (
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
-    _batched,
     _mgs,
     _norm,
     _note_add,
     _note_append,
     _note_max,
     _on_stack,
+    _orthonormal_sets,
     _qr,
     _require_finite,
+    _values,
     jacobian_fd,
     recording,
 )
@@ -652,12 +653,12 @@ def induced_framing(
         broken = np.flatnonzero(~np.isfinite(J).reshape(len(J), -1).all(axis=1))
         if broken.size:
             raise EvaluationFailure(f"non-finite map derivative at {where(broken[0])}")
-        try:
-            Q, R = _qr(J, DEFAULT_TOL.ortho_tol)
-        except RankDeficient as exc:
+        Q, R, dependent = _qr(J, DEFAULT_TOL.ortho_tol)
+        if dependent is not None:
             raise Singular(
-                f"rank drop of the map derivative at {where(exc.index)} along the curve: {exc}"
-            ) from exc
+                f"rank drop of the map derivative at {where(dependent.index)} along the curve: "
+                f"{dependent}"
+            ) from dependent
         b = np.eye(J.shape[1]) if rhs is None else rhs
         C = np.linalg.solve(R.transpose(0, 2, 1), np.broadcast_to(b.T, (len(J), *b.T.shape)))
         return (Q @ C).transpose(0, 2, 1)
@@ -808,7 +809,7 @@ def _transported(frame: np.ndarray, bases: np.ndarray):
     chain[0] = frame
     for i, projector in enumerate(projectors):
         np.matmul(chain[i], projector, out=chain[i + 1])
-    Q, R = _qr(chain, 0.0)
+    Q, R, _ = _qr(chain, 0.0)
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
     dropped = (diag[1:] < _TRANSPORT_TOL * diag[:-1]).any(axis=1)
     lost = int(np.argmax(dropped)) if dropped.any() else None
@@ -886,7 +887,7 @@ def transport_closed_frame(
 
     def bases(rows: np.ndarray) -> np.ndarray:
         """Orthonormal rows spanning each set of fixed rows."""
-        return _qr(rows, _TRANSPORT_TOL)[0].transpose(0, 2, 1)
+        return _values(_orthonormal_sets(rows, _TRANSPORT_TOL))
 
     lost_a_dimension = "normal space of the curve lost a dimension at"
     rows = fixed(loop.points, loop._sample_tangents)
@@ -1051,20 +1052,24 @@ def _section_indices(spec, system, circles, ambient, tol, aux_twist_turns) -> li
     """The index of every zero circle, given as (loop, the section's Jacobians at its samples).
 
     Both terms of every circle are assembled as one frame stack and lifted
-    together. Errors are those of the circles in turn: one circle's checks,
-    transport, frames and lift come before the next circle's, and within a
-    circle term 1's frames, term 2's frames, term 1's lift, term 2's lift.
+    together, a circle only when both its terms' frames pass. The error
+    raised, and the frames noted, are those of the circles one after
+    another: checks, transport, term 1's frames, term 2's frames, term 1's
+    lift, term 2's lift.
     """
-
-    def indices(batch) -> list[Z2]:
-        parts = []
-        for loop, raws in batch:
+    parts, failure = [], None
+    for loop, raws in circles:
+        try:
             _check_section_invariants(spec, loop)
             parts += _section_parts(spec, system, loop, ambient, tol, aux_twist_turns, raws)
-        classes = _loop_classes(_frame_loops(parts, ambient, tol), tol)
-        return [c1 ^ c2 ^ Z2(1) for c1, c2 in zip(classes[::2], classes[1::2])]
-
-    return _batched(indices, circles)
+        except Exception as exc:  # noqa: BLE001 - a callback's error is its circle's
+            failure = exc
+            break
+    loops, frame_failure = _frame_loops(parts, ambient, tol)
+    classes, lift_failure = _loop_classes(loops[: len(loops) // 2 * 2], tol)
+    _note_add("frames_assembled", sum(len(loop) for loop in loops[: len(classes) // 2 * 2 + 2]))
+    bits = [c1 ^ c2 ^ Z2(1) for c1, c2 in zip(classes[::2], classes[1::2])]
+    return _values((bits, lift_failure or frame_failure or failure))
 
 
 def section_zero_loops(

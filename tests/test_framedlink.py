@@ -25,6 +25,7 @@ from fbk.errors import (
     ValidationError,
 )
 from fbk.framedlink import (
+    AmbientPresentation,
     FramedLink,
     _check_disjoint,
     NormalFraming,
@@ -43,7 +44,7 @@ from fbk.framedlink import (
     winding_number,
     winding_parity,
 )
-from fbk.numkit import DEFAULT_TOL, recording
+from fbk.numkit import DEFAULT_TOL, _values, recording, stacked
 from fbk.spinlift import RotationLoop, Z2, loop_class
 from numref import check_disjoint
 
@@ -364,6 +365,13 @@ class TestFrameMatrixLoop:
         fields = [f.copy() for f in standard_framing(circle, 4).fields]
         fields[0][17] = loop.tangent_at_sample(17)
         with pytest.raises(RankDeficient, match=r"at sample 17: vector 1 of set 17 "):
+            frame_matrix_loop(loop, NormalFraming(fields), euclidean_ambient(4))
+
+    def test_extra_framing_field_is_rank_deficient(self):
+        # five rows cannot be independent in R^4, at any sample
+        loop = plane_circle(32, 4, clockwise=True)
+        fields = [*standard_framing(loop, 4).fields, loop.points]
+        with pytest.raises(RankDeficient, match=r"at sample 0: 5 vectors cannot be independent"):
             frame_matrix_loop(loop, NormalFraming(fields), euclidean_ambient(4))
 
     def test_orientation_flip_names_first_negative_sample(self):
@@ -990,6 +998,46 @@ def twisted_circle(
     return SampledLoop(pts), NormalFraming(fields)
 
 
+def resampled_circle(dim: int, samples: int, turns: int, offset: float, flip: bool = False):
+    """twisted_circle(dim, samples, (turns, 0), offset, flip=flip), resampled between samples.
+
+    The loop's resample_tangent is declared `stacked`, and the framing
+    resamples, so the frame loop has a refiner.
+    """
+
+    def point(t: float) -> np.ndarray:
+        a = 2.0 * math.pi * t
+        p = np.zeros(dim)
+        p[0], p[1], p[3] = math.cos(a), -math.sin(a), offset
+        return p
+
+    @stacked
+    def tangent(ts: np.ndarray) -> np.ndarray:
+        a = 2.0 * math.pi * np.asarray(ts)
+        out = np.zeros((len(a), dim))
+        out[:, 0], out[:, 1] = -np.sin(a), -np.cos(a)
+        return out
+
+    def fields(t: float) -> np.ndarray:
+        a = 2.0 * math.pi * t
+        out = np.eye(dim)[1:]
+        out[0, :3] = [math.cos(a), -math.sin(a), 0.0]
+        c, s = math.cos(turns * a), math.sin(turns * a)
+        out[0], out[1] = c * out[0] + s * out[1], c * out[1] - s * out[0]
+        if flip:
+            out[0] = -out[0]
+        return out
+
+    params = [k / samples for k in range(samples)]
+    loop = SampledLoop(np.array([point(t) for t in params]), point, params, None, tangent)
+    framing = NormalFraming(np.stack([fields(t) for t in params], axis=1), fields)
+    return loop, framing
+
+
+class NoNormalHere(Exception):
+    """Raised by a manifold normal that is undefined at the points given."""
+
+
 class TestLinkStack:
     """A report assembles all its components' frames as one stack and lifts them in one pass."""
 
@@ -1025,6 +1073,93 @@ class TestLinkStack:
         assert kappa(link) == Z2(0) and delta_pontryagin(link) == Z2(0)
         assert calls == {"_rotors": 3, "_qr": 3}
 
+    def spied_with_callbacks(self, monkeypatch):
+        """Calls of _qr, _rotors, the loops' stacked tangents and the frame refiners."""
+        import fbk.framedlink as framedlink
+
+        calls = self.spied(monkeypatch)
+        calls.update(tangent=0, refiner=0)
+        make_refiner = framedlink._frame_refiner
+
+        def counted_refiner(part, *args):
+            inner = make_refiner(part, *args)
+
+            def refiner(t):
+                calls["refiner"] += 1
+                return inner(t)
+
+            return refiner if inner else None
+
+        monkeypatch.setattr(framedlink, "_frame_refiner", counted_refiner)
+        return calls
+
+    @pytest.mark.parametrize("resampled", [False, True])
+    @pytest.mark.parametrize("failing", [3, 1])
+    def test_failing_report_runs_one_pass(self, monkeypatch, failing, resampled):
+        # twisted 0 to 3 turns: 64 samples need no refiner, and on 16 with
+        # resamplers every frame loop refines, each refined frame one QR
+        def link(flipped):
+            comps = []
+            for i in range(4):
+                if not resampled:
+                    comps.append(twisted_circle(5, 64, (i, 0), 3.0 * i, flip=i == flipped))
+                    continue
+                loop, framing = resampled_circle(5, 16, i, 3.0 * i, flip=i == flipped)
+
+                @stacked
+                def tangent(ts, inner=loop.resample_tangent):
+                    calls["tangent"] += 1
+                    return inner(ts)
+
+                loop.resample_tangent = tangent
+                comps.append((loop, framing))
+            return FramedLink(comps, euclidean_ambient(5))
+
+        calls = self.spied_with_callbacks(monkeypatch)
+        invariant_report(link(None))
+        passing = dict(calls)
+        assert (passing["refiner"] > 0) == (passing["tangent"] > 0) == resampled
+        for name in calls:
+            calls[name] = 0
+        with pytest.raises(OrientationMismatch, match="at sample 0;"):
+            invariant_report(link(failing))
+        assert calls["_qr"] - calls["refiner"] == calls["_rotors"] == 1
+        assert all(calls[name] <= passing[name] for name in calls), (calls, passing)
+
+    @pytest.mark.parametrize("first", ["good", "frames", "sign"])
+    def test_raising_callback_in_a_batch(self, monkeypatch, first):
+        # the manifold normal e_4 of R^4 x {0} in R^5 raises on component
+        # 2's points; component 1 fails before it or passes
+        import fbk.spinlift as spinlift
+
+        monkeypatch.setattr(spinlift, "_angle_step_bound", lambda angle: 2.9)
+        e4 = np.eye(5)[4]
+
+        def normal(p):
+            if p[3] == 6.0:
+                raise NoNormalHere(f"no normal at {p[:2]}")
+            return e4
+
+        ambient = AmbientPresentation(5, [normal])
+
+        def circle(offset, turns=1, flip=False):
+            loop, framing = twisted_circle(5, 16, (turns, 0), offset, flip=flip)
+            return loop, NormalFraming(framing.fields[:3])
+
+        second = {"good": circle(3.0), "frames": circle(3.0, flip=True), "sign": circle(3.0, 8)}
+        comps = [circle(0.0), second[first], circle(6.0), circle(9.0)]
+        culprit = 2 if first == "good" else 1
+        with pytest.raises(Exception) as alone:
+            index_of_circle(*comps[culprit], ambient)
+        assert type(alone.value) is {
+            "good": NoNormalHere, "frames": OrientationMismatch, "sign": NotNearIdentity
+        }[first]
+        link = FramedLink(comps, ambient)
+        for report in (invariant_report, kappa):
+            with pytest.raises(type(alone.value)) as caught:
+                report(link)
+            assert str(caught.value) == str(alone.value)
+
     def test_stacked_frames_are_the_lone_frames(self, rng):
         from fbk.framedlink import _frame_loops, _FramePart
 
@@ -1032,7 +1167,7 @@ class TestLinkStack:
         loop = wavy_circle(rng, dim=6, samples=40).translated(np.array([0, 0, 0, 9.0, 0, 0]))
         comps.append((loop, twist_framing(loop, standard_framing(loop, 6), 2)))
         ambient = euclidean_ambient(6)
-        stacked = _frame_loops([_FramePart(*comp) for comp in comps], ambient, DEFAULT_TOL)
+        stacked = _values(_frame_loops([_FramePart(*comp) for comp in comps], ambient, DEFAULT_TOL))
         for rl, (loop, framing) in zip(stacked, comps):
             lone = frame_matrix_loop(loop, framing, ambient)
             assert np.array_equal(rl.samples, lone.samples) and rl.params == lone.params

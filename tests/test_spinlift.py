@@ -21,7 +21,7 @@ from fbk.errors import (
     ValidationError,
 )
 from fbk.framedlink import SampledLoop
-from fbk.numkit import _SCOPES, DEFAULT_TOL, Tolerances, recording
+from fbk.numkit import _SCOPES, DEFAULT_TOL, Tolerances, _values, recording
 from fbk.spinlift import (
     _MAX_REFINE_DEPTH,
     RotationLoop,
@@ -770,7 +770,7 @@ class TestLoopProperties:
 
 
 def lone_overlaps(loop: RotationLoop) -> np.ndarray:
-    (overlaps,) = _lift_overlaps([loop], DEFAULT_TOL)
+    (overlaps,) = _values(_lift_overlaps([loop], DEFAULT_TOL))
     return overlaps
 
 
@@ -791,17 +791,17 @@ class TestBatchLift:
             m = int(rng.integers(3, 9))
             batch = [self.mixed_loop(rng, m) for _ in range(int(rng.integers(1, 6)))]
             alone = [lone_overlaps(loop) for loop in batch]
-            together = _lift_overlaps(batch, DEFAULT_TOL)
+            together = _values(_lift_overlaps(batch, DEFAULT_TOL))
             assert len(together) == len(batch)
             for a, b in zip(alone, together):
                 assert np.array_equal(a, b)
-            assert _loop_classes(batch) == [loop_class(loop) for loop in batch]
+            assert _values(_loop_classes(batch)) == [loop_class(loop) for loop in batch]
             if m <= 4:
-                assert _loop_classes(batch) == [sparse_loop_class(loop) for loop in batch]
+                assert _values(_loop_classes(batch)) == [sparse_loop_class(loop) for loop in batch]
 
     def test_loops_of_several_dimensions(self, rng):
         batch = [self.mixed_loop(rng, m) for m in (8, 3, 5, 3, 6)]
-        together = _lift_overlaps(batch, DEFAULT_TOL)
+        together = _values(_lift_overlaps(batch, DEFAULT_TOL))
         for loop, overlaps in zip(batch, together):
             assert np.array_equal(overlaps, lone_overlaps(loop))
 
@@ -811,7 +811,7 @@ class TestBatchLift:
         big = generic_loop(rng, 12, 1, 70)
         others = [generic_loop(rng, 12, 0, 8), generic_loop(rng, 12, 1, 12)]
         assert [moved_count(loop) for loop in (*others, big)] == [12, 12, 12]
-        together = _lift_overlaps([*others, big], DEFAULT_TOL)
+        together = _values(_lift_overlaps([*others, big], DEFAULT_TOL))
         assert np.array_equal(together[2], lone_overlaps(big))
         assert [_sign_changes(c) % 2 for c in together] == [0, 1, 1]
 
@@ -821,7 +821,7 @@ class TestBatchLift:
         batch = [self.mixed_loop(rng, 4) for _ in range(4)]
         batch += [generic_loop(rng, 3, 3, 25), generic_loop(rng, 4, 1, 13)]
         expected = [lone_overlaps(loop) for loop in batch]
-        bits = _loop_classes(batch)
+        bits = _values(_loop_classes(batch))
         calls = []
         kernel = spinlift._rotors
 
@@ -832,10 +832,10 @@ class TestBatchLift:
         monkeypatch.setattr(spinlift, "_rotors", spy)
         monkeypatch.setattr(spinlift, "_PASS_COEFFS", 5 << 2)
         assert np.array_equal(lone_overlaps(batch[4]), expected[4])
-        for overlaps, want in zip(_lift_overlaps(batch, DEFAULT_TOL), expected):
+        for overlaps, want in zip(_values(_lift_overlaps(batch, DEFAULT_TOL)), expected):
             assert np.array_equal(overlaps, want)
         assert 1 < max(calls) <= 5 and len(calls) > len(batch)
-        assert _loop_classes(batch) == bits
+        assert _values(_loop_classes(batch)) == bits
         assert bits[4:] == [Z2(1), Z2(1)]
 
     def test_one_kernel_call_per_coordinate_count(self, rng, monkeypatch):
@@ -849,7 +849,7 @@ class TestBatchLift:
             return kernel(rotations)
 
         monkeypatch.setattr(spinlift, "_rotors", spy)
-        _loop_classes(batch)
+        _values(_loop_classes(batch))
         assert sorted(dims) == sorted(counts)
 
     def test_first_failing_loop_raises(self, rng, monkeypatch):
@@ -870,7 +870,29 @@ class TestBatchLift:
             ([coarse, wrong, fine], RefinementExhausted),
         ):
             with pytest.raises(error):
-                _loop_classes(loops)
+                _values(_loop_classes(loops))
+
+    def test_failing_batch_notes_the_refinement_of_later_loops(self, monkeypatch):
+        # the lift refines every loop before it tests any loop's signs, so a
+        # loop behind one that fails its sign test is refined, and noted:
+        # its 2/3-turn steps in two planes split once into 6 steps
+        monkeypatch.setattr(spinlift, "_angle_step_bound", lambda angle: 2.9)
+        sign = RotationLoop([plane_rotation(3, 0, 1, math.pi * k) for k in range(4)])
+
+        def double(t: float) -> np.ndarray:
+            a = 2.0 * math.pi * t
+            return plane_rotation(4, 0, 1, a) @ plane_rotation(4, 2, 3, a)
+
+        coarse = RotationLoop([double(k / 3) for k in range(3)], double)
+        with recording() as each:
+            with pytest.raises(NotNearIdentity):
+                loop_class(sign)
+            loop_class(coarse)
+        assert each == {"lift_steps": 4 + 6, "refinement_depth": 1}
+        with recording() as record:
+            classes, failure = _loop_classes([sign, coarse])
+        assert classes == [] and isinstance(failure, NotNearIdentity)
+        assert record == each
 
 
 def moved_count(loop: RotationLoop) -> int:

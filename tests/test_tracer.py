@@ -1204,6 +1204,28 @@ class TestSectionIndex:
             with pytest.raises(NonTransverse, match=rf"at sample {k}$"):
                 _section_indices(spec, system, [(circle, raws)], sphere_ambient(6), DEFAULT_TOL, 0)
 
+    def test_degenerate_circle_among_two_names_its_own_sample(self):
+        # the degenerate circle of the test above, before and after a good
+        # one: the stack is cut at whole circles, and the error counts the
+        # samples of the degenerate circle alone
+        section, jac, seed = S5_SECTIONS["s5-vector-fields"]
+        good = SectionSpec(5, _s5_splitting, section, jacobian=jac)
+        (loop,) = section_zero_loops(good, TraceOptions(seeds=[seed]))
+        bad = loop.points[17].copy()
+
+        def degenerate_jac(x):
+            return np.zeros((6, 6)) if np.array_equal(x, bad) else jac(x)
+
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=degenerate_jac)
+        system = _map_system(_section_map(spec))
+        degenerate = (loop, [degenerate_jac(x) for x in loop.points])
+        fine = (loop.cycled(5), [jac(x) for x in loop.cycled(5).points])
+        (bit,) = _section_indices(spec, system, [fine], sphere_ambient(6), DEFAULT_TOL, 0)
+        assert int(bit) == 1
+        for circles in ([degenerate, fine], [fine, degenerate]):
+            with pytest.raises(NonTransverse, match=r"at sample 17$"):
+                _section_indices(spec, system, circles, sphere_ambient(6), DEFAULT_TOL, 0)
+
     def test_derivative_degenerate_between_samples_is_non_transverse(self):
         # dw is exact at the samples and zero between them; a lift bound
         # below the sample spacing makes term 2's refiner assemble frames
@@ -1234,9 +1256,9 @@ class TestSectionIndex:
         original = tracer_mod._loop_classes
 
         def spy(loops, tol=DEFAULT_TOL):
-            bits = original(loops, tol)
+            bits, failure = original(loops, tol)
             recorded.append([int(bit) for bit in bits])
-            return bits
+            return bits, failure
 
         monkeypatch.setattr(tracer_mod, "_loop_classes", spy)
         opts = TraceOptions(seeds=[np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])])

@@ -24,8 +24,13 @@ R^8 and R^12, moving 4 coordinates, without resamplers), one line each:
   - report_ms: milliseconds per `invariant_report` of the link, which
     assembles all its components' frames as one stack and lifts them
     together, the minimum over --repeat calls;
-  - frames_assembled, as above, and givens_passes: the calls of the lift's
-    Givens kernel `spinlift._rotors` in one report.
+  - frames_assembled, as above; qr_calls, the calls of the batched QR
+    `numkit._qr`; and givens_passes, the calls of the lift's Givens kernel
+    `spinlift._rotors`, each in one report.
+
+The R^8 link is run once more with its last component coarse (its framing
+turned 16 more times, past the lift's angle bound at every step), so its
+report raises RefinementExhausted: a failing report costs one pass too.
 
 Last, the link-file load, for the same three links written as JSON link
 files and for a dense Hopf link (two linked circles of 4000 and of 20000
@@ -58,7 +63,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
-from fbk import frame_matrix_loop, recording, spinlift  # noqa: E402
+from fbk import frame_matrix_loop, numkit, recording, spinlift  # noqa: E402
+from fbk.errors import RefinementExhausted  # noqa: E402
 from fbk.framedlink import _check_disjoint, invariant_report, load_link, load_link_file  # noqa: E402
 from fbk.cli import _parse_override  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
@@ -152,27 +158,49 @@ def hopf_link(samples: int) -> dict:
     return {"ambient": {"kind": "euclidean", "dimension": 4}, "components": comps}
 
 
+def coarse_last(document: dict, turns: int = 16) -> dict:
+    """The link document with its last component's first two fields turned `turns` more times."""
+    comps = [dict(comp) for comp in document["components"]]
+    fields = np.array(comps[-1]["framing"])
+    ang = 2.0 * math.pi * turns * np.arange(fields.shape[1]) / fields.shape[1]
+    c, s = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    fields[0], fields[1] = c * fields[0] + s * fields[1], c * fields[1] - s * fields[0]
+    comps[-1]["framing"] = fields.tolist()
+    return {**document, "components": comps}
+
+
+def report(link):
+    """invariant_report of the link; a link too coarse to lift raises RefinementExhausted."""
+    try:
+        invariant_report(link)
+    except RefinementExhausted:
+        pass
+
+
 def timed_report(link, repeat: int):
-    """(report_ms, frames_assembled, givens_passes) of one link's invariant_report."""
+    """(report_ms, frames_assembled, qr_calls, givens_passes) of one link's invariant_report."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        invariant_report(link)
+        report(link)
         best = min(best, time.perf_counter() - start)
-    kernel = spinlift._rotors
-    passes = []
+    calls = {"_qr": 0, "_rotors": 0}
+    spied = [(numkit, "_qr"), (spinlift, "_rotors")]
+    originals = [getattr(module, name) for module, name in spied]
+    for (module, name), real in zip(spied, originals):
 
-    def counted(rotations):
-        passes.append(len(rotations))
-        return kernel(rotations)
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
 
-    spinlift._rotors = counted
+        setattr(module, name, counted)
     try:
         with recording() as record:
-            invariant_report(link)
+            report(link)
     finally:
-        spinlift._rotors = kernel
-    return 1e3 * best, record.get("frames_assembled", 0), len(passes)
+        for (module, name), real in zip(spied, originals):
+            setattr(module, name, real)
+    return 1e3 * best, record.get("frames_assembled", 0), calls["_qr"], calls["_rotors"]
 
 
 def timed_load(document: dict, directory: str, repeat: int):
@@ -208,17 +236,18 @@ def main(argv=None) -> int:
         print(f"{label:40s} {k:4d} {count:5d} {fresh:9.3f} {cached:9.3f} {frames:16d}")
     print()
     print(f"{'link-file-shaped link':40s} {'K':>4s} {'loops':>5s} {'report_ms':>9s} "
-          f"{'frames_assembled':>16s} {'givens_passes':>13s}")
+          f"{'frames_assembled':>16s} {'qr_calls':>8s} {'givens_passes':>13s}")
     rng = np.random.default_rng(7)
     documents = {}
     for dim in (4, 8, 12):
-        document = link_file_shaped(rng, dim)
+        documents[f"R{dim} 4x64"] = link_file_shaped(rng, dim)
+    reports = {**documents, "R8 4x64, last coarse: raises": coarse_last(documents["R8 4x64"])}
+    for label, document in reports.items():
         link = load_link(document)
-        report_ms, frames, passes = timed_report(link, args.repeat)
+        report_ms, frames, qr_calls, passes = timed_report(link, args.repeat)
         count, k = len(link.components), len(link.components[0][0])
-        label = f"R{dim} {count}x{k}"
-        documents[label] = document
-        print(f"{label:40s} {k:4d} {count:5d} {report_ms:9.3f} {frames:16d} {passes:13d}")
+        print(f"{label:40s} {k:4d} {count:5d} {report_ms:9.3f} {frames:16d} {qr_calls:8d} "
+              f"{passes:13d}")
     for samples in (4000, 20000):
         documents[f"Hopf R4 2x{samples}"] = hopf_link(samples)
     print()
