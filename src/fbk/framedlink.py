@@ -1,23 +1,24 @@
 """Framed links in a presented ambient manifold and their Z2 invariants.
 
 A link component is a sampled closed curve together with framing fields of
-its normal bundle. The ambient manifold enters through three pieces of
-data: how many dimensions the embedding space has, unit normal fields of
-the manifold inside that space, and a spin-twist evaluator that scores
-loops by the chosen spin structure (zero for the reference structure).
+its normal bundle, whose shapes _check_component holds to the ambient for
+a FramedLink, a link file and frame assembly alike. The ambient manifold
+enters through three pieces of data: how many dimensions the embedding
+space has, unit normal fields of the manifold inside that space, and a
+spin-twist evaluator that scores loops by the chosen spin structure (zero
+for the reference structure).
 
 The index of a framed circle is computed by assembling, at every sample,
 the square matrix whose rows are [manifold normals, curve tangent, framing
-fields] orthonormalized, classifying that rotation loop, and flipping the
-bit once (plus the spin twist). A report assembles the frames of all its
-components as one (samples, N, N) stack, with one batched QR and one
-batched determinant, and lifts all the frame loops together; a frame
-loop's refiner goes through the same assembly one parameter at a time.
-Each stage returns the results of the components before the first failing
-one, and its error, which the report raises: one pass meets the error of
-the components taken one after another. kappa of a
-link is the xor of the component indices; on Euclidean ambients it agrees
-with the classical count that also adds the number of components mod 2.
+fields] (_frame_rows) orthonormalized, classifying that rotation loop, and
+flipping the bit once (plus the spin twist). A report's frames, of link
+circles or of a section's two-term zero circles, go through _frame_bits:
+one (samples, N, N) stack, one batched QR and determinant, and one lift;
+a frame loop's refiner goes through the same assembly one parameter at a
+time. Each stage returns the results of the components before the first
+failing one, and its error, which the report raises. kappa of a link is
+the xor of the component indices; on Euclidean ambients it agrees with
+the classical count that also adds the number of components mod 2.
 """
 
 from __future__ import annotations
@@ -378,17 +379,24 @@ class NormalFraming:
         return self.fields[:, k]
 
     def at(self, t: float) -> np.ndarray:
+        """The resampler's (count, N) fields at t; another shape is an EvaluationFailure."""
         if self.resample is None:
             raise ValidationError("framing has no resample callback")
-        return np.asarray(self.resample(t % 1.0), dtype=float)
+        out = np.asarray(self.resample(t % 1.0), dtype=float)
+        want = (self.count, self.fields.shape[2])
+        if out.shape != want:
+            raise EvaluationFailure(
+                f"framing resampler returned shape {out.shape} at parameter {t % 1.0:.6f}; "
+                f"expected {want}"
+            )
+        return out
 
     def transformed(self, Q: np.ndarray) -> "NormalFraming":
         Q = np.asarray(Q, dtype=float)
         fields = self.fields @ Q.T
         resample = None
         if self.resample is not None:
-            inner = self.resample
-            resample = lambda t: np.asarray(inner(t)) @ Q.T  # noqa: E731
+            resample = lambda t: self.at(t) @ Q.T  # noqa: E731
         return NormalFraming(fields, resample)
 
     def reversed(self) -> "NormalFraming":
@@ -397,8 +405,7 @@ class NormalFraming:
         fields = self.fields[:, idx]
         resample = None
         if self.resample is not None:
-            inner = self.resample
-            resample = lambda t: inner((1.0 - t) % 1.0)  # noqa: E731
+            resample = lambda t: self.at(1.0 - t)  # noqa: E731
         return NormalFraming(fields, resample)
 
 
@@ -491,6 +498,33 @@ def winding_number(loop: SampledLoop, plane: tuple[int, int] = (0, 1)) -> int:
     return int(round(float(np.sum(d)) / (2.0 * math.pi)))
 
 
+def _check_component(
+    loop: SampledLoop,
+    framing: NormalFraming,
+    ambient: AmbientPresentation,
+    at: str = "",
+    more_fields: bool = False,
+):
+    """Raise a ValidationError led by at unless the points and framing fields fit the ambient.
+
+    With more_fields, as frame assembly checks its parts, more fields than
+    the ambient requires pass, to fail the rank rule (N + 1 rows in R^N).
+    """
+    want = ambient.framing_count
+    if loop.dimension != ambient.dimension:
+        raise ValidationError(
+            f"{at}points live in R^{loop.dimension}, ambient is R^{ambient.dimension}"
+        )
+    if framing.count < want or (framing.count > want and not more_fields):
+        raise ValidationError(f"{at}framing has {framing.count} fields, ambient requires {want}")
+    if framing.sample_count != len(loop):
+        raise ValidationError(
+            f"{at}framing sampled at {framing.sample_count} points, loop at {len(loop)}"
+        )
+    if framing.fields.shape[2] != loop.dimension:
+        raise ValidationError(f"{at}framing vectors have the wrong dimension")
+
+
 @dataclass
 class FramedLink:
     """Disjoint framed circles sharing one ambient presentation."""
@@ -499,27 +533,8 @@ class FramedLink:
     ambient: AmbientPresentation
 
     def __post_init__(self):
-        want = self.ambient.framing_count
         for n, (loop, framing) in enumerate(self.components):
-            if loop.dimension != self.ambient.dimension:
-                raise ValidationError(
-                    f"component {n}: points live in R^{loop.dimension}, "
-                    f"ambient is R^{self.ambient.dimension}"
-                )
-            if framing.count != want:
-                raise ValidationError(
-                    f"component {n}: framing has {framing.count} fields, "
-                    f"ambient requires {want}"
-                )
-            if framing.sample_count != len(loop):
-                raise ValidationError(
-                    f"component {n}: framing sampled at {framing.sample_count} points, "
-                    f"loop at {len(loop)}"
-                )
-            if framing.fields.shape[2] != loop.dimension:
-                raise ValidationError(
-                    f"component {n}: framing vectors have the wrong dimension"
-                )
+            _check_component(loop, framing, self.ambient, f"component {n}: ")
         if len(self.components) > 1:
             _check_disjoint([loop.points for loop, _ in self.components])
 
@@ -766,14 +781,16 @@ def _frame_loops(
 ) -> tuple[list[RotationLoop], Exception | None]:
     """frame_matrix_loop of the parts before the first failing one, and its error (or None).
 
-    The callbacks run part by part, once per stack, and one that raises
-    fails its part. Each RotationLoop holds a view of the frames and its
-    part's refiner. Nothing is noted.
+    Each part in turn meets _check_component and runs its callbacks, once
+    per stack; a breach, or a callback that raises, fails its part. Each
+    RotationLoop holds a view of the frames and its part's refiner.
+    Nothing is noted.
     """
     rows, failure = [], None
     for part in parts:
         loop = part.loop
         try:
+            _check_component(loop, part.framing, ambient, more_fields=True)
             if part.middle is None:
                 middles = loop._sample_tangents
             else:
@@ -845,32 +862,35 @@ def frame_matrix_loop(
 
 
 def _frame_bits(
-    components: Sequence[tuple[SampledLoop, NormalFraming]],
+    parts: Sequence[_FramePart],
+    group: int,
     ambient: AmbientPresentation,
     tol: Tolerances,
     bit: Callable[[Z2, SampledLoop], Z2],
 ) -> list[Z2]:
-    """bit(class of its frame loop, loop) of every component: one frame stack and one lift for all.
+    """bit(xor of its parts' classes, its first loop) of every component of group consecutive parts.
 
-    The error raised, and the frames noted, are those of the components
-    one after another up to the first failing one.
+    A link circle is one part, a section's zero circle two. One frame stack
+    and one lift for all; a component is lifted only when all its parts'
+    frames pass. The error raised, and the frames noted, are those of the
+    components one after another up to the first failing one.
     """
-    loops, failure = _frame_loops([_FramePart(*c) for c in components], ambient, tol)
-    classes, lift_failure = _loop_classes(loops, tol)
+    loops, failure = _frame_loops(parts, ambient, tol)
+    classes, lift_failure = _loop_classes(loops[: len(loops) // group * group], tol)
     bits = []
-    for frames, cls, (loop, _) in zip(loops, classes, components):
-        _note_add("frames_assembled", len(frames))
-        bits.append(bit(cls, loop))
-    if lift_failure is not None:
-        # the failing component's frames were assembled before its lift
-        _note_add("frames_assembled", len(loops[len(classes)]))
+    done = len(classes) // group * group
+    for c in range(0, done, group):
+        _note_add("frames_assembled", sum(map(len, loops[c : c + group])))
+        bits.append(bit(reduce(lambda a, b: a ^ b, classes[c : c + group]), parts[c].loop))
+    if loops[done:]:
+        _note_add("frames_assembled", sum(map(len, loops[done : done + group])))
     return _values((bits, lift_failure or failure))
 
 
 def _circle_indices(components, ambient: AmbientPresentation, tol: Tolerances) -> list[Z2]:
     """index_of_circle of every (loop, framing) component, through _frame_bits."""
     twisted = lambda cls, loop: cls ^ Z2(1) ^ ambient.spin_twist(loop)  # noqa: E731
-    return _frame_bits(components, ambient, tol, twisted)
+    return _frame_bits([_FramePart(*c) for c in components], 1, ambient, tol, twisted)
 
 
 def index_of_circle(
@@ -896,7 +916,8 @@ def delta_pontryagin(link: FramedLink, tol: Tolerances = DEFAULT_TOL) -> Z2:
     """
     if link.ambient.kind != "euclidean" or link.ambient.manifold_normals:
         raise AmbientMismatch("this count is defined on Euclidean ambients only")
-    classes = _frame_bits(link.components, link.ambient, tol, lambda cls, loop: cls)
+    parts = [_FramePart(*c) for c in link.components]
+    classes = _frame_bits(parts, 1, link.ambient, tol, lambda cls, loop: cls)
     return reduce(lambda a, b: a ^ b, classes, Z2(len(link.components) & 1))
 
 
@@ -912,10 +933,9 @@ def _recombined(
     fields = mix(np.asarray(params, dtype=float)) @ framing.fields.transpose(1, 0, 2)
     resample = None
     if framing.resample is not None:
-        inner = framing.resample
 
         def resample(t: float) -> np.ndarray:
-            return mix(np.array([t % 1.0]))[0] @ np.asarray(inner(t % 1.0), dtype=float)
+            return mix(np.array([t % 1.0]))[0] @ framing.at(t)
 
     return NormalFraming(fields.transpose(1, 0, 2), resample)
 
@@ -1060,10 +1080,13 @@ def load_link(document: dict) -> FramedLink:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"component {n}: points are not numeric") from exc
         _require(pts.ndim == 2, f"component {n}: points must be a list of vectors")
-        _require(
-            pts.shape[1] == dim,
-            f"component {n}: points live in R^{pts.shape[1]}, ambient is R^{dim}",
-        )
+        try:
+            fields = np.asarray(comp["framing"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"component {n}: framing is not numeric") from exc
+        _require(fields.ndim == 3, f"component {n}: framing must be [field][sample][coordinate]")
+        loop, framing = SampledLoop(pts), NormalFraming(fields)
+        _check_component(loop, framing, ambient, f"component {n}: ")
         if kind == "sphere":
             radii = np.linalg.norm(pts, axis=1)
             _require(
@@ -1076,32 +1099,11 @@ def load_link(document: dict) -> FramedLink:
                 bool(np.max(np.abs(rho - 1.0)) < 1e-6),
                 f"component {n}: points must lie on the unit circle factor",
             )
-        normals = _normals_at(ambient.manifold_normals, pts)
-        loop = SampledLoop(pts)
-        try:
-            fields_raw = np.asarray(comp["framing"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"component {n}: framing is not numeric") from exc
-        _require(
-            fields_raw.ndim == 3,
-            f"component {n}: framing must be [field][sample][coordinate]",
-        )
-        _require(
-            fields_raw.shape[0] == ambient.framing_count,
-            f"component {n}: framing has {fields_raw.shape[0]} fields, "
-            f"ambient requires {ambient.framing_count}",
-        )
-        _require(
-            fields_raw.shape[1] == len(loop) and fields_raw.shape[2] == dim,
-            f"component {n}: framing shape does not match the loop",
-        )
-        rows = np.concatenate(
-            [normals, loop._chords[:, None], fields_raw.transpose(1, 0, 2)], axis=1
-        )
+        rows = _frame_rows(ambient, loop.points, loop._chords, framing.fields.transpose(1, 0, 2))
         norms = np.linalg.norm(rows, axis=2)
         det = np.linalg.det(rows)
         bad = np.abs(det) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)
-        bad |= np.any(norms[:, -fields_raw.shape[0] :] <= _MIN_FIELD_NORM, axis=1)
+        bad |= np.any(norms[:, -framing.count :] <= _MIN_FIELD_NORM, axis=1)
         flat = np.flatnonzero(bad)
         if flat.size:
             raise ValidationError(
@@ -1115,7 +1117,6 @@ def load_link(document: dict) -> FramedLink:
                 f"component {n}: frame [manifold normals, tangent, framing] is left-handed "
                 f"at sample {flipped[0]}; its determinant must be positive"
             )
-        framing = NormalFraming(fields_raw)
         comps.append((loop, framing))
     return FramedLink(comps, ambient)
 

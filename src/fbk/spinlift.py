@@ -12,12 +12,12 @@ e_1..e_m with e_i e_i = +1 and e_i e_j = -e_j e_i. Only the d coordinates
 that the loop moves (at least 3) take part. A rotor is carried as its
 2^(d-1) coefficients on the even blades of Cl(d); right-multiplying by a
 bivector e_j e_i is a signed permutation of them, read from a cached table,
-so one Givens factorization run over a whole stack of samples yields every
-rotor by gathers and sign flips (Doran-Lasenby, Geometric Algebra for
-Physicists, 2003, ch. 4). That stack is every loop a report lifts: the
-reports hand all their frame loops to _loop_classes, which runs one such
-pass per moved-coordinate count (in slices of bounded memory), and
-loop_class is its batch of one. For m = 3, quaternion_loop_class lifts
+so one Givens elimination (_givens) run over a whole stack of samples
+yields every rotor by gathers and sign flips (Doran-Lasenby, Geometric
+Algebra for Physicists, 2003, ch. 4). Every loop is lifted relative to
+its first sample, so it starts at the rotor 1, and the loops a report
+lifts (_loop_classes; loop_class is the batch of one) form one cyclic
+chain per moved-coordinate count. For m = 3, quaternion_loop_class lifts
 through unit quaternions instead, as an independent cross-check.
 """
 
@@ -297,12 +297,32 @@ def _spin_tables(d: int) -> _SpinTables:
     return _SpinTables(planes, blades, perm, sign)
 
 
+def _givens(M: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """Reduce a (d, d, K) rotation stack M to I in place; (j, i, theta) of every plane.
+
+    Column by column, the rotation G by theta = atan2(M[i, j], M[j, j]) (a
+    (K,) array) in the (e_j, e_i) plane zeroes M[i, j] of M = G ... R
+    (Golub and Van Loan, Matrix Computations, 5.1.8), in the order of
+    _spin_tables(d).planes. Each column j leaves row j = e_j, M being
+    orthogonal, and the last diagonal entry is det R: a reflection is not
+    reduced to I.
+    """
+    planes = []
+    for j in range(len(M) - 1):
+        for i in range(j + 1, len(M)):
+            theta = np.arctan2(M[i, j], M[j, j])
+            c, s = np.cos(theta), np.sin(theta)
+            M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
+            planes.append((j, i, theta))
+    return planes
+
+
 def _rotors(rotations: np.ndarray) -> np.ndarray:
     """Unit rotors covering a (K, d, d) rotation stack, as (K, 2^(d-1)) even coefficients.
 
     Coefficients are in the order of _spin_tables(d).blades. Every rotation
     is factored into Givens rotations by eliminating its below-diagonal
-    entries column by column, all rotations at once; the factor by theta in
+    entries column by column, all rotations at once (_givens); the factor by theta in
     the (e_j, e_i) plane has the exact rotor cos(theta/2) - sin(theta/2) e_j e_i,
     and the factors are multiplied in order. Every rotation factors so,
     whatever its angles, and its rotor is either of its two lifts. Raises
@@ -316,10 +336,7 @@ def _rotors(rotations: np.ndarray) -> np.ndarray:
     M = rotations.transpose(1, 2, 0).copy()
     rotors = np.zeros((len(tables.blades), len(rotations)))
     rotors[0] = 1.0
-    for p, (j, i) in enumerate(tables.planes):
-        theta = np.arctan2(M[i, j], M[j, j])
-        c, s = np.cos(theta), np.sin(theta)
-        M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
+    for p, (_, _, theta) in enumerate(_givens(M)):
         half = 0.5 * theta
         rotors = np.cos(half) * rotors - np.sin(half) * rotors[tables.perm[p]] * sign[p]
     residue = np.max(np.abs(M - np.eye(rotations.shape[1])[:, :, None]), axis=(0, 1))
@@ -330,42 +347,33 @@ def _rotors(rotations: np.ndarray) -> np.ndarray:
     return np.divide(rotors.T, np.sqrt(np.sum(rotors * rotors, axis=0))[:, None], order="C")
 
 
-def _overlaps(rotations: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """The rotor overlaps of cyclic loops stacked one after another in a (K, d, d) stack.
+def _overlaps(rotations: np.ndarray) -> np.ndarray:
+    """The rotor overlaps of a (K, d, d) rotation stack as one cyclic chain.
 
-    Loop i holds the next lengths[i] rotations, rows s to e - 1. Overlap k
-    is the coefficient dot product of the rotors of row k and of its
-    successor in its loop: row k + 1, and row s for the loop's last row, so
-    a loop's overlaps are rows s to e - 1 of the result, its consecutive
-    pairs in order and then its closing pair. _rotors runs in passes of
+    Overlap k is the coefficient dot product of the rotors of row k and of
+    row k + 1, the last row closing on row 0. A loop that starts at exactly
+    I, as _lift_overlaps' loops do, starts at the exact rotor 1, so the
+    overlap into it from the row before is that row's scalar part, the
+    closing overlap of the loop that row ends. _rotors runs in passes of
     balanced lengths, each of at most _PASS_COEFFS coefficients (a whole
-    link at d <= 8 takes one); the last rotor of a pass is carried into the
-    next, and each loop's first and last rotors are kept for its closing
-    pair. Every overlap is the row sum of the product of two contiguous
+    link at d <= 8 takes one), and the last rotor of a pass is carried into
+    the next. Every overlap is the row sum of the product of two contiguous
     coefficient rows, so a loop's overlaps are bit for bit the same
     wherever the passes cut the stack and whatever loops share it, as long
     as no pass holds a single row (only a stack of one rotation does).
     """
     n, d = rotations.shape[:2]
-    ends = list(itertools.accumulate(lengths))
-    firsts = [e - length for e, length in zip(ends, lengths)]
-    lasts = [e - 1 for e in ends]
     passes = -(-n * (1 << (d - 1)) // _PASS_COEFFS)
     overlaps = np.empty(n)
-    edges = firsts + lasts
-    edge_rotors = np.empty((len(edges), 1 << (d - 1)))
     cuts = [n * p // passes for p in range(passes + 1)]
     for lo, hi in zip(cuts, cuts[1:]):
         fresh = _rotors(rotations[lo:hi])
-        rotors = np.concatenate((rotors[-1:], fresh)) if lo else fresh
+        if lo:
+            rotors = np.concatenate((rotors[-1:], fresh))
+        else:
+            rotors, first = fresh, fresh[0].copy()
         overlaps[max(lo - 1, 0) : hi - 1] = np.add.reduce(rotors[1:] * rotors[:-1], axis=1)
-        # row by row: for the few edges of a report, cheaper than fancy indexing
-        for i, row in enumerate(edges):
-            if lo <= row < hi:
-                edge_rotors[i] = fresh[row - lo]
-    # the closing pairs replace the pairs that ran from a loop into the next
-    count = len(ends)
-    overlaps[lasts] = np.add.reduce(edge_rotors[:count] * edge_rotors[count:], axis=1)
+    overlaps[-1:] = np.add.reduce(rotors[-1:] * first, axis=1)
     return overlaps
 
 
@@ -408,13 +416,13 @@ def _lift_overlaps(loops: Sequence[RotationLoop], tol: Tolerances) -> tuple:
 
     Each loop in turn has its dimension checked and is refined with its own
     refiner; its refined samples S_k give the relative stack P_k =
-    S_k S_0^T, restricted to the coordinates the P_k move and checked
-    orthogonal. The first loop to fail stops these steps, and its error is
-    returned (None when none fails). The loops before it that move the same
-    number d of coordinates are lifted as one stack: one _overlaps run per
-    d. A loop is never padded into more coordinates, which would reorder
-    its coefficients and the rounding of its sums, so its overlaps are bit
-    for bit those it gets alone.
+    S_k S_0^T, P_0 the exact identity, restricted to the coordinates the
+    P_k move and checked orthogonal. The first loop to fail stops these
+    steps, and its error is returned (None when none fails). The loops
+    before it that move the same number d of coordinates are lifted as one
+    cyclic chain: one _overlaps run per d. A loop is never padded into more
+    coordinates, which would reorder its coefficients and the rounding of
+    its sums, so its overlaps are bit for bit those it gets alone.
     """
     relative = []
     failure = None
@@ -425,7 +433,9 @@ def _lift_overlaps(loops: Sequence[RotationLoop], tol: Tolerances) -> tuple:
                     f"loop classification needs dimension in [3, {_MAX_DIM}], got {loop.dim}"
                 )
             samples = _refined(loop, tol)
-            P = _moved_coordinates(samples @ samples[0].T)
+            P = samples @ samples[0].T
+            P[0] = np.eye(loop.dim)
+            P = _moved_coordinates(P)
             # P_k is a product of two checked samples, so its determinant is
             # positive, but the two orthogonality defects add up.
             defect = np.max(np.abs(P.transpose(0, 2, 1) @ P - np.eye(P.shape[1])))
@@ -441,10 +451,10 @@ def _lift_overlaps(loops: Sequence[RotationLoop], tol: Tolerances) -> tuple:
     out: list = [None] * len(relative)
     for members in groups.values():
         stacks = [relative[i] for i in members]
-        lengths = [len(P) for P in stacks]
-        overlaps = _overlaps(stacks[0] if len(stacks) == 1 else np.concatenate(stacks), lengths)
-        for i, end, length in zip(members, itertools.accumulate(lengths), lengths):
-            out[i] = overlaps[end - length : end]
+        overlaps = _overlaps(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        ends = itertools.accumulate(len(P) for P in stacks)
+        for i, end, P in zip(members, ends, stacks):
+            out[i] = overlaps[end - len(P) : end]
     return out, failure
 
 

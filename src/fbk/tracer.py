@@ -46,7 +46,8 @@ from .framedlink import (
     NormalFraming,
     SampledLoop,
     _circle_indices,
-    _frame_loops,
+    _frame_bits,
+    _frame_rows,
     _FramePart,
     _normals_at,
     _recombined,
@@ -70,7 +71,7 @@ from .numkit import (
     jacobian_fd,
     recording,
 )
-from .spinlift import Z2, _loop_classes
+from .spinlift import Z2, _givens
 
 
 @dataclass
@@ -675,8 +676,9 @@ def induced_framing(
 
 def _frame_det(loop, middle, framing, ambient, k) -> float:
     """Sign-relevant determinant of the raw frame rows at sample k."""
-    normals = _normals_at(ambient.manifold_normals, loop.points[k : k + 1])[0]
-    return float(np.linalg.det(np.vstack([normals, middle, framing.at_sample(k)])))
+    fields = framing.fields[:, k : k + 1].transpose(1, 0, 2)
+    rows = _frame_rows(ambient, loop.points[k : k + 1], middle[None], fields)
+    return float(np.linalg.det(rows[0]))
 
 
 def _oriented(loop, framing, ambient):
@@ -933,22 +935,11 @@ def transport_closed_frame(
 def _givens_planes(H: np.ndarray) -> list[tuple[int, int, float]]:
     """Planes (j, i) and angles theta whose Givens rotations take an SO(n) matrix H to I.
 
-    Column by column, the rotation G by theta = atan2(M[i, j], M[j, j]) in
-    the (e_j, e_i) plane zeroes M[i, j] of M = G ... H (Golub and Van Loan,
-    Matrix Computations, 5.1.8), as spinlift._rotors eliminates its
-    rotations. Each eliminated column j leaves M[j, j] = 1 and, M being
-    orthogonal, row j = e_j; the last diagonal entry is det H = 1. So
-    G_p ... G_1 H = I for the returned (j, i, theta) in order.
+    The elimination of spinlift._givens, which the lift runs on its rotor
+    stacks, run on a stack of one: G_p ... G_1 H = I for the returned
+    (j, i, theta) in order.
     """
-    M = H.copy()
-    planes = []
-    for j in range(len(M) - 1):
-        for i in range(j + 1, len(M)):
-            theta = math.atan2(M[i, j], M[j, j])
-            c, s = math.cos(theta), math.sin(theta)
-            M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
-            planes.append((j, i, theta))
-    return planes
+    return [(j, i, float(theta[0])) for j, i, theta in _givens(H[:, :, None].copy())]
 
 
 def _givens_path(planes, n: int, u: np.ndarray) -> np.ndarray:
@@ -1051,8 +1042,8 @@ def _non_transverse(where: str) -> NonTransverse:
 def _section_indices(spec, system, circles, ambient, tol, aux_twist_turns) -> list[Z2]:
     """The index of every zero circle, given as (loop, the section's Jacobians at its samples).
 
-    Both terms of every circle are assembled as one frame stack and lifted
-    together, a circle only when both its terms' frames pass. The error
+    Both terms of every circle, up to the first whose checks or transport
+    fail, go through _frame_bits as one component of two parts. The error
     raised, and the frames noted, are those of the circles one after
     another: checks, transport, term 1's frames, term 2's frames, term 1's
     lift, term 2's lift.
@@ -1065,11 +1056,8 @@ def _section_indices(spec, system, circles, ambient, tol, aux_twist_turns) -> li
         except Exception as exc:  # noqa: BLE001 - a callback's error is its circle's
             failure = exc
             break
-    loops, frame_failure = _frame_loops(parts, ambient, tol)
-    classes, lift_failure = _loop_classes(loops[: len(loops) // 2 * 2], tol)
-    _note_add("frames_assembled", sum(len(loop) for loop in loops[: len(classes) // 2 * 2 + 2]))
-    bits = [c1 ^ c2 ^ Z2(1) for c1, c2 in zip(classes[::2], classes[1::2])]
-    return _values((bits, lift_failure or frame_failure or failure))
+    bits = _frame_bits(parts, 2, ambient, tol, lambda cls, loop: cls ^ Z2(1))
+    return _values((bits, failure))
 
 
 def section_zero_loops(

@@ -9,6 +9,8 @@ import pytest
 
 import fbk
 import fbk.cli as cli
+from fbk.errors import ValidationError
+from fbk.framedlink import load_link
 from fbk.scenarios import REGISTRY
 
 from conftest import standard_framing
@@ -215,6 +217,36 @@ class TestLink:
         code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
         assert code == 3
         assert "component 0: " in err and "left-handed at sample 0;" in err
+
+    @pytest.mark.parametrize(
+        "dim, fields, samples, width, message",
+        [
+            (3, 2, 96, 3, "component 0: points live in R^3, ambient is R^4"),
+            (4, 2, 96, 4, "component 0: framing has 2 fields, ambient requires 3"),
+            (4, 3, 48, 4, "component 0: framing sampled at 48 points, loop at 96"),
+            (4, 3, 96, 5, "component 0: framing vectors have the wrong dimension"),
+        ],
+    )
+    def test_malformed_component_exit_code(
+        self, capsys, tmp_path, dim, fields, samples, width, message
+    ):
+        # the cases of TestFramedLinkChecks as link documents: load_link
+        # meets FramedLink's checks, with their messages
+        doc = {
+            "ambient": {"kind": "euclidean", "dimension": 4},
+            "components": [
+                {
+                    "points": plane_circle(96, dim).points.tolist(),
+                    "framing": np.ones((fields, samples, width)).tolist(),
+                }
+            ],
+        }
+        with pytest.raises(ValidationError) as caught:
+            load_link(doc)
+        assert str(caught.value) == message
+        code, _, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert code == 3
+        assert err == f"error: {message}\n"
 
     def test_coincident_components_exit_code(self, capsys, tmp_path):
         doc = circle_link_doc()

@@ -374,6 +374,30 @@ class TestFrameMatrixLoop:
         with pytest.raises(RankDeficient, match=r"at sample 0: 5 vectors cannot be independent"):
             frame_matrix_loop(loop, NormalFraming(fields), euclidean_ambient(4))
 
+    def test_missing_framing_field_is_a_validation_error(self):
+        # two of the three fields R^4 needs: the frames would not be square
+        loop = plane_circle(32, 4, clockwise=True)
+        framing = NormalFraming(standard_framing(loop, 4).fields[:2])
+        message = r"^framing has 2 fields, ambient requires 3$"
+        for compute in (frame_matrix_loop, index_of_circle):
+            with pytest.raises(ValidationError, match=message):
+                compute(loop, framing, euclidean_ambient(4))
+
+    def test_framing_resampler_of_the_wrong_shape(self):
+        # the coarse twisted circle refines; its framing resampler drops a
+        # coordinate, and every copy of the framing calls it through at()
+        loop = plane_circle(16, 4, clockwise=True)
+        framing = twist_framing(loop, standard_framing(loop, 4), 3)
+        broken = NormalFraming(framing.fields, lambda t: framing.at(t)[:, :3])
+        shape = r"framing resampler returned shape \(3, 3\) at parameter 0\.\d{6}; "
+        shape += r"expected \(3, 4\)"
+        with pytest.raises(EvaluationFailure, match=shape):
+            index_of_circle(loop, broken, euclidean_ambient(4))
+        copies = (broken.reversed(), broken.transformed(np.eye(4)), twist_framing(loop, broken, 1))
+        for copy in copies:
+            with pytest.raises(EvaluationFailure, match=shape):
+                copy.at(0.3)
+
     def test_orientation_flip_names_first_negative_sample(self):
         loop = plane_circle(64, 4, clockwise=True)
         fields = [f.copy() for f in standard_framing(loop, 4).fields]
@@ -549,8 +573,7 @@ class TestIndexOfCircle:
 
 
 class TestFramedLinkChecks:
-    # link files fail load_link's own checks first; a link built in code
-    # meets these
+    # a link built in code and a link file (test_cli) meet these
     @pytest.mark.parametrize(
         "dim, fields, samples, width, message",
         [

@@ -30,6 +30,7 @@ from fbk.spinlift import (
     _check_special_orthogonal,
     _lift_overlaps,
     _loop_classes,
+    _moved_coordinates,
     _overlaps,
     _refined,
     _rotors,
@@ -43,7 +44,7 @@ from fbk.spinlift import (
 
 def sign_changes(rotations: np.ndarray) -> int:
     """_sign_changes of one cyclic rotation stack."""
-    return _sign_changes(_overlaps(rotations, [len(rotations)]))
+    return _sign_changes(_overlaps(rotations))
 
 
 def rotation_loop_in_plane(total_angle: float, samples: int, m: int = 3) -> RotationLoop:
@@ -798,6 +799,28 @@ class TestBatchLift:
             assert _values(_loop_classes(batch)) == [loop_class(loop) for loop in batch]
             if m <= 4:
                 assert _values(_loop_classes(batch)) == [sparse_loop_class(loop) for loop in batch]
+
+    def test_closing_overlap_is_the_scalar_part_of_the_last_rotor(self, rng):
+        # every loop starts at exactly I, the rotor 1, so the chain's pair
+        # from a loop's last row into the next loop's first row, and the
+        # last loop's pair back to row 0, are the closing overlaps
+        for _ in range(8):
+            m = int(rng.integers(3, 9))
+            batch = [self.mixed_loop(rng, m) for _ in range(5)]
+            for loop, overlaps in zip(batch, _values(_lift_overlaps(batch, DEFAULT_TOL))):
+                samples = _refined(loop, DEFAULT_TOL)
+                last = _rotors(_moved_coordinates(samples @ samples[0].T))[-1]
+                assert overlaps[-1] == last[0]
+
+    def test_loop_not_starting_at_identity_closes_on_its_first_row(self, rng, monkeypatch):
+        # passes of at most 5 rows at d = 5: row 0's rotor is carried to the end
+        rotations = generic_loop(rng, 5, 1, 24).samples @ random_rotation(rng, 5)
+        rotors = _rotors(rotations)
+        assert abs(rotors[0, 0]) < 0.99
+        pairs = np.add.reduce(rotors * np.roll(rotors, -1, axis=0), axis=1)
+        assert np.array_equal(_overlaps(rotations), pairs)
+        monkeypatch.setattr(spinlift, "_PASS_COEFFS", 5 << 4)
+        assert np.array_equal(_overlaps(rotations), pairs)
 
     def test_loops_of_several_dimensions(self, rng):
         batch = [self.mixed_loop(rng, m) for m in (8, 3, 5, 3, 6)]

@@ -1250,17 +1250,17 @@ class TestSectionIndex:
     def test_intermediate_term_classes(self, monkeypatch):
         # closed-form frames on the plane zero circle make both matrix loops
         # single full turns, so the two intermediate classes are 1 and 1
-        import fbk.tracer as tracer_mod
+        import fbk.framedlink as framedlink_mod
 
         recorded = []
-        original = tracer_mod._loop_classes
+        original = framedlink_mod._loop_classes
 
         def spy(loops, tol=DEFAULT_TOL):
             bits, failure = original(loops, tol)
             recorded.append([int(bit) for bit in bits])
             return bits, failure
 
-        monkeypatch.setattr(tracer_mod, "_loop_classes", spy)
+        monkeypatch.setattr(framedlink_mod, "_loop_classes", spy)
         opts = TraceOptions(seeds=[np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])])
         report = section_index(s5_spec(), opts)
         # both terms lifted in one pass
@@ -1367,6 +1367,7 @@ class TestSectionIndex:
         # The circle is traced once, with the analytic Jacobian, so both
         # specs see the same samples; the index is then taken with the spec
         # under test.
+        import fbk.framedlink as framedlink
         import fbk.tracer as tracer
 
         section, jac, seed = S5_SECTIONS[name]
@@ -1384,7 +1385,7 @@ class TestSectionIndex:
         # both terms' frames follow their loop: resampling a framing at a
         # sample's parameter gives back that sample's fields
         gaps = []
-        assemble = tracer._frame_loops
+        assemble = framedlink._frame_loops
 
         def checked_assembly(parts, *args, **kwargs):
             for loop, framing, *_ in parts:
@@ -1394,7 +1395,7 @@ class TestSectionIndex:
             return assemble(parts, *args, **kwargs)
 
         monkeypatch.setattr(NormalFraming, "reversed", counted_reversed)
-        monkeypatch.setattr(tracer, "_frame_loops", checked_assembly)
+        monkeypatch.setattr(framedlink, "_frame_loops", checked_assembly)
         results = []
         for circle in (loop, loop.reversed()):
             # the circle and the spec's Jacobians at its samples, as the walk hands them over
