@@ -382,7 +382,12 @@ class NormalFraming:
         """The resampler's (count, N) fields at t; another shape is an EvaluationFailure."""
         if self.resample is None:
             raise ValidationError("framing has no resample callback")
-        out = np.asarray(self.resample(t % 1.0), dtype=float)
+        try:
+            out = np.asarray(self.resample(t % 1.0), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise EvaluationFailure(
+                "framing resampler returned values that are not one float array"
+            ) from exc
         want = (self.count, self.fields.shape[2])
         if out.shape != want:
             raise EvaluationFailure(

@@ -1,8 +1,10 @@
 """Built-in scenario registry: every desk-scale example the CLI can run.
 
 Each scenario builds its geometry from closed-form parametrizations or
-analytic maps, runs the invariant pipeline, and knows which report fields
-to expect, so the registry doubles as a regression suite (--check).
+analytic maps and knows which report fields to expect, so the registry
+doubles as a regression suite (--check). The geometry is the whole
+scenario: a traced spec with its seeds goes to kappa_of_map or
+section_index, a FramedLink of closed-form circles to invariant_report.
 """
 
 from __future__ import annotations
@@ -35,12 +37,25 @@ class Scenario:
     name: str
     summary: str
     defaults: dict
-    run: Callable[[dict], InvariantReport]
     expected: Callable[[dict], dict]
-    # for the scenarios that trace: the (spec, TraceOptions) run hands the tracer
+    # for the scenarios that trace: the (spec, TraceOptions) the tracer takes
     traced: Callable[[dict], tuple] | None = None
-    # for the scenarios that frame closed-form circles: the FramedLink run reports on
+    # for the scenarios that frame closed-form circles: the FramedLink reported on
     link: Callable[[dict], FramedLink] | None = None
+
+    def run(self, options: dict) -> InvariantReport:
+        """The report on the scenario's geometry; a Euclidean link's adds delta."""
+        if self.traced is not None:
+            spec, opts = self.traced(options)
+            if isinstance(spec, SectionSpec):
+                return section_index(spec, opts)
+            return kappa_of_map(spec, opts)
+        framed = self.link(options)
+        tol = options["tolerances"]
+        report = invariant_report(framed, tol)
+        if framed.ambient.kind == "euclidean":
+            report.diagnostics["delta"] = int(delta_pontryagin(framed, tol))
+        return report
 
 
 def _circle_loop(
@@ -83,20 +98,6 @@ def _constant_field(dim: int, index: int):
     e = np.zeros(dim)
     e[index] = 1.0
     return stacked(lambda P: np.broadcast_to(e, P.shape))
-
-
-def _framed_run(link: Callable[[dict], FramedLink]) -> Callable[[dict], InvariantReport]:
-    """The run of a scenario that reports on link(options); Euclidean links add delta."""
-
-    def run(options: dict) -> InvariantReport:
-        framed = link(options)
-        tol = options["tolerances"]
-        report = invariant_report(framed, tol)
-        if framed.ambient.kind == "euclidean":
-            report.diagnostics["delta"] = int(delta_pontryagin(framed, tol))
-        return report
-
-    return run
 
 
 def _pontryagin_link(options: dict) -> FramedLink:
@@ -198,10 +199,6 @@ def _hopf_problem(options: dict) -> tuple[MapSpec, TraceOptions]:
     return spec, TraceOptions(seeds=[data["seed"]], tolerances=options["tolerances"])
 
 
-def _run_suspended_hopf(options: dict) -> InvariantReport:
-    return kappa_of_map(*_hopf_problem(options), sphere_ambient(5))
-
-
 def _quadric(x: np.ndarray) -> np.ndarray:
     return np.array([x[0] * x[0] + x[1] * x[1] - 1.0, x[2], x[3]])
 
@@ -233,10 +230,6 @@ def _quadric_problem(options: dict, twisted: bool) -> tuple[MapSpec, TraceOption
         seeds=[np.array([1.1, 0.0, 0.05, -0.02])], tolerances=options["tolerances"]
     )
     return spec, opts
-
-
-def _run_quadric(options: dict, twisted: bool) -> InvariantReport:
-    return kappa_of_map(*_quadric_problem(options, twisted), euclidean_ambient(4))
 
 
 @stacked
@@ -309,10 +302,6 @@ def _s5_problem(options: dict, alt: bool) -> tuple[SectionSpec, TraceOptions]:
     return spec, TraceOptions(seeds=[seed], tolerances=options["tolerances"])
 
 
-def _run_s5(options: dict, alt: bool) -> InvariantReport:
-    return section_index(*_s5_problem(options, alt))
-
-
 def _expect_bit(bit: int, components: int = 1, winding=None):
     def expected(options: dict) -> dict:
         return {
@@ -336,7 +325,6 @@ _register(
         "pontryagin-circle",
         "standard circle in R^4 with radial+constant framing, twistable",
         {"turns": 0, "samples": 96, },
-        _framed_run(_pontryagin_link),
         _expect_pontryagin_circle,
         link=_pontryagin_link,
     )
@@ -346,7 +334,6 @@ _register(
         "sphere-great-circle",
         "great circle in S^4 with constant normal framing",
         {"samples": 96},
-        _framed_run(_great_circle_link),
         _expect_bit(0),
         link=_great_circle_link,
     )
@@ -356,7 +343,6 @@ _register(
         "cylinder-spin",
         "product circles in S^1 x R^3 under both spin structures",
         {"samples": 96, "spin": "standard", "circles": 1},
-        _framed_run(_cylinder_link),
         _expect_cylinder_spin,
         link=_cylinder_link,
     )
@@ -366,7 +352,6 @@ _register(
         "suspended-hopf",
         "suspension of the quaternionic Hopf map S^4 -> S^3, traced preimage",
         {"regular_value": "default"},
-        _run_suspended_hopf,
         _expect_bit(1),
         _hopf_problem,
     )
@@ -376,7 +361,6 @@ _register(
         "euclidean-quadric",
         "unit-circle preimage of a quadric map R^4 -> R^3",
         {},
-        lambda options: _run_quadric(options, twisted=False),
         _expect_bit(0),
         lambda options: _quadric_problem(options, twisted=False),
     )
@@ -386,7 +370,6 @@ _register(
         "euclidean-quadric-twisted",
         "same quadric with residuals rotated by the polar angle",
         {},
-        lambda options: _run_quadric(options, twisted=True),
         _expect_bit(1),
         lambda options: _quadric_problem(options, twisted=True),
     )
@@ -396,7 +379,6 @@ _register(
         "s5-vector-fields",
         "zero circle of a transverse section of the v-complement bundle on S^5",
         {},
-        lambda options: _run_s5(options, alt=False),
         _expect_bit(1),
         lambda options: _s5_problem(options, alt=False),
     )
@@ -406,7 +388,6 @@ _register(
         "s5-alt-section",
         "same bundle with a different section and zero circle",
         {},
-        lambda options: _run_s5(options, alt=True),
         _expect_bit(1),
         lambda options: _s5_problem(options, alt=True),
     )

@@ -89,14 +89,13 @@ def _z2_bit(value) -> int:
 def _check_special_orthogonal(R: np.ndarray, params: Sequence[float] | None = None) -> np.ndarray:
     """One (m, m) rotation or a (K, m, m) stack of them, checked and returned as float.
 
-    A stack is checked with one matmul and one batched determinant; the
-    error names the first failing sample (by its parameter, when refiner
-    outputs at params are checked) and, as a sample-by-sample check would,
-    the first test it fails there (orthogonality before sign).
+    The shape is the caller's to check (_rotation_stack does). A stack is
+    checked with one matmul and one batched determinant; the error names
+    the first failing sample (by its parameter, when refiner outputs at
+    params are checked) and, as a sample-by-sample check would, the first
+    test it fails there (orthogonality before sign).
     """
     R = np.asarray(R, dtype=float)
-    if R.ndim not in (2, 3) or R.shape[-1] != R.shape[-2]:
-        raise NotOrthogonal("rotation sample is not square")
     defect = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(R.shape[-1])).max(axis=(-2, -1))
     skewed = ~(defect <= _ORTHO_CHECK)  # also catches non-finite entries
     bad = skewed | (np.linalg.det(R) <= 0.0)

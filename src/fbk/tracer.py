@@ -14,6 +14,12 @@ its holonomy), the other carrying the derivative of the section applied to
 that frame. The auxiliary frame drops out of the final bit, which the
 closure-twist invariance suite checks explicitly.
 
+A traced report is its spec and its seeds. Both sources trace the seeds
+through one loop, and the domain fixes the ambient: R^N or the unit sphere
+S^(N-1), each with exactly one spin structure. One rule orients a traced
+circle, a preimage circle with its induced framing and term 1 of a zero
+circle with its auxiliary frame alike.
+
 Sphere-valued maps are reduced near the regular value to R^n-valued
 residuals by projecting onto the tangent space of the target at that value;
 the same projection basis defines the induced framing, and changing it by a
@@ -29,7 +35,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    AmbientMismatch,
     DuplicateComponent,
     EvaluationFailure,
     NoConvergence,
@@ -40,7 +45,6 @@ from .errors import (
     ValidationError,
 )
 from .framedlink import (
-    AmbientPresentation,
     FramedLink,
     InvariantReport,
     NormalFraming,
@@ -52,6 +56,7 @@ from .framedlink import (
     _normals_at,
     _recombined,
     _report,
+    euclidean_ambient,
     sphere_ambient,
     twist_framing,
 )
@@ -682,7 +687,11 @@ def _frame_det(loop, middle, framing, ambient, k) -> float:
 
 
 def _oriented(loop, framing, ambient):
-    """Reverse a traced loop when its induced frame is left-handed."""
+    """(loop, framing), both reversed unless [normals, tangent, fields] at sample 0 has det > 0.
+
+    The one orientation rule of a traced circle: a preimage circle with its
+    induced framing, and term 1 of a zero circle with its auxiliary frame.
+    """
     d = _frame_det(loop, loop.tangent_at_sample(0), framing, ambient, 0)
     if d > 0.0:
         return loop, framing
@@ -747,35 +756,44 @@ def _check_distinct(loops: Sequence[SampledLoop], tol: Tolerances):
                 raise DuplicateComponent(f"seeds {i} and {j} traced the same component")
 
 
-def kappa_of_map(
-    spec: MapSpec, opts: TraceOptions, ambient: AmbientPresentation
-) -> InvariantReport:
+def _traced_components(spec: MapSpec, opts: TraceOptions) -> list[tuple[SampledLoop, list]]:
+    """(loop, the map's Jacobians at its samples) for every seed, through trace_component.
+
+    Seeds whose correction fails to converge are skipped and noted as
+    seeds_skipped (an empty preimage contributes nothing); two seeds tracing
+    one component raise DuplicateComponent.
+    """
+    traced = []
+    for seed in opts.seeds:
+        jacobians: list = []
+        try:
+            loop = trace_component(spec, np.asarray(seed, dtype=float), opts, jacobians)
+        except NoConvergence:
+            _note_add("seeds_skipped", 1)
+            continue
+        traced.append((loop, jacobians))
+    _check_distinct([loop for loop, _ in traced], opts.tolerances)
+    return traced
+
+
+def kappa_of_map(spec: MapSpec, opts: TraceOptions) -> InvariantReport:
     """Trace all seeds, frame the preimage circles, and report their indices.
 
-    Seeds whose correction fails to converge are skipped (an empty preimage
-    contributes nothing); two seeds tracing one component raise
-    DuplicateComponent. The report's odd-index component count mod 2 equals
-    kappa by construction.
+    The circles are framed in the ambient the map's domain fixes: the unit
+    sphere of R^dimension, else R^dimension, each with its one spin
+    structure. The report's odd-index component count mod 2 equals kappa
+    by construction.
     """
     tol = opts.tolerances
-    want_normals = 1 if spec.domain == "unit_sphere" else 0
-    if len(ambient.manifold_normals) != want_normals or ambient.dimension != spec.dimension:
-        raise AmbientMismatch("ambient presentation does not match the map's domain")
+    if spec.domain == "unit_sphere":
+        ambient = sphere_ambient(spec.dimension)
+    else:
+        ambient = euclidean_ambient(spec.dimension)
     with recording() as record:
-        traced = []
-        for seed in opts.seeds:
-            jacobians: list = []
-            try:
-                loop = trace_component(spec, np.asarray(seed, dtype=float), opts, jacobians)
-            except NoConvergence:
-                _note_add("seeds_skipped", 1)
-                continue
-            traced.append((loop, jacobians))
-        _check_distinct([loop for loop, _ in traced], tol)
         # the walk's Jacobians at the samples: each is evaluated once
         components = [
             _oriented(loop, induced_framing(spec, loop, jacobians=jacobians), ambient)
-            for loop, jacobians in traced
+            for loop, jacobians in _traced_components(spec, opts)
         ]
         link = FramedLink(components, ambient)
         bits = _circle_indices(link.components, ambient, tol)
@@ -982,7 +1000,7 @@ def _section_derivative_fields(
     """dw applied to the auxiliary frame, projected into the bundle fibers.
 
     raws are the section's Jacobians at the samples, as the walk evaluated
-    them and section_zero_loops collects them; the resampler evaluates one
+    them and _traced_components collects them; the resampler evaluates one
     per point through system.raw_jacobian. The splitting field is evaluated
     on the stack of samples.
     """
@@ -1027,10 +1045,7 @@ def _section_parts(spec, system, loop, ambient, tol, aux_twist_turns, raws):
         tau = _recombined(tau, loop.params, flips)
     # Only term 1's middle row, the tangent, depends on the direction of
     # travel; a loop traversed backwards has the same class.
-    if _frame_det(loop, loop.tangent_at_sample(0), aux, ambient, 0) < 0.0:
-        term1 = _FramePart(loop.reversed(), aux.reversed())
-    else:
-        term1 = _FramePart(loop, aux)
+    term1 = _FramePart(*_oriented(loop, aux, ambient))
     return term1, _FramePart(loop, tau, v_of, _non_transverse)
 
 
@@ -1060,34 +1075,14 @@ def _section_indices(spec, system, circles, ambient, tol, aux_twist_turns) -> li
     return _values((bits, failure))
 
 
-def section_zero_loops(
-    spec: SectionSpec, opts: TraceOptions, jacobians: list | None = None
-) -> list[SampledLoop]:
+def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoop]:
     """Traced zero circles of the section, one per converging seed.
 
-    Seeds whose correction diverges are skipped (noted as seeds_skipped);
-    seeds reaching one component twice raise DuplicateComponent. When a
-    list is passed as jacobians, one list per returned loop is appended to
-    it: the section's Jacobians at that loop's samples, in sample order, as
-    the walk evaluated them for the tangent; section_index takes them for dw.
+    The section is traced as a map from the unit sphere (_traced_components):
+    seeds whose correction diverges are skipped (noted as seeds_skipped), and
+    seeds reaching one component twice raise DuplicateComponent.
     """
-    system = _map_system(_section_map(spec))
-    loops = []
-    for seed in opts.seeds:
-        try:
-            loop, raws, closure_error, residual = _trace(
-                system, np.asarray(seed, dtype=float), opts
-            )
-        except NoConvergence:
-            _note_add("seeds_skipped", 1)
-            continue
-        _note_append("closure_errors", closure_error)
-        _note_max("max_residual", residual)
-        loops.append(loop)
-        if jacobians is not None:
-            jacobians.append(raws)
-    _check_distinct(loops, opts.tolerances)
-    return loops
+    return [loop for loop, _ in _traced_components(_section_map(spec), opts)]
 
 
 def section_index(
@@ -1104,14 +1099,14 @@ def section_index(
     """
     tol = opts.tolerances
     ambient = sphere_ambient(spec.embedding_dimension)
-    system = _map_system(_section_map(spec))
+    traced = _section_map(spec)
+    # dw's resampler evaluates the section's Jacobian through this system
+    system = _map_system(traced)
     with recording() as record:
-        jacobians: list = []
-        loops = section_zero_loops(spec, opts, jacobians)
         # dw at the samples takes the walk's Jacobians there
-        circles = list(zip(loops, jacobians, strict=True))
+        circles = _traced_components(traced, opts)
         bits = _section_indices(spec, system, circles, ambient, tol, aux_twist_turns)
-    return _report(bits, loops, ambient, tol, record, traced=True)
+    return _report(bits, [loop for loop, _ in circles], ambient, tol, record, traced=True)
 
 
 def write_loop_csv(loop: SampledLoop, path: str):

@@ -44,7 +44,7 @@ from fbk.framedlink import (
     winding_number,
     winding_parity,
 )
-from fbk.numkit import DEFAULT_TOL, _values, recording, stacked
+from fbk.numkit import DEFAULT_TOL, Tolerances, _values, recording, stacked
 from fbk.spinlift import RotationLoop, Z2, loop_class
 from numref import check_disjoint
 
@@ -397,6 +397,22 @@ class TestFrameMatrixLoop:
         for copy in copies:
             with pytest.raises(EvaluationFailure, match=shape):
                 copy.at(0.3)
+
+    def test_ragged_framing_resampler(self):
+        # the coarse circle refines under a step cap of 0.1; a resampler whose
+        # rows hold 4, 3 and 4 numbers returns no float array
+        loop = plane_circle(16, 4, clockwise=True)
+        framing = standard_framing(loop, 4)
+        tol = Tolerances(lift_angle_max=0.1)
+        assert index_of_circle(loop, framing, euclidean_ambient(4), tol) == Z2(0)
+
+        def ragged(t):
+            rows = framing.at(t).tolist()
+            return [rows[0], rows[1][:3], rows[2]]
+
+        message = "framing resampler returned values that are not one float array"
+        with pytest.raises(EvaluationFailure, match=message):
+            index_of_circle(loop, NormalFraming(framing.fields, ragged), euclidean_ambient(4), tol)
 
     def test_orientation_flip_names_first_negative_sample(self):
         loop = plane_circle(64, 4, clockwise=True)

@@ -43,7 +43,7 @@ from fbk.tracer import (
     _map_system,
     _section_derivative_fields,
     _section_map,
-    section_zero_loops,
+    _traced_components,
     transport_closed_frame,
 )
 
@@ -270,13 +270,12 @@ class TestStackedSites:
 
     def test_section_derivative_fields(self):
         spec, opts = _s5_problem(resolve_options(REGISTRY["s5-alt-section"], {}), alt=True)
-        jacobians: list = []
-        [loop] = section_zero_loops(spec, opts, jacobians)
+        [(loop, raws)] = _traced_components(_section_map(spec), opts)
         aux = transport_closed_frame(loop, sphere_ambient(6).manifold_normals)
         system = _map_system(_section_map(spec))
         slow_spec = SectionSpec(5, per_point(_s5_splitting), spec.section, spec.jacobian)
-        native = _section_derivative_fields(spec, system, loop, aux, jacobians[0])
-        slow = _section_derivative_fields(slow_spec, system, loop, aux, jacobians[0])
+        native = _section_derivative_fields(spec, system, loop, aux, raws)
+        slow = _section_derivative_fields(slow_spec, system, loop, aux, raws)
         assert np.array_equal(native.fields, slow.fields)
         for t in (0.013, 0.5):
             assert np.array_equal(native.at(t), slow.at(t))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -175,14 +176,12 @@ class TestInducedFraming:
                 assert np.max(np.abs(f - e)) < 1e-8
 
     def test_quadric_index_zero(self):
-        report = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]), euclidean_ambient(4))
+        report = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]))
         assert int(report.kappa) == 0
         assert [c.index for c in report.components] == [0]
 
     def test_twisted_quadric_index_one(self):
-        report = kappa_of_map(
-            quadric_twisted_spec(), TraceOptions(seeds=[SEED]), euclidean_ambient(4)
-        )
+        report = kappa_of_map(quadric_twisted_spec(), TraceOptions(seeds=[SEED]))
         assert int(report.kappa) == 1
 
     def test_rotated_target_basis_same_index(self, rng):
@@ -369,7 +368,7 @@ class TestJacobianShape:
         spec = MapSpec(lambda x: x[2:], 3, jacobian=jacobian, domain="unit_sphere")
         opts = TraceOptions(seeds=[np.array([1.0, 0.0, 0.0])])
         with recording() as record:
-            report = kappa_of_map(spec, opts, sphere_ambient(3))
+            report = kappa_of_map(spec, opts)
         return json.dumps(report.to_dict()), record
 
     def test_vector_jacobian_is_one_row(self):
@@ -714,12 +713,11 @@ class TestCarriedJacobians:
 
         spec = make_spec()
         opts = TraceOptions(seeds=[SEED])
-        ambient = euclidean_ambient(4)
         with recording() as separate:
             loop = trace_component(spec, SEED, opts)
             induced_framing(spec, loop)
         with recording() as carried:
-            report = kappa_of_map(spec, opts, ambient)
+            report = kappa_of_map(spec, opts)
         assert carried["jacobian_evaluations"] == separate["jacobian_evaluations"] - len(loop)
 
         # the same pipeline with the pull-back evaluating its own Jacobians
@@ -728,7 +726,7 @@ class TestCarriedJacobians:
             tracer, "induced_framing", lambda spec, loop, **_: pull_back(spec, loop)
         )
         with recording() as evaluated:
-            again = kappa_of_map(spec, opts, ambient)
+            again = kappa_of_map(spec, opts)
         assert carried["jacobian_evaluations"] == evaluated["jacobian_evaluations"] - len(loop)
         for key in ("newton_calls", "newton_iterations"):
             assert carried[key] == evaluated[key] == separate[key]
@@ -764,7 +762,7 @@ class TestNonFiniteJacobian:
     def test_probe_is_a_typed_failure_without_lapack_output(self, seed, capfd):
         # seed (1, 0, 0) sits in the NaN region; from (-1, 0, 0) the walk runs into it
         with pytest.raises(EvaluationFailure, match="non-finite Jacobian"):
-            kappa_of_map(probe_spec(), TraceOptions(seeds=[np.array(seed)]), euclidean_ambient(3))
+            kappa_of_map(probe_spec(), TraceOptions(seeds=[np.array(seed)]))
         out, err = capfd.readouterr()
         assert out == ""
         assert "DLASCL" not in err
@@ -781,26 +779,56 @@ def _orient(loop, framing, ambient):
     return _oriented(loop, framing, ambient)
 
 
+def _traced_report(name: str, extra_seed):
+    """The report on a traced registry scenario, its seeds followed by extra_seed."""
+    scenario = REGISTRY[name]
+
+    def traced(options):
+        spec, opts = scenario.traced(options)
+        opts.seeds.append(np.array(extra_seed, dtype=float))
+        return spec, opts
+
+    return dataclasses.replace(scenario, traced=traced).run(resolve_options(scenario, {}))
+
+
+class TestSeedPath:
+    # a map and a section trace their seeds through one loop; per scenario, a
+    # second seed on its traced circle and a seed too far from any circle
+    SEEDS = {
+        "euclidean-quadric": ([0.0, 1.05, -0.03, 0.04], [0.0, 0.0, 0.7, 0.7]),
+        "s5-vector-fields": (
+            [0.12, 0.97, -0.04, 0.05, -0.02, 0.06],
+            [0.0, 0.0, 0.7, 0.7, 0.1, 0.1],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEEDS))
+    def test_duplicate_seeds_detected(self, name):
+        with pytest.raises(DuplicateComponent, match="seeds 0 and 1 traced the same component"):
+            _traced_report(name, self.SEEDS[name][0])
+
+    @pytest.mark.parametrize("name", sorted(SEEDS))
+    def test_far_seed_is_skipped(self, name):
+        report = _traced_report(name, self.SEEDS[name][1])
+        assert report.diagnostics["seeds_skipped"] == 1
+        assert len(report.diagnostics["closure_errors"]) == 1
+        alone = REGISTRY[name].run(resolve_options(REGISTRY[name], {}))
+        assert int(report.kappa) == int(alone.kappa)
+        assert [c.index for c in report.components] == [c.index for c in alone.components]
+
+
 class TestKappaOfMap:
     def test_empty_preimage(self):
         spec = MapSpec(
             lambda x: np.array([x[0] ** 2 + x[1] ** 2 + 1.0, x[2], x[3]]), dimension=4
         )
-        report = kappa_of_map(
-            spec, TraceOptions(seeds=[SEED, np.array([0.0, 1.0, 0.0, 0.0])]),
-            euclidean_ambient(4),
-        )
+        report = kappa_of_map(spec, TraceOptions(seeds=[SEED, np.array([0.0, 1.0, 0.0, 0.0])]))
         assert int(report.kappa) == 0
         assert report.components == []
         assert report.diagnostics["seeds_skipped"] == 2
 
-    def test_duplicate_seeds_detected(self):
-        seeds = [SEED, np.array([0.0, 1.05, -0.03, 0.04])]
-        with pytest.raises(DuplicateComponent):
-            kappa_of_map(quadric_spec(), TraceOptions(seeds=seeds), euclidean_ambient(4))
-
     def test_report_counts_match(self):
-        report = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]), euclidean_ambient(4))
+        report = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]))
         assert int(report.nonzero_count_mod2) == int(report.kappa)
         assert report.diagnostics["max_residual"] < 10 * DEFAULT_TOL.newton_tol
         assert all(e < DEFAULT_TOL.closure_tol for e in report.diagnostics["closure_errors"])
@@ -826,7 +854,7 @@ class TestKappaOfMap:
         assert set(record) == {"newton_calls", "newton_iterations", "jacobian_evaluations"}
         opts = TraceOptions(seeds=[data["seed"], antipodal])
         with recording() as outer:
-            report = kappa_of_map(spec, opts, sphere_ambient(5))
+            report = kappa_of_map(spec, opts)
         assert len(report.components) == 1
         assert report.diagnostics["seeds_skipped"] == 1
         assert len(report.diagnostics["closure_errors"]) == 1
@@ -1114,7 +1142,7 @@ def test_diagnostics_keys_per_report_kind():
     base = {"max_residual", "refinement_depth", "tolerances"}
     traced = base | {"closure_errors", "seeds_skipped"}
     link = invariant_report(pontryagin_link())
-    mapped = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]), euclidean_ambient(4))
+    mapped = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]))
     section = section_index(
         s5_spec(), TraceOptions(seeds=[np.array([0.97, 0.12, 0.05, -0.04, 0.06, -0.02])])
     )
@@ -1329,9 +1357,7 @@ class TestSectionIndex:
         section, jac, seed = S5_SECTIONS[name]
         spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
         opts = TraceOptions(seeds=[seed])
-        jacobians: list = []
-        [loop] = section_zero_loops(spec, opts, jacobians)
-        [raws] = jacobians
+        [(loop, raws)] = tracer._traced_components(_section_map(spec), opts)
         system = _map_system(_section_map(spec))
         aux = transport_closed_frame(loop, sphere_ambient(6).manifold_normals)
         with recording() as record:
@@ -1343,15 +1369,14 @@ class TestSectionIndex:
 
         with recording() as carried:
             report = section_index(spec, opts)
-        zero_loops = tracer.section_zero_loops
+        traced_components = tracer._traced_components
 
-        def evaluating_again(spec, opts, jacobians):
+        def evaluating_again(spec, opts):
             # the same circles, with Jacobians evaluated again at their samples
-            loops = zero_loops(spec, opts)
-            jacobians.extend([system.raw_jacobian(x) for x in c.points] for c in loops)
-            return loops
+            traced = traced_components(spec, opts)
+            return [(c, [system.raw_jacobian(x) for x in c.points]) for c, _ in traced]
 
-        monkeypatch.setattr(tracer, "section_zero_loops", evaluating_again)
+        monkeypatch.setattr(tracer, "_traced_components", evaluating_again)
         with recording() as own:
             own_report = section_index(spec, opts)
         assert carried["jacobian_evaluations"] == own["jacobian_evaluations"] - len(loop)
@@ -1401,11 +1426,10 @@ class TestSectionIndex:
             # the circle and the spec's Jacobians at its samples, as the walk hands them over
             raws = [system.raw_jacobian(x) for x in circle.points]
 
-            def stand_in(spec, opts, jacobians, c=circle, raws=raws):
-                jacobians.append(raws)
-                return [c]
+            def stand_in(spec, opts, c=circle, raws=raws):
+                return [(c, raws)]
 
-            monkeypatch.setattr(tracer, "section_zero_loops", stand_in)
+            monkeypatch.setattr(tracer, "_traced_components", stand_in)
             flips.append(0)
             report = section_index(spec, opts, aux_twist_turns=turns)
             results.append((int(report.kappa), [c.index for c in report.components]))

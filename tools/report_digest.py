@@ -3,8 +3,9 @@
     python tools/report_digest.py > digest.txt
     python tools/report_digest.py --against main
 
-Runs `python -m fbk scenario <name> --check` for every registered scenario
-and for the override variants of the acceptance suite, then `python -m fbk
+Runs `python -m fbk scenario <name> --check` for every registered scenario,
+for the override variants of the acceptance suite and for two traced
+scenarios whose lift refines (TRACED_REFINERS), then `python -m fbk
 link <file>` on a fixed set of closed-form link documents (LINK_DOCUMENTS),
 with fbk imported from `src/` of the checkout this file sits in. The link
 documents are written to a temporary directory and every run starts there,
@@ -59,6 +60,15 @@ ACCEPTANCE_OVERRIDES = (
     ("cylinder-spin", ("spin=standard", "circles=2")),
     ("cylinder-spin", ("spin=nonstandard", "circles=2")),
     ("suspended-hopf", ("regular_value=alt",)),
+)
+
+# Traced scenarios with a step cap tight enough that the lift refines: these
+# runs reach the traced loop's resamplers (the Newton point, the transported
+# frame, dw, and their reversed copies). Kept apart from ACCEPTANCE_OVERRIDES,
+# which tools/frame_timing.py reads too.
+TRACED_REFINERS = (
+    ("suspended-hopf", ("lift_angle_max=0.05",)),
+    ("s5-alt-section", ("lift_angle_max=0.05",)),
 )
 
 LINK_SAMPLES = 48
@@ -170,7 +180,7 @@ def write_link_documents(into: str) -> None:
 
 def invocations() -> list[list[str]]:
     runs = [["scenario", name, "--check"] for name in SCENARIOS]
-    for name, sets in ACCEPTANCE_OVERRIDES:
+    for name, sets in ACCEPTANCE_OVERRIDES + TRACED_REFINERS:
         args = ["scenario", name, "--check"]
         for item in sets:
             args += ["--set", item]
