@@ -31,9 +31,10 @@ stack; any other callback is called row by row there. `_on_stack` is the
 only place that loops over points to call one, and the one place that
 checks what comes back.
 
-The tracer calls jacobian_fd at every Jacobian of its walk and _norm at
-every residual, so both avoid per-call overhead without changing one
-rounding: _norm is np.linalg.norm's own sqrt(x @ x) without its dispatch
+The tracer calls jacobian_fd at every Jacobian of a walk whose map has no
+analytic Jacobian (and once per seed of one that has, to check it), and
+_norm at every residual, so both avoid per-call overhead without changing
+one rounding: _norm is np.linalg.norm's own sqrt(x @ x) without its dispatch
 (the corrector takes the same dot itself on its own contiguous iterate
 and steps, which need no layout check), and _row_norms is the same per
 row of a stack. jacobian_fd calls f once per row of one (2N, N) stack of
@@ -107,9 +108,9 @@ def recording() -> Iterator[dict]:
     frames_assembled (the frames of frame_matrix_loop and of the reports'
     components, their refiners included); closure_errors (a list) and max_residual from every traced
     component that is kept; seeds_skipped from seeds whose trace did not
-    converge. Three work counters come from the tracer: newton_calls
+    converge. Four work counters come from the tracer: newton_calls
     (Newton corrections started), newton_iterations (their correction
-    steps) and jacobian_evaluations (evaluations of a map's or section's
+    steps), jacobian_evaluations (evaluations of a map's or section's
     Jacobian at one point, analytic or by finite differences: one at every
     corrected point where the walk takes the tangent, one where a Newton
     correction starts without a factorization in hand, and one at every
@@ -120,7 +121,10 @@ def recording() -> Iterator[dict]:
     samples costs one. kappa_of_map pulls its framing back through the
     ones taken at the samples, and section_index takes dw at the samples of
     a zero circle from them too, while induced_framing on its own
-    evaluates one per sample). disjoint_pairs counts the candidate segment
+    evaluates one per sample) and jacobian_checks (the analytic Jacobians
+    compared with central differences, one per traced seed of a map or
+    section that has one; they are not jacobian_evaluations).
+    disjoint_pairs counts the candidate segment
     pairs of a link's disjointness check. Scopes nest, and a note reaches
     every open one.
 

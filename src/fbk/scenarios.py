@@ -172,6 +172,42 @@ def _suspended_hopf(p: np.ndarray) -> np.ndarray:
     return np.array([t, h[1] / ny, h[2] / ny, h[3] / ny])
 
 
+def _suspended_hopf_jac(p: np.ndarray) -> np.ndarray:
+    """The 4 x 5 Jacobian of _suspended_hopf, on Python floats as the map is.
+
+    With y = (a, b, c, d), h = y i conj(y) has the imaginary parts
+    (a^2 + b^2 - c^2 - d^2, 2(bc + ad), 2(bd - ac)); row k of h_k / |y| is
+    (dh_k - u_k y) / |y| with u_k = h_k / |y|^2, and row 0, of t, is e_0.
+    """
+    _, a, b, c, d = p.tolist()
+    n2 = a * a + b * b + c * c + d * d
+    r = 1.0 / math.sqrt(n2)
+    u1 = (a * a + b * b - c * c - d * d) / n2
+    u2 = 2.0 * (b * c + a * d) / n2
+    u3 = 2.0 * (b * d - a * c) / n2
+    plus, minus = (2.0 - u1) * r, (2.0 + u1) * r
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, a * plus, b * plus, -c * minus, -d * minus],
+            [
+                0.0,
+                (2.0 * d - u2 * a) * r,
+                (2.0 * c - u2 * b) * r,
+                (2.0 * b - u2 * c) * r,
+                (2.0 * a - u2 * d) * r,
+            ],
+            [
+                0.0,
+                (-2.0 * c - u3 * a) * r,
+                (2.0 * d - u3 * b) * r,
+                (-2.0 * a - u3 * c) * r,
+                (2.0 * b - u3 * d) * r,
+            ],
+        ]
+    )
+
+
 _HOPF_VALUES = {
     "default": {
         "x0": np.array([0.0, 1.0, 0.0, 0.0]),
@@ -194,6 +230,7 @@ def _hopf_problem(options: dict) -> tuple[MapSpec, TraceOptions]:
         dimension=5,
         target="sphere",
         regular_value=data["x0"],
+        jacobian=_suspended_hopf_jac,
         domain="unit_sphere",
     )
     return spec, TraceOptions(seeds=[data["seed"]], tolerances=options["tolerances"])
@@ -221,9 +258,31 @@ def _quadric_twisted(x: np.ndarray) -> np.ndarray:
     return np.array([c * base[0] - s * base[1], s * base[0] + c * base[1], base[2]])
 
 
+def _quadric_twisted_jac(x: np.ndarray) -> np.ndarray:
+    """The 3 x 4 Jacobian of _quadric_twisted, on Python floats.
+
+    The map is (c b0 - s b1, s b0 + c b1, x3) with b0 = x0^2 + x1^2 - 1,
+    b1 = x2, c = x0 / rho and s = x1 / rho, whose derivatives are
+    dc = (s^2, -cs) / rho and ds = (-cs, c^2) / rho in (x0, x1).
+    """
+    x0, x1, x2, _ = x.tolist()
+    rho = math.hypot(x0, x1)
+    c = x0 / rho
+    s = x1 / rho
+    b0 = x0 * x0 + x1 * x1 - 1.0
+    cs, cc, ss = c * s / rho, c * c / rho, s * s / rho
+    return np.array(
+        [
+            [b0 * ss + 2.0 * c * x0 + x2 * cs, -b0 * cs + 2.0 * c * x1 - x2 * cc, -s, 0.0],
+            [-b0 * cs + 2.0 * s * x0 + x2 * ss, b0 * cc + 2.0 * s * x1 - x2 * cs, c, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
 def _quadric_problem(options: dict, twisted: bool) -> tuple[MapSpec, TraceOptions]:
     if twisted:
-        spec = MapSpec(_quadric_twisted, dimension=4)
+        spec = MapSpec(_quadric_twisted, dimension=4, jacobian=_quadric_twisted_jac)
     else:
         spec = MapSpec(_quadric, dimension=4, jacobian=_quadric_jac)
     opts = TraceOptions(

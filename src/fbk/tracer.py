@@ -89,7 +89,11 @@ class MapSpec:
     traced system, so the traced curve lies on the unit sphere of
     R^dimension, but the evaluator must be defined near the sphere as well:
     Newton predictors and finite-difference probes leave it. An analytic
-    jacobian of the raw evaluator takes precedence over finite differences.
+    jacobian of the raw evaluator takes precedence over finite differences;
+    it is compared with them once per traced seed, and a mismatch above
+    _JACOBIAN_CHECK_TOL is an EvaluationFailure. A sphere target's regular
+    value must be nonzero and finite, and the evaluator's values must have
+    its length.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -108,7 +112,10 @@ class MapSpec:
             if self.regular_value is None:
                 raise ValueError("sphere targets need a regular value")
             x0 = np.asarray(self.regular_value, dtype=float)
-            self.regular_value = x0 / np.linalg.norm(x0)
+            norm = np.linalg.norm(x0)
+            if not 0.0 < norm < math.inf:
+                raise ValueError("a sphere target's regular value must be nonzero and finite")
+            self.regular_value = x0 / norm
 
 
 @dataclass
@@ -124,7 +131,8 @@ class SectionSpec:
     of w as a map R^(n+2) -> R^(n+2), an (n+2) x (n+2) matrix. The walk
     along the zeros uses it, and so does dw, the section's derivative on
     the normal space of a zero circle. Without it both use central
-    differences of w (jacobian_fd).
+    differences of w (jacobian_fd). It is compared with them once per traced
+    seed, as a map's is.
     """
 
     sphere_dimension: int
@@ -176,18 +184,27 @@ class _TracedSystem:
     every derivative of the map the tracer takes goes through it.
     assemble(p, raw) builds the system Jacobian from it. basis is the
     target_basis the residual is projected onto for sphere targets, None for
-    R^n targets.
+    R^n targets. check(seed) compares an analytic Jacobian with central
+    differences at a seed (_counted); a system without one checks nothing.
     """
 
-    def __init__(self, residual, raw_jacobian, assemble, dimension, basis):
+    def __init__(self, residual, raw_jacobian, assemble, dimension, basis, check=None):
         self.residual = residual
         self.raw_jacobian = raw_jacobian
         self.assemble = assemble
         self.dimension = dimension
         self.basis = basis
+        self.check = check or (lambda seed: None)
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
         return self.assemble(p, self.raw_jacobian(p))
+
+
+# An analytic Jacobian J fails its check against the central differences F
+# at a seed when max|J - F| > _JACOBIAN_CHECK_TOL * (1 + max|F|). Central
+# differences agree with the registry's exact Jacobians to about 1e-9
+# relative, and a wrong entry is off by the size of the entry.
+_JACOBIAN_CHECK_TOL = 1e-6
 
 
 def _counted(spec: MapSpec):
@@ -197,15 +214,20 @@ def _counted(spec: MapSpec):
     evaluation at the first analytic Jacobian (jacobian_fd's rows are those
     values). A vector of length N is one row; any other shape is an
     EvaluationFailure naming it and the point's.
+
+    Returned with it is the seed check: check(seed) evaluates an analytic
+    Jacobian at the seed on the same shape rule, notes it as one
+    jacobian_checks (not as a jacobian_evaluation), and compares it with
+    jacobian_fd there. A mismatch above _JACOBIAN_CHECK_TOL is an
+    EvaluationFailure naming the seed, the entry and both values. A
+    non-finite Jacobian is left to the walk, which refuses it; without an
+    analytic Jacobian there is nothing to check.
     """
     dimension = spec.dimension
     rows = None
 
-    def raw_jacobian(p):
+    def analytic(p):
         nonlocal rows
-        _note_add("jacobian_evaluations", 1)
-        if spec.jacobian is None:
-            return jacobian_fd(spec.evaluator, p)
         J = np.asarray(spec.jacobian(p), dtype=float)
         if rows is None:
             rows = np.asarray(spec.evaluator(p), dtype=float).size
@@ -218,18 +240,46 @@ def _counted(spec: MapSpec):
             )
         return J
 
-    return raw_jacobian
+    def raw_jacobian(p):
+        _note_add("jacobian_evaluations", 1)
+        if spec.jacobian is None:
+            return jacobian_fd(spec.evaluator, p)
+        return analytic(p)
+
+    def check(seed):
+        if spec.jacobian is None:
+            return
+        _note_add("jacobian_checks", 1)
+        J = analytic(seed)
+        if not np.isfinite(J).all():
+            return
+        F = jacobian_fd(spec.evaluator, seed)
+        # a non-finite difference is a mismatch too
+        gap = np.nan_to_num(np.abs(J - F), nan=math.inf)
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        if not gap[i, j] <= _JACOBIAN_CHECK_TOL * (1.0 + np.max(np.abs(F))):
+            raise EvaluationFailure(
+                f"map Jacobian disagrees with central differences at the seed {seed.tolist()}: "
+                f"entry ({i}, {j}) is {J[i, j]:.10g}, central differences give {F[i, j]:.10g}"
+            )
+
+    return raw_jacobian, check
 
 
 def _map_system(spec: MapSpec) -> _TracedSystem:
-    raw_jacobian = _counted(spec)
+    raw_jacobian, check = _counted(spec)
     basis = None
     if spec.target == "sphere":
         x0 = spec.regular_value
         basis = target_basis(spec, x0.size - 1)
 
         def f_target(p):
-            return basis @ (np.asarray(spec.evaluator(p), dtype=float) - x0)
+            value = np.asarray(spec.evaluator(p), dtype=float)
+            if value.size != x0.size:
+                raise EvaluationFailure(
+                    f"map values have length {value.size}, the regular value {x0.size}"
+                )
+            return basis @ (value - x0)
 
         def j_target(raw):
             return basis @ raw
@@ -264,7 +314,7 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
         def assemble(p, raw):
             return j_target(raw)
 
-    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension, basis)
+    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension, basis, check)
 
 
 def _section_map(spec: SectionSpec) -> MapSpec:
@@ -375,6 +425,8 @@ def _newton(
         for _ in range(max_iter):
             try:
                 r = system.residual(p)
+            except EvaluationFailure:
+                raise
             except Exception as exc:  # noqa: BLE001
                 raise EvaluationFailure("map evaluation failed during correction") from exc
             rn = _norm(r)
@@ -448,21 +500,23 @@ def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances)
 def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
     """The traced loop, its raw Jacobians, closure error and largest residual.
 
-    The loop carries the unit kernel tangent found at each of its samples;
-    the list holds the raw Jacobian (system.raw_jacobian) that tangent came
-    from, one per sample. That Jacobian's factorization is the chord the
-    next predictor's correction holds, retries after a halved step
-    included: _newton takes every step from it and evaluates a new
-    Jacobian only after a step that contracts too little, so most accepted
-    points cost the one Jacobian of their tangent. Between samples the loop
-    resamples its points by Newton correction and its tangents as the
-    kernel at the resampled point, signed along the carried tangent of the
-    segment's first sample.
+    An analytic Jacobian is checked at the seed (system.check) before the
+    seed is corrected. The loop carries the unit kernel tangent found at
+    each of its samples; the list holds the raw Jacobian
+    (system.raw_jacobian) that tangent came from, one per sample. That
+    Jacobian's factorization is the chord the next predictor's correction
+    holds, retries after a halved step included: _newton takes every step
+    from it and evaluates a new Jacobian only after a step that contracts
+    too little, so most accepted points cost the one Jacobian of their
+    tangent. Between samples the loop resamples its points by Newton
+    correction and its tangents as the kernel at the resampled point,
+    signed along the carried tangent of the segment's first sample.
     """
     tol = opts.tolerances
     seed = np.asarray(seed, dtype=float)
     if seed.size != system.dimension:
         raise ValueError(f"seed has dimension {seed.size}, expected {system.dimension}")
+    system.check(seed)
     # seeds must sit near their component: cap the correction distance
     p0, _ = _newton(system, seed, tol, max_move=max(8.0 * opts.initial_step, 0.25))
     t0, raw0, factored = _tangent_of(system, p0, None, tol)
@@ -590,7 +644,9 @@ def trace_component(
 ) -> SampledLoop:
     """Trace the closed solution curve through the component nearest a seed.
 
-    The seed is Newton-corrected onto the solution set (NoConvergence when
+    An analytic spec.jacobian is first compared with central differences at
+    the seed; a mismatch is an EvaluationFailure (_counted). The seed is
+    then Newton-corrected onto the solution set (NoConvergence when
     that fails); the curve is then walked with an Euler predictor along the
     Jacobian kernel and a Gauss-Newton corrector, halving the step on
     corrector failure and doubling it after easy steps, until the walk

@@ -109,6 +109,17 @@ class TestScenario:
             assert code == 0, f"{name}: {err}"
             assert "check passed" in err
 
+    def test_wrong_jacobian_exit_code(self, capsys, monkeypatch):
+        import fbk.scenarios as scenarios
+
+        right = scenarios._quadric_twisted_jac
+        monkeypatch.setattr(scenarios, "_quadric_twisted_jac", lambda x: 1.5 * right(x))
+        code, out, err = run_cli(capsys, ["scenario", "euclidean-quadric-twisted", "--check"])
+        assert code == 4
+        assert out == ""
+        assert "EvaluationFailure" in err
+        assert "entry (0, 0) is 3.3, central differences give 2.2" in err
+
     def test_check_mismatch_exit_code(self, capsys, monkeypatch):
         scenario = REGISTRY["pontryagin-circle"]
         monkeypatch.setattr(scenario, "expected", lambda options: {"kappa": 1})

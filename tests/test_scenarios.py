@@ -9,11 +9,22 @@ Jacobian once by SVD: each traced circle then had 63 samples, not 62.) The
 tracer's columns sum to 384 Newton calls, 1480 Newton iterations and 461
 Jacobian evaluations a round: the corrector keeps one factorization while
 its steps contract, and dw on a zero circle takes the walk's Jacobians.
+Every traced scenario has an analytic Jacobian, checked against central
+differences once per seed: 6 jacobian_checks a round, apart from those
+counts.
 """
 
+import dataclasses
+import re
+
+import numpy as np
 import pytest
 
 from fbk import recording, run_scenario
+from fbk.errors import EvaluationFailure
+from fbk.numkit import jacobian_fd
+from fbk.scenarios import REGISTRY, resolve_options
+from fbk.tracer import SectionSpec, _section_map, trace_component
 
 # name, overrides, refinement_depth, seeds_skipped (None: not traced),
 # number of closure errors (None: not traced), samples per component, lift_steps,
@@ -61,3 +72,98 @@ def test_integer_diagnostics(
     assert record.get("newton_calls") == calls
     assert record.get("newton_iterations") == iterations
     assert record.get("jacobian_evaluations") == jacobians
+
+
+TRACED = sorted(name for name, scenario in REGISTRY.items() if scenario.traced)
+
+
+def traced_problem(name: str):
+    """The scenario, and the (spec, TraceOptions) its default run hands the tracer."""
+    scenario = REGISTRY[name]
+    spec, opts = scenario.traced(resolve_options(scenario, {}))
+    return scenario, spec, opts
+
+
+def test_every_traced_scenario_has_an_analytic_jacobian():
+    # the walk of no registry scenario takes central differences; the one
+    # seed of each is checked against them once
+    assert len(TRACED) == 5
+    for name in TRACED:
+        assert traced_problem(name)[1].jacobian is not None, name
+        with recording() as record:
+            run_scenario(name)
+        assert record["jacobian_checks"] == 1, name
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_registry_jacobians_match_their_maps(name):
+    # 50 points within 0.01 of the traced curve, each coordinate perturbed
+    _, spec, opts = traced_problem(name)
+    if isinstance(spec, SectionSpec):
+        spec = _section_map(spec)
+    loop = trace_component(spec, opts.seeds[0], opts)
+    rng = np.random.default_rng(26)
+    points = loop.points[rng.integers(len(loop), size=50)]
+    points = points + rng.uniform(-0.01, 0.01, size=points.shape)
+    for p in points:
+        J = np.asarray(spec.jacobian(p), dtype=float)
+        F = jacobian_fd(spec.evaluator, p)
+        assert np.max(np.abs(J - F)) <= 1e-7 * (1.0 + np.max(np.abs(F))), p
+
+
+def scaled(J):
+    return 1.5 * J
+
+
+def negated_row(J):
+    J = J.copy()
+    J[1] = -J[1]
+    return J
+
+
+def swapped_rows(J):
+    return J[[1, 0, *range(2, len(J))]]
+
+
+@pytest.mark.parametrize("wrong", [scaled, negated_row, swapped_rows])
+@pytest.mark.parametrize(
+    "name", ["euclidean-quadric", "euclidean-quadric-twisted", "s5-alt-section"]
+)
+def test_a_wrong_jacobian_is_an_evaluation_failure(name, wrong):
+    # without the seed's check each of these walks stalls at its seed, and
+    # the report reads kappa 0 with the seed skipped
+    scenario, spec, opts = traced_problem(name)
+    right = spec.jacobian
+    spec = dataclasses.replace(spec, jacobian=lambda x: wrong(np.asarray(right(x), dtype=float)))
+    scenario = dataclasses.replace(scenario, traced=lambda options: (spec, opts))
+    with pytest.raises(EvaluationFailure, match="disagrees with central differences") as caught:
+        scenario.run(resolve_options(scenario, {}))
+    # the entry named is the one farthest from the map's derivative, and both values are given
+    i, j, given, differences = re.search(
+        r"entry \((\d+), (\d+)\) is (\S+), central differences give (\S+)$", str(caught.value)
+    ).groups()
+    seed = opts.seeds[0]
+    gap = np.abs(wrong(np.asarray(right(seed), dtype=float)) - right(seed))
+    assert gap[int(i), int(j)] == gap.max() > 0.0
+    assert float(given) != pytest.approx(float(differences))
+
+
+@pytest.mark.parametrize("name", ["euclidean-quadric-twisted", "suspended-hopf"])
+def test_the_finite_difference_walk_keeps_its_table_row(name):
+    # the fallback without an analytic Jacobian: the registry's bit and the
+    # same samples and work as the analytic walk, checking nothing
+    scenario, spec, opts = traced_problem(name)
+    fd = dataclasses.replace(spec, jacobian=None)
+    scenario = dataclasses.replace(scenario, traced=lambda options: (fd, opts))
+    [row] = [row for row in TABLE if row[:2] == (name, {})]
+    samples, lift_steps, calls, iterations, jacobians = row[5:]
+    options = resolve_options(scenario, {})
+    with recording() as record:
+        report = scenario.run(options)
+    assert int(report.kappa) == scenario.expected(options)["kappa"] == 1
+    assert [c.samples for c in report.components] == samples
+    assert record["lift_steps"] == lift_steps
+    assert record["newton_calls"] == calls
+    assert record["newton_iterations"] == iterations
+    assert record["jacobian_evaluations"] == jacobians
+    assert "jacobian_checks" not in record

@@ -39,6 +39,7 @@ from fbk.scenarios import (
 )
 from fbk.tracer import (
     _CHORD_CONTRACTION,
+    _JACOBIAN_CHECK_TOL,
     MapSpec,
     SectionSpec,
     TraceOptions,
@@ -773,6 +774,82 @@ class TestNonFiniteJacobian:
             _newton(_map_system(spec), SEED, DEFAULT_TOL)
 
 
+class TestSeedJacobianCheck:
+    """An analytic Jacobian is compared with central differences once per seed."""
+
+    @staticmethod
+    def offset_spec(delta):
+        """The quadric with entry (1, 2) of its Jacobian off by delta."""
+
+        def jac(x):
+            J = quadric_jac(x)
+            J[1, 2] += delta
+            return J
+
+        return MapSpec(quadric, dimension=4, jacobian=jac)
+
+    def test_the_check_is_noted_apart_from_the_walk(self):
+        with recording() as checked:
+            loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        assert checked["jacobian_checks"] == 1
+        assert len(loop) < checked["jacobian_evaluations"] <= len(loop) + 6
+        # central differences are what the check compares with: nothing to check
+        with recording() as fd:
+            trace_component(quadric_twisted_spec(), SEED, TraceOptions())
+        assert "jacobian_checks" not in fd
+
+    def test_the_bound_is_relative_to_the_largest_entry(self):
+        # at the seed the largest entry is 2 x0 = 2.2
+        bound = _JACOBIAN_CHECK_TOL * (1.0 + 2.2)
+        trace_component(self.offset_spec(0.5 * bound), SEED, TraceOptions())
+        with pytest.raises(EvaluationFailure, match=re.escape("entry (1, 2) is 1.0000064")):
+            trace_component(self.offset_spec(2.0 * bound), SEED, TraceOptions())
+
+    def test_the_check_comes_before_the_first_correction(self):
+        # a seed too far to correct is skipped, unless its Jacobian is wrong
+        far = np.array([1.6, 0.0, 0.0, 0.0])
+        with pytest.raises(NoConvergence):
+            trace_component(quadric_spec(), far, TraceOptions())
+        with recording() as record:
+            with pytest.raises(EvaluationFailure, match=r"at the seed \[1.6, 0.0, 0.0, 0.0\]"):
+                kappa_of_map(self.offset_spec(1.0), TraceOptions(seeds=[far]))
+        assert record == {"jacobian_checks": 1}
+
+    def test_the_seed_dimension_is_checked_first(self):
+        with recording() as record:
+            with pytest.raises(ValueError, match="seed has dimension 3, expected 4"):
+                trace_component(self.offset_spec(1.0), SEED[:3], TraceOptions())
+        assert record == {}
+
+    def test_a_section_jacobian_is_checked(self):
+        section, jac, seed = S5_SECTIONS["s5-alt-section"]
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=lambda x: -jac(x))
+        with pytest.raises(EvaluationFailure, match="disagrees with central differences"):
+            section_index(spec, TraceOptions(seeds=[seed]))
+
+
+class TestSphereRegularValue:
+    @pytest.mark.parametrize(
+        "value", [np.zeros(4), np.array([math.nan, 1.0, 0.0, 0.0]), np.array([math.inf, 0, 0, 0])]
+    )
+    def test_zero_or_non_finite_value_is_refused(self, value):
+        with pytest.raises(ValueError, match="regular value must be nonzero and finite"):
+            dataclasses.replace(hopf_spec(), regular_value=value)
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_a_value_of_the_wrong_length_is_named(self, analytic):
+        from fbk.scenarios import _suspended_hopf_jac
+
+        spec = dataclasses.replace(
+            hopf_spec(),
+            regular_value=np.array([0.0, 1.0, 0.0]),
+            jacobian=_suspended_hopf_jac if analytic else None,
+        )
+        expected = "map values have length 4, the regular value 3"
+        with pytest.raises(EvaluationFailure, match=expected):
+            kappa_of_map(spec, TraceOptions(seeds=[hopf_seed()]))
+
+
 def _orient(loop, framing, ambient):
     from fbk.tracer import _oriented
 
@@ -1341,7 +1418,8 @@ class TestSectionIndex:
         spec = SectionSpec(5, _s5_splitting, section, jacobian=counted_jac)
         with recording() as record:
             report = section_index(spec, TraceOptions(seeds=[seed]))
-        assert record["jacobian_evaluations"] == len(calls) > 0
+        # the seed's check calls it once more, noted apart from the walk's
+        assert record["jacobian_evaluations"] + record["jacobian_checks"] == len(calls) > 0
         assert len(transported) == len(report.components) == 1
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])

@@ -22,8 +22,13 @@ the tracer (`Scenario.traced`) and prints one line:
   - tangent_us: microseconds per `tracer._tangent_of` call at the samples,
     signed along the previous sample's tangent as the walk does: one map
     Jacobian, its assembly and one SVD;
-  - newton_calls, newton_iterations and jacobian_evaluations of one
-    `_trace` call, as fbk.recording() notes them;
+  - jacobian_us: microseconds per raw Jacobian of the map at the samples
+    (the traced system's `raw_jacobian`: the scenario's analytic Jacobian,
+    else `numkit.jacobian_fd`), the Jacobian layer on its own;
+  - newton_calls, newton_iterations, jacobian_evaluations and
+    jacobian_checks (the seed's analytic Jacobian compared with central
+    differences, 0 for a map without one) of one `_trace` call, as
+    fbk.recording() notes them;
   - svds: the calls of numpy.linalg.svd during one more `_trace` call,
     counted by a wrapper around numpy's function, outside the timings. The
     walk factors every Jacobian it evaluates once, so this equals
@@ -147,8 +152,9 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'step_us':>7} "
-          f"{'tangent_us':>10} {'newton_calls':>12} "
-          f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'svds':>5} "
+          f"{'tangent_us':>10} {'jacobian_us':>11} {'newton_calls':>12} "
+          f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'jacobian_checks':>15} "
+          f"{'svds':>5} "
           f"{'transport_ms':>12} {'closing_deg':>11} {'lift_deg':>8} {'dw_ms':>6}")
     for label, system, opts, section in traced_cases():
         seed, tol = opts.seeds[0], opts.tolerances
@@ -177,6 +183,12 @@ def main(argv=None) -> int:
                 _tangent_of(system, p, t, tol)
 
         tangent_s = best_of(args.repeat, tangents_at_samples) / len(loop)
+
+        def jacobians_at_samples():
+            for p in points:
+                system.raw_jacobian(p)
+
+        jacobian_s = best_of(args.repeat, jacobians_at_samples) / len(loop)
         transport_ms = closing_deg = lift_deg = dw_ms = "-"
         if section is not None:
             normals = sphere_ambient(section.embedding_dimension).manifold_normals
@@ -189,9 +201,10 @@ def main(argv=None) -> int:
             closing_deg = f"{closing_degrees(loop, normals, tol):.2g}"
             lift_deg = f"{math.degrees(tol.lift_angle_max):.1f}"
         print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {newton_s * 1e6:>9.1f} "
-              f"{step_s * 1e6:>7.1f} {tangent_s * 1e6:>10.1f} {record['newton_calls']:>12} "
-              f"{record['newton_iterations']:>17} "
-              f"{record['jacobian_evaluations']:>20} {svds:>5} {transport_ms:>12} "
+              f"{step_s * 1e6:>7.1f} {tangent_s * 1e6:>10.1f} {jacobian_s * 1e6:>11.1f} "
+              f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
+              f"{record['jacobian_evaluations']:>20} {record.get('jacobian_checks', 0):>15} "
+              f"{svds:>5} {transport_ms:>12} "
               f"{closing_deg:>11} {lift_deg:>8} {dw_ms:>6}")
     return 0
 
