@@ -13,12 +13,13 @@ the square matrix whose rows are [manifold normals, curve tangent, framing
 fields] (_frame_rows) orthonormalized, classifying that rotation loop, and
 flipping the bit once (plus the spin twist). A report's frames, of link
 circles or of a section's two-term zero circles, go through _frame_bits:
-one (samples, N, N) stack, one batched QR and determinant, and one lift;
-a frame loop's refiner goes through the same assembly one parameter at a
-time. Each stage returns the results of the components before the first
-failing one, and its error, which the report raises. kappa of a link is
-the xor of the component indices; on Euclidean ambients it agrees with
-the classical count that also adds the number of components mod 2.
+one (samples, N, N) stack, one batched QR, whose Householder count gives
+each frame's orientation, and one lift; a frame loop's refiner goes
+through the same assembly one parameter at a time. Each stage returns
+the results of the components before the first failing one, and its
+error, which the report raises. kappa of a link is the xor of the
+component indices; on Euclidean ambients it agrees with the classical
+count that also adds the number of components mod 2.
 """
 
 from __future__ import annotations
@@ -718,8 +719,9 @@ def _assemble_frames(
     rows holds the _frame_rows of the first parts, orthonormalized by one
     QR. Each check runs over the parts that passed the earlier ones:
     finite rows, orthonormal normals orthogonal to the middle row, rank
-    (or the part's rank_error), orientation. A failing row cuts the stack
-    before its part, and the error names it as where(k), k in the part.
+    (or the part's rank_error), orientation (det Q < 0, the parity that
+    the QR gives). A failing row cuts the stack before its part, and the
+    error names it as where(k), k in the part.
     """
     if not rows:
         return [], None
@@ -757,7 +759,7 @@ def _assemble_frames(
             failure = ValidationError(
                 f"manifold normal {np.argmax(leaning[row])} is not orthogonal to the curve at {at}"
             )
-    frames, dependent = _orthonormal_sets(stack, tol.ortho_tol, [0, *ends[:-1]])
+    (frames, flipped), dependent = _orthonormal_sets(stack, tol.ortho_tol, [0, *ends[:-1]])
     if dependent is not None:
         part, k = cut(dependent.index)
         failure = RankDeficient(
@@ -770,8 +772,7 @@ def _assemble_frames(
             failure.__cause__ = cause
     if not ends:  # every part failed; with more rows than N, frames is not square
         return [], failure
-    frames = frames[: len(stack)]
-    flipped = np.linalg.det(frames) < 0.0
+    frames, flipped = frames[: len(stack)], flipped[: len(stack)]
     if flipped.any():
         part, k = cut(int(np.argmax(flipped)))
         failure = OrientationMismatch(

@@ -4,17 +4,17 @@ Everything here works on plain float64 numpy arrays (1-d vectors, 2-d
 matrices) at desk scale (dimension <= 12). There is one factorization of
 each kind. `_qr` is the batched Householder QR (Golub-Van Loan, Matrix
 Computations, 5.2) of a (K, c, N) stack of ordered vector sets, with the
-signs fixed so that diag(R) > 0 and one rank rule, |R_ii| >= ortho_tol,
-whose failure it returns as a value: frame assembly and orthonormalize
-take its Q, the tracer's induced framing solves a whole loop's
-minimum-norm systems with its Q and R, and its transported normal frame
-is one batched `_qr` of a chain of projected frames (the whole loop,
-unless the loop turns sharply). `_mgs`
+signs fixed so that diag(R) > 0, the orientation of square sets, and one
+rank rule, |R_ii| >= ortho_tol, whose failure it returns as a value: frame
+assembly takes its Q and orientation, orthonormalize its Q, the tracer's
+induced framing solves a whole loop's minimum-norm systems with its Q and
+R, and its transported normal frame is one batched `_qr` of a chain of
+projected frames (the whole loop, unless the loop turns sharply). `_mgs`
 is the Gram-Schmidt for the one-off bases: modified Gram-Schmidt with one
 re-orthogonalization pass, which is plenty stable at these sizes, skipping
 dependent inputs; only the tracer's target_basis and the transported
 frame's initial coordinate completion call it, with their own 1e-8
-threshold. (The tracer's walk factors its Jacobians by SVD, with its own
+threshold. (The tracer's walk factors its Jacobians by `_svd`, with its own
 relative rank cut, and its Newton corrector keeps one factorization as a
 chord while its steps contract, so a walk correction factors a Jacobian
 of its own only where the chord contracts slowly.)
@@ -32,12 +32,20 @@ only place that loops over points to call one, and the one place that
 checks what comes back.
 
 The tracer calls jacobian_fd at every Jacobian of a walk whose map has no
-analytic Jacobian (and once per seed of one that has, to check it), and
-_norm at every residual, so both avoid per-call overhead without changing
-one rounding: _norm is np.linalg.norm's own sqrt(x @ x) without its dispatch
-(the corrector takes the same dot itself on its own contiguous iterate
-and steps, which need no layout check), and _row_norms is the same per
-row of a stack. jacobian_fd calls f once per row of one (2N, N) stack of
+analytic Jacobian (and once per seed of one that has, to check it), _norm
+at every residual and _svd at every Jacobian it factors, so these avoid
+per-call overhead without changing one rounding: _norm is np.linalg.norm's
+own sqrt(x @ x) without its dispatch (the corrector takes the same dot
+itself on its own contiguous iterate and steps, which need no layout
+check), and _row_norms is the same per row of a stack. _svd and _qr call
+the LAPACK gufuncs of np.linalg.svd and np.linalg.qr on the same inputs,
+without those wrappers' dispatch (on a 2-core Xeon VM, 4-6 us of the
+16-23 us np.linalg.svd takes on a 3 x 4 to 7 x 6 matrix), and _qr keeps
+the Householder scalars tau that np.linalg.qr drops: each reflector
+I - tau v v^T of LAPACK's dgeqrf is the identity when tau = 0 and has
+determinant -1 otherwise (LAPACK Users' Guide, 3rd ed., on elementary
+reflectors), so the orientation of a square set is a parity and needs no
+determinant. jacobian_fd calls f once per row of one (2N, N) stack of
 perturbations, p + h I on top of p - h I, and makes one array of the 2N
 values. The traced map stays a per-point callable because the walk
 evaluates its residual one point at a time: on a 2-core Xeon VM a
@@ -65,8 +73,25 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EvaluationFailure, RankDeficient
+
+
+def _gufunc_pair(name: str, wide: str, other: str) -> tuple:
+    """numpy's LAPACK gufunc for wide matrices and for the others, as numpy.linalg picks them.
+
+    numpy 2 has one gufunc, `name`, for both; numpy 1.x has `wide` for an
+    (m, n) matrix with m < n (m <= n for the QR) and `other` for the rest.
+    """
+    if hasattr(_umath_linalg, name):
+        return (getattr(_umath_linalg, name),) * 2
+    return getattr(_umath_linalg, wide), getattr(_umath_linalg, other)
+
+
+# np.linalg.svd's gufunc for full matrices, and the first stage of np.linalg.qr
+_SVD_GUFUNCS = _gufunc_pair("svd_f", "svd_m_f", "svd_n_f")
+_QR_RAW_GUFUNCS = _gufunc_pair("qr_r_raw", "qr_r_raw_m", "qr_r_raw_n")
 
 
 @dataclass(frozen=True)
@@ -281,22 +306,53 @@ def _mgs(vectors: Sequence[np.ndarray] | np.ndarray, tol: float) -> list[np.ndar
     return basis
 
 
-def _qr(stack: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
-    """Q (K, N, c) and R (K, c, c) of the transposed (K, c, N) float stack, and its rank failure.
+def _svd(J: np.ndarray) -> tuple:
+    """U, S, Vt of the full SVD of a finite float matrix, bit for bit np.linalg.svd(J).
 
-    Each column of Q and row of R is flipped so that diag(R) > 0: column i
-    of Q keeps a positive inner product with input i after the preceding
-    directions are projected out, as Gram-Schmidt gives. The failure is
-    None, or the RankDeficient of the first set with some |R_ii| < tol,
-    index its place in the stack and counted in its message from the last
-    of starts at or before it; the sets before it keep their Q and R. When
-    c > N it is the whole stack's, index 0, and Q and R hold no sets.
+    The gufunc np.linalg.svd calls, under the same invalid-value trap: a
+    LAPACK failure (an SVD that does not converge; a NaN entry makes one)
+    is an EvaluationFailure naming the factorization.
     """
+    try:
+        with np.errstate(invalid="raise"):
+            return _SVD_GUFUNCS[J.shape[0] >= J.shape[1]](J, signature="d->ddd")
+    except FloatingPointError as exc:
+        raise EvaluationFailure(
+            f"the SVD of a {J.shape[0]} x {J.shape[1]} matrix failed in LAPACK"
+        ) from exc
+
+
+def _qr(stack: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
+    """Q (K, N, c), R (K, c, c), orientation and rank failure of the transposed (K, c, N) stack.
+
+    Q and R are np.linalg.qr's of the transposed stack, bit for bit, with
+    each column of Q and row of R flipped so that diag(R) > 0: column i of
+    Q keeps a positive inner product with input i after the preceding
+    directions are projected out, as Gram-Schmidt gives. The orientation
+    is None unless the sets are square (c = N); then it is a (K,) bool
+    array, True where det Q < 0: det Q = (-1)^(n + f), n the reflectors
+    with tau != 0 and f the flipped columns. The failure is None, or the
+    RankDeficient of the first set with some |R_ii| < tol, index its place
+    in the stack and counted in its message from the last of starts at or
+    before it; the sets before it keep their Q and R. When c > N it is the
+    whole stack's, index 0, and Q and R hold no sets. A non-finite stack,
+    or a failure inside LAPACK, is an EvaluationFailure.
+    """
+    _require_finite(stack)
     count, dim = stack.shape[1:]
     if count > dim:
         failure = RankDeficient(f"{count} vectors cannot be independent in R^{dim}", index=0)
-        return np.empty((0, dim, count)), np.empty((0, count, count)), failure
-    Q, R = np.linalg.qr(stack.transpose(0, 2, 1))
+        return np.empty((0, dim, count)), np.empty((0, count, count)), None, failure
+    # qr_r_raw overwrites its input with R and the reflectors, so it gets
+    # a private copy, laid out as np.linalg.qr lays out its own
+    A = stack.transpose(0, 2, 1).copy(order="K")
+    try:
+        with np.errstate(invalid="raise"):
+            tau = _QR_RAW_GUFUNCS[dim > count](A, signature="d->d")
+            Q = _umath_linalg.qr_reduced(A, tau, signature="dd->d")
+    except FloatingPointError as exc:
+        raise EvaluationFailure(f"the QR of a {stack.shape} stack failed in LAPACK") from exc
+    R = np.triu(A[:, :count, :])
     diag = np.diagonal(R, axis1=1, axis2=2)
     dependent = np.abs(diag) < tol
     failure = None
@@ -308,17 +364,21 @@ def _qr(stack: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
             index=int(k),
         )
     sign = np.sign(diag)
+    flipped = None
+    if count == dim:
+        parity = np.count_nonzero(tau, axis=1) + np.count_nonzero(sign < 0.0, axis=1)
+        flipped = parity % 2 == 1
     # in place: Q and R are this call's own arrays, and a report's frame
     # stack makes them the largest temporaries of its assembly
     Q *= sign[:, None, :]
     R *= sign[:, :, None]
-    return Q, R, failure
+    return Q, R, flipped, failure
 
 
 def _orthonormal_sets(V: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
-    """The Q of `_qr` as the (K, c, N) orthonormal sets of the finite stack V, and _qr's failure."""
-    Q, _, failure = _qr(V, tol, starts)
-    return Q.transpose(0, 2, 1), failure
+    """((sets, orientation), failure) of `_qr`: its Q as the (K, c, N) orthonormal sets of V."""
+    Q, _, flipped, failure = _qr(V, tol, starts)
+    return (Q.transpose(0, 2, 1), flipped), failure
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -331,8 +391,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     V = np.asarray(vectors, dtype=float)
     if V.ndim != 3 or V.shape[-1] < 1:
         raise ValueError("expected a (sets, vectors, dimension) stack")
-    _require_finite(V)
-    return _values(_orthonormal_sets(V, tol.ortho_tol))
+    return _values(_orthonormal_sets(V, tol.ortho_tol))[0]
 
 
 def jacobian_fd(

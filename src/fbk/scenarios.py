@@ -166,9 +166,9 @@ def _suspended_hopf(p: np.ndarray) -> np.ndarray:
     """
     t = float(p[0])
     ny = _norm(p[1:5])
-    y = p[1:5].tolist()
-    conj = (y[0], -y[1], -y[2], -y[3])
-    h = _qmul(_qmul(y, (0.0, 1.0, 0.0, 0.0)), conj)
+    a, b, c, d = p[1:5].tolist()
+    # y i = (-b, a, d, -c), the product _qmul(y, i) with its zero terms folded
+    h = _qmul((-b, a, d, -c), (a, -b, -c, -d))
     return np.array([t, h[1] / ny, h[2] / ny, h[3] / ny])
 
 
@@ -329,26 +329,52 @@ _S5_V_JAC = np.array(
 )
 
 
+# The four terms of _s5_alt_section_jac, -x e_3^T, x_2 I, v e_4^T and
+# x_3 dv with v = _s5_splitting(x), as the products x[_S5_ALT_INDEX[t]]_i
+# _S5_ALT_FACTORS[t]_ij: each factor holds the constant of its term, its
+# signed zeros included (v_i e_4j = x_(perm i) (sign_i e_4j)), so every
+# product has the bits of the term it replaces.
+_S5_ALT_INDEX = np.array([range(6), [2] * 6, [1, 0, 3, 2, 5, 4], [3] * 6])
+_S5_ALT_FACTORS = np.array(
+    [
+        np.broadcast_to(-np.eye(6)[2], (6, 6)),
+        np.eye(6),
+        np.outer([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0], np.eye(6)[3]),
+        _S5_V_JAC,
+    ]
+)
+
+
 def _s5_alt_section(x: np.ndarray) -> np.ndarray:
-    # projection of the constant field e_3 onto the bundle: e_3 minus its
-    # radial and splitting components
-    out = np.zeros(6)
-    out[2] = 1.0
-    return out - x[2] * x + x[3] * _s5_splitting(x)
+    """The projection of the constant field e_3 onto the bundle: e_3 - x_2 x + x_3 v(x).
+
+    v is _s5_splitting; the entries are taken on Python floats, each
+    (e_3 - x_2 x)_i + x_3 v_i in the order the array form rounds it.
+    """
+    x0, x1, x2, x3, x4, x5 = x.tolist()
+    return np.array(
+        [
+            (0.0 - x2 * x0) + x3 * -x1,
+            (0.0 - x2 * x1) + x3 * x0,
+            (1.0 - x2 * x2) + x3 * -x3,
+            (0.0 - x2 * x3) + x3 * x2,
+            (0.0 - x2 * x4) + x3 * -x5,
+            (0.0 - x2 * x5) + x3 * x4,
+        ]
+    )
 
 
 def _s5_alt_section_jac(x: np.ndarray) -> np.ndarray:
-    e3 = np.zeros(6)
-    e3[2] = 1.0
-    e4 = np.zeros(6)
-    e4[3] = 1.0
-    v = _s5_splitting(x)
-    return (
-        -np.outer(x, e3)
-        - x[2] * np.eye(6)
-        + np.outer(v, e4)
-        + x[3] * _S5_V_JAC
-    )
+    """The 6 x 6 Jacobian of _s5_alt_section: ((-x e_3^T - x_2 I) + v e_4^T) + x_3 dv.
+
+    The four terms come from one product with _S5_ALT_FACTORS and are
+    summed in that order into one fresh array.
+    """
+    P = x[_S5_ALT_INDEX][:, :, None] * _S5_ALT_FACTORS
+    J = P[0] - P[1]
+    J += P[2]
+    J += P[3]
+    return J
 
 
 def _s5_problem(options: dict, alt: bool) -> tuple[SectionSpec, TraceOptions]:

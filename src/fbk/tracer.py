@@ -72,6 +72,7 @@ from .numkit import (
     _orthonormal_sets,
     _qr,
     _require_finite,
+    _svd,
     _values,
     jacobian_fd,
     recording,
@@ -366,12 +367,13 @@ def _factored(J: np.ndarray):
 
     The rank counts the singular values above _NEWTON_RCOND times the
     largest. V, Ut and S are the views Vt[:rank].T, U[:, :rank].T and
-    S[:rank] of the full SVD U diag(S) Vt, taken once here so that every
-    chord step is two matrix-vector products and one division; Vt is the
-    full right factor, whose last row is the kernel tangent. Every step,
-    tangent and rank test of the walk comes from one such factorization.
+    S[:rank] of the full SVD U diag(S) Vt (numkit's `_svd`), taken once
+    here so that every chord step is two matrix-vector products and one
+    division; Vt is the full right factor, whose last row is the kernel
+    tangent. Every step, tangent and rank test of the walk comes from one
+    such factorization. An SVD that fails in LAPACK is an EvaluationFailure.
     """
-    U, S, Vt = np.linalg.svd(J)
+    U, S, Vt = _svd(J)
     rank = int(np.count_nonzero(S > _NEWTON_RCOND * S[0]))
     return Vt[:rank].T, U[:, :rank].T, S[:rank], rank, Vt
 
@@ -715,7 +717,7 @@ def induced_framing(
         broken = np.flatnonzero(~np.isfinite(J).reshape(len(J), -1).all(axis=1))
         if broken.size:
             raise EvaluationFailure(f"non-finite map derivative at {where(broken[0])}")
-        Q, R, dependent = _qr(J, DEFAULT_TOL.ortho_tol)
+        Q, R, _, dependent = _qr(J, DEFAULT_TOL.ortho_tol)
         if dependent is not None:
             raise Singular(
                 f"rank drop of the map derivative at {where(dependent.index)} along the curve: "
@@ -885,7 +887,7 @@ def _transported(frame: np.ndarray, bases: np.ndarray):
     chain[0] = frame
     for i, projector in enumerate(projectors):
         np.matmul(chain[i], projector, out=chain[i + 1])
-    Q, R, _ = _qr(chain, 0.0)
+    Q, R, _, _ = _qr(chain, 0.0)
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
     dropped = (diag[1:] < _TRANSPORT_TOL * diag[:-1]).any(axis=1)
     lost = int(np.argmax(dropped)) if dropped.any() else None
@@ -963,7 +965,7 @@ def transport_closed_frame(
 
     def bases(rows: np.ndarray) -> np.ndarray:
         """Orthonormal rows spanning each set of fixed rows."""
-        return _values(_orthonormal_sets(rows, _TRANSPORT_TOL))
+        return _values(_orthonormal_sets(rows, _TRANSPORT_TOL))[0]
 
     lost_a_dimension = "normal space of the curve lost a dimension at"
     rows = fixed(loop.points, loop._sample_tangents)

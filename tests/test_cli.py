@@ -120,6 +120,21 @@ class TestScenario:
         assert "EvaluationFailure" in err
         assert "entry (0, 0) is 3.3, central differences give 2.2" in err
 
+    def test_svd_failure_exit_code(self, capsys, monkeypatch):
+        # the walk's SVD fails inside LAPACK, as one that does not converge does
+        import fbk.numkit as numkit
+
+        real = numkit._SVD_GUFUNCS
+
+        def failing(J, signature):
+            return real[J.shape[0] >= J.shape[1]](np.full_like(J, np.nan), signature=signature)
+
+        monkeypatch.setattr(numkit, "_SVD_GUFUNCS", (failing, failing))
+        code, out, err = run_cli(capsys, ["scenario", "suspended-hopf"])
+        assert code == 4
+        assert out == ""
+        assert "EvaluationFailure: the SVD of a 4 x 5 matrix failed in LAPACK" in err
+
     def test_check_mismatch_exit_code(self, capsys, monkeypatch):
         scenario = REGISTRY["pontryagin-circle"]
         monkeypatch.setattr(scenario, "expected", lambda options: {"kappa": 1})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from fbk.numkit import (
     Tolerances,
     _mgs,
     _norm,
+    _qr,
+    _svd,
     jacobian_fd,
     orthonormalize,
 )
@@ -92,6 +95,78 @@ class TestBatchedOrthonormalize:
         with pytest.raises(RankDeficient, match="vector 2 of set 4 ") as info:
             orthonormalize(stack)
         assert info.value.index == 4
+
+
+def sign_fixed_qr(stack):
+    """np.linalg.qr of the transposed (K, c, N) stack, flipped so that diag(R) > 0."""
+    Q, R = np.linalg.qr(stack.transpose(0, 2, 1))
+    sign = np.sign(np.diagonal(R, axis1=1, axis2=2))
+    return Q * sign[:, None, :], R * sign[:, :, None]
+
+
+def reflection(rng, n):
+    u = rng.normal(size=n)
+    return np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
+
+
+class TestLapackEntries:
+    """_svd and _qr call numpy's LAPACK gufuncs directly: np.linalg's bits, typed failures."""
+
+    # the walk's Jacobians (quadrics, Hopf, the S^5 sections, of rank 5)
+    # and the closing's aligned systems
+    @pytest.mark.parametrize("shape, rank", [
+        ((3, 4), 3), ((4, 5), 4), ((7, 6), 5), ((4, 4), 4), ((5, 5), 5), ((8, 6), 6)
+    ])
+    def test_svd_is_numpy_svd_bit_for_bit(self, rng, shape, rank):
+        for _ in range(50):
+            J = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+            for ours, numpys in zip(_svd(J), np.linalg.svd(J)):
+                assert np.array_equal(ours, numpys)
+
+    def test_qr_is_sign_fixed_numpy_qr_bit_for_bit(self, rng):
+        for n in range(3, 13):
+            for c in sorted({1, n - 1, n}):
+                stack = rng.normal(size=(5, c, n))
+                Q, R, flipped, failure = _qr(stack, DEFAULT_TOL.ortho_tol)
+                ref_Q, ref_R = sign_fixed_qr(stack)
+                assert np.array_equal(Q, ref_Q) and np.array_equal(R, ref_R)
+                assert failure is None
+                if c < n:
+                    assert flipped is None
+                else:
+                    assert np.array_equal(flipped, np.linalg.det(Q) < 0.0)
+
+    def test_qr_leaves_its_input_alone(self, rng):
+        stack = rng.normal(size=(3, 4, 4))
+        kept = stack.copy()
+        _qr(stack, DEFAULT_TOL.ortho_tol)
+        assert np.array_equal(stack, kept)
+
+    def test_orientation_is_the_sign_of_det_q(self, rng):
+        frames = [rng.normal(size=(n, n)) for n in rng.integers(3, 13, size=440)]
+        frames += [reflection(rng, n) for n in range(3, 13)]
+        frames += [np.eye(n)[rng.permutation(n)] for n in rng.integers(3, 13, size=20)]
+        # sets whose transpose, the matrix factored, is already upper
+        # triangular: every tau is 0 and only the sign fix flips
+        frames += [np.triu(rng.normal(size=(n, n))).T for n in rng.integers(3, 13, size=20)]
+        frames += [np.eye(n) for n in range(3, 13)]
+        frames.append(np.diag([1.0, 2.0, 3.0, -1.0]))
+        assert len(frames) == 501
+        for frame in frames:
+            Q, _, flipped, failure = _qr(frame[None], DEFAULT_TOL.ortho_tol)
+            assert failure is None
+            assert flipped.tolist() == [np.linalg.det(Q[0]) < 0.0], frame
+
+    def test_nan_is_an_evaluation_failure(self):
+        # not numpy's LinAlgError, and no RuntimeWarning on the way
+        J = np.arange(20.0).reshape(4, 5)
+        J[1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailure, match="SVD of a 4 x 5 matrix failed"):
+                _svd(J)
+            with pytest.raises(EvaluationFailure, match="non-finite"):
+                _qr(J[None, :, :4], DEFAULT_TOL.ortho_tol)
 
 
 class TestLeastSquares:

@@ -20,7 +20,7 @@ import re
 import numpy as np
 import pytest
 
-from fbk import recording, run_scenario
+from fbk import recording, run_scenario, scenarios
 from fbk.errors import EvaluationFailure
 from fbk.numkit import jacobian_fd
 from fbk.scenarios import REGISTRY, resolve_options
@@ -167,3 +167,55 @@ def test_the_finite_difference_walk_keeps_its_table_row(name):
     assert record["newton_iterations"] == iterations
     assert record["jacobian_evaluations"] == jacobians
     assert "jacobian_checks" not in record
+
+
+def array_s5_alt_section(x):
+    """_s5_alt_section as an array expression: e_3 - x_2 x + x_3 v(x)."""
+    e3 = np.zeros(6)
+    e3[2] = 1.0
+    return e3 - x[2] * x + x[3] * scenarios._s5_splitting(x)
+
+
+def array_s5_alt_section_jac(x):
+    """_s5_alt_section_jac from fresh outer products: -x e_3^T - x_2 I + v e_4^T + x_3 dv."""
+    e3, e4 = np.eye(6)[2], np.eye(6)[3]
+    v = scenarios._s5_splitting(x)
+    return -np.outer(x, e3) - x[2] * np.eye(6) + np.outer(v, e4) + x[3] * scenarios._S5_V_JAC
+
+
+def unfolded_suspended_hopf(p):
+    """_suspended_hopf with both quaternion products taken in full, y i by _qmul too."""
+    y = p[1:5].tolist()
+    conj = (y[0], -y[1], -y[2], -y[3])
+    h = scenarios._qmul(scenarios._qmul(y, (0.0, 1.0, 0.0, 0.0)), conj)
+    ny = np.linalg.norm(p[1:5])
+    return np.array([float(p[0]), h[1] / ny, h[2] / ny, h[3] / ny])
+
+
+@pytest.mark.parametrize(
+    "fast, reference, dim",
+    [
+        (scenarios._s5_alt_section, array_s5_alt_section, 6),
+        (scenarios._s5_alt_section_jac, array_s5_alt_section_jac, 6),
+        (scenarios._suspended_hopf, unfolded_suspended_hopf, 5),
+    ],
+    ids=["s5-alt-section", "s5-alt-section-jacobian", "suspended-hopf"],
+)
+def test_registry_callbacks_keep_the_bits_of_their_array_forms(fast, reference, dim):
+    # every byte, signed zeros included, at 10^4 seeded points; generic
+    # points, as the walk's are (the folded y i of the Hopf map can flip
+    # the sign of a zero entry where a coordinate of y is exactly zero)
+    rng = np.random.default_rng(28)
+    for p in rng.normal(size=(10_000, dim)):
+        assert fast(p).tobytes() == reference(p).tobytes(), p
+
+
+def test_s5_alt_section_jacobian_keeps_its_signed_zeros_at_zero_coordinates():
+    # the zero terms of the array form set the sign of every zero entry
+    rng = np.random.default_rng(29)
+    for p in rng.normal(size=(2_000, 6)):
+        p[rng.random(6) < 0.5] = 0.0
+        p *= np.where(rng.random(6) < 0.5, -1.0, 1.0)
+        fast = scenarios._s5_alt_section_jac(p)
+        assert fast.tobytes() == array_s5_alt_section_jac(p).tobytes(), p
+        assert scenarios._s5_alt_section(p).tobytes() == array_s5_alt_section(p).tobytes(), p

@@ -25,8 +25,9 @@ R^8 and R^12, moving 4 coordinates, without resamplers), one line each:
     assembles all its components' frames as one stack and lifts them
     together, the minimum over --repeat calls;
   - frames_assembled, as above; qr_calls, the calls of the batched QR
-    `numkit._qr`; and givens_passes, the calls of the lift's Givens kernel
-    `spinlift._rotors`, each in one report.
+    `numkit._qr`; det_calls, the calls of `numpy.linalg.det` (0: the QR
+    gives each frame's orientation); and givens_passes, the calls of the
+    lift's Givens kernel `spinlift._rotors`, each in one report.
 
 The R^8 link is run once more with its last component coarse (its framing
 turned 16 more times, past the lift's angle bound at every step), so its
@@ -178,14 +179,14 @@ def report(link):
 
 
 def timed_report(link, repeat: int):
-    """(report_ms, frames_assembled, qr_calls, givens_passes) of one link's invariant_report."""
+    """(report_ms, frames_assembled, qr_calls, det_calls, givens_passes) of one link's report."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
         report(link)
         best = min(best, time.perf_counter() - start)
-    calls = {"_qr": 0, "_rotors": 0}
-    spied = [(numkit, "_qr"), (spinlift, "_rotors")]
+    calls = {"_qr": 0, "det": 0, "_rotors": 0}
+    spied = [(numkit, "_qr"), (np.linalg, "det"), (spinlift, "_rotors")]
     originals = [getattr(module, name) for module, name in spied]
     for (module, name), real in zip(spied, originals):
 
@@ -200,7 +201,8 @@ def timed_report(link, repeat: int):
     finally:
         for (module, name), real in zip(spied, originals):
             setattr(module, name, real)
-    return 1e3 * best, record.get("frames_assembled", 0), calls["_qr"], calls["_rotors"]
+    frames = record.get("frames_assembled", 0)
+    return 1e3 * best, frames, calls["_qr"], calls["det"], calls["_rotors"]
 
 
 def timed_load(document: dict, directory: str, repeat: int):
@@ -236,7 +238,7 @@ def main(argv=None) -> int:
         print(f"{label:40s} {k:4d} {count:5d} {fresh:9.3f} {cached:9.3f} {frames:16d}")
     print()
     print(f"{'link-file-shaped link':40s} {'K':>4s} {'loops':>5s} {'report_ms':>9s} "
-          f"{'frames_assembled':>16s} {'qr_calls':>8s} {'givens_passes':>13s}")
+          f"{'frames_assembled':>16s} {'qr_calls':>8s} {'det_calls':>9s} {'givens_passes':>13s}")
     rng = np.random.default_rng(7)
     documents = {}
     for dim in (4, 8, 12):
@@ -244,10 +246,10 @@ def main(argv=None) -> int:
     reports = {**documents, "R8 4x64, last coarse: raises": coarse_last(documents["R8 4x64"])}
     for label, document in reports.items():
         link = load_link(document)
-        report_ms, frames, qr_calls, passes = timed_report(link, args.repeat)
+        report_ms, frames, qr_calls, det_calls, passes = timed_report(link, args.repeat)
         count, k = len(link.components), len(link.components[0][0])
         print(f"{label:40s} {k:4d} {count:5d} {report_ms:9.3f} {frames:16d} {qr_calls:8d} "
-              f"{passes:13d}")
+              f"{det_calls:9d} {passes:13d}")
     for samples in (4000, 20000):
         documents[f"Hopf R4 2x{samples}"] = hopf_link(samples)
     print()

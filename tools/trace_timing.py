@@ -29,10 +29,12 @@ the tracer (`Scenario.traced`) and prints one line:
     jacobian_checks (the seed's analytic Jacobian compared with central
     differences, 0 for a map without one) of one `_trace` call, as
     fbk.recording() notes them;
-  - svds: the calls of numpy.linalg.svd during one more `_trace` call,
-    counted by a wrapper around numpy's function, outside the timings. The
-    walk factors every Jacobian it evaluates once, so this equals
-    jacobian_evaluations;
+  - svds: the calls of `numkit._svd` (the walk's one SVD entry) during
+    one more `_trace` call, counted by a wrapper around the tracer's name
+    for it, outside the timings. The walk factors every Jacobian it
+    evaluates once, so this equals jacobian_evaluations;
+  - svd_us: microseconds per `_svd` call on the system Jacobians at the
+    samples, the factorization on its own;
   - on the S^5 zero circles (the cases that trace a section), transport_ms:
     milliseconds per `tracer.transport_closed_frame` call on the traced
     circle, the section index's auxiliary frame; closing_deg: the largest
@@ -102,19 +104,19 @@ def best_of(repeat: int, fn) -> float:
 
 
 def svd_calls(fn) -> int:
-    """Calls of numpy.linalg.svd while fn() runs."""
-    svd = np.linalg.svd
+    """Calls of the walk's SVD, numkit._svd as the tracer names it, while fn() runs."""
+    svd = tracer._svd
     count = [0]
 
-    def counted(*args, **kwargs):
+    def counted(J):
         count[0] += 1
-        return svd(*args, **kwargs)
+        return svd(J)
 
-    np.linalg.svd = counted
+    tracer._svd = counted
     try:
         fn()
     finally:
-        np.linalg.svd = svd
+        tracer._svd = svd
     return count[0]
 
 
@@ -154,7 +156,7 @@ def main(argv=None) -> int:
     print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'step_us':>7} "
           f"{'tangent_us':>10} {'jacobian_us':>11} {'newton_calls':>12} "
           f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'jacobian_checks':>15} "
-          f"{'svds':>5} "
+          f"{'svds':>5} {'svd_us':>6} "
           f"{'transport_ms':>12} {'closing_deg':>11} {'lift_deg':>8} {'dw_ms':>6}")
     for label, system, opts, section in traced_cases():
         seed, tol = opts.seeds[0], opts.tolerances
@@ -189,6 +191,13 @@ def main(argv=None) -> int:
                 system.raw_jacobian(p)
 
         jacobian_s = best_of(args.repeat, jacobians_at_samples) / len(loop)
+        system_jacobians = [system.jacobian(p) for p in points]
+
+        def svds_at_samples():
+            for J in system_jacobians:
+                tracer._svd(J)
+
+        svd_s = best_of(args.repeat, svds_at_samples) / len(loop)
         transport_ms = closing_deg = lift_deg = dw_ms = "-"
         if section is not None:
             normals = sphere_ambient(section.embedding_dimension).manifold_normals
@@ -204,7 +213,7 @@ def main(argv=None) -> int:
               f"{step_s * 1e6:>7.1f} {tangent_s * 1e6:>10.1f} {jacobian_s * 1e6:>11.1f} "
               f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
               f"{record['jacobian_evaluations']:>20} {record.get('jacobian_checks', 0):>15} "
-              f"{svds:>5} {transport_ms:>12} "
+              f"{svds:>5} {svd_s * 1e6:>6.1f} {transport_ms:>12} "
               f"{closing_deg:>11} {lift_deg:>8} {dw_ms:>6}")
     return 0
 
