@@ -14,8 +14,12 @@ that the loop moves (at least 3) take part. A rotor is carried as its
 bivector e_j e_i is a signed permutation of them, read from a cached table,
 so one Givens elimination (_givens) run over a whole stack of samples
 yields every rotor by gathers and sign flips (Doran-Lasenby, Geometric
-Algebra for Physicists, 2003, ch. 4). Every loop is lifted relative to
-its first sample, so it starts at the rotor 1, and the loops a report
+Algebra for Physicists, 2003, ch. 4). The elimination returns the angles
+of all planes as one table, so a kernel call (_rotors) takes one table of
+half-angle cosines and one of sines and updates its rotors in place
+through one gather buffer: no coefficient array is allocated per plane.
+Every loop is lifted relative to its first sample, so it starts at the
+rotor 1, and the loops a report
 lifts (_loop_classes; loop_class is the batch of one) form one cyclic
 chain per moved-coordinate count. For m = 3, quaternion_loop_class lifts
 through unit quaternions instead, as an independent cross-check.
@@ -43,6 +47,9 @@ from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max, _successors, 
 
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
+# Samples of one loop's refined stack, a bound on refinement's work: 16
+# samples refined 24 levels deep would be 2^28 of them.
+_MAX_REFINED_SAMPLES = 1 << 14
 _ORTHO_CHECK = 1e-8
 # Rotor coefficients per pass of the lift, a bound on memory: a pass holds
 # (rows, 2^(d-1)) coefficient arrays of at most this size, 1 MB each (64
@@ -86,19 +93,33 @@ def _z2_bit(value) -> int:
     return b
 
 
+@functools.cache
+def _identity(m: int) -> np.ndarray:
+    """The (m, m) identity, built on first use and read-only."""
+    eye = np.eye(m)
+    eye.setflags(write=False)
+    return eye
+
+
 def _check_special_orthogonal(R: np.ndarray, params: Sequence[float] | None = None) -> np.ndarray:
     """One (m, m) rotation or a (K, m, m) stack of them, checked and returned as float.
 
     The shape is the caller's to check (_rotation_stack does). A stack is
-    checked with one matmul and one batched determinant; the error names
-    the first failing sample (by its parameter, when refiner outputs at
-    params are checked) and, as a sample-by-sample check would, the first
-    test it fails there (orthogonality before sign).
+    checked with one matmul and one batched determinant of the samples
+    that pass the orthogonality test; the error names the first failing
+    sample (by its parameter, when refiner outputs at params are checked)
+    and, as a sample-by-sample check would, the first test it fails there
+    (orthogonality before sign).
     """
     R = np.asarray(R, dtype=float)
-    defect = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(R.shape[-1])).max(axis=(-2, -1))
-    skewed = ~(defect <= _ORTHO_CHECK)  # also catches non-finite entries
-    bad = skewed | (np.linalg.det(R) <= 0.0)
+    stack = R.reshape(-1, *R.shape[-2:])
+    defect = np.abs(stack.transpose(0, 2, 1) @ stack - _identity(R.shape[-1]))
+    defect = np.maximum.reduce(defect, axis=(1, 2))
+    orthogonal = defect <= _ORTHO_CHECK  # False on non-finite entries too
+    bad = ~orthogonal
+    # only the orthogonal samples have their determinant taken: numpy warns
+    # on a non-finite one, which has failed already
+    bad[orthogonal] = np.linalg.det(stack[orthogonal]) <= 0.0
     if bad.any():
         k = np.argmax(bad)
         if R.ndim == 2:
@@ -107,8 +128,8 @@ def _check_special_orthogonal(R: np.ndarray, params: Sequence[float] | None = No
             at = f"sample {k}: "
         else:
             at = f"refiner output at parameter {params[k]:.6f}: "
-        if np.ravel(skewed)[k]:
-            raise NotOrthogonal(f"{at}orthogonality defect {np.ravel(defect)[k]:.3e}")
+        if not orthogonal[k]:
+            raise NotOrthogonal(f"{at}orthogonality defect {defect[k]:.3e}")
         raise NotOrthogonal(f"{at}determinant is not positive")
     return R
 
@@ -221,20 +242,25 @@ def _refined(loop: RotationLoop, tol: Tolerances) -> np.ndarray:
     A step is stack[k+1] stack[k]^T, the last closing back on stack[0].
     Refinement runs level by level: one batched bound test on all steps,
     then one refiner evaluation at the midpoint of every step over the
-    bound, all checked at once and inserted after their steps. The stack is
+    bound, all checked at once and scattered in after their steps. The stack is
     the one a depth-first split of each step would reach, sample for sample. When
     several steps fail, the error raised is one of the shallowest level at
     which any step fails, not necessarily the earliest step's: a bad refiner
     output at level 1 is raised before an earlier step exhausts the depth.
+    A level that would take the stack past _MAX_REFINED_SAMPLES is not
+    evaluated; like a level past _MAX_REFINE_DEPTH, it is RefinementExhausted.
     """
     bound = _angle_step_bound(tol.lift_angle_max)
-    eye = np.eye(loop.dim)
+    eye = _identity(loop.dim)
     samples = loop.samples
     params = np.array(loop.params)
     depth = 0
     while True:
-        steps = _successors(samples) @ samples.transpose(0, 2, 1)
-        over = np.flatnonzero(np.linalg.norm(steps - eye, axis=(1, 2)) > bound)
+        defects = _successors(samples) @ samples.transpose(0, 2, 1)
+        defects -= eye
+        defects *= defects
+        # the Frobenius norm as np.linalg.norm computes it
+        over = (np.sqrt(np.add.reduce(defects, axis=(1, 2))) > bound).nonzero()[0]
         if not over.size:
             break
         start = float(params[over[0]]) % 1.0
@@ -244,12 +270,29 @@ def _refined(loop: RotationLoop, tol: Tolerances) -> np.ndarray:
             )
         if depth >= _MAX_REFINE_DEPTH:
             raise RefinementExhausted(f"refinement depth {depth} exhausted near parameter {start:.6f}")
+        count = len(samples) + over.size
+        if count > _MAX_REFINED_SAMPLES:
+            raise RefinementExhausted(
+                f"refinement to {count} samples passes the cap of {_MAX_REFINED_SAMPLES} near "
+                f"parameter {start:.6f}; lift_angle_max = {tol.lift_angle_max:g} is too small "
+                "for this loop"
+            )
         # Params stay unwrapped: the closing step ends at params[0] + 1.
-        mid = 0.5 * (params[over] + np.append(params[1:], params[0] + 1.0)[over])
+        ends = np.concatenate((params[1:], params[:1] + 1.0))
+        mid = 0.5 * (params[over] + ends[over])
         wrapped = [t % 1.0 for t in mid.tolist()]
         new = _rotation_stack([loop.refiner(t) for t in wrapped], wrapped, loop.dim)
-        samples = np.insert(samples, over + 1, new, axis=0)
-        params = np.insert(params, over + 1, mid)
+        # step over[k]'s midpoint goes right after it, to over[k] + 1 + k
+        inserted = over + np.arange(1, over.size + 1)
+        kept = np.ones(count, dtype=bool)
+        kept[inserted] = False
+        stack = np.empty((count, loop.dim, loop.dim))
+        stack[inserted] = new
+        stack[kept] = samples
+        grown = np.empty(count)
+        grown[inserted] = mid
+        grown[kept] = params
+        samples, params = stack, grown
         depth += 1
     _note_add("lift_steps", len(samples))
     _note_max("refinement_depth", depth)
@@ -296,24 +339,31 @@ def _spin_tables(d: int) -> _SpinTables:
     return _SpinTables(planes, blades, perm, sign)
 
 
-def _givens(M: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-    """Reduce a (d, d, K) rotation stack M to I in place; (j, i, theta) of every plane.
+def _givens(M: np.ndarray) -> np.ndarray:
+    """Reduce a (d, d, K) rotation stack M to I in place; the (planes, K) table of its angles.
 
     Column by column, the rotation G by theta = atan2(M[i, j], M[j, j]) (a
-    (K,) array) in the (e_j, e_i) plane zeroes M[i, j] of M = G ... R
+    (K,) row of the table) in the (e_j, e_i) plane zeroes M[i, j] of M = G ... R
     (Golub and Van Loan, Matrix Computations, 5.1.8), in the order of
     _spin_tables(d).planes. Each column j leaves row j = e_j, M being
     orthogonal, and the last diagonal entry is det R: a reflection is not
     reduced to I.
     """
-    planes = []
-    for j in range(len(M) - 1):
-        for i in range(j + 1, len(M)):
-            theta = np.arctan2(M[i, j], M[j, j])
+    d = len(M)
+    thetas = np.empty((d * (d - 1) // 2, M.shape[2]))
+    p = 0
+    for j in range(d - 1):
+        Mj = M[j]
+        for i in range(j + 1, d):
+            Mi = M[i]
+            theta = np.arctan2(Mi[j], Mj[j], out=thetas[p])
             c, s = np.cos(theta), np.sin(theta)
-            M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
-            planes.append((j, i, theta))
-    return planes
+            new_j = c * Mj + s * Mi
+            Mi *= c
+            Mi -= s * Mj
+            Mj[...] = new_j
+            p += 1
+    return thetas
 
 
 def _rotors(rotations: np.ndarray) -> np.ndarray:
@@ -328,22 +378,33 @@ def _rotors(rotations: np.ndarray) -> np.ndarray:
     NotOrthogonal when the elimination does not reach the identity (a
     reflection does not).
     """
-    tables = _spin_tables(rotations.shape[1])
+    d = rotations.shape[1]
+    tables = _spin_tables(d)
     sign = tables.sign[:, :, None]
     # The rotations run along the last axis of M and of rotors, so each row
     # M[j] and each plane's gather rotors[perm[p]] moves contiguous runs.
     M = rotations.transpose(1, 2, 0).copy()
+    half = 0.5 * _givens(M)
+    cosines, sines = np.cos(half), np.sin(half)
     rotors = np.zeros((len(tables.blades), len(rotations)))
     rotors[0] = 1.0
-    for p, (_, _, theta) in enumerate(_givens(M)):
-        half = 0.5 * theta
-        rotors = np.cos(half) * rotors - np.sin(half) * rotors[tables.perm[p]] * sign[p]
-    residue = np.max(np.abs(M - np.eye(rotations.shape[1])[:, :, None]), axis=(0, 1))
-    if residue.max() > 1e-6:
+    gathered = np.empty_like(rotors)
+    # rotors <- cos * rotors - (sin * rotors[perm]) * sign, in place and in
+    # that order, so each plane rounds as the expression does
+    for p in range(len(half)):
+        rotors.take(tables.perm[p], axis=0, out=gathered)
+        np.multiply(sines[p], gathered, out=gathered)
+        gathered *= sign[p]
+        rotors *= cosines[p]
+        rotors -= gathered
+    M -= _identity(d)[:, :, None]
+    residue = np.maximum.reduce(np.abs(M, out=M), axis=(0, 1))
+    if np.maximum.reduce(residue) > 1e-6:
         k = int(np.argmax(residue > 1e-6))
         raise NotOrthogonal(f"sample {k}: Givens elimination left residue {residue[k]:.3e}")
     # one rotor per contiguous row, the layout _overlaps sums over
-    return np.divide(rotors.T, np.sqrt(np.sum(rotors * rotors, axis=0))[:, None], order="C")
+    np.multiply(rotors, rotors, out=gathered)
+    return np.divide(rotors.T, np.sqrt(np.add.reduce(gathered, axis=0))[:, None], order="C")
 
 
 def _overlaps(rotations: np.ndarray) -> np.ndarray:
@@ -402,11 +463,11 @@ def _moved_coordinates(rotations: np.ndarray) -> np.ndarray:
     canonical rotors all lie in the span of the kept coordinates and its
     Clifford algebra. The comparison is exact; there is no tolerance.
     """
-    changed = rotations != np.eye(rotations.shape[1])
+    changed = rotations != _identity(rotations.shape[1])
     moved = changed.any(axis=(0, 1)) | changed.any(axis=(0, 2))
-    keep = np.flatnonzero(moved)
+    keep = moved.nonzero()[0]
     if keep.size < 3:
-        keep = np.sort(np.concatenate([keep, np.flatnonzero(~moved)[: 3 - keep.size]]))
+        keep = np.sort(np.concatenate([keep, (~moved).nonzero()[0][: 3 - keep.size]]))
     return rotations[:, keep[:, None], keep]
 
 
@@ -433,11 +494,11 @@ def _lift_overlaps(loops: Sequence[RotationLoop], tol: Tolerances) -> tuple:
                 )
             samples = _refined(loop, tol)
             P = samples @ samples[0].T
-            P[0] = np.eye(loop.dim)
+            P[0] = _identity(loop.dim)
             P = _moved_coordinates(P)
             # P_k is a product of two checked samples, so its determinant is
             # positive, but the two orthogonality defects add up.
-            defect = np.max(np.abs(P.transpose(0, 2, 1) @ P - np.eye(P.shape[1])))
+            defect = np.abs(P.transpose(0, 2, 1) @ P - _identity(P.shape[1])).max()
             if defect > _ORTHO_CHECK:
                 raise NotOrthogonal(f"orthogonality defect {defect:.3e}")
         except Exception as exc:  # noqa: BLE001 - its refiner may raise anything

@@ -28,6 +28,7 @@ constant rotation does not move the computed class.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
@@ -1015,7 +1016,8 @@ def _givens_planes(H: np.ndarray) -> list[tuple[int, int, float]]:
     stacks, run on a stack of one: G_p ... G_1 H = I for the returned
     (j, i, theta) in order.
     """
-    return [(j, i, float(theta[0])) for j, i, theta in _givens(H[:, :, None].copy())]
+    thetas = _givens(H[:, :, None].copy())[:, 0].tolist()
+    return [(j, i, theta) for (j, i), theta in zip(itertools.combinations(range(len(H)), 2), thetas)]
 
 
 def _givens_path(planes, n: int, u: np.ndarray) -> np.ndarray:

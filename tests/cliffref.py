@@ -7,6 +7,13 @@ factor, and sparse_loop_class multiplies the canonical lifts of a loop's
 steps and reads the bit off the product, where fbk.spinlift.loop_class
 lifts every sample and counts sign changes; both read the same refined
 sample stack and must give the same bit, which the tests compare.
+
+givens_reference, rotors_reference and refined_reference are the batched
+kernel as it was written before it worked in place: one fresh array per
+arithmetic step of every Givens plane, the half-angle cosines and sines
+taken plane by plane, and the refined stack grown by np.insert. The kernel
+performs the same floating-point operations in the same order, so the
+tests require its rotors, overlaps and stacks to equal these bit for bit.
 """
 
 from __future__ import annotations
@@ -17,14 +24,24 @@ from typing import Sequence
 
 import numpy as np
 
-from fbk.errors import DimensionMismatch, LiftInconsistent, NotNearIdentity
-from fbk.numkit import DEFAULT_TOL, Tolerances
+from fbk.errors import (
+    DimensionMismatch,
+    LiftInconsistent,
+    NotNearIdentity,
+    NotOrthogonal,
+    RefinementExhausted,
+)
+from fbk.numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max, _successors
 from fbk.spinlift import (
     _MAX_DIM,
+    _MAX_REFINE_DEPTH,
     RotationLoop,
     Z2,
+    _angle_step_bound,
     _check_special_orthogonal,
     _refined,
+    _rotation_stack,
+    _spin_tables,
 )
 
 
@@ -212,3 +229,63 @@ def sparse_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> Z2:
             f"lift closed at distance {min(d_plus, d_minus):.3e} from both +1 and -1"
         )
     return Z2(0 if d_plus <= d_minus else 1)
+
+
+def givens_reference(M: np.ndarray) -> list:
+    """spinlift._givens as a list of (j, i, theta), each plane's row pair reassigned."""
+    planes = []
+    for j in range(len(M) - 1):
+        for i in range(j + 1, len(M)):
+            theta = np.arctan2(M[i, j], M[j, j])
+            c, s = np.cos(theta), np.sin(theta)
+            M[j], M[i] = c * M[j] + s * M[i], c * M[i] - s * M[j]
+            planes.append((j, i, theta))
+    return planes
+
+
+def rotors_reference(rotations: np.ndarray) -> np.ndarray:
+    """spinlift._rotors with a fresh coefficient array per step of every plane."""
+    tables = _spin_tables(rotations.shape[1])
+    sign = tables.sign[:, :, None]
+    M = rotations.transpose(1, 2, 0).copy()
+    rotors = np.zeros((len(tables.blades), len(rotations)))
+    rotors[0] = 1.0
+    for p, (_, _, theta) in enumerate(givens_reference(M)):
+        half = 0.5 * theta
+        rotors = np.cos(half) * rotors - np.sin(half) * rotors[tables.perm[p]] * sign[p]
+    residue = np.max(np.abs(M - np.eye(rotations.shape[1])[:, :, None]), axis=(0, 1))
+    if residue.max() > 1e-6:
+        k = int(np.argmax(residue > 1e-6))
+        raise NotOrthogonal(f"sample {k}: Givens elimination left residue {residue[k]:.3e}")
+    return np.divide(rotors.T, np.sqrt(np.sum(rotors * rotors, axis=0))[:, None], order="C")
+
+
+def refined_reference(loop: RotationLoop, tol: Tolerances) -> np.ndarray:
+    """spinlift._refined growing the stack by np.insert, with no cap on its samples."""
+    bound = _angle_step_bound(tol.lift_angle_max)
+    eye = np.eye(loop.dim)
+    samples = loop.samples
+    params = np.array(loop.params)
+    depth = 0
+    while True:
+        steps = _successors(samples) @ samples.transpose(0, 2, 1)
+        over = np.flatnonzero(np.linalg.norm(steps - eye, axis=(1, 2)) > bound)
+        if not over.size:
+            break
+        start = float(params[over[0]]) % 1.0
+        if loop.refiner is None:
+            raise RefinementExhausted(
+                f"step at parameter {start:.6f} exceeds the angle bound and the loop has no refiner"
+            )
+        if depth >= _MAX_REFINE_DEPTH:
+            raise RefinementExhausted(f"refinement depth {depth} exhausted near parameter {start:.6f}")
+        # Params stay unwrapped: the closing step ends at params[0] + 1.
+        mid = 0.5 * (params[over] + np.append(params[1:], params[0] + 1.0)[over])
+        wrapped = [t % 1.0 for t in mid.tolist()]
+        new = _rotation_stack([loop.refiner(t) for t in wrapped], wrapped, loop.dim)
+        samples = np.insert(samples, over + 1, new, axis=0)
+        params = np.insert(params, over + 1, mid)
+        depth += 1
+    _note_add("lift_steps", len(samples))
+    _note_max("refinement_depth", depth)
+    return samples

@@ -135,6 +135,18 @@ class TestScenario:
         assert out == ""
         assert "EvaluationFailure: the SVD of a 4 x 5 matrix failed in LAPACK" in err
 
+    def test_refinement_past_the_sample_cap_exit_code(self, capsys):
+        # 16 steps of 22.5 degrees would split 22 levels deep under this bound;
+        # refinement stops before its stack passes 2^14 samples
+        code, out, err = run_cli(
+            capsys,
+            ["scenario", "sphere-great-circle", "--set", "samples=16", "--set", "lift_angle_max=1e-7"],
+        )
+        assert code == 4
+        assert out == ""
+        assert "RefinementExhausted: refinement to 32768 samples passes the cap of 16384" in err
+        assert "lift_angle_max = 1e-07" in err
+
     def test_check_mismatch_exit_code(self, capsys, monkeypatch):
         scenario = REGISTRY["pontryagin-circle"]
         monkeypatch.setattr(scenario, "expected", lambda options: {"kappa": 1})

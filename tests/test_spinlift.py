@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cliffref import CliffordElement, geometric_product, rotor_from_rotation, sparse_loop_class
+from cliffref import (
+    CliffordElement,
+    geometric_product,
+    givens_reference,
+    refined_reference,
+    rotor_from_rotation,
+    rotors_reference,
+    sparse_loop_class,
+)
 from conftest import (
     concatenate_loops,
     generic_loop,
@@ -24,10 +32,13 @@ from fbk.framedlink import SampledLoop
 from fbk.numkit import _SCOPES, DEFAULT_TOL, Tolerances, _values, recording
 from fbk.spinlift import (
     _MAX_REFINE_DEPTH,
+    _MAX_REFINED_SAMPLES,
     RotationLoop,
     Z2,
     _angle_step_bound,
     _check_special_orthogonal,
+    _givens,
+    _identity,
     _lift_overlaps,
     _loop_classes,
     _moved_coordinates,
@@ -189,12 +200,29 @@ class TestRotationLoopValidation:
         with pytest.raises(NotOrthogonal, match="sample 9: determinant is not positive"):
             RotationLoop(reflected)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_non_finite_sample(self):
         samples = list(rotation_loop_in_plane(2 * math.pi, 32).samples)
         samples[5] = np.full((3, 3), np.nan)
         with pytest.raises(NotOrthogonal, match="sample 5: orthogonality defect nan"):
             RotationLoop(samples)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_sample_is_typed_without_a_warning(self):
+        # the determinant is taken of the orthogonal samples only; numpy
+        # warns on that of a non-finite one
+        with pytest.raises(NotOrthogonal, match="orthogonality defect inf"):
+            _check_special_orthogonal(np.full((3, 3), np.inf))
+        with pytest.raises(NotOrthogonal, match="sample 0: orthogonality defect nan"):
+            RotationLoop([np.full((3, 3), np.nan)] * 4)
+
+        def at(t):
+            return np.full((3, 3), np.nan) if t == 0.375 else plane_rotation(3, 0, 1, 2 * math.pi * t)
+
+        loop = RotationLoop([at(k / 4) for k in range(4)], at, [k / 4 for k in range(4)])
+        with pytest.raises(
+            NotOrthogonal, match="refiner output at parameter 0.375000: orthogonality defect nan"
+        ):
+            loop_class(loop)
 
     def test_validated_samples_are_float_matrices(self):
         loop = RotationLoop([np.eye(3, dtype=int)] * 4)
@@ -654,6 +682,135 @@ class TestRefinedStack:
             list(depth_first_refined_steps(loop, DEFAULT_TOL))
         with pytest.raises(NotOrthogonal, match="refiner output at parameter 0.656250: orthogonality"):
             _refined(loop, DEFAULT_TOL)
+
+    def test_level_past_the_sample_cap_is_not_evaluated(self):
+        # 16 steps of 22.5 degrees under a 1e-7 bound would split 22 levels
+        # deep; the level from 16384 to 32768 samples is refused unevaluated
+        evaluations = []
+
+        def at(t):
+            evaluations.append(t)
+            return plane_rotation(3, 0, 1, 2 * math.pi * t)
+
+        loop = RotationLoop([at(k / 16) for k in range(16)], at, [k / 16 for k in range(16)])
+        with pytest.raises(RefinementExhausted) as got:
+            _refined(loop, Tolerances(lift_angle_max=1e-7))
+        assert str(got.value) == (
+            f"refinement to 32768 samples passes the cap of {_MAX_REFINED_SAMPLES} near parameter "
+            "0.000000; lift_angle_max = 1e-07 is too small for this loop"
+        )
+        assert len(evaluations) == _MAX_REFINED_SAMPLES
+
+    def test_stack_may_reach_the_sample_cap(self, monkeypatch):
+        # four quarter turns under a 0.3 bound split three levels deep, to 32 samples
+        loop = rotation_loop_in_plane(2 * math.pi, 4)
+        tol = Tolerances(lift_angle_max=0.3)
+        monkeypatch.setattr(spinlift, "_MAX_REFINED_SAMPLES", 32)
+        assert len(_refined(loop, tol)) == 32
+        monkeypatch.setattr(spinlift, "_MAX_REFINED_SAMPLES", 31)
+        with pytest.raises(RefinementExhausted, match="refinement to 32 samples passes the cap of 31"):
+            _refined(loop, tol)
+
+
+def refinement_outcome(refine, loop: RotationLoop):
+    """The stack and recorder notes of refine(loop), or the type and message of its error."""
+    with recording() as record:
+        try:
+            return refine(loop, DEFAULT_TOL), record
+        except (NotOrthogonal, RefinementExhausted) as exc:
+            return type(exc), str(exc)
+
+
+class TestKernelReference:
+    """The in-place kernel equals its allocating reference in cliffref, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_rotors(self, rng, d):
+        for count in (1, 2, 17, 300 if d <= 8 else 48):
+            rotations = np.array([random_rotation(rng, d) for _ in range(count)])
+            M = rotations.transpose(1, 2, 0).copy()
+            M_reference = M.copy()
+            thetas = _givens(M)
+            planes = givens_reference(M_reference)
+            assert [(j, i) for j, i, _ in planes] == _spin_tables(d).planes
+            assert np.array_equal(thetas, np.array([theta for _, _, theta in planes]))
+            assert np.array_equal(M, M_reference)
+            assert np.array_equal(_rotors(rotations), rotors_reference(rotations))
+
+    def test_residue_error(self):
+        rotations = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)])
+        with pytest.raises(NotOrthogonal) as got:
+            _rotors(rotations)
+        with pytest.raises(NotOrthogonal) as want:
+            rotors_reference(rotations)
+        assert str(got.value) == str(want.value)
+
+    def test_overlaps_of_mixed_batches(self, rng, monkeypatch):
+        # loops moving 3 to 12 coordinates in one batch, refined 0 to 3 levels deep
+        batch = [TestBatchLift.mixed_loop(rng, m) for m in (3, 12, 5, 8, 4, 12, 6)]
+        for m in (4, 7):
+            loop = generic_loop(rng, m, 1, 12)
+            batch.append(resampled(loop, [0.0, 0.4, 0.6, 0.7, 0.8, 0.9]))
+            batch.append(resampled(loop, [0.3 + 0.25 * k / 6 for k in range(6)]))
+        assert {refinement_outcome(_refined, loop)[1]["refinement_depth"] for loop in batch} == {
+            0, 1, 2, 3
+        }
+        got = _values(_lift_overlaps(batch, DEFAULT_TOL))
+        monkeypatch.setattr(spinlift, "_rotors", rotors_reference)
+        monkeypatch.setattr(spinlift, "_refined", refined_reference)
+        want = _values(_lift_overlaps(batch, DEFAULT_TOL))
+        assert len(got) == len(want) == len(batch)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_refined_stacks_and_errors(self, rng):
+        loops = [rotation_loop_in_plane(2 * math.pi, 4), generic_loop(rng, 5, 2, 12)]
+        loop = generic_loop(rng, 4, 1, 12)
+        loops.append(resampled(loop, [0.0, 0.4, 0.6, 0.7, 0.8, 0.9]))
+        loops.append(resampled(loop, [0.3 + 0.25 * k / 6 for k in range(6)]))
+        loops.append(RotationLoop(loops[0].samples))
+        # a step that never refines below the bound, and the same plus a
+        # bad refiner output one level down: the shallower error wins
+        shear = np.eye(3)
+        shear[0, 1] = 0.1
+        for bad in (False, True):
+
+            def at(t, bad=bad):
+                jumps = (t >= 0.37) + (t >= 0.65)
+                R = plane_rotation(3, 0, 1, 2 * math.pi * t + jumps * math.pi / 2)
+                return R @ shear if bad and 0.65 <= t < 0.66 else R
+
+            loops.append(RotationLoop([at(k / 16) for k in range(16)], at, [k / 16 for k in range(16)]))
+        outcomes = [refinement_outcome(_refined, loop) for loop in loops]
+        assert [outcome[1]["refinement_depth"] for outcome in outcomes[:4]] == [1, 1, 2, 3]
+        assert [outcome[0] for outcome in outcomes[4:]] == [
+            RefinementExhausted, RefinementExhausted, NotOrthogonal
+        ]
+        for loop, (got, notes) in zip(loops, outcomes):
+            want, want_notes = refinement_outcome(refined_reference, loop)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, want) and notes == want_notes
+            else:
+                assert (got, notes) == (want, want_notes)
+
+    def test_identity_is_read_only(self):
+        eye = _identity(5)
+        assert np.array_equal(eye, np.eye(5)) and _identity(5) is eye
+        with pytest.raises(ValueError, match="read-only"):
+            eye[0, 0] = 2.0
+
+    def test_half_angle_table_rounds_as_its_rows(self, rng):
+        # one np.cos and one np.sin over the (planes, K) table must give each
+        # row what a call on that row alone gives, wherever a vector block
+        # of the CPU's SIMD path crosses a row boundary
+        for planes in (3, 28, 66):
+            for count in (1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 64, 300):
+                half = 0.5 * rng.uniform(-math.pi, math.pi, size=(planes, count))
+                cosines, sines = np.cos(half), np.sin(half)
+                for p in range(planes):
+                    assert np.array_equal(cosines[p], np.cos(half[p]))
+                    assert np.array_equal(sines[p], np.sin(half[p]))
+
 
 class TestSparseAgreement:
     @pytest.mark.parametrize("m", (3, 4, 5, 6))

@@ -15,6 +15,9 @@ prints one line:
   - lift_us: microseconds per sample of the rotor kernel _rotors on the
     loop's K samples relative to the first, restricted to the coordinates
     they move, as loop_class lifts them; one batch;
+  - planes: the Givens planes of the moved coordinates, d(d-1)/2 for d of
+    them, and us_per_plane, lift_us divided by planes: the kernel's cost
+    per sample and plane;
   - loop_class_ms: milliseconds per loop_class call, refinement included.
 
 Times are the minimum over --repeat repeats, each of a fixed number of
@@ -91,7 +94,7 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     rng = np.random.default_rng(0)
     print(f"{'m':>3} {'K':>4} {'lift_steps':>10} {'refinement_depth':>16} "
-          f"{'tables_ms':>9} {'lift_us':>7} {'loop_class_ms':>13}")
+          f"{'tables_ms':>9} {'lift_us':>7} {'planes':>6} {'us_per_plane':>12} {'loop_class_ms':>13}")
     for m, turns, samples in LOOPS:
         loop = generic_loop(rng, m, turns, samples)
         _spin_tables.cache_clear()
@@ -106,9 +109,12 @@ def main(argv=None) -> int:
         s = loop.samples
         relative = _moved_coordinates(s @ s[0].T)
         lift_s = best_of(args.repeat, lambda: _rotors(relative)) / len(relative)
+        d = relative.shape[1]
+        planes = d * (d - 1) // 2
         loop_s = best_of(args.repeat, lambda: loop_class(loop))
         print(f"{m:>3} {len(loop):>4} {record['lift_steps']:>10} {record['refinement_depth']:>16} "
-              f"{tables_s * 1e3:>9.2f} {lift_s * 1e6:>7.2f} {loop_s * 1e3:>13.3f}")
+              f"{tables_s * 1e3:>9.2f} {lift_s * 1e6:>7.2f} {planes:>6} "
+              f"{lift_s * 1e6 / planes:>12.3f} {loop_s * 1e3:>13.3f}")
     return 0
 
 
