@@ -35,11 +35,21 @@ The tracer calls jacobian_fd at every Jacobian of a walk whose map has no
 analytic Jacobian (and once per seed of one that has, to check it), _norm
 at every residual and _svd at every Jacobian it factors, so these avoid
 per-call overhead without changing one rounding: _norm is np.linalg.norm's
-own sqrt(x @ x) without its dispatch (the corrector takes the same dot
+own sqrt(x.dot(x)) without its dispatch (the corrector takes the same dot
 itself on its own contiguous iterate and steps, which need no layout
-check), and _row_norms is the same per row of a stack. _svd and _qr call
-the LAPACK gufuncs of np.linalg.svd and np.linalg.qr on the same inputs,
-without those wrappers' dispatch (on a 2-core Xeon VM, 4-6 us of the
+check), and _row_norms is the same per row of a stack. The walk's other
+per-point vector and matrix-vector products are ndarray.dot calls too,
+not the @ operator: on its operands of 3 to 12 entries the matmul ufunc's
+dispatch costs about as much again as the BLAS call (on a 2-core Xeon VM
+700 ns for p @ p against 400 ns for p.dot(p)), and .dot makes the same
+BLAS call with the same bits, which the tests pin at every such site.
+The exception is the U[:, :rank].T @ r of the tracer's chord step: on
+that transposed view, where the rank is cut, .dot takes another BLAS
+route and rounds differently. So does a 1-d .dot of a reversed view,
+which the walk's fresh contiguous vectors never are. Batched (3-d)
+products stay matmuls. _svd and _qr call the LAPACK gufuncs of
+np.linalg.svd and np.linalg.qr on the same inputs, without those
+wrappers' dispatch (on a 2-core Xeon VM, 4-6 us of the
 16-23 us np.linalg.svd takes on a 3 x 4 to 7 x 6 matrix), and _qr keeps
 the Householder scalars tau that np.linalg.qr drops: each reflector
 I - tau v v^T of LAPACK's dgeqrf is the identity when tau = 0 and has
@@ -201,20 +211,20 @@ def _require_finite(a: np.ndarray) -> None:
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-d float vector, bit for bit np.linalg.norm(v).
 
-    np.linalg.norm returns sqrt(x @ x) of x = v.ravel(order="K"), a
+    np.linalg.norm returns sqrt(x.dot(x)) of x = v.ravel(order="K"), a
     contiguous copy when v is strided; the copy matters, because BLAS sums
     a strided dot in another order.
     """
     if not v.flags.c_contiguous:
         v = v.ravel(order="K")
-    return math.sqrt(float(v @ v))
+    return math.sqrt(float(v.dot(v)))
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of a (K, N) float stack, each bit for bit _norm(row).
 
     The (1, N) @ (N, 1) products of the batched matmul are BLAS dots, as
-    _norm's `v @ v` is; a row sum or einsum would round differently. A
+    _norm's `v.dot(v)` is; a row sum or einsum would round differently. A
     single (N,) row gives its norm as a 0-d array.
     """
     V = np.ascontiguousarray(V)

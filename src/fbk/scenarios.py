@@ -237,7 +237,9 @@ def _hopf_problem(options: dict) -> tuple[MapSpec, TraceOptions]:
 
 
 def _quadric(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0] * x[0] + x[1] * x[1] - 1.0, x[2], x[3]])
+    """(x0^2 + x1^2 - 1, x2, x3), on Python floats."""
+    x0, x1, x2, x3 = x.tolist()
+    return np.array([x0 * x0 + x1 * x1 - 1.0, x2, x3])
 
 
 def _quadric_jac(x: np.ndarray) -> np.ndarray:
@@ -251,11 +253,13 @@ def _quadric_jac(x: np.ndarray) -> np.ndarray:
 
 
 def _quadric_twisted(x: np.ndarray) -> np.ndarray:
-    base = _quadric(x)
-    rho = math.hypot(x[0], x[1])
-    c = x[0] / rho
-    s = x[1] / rho
-    return np.array([c * base[0] - s * base[1], s * base[0] + c * base[1], base[2]])
+    """_quadric's (b0, b1) rotated by the angle of (x0, x1), and x3, on Python floats."""
+    x0, x1, x2, x3 = x.tolist()
+    b0 = x0 * x0 + x1 * x1 - 1.0
+    rho = math.hypot(x0, x1)
+    c = x0 / rho
+    s = x1 / rho
+    return np.array([c * b0 - s * x2, s * b0 + c * x2, x3])
 
 
 def _quadric_twisted_jac(x: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     DuplicateComponent,
     EvaluationFailure,
+    FbkError,
     NoConvergence,
     NonTransverse,
     NotClosed,
@@ -209,13 +210,25 @@ class _TracedSystem:
 _JACOBIAN_CHECK_TOL = 1e-6
 
 
+def _evaluated(fn, p: np.ndarray, what: str):
+    """fn(p); an error other than an FbkError is an EvaluationFailure naming what and p."""
+    try:
+        return fn(p)
+    except FbkError:
+        raise
+    except Exception as exc:  # noqa: BLE001
+        raise EvaluationFailure(f"{what} failed at {p.tolist()}") from exc
+
+
 def _counted(spec: MapSpec):
     """spec's raw Jacobian (analytic, else jacobian_fd), noted and shaped as (outputs, N).
 
     outputs is the length of the evaluator's values, read from one extra
     evaluation at the first analytic Jacobian (jacobian_fd's rows are those
     values). A vector of length N is one row; any other shape is an
-    EvaluationFailure naming it and the point's.
+    EvaluationFailure naming it and the point's. The Jacobian and the row
+    probe are _evaluated: an error they raise is an EvaluationFailure
+    naming the point.
 
     Returned with it is the seed check: check(seed) evaluates an analytic
     Jacobian at the seed on the same shape rule, notes it as one
@@ -230,9 +243,9 @@ def _counted(spec: MapSpec):
 
     def analytic(p):
         nonlocal rows
-        J = np.asarray(spec.jacobian(p), dtype=float)
+        J = np.asarray(_evaluated(spec.jacobian, p, "map Jacobian"), dtype=float)
         if rows is None:
-            rows = np.asarray(spec.evaluator(p), dtype=float).size
+            rows = np.asarray(_evaluated(spec.evaluator, p, "map evaluation"), dtype=float).size
         if J.shape == (dimension,) and rows == 1:
             return J[None]
         if J.shape != (rows, dimension):
@@ -281,10 +294,10 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
                 raise EvaluationFailure(
                     f"map values have length {value.size}, the regular value {x0.size}"
                 )
-            return basis @ (value - x0)
+            return basis.dot(value - x0)
 
         def j_target(raw):
-            return basis @ raw
+            return basis.dot(raw)
 
     else:
 
@@ -300,7 +313,7 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
             f = f_target(p)
             r = np.empty(len(f) + 1)
             r[:-1] = f
-            r[-1] = (p @ p - 1.0) / 2.0
+            r[-1] = (p.dot(p) - 1.0) / 2.0
             return r
 
         def assemble(p, raw):
@@ -375,7 +388,9 @@ def _factored(J: np.ndarray):
     such factorization. An SVD that fails in LAPACK is an EvaluationFailure.
     """
     U, S, Vt = _svd(J)
-    rank = int(np.count_nonzero(S > _NEWTON_RCOND * S[0]))
+    values = S.tolist()
+    cut = _NEWTON_RCOND * values[0]
+    rank = len([s for s in values if s > cut])
     return Vt[:rank].T, U[:, :rank].T, S[:rank], rank, Vt
 
 
@@ -385,10 +400,16 @@ def _descent(factored, r: np.ndarray) -> np.ndarray:
     Up to rounding, -_descent(factored, r) is np.linalg.lstsq(J, -r,
     rcond=_NEWTON_RCOND); bit for bit it is Vt[:rank].T @ ((U[:, :rank].T
     @ r) / S[:rank]), the views kept as views: a contiguous copy of a
-    factor changes the BLAS kernel and the rounding of the product.
+    factor changes the BLAS kernel and the rounding of the product. The
+    outer product is V.dot, which gives the bits of V @ at about half the
+    dispatch cost. Ut @ r stays a matmul: Ut is a transposed view, and
+    where the rank is cut (U[:, :rank] not contiguous) Ut.dot(r) takes
+    another BLAS route and rounds differently from Ut @ r; so does
+    Ut.dot(r) on a contiguous copy of Ut, and r.dot(U[:, :rank]) at ranks
+    2 and 3.
     """
     V, Ut, S = factored[:3]
-    return V @ ((Ut @ r) / S)
+    return V.dot((Ut @ r) / S)
 
 
 def _newton(
@@ -412,20 +433,21 @@ def _newton(
     max_move bounds the total correction distance; it turns the correction
     into a local operation so that seeds far from the solution set fail
     instead of wandering onto an arbitrary component. A non-finite
-    Jacobian is an EvaluationFailure. Counts its correction steps and notes
-    them as newton_iterations, with one newton_calls, once when it returns
-    or raises.
+    residual norm (a map value that is NaN or infinite) or Jacobian is an
+    EvaluationFailure, as a map that raises is. Counts its correction
+    steps and notes them as newton_iterations, with one newton_calls, once
+    when it returns or raises.
     """
     iterations = 0
     try:
-        # p and every descent are contiguous, so sqrt(x @ x) is _norm(x)
+        # p and every descent are contiguous, so sqrt(x.dot(x)) is _norm(x)
         p = np.asarray(start, dtype=float).copy()
-        scale = 1.0 + math.sqrt(p @ p)
+        scale = 1.0 + math.sqrt(p.dot(p))
         budget = 10.0 * scale if max_move is None else max_move
         moved = 0.0
         factored = first
         previous = math.inf
-        for _ in range(max_iter):
+        for step in range(max_iter + 1):
             try:
                 r = system.residual(p)
             except EvaluationFailure:
@@ -433,8 +455,12 @@ def _newton(
             except Exception as exc:  # noqa: BLE001
                 raise EvaluationFailure("map evaluation failed during correction") from exc
             rn = _norm(r)
+            if not math.isfinite(rn):
+                raise EvaluationFailure(f"non-finite map value during correction at {p.tolist()}")
             if rn < tol.newton_tol:
                 return p, rn
+            if step == max_iter:
+                raise NoConvergence(f"corrector stalled at residual {rn:.3e}")
             if factored is None or rn > _CHORD_CONTRACTION * previous:
                 J = system.jacobian(p)
                 if not np.isfinite(J).all():
@@ -443,17 +469,13 @@ def _newton(
             previous = rn
             iterations += 1
             descent = _descent(factored, r)
-            sn = math.sqrt(descent @ descent)
+            sn = math.sqrt(descent.dot(descent))
             if not math.isfinite(sn) or sn > 2.0 * scale:
                 raise NoConvergence("correction step diverged")
             p = p - descent
             moved += sn
             if moved > budget:
                 raise NoConvergence("correction wandered too far from the start point")
-        rn = _norm(system.residual(p))
-        if rn < tol.newton_tol:
-            return p, rn
-        raise NoConvergence(f"corrector stalled at residual {rn:.3e}")
     finally:
         _note_add("newton_calls", 1)
         if iterations:
@@ -464,7 +486,7 @@ def _newton_aligned(system, start, anchor, direction, tol):
     """Newton correction onto the curve intersected with a transverse hyperplane."""
 
     def residual(p):
-        return np.concatenate([system.residual(p), [(p - anchor) @ direction]])
+        return np.concatenate([system.residual(p), [(p - anchor).dot(direction)]])
 
     def assemble(p, raw):
         return np.vstack([system.assemble(p, raw), direction])
@@ -494,7 +516,7 @@ def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances)
             "transversality violated"
         )
     t = Vt[n - 1]
-    d = 0.0 if previous is None else float(t @ previous)
+    d = 0.0 if previous is None else float(t.dot(previous))
     if d == 0.0:
         d = t[np.abs(t) > tol.ortho_tol][0]
     return (-t if d < 0.0 else t), raw, factored
@@ -542,7 +564,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
             q, rn, ok, failure = None, None, False, exc
         if ok:
             t_new, raw, factored_new = _tangent_of(system, q, t, tol)
-            if float(t_new @ t) < 0.2:
+            if float(t_new.dot(t)) < 0.2:
                 ok = False
         if not ok:
             h *= 0.5
@@ -558,7 +580,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         dist0 = _norm(q - p0)
         if not escaped and dist0 > max(4.0 * opts.initial_step, 100.0 * tol.closure_tol):
             escaped = True
-        if escaped and dist0 < 1.5 * h and float(t_new @ t0) > 0.9:
+        if escaped and dist0 < 1.5 * h and float(t_new.dot(t0)) > 0.9:
             try:
                 closer, _ = _newton_aligned(system, q, p0, t0, tol)
                 err = _norm(closer - p0)
@@ -666,7 +688,8 @@ def trace_component(
     loop, raws, closure_error, max_residual = _trace(system, seed, opts)
     if spec.target == "sphere":
         x0 = spec.regular_value
-        val = float(np.asarray(spec.evaluator(loop.points[0]), dtype=float) @ x0)
+        value = _evaluated(spec.evaluator, loop.points[0], "map evaluation")
+        val = float(np.asarray(value, dtype=float).dot(x0))
         if val <= 0.0:
             raise NoConvergence("seed converged to the preimage of the antipodal value")
     _note_append("closure_errors", closure_error)
@@ -877,7 +900,7 @@ def _transported(frame: np.ndarray, bases: np.ndarray):
 
     frame is an orthonormal (count, N) set and bases an (L, b, N) stack of
     orthonormal rows. The frame is carried unnormalized, A_i = A_(i-1)
-    (I - B_i^T B_i), one matmul per projection with the projectors built
+    (I - B_i^T B_i), one product per projection with the projectors built
     as one stack, and the chain [frame, A_1, ..., A_L] is orthonormalized
     by one batched _qr. Returns (frames, lost): the (L, count, N)
     orthonormal frames, and the first i (from 0) whose projection leaves
@@ -887,7 +910,7 @@ def _transported(frame: np.ndarray, bases: np.ndarray):
     chain = np.empty((len(bases) + 1, *frame.shape))
     chain[0] = frame
     for i, projector in enumerate(projectors):
-        np.matmul(chain[i], projector, out=chain[i + 1])
+        chain[i].dot(projector, out=chain[i + 1])
     Q, R, _, _ = _qr(chain, 0.0)
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
     dropped = (diag[1:] < _TRANSPORT_TOL * diag[:-1]).any(axis=1)

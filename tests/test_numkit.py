@@ -326,6 +326,21 @@ class TestBitwiseReferences:
                 for v in (M[0], M[:, 0], M[0, ::-1], M[0, ::2]):
                     assert _norm(v) == float(np.linalg.norm(v))
 
+    def test_vector_dots_keep_the_bits_of_matmul(self, rng):
+        # the walk's 1-d products (_norm, the corrector's norms, the tangent
+        # tests, the closure hyperplane, the sphere equation and the
+        # antipodal check) are ndarray.dot on contiguous operands; strided
+        # ones with a positive stride give the same bits too (a reversed
+        # view does not: there .dot and @ sum in different orders)
+        for n in range(1, 25):
+            for _ in range(60):
+                M = rng.normal(size=(n, n + 1)) * 10.0 ** rng.integers(-8, 9)
+                for a, b in ((M[0], M[-1]), (M[:, 0], M[:, 1]), (M[0, ::2], M[-1, ::2])):
+                    assert np.array(a.dot(b)).tobytes() == np.array(a @ b).tobytes()
+                    assert a.dot(b).__class__ is (a @ b).__class__
+                v = M[0]
+                assert _norm(v) == math.sqrt(float(v @ v))
+
 
 class TestNonFiniteInput:
     def test_orthonormalize(self):

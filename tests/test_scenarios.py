@@ -15,6 +15,7 @@ counts.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -207,6 +208,43 @@ def test_registry_callbacks_keep_the_bits_of_their_array_forms(fast, reference, 
     # the sign of a zero entry where a coordinate of y is exactly zero)
     rng = np.random.default_rng(28)
     for p in rng.normal(size=(10_000, dim)):
+        assert fast(p).tobytes() == reference(p).tobytes(), p
+
+
+def numpy_scalar_quadric(x):
+    """_quadric on numpy scalars, x[i] for every coordinate."""
+    return np.array([x[0] * x[0] + x[1] * x[1] - 1.0, x[2], x[3]])
+
+
+def numpy_scalar_quadric_twisted(x):
+    """_quadric_twisted on numpy scalars, from numpy_scalar_quadric's array."""
+    base = numpy_scalar_quadric(x)
+    rho = math.hypot(x[0], x[1])
+    c = x[0] / rho
+    s = x[1] / rho
+    return np.array([c * base[0] - s * base[1], s * base[0] + c * base[1], base[2]])
+
+
+@pytest.mark.parametrize(
+    "fast, reference",
+    [
+        (scenarios._quadric, numpy_scalar_quadric),
+        (scenarios._quadric_twisted, numpy_scalar_quadric_twisted),
+    ],
+    ids=["euclidean-quadric", "euclidean-quadric-twisted"],
+)
+def test_quadric_maps_keep_the_bits_of_their_numpy_scalar_forms(fast, reference):
+    # every byte at 10^4 seeded points: half generic, half with zeroed and
+    # sign-flipped coordinates, so signed zeros pass through; never x0 and
+    # x1 zero together, where the twisted map divides by rho = 0
+    rng = np.random.default_rng(30)
+    points = rng.normal(size=(10_000, 4))
+    zeroed = rng.random(points.shape) < 0.5
+    zeroed[:5_000] = False
+    zeroed[:, 1] &= ~zeroed[:, 0]
+    points[zeroed] = 0.0
+    points[5_000:] *= np.where(rng.random((5_000, 4)) < 0.5, -1.0, 1.0)
+    for p in points:
         assert fast(p).tobytes() == reference(p).tobytes(), p
 
 

@@ -40,6 +40,7 @@ from fbk.scenarios import (
 from fbk.tracer import (
     _CHORD_CONTRACTION,
     _JACOBIAN_CHECK_TOL,
+    _NEWTON_RCOND,
     MapSpec,
     SectionSpec,
     TraceOptions,
@@ -524,8 +525,8 @@ class TestFactoredJacobian:
             assert {evals for given, _, evals in calls if given} == {walk_refreshes}
 
 
-def registry_systems():
-    """(case, traced system, TraceOptions) of every traced registry scenario.
+def registry_specs():
+    """(case, MapSpec, TraceOptions) of every traced registry scenario, a section as its map.
 
     The suspended Hopf map's other regular value joins the eight defaults.
     """
@@ -535,7 +536,13 @@ def registry_systems():
         spec, opts = scenario.traced(resolve_options(scenario, overrides))
         if isinstance(spec, SectionSpec):
             spec = _section_map(spec)
-        yield f"{name}{overrides or ''}", _map_system(spec), opts
+        yield f"{name}{overrides or ''}", spec, opts
+
+
+def registry_systems():
+    """(case, traced system, TraceOptions) of every traced registry scenario."""
+    for case, spec, opts in registry_specs():
+        yield case, _map_system(spec), opts
 
 
 def logged_quadric(jac=quadric_jac):
@@ -558,6 +565,97 @@ def logged_quadric(jac=quadric_jac):
 # contracts the quadratic row by about 1 - 2/4 = 0.5 a step.
 FAR_CHORD = _factored(quadric_jac(np.array([2.0, 0.0, 0.0, 0.0])))
 NEAR = np.array([1.1, 0.0, 0.05, -0.02])
+
+
+def matmul_residual(spec: MapSpec, basis, p: np.ndarray) -> np.ndarray:
+    """The traced residual at p with @ for every product: the reference for _map_system's."""
+    f = np.asarray(spec.evaluator(p), dtype=float)
+    if basis is not None:
+        f = basis @ (f - spec.regular_value)
+    if spec.domain == "unit_sphere":
+        f = np.concatenate([f, [(p @ p - 1.0) / 2.0]])
+    return f
+
+
+def matmul_assembly(spec: MapSpec, basis, p: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """The system Jacobian at p with @ for the projection: the reference for _map_system's."""
+    rows = raw if basis is None else basis @ raw
+    return np.vstack([rows, p]) if spec.domain == "unit_sphere" else rows
+
+
+def matmul_transported(frame: np.ndarray, bases: np.ndarray):
+    """tracer._transported with its chain taken by np.matmul: the reference for its .dot chain."""
+    import fbk.tracer as tracer
+
+    projectors = np.eye(frame.shape[1]) - bases.transpose(0, 2, 1) @ bases
+    chain = np.empty((len(bases) + 1, *frame.shape))
+    chain[0] = frame
+    for i, projector in enumerate(projectors):
+        np.matmul(chain[i], projector, out=chain[i + 1])
+    Q, R, _, _ = tracer._qr(chain, 0.0)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    dropped = (diag[1:] < tracer._TRANSPORT_TOL * diag[:-1]).any(axis=1)
+    lost = int(np.argmax(dropped)) if dropped.any() else None
+    return Q[1:].transpose(0, 2, 1), lost
+
+
+def matmul_descent(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """_descent's step from the full SVD of J, its rank by np.count_nonzero, every product by @."""
+    U, S, Vt = np.linalg.svd(J)
+    rank = int(np.count_nonzero(S > _NEWTON_RCOND * S[0]))
+    return Vt[:rank].T @ ((U[:, :rank].T @ r) / S[:rank])
+
+
+class TestDotProductsKeepTheMatmulBits:
+    """Every product the walk takes by ndarray.dot gives the bytes of its @ form."""
+
+    def test_descent_on_the_factor_views_of_every_walk_size(self, rng):
+        # full-rank (n - 1) x n systems from 3 x 4 (the quadrics) to 11 x 12,
+        # and the 7 x 6 section systems of rank 5
+        for _ in range(50):
+            systems = [rng.normal(size=(n - 1, n)) for n in range(4, 13)]
+            U, V = random_rotation(rng, 7), random_rotation(rng, 6)
+            X = U[:, :5] * rng.uniform(0.5, 2.0, 5)
+            systems.append(X @ V[:5] + 1e-12 * np.outer(U[:, 5], V[5]))
+            for J in systems:
+                r = rng.normal(size=len(J))
+                assert _descent(_factored(J), r).tobytes() == matmul_descent(J, r).tobytes()
+
+    def test_registry_residuals_assemblies_and_steps_at_the_traced_samples(self):
+        for case, spec, opts in registry_specs():
+            system = _map_system(spec)
+            loop, raws, _, _ = _trace(system, opts.seeds[0], opts)
+            points = loop.points
+            # the predictors of the walk: off the curve, so the residuals are not zero
+            predictors = points + 0.05 * loop.tangents
+            for p, q, raw in zip(points, predictors, raws):
+                for x in (p, q):
+                    want = matmul_residual(spec, system.basis, x)
+                    assert system.residual(x).tobytes() == want.tobytes(), case
+                J = system.assemble(p, raw)
+                assert J.tobytes() == matmul_assembly(spec, system.basis, p, raw).tobytes(), case
+                r = system.residual(q)
+                assert _descent(_factored(J), r).tobytes() == matmul_descent(J, r).tobytes(), case
+
+    def test_transport_chains_of_the_traced_and_untraced_loops(self, monkeypatch):
+        import fbk.tracer as tracer
+
+        chains = []
+        transported = tracer._transported
+
+        def spy(frame, bases):
+            chains.append((frame.copy(), bases.copy()))
+            return transported(frame, bases)
+
+        monkeypatch.setattr(tracer, "_transported", spy)
+        for loop, normals in TestStackedTransport().cases():
+            transport_closed_frame(loop, normals)
+        assert len(chains) >= 8
+        for frame, bases in chains:
+            frames, lost = transported(frame, bases)
+            want, want_lost = matmul_transported(frame, bases)
+            assert frames.tobytes() == want.tobytes()
+            assert lost == want_lost
 
 
 class TestChordCorrector:
@@ -772,6 +870,103 @@ class TestNonFiniteJacobian:
         spec = MapSpec(quadric, dimension=4, jacobian=lambda x: np.full((3, 4), np.nan))
         with pytest.raises(EvaluationFailure, match="non-finite Jacobian"):
             _newton(_map_system(spec), SEED, DEFAULT_TOL)
+
+
+CIRCLE_START = np.array([1.0, 0.0, 0.0, 0.0])
+NAN_SEED = np.array([-1.0, 0.0, 0.0, 0.0])
+
+
+def nan_quadric_spec(cut: float, analytic: bool = True) -> MapSpec:
+    """The quadric, whose first value is NaN where x0 < cut.
+
+    Its Jacobian is the exact one, or central differences when analytic is False.
+    """
+
+    def f(x):
+        r = quadric(x)
+        if x[0] < cut:
+            r[0] = np.nan
+        return r
+
+    return MapSpec(f, dimension=4, jacobian=quadric_jac if analytic else None)
+
+
+class TestNonFiniteMapValues:
+    """A map that returns NaN on or near its preimage is an EvaluationFailure, not an empty one."""
+
+    def test_a_curve_into_nan_values_fails_typed(self):
+        # the unit circle from (1, 0, 0, 0) runs into x0 < -0.5
+        with recording() as record:
+            with pytest.raises(
+                EvaluationFailure,
+                match="corrector kept failing at the minimum step size: non-finite map value",
+            ):
+                kappa_of_map(nan_quadric_spec(-0.5), TraceOptions(seeds=[CIRCLE_START]))
+        assert "seeds_skipped" not in record
+
+    def test_nan_values_off_the_curve_leave_the_report_alone(self):
+        report = kappa_of_map(nan_quadric_spec(-1.5), TraceOptions(seeds=[CIRCLE_START]))
+        assert len(report.components) == 1
+        assert int(report.kappa) == 0
+        assert report.diagnostics["seeds_skipped"] == 0
+
+    def test_a_seed_in_the_nan_region_of_a_finite_difference_map(self):
+        with pytest.raises(EvaluationFailure):
+            kappa_of_map(nan_quadric_spec(-0.5, analytic=False), TraceOptions(seeds=[NAN_SEED]))
+
+    def test_the_residual_after_the_last_iteration_is_checked(self):
+        system = _map_system(nan_quadric_spec(-0.5))
+        with pytest.raises(EvaluationFailure, match=r"at \[-1.0, 0.0, 0.0, 0.0\]"):
+            _newton(system, NAN_SEED, DEFAULT_TOL, max_iter=0)
+
+
+def raising_quadric_spec(raising: str) -> MapSpec:
+    """The quadric, whose Jacobian or evaluator (raising) raises ArithmeticError where x0 < -0.5."""
+
+    def refuse(fn):
+        def refusing(x):
+            if x[0] < -0.5:
+                raise ArithmeticError("not defined here")
+            return fn(x)
+
+        return refusing
+
+    if raising == "jacobian":
+        return MapSpec(quadric, dimension=4, jacobian=refuse(quadric_jac))
+    return MapSpec(refuse(quadric), dimension=4, jacobian=quadric_jac)
+
+
+def causes(exc: BaseException):
+    """exc and the chain of exceptions it was raised from."""
+    while exc is not None:
+        yield exc
+        exc = exc.__cause__
+
+
+class TestRaisingCallbacks:
+    """An analytic Jacobian or a row probe that raises is an EvaluationFailure naming the point."""
+
+    def test_mid_walk(self):
+        with pytest.raises(EvaluationFailure, match="map Jacobian failed at") as info:
+            kappa_of_map(raising_quadric_spec("jacobian"), TraceOptions(seeds=[CIRCLE_START]))
+        assert any(isinstance(e, ArithmeticError) for e in causes(info.value))
+
+    def test_at_the_seed_check(self):
+        with recording() as record:
+            with pytest.raises(
+                EvaluationFailure, match=re.escape("map Jacobian failed at [-1.0, 0.0, 0.0, 0.0]")
+            ) as info:
+                kappa_of_map(raising_quadric_spec("jacobian"), TraceOptions(seeds=[NAN_SEED]))
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert record == {"jacobian_checks": 1}
+
+    def test_in_the_row_probe(self):
+        # the first analytic Jacobian, the seed's check, also evaluates the map for its rows
+        with pytest.raises(
+            EvaluationFailure, match=re.escape("map evaluation failed at [-1.0, 0.0, 0.0, 0.0]")
+        ) as info:
+            kappa_of_map(raising_quadric_spec("evaluator"), TraceOptions(seeds=[NAN_SEED]))
+        assert isinstance(info.value.__cause__, ArithmeticError)
 
 
 class TestSeedJacobianCheck:

@@ -19,6 +19,10 @@ the tracer (`Scenario.traced`) and prints one line:
   - step_us: the same replay's time per Newton iteration, one residual
     and one chord step (plus a refactorization where the chord contracts
     too slowly), the per-step cost of the corrector;
+  - residual_us: microseconds per residual of the traced system at the
+    samples (its `residual`: the map's value, projected onto the target
+    basis for a sphere target, with the sphere equation for a unit-sphere
+    domain), the part of step_us that evaluates the map;
   - tangent_us: microseconds per `tracer._tangent_of` call at the samples,
     signed along the previous sample's tangent as the walk does: one map
     Jacobian, its assembly and one SVD;
@@ -154,7 +158,7 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'step_us':>7} "
-          f"{'tangent_us':>10} {'jacobian_us':>11} {'newton_calls':>12} "
+          f"{'residual_us':>11} {'tangent_us':>10} {'jacobian_us':>11} {'newton_calls':>12} "
           f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'jacobian_checks':>15} "
           f"{'svds':>5} {'svd_us':>6} "
           f"{'transport_ms':>12} {'closing_deg':>11} {'lift_deg':>8} {'dw_ms':>6}")
@@ -178,6 +182,12 @@ def main(argv=None) -> int:
         corrections_s = best_of(args.repeat, corrections)
         newton_s = corrections_s / len(loop)
         step_s = corrections_s / replayed["newton_iterations"]
+
+        def residuals_at_samples():
+            for p in points:
+                system.residual(p)
+
+        residual_s = best_of(args.repeat, residuals_at_samples) / len(loop)
         previous = np.roll(tangents, 1, axis=0)
 
         def tangents_at_samples():
@@ -210,7 +220,8 @@ def main(argv=None) -> int:
             closing_deg = f"{closing_degrees(loop, normals, tol):.2g}"
             lift_deg = f"{math.degrees(tol.lift_angle_max):.1f}"
         print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {newton_s * 1e6:>9.1f} "
-              f"{step_s * 1e6:>7.1f} {tangent_s * 1e6:>10.1f} {jacobian_s * 1e6:>11.1f} "
+              f"{step_s * 1e6:>7.1f} {residual_s * 1e6:>11.1f} {tangent_s * 1e6:>10.1f} "
+              f"{jacobian_s * 1e6:>11.1f} "
               f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
               f"{record['jacobian_evaluations']:>20} {record.get('jacobian_checks', 0):>15} "
               f"{svds:>5} {svd_s * 1e6:>6.1f} {transport_ms:>12} "
