@@ -33,6 +33,7 @@ from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import (
     AmbientMismatch,
@@ -1128,10 +1129,16 @@ def load_link(document: dict) -> FramedLink:
 
 
 def load_link_file(path: str) -> FramedLink:
-    """Parse a JSON link file and validate it into a FramedLink."""
+    """Parse a JSON link file and validate it into a FramedLink.
+
+    The file is UTF-8, strict RFC 8259 JSON, decoded by orjson, whose
+    floats are correctly rounded as Python's own. A file that is not
+    (invalid UTF-8, a byte order mark, NaN or Infinity, or a number that
+    overflows to infinity) is a ParseError naming the line and column.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+        with open(path, "rb") as fh:
+            document = orjson.loads(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -434,9 +434,10 @@ def _newton(
     into a local operation so that seeds far from the solution set fail
     instead of wandering onto an arbitrary component. A non-finite
     residual norm (a map value that is NaN or infinite) or Jacobian is an
-    EvaluationFailure, as a map that raises is. Counts its correction
-    steps and notes them as newton_iterations, with one newton_calls, once
-    when it returns or raises.
+    EvaluationFailure, as a map that raises is; on _evaluated's rule, the
+    error names the point and an FbkError of the map's goes through as it
+    is. Counts its correction steps and notes them as newton_iterations,
+    with one newton_calls, once when it returns or raises.
     """
     iterations = 0
     try:
@@ -450,10 +451,12 @@ def _newton(
         for step in range(max_iter + 1):
             try:
                 r = system.residual(p)
-            except EvaluationFailure:
+            except FbkError:
                 raise
             except Exception as exc:  # noqa: BLE001
-                raise EvaluationFailure("map evaluation failed during correction") from exc
+                raise EvaluationFailure(
+                    f"map evaluation failed during correction at {p.tolist()}"
+                ) from exc
             rn = _norm(r)
             if not math.isfinite(rn):
                 raise EvaluationFailure(f"non-finite map value during correction at {p.tolist()}")

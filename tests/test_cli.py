@@ -181,6 +181,43 @@ class TestLink:
         assert code == 3
         assert "line" in err
 
+    def test_non_utf8_file_exit_code(self, capsys, tmp_path):
+        # a UTF-16 byte order mark: not UTF-8, so not a link file
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, ["link", str(bad)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {bad}: line 1 column 1: ") and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e400",
+            "-1e400",
+            pytest.param("1" + "0" * 400, id="10^400"),
+        ],
+    )
+    def test_non_finite_number_is_a_parse_error(self, capsys, tmp_path, token):
+        # link files are strict JSON: no NaN or Infinity literal, and no
+        # number that overflows a double, an integer included; the parser
+        # names where it stands
+        doc = circle_link_doc()
+        doc["components"][0]["points"][5][2] = "TOKEN"
+        text = json.dumps(doc, indent=1).replace('"TOKEN"', token)
+        at = text.index(token)
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        path = tmp_path / "strict.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["link", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {path}: line {line} column {column}: ")
+        assert "must be finite" not in err
+
     def test_unreadable_path_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["link", str(tmp_path / "missing.json")])
         assert code == 3

@@ -13,6 +13,7 @@ from conftest import (
     standard_framing,
     wavy_circle,
 )
+from fbk import framedlink
 from fbk.errors import (
     AmbientMismatch,
     EvaluationFailure,
@@ -1004,6 +1005,70 @@ class TestLinkFiles:
         link = load_link_file(write_link_file(tmp_path, doc))
         with pytest.raises(RefinementExhausted):
             kappa(link)
+
+
+# Decimal forms of a float a link file may hold: shortest round trip, 17 and
+# 25 significant digits in exponent form, 40 digits (exact for many values,
+# the hard cases of rounding) and 12 digits (not the float written).
+LINK_FILE_NUMBER_FORMS = (repr, "%.17e".__mod__, "%.25e".__mod__, "%.40g".__mod__, "%.12g".__mod__)
+
+LINK_FILE_NUMBER_EDGES = (
+    "5e-324",  # the smallest subnormal
+    "4.9406564584124654e-324",
+    "2.4703282292062328e-324",  # just above half of it: rounds up to it
+    "2.2250738585072011e-308",  # between the largest subnormal and the smallest normal
+    "1.7976931348623157e308",  # the largest finite value
+    "9007199254740993.0",  # 2^53 + 1, halfway: rounds to even
+    "-0.0",
+    "0.1000000000000000055511151231257827",  # 0.1 written longer than its shortest form
+    "0.1000000000000000055511151231257828",
+    "1.00000000000000011102230246251565404236316680908203125",  # 1 + 2^-53, exact: to even
+    "123456789012345678901234567890e-10",
+    "18446744073709553664",  # 2^64 + 2^11, an integer past 64 bits halfway: to even
+    "123456789012345678901234567890",
+)
+
+
+class TestLinkFileParser:
+    """load_link_file decodes every number to the float Python's float() gives its token."""
+
+    def test_every_token_decodes_to_its_correctly_rounded_float(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(2019)
+        values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)].tolist()
+        tokens = [form(v) for form in LINK_FILE_NUMBER_FORMS for v in values]
+        tokens += LINK_FILE_NUMBER_EDGES
+        assert len(tokens) > 99000
+        path = tmp_path / "numbers.json"
+        path.write_text('{"values": [' + ",".join(tokens) + "]}", encoding="utf-8")
+        # the parsed document itself, before load_link validates it into a link
+        monkeypatch.setattr(framedlink, "load_link", lambda document: document)
+        decoded = load_link_file(str(path))["values"]
+        # an integer token may come out an int; float() of an int is correctly rounded too
+        got = np.array([float(number) for number in decoded])
+        want = np.array([float(token) for token in tokens])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_link_documents_decode_as_the_standard_library_does(self, tmp_path):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        digest = _load_tool(os.path.join(repo, "tools", "report_digest.py"))
+        workloads = _load_tool(os.path.join(repo, "perfbench", "workloads.py"))
+        digest.write_link_documents(str(tmp_path))
+        paths = [str(tmp_path / name) for name in digest.link_documents()]
+        workloads.build_cases("link-files", 7, str(tmp_path))
+        paths += sorted(str(p) for p in (tmp_path / "links-seed7").glob("*.json"))
+        assert len(paths) == len(digest.link_documents()) + 5
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                document = json.load(fh)
+            link = load_link_file(path)
+            assert len(link.components) == len(document["components"])
+            for (loop, framing), comp in zip(link.components, document["components"]):
+                pairs = ((loop.points, comp["points"]), (framing.fields, comp["framing"]))
+                for got, listed in pairs:
+                    want = np.asarray(listed, dtype=float)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 def twisted_circle(

@@ -920,20 +920,26 @@ class TestNonFiniteMapValues:
             _newton(system, NAN_SEED, DEFAULT_TOL, max_iter=0)
 
 
-def raising_quadric_spec(raising: str) -> MapSpec:
-    """The quadric, whose Jacobian or evaluator (raising) raises ArithmeticError where x0 < -0.5."""
+def raising_quadric_spec(
+    raising: str, error: type = ArithmeticError, analytic: bool = True
+) -> MapSpec:
+    """The quadric, whose Jacobian or evaluator (raising) raises error where x0 < -0.5.
+
+    A raising evaluator comes with the exact Jacobian, or with central
+    differences when analytic is False.
+    """
 
     def refuse(fn):
         def refusing(x):
             if x[0] < -0.5:
-                raise ArithmeticError("not defined here")
+                raise error("not defined here")
             return fn(x)
 
         return refusing
 
     if raising == "jacobian":
         return MapSpec(quadric, dimension=4, jacobian=refuse(quadric_jac))
-    return MapSpec(refuse(quadric), dimension=4, jacobian=quadric_jac)
+    return MapSpec(refuse(quadric), dimension=4, jacobian=quadric_jac if analytic else None)
 
 
 def causes(exc: BaseException):
@@ -967,6 +973,41 @@ class TestRaisingCallbacks:
         ) as info:
             kappa_of_map(raising_quadric_spec("evaluator"), TraceOptions(seeds=[NAN_SEED]))
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+class TestRaisingMapInTheCorrector:
+    """A map that raises in a correction: fbk's own errors go through, any other names the point."""
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_an_arithmetic_error_mid_walk_names_the_point(self, analytic):
+        spec = raising_quadric_spec("evaluator", ArithmeticError, analytic)
+        with pytest.raises(
+            EvaluationFailure,
+            match="corrector kept failing at the minimum step size: "
+            "map evaluation failed during correction at ",
+        ) as info:
+            kappa_of_map(spec, TraceOptions(seeds=[CIRCLE_START]))
+        point = json.loads(str(info.value).rsplit(" at ", 1)[1])
+        assert len(point) == 4 and point[0] < -0.5
+        assert any(isinstance(e, ArithmeticError) for e in causes(info.value))
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_a_validation_error_mid_walk_goes_through(self, analytic):
+        spec = raising_quadric_spec("evaluator", ValidationError, analytic)
+        with pytest.raises(ValidationError, match="^not defined here$"):
+            kappa_of_map(spec, TraceOptions(seeds=[CIRCLE_START]))
+
+    def test_the_corrector_names_its_start(self):
+        system = _map_system(raising_quadric_spec("evaluator"))
+        with pytest.raises(
+            EvaluationFailure,
+            match=re.escape("map evaluation failed during correction at [-1.0, 0.0, 0.0, 0.0]"),
+        ) as info:
+            _newton(system, NAN_SEED, DEFAULT_TOL)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        system = _map_system(raising_quadric_spec("evaluator", ValidationError))
+        with pytest.raises(ValidationError, match="^not defined here$"):
+            _newton(system, NAN_SEED, DEFAULT_TOL)
 
 
 class TestSeedJacobianCheck:

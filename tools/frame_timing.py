@@ -37,14 +37,17 @@ Last, the link-file load, for the same three links written as JSON link
 files and for a dense Hopf link (two linked circles of 4000 and of 20000
 samples), one line each:
 
-  - load_ms: milliseconds per `load_link_file` of the file (JSON decoding,
-    the document's checks and the disjointness check);
+  - parse_ms: milliseconds to read the file's bytes and decode them into
+    a document with orjson, as `load_link_file` does;
+  - validate_ms: milliseconds per `load_link` of that document (the
+    arrays, the document's checks and the disjointness check), the rest
+    of `load_link_file`;
   - disjoint_ms: milliseconds per disjointness check of its components'
     samples, `framedlink._check_disjoint`;
   - disjoint_pairs: the candidate segment pairs of that check's sweep, as
     fbk.recording() notes them.
 
-Both times are the minimum over --repeat calls. Nothing is asserted about
+Each time is the minimum over --repeat calls. Nothing is asserted about
 the times.
 """
 
@@ -59,6 +62,7 @@ import tempfile
 import time
 
 import numpy as np
+import orjson
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -66,7 +70,7 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from fbk import frame_matrix_loop, numkit, recording, spinlift  # noqa: E402
 from fbk.errors import RefinementExhausted  # noqa: E402
-from fbk.framedlink import _check_disjoint, invariant_report, load_link, load_link_file  # noqa: E402
+from fbk.framedlink import _check_disjoint, invariant_report, load_link  # noqa: E402
 from fbk.cli import _parse_override  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
 from report_digest import ACCEPTANCE_OVERRIDES  # noqa: E402
@@ -206,15 +210,19 @@ def timed_report(link, repeat: int):
 
 
 def timed_load(document: dict, directory: str, repeat: int):
-    """(load_ms, disjoint_ms, disjoint_pairs) of one link document written as a file."""
+    """(parse_ms, validate_ms, disjoint_ms, disjoint_pairs) of one link document as a file."""
     path = os.path.join(directory, "link.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh)
-    load = check = float("inf")
+    parse = validate = check = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        link = load_link_file(path)
-        load = min(load, time.perf_counter() - start)
+        with open(path, "rb") as fh:
+            parsed = orjson.loads(fh.read())
+        middle = time.perf_counter()
+        link = load_link(parsed)
+        parse = min(parse, middle - start)
+        validate = min(validate, time.perf_counter() - middle)
     points = [loop.points for loop, _ in link.components]
     for _ in range(repeat):
         start = time.perf_counter()
@@ -222,7 +230,7 @@ def timed_load(document: dict, directory: str, repeat: int):
         check = min(check, time.perf_counter() - start)
     with recording() as record:
         _check_disjoint(points)
-    return 1e3 * load, 1e3 * check, record.get("disjoint_pairs", 0)
+    return 1e3 * parse, 1e3 * validate, 1e3 * check, record.get("disjoint_pairs", 0)
 
 
 def main(argv=None) -> int:
@@ -253,14 +261,14 @@ def main(argv=None) -> int:
     for samples in (4000, 20000):
         documents[f"Hopf R4 2x{samples}"] = hopf_link(samples)
     print()
-    print(f"{'link-file load':40s} {'K':>5s} {'loops':>5s} {'load_ms':>9s} {'disjoint_ms':>11s} "
-          f"{'disjoint_pairs':>14s}")
+    print(f"{'link-file load':40s} {'K':>5s} {'loops':>5s} {'parse_ms':>9s} {'validate_ms':>11s} "
+          f"{'disjoint_ms':>11s} {'disjoint_pairs':>14s}")
     with tempfile.TemporaryDirectory() as directory:
         for label, document in documents.items():
-            load_ms, disjoint_ms, pairs = timed_load(document, directory, args.repeat)
+            parse_ms, validate_ms, disjoint_ms, pairs = timed_load(document, directory, args.repeat)
             comps = document["components"]
-            print(f"{label:40s} {len(comps[0]['points']):5d} {len(comps):5d} {load_ms:9.3f} "
-                  f"{disjoint_ms:11.3f} {pairs:14d}")
+            print(f"{label:40s} {len(comps[0]['points']):5d} {len(comps):5d} {parse_ms:9.3f} "
+                  f"{validate_ms:11.3f} {disjoint_ms:11.3f} {pairs:14d}")
     return 0
 
 
