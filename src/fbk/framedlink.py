@@ -15,7 +15,7 @@ flipping the bit once (plus the spin twist). A report's frames, of link
 circles or of a section's two-term zero circles, go through _frame_bits:
 one (samples, N, N) stack, one batched QR, whose Householder count gives
 each frame's orientation, and one lift; a frame loop's refiner goes
-through the same assembly one parameter at a time. Each stage returns
+through the same assembly one refinement level at a time. Each stage returns
 the results of the components before the first failing one, and its
 error, which the report raises. kappa of a link is the xor of the
 component indices; on Euclidean ambients it agrees with the classical
@@ -49,6 +49,7 @@ from .numkit import (
     Tolerances,
     _note_add,
     _on_stack,
+    _one_or_stack,
     _orthonormal_sets,
     _predecessors,
     _row_norms,
@@ -61,10 +62,10 @@ from .spinlift import _MAX_DIM, RotationLoop, Z2, _checked_params, _loop_classes
 
 _MIN_SAMPLES = 16
 _NORMAL_ORTHO_CHECK = 1e-8
-# Tangents of sample-only loops come from chord differences, so the check
-# against manifold normals must absorb the O(h^2) differencing error.
+# Tangents of sample-only loops come from three-point differences, so the
+# check against manifold normals must absorb their O(h^2) error.
 _NORMAL_TANGENT_CHECK = 1e-4
-# A link file's frame rows [manifold normals, chord tangent, framing fields]
+# A link file's frame rows [manifold normals, sample tangent, framing fields]
 # must have |det| / (product of row norms) above this at every sample: the
 # ratio is 1 for orthogonal rows and 0 for dependent ones, which frame
 # assembly would reject later as a numerical failure.
@@ -103,17 +104,13 @@ class SampledLoop:
     a (K,) array of params to a (K, N) stack in one call.
     tangents, when given, are the unit tangents at the samples as a (K, N)
     array, stored read-only; a traced loop carries the kernel tangents its
-    tracer found. resample_tangent, when given, returns the unit tangent at
-    any parameter; a traced loop's is the kernel at the resampled point, so
-    on and between samples it has one tangent. tangent(t) is
+    tracer found, and its resample_tangent is the kernel at the resampled
+    point, so on and between samples it has one tangent. tangent(t) is
     resample_tangent, else central differences of the resampler. The
-    tangents at the samples come from one cached place, read by
-    tangent_at_sample and frame_matrix_loop: the carried tangents, else
-    tangent(t) at the params, else chords. Central differences at K params
-    are one resampler call on the 2K shifted params. The cycled, reversed,
-    transformed and translated copies carry tangents and both resamplers
-    along, as stack-native callbacks that call this loop's once per stack
-    and also take one param; with_samples drops the carried tangents.
+    tangents at the samples come from one cached place, _sample_tangents.
+    The cycled, reversed, transformed and translated copies carry tangents
+    and both resamplers along, stack-native and also taking one param;
+    with_samples drops the carried tangents.
     """
 
     points: np.ndarray
@@ -194,11 +191,6 @@ class SampledLoop:
         return np.linalg.norm(_successors(self.points) - self.points, axis=1)
 
     @cached_property
-    def _chords(self) -> np.ndarray:
-        """points[k + 1] - points[k - 1] at every sample, cyclically."""
-        return _successors(self.points) - _predecessors(self.points)
-
-    @cached_property
     def _knots(self) -> np.ndarray:
         """Sample params closed by the wrap-around sample's, params[0] + 1."""
         return np.asarray(list(self.params) + [self.params[0] + 1.0])
@@ -216,15 +208,15 @@ class SampledLoop:
         u = t % 1.0
         return u + (u < self.params[0])
 
-    def _segment(self, t: float) -> tuple[int, float]:
+    def _segment(self, t):
         """Segment i, from sample i to sample i + 1 (cyclically), holding parameter t.
 
         Returns i and the weight w of the segment's end at t, so that t is
-        (1 - w) params[i] + w params[i + 1], modulo 1.
+        (1 - w) params[i] + w params[i + 1], modulo 1; elementwise for an array t.
         """
         ts = self._knots
         u = self._unwrapped(t)
-        i = min(int(np.searchsorted(ts, u, side="right")) - 1, len(ts) - 2)
+        i = np.minimum(np.searchsorted(ts, u, side="right") - 1, len(ts) - 2)
         return i, (u - ts[i]) / (ts[i + 1] - ts[i])
 
     @cached_property
@@ -232,15 +224,19 @@ class SampledLoop:
         """Unit tangents at the samples, read-only.
 
         The carried tangents, else central differences of the resampler, else
-        unit chords from each sample's predecessor to its successor.
+        a^2 (p+ - p) + b^2 (p - p-) normalized: the derivative of the quadratic
+        through each sample p and its neighbours p-, p+ at distances a, b,
+        second order on any spacing (Fornberg, Math. Comp. 51, 1988).
         """
         if self.tangents is not None:
             return self.tangents
         if self.resample is not None:
             out = self._tangents_at(np.asarray(self.params))
         else:
-            d = self._chords
-            out = d / np.linalg.norm(d, axis=1, keepdims=True)
+            ahead = _successors(self.points) - self.points
+            squares = np.square(self._segment_lengths)[:, None]
+            d = _predecessors(squares) * ahead + squares * _predecessors(ahead)
+            out = d / _row_norms(d)[:, None]
         out.setflags(write=False)
         return out
 
@@ -271,25 +267,15 @@ class SampledLoop:
         """A copy's resample and resample_tangent, each None when this loop's is.
 
         The copy at parameter t is this loop at param(t), with point and
-        tangent mapping this loop's values to the copy's. param maps a (K,)
-        array of params, point and tangent a (K, N) stack; the copy's
-        callbacks are stack-native and call this loop's once per stack
-        (row by row when this loop's are not stack-native). They also map
-        one param to one row, as this loop's may.
+        tangent mapping this loop's values to the copy's, each on a stack;
+        the copy's callbacks call this loop's once per stack.
         """
-
-        def one_or_stack(on_params):
-            def resampler(ts):
-                ts = np.asarray(ts, dtype=float)
-                return on_params(ts) if ts.ndim else on_params(ts[None])[0]
-
-            return stacked(resampler)
 
         resample = resample_tangent = None
         if self.resample is not None:
-            resample = one_or_stack(lambda ts: point(self._points_at(param(ts))))
+            resample = _one_or_stack(lambda ts: point(self._points_at(param(ts))))
         if self.resample_tangent is not None:
-            resample_tangent = one_or_stack(lambda ts: tangent(self._tangents_at(param(ts))))
+            resample_tangent = _one_or_stack(lambda ts: tangent(self._tangents_at(param(ts))))
         return resample, resample_tangent
 
     def cycled(self, shift: int) -> "SampledLoop":
@@ -349,11 +335,12 @@ class NormalFraming:
     sample s. A sequence of k (K, N) arrays is accepted too and stacked into
     that array. The array is stored read-only, since at_sample returns views
     of it. at_sample(s) and at(t) give the fields at one place as a (k, N)
-    array; a resampler returns that layout.
+    array; a resampler returns that layout, or a (K, k, N) stack at a (K,)
+    array of params when declared with numkit's `stacked`.
     """
 
     fields: np.ndarray
-    resample: Callable[[float], np.ndarray] | None = None
+    resample: Callable[[float | np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         fields = [np.asarray(f, dtype=float) for f in self.fields]
@@ -382,28 +369,20 @@ class NormalFraming:
 
     def at(self, t: float) -> np.ndarray:
         """The resampler's (count, N) fields at t; another shape is an EvaluationFailure."""
+        return self._fields_at(np.array([t]))[0]
+
+    def _fields_at(self, ts: np.ndarray) -> np.ndarray:
+        """The fields at a (K,) array of params, as (K, count, N), from one resampler call."""
         if self.resample is None:
             raise ValidationError("framing has no resample callback")
-        try:
-            out = np.asarray(self.resample(t % 1.0), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise EvaluationFailure(
-                "framing resampler returned values that are not one float array"
-            ) from exc
-        want = (self.count, self.fields.shape[2])
-        if out.shape != want:
-            raise EvaluationFailure(
-                f"framing resampler returned shape {out.shape} at parameter {t % 1.0:.6f}; "
-                f"expected {want}"
-            )
-        return out
+        return _on_stack(self.resample, ts % 1.0, "framing resampler", *self.fields.shape[::2])
 
     def transformed(self, Q: np.ndarray) -> "NormalFraming":
         Q = np.asarray(Q, dtype=float)
         fields = self.fields @ Q.T
         resample = None
         if self.resample is not None:
-            resample = lambda t: self.at(t) @ Q.T  # noqa: E731
+            resample = _one_or_stack(lambda ts: self._fields_at(ts) @ Q.T)
         return NormalFraming(fields, resample)
 
     def reversed(self) -> "NormalFraming":
@@ -412,7 +391,7 @@ class NormalFraming:
         fields = self.fields[:, idx]
         resample = None
         if self.resample is not None:
-            resample = lambda t: self.at(1.0 - t)  # noqa: E731
+            resample = _one_or_stack(lambda ts: self._fields_at(1.0 - ts))
         return NormalFraming(fields, resample)
 
 
@@ -708,6 +687,13 @@ def _frame_rows(ambient: AmbientPresentation, points, middles, fields) -> np.nda
     return np.concatenate([normals, middles[:, None], fields], axis=1)
 
 
+def _middle_rows(part: _FramePart, points: np.ndarray, tangents: Callable[[], np.ndarray]):
+    """The part's middle rows at (K, N) points: tangents(), or its middle row map there."""
+    if part.middle is None:
+        return tangents()
+    return _on_stack(part.middle, points, "middle row", points.shape[1])
+
+
 def _assemble_frames(
     ambient: AmbientPresentation,
     parts: Sequence[_FramePart],
@@ -798,10 +784,7 @@ def _frame_loops(
         loop = part.loop
         try:
             _check_component(loop, part.framing, ambient, more_fields=True)
-            if part.middle is None:
-                middles = loop._sample_tangents
-            else:
-                middles = _on_stack(part.middle, loop.points, "middle row", loop.dimension)
+            middles = _middle_rows(part, loop.points, lambda: loop._sample_tangents)
             fields = part.framing.fields.transpose(1, 0, 2)
             rows.append(_frame_rows(ambient, loop.points, middles, fields))
         except Exception as exc:  # noqa: BLE001 - a geometry callback's error is its part's
@@ -821,22 +804,20 @@ def _middle_name(middle) -> str:
 
 
 def _frame_refiner(part: _FramePart, ambient: AmbientPresentation, tol: Tolerances):
-    """The part's frame at one parameter, through _assemble_frames; None unless both resample."""
-    loop, framing, middle, _ = part
+    """The part's frames at a (K,) array of params, as at the samples; None unless both resample."""
+    loop, framing = part.loop, part.framing
     if loop.resample is None or framing.resample is None:
         return None
 
-    def refiner(t: float) -> np.ndarray:
-        p = loop.point(t)[None]
-        if middle is None:
-            middles = loop.tangent(t)[None]
-        else:
-            middles = _on_stack(middle, p, "middle row", loop.dimension)
-        rows = _frame_rows(ambient, p, middles, framing.at(t)[None])
-        where = lambda _: f"parameter {t % 1.0:.6f}"  # noqa: E731
-        (frame,) = _values(_assemble_frames(ambient, [part], [rows], tol, where))
-        _note_add("frames_assembled", 1)
-        return frame[0]
+    @_one_or_stack
+    def refiner(ts: np.ndarray) -> np.ndarray:
+        points = loop._points_at(ts)
+        middles = _middle_rows(part, points, lambda: loop._tangents_at(ts))
+        rows = _frame_rows(ambient, points, middles, framing._fields_at(ts))
+        where = lambda k: f"parameter {ts[k] % 1.0:.6f}"  # noqa: E731
+        (frames,) = _values(_assemble_frames(ambient, [part], [rows], tol, where))
+        _note_add("frames_assembled", len(ts))
+        return frames
 
     return refiner
 
@@ -852,16 +833,13 @@ def frame_matrix_loop(
 
     The middle row is the curve tangent (the one tangent_at_sample
     returns), or middle(point) when a map from points to middle rows is
-    given (called once on all samples when declared `stacked`). Each sample
-    yields the N x N matrix whose rows are the orthonormalized frame
-    expressed in the standard basis; the determinant must be +1 at every
-    sample. All samples are assembled as one stack.
-    When both the loop and the framing can be resampled, the returned loop
-    carries a refiner that re-evaluates the geometry through the same
-    assembly, with loop.tangent(t) or middle(point) as its middle row.
-    Every assembled frame is noted as frames_assembled. The reports
-    assemble the frame loops of all their components as one stack, of
-    which this is the stack of one.
+    given. Each sample yields the N x N matrix whose rows are the
+    orthonormalized frame in the standard basis, of determinant +1; all
+    samples are assembled as one stack. When both the loop and the framing
+    resample, the loop carries a refiner that assembles the frames at a
+    stack of params the same way. Every assembled frame is noted as
+    frames_assembled. The reports assemble the frame loops of all their
+    components as one stack, of which this is the stack of one.
     """
     (rl,) = _values(_frame_loops([_FramePart(loop, framing, middle)], ambient, tol))
     _note_add("frames_assembled", len(rl))
@@ -935,15 +913,12 @@ def _recombined(
 
     mix takes a (K,) array of parameters to the (K, count, count) stack of
     matrices there. It is applied to all sample params in one call, and
-    inside the resampler to a one-element array when the framing has one.
+    inside the resampler, when the framing has one, to its params.
     """
     fields = mix(np.asarray(params, dtype=float)) @ framing.fields.transpose(1, 0, 2)
     resample = None
     if framing.resample is not None:
-
-        def resample(t: float) -> np.ndarray:
-            return mix(np.array([t % 1.0]))[0] @ framing.at(t)
-
+        resample = _one_or_stack(lambda ts: mix(ts % 1.0) @ framing._fields_at(ts))
     return NormalFraming(fields.transpose(1, 0, 2), resample)
 
 
@@ -1106,7 +1081,7 @@ def load_link(document: dict) -> FramedLink:
                 bool(np.max(np.abs(rho - 1.0)) < 1e-6),
                 f"component {n}: points must lie on the unit circle factor",
             )
-        rows = _frame_rows(ambient, loop.points, loop._chords, framing.fields.transpose(1, 0, 2))
+        rows = _frame_rows(ambient, pts, loop._sample_tangents, fields.transpose(1, 0, 2))
         norms = np.linalg.norm(rows, axis=2)
         det = np.linalg.det(rows)
         bad = np.abs(det) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)

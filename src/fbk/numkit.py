@@ -22,14 +22,13 @@ Every rank decision here compares a residual norm (|R_ii| for the QR) with
 a tolerance. Non-finite input is an EvaluationFailure; a wrong shape stays
 a ValueError.
 
-The geometry callbacks (manifold normals, a loop's resamplers, splitting
-fields, framing fields, frame_matrix_loop's middle row) follow one calling
-convention, as scipy.integrate.solve_ivp's `vectorized=True` does: a
-callback declared with `stacked` takes a (K, N) stack of points, or a (K,)
-array of params, and returns K rows, and `_on_stack` calls it once per
-stack; any other callback is called row by row there. `_on_stack` is the
-only place that loops over points to call one, and the one place that
-checks what comes back.
+The geometry callbacks (manifold normals, resamplers of loops and of
+framings, splitting and framing fields, frame_matrix_loop's middle row,
+refiners) follow one calling convention, as scipy.integrate.solve_ivp's
+`vectorized=True` does: a callback declared with `stacked` takes a (K, N)
+stack of points, or a (K,) array of params, and returns K values; any
+other is called input by input by `_called`, the only place that loops
+over inputs to call one. fbk's own resamplers and refiners are stacked.
 
 The tracer calls jacobian_fd at every Jacobian of a walk whose map has no
 analytic Jacobian (and once per seed of one that has, to check it), _norm
@@ -234,39 +233,53 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 def stacked(fn):
     """Declare a geometry callback stack-native, and return it.
 
-    A stack-native callback takes a (K, N) stack of points (a resampler: a
-    (K,) array of params) and returns a (K, N) stack of rows, row i its
-    value at input i; fbk then calls it once per stack instead of once per
-    point. Every other callback is called row by row. fn must accept
-    attributes, as functions and lambdas do.
+    A stack-native callback takes a (K, N) stack of points, or a (K,) array
+    of params, and returns K values, value i at input i; fbk then calls it
+    once per stack instead of once per input. fn must accept attributes,
+    as functions and lambdas do.
     """
     fn.fbk_stacked = True
     return fn
 
 
-def _on_stack(fn, inputs: np.ndarray, role: str, width: int) -> np.ndarray:
-    """fn at every input, as one (K, width) float array.
+def _one_or_stack(on_params):
+    """on_params, which maps (K,) params to K values, `stacked` and also mapping one param."""
 
-    inputs is a (K, N) stack of points or a (K,) array of params. A
-    callback declared with `stacked` gets the whole stack in one call;
-    any other gets one row at a time (a param as a Python float). A result
-    of any other shape is an EvaluationFailure naming role and both
-    shapes; nothing is broadcast.
-    """
+    def callback(ts):
+        ts = np.asarray(ts, dtype=float)
+        return on_params(ts) if ts.ndim else on_params(ts[None])[0]
+
+    return stacked(callback)
+
+
+def _called(fn, inputs: np.ndarray):
+    """fn at (K, N) points or (K,) params: one call if `stacked`, else a list (params as floats)."""
     if getattr(fn, "fbk_stacked", False):
-        values = fn(inputs)
-    else:
-        values = [fn(x) for x in (inputs.tolist() if inputs.ndim == 1 else inputs)]
+        return fn(inputs)
+    return [fn(x) for x in (inputs.tolist() if inputs.ndim == 1 else inputs)]
+
+
+def _on_stack(fn, inputs: np.ndarray, role: str, *shape: int) -> np.ndarray:
+    """fn at every input, as one (K, *shape) float array.
+
+    fn is _called on inputs. A result of any other shape is an
+    EvaluationFailure naming role and the shapes (a fn called param by
+    param: its values' shape and first param); nothing is broadcast.
+    """
+    values = _called(fn, inputs)
     try:
         out = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise EvaluationFailure(f"{role} returned values that are not one float array") from exc
-    if out.shape != (len(inputs), width):
-        raise EvaluationFailure(
-            f"{role} returned shape {out.shape} for inputs of shape {inputs.shape}; "
-            f"expected {(len(inputs), width)}"
-        )
-    return out
+    want = (len(inputs), *shape)
+    if out.shape == want:
+        return out
+    if inputs.ndim == 1 and len(inputs) and not getattr(fn, "fbk_stacked", False):
+        at = f"parameter {inputs[0]:.6f}"
+        raise EvaluationFailure(f"{role} returned shape {out.shape[1:]} at {at}; expected {shape}")
+    raise EvaluationFailure(
+        f"{role} returned shape {out.shape} for inputs of shape {inputs.shape}; expected {want}"
+    )
 
 
 def _successors(a: np.ndarray) -> np.ndarray:

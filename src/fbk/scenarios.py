@@ -28,7 +28,7 @@ from .framedlink import (
     sphere_ambient,
     twist_framing,
 )
-from .numkit import Tolerances, _norm, _on_stack, stacked
+from .numkit import Tolerances, _norm, _on_stack, _one_or_stack, stacked
 from .tracer import MapSpec, SectionSpec, TraceOptions, kappa_of_map, section_index
 
 
@@ -81,12 +81,13 @@ def _circle_loop(
 
 
 def _framing_from(loop: SampledLoop, fns) -> NormalFraming:
-    """Fields fns (stack-native or per point) at the samples, with their resampler."""
+    """Fields fns (stack-native or per point) at the samples, with their stack-native resampler."""
 
     def at(points: np.ndarray) -> np.ndarray:
         return np.stack([_on_stack(fn, points, "framing field", loop.dimension) for fn in fns])
 
-    return NormalFraming(at(loop.points), lambda t: at(loop.point(t)[None])[:, 0])
+    resample = _one_or_stack(lambda ts: at(loop._points_at(ts)).transpose(1, 0, 2))
+    return NormalFraming(at(loop.points), resample)
 
 
 @stacked

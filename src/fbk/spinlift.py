@@ -43,7 +43,16 @@ from .errors import (
     RefinementExhausted,
     ValidationError,
 )
-from .numkit import DEFAULT_TOL, Tolerances, _note_add, _note_max, _successors, _values
+from .numkit import (
+    DEFAULT_TOL,
+    Tolerances,
+    _called,
+    _note_add,
+    _note_max,
+    _one_or_stack,
+    _successors,
+    _values,
+)
 
 _MAX_DIM = 12
 _MAX_REFINE_DEPTH = 24
@@ -161,8 +170,10 @@ def _rotation_stack(
     An array is checked by its shape, a sequence by the set of its samples'
     shapes: every sample must be square, all of one size, and of size dim
     when dim is given. params name the samples in errors, as in
-    _check_special_orthogonal.
+    _check_special_orthogonal, and must be as many as the samples.
     """
+    if params is not None and len(samples) != len(params):
+        raise DimensionMismatch(f"refiner returned {len(samples)} values for {len(params)} params")
     if isinstance(samples, np.ndarray):
         shapes = {samples.shape[1:]}
     else:
@@ -187,7 +198,8 @@ class RotationLoop:
     ValidationError); the loop closes from the last sample back to the
     first. refiner(t) must return the underlying rotation at any parameter
     t in [0, 1) and is used to subdivide steps that rotate too far,
-    re-evaluating the geometry rather than interpolating matrices.
+    re-evaluating the geometry rather than interpolating matrices; one
+    declared `stacked` maps a (K,) array of params to a (K, m, m) stack.
     """
 
     samples: np.ndarray
@@ -280,8 +292,8 @@ def _refined(loop: RotationLoop, tol: Tolerances) -> np.ndarray:
         # Params stay unwrapped: the closing step ends at params[0] + 1.
         ends = np.concatenate((params[1:], params[:1] + 1.0))
         mid = 0.5 * (params[over] + ends[over])
-        wrapped = [t % 1.0 for t in mid.tolist()]
-        new = _rotation_stack([loop.refiner(t) for t in wrapped], wrapped, loop.dim)
+        wrapped = mid % 1.0
+        new = _rotation_stack(_called(loop.refiner, wrapped), wrapped.tolist(), loop.dim)
         # step over[k]'s midpoint goes right after it, to over[k] + 1 + k
         inserted = over + np.arange(1, over.size + 1)
         kept = np.ones(count, dtype=bool)
@@ -603,18 +615,18 @@ def quaternion_loop_class(loop: RotationLoop, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def stabilize_loop(loop: RotationLoop, target: int) -> RotationLoop:
-    """Block-embed an SO(m) loop into SO(target) as diag(R, I)."""
+    """Block-embed an SO(m) loop, and its refiner's stacks, into SO(target) as diag(R, I)."""
     m = loop.dim
     if not m <= target <= _MAX_DIM:
         raise DimensionMismatch(f"target {target} must lie in [{m}, {_MAX_DIM}]")
 
-    def embed(R: np.ndarray) -> np.ndarray:
-        out = np.eye(target)
-        out[:m, :m] = R
+    def embed(R) -> np.ndarray:
+        out = np.tile(_identity(target), (len(R), 1, 1))
+        out[:, :m, :m] = R
         return out
 
     refiner = None
     if loop.refiner is not None:
         inner = loop.refiner
-        refiner = lambda t: embed(inner(t))  # noqa: E731
-    return RotationLoop([embed(R) for R in loop.samples], refiner, list(loop.params))
+        refiner = _one_or_stack(lambda ts: embed(_called(inner, ts)))
+    return RotationLoop(embed(loop.samples), refiner, list(loop.params))

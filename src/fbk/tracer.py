@@ -71,6 +71,7 @@ from .numkit import (
     _note_append,
     _note_max,
     _on_stack,
+    _one_or_stack,
     _orthonormal_sets,
     _qr,
     _require_finite,
@@ -603,24 +604,24 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         raise NotClosed(f"no closure within {opts.max_steps} steps")
     pts = np.asarray(points)
     carried = np.asarray(tangents)
-    # the latest parameter resampled and its point: the lift's refiners ask
-    # for the point, the tangent and the frames at one parameter in turn
+    # the latest params resampled and their points: the lift's refiners ask
+    # for the points, the tangents and the frames at one stack of params in turn
     last: list = [None, None]
 
-    def resample(t_val: float) -> np.ndarray:
-        if t_val != last[0]:
-            i, w = loop._segment(t_val)
-            start = (1.0 - w) * pts[i] + w * pts[(i + 1) % len(pts)]
-            last[:] = t_val, _newton(system, start, tol)[0]
+    @_one_or_stack
+    def resample(ts: np.ndarray) -> np.ndarray:
+        if not np.array_equal(ts, last[0]):
+            i, w = loop._segment(ts)
+            starts = (1.0 - w)[:, None] * pts[i] + w[:, None] * pts[(i + 1) % len(pts)]
+            last[:] = ts.copy(), np.array([_newton(system, start, tol)[0] for start in starts])
         return last[1].copy()
 
-    def resample_tangent(t_val: float) -> np.ndarray:
-        i, _ = loop._segment(t_val)
-        return _tangent_of(system, resample(t_val), carried[i], tol)[0]
+    @_one_or_stack
+    def resample_tangent(ts: np.ndarray) -> np.ndarray:
+        previous = carried[loop._segment(ts)[0]]
+        return np.array([_tangent_of(system, p, t, tol)[0] for p, t in zip(resample(ts), previous)])
 
-    loop = SampledLoop(
-        pts, resample, SampledLoop(pts).arc_fractions(), carried, resample_tangent
-    )
+    loop = SampledLoop(pts, resample, SampledLoop(pts).arc_fractions(), carried, resample_tangent)
     return loop, raws, closure_error, max(residuals)
 
 
@@ -720,12 +721,12 @@ def induced_framing(
     batched solve with the lower-triangular R^T. A failure of its rank rule
     (some |R_ii| below ortho_tol, or more rows than dimensions) is
     Singular, and a non-finite Jacobian an EvaluationFailure, each naming
-    the sample. The resampler runs the same solve at one point.
+    the sample; the resampler runs the same solve at its params' points,
+    always evaluating the map's derivative there.
 
     jacobians, when given, are the map's Jacobians at the samples, as
     trace_component collects them for this loop; they are used instead of
-    evaluating the map's derivative there again. The resampler always
-    evaluates it.
+    evaluating the map's derivative there again.
     """
     if jacobians is not None and len(jacobians) != len(loop):
         raise ValueError(f"{len(jacobians)} Jacobians for a loop of {len(loop)} samples")
@@ -758,8 +759,9 @@ def induced_framing(
     resample = None
     if loop.resample is not None:
 
-        def resample(t: float) -> np.ndarray:
-            return fields_at(loop.point(t)[None], lambda _: f"parameter {t % 1.0:.6f}")[0]
+        @_one_or_stack
+        def resample(ts: np.ndarray) -> np.ndarray:
+            return fields_at(loop._points_at(ts), lambda k: f"parameter {ts[k] % 1.0:.6f}")
 
     return NormalFraming(X.transpose(1, 0, 2), resample)
 
@@ -898,27 +900,25 @@ _TRANSPORT_TOL = 1e-8
 _TRANSPORT_STRETCH = 1e3
 
 
-def _transported(frame: np.ndarray, bases: np.ndarray):
-    """An orthonormal frame carried through the complements of bases, orthonormalized.
+def _transported(frames: np.ndarray, bases: np.ndarray):
+    """Orthonormal (K, count, N) frames carried through the complements of (K, L, b, N) bases.
 
-    frame is an orthonormal (count, N) set and bases an (L, b, N) stack of
-    orthonormal rows. The frame is carried unnormalized, A_i = A_(i-1)
-    (I - B_i^T B_i), one product per projection with the projectors built
-    as one stack, and the chain [frame, A_1, ..., A_L] is orthonormalized
-    by one batched _qr. Returns (frames, lost): the (L, count, N)
-    orthonormal frames, and the first i (from 0) whose projection leaves
-    some |R_jj| below _TRANSPORT_TOL times the one before it, or None.
+    Each frame is carried unnormalized, A_i = A_(i-1) (I - B_i^T B_i), one
+    product per projection, and every chain [frame, A_1, ..., A_L] is
+    orthonormalized by one batched _qr. Returns the (K, L, count, N)
+    orthonormal frames, and a (K, L) bool array, True where a projection
+    leaves some |R_jj| below _TRANSPORT_TOL times the one before it.
     """
-    projectors = np.eye(frame.shape[1]) - bases.transpose(0, 2, 1) @ bases
-    chain = np.empty((len(bases) + 1, *frame.shape))
-    chain[0] = frame
-    for i, projector in enumerate(projectors):
-        chain[i].dot(projector, out=chain[i + 1])
-    Q, R, _, _ = _qr(chain, 0.0)
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    dropped = (diag[1:] < _TRANSPORT_TOL * diag[:-1]).any(axis=1)
-    lost = int(np.argmax(dropped)) if dropped.any() else None
-    return Q[1:].transpose(0, 2, 1), lost
+    k, count, dim = frames.shape
+    projectors = np.eye(dim) - bases.swapaxes(-1, -2) @ bases
+    chains = np.empty((k, bases.shape[1] + 1, count, dim))
+    chains[:, 0] = frames
+    for i in range(bases.shape[1]):
+        np.matmul(chains[:, i], projectors[:, i], out=chains[:, i + 1])
+    Q, R, _, _ = _qr(chains.reshape(-1, count, dim), 0.0)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2)).reshape(chains.shape[:3])
+    dropped = (diag[:, 1:] < _TRANSPORT_TOL * diag[:, :-1]).any(axis=2)
+    return Q.transpose(0, 2, 1).reshape(chains.shape)[:, 1:], dropped
 
 
 def _chain_slices(cosines: np.ndarray):
@@ -957,17 +957,14 @@ def transport_closed_frame(
     t', more than the geodesic from I to H^-1 would, but needs no logarithm.
 
     The bases B_i of [manifold normals, tangent] at all samples come from
-    one _qr. The frame is carried unnormalized, A_i = A_(i-1) (I - B_i^T
-    B_i), round the loop back to sample 0, and the chain of carried
-    frames is orthonormalized by one batched _qr. That equals
-    re-orthonormalizing after every projection: if F_(i-1) = L A_(i-1)
-    with L lower triangular with a positive diagonal, projecting F_(i-1)
-    gives L A_i, and the orthonormal rows with diag(R) > 0 do not change
-    under such an L (Golub-Van Loan, Matrix Computations, 5.2). The same
-    identity keeps the rank rule per sample: the residual of frame
-    direction j after the projection at sample i is |R_jj(i)| / |R_jj(i-1)|
-    of the chain's QR, and sample i loses a dimension (RankDeficient,
-    index i, 0 for the closing projection) when some ratio is below 1e-8.
+    one _qr, and _transported carries the frame round the loop back to
+    sample 0. That equals re-orthonormalizing after every projection: if
+    F_(i-1) = L A_(i-1) with L lower triangular with a positive diagonal,
+    projecting F_(i-1) gives L A_i, and the orthonormal rows with diag(R)
+    > 0 do not change under such an L (Golub-Van Loan, Matrix
+    Computations, 5.2). The same identity keeps _transported's rank rule
+    per sample: sample i loses a dimension (RankDeficient, index i, 0 for
+    the closing projection).
     A projection stretches the condition number of the unnormalized frame
     by at most the inverse of the smallest principal-angle cosine between
     the two spans it goes between, so the chain is cut where the product
@@ -1006,11 +1003,11 @@ def transport_closed_frame(
     cosines = np.linalg.svd(B @ steps.transpose(0, 2, 1), compute_uv=False)[:, -1]
     carried = [np.array(initial[-count:])[None]]
     for part in _chain_slices(cosines):
-        frames, lost = _transported(carried[-1][-1], steps[part])
-        if lost is not None:
-            sample = (part.start + lost + 1) % k
+        frames, dropped = _transported(carried[-1][-1:], steps[None, part])
+        if dropped.any():
+            sample = (part.start + int(np.argmax(dropped)) + 1) % k
             raise RankDeficient(f"{lost_a_dimension} sample {sample}", index=sample)
-        carried.append(frames)
+        carried.append(frames[0])
     frames = np.concatenate(carried)
     raw = frames[:k]
     H = frames[k] @ raw[0].T
@@ -1020,13 +1017,13 @@ def transport_closed_frame(
     resample = None
     if loop.resample is not None:
 
-        def resample(t: float) -> np.ndarray:
-            i, _ = loop._segment(t)
-            basis = bases(fixed(loop.point(t)[None], loop.tangent(t)[None]))
-            frames, lost = _transported(raw[i], basis)
-            if lost is not None:
-                raise RankDeficient(f"{lost_a_dimension} parameter {t % 1.0:.6f}")
-            return frames[0]
+        @_one_or_stack
+        def resample(ts: np.ndarray) -> np.ndarray:
+            basis = bases(fixed(loop._points_at(ts), loop._tangents_at(ts)))
+            frames, dropped = _transported(raw[loop._segment(ts)[0]], basis[:, None])
+            if dropped.any():
+                raise RankDeficient(f"{lost_a_dimension} parameter {ts[np.argmax(dropped)] % 1.0:.6f}")
+            return frames[:, 0]
 
     def closing(ts: np.ndarray) -> np.ndarray:
         # u runs from 0 at sample 0 to 1 where the last segment meets it again
@@ -1104,9 +1101,10 @@ def _section_derivative_fields(
     resample = None
     if loop.resample is not None and aux.resample is not None:
 
-        def resample(t: float) -> np.ndarray:
-            x = loop.point(t)[None]
-            return tau_at(x, aux.at(t)[None], system.raw_jacobian(x[0])[None])[0]
+        @_one_or_stack
+        def resample(ts: np.ndarray) -> np.ndarray:
+            X = loop._points_at(ts)
+            return tau_at(X, aux._fields_at(ts), np.array([system.raw_jacobian(x) for x in X]))
 
     return NormalFraming(fields.transpose(1, 0, 2), resample)
 

@@ -13,7 +13,11 @@ orthonormalizes the whole chain with one batched QR. check_disjoint
 compares every sample with every segment of the other components, and
 every segment with every other component's segments, where
 fbk.framedlink._check_disjoint tests only the candidates of one
-sort-and-sweep. The tests compare each pair.
+sort-and-sweep. three_point_tangents differentiates the Lagrange
+quadratic through each sample and its neighbours by its own weights,
+one sample at a time, where fbk.framedlink.SampledLoop takes a scaled
+combination of the steps for all samples at once. The tests compare each
+pair.
 """
 
 from __future__ import annotations
@@ -177,6 +181,27 @@ def projection_transport(
         return tracer._givens_path(planes, count, loop._unwrapped(ts) - loop.params[0])
 
     return _recombined(NormalFraming(np.swapaxes(raw, 0, 1), resample), loop.params, closing)
+
+
+def three_point_tangents(points: np.ndarray) -> np.ndarray:
+    """Unit tangents of a closed polygon at its samples, from the quadratic through three samples.
+
+    At sample k, with a and b the lengths of the segments behind and ahead
+    of it, the Lagrange quadratic through p(-a) = points[k - 1], p(0) =
+    points[k] and p(b) = points[k + 1] has the derivative
+    -b / (a (a + b)) p(-a) + (b - a) / (a b) p(0) + a / (b (a + b)) p(b)
+    at 0, normalized here (Fornberg, Math. Comp. 51, 1988).
+    """
+    points = np.asarray(points, dtype=float)
+    k = len(points)
+    out = np.empty_like(points)
+    for i in range(k):
+        before, here, after = points[i - 1], points[i], points[(i + 1) % k]
+        a = float(np.linalg.norm(here - before))
+        b = float(np.linalg.norm(after - here))
+        d = -b / (a * (a + b)) * before + (b - a) / (a * b) * here + a / (b * (a + b)) * after
+        out[i] = d / np.linalg.norm(d)
+    return out
 
 
 def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -282,6 +282,27 @@ class TestLink:
         assert code == 3
         assert "framing" in err
 
+    def test_unevenly_sampled_circle_on_a_sphere_exit_code(self, capsys, tmp_path):
+        # a circle of radius 0.6 on S^3, exactly on the sphere and exactly
+        # framed, sampled at t + 0.3 sin(2 pi t) / (2 pi): its sample
+        # tangents must be second order on uneven spacing to stay within
+        # the tangent check against the sphere's normal
+        t = np.arange(64) / 64
+        a = 2.0 * math.pi * t + 0.3 * np.sin(2.0 * math.pi * t)
+        c, s, zero = np.cos(a), np.sin(a), np.zeros(64)
+        points = np.stack([0.6 * c, 0.6 * s, np.full(64, 0.8), zero], axis=1)
+        inward = np.stack([-0.8 * c, -0.8 * s, np.full(64, 0.6), zero], axis=1)
+        doc = {
+            "ambient": {"kind": "sphere", "dimension": 4},
+            "components": [
+                {"points": points.tolist(), "framing": [inward.tolist(), [[0.0, 0, 0, 1]] * 64]}
+            ],
+        }
+        code, out, err = run_cli(capsys, ["link", write_link_file(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["kappa"] == 0 and report["components"][0]["index"] == 0
+
     def test_left_handed_framing_exit_code(self, capsys, tmp_path):
         # negating the last field keeps every frame nondegenerate but
         # left-handed; frame assembly would end in OrientationMismatch

@@ -47,7 +47,7 @@ from fbk.framedlink import (
 )
 from fbk.numkit import DEFAULT_TOL, Tolerances, _values, recording, stacked
 from fbk.spinlift import RotationLoop, Z2, loop_class
-from numref import check_disjoint
+from numref import check_disjoint, three_point_tangents
 
 
 def plane_circle(samples: int, dim: int, clockwise: bool = False, center=None) -> SampledLoop:
@@ -124,20 +124,40 @@ class TestSampledLoop:
         assert loop.length() == pytest.approx(2 * math.pi, rel=1e-3)
 
     def test_steps_are_built_once_and_match_rolled_arrays(self, rng, monkeypatch):
-        # the successor steps, segment lengths and chords as np.roll built
-        # them, bit for bit; the steps are formed once per loop
+        # the segment lengths as np.roll built them, bit for bit, formed once
+        # per loop; the sample tangents are numref's three-point tangents to
+        # rounding
         pts = rng.normal(size=(40, 5))
         loop = SampledLoop(pts)
         rolled = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         cum = np.concatenate([[0.0], np.cumsum(rolled)])
-        chords = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
         monkeypatch.setattr(np.linalg, "norm", None)
         assert loop.length() == float(np.sum(rolled))
         assert np.array_equal(loop.arc_fractions(), cum[:-1] / cum[-1])
         monkeypatch.undo()
-        assert np.array_equal(loop._chords, chords)
-        unit = chords / np.linalg.norm(chords, axis=1, keepdims=True)
-        assert np.array_equal(loop._sample_tangents, unit)
+        assert np.max(np.abs(loop._sample_tangents - three_point_tangents(pts))) < 1e-12
+
+    def test_three_point_tangents_are_second_order_on_uneven_spacing(self, rng):
+        # a closed space curve sampled at randomly jittered params: from 64
+        # to 512 samples the three-point tangents' largest error falls as
+        # h^2 (about 64 times), the chords' only as h (about 8 times)
+        def curve(s):
+            a = 2.0 * math.pi * s
+            P = np.stack([np.cos(a), np.sin(a), 0.3 * np.sin(2 * a), 0.2 * np.cos(3 * a)], 1)
+            D = np.stack([-np.sin(a), np.cos(a), 0.6 * np.cos(2 * a), -0.6 * np.sin(3 * a)], 1)
+            return P, D / np.linalg.norm(D, axis=1, keepdims=True)
+
+        errors = {}
+        for n in (64, 512):
+            s = np.sort((np.arange(n) + rng.uniform(-0.4, 0.4, size=n)) / n % 1.0)
+            P, exact = curve(s)
+            chords = np.roll(P, -1, axis=0) - np.roll(P, 1, axis=0)
+            chords /= np.linalg.norm(chords, axis=1, keepdims=True)
+            tangents = three_point_tangents(P)
+            assert np.max(np.abs(SampledLoop(P)._sample_tangents - tangents)) < 1e-12
+            errors[n] = [np.max(np.linalg.norm(T - exact, axis=1)) for T in (tangents, chords)]
+        assert errors[512][0] < errors[64][0] / 32
+        assert errors[512][1] > errors[64][1] / 16
 
     def test_resample_and_tangent(self):
         loop = plane_circle(64, 3)

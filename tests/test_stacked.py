@@ -13,7 +13,7 @@ import pytest
 
 import fbk
 from fbk import framedlink
-from fbk.errors import EvaluationFailure, ValidationError
+from fbk.errors import DimensionMismatch, EvaluationFailure, ValidationError
 from fbk.framedlink import (
     AmbientPresentation,
     FramedLink,
@@ -25,7 +25,9 @@ from fbk.framedlink import (
     load_link,
     sphere_ambient,
 )
-from fbk.numkit import _norm, _on_stack, _row_norms, stacked
+from fbk.framedlink import _recombined
+from fbk.numkit import Tolerances, _norm, _on_stack, _row_norms, recording, stacked
+from fbk.spinlift import RotationLoop, loop_class, stabilize_loop
 from fbk.scenarios import (
     REGISTRY,
     _circle_loop,
@@ -41,13 +43,16 @@ from fbk.tracer import (
     SectionSpec,
     _check_section_invariants,
     _map_system,
+    _oriented,
     _section_derivative_fields,
     _section_map,
+    _section_parts,
     _traced_components,
+    induced_framing,
     transport_closed_frame,
 )
 
-from conftest import random_rotation
+from conftest import cycled_with, random_rotation
 
 
 def per_point(fn):
@@ -134,6 +139,20 @@ class TestAdapter:
     def test_no_other_shape_is_broadcast(self, shape):
         with pytest.raises(EvaluationFailure, match=rf"returned shape \({shape[0]}, {shape[1]}\)"):
             _on_stack(stacked(lambda X: np.ones(shape)), np.eye(4), "manifold normal", 4)
+
+    def test_values_of_a_trailing_shape(self):
+        # a framing resampler's (count, N) values; the values of a
+        # per-param callback that make one array of the wrong shape are
+        # named by the first param
+        ts = np.array([0.25, 0.5])
+        out = _on_stack(lambda t: np.full((3, 4), t), ts, "framing resampler", 3, 4)
+        assert out.shape == (2, 3, 4) and np.array_equal(out[:, 2, 3], ts)
+        short = r"^framing resampler returned shape \(3, 3\) at parameter 0\.250000; "
+        with pytest.raises(EvaluationFailure, match=short + r"expected \(3, 4\)$"):
+            _on_stack(lambda t: np.ones((3, 3)), ts, "framing resampler", 3, 4)
+        whole = r"returned shape \(2, 3, 3\) for inputs of shape \(2,\); expected \(2, 3, 4\)$"
+        with pytest.raises(EvaluationFailure, match=whole):
+            _on_stack(stacked(lambda ts: np.ones((len(ts), 3, 3))), ts, "framing resampler", 3, 4)
 
     def test_per_point_rows_are_checked_too(self):
         with pytest.raises(EvaluationFailure, match="middle row returned values"):
@@ -440,9 +459,108 @@ class TestPublicCallablesTakeOnePoint:
     def test_a_tangent_resampler_alone_leaves_the_sample_tangents_chords(self):
         # sample tangents come from the resampler's central differences, or
         # from resample_tangent when the loop also has a resampler; a
-        # resample_tangent alone does not replace the chords
+        # resample_tangent alone does not replace the three-point tangents
+        # of the samples (on these even samples, the unit chords)
         circle = _circle_loop(32, 4)
-        chords = SampledLoop(circle.points, None, circle.params)._sample_tangents
+        sample_only = SampledLoop(circle.points, None, circle.params)._sample_tangents
         loop = SampledLoop(circle.points, None, circle.params, None, lambda t: np.eye(4)[0])
-        assert np.array_equal(loop._sample_tangents, chords)
+        assert np.array_equal(loop._sample_tangents, sample_only)
         assert np.array_equal(loop.tangent(0.3), np.eye(4)[0])
+
+
+def reversed_framing(loop: SampledLoop, framing):
+    """The loop and framing reversed, the framing's first field negated so the frames stay right-handed."""
+    back = loop.reversed()
+    flip = np.diag([-1.0] + [1.0] * (framing.count - 1))
+    mix = lambda ts: np.broadcast_to(flip, (len(ts), *flip.shape))  # noqa: E731
+    return back, _recombined(framing.reversed(), back.params, mix)
+
+
+class TestStackedRefiners:
+    """fbk's refiners are stack-native: a stack of params gives the bytes of each param alone."""
+
+    PARAMS = np.array([0.013, 0.2371, 0.5, 0.77, 0.9871])
+
+    def assert_stack_is_each_param(self, rl):
+        assert rl.refiner.fbk_stacked is True
+        with recording() as record:
+            frames = rl.refiner(self.PARAMS)
+        assert frames.shape == (len(self.PARAMS), rl.dim, rl.dim)
+        for t, frame in zip(self.PARAMS.tolist(), frames):
+            assert rl.refiner(t).tobytes() == frame.tobytes()
+        return record
+
+    def test_sample_loop_with_a_resampling_framing(self, rng):
+        for name, overrides in (("sphere-great-circle", {}), ("pontryagin-circle", {"turns": 3})):
+            link = REGISTRY[name].link(resolve_options(REGISTRY[name], overrides))
+            [(loop, framing)] = link.components
+            rl = frame_matrix_loop(loop, framing, link.ambient)
+            record = self.assert_stack_is_each_param(rl)
+            assert record == {"frames_assembled": len(self.PARAMS)}
+            self.assert_stack_is_each_param(stabilize_loop(rl, rl.dim + 2))
+        # the copies of the twisted Pontryagin circle
+        Q = random_rotation(rng, 4)
+        copies = [
+            (loop.transformed(Q), framing.transformed(Q)),
+            reversed_framing(loop, framing),
+            (loop.cycled(5), cycled_with(framing, loop, 5)),
+        ]
+        for copy in copies:
+            self.assert_stack_is_each_param(frame_matrix_loop(*copy, link.ambient))
+
+    def test_traced_map_with_its_induced_framing(self):
+        scenario = REGISTRY["suspended-hopf"]
+        spec, opts = scenario.traced(resolve_options(scenario, {}))
+        ambient = sphere_ambient(spec.dimension)
+        loop, jacobians = _traced_components(spec, opts)[0]
+        loop, framing = _oriented(loop, induced_framing(spec, loop, jacobians=jacobians), ambient)
+        record = self.assert_stack_is_each_param(frame_matrix_loop(loop, framing, ambient))
+        # one correction per param, and its tangent and pulled-back fields
+        # one Jacobian each
+        assert record["newton_calls"] == len(self.PARAMS)
+        assert record["jacobian_evaluations"] >= 3 * len(self.PARAMS)
+        assert record["frames_assembled"] == len(self.PARAMS)
+        self.assert_stack_is_each_param(frame_matrix_loop(*reversed_framing(loop, framing), ambient))
+
+    def test_section_zero_circle_with_a_twisted_transport(self):
+        spec, opts = _s5_problem(resolve_options(REGISTRY["s5-alt-section"], {}), alt=True)
+        traced = _section_map(spec)
+        [(loop, raws)] = _traced_components(traced, opts)
+        ambient = sphere_ambient(6)
+        parts = _section_parts(spec, _map_system(traced), loop, ambient, opts.tolerances, 1, raws)
+        for part in parts:
+            rl = frame_matrix_loop(part.loop, part.framing, ambient, middle=part.middle)
+            record = self.assert_stack_is_each_param(rl)
+            assert record["newton_calls"] == len(self.PARAMS)
+            assert record["frames_assembled"] == len(self.PARAMS)
+
+    def test_an_undeclared_refiner_is_called_once_per_param(self):
+        calls = []
+        link = REGISTRY["sphere-great-circle"].link(
+            resolve_options(REGISTRY["sphere-great-circle"], {"samples": 16})
+        )
+        [(loop, framing)] = link.components
+        rl = frame_matrix_loop(loop, framing, link.ambient)
+        stack = []
+        per_param = RotationLoop(rl.samples, lambda t: calls.append(t) or rl.refiner(t), rl.params)
+        native = RotationLoop(rl.samples, spied(rl.refiner, stack), rl.params)
+        tol = Tolerances(lift_angle_max=0.05)
+        with recording() as slow:
+            bit = loop_class(per_param, tol)
+        with recording() as fast:
+            assert loop_class(native, tol) == bit
+        assert slow == fast and slow["refinement_depth"] == 3
+        # one call per refinement level, and the same params one at a time
+        assert len(stack) == 3 and sum(stack) == len(calls) == slow["lift_steps"] - 16
+        assert all(type(t) is float for t in calls)
+
+    def test_a_stack_of_the_wrong_length_is_a_dimension_mismatch(self):
+        link = REGISTRY["sphere-great-circle"].link(
+            resolve_options(REGISTRY["sphere-great-circle"], {"samples": 16})
+        )
+        [(loop, framing)] = link.components
+        rl = frame_matrix_loop(loop, framing, link.ambient)
+        # every step of 22.5 degrees is split once under a bound of 0.3
+        short = RotationLoop(rl.samples, stacked(lambda ts: rl.refiner(ts)[1:]), rl.params)
+        with pytest.raises(DimensionMismatch, match="^refiner returned 15 values for 16 params$"):
+            loop_class(short, Tolerances(lift_angle_max=0.3))

@@ -186,6 +186,29 @@ class TestInducedFraming:
         report = kappa_of_map(quadric_twisted_spec(), TraceOptions(seeds=[SEED]))
         assert int(report.kappa) == 1
 
+    def test_resampled_rank_drop_names_the_parameter(self):
+        # a stand-in unit circle in R^3, the preimage of 0 under
+        # (x^2 + y^2 - 1, z), whose analytic Jacobian loses its first row at
+        # the point of parameter 0.3 only, between samples
+        def jacobian(p):
+            J = np.array([[2.0 * p[0], 2.0 * p[1], 0.0], [0.0, 0.0, 1.0]])
+            if np.array_equal(p, unit_circle(0.3)):
+                J[0] = 0.0
+            return J
+
+        spec = MapSpec(lambda p: np.array([p[0] ** 2 + p[1] ** 2 - 1.0, p[2]]), 3, jacobian=jacobian)
+        k = 32
+        loop = SampledLoop(
+            np.array([unit_circle(i / k) for i in range(k)]), unit_circle, [i / k for i in range(k)]
+        )
+        framing = induced_framing(spec, loop)
+        assert framing.at(0.25).shape == (2, 3)
+        message = r"^rank drop of the map derivative at parameter 0\.300000 along the curve: "
+        with pytest.raises(Singular, match=message):
+            framing.at(0.3)
+        with pytest.raises(Singular, match=message):
+            framing.resample(np.array([0.1, 0.3, 0.6]))
+
     def test_rotated_target_basis_same_index(self, rng):
         spec = quadric_spec()
         loop = trace_component(spec, SEED, TraceOptions())
@@ -643,19 +666,21 @@ class TestDotProductsKeepTheMatmulBits:
         chains = []
         transported = tracer._transported
 
-        def spy(frame, bases):
-            chains.append((frame.copy(), bases.copy()))
-            return transported(frame, bases)
+        def spy(frames, bases):
+            chains.append((frames.copy(), bases.copy()))
+            return transported(frames, bases)
 
         monkeypatch.setattr(tracer, "_transported", spy)
         for loop, normals in TestStackedTransport().cases():
             transport_closed_frame(loop, normals)
         assert len(chains) >= 8
-        for frame, bases in chains:
-            frames, lost = transported(frame, bases)
-            want, want_lost = matmul_transported(frame, bases)
-            assert frames.tobytes() == want.tobytes()
-            assert lost == want_lost
+        # the chains of a stack of frames, each as the one chain of its frame
+        for frames, bases in chains:
+            got, dropped = transported(frames, bases)
+            for k, (frame, chain_bases) in enumerate(zip(frames, bases)):
+                want, want_lost = matmul_transported(frame, chain_bases)
+                assert got[k].tobytes() == want.tobytes()
+                assert (int(np.argmax(dropped[k])) if dropped[k].any() else None) == want_lost
 
 
 class TestChordCorrector:
@@ -803,6 +828,12 @@ class TestOneTangentOnAndBetweenSamples:
             assert record["newton_calls"] == 1
             assert record["newton_iterations"] >= 2
             assert record["jacobian_evaluations"] == 1 + 2
+        # a stack of params, as the lift refines a level: the same work per param
+        with recording() as record:
+            refiner(np.array([0.013, 0.5, 0.77]))
+        assert record["newton_calls"] == 3
+        assert record["jacobian_evaluations"] == 3 * (1 + 2)
+        assert record["frames_assembled"] == 3
 
 
 class TestCarriedJacobians:
@@ -1231,6 +1262,33 @@ class TestTransportClosedFrame:
         with pytest.raises(RankDeficient, match=r"at sample 9$") as info:
             transport_closed_frame(loop, [])
         assert info.value.index == 9
+
+
+    def test_resampled_normal_space_losing_a_dimension(self):
+        # a stand-in unit circle in R^3 whose tangent resampler turns onto
+        # e_3 at parameter 0.3 only: the frame carried there from its
+        # segment's first sample, spanning e_3, loses a dimension
+        def tangent(t):
+            if t == 0.3:
+                return np.array([0.0, 0.0, 1.0])
+            a = 2.0 * math.pi * t
+            return np.array([-math.sin(a), math.cos(a), 0.0])
+
+        k = 32
+        loop = SampledLoop(
+            np.array([unit_circle(i / k) for i in range(k)]),
+            unit_circle,
+            [i / k for i in range(k)],
+            None,
+            tangent,
+        )
+        framing = transport_closed_frame(loop, [])
+        assert framing.at(0.25).shape == (2, 3)
+        message = r"^normal space of the curve lost a dimension at parameter 0\.300000$"
+        with pytest.raises(RankDeficient, match=message):
+            framing.at(0.3)
+        with pytest.raises(RankDeficient, match=message):
+            framing.resample(np.array([0.1, 0.3, 0.6]))
 
 
 def unit_circle(t: float) -> np.ndarray:

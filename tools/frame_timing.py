@@ -18,6 +18,19 @@ builds the scenario's FramedLink and prints one line:
     as fbk.recording() notes them.
 
 Each time is per component, the minimum over --repeat freshly built links.
+Then, for the reports whose frame loops refine (sphere-great-circle on 16
+samples under lift_angle_max = 0.05, and the traced refining runs of
+`tools/report_digest.py`, TRACED_REFINERS), one line each:
+
+  - report_ms: milliseconds per report (`Scenario.run`, tracing included
+    for the traced ones), the minimum over --repeat calls;
+  - refiner_calls: the calls of the frame loops' refiners, one per
+    refinement level of each refining loop, whatever its number of params;
+  - frames_assembled, lift_steps and newton_calls, as fbk.recording()
+    notes them in one report: the frames of the samples and of every
+    refined param, the lifted steps, and the Newton corrections (the
+    walk's, and one per refined param of a traced loop).
+
 Then, for links shaped like link files (4 circles of 64 samples in R^4,
 R^8 and R^12, moving 4 coordinates, without resamplers), one line each:
 
@@ -68,26 +81,37 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
-from fbk import frame_matrix_loop, numkit, recording, spinlift  # noqa: E402
+from fbk import frame_matrix_loop, framedlink, numkit, recording, spinlift, stacked  # noqa: E402
 from fbk.errors import RefinementExhausted  # noqa: E402
 from fbk.framedlink import _check_disjoint, invariant_report, load_link  # noqa: E402
 from fbk.cli import _parse_override  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
-from report_digest import ACCEPTANCE_OVERRIDES  # noqa: E402
+from report_digest import ACCEPTANCE_OVERRIDES, TRACED_REFINERS  # noqa: E402
+
+
+def resolved(runs):
+    """(label, scenario, options) of (name, --set items) runs, parsed as the CLI parses `--set`."""
+    for name, sets in runs:
+        scenario = REGISTRY[name]
+        overrides = dict(_parse_override(item) for item in sets)
+        yield " ".join([name, *sets]), scenario, resolve_options(scenario, overrides)
 
 
 def framed_cases():
     """(label, scenario, options) per framed scenario run.
 
     The defaults of every scenario with a `link`, then the acceptance
-    overrides of those scenarios, parsed as the CLI parses `--set`.
+    overrides of those scenarios.
     """
     runs = [(name, ()) for name, scenario in sorted(REGISTRY.items()) if scenario.link]
     runs += [(name, sets) for name, sets in ACCEPTANCE_OVERRIDES if REGISTRY[name].link]
-    for name, sets in runs:
-        scenario = REGISTRY[name]
-        overrides = dict(_parse_override(item) for item in sets)
-        yield " ".join([name, *sets]), scenario, resolve_options(scenario, overrides)
+    return resolved(runs)
+
+
+def refining_cases():
+    """(label, scenario, options) of the reports whose frame loops refine."""
+    coarse = ("sphere-great-circle", ("samples=16", "lift_angle_max=0.05"))
+    return resolved([coarse, *TRACED_REFINERS])
 
 
 def timed(scenario, options, repeat: int):
@@ -113,6 +137,39 @@ def timed(scenario, options, repeat: int):
             frame_matrix_loop(loop, framing, link.ambient, tol)
     k = len(link.components[0][0])
     return k, count, 1e3 * fresh, 1e3 * cached, record.get("frames_assembled", 0)
+
+
+def timed_refining(scenario, options, repeat: int):
+    """(report_ms, refiner_calls, frames_assembled, lift_steps, newton_calls) of one report."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        scenario.run(options)
+        best = min(best, time.perf_counter() - start)
+    calls = 0
+    make_refiner = framedlink._frame_refiner
+
+    def counted_refiner(*args):
+        refiner = make_refiner(*args)
+        if refiner is None:
+            return None
+
+        @stacked
+        def counted(ts):
+            nonlocal calls
+            calls += 1
+            return refiner(ts)
+
+        return counted
+
+    framedlink._frame_refiner = counted_refiner
+    try:
+        with recording() as record:
+            scenario.run(options)
+    finally:
+        framedlink._frame_refiner = make_refiner
+    counts = [record.get(key, 0) for key in ("frames_assembled", "lift_steps", "newton_calls")]
+    return 1e3 * best, calls, *counts
 
 
 def link_file_shaped(rng, dim: int, components: int = 4, samples: int = 64) -> dict:
@@ -244,6 +301,12 @@ def main(argv=None) -> int:
     for label, scenario, options in framed_cases():
         k, count, fresh, cached, frames = timed(scenario, options, args.repeat)
         print(f"{label:40s} {k:4d} {count:5d} {fresh:9.3f} {cached:9.3f} {frames:16d}")
+    print()
+    print(f"{'refining report':52s} {'report_ms':>9s} {'refiner_calls':>13s} "
+          f"{'frames_assembled':>16s} {'lift_steps':>10s} {'newton_calls':>12s}")
+    for label, scenario, options in refining_cases():
+        report_ms, calls, frames, steps, newton = timed_refining(scenario, options, args.repeat)
+        print(f"{label:52s} {report_ms:9.3f} {calls:13d} {frames:16d} {steps:10d} {newton:12d}")
     print()
     print(f"{'link-file-shaped link':40s} {'K':>4s} {'loops':>5s} {'report_ms':>9s} "
           f"{'frames_assembled':>16s} {'qr_calls':>8s} {'det_calls':>9s} {'givens_passes':>13s}")
