@@ -151,16 +151,15 @@ def recording() -> Iterator[dict]:
     refresh, where a correction step shrank the residual by less than the
     chord's contraction factor. A walk correction starts from the
     factorization of the last accepted point, so an accepted point whose
-    chord steps all contract costs one. A traced loop's tangent between
-    samples costs one. kappa_of_map pulls its framing back through the
-    ones taken at the samples, and section_index takes dw at the samples of
-    a zero circle from them too, while induced_framing on its own
-    evaluates one per sample) and jacobian_checks (the analytic Jacobians
-    compared with central differences, one per traced seed of a map or
-    section that has one; they are not jacobian_evaluations).
-    disjoint_pairs counts the candidate segment
-    pairs of a link's disjointness check. Scopes nest, and a note reaches
-    every open one.
+    chord steps all contract costs one. A traced loop carries the ones of
+    its tangents: the pull-back and dw take the walk's at the samples, and
+    a resampled point's tangent, pull-back and dw share one; on a loop not
+    traced from their spec, they evaluate one per point) and
+    jacobian_checks (the analytic Jacobians compared with central
+    differences, one per traced seed of a map or section that has one; they
+    are not jacobian_evaluations). disjoint_pairs counts the candidate
+    segment pairs of a link's disjointness check. Scopes nest, and a note
+    reaches every open one.
 
     A report that fails notes the work of its components up to the failing
     one, as running them one after another would, with one exception. Its

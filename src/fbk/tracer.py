@@ -190,15 +190,17 @@ class _TracedSystem:
     target_basis the residual is projected onto for sphere targets, None for
     R^n targets. check(seed) compares an analytic Jacobian with central
     differences at a seed (_counted); a system without one checks nothing.
+    spec is the MapSpec _map_system built it from, None for any other.
     """
 
-    def __init__(self, residual, raw_jacobian, assemble, dimension, basis, check=None):
+    def __init__(self, residual, raw_jacobian, assemble, dimension, basis, check=None, spec=None):
         self.residual = residual
         self.raw_jacobian = raw_jacobian
         self.assemble = assemble
         self.dimension = dimension
         self.basis = basis
         self.check = check or (lambda seed: None)
+        self.spec = spec
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
         return self.assemble(p, self.raw_jacobian(p))
@@ -330,7 +332,7 @@ def _map_system(spec: MapSpec) -> _TracedSystem:
         def assemble(p, raw):
             return j_target(raw)
 
-    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension, basis, check)
+    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension, basis, check, spec)
 
 
 def _section_map(spec: SectionSpec) -> MapSpec:
@@ -338,25 +340,6 @@ def _section_map(spec: SectionSpec) -> MapSpec:
     return MapSpec(
         spec.section, spec.embedding_dimension, jacobian=spec.jacobian, domain="unit_sphere"
     )
-
-
-def _frame_jacobian(
-    spec: MapSpec, system: _TracedSystem, points: np.ndarray, raw=None
-) -> np.ndarray:
-    """Derivatives of the reduced map restricted to the domain tangent space.
-
-    points is (K, N) and the result (K, rows, N). raw holds the map's
-    Jacobians at the points when the caller has them; otherwise they are
-    evaluated here through system.raw_jacobian.
-    """
-    if raw is None:
-        raw = [system.raw_jacobian(p) for p in points]
-    J = np.array(raw, dtype=float)
-    if system.basis is not None:
-        J = system.basis @ J
-    if spec.domain == "unit_sphere":
-        J = J - (J @ points[:, :, None]) * points[:, None, :]
-    return J
 
 
 # Singular values of a system Jacobian at most this fraction of the largest
@@ -526,20 +509,28 @@ def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances)
     return (-t if d < 0.0 else t), raw, factored
 
 
+class _TracedLoop(SampledLoop):
+    """A loop _trace walked through _system, with the map's raw Jacobians of its tangents.
+
+    _jacobians are the walk's at the samples, read-only (K, rows, N), and
+    _jacobians_at(ts) the tangent resampler's at a (K,) array of params.
+    """
+
+
 def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
-    """The traced loop, its raw Jacobians, closure error and largest residual.
+    """The traced loop (a _TracedLoop), its closure error and largest residual.
 
     An analytic Jacobian is checked at the seed (system.check) before the
     seed is corrected. The loop carries the unit kernel tangent found at
-    each of its samples; the list holds the raw Jacobian
-    (system.raw_jacobian) that tangent came from, one per sample. That
-    Jacobian's factorization is the chord the next predictor's correction
-    holds, retries after a halved step included: _newton takes every step
-    from it and evaluates a new Jacobian only after a step that contracts
-    too little, so most accepted points cost the one Jacobian of their
-    tangent. Between samples the loop resamples its points by Newton
-    correction and its tangents as the kernel at the resampled point,
-    signed along the carried tangent of the segment's first sample.
+    each of its samples and the raw Jacobian (system.raw_jacobian) that
+    tangent came from. That Jacobian's factorization is the chord the next
+    predictor's correction holds, retries after a halved step included:
+    _newton takes every step from it and evaluates a new Jacobian only
+    after a step that contracts too little, so most accepted points cost
+    the one Jacobian of their tangent. Between samples the loop resamples
+    its points by Newton correction, and its tangent and raw Jacobian by
+    _tangent_of at the resampled point, signed along the carried tangent of
+    the segment's first sample: one of each per param.
     """
     tol = opts.tolerances
     seed = np.asarray(seed, dtype=float)
@@ -604,25 +595,31 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         raise NotClosed(f"no closure within {opts.max_steps} steps")
     pts = np.asarray(points)
     carried = np.asarray(tangents)
-    # the latest params resampled and their points: the lift's refiners ask
-    # for the points, the tangents and the frames at one stack of params in turn
-    last: list = [None, None]
+    # the latest stack of params resampled: its corrected points and, once
+    # asked for, their tangents and raw Jacobians. The lift's refiners ask
+    # for the points, the tangents and the fields at one stack in turn.
+    last: dict = {}
 
-    @_one_or_stack
-    def resample(ts: np.ndarray) -> np.ndarray:
-        if not np.array_equal(ts, last[0]):
+    def resampled(ts: np.ndarray, key: str) -> np.ndarray:
+        if not np.array_equal(ts, last.get("ts")):
             i, w = loop._segment(ts)
             starts = (1.0 - w)[:, None] * pts[i] + w[:, None] * pts[(i + 1) % len(pts)]
-            last[:] = ts.copy(), np.array([_newton(system, start, tol)[0] for start in starts])
-        return last[1].copy()
+            last.clear()
+            last.update(ts=ts.copy(), points=np.array([_newton(system, x, tol)[0] for x in starts]))
+        if key not in last:
+            previous = carried[loop._segment(ts)[0]]
+            found = [_tangent_of(system, p, t, tol)[:2] for p, t in zip(last["points"], previous)]
+            last["tangents"], last["jacobians"] = map(np.array, zip(*found))
+        return last[key].copy()
 
-    @_one_or_stack
-    def resample_tangent(ts: np.ndarray) -> np.ndarray:
-        previous = carried[loop._segment(ts)[0]]
-        return np.array([_tangent_of(system, p, t, tol)[0] for p, t in zip(resample(ts), previous)])
-
-    loop = SampledLoop(pts, resample, SampledLoop(pts).arc_fractions(), carried, resample_tangent)
-    return loop, raws, closure_error, max(residuals)
+    resample = _one_or_stack(lambda ts: resampled(ts, "points"))
+    resample_tangent = _one_or_stack(lambda ts: resampled(ts, "tangents"))
+    loop = _TracedLoop(pts, resample, SampledLoop(pts).arc_fractions(), carried, resample_tangent)
+    loop._system, loop._jacobians = system, np.asarray(raws)
+    loop._jacobians.setflags(write=False)
+    # keyed as SampledLoop._points_at and _tangents_at call the resamplers
+    loop._jacobians_at = lambda ts: resampled(ts % 1.0, "jacobians")
+    return loop, closure_error, max(residuals)
 
 
 def suggest_seeds(
@@ -668,9 +665,7 @@ def suggest_seeds(
     return kept
 
 
-def trace_component(
-    spec: MapSpec, seed: np.ndarray, opts: TraceOptions, jacobians: list | None = None
-) -> SampledLoop:
+def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> SampledLoop:
     """Trace the closed solution curve through the component nearest a seed.
 
     An analytic spec.jacobian is first compared with central differences at
@@ -683,13 +678,13 @@ def trace_component(
     carries the unit kernel tangent of the Jacobian at every sample, as the
     walk found it (oriented along the walk), and resamples itself between
     samples by re-running the corrector, its tangent there being the kernel
-    at the resampled point. When a list is passed as
-    jacobians, the map's Jacobian at every sample (spec.jacobian or its
-    finite-difference stand-in, as the walk evaluated it for the tangent)
-    is appended to it in sample order; induced_framing takes them.
+    at the resampled point. The loop also carries the map's Jacobian at
+    every traced point (spec.jacobian or its finite-difference stand-in, as
+    the walk and the tangent resampler evaluated it for the tangent), which
+    induced_framing and the section's dw take for this spec.
     """
     system = _map_system(spec)
-    loop, raws, closure_error, max_residual = _trace(system, seed, opts)
+    loop, closure_error, max_residual = _trace(system, seed, opts)
     if spec.target == "sphere":
         x0 = spec.regular_value
         value = _evaluated(spec.evaluator, loop.points[0], "map evaluation")
@@ -698,16 +693,24 @@ def trace_component(
             raise NoConvergence("seed converged to the preimage of the antipodal value")
     _note_append("closure_errors", closure_error)
     _note_max("max_residual", max_residual)
-    if jacobians is not None:
-        jacobians.extend(raws)
     return loop
 
 
+def _raw_jacobians(system: _TracedSystem, loop: SampledLoop, ts: np.ndarray | None = None):
+    """(K, N) points and (K, rows, N) raw Jacobians of a loop's samples, or of (K,) params ts.
+
+    A loop traced from system's spec carries the Jacobians (_TracedLoop);
+    any other loop's are evaluated here through system.raw_jacobian.
+    """
+    points = loop.points if ts is None else loop._points_at(ts)
+    traced_by = getattr(loop, "_system", None)  # None unless _trace made the loop
+    if traced_by is not None and system.spec is not None and traced_by.spec is system.spec:
+        return points, (loop._jacobians if ts is None else loop._jacobians_at(ts))
+    return points, np.array([system.raw_jacobian(p) for p in points])
+
+
 def induced_framing(
-    spec: MapSpec,
-    loop: SampledLoop,
-    basis: np.ndarray | None = None,
-    jacobians: Sequence[np.ndarray] | None = None,
+    spec: MapSpec, loop: SampledLoop, basis: np.ndarray | None = None
 ) -> NormalFraming:
     """Pull a fixed target-tangent basis back through the map's derivative.
 
@@ -721,15 +724,9 @@ def induced_framing(
     batched solve with the lower-triangular R^T. A failure of its rank rule
     (some |R_ii| below ortho_tol, or more rows than dimensions) is
     Singular, and a non-finite Jacobian an EvaluationFailure, each naming
-    the sample; the resampler runs the same solve at its params' points,
-    always evaluating the map's derivative there.
-
-    jacobians, when given, are the map's Jacobians at the samples, as
-    trace_component collects them for this loop; they are used instead of
-    evaluating the map's derivative there again.
+    the sample; the resampler runs the same solve at its params' points.
+    The map's derivatives are _raw_jacobians, carried by a loop traced from spec.
     """
-    if jacobians is not None and len(jacobians) != len(loop):
-        raise ValueError(f"{len(jacobians)} Jacobians for a loop of {len(loop)} samples")
     system = _map_system(spec)
     B = system.basis
     if B is not None:
@@ -739,9 +736,12 @@ def induced_framing(
     else:
         rhs = None if basis is None else np.asarray(basis, dtype=float)
 
-    def fields_at(points: np.ndarray, where: Callable[[int], str], raw=None) -> np.ndarray:
-        """Fields at K points as (K, count, N)."""
-        J = _frame_jacobian(spec, system, points, raw)
+    def fields_at(points: np.ndarray, raw: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+        """Fields at K points, from the map's raw Jacobians there, as (K, count, N)."""
+        # the reduced map's derivatives, restricted to the domain's tangent space
+        J = raw if B is None else B @ raw
+        if spec.domain == "unit_sphere":
+            J = J - (J @ points[:, :, None]) * points[:, None, :]
         broken = np.flatnonzero(~np.isfinite(J).reshape(len(J), -1).all(axis=1))
         if broken.size:
             raise EvaluationFailure(f"non-finite map derivative at {where(broken[0])}")
@@ -755,13 +755,14 @@ def induced_framing(
         C = np.linalg.solve(R.transpose(0, 2, 1), np.broadcast_to(b.T, (len(J), *b.T.shape)))
         return (Q @ C).transpose(0, 2, 1)
 
-    X = fields_at(loop.points, lambda k: f"sample {k}", jacobians)
+    X = fields_at(*_raw_jacobians(system, loop), lambda k: f"sample {k}")
     resample = None
     if loop.resample is not None:
 
         @_one_or_stack
         def resample(ts: np.ndarray) -> np.ndarray:
-            return fields_at(loop._points_at(ts), lambda k: f"parameter {ts[k] % 1.0:.6f}")
+            where = lambda k: f"parameter {ts[k] % 1.0:.6f}"  # noqa: E731
+            return fields_at(*_raw_jacobians(system, loop, ts), where)
 
     return NormalFraming(X.transpose(1, 0, 2), resample)
 
@@ -843,8 +844,8 @@ def _check_distinct(loops: Sequence[SampledLoop], tol: Tolerances):
                 raise DuplicateComponent(f"seeds {i} and {j} traced the same component")
 
 
-def _traced_components(spec: MapSpec, opts: TraceOptions) -> list[tuple[SampledLoop, list]]:
-    """(loop, the map's Jacobians at its samples) for every seed, through trace_component.
+def _traced_components(spec: MapSpec, opts: TraceOptions) -> list[SampledLoop]:
+    """The traced loop of every seed, through trace_component.
 
     Seeds whose correction fails to converge are skipped and noted as
     seeds_skipped (an empty preimage contributes nothing); two seeds tracing
@@ -852,14 +853,11 @@ def _traced_components(spec: MapSpec, opts: TraceOptions) -> list[tuple[SampledL
     """
     traced = []
     for seed in opts.seeds:
-        jacobians: list = []
         try:
-            loop = trace_component(spec, np.asarray(seed, dtype=float), opts, jacobians)
+            traced.append(trace_component(spec, np.asarray(seed, dtype=float), opts))
         except NoConvergence:
             _note_add("seeds_skipped", 1)
-            continue
-        traced.append((loop, jacobians))
-    _check_distinct([loop for loop, _ in traced], opts.tolerances)
+    _check_distinct(traced, opts.tolerances)
     return traced
 
 
@@ -877,10 +875,9 @@ def kappa_of_map(spec: MapSpec, opts: TraceOptions) -> InvariantReport:
     else:
         ambient = euclidean_ambient(spec.dimension)
     with recording() as record:
-        # the walk's Jacobians at the samples: each is evaluated once
         components = [
-            _oriented(loop, induced_framing(spec, loop, jacobians=jacobians), ambient)
-            for loop, jacobians in _traced_components(spec, opts)
+            _oriented(loop, induced_framing(spec, loop), ambient)
+            for loop in _traced_components(spec, opts)
         ]
         link = FramedLink(components, ambient)
         bits = _circle_indices(link.components, ambient, tol)
@@ -1078,14 +1075,13 @@ def _check_section_invariants(spec: SectionSpec, loop: SampledLoop):
 
 
 def _section_derivative_fields(
-    spec: SectionSpec, system: _TracedSystem, loop: SampledLoop, aux: NormalFraming, raws
+    spec: SectionSpec, system: _TracedSystem, loop: SampledLoop, aux: NormalFraming
 ) -> NormalFraming:
     """dw applied to the auxiliary frame, projected into the bundle fibers.
 
-    raws are the section's Jacobians at the samples, as the walk evaluated
-    them and _traced_components collects them; the resampler evaluates one
-    per point through system.raw_jacobian. The splitting field is evaluated
-    on the stack of samples.
+    dw is the section's Jacobian, _raw_jacobians of the traced system, at
+    the samples and in the resampler at its params' points; the splitting
+    field is evaluated on the stack of points.
     """
 
     def tau_at(X: np.ndarray, U: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -1097,19 +1093,21 @@ def _section_derivative_fields(
         # matrix-vector product per sample
         return D - (D @ X[:, :, None]) * X[:, None] - (D @ V[:, :, None]) * V[:, None]
 
-    fields = tau_at(loop.points, aux.fields.transpose(1, 0, 2), np.asarray(raws, dtype=float))
+    X, raw = _raw_jacobians(system, loop)
+    fields = tau_at(X, aux.fields.transpose(1, 0, 2), raw)
     resample = None
     if loop.resample is not None and aux.resample is not None:
 
         @_one_or_stack
         def resample(ts: np.ndarray) -> np.ndarray:
-            X = loop._points_at(ts)
-            return tau_at(X, aux._fields_at(ts), np.array([system.raw_jacobian(x) for x in X]))
+            U = aux._fields_at(ts)
+            X, raw = _raw_jacobians(system, loop, ts)
+            return tau_at(X, U, raw)
 
     return NormalFraming(fields.transpose(1, 0, 2), resample)
 
 
-def _section_parts(spec, system, loop, ambient, tol, aux_twist_turns, raws):
+def _section_parts(spec, system, loop, ambient, tol, aux_twist_turns):
     """The frame loops of one zero circle, term 1 and term 2, as _FrameParts.
 
     Term 1 is [position, tangent, aux], term 2 [position, v, dw(aux)]; a
@@ -1120,7 +1118,7 @@ def _section_parts(spec, system, loop, ambient, tol, aux_twist_turns, raws):
     aux = transport_closed_frame(loop, ambient.manifold_normals, tol)
     if aux_twist_turns:
         aux = twist_framing(loop, aux, aux_twist_turns)
-    tau = _section_derivative_fields(spec, system, loop, aux, raws)
+    tau = _section_derivative_fields(spec, system, loop, aux)
     v0 = _on_stack(v_of, loop.points[:1], "splitting field", loop.dimension)[0]
     if _frame_det(loop, v0, tau, ambient, 0) < 0.0:
         flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
@@ -1139,7 +1137,7 @@ def _non_transverse(where: str) -> NonTransverse:
 
 
 def _section_indices(spec, system, circles, ambient, tol, aux_twist_turns) -> list[Z2]:
-    """The index of every zero circle, given as (loop, the section's Jacobians at its samples).
+    """The index of every zero circle, given as its loop; system is the section's traced system.
 
     Both terms of every circle, up to the first whose checks or transport
     fail, go through _frame_bits as one component of two parts. The error
@@ -1148,10 +1146,10 @@ def _section_indices(spec, system, circles, ambient, tol, aux_twist_turns) -> li
     lift, term 2's lift.
     """
     parts, failure = [], None
-    for loop, raws in circles:
+    for loop in circles:
         try:
             _check_section_invariants(spec, loop)
-            parts += _section_parts(spec, system, loop, ambient, tol, aux_twist_turns, raws)
+            parts += _section_parts(spec, system, loop, ambient, tol, aux_twist_turns)
         except Exception as exc:  # noqa: BLE001 - a callback's error is its circle's
             failure = exc
             break
@@ -1166,7 +1164,7 @@ def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoo
     seeds whose correction diverges are skipped (noted as seeds_skipped), and
     seeds reaching one component twice raise DuplicateComponent.
     """
-    return [loop for loop, _ in _traced_components(_section_map(spec), opts)]
+    return _traced_components(_section_map(spec), opts)
 
 
 def section_index(
@@ -1184,13 +1182,12 @@ def section_index(
     tol = opts.tolerances
     ambient = sphere_ambient(spec.embedding_dimension)
     traced = _section_map(spec)
-    # dw's resampler evaluates the section's Jacobian through this system
+    # the circles traced from this spec carry the section's Jacobians for dw
     system = _map_system(traced)
     with recording() as record:
-        # dw at the samples takes the walk's Jacobians there
         circles = _traced_components(traced, opts)
         bits = _section_indices(spec, system, circles, ambient, tol, aux_twist_turns)
-    return _report(bits, [loop for loop, _ in circles], ambient, tol, record, traced=True)
+    return _report(bits, circles, ambient, tol, record, traced=True)
 
 
 def write_loop_csv(loop: SampledLoop, path: str):

@@ -289,12 +289,12 @@ class TestStackedSites:
 
     def test_section_derivative_fields(self):
         spec, opts = _s5_problem(resolve_options(REGISTRY["s5-alt-section"], {}), alt=True)
-        [(loop, raws)] = _traced_components(_section_map(spec), opts)
+        [loop] = _traced_components(_section_map(spec), opts)
         aux = transport_closed_frame(loop, sphere_ambient(6).manifold_normals)
         system = _map_system(_section_map(spec))
         slow_spec = SectionSpec(5, per_point(_s5_splitting), spec.section, spec.jacobian)
-        native = _section_derivative_fields(spec, system, loop, aux, raws)
-        slow = _section_derivative_fields(slow_spec, system, loop, aux, raws)
+        native = _section_derivative_fields(spec, system, loop, aux)
+        slow = _section_derivative_fields(slow_spec, system, loop, aux)
         assert np.array_equal(native.fields, slow.fields)
         for t in (0.013, 0.5):
             assert np.array_equal(native.at(t), slow.at(t))
@@ -512,22 +512,22 @@ class TestStackedRefiners:
         scenario = REGISTRY["suspended-hopf"]
         spec, opts = scenario.traced(resolve_options(scenario, {}))
         ambient = sphere_ambient(spec.dimension)
-        loop, jacobians = _traced_components(spec, opts)[0]
-        loop, framing = _oriented(loop, induced_framing(spec, loop, jacobians=jacobians), ambient)
+        loop = _traced_components(spec, opts)[0]
+        loop, framing = _oriented(loop, induced_framing(spec, loop), ambient)
         record = self.assert_stack_is_each_param(frame_matrix_loop(loop, framing, ambient))
-        # one correction per param, and its tangent and pulled-back fields
-        # one Jacobian each
+        # one correction per param, and one Jacobian its tangent and its
+        # pulled-back fields share
         assert record["newton_calls"] == len(self.PARAMS)
-        assert record["jacobian_evaluations"] >= 3 * len(self.PARAMS)
+        assert record["jacobian_evaluations"] >= 2 * len(self.PARAMS)
         assert record["frames_assembled"] == len(self.PARAMS)
         self.assert_stack_is_each_param(frame_matrix_loop(*reversed_framing(loop, framing), ambient))
 
     def test_section_zero_circle_with_a_twisted_transport(self):
         spec, opts = _s5_problem(resolve_options(REGISTRY["s5-alt-section"], {}), alt=True)
         traced = _section_map(spec)
-        [(loop, raws)] = _traced_components(traced, opts)
+        [loop] = _traced_components(traced, opts)
         ambient = sphere_ambient(6)
-        parts = _section_parts(spec, _map_system(traced), loop, ambient, opts.tolerances, 1, raws)
+        parts = _section_parts(spec, _map_system(traced), loop, ambient, opts.tolerances, 1)
         for part in parts:
             rl = frame_matrix_loop(part.loop, part.framing, ambient, middle=part.middle)
             record = self.assert_stack_is_each_param(rl)

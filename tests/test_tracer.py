@@ -17,6 +17,7 @@ from fbk.errors import (
     ValidationError,
 )
 from fbk.framedlink import (
+    FramedLink,
     NormalFraming,
     SampledLoop,
     _recombined,
@@ -142,6 +143,22 @@ class TestTraceComponent:
     def test_final_tangent_aligned(self):
         loop = trace_component(quadric_spec(), SEED, TraceOptions())
         assert float(loop.tangent(1.0 - 1e-6) @ loop.tangent(0.0)) > 0.99
+
+    def test_walk_guard_keeps_consecutive_tangents_within_78_degrees(self):
+        # a thin ellipse (semi-axes 1 and 0.2): at its ends the tangent turns
+        # fast, and a step whose tangent turns by more than arccos 0.2 is
+        # halved; with the guard at -0.5 instead, the walk keeps a pair at
+        # 0.196
+        def thin_ellipse(x):
+            return np.array([x[0] ** 2 + (x[1] / 0.2) ** 2 - 1.0, x[2], x[3]])
+
+        def jac(x):
+            return np.array([[2.0 * x[0], 50.0 * x[1], 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+
+        spec = MapSpec(thin_ellipse, dimension=4, jacobian=jac)
+        loop = trace_component(spec, np.array([0.0, 0.204, 0.01, 0.0]), TraceOptions())
+        T = loop.tangents
+        assert np.min(np.einsum("kn,kn->k", T[:-1], T[1:])) >= 0.2
 
     def test_resample_stays_on_curve(self):
         loop = trace_component(quadric_spec(), SEED, TraceOptions())
@@ -343,9 +360,10 @@ class TestCarriedKernelTangents:
         # closing correction, which start without a factorization, add some
         assert len(loop) < traced["jacobian_evaluations"] <= len(loop) + 6
         assert traced["newton_iterations"] > traced["jacobian_evaluations"]
+        # the pull-back takes the Jacobians the walk took at the samples
         with recording() as pulled:
             induced_framing(spec, loop)
-        assert pulled == {"jacobian_evaluations": len(loop)}
+        assert pulled == {}
 
 
 def constant_system(J: np.ndarray) -> _TracedSystem:
@@ -647,11 +665,11 @@ class TestDotProductsKeepTheMatmulBits:
     def test_registry_residuals_assemblies_and_steps_at_the_traced_samples(self):
         for case, spec, opts in registry_specs():
             system = _map_system(spec)
-            loop, raws, _, _ = _trace(system, opts.seeds[0], opts)
+            loop, _, _ = _trace(system, opts.seeds[0], opts)
             points = loop.points
             # the predictors of the walk: off the curve, so the residuals are not zero
             predictors = points + 0.05 * loop.tangents
-            for p, q, raw in zip(points, predictors, raws):
+            for p, q, raw in zip(points, predictors, loop._jacobians):
                 for x in (p, q):
                     want = matmul_residual(spec, system.basis, x)
                     assert system.residual(x).tobytes() == want.tobytes(), case
@@ -730,13 +748,13 @@ class TestChordCorrector:
         monkeypatch.setattr(tracer, "_newton", spy)
         for case, system, opts in registry_systems():
             spare.clear()
-            loop, _, _, _ = _trace(system, opts.seeds[0], opts)
+            loop, _, _ = _trace(system, opts.seeds[0], opts)
             assert len(spare) > len(loop), case
             assert min(spare) >= 2, case
 
     def test_every_traced_sample_is_below_newton_tol(self):
         for case, system, opts in registry_systems():
-            loop, _, _, max_residual = _trace(system, opts.seeds[0], opts)
+            loop, _, max_residual = _trace(system, opts.seeds[0], opts)
             norms = [np.linalg.norm(system.residual(p)) for p in loop.points]
             assert max(norms) < opts.tolerances.newton_tol, case
             assert max_residual < opts.tolerances.newton_tol, case
@@ -824,54 +842,124 @@ class TestOneTangentOnAndBetweenSamples:
                 refiner(t)
             # the point once, its correction factoring one Jacobian at its
             # start and taking every further chord step from it; the tangent
-            # and the pulled-back fields one Jacobian each at that point
+            # and the pulled-back fields share one Jacobian at that point
             assert record["newton_calls"] == 1
             assert record["newton_iterations"] >= 2
-            assert record["jacobian_evaluations"] == 1 + 2
+            assert record["jacobian_evaluations"] == 1 + 1
         # a stack of params, as the lift refines a level: the same work per param
         with recording() as record:
             refiner(np.array([0.013, 0.5, 0.77]))
         assert record["newton_calls"] == 3
-        assert record["jacobian_evaluations"] == 3 * (1 + 2)
+        assert record["jacobian_evaluations"] == 3 * (1 + 1)
         assert record["frames_assembled"] == 3
 
 
-class TestCarriedJacobians:
-    @pytest.mark.parametrize("make_spec", [quadric_spec, quadric_twisted_spec])
-    def test_each_sample_jacobian_is_evaluated_once(self, make_spec, monkeypatch):
-        import fbk.tracer as tracer
+def uncarried(loop: SampledLoop) -> SampledLoop:
+    """loop as a plain SampledLoop: the same samples, tangents and resamplers, no Jacobians."""
+    return SampledLoop(
+        loop.points, loop.resample, loop.params, loop.tangents, loop.resample_tangent
+    )
 
+
+class TestCarriedJacobians:
+    PARAMS = np.array([0.013, 0.5, 0.77])
+
+    @pytest.mark.parametrize("make_spec", [quadric_spec, quadric_twisted_spec])
+    def test_each_sample_jacobian_is_evaluated_once(self, make_spec):
         spec = make_spec()
         opts = TraceOptions(seeds=[SEED])
         with recording() as separate:
             loop = trace_component(spec, SEED, opts)
-            induced_framing(spec, loop)
+            framing = induced_framing(spec, loop)
         with recording() as carried:
             report = kappa_of_map(spec, opts)
-        assert carried["jacobian_evaluations"] == separate["jacobian_evaluations"] - len(loop)
-
-        # the same pipeline with the pull-back evaluating its own Jacobians
-        pull_back = tracer.induced_framing
-        monkeypatch.setattr(
-            tracer, "induced_framing", lambda spec, loop, **_: pull_back(spec, loop)
-        )
-        with recording() as evaluated:
-            again = kappa_of_map(spec, opts)
-        assert carried["jacobian_evaluations"] == evaluated["jacobian_evaluations"] - len(loop)
+        assert carried["jacobian_evaluations"] == separate["jacobian_evaluations"]
         for key in ("newton_calls", "newton_iterations"):
-            assert carried[key] == evaluated[key] == separate[key]
-        assert json.dumps(report.to_dict()) == json.dumps(again.to_dict())
+            assert carried[key] == separate[key]
 
-    def test_jacobians_must_match_the_samples(self):
-        loop = trace_component(quadric_spec(), SEED, TraceOptions())
-        jacobians = [quadric_jac(p) for p in loop.points]
-        with pytest.raises(ValueError, match="Jacobians for a loop of"):
-            induced_framing(quadric_spec(), loop, jacobians=jacobians[1:])
+        # the same loop without its Jacobians: the pull-back evaluates its own
+        # at the samples, and the report is the same
+        with recording() as evaluated:
+            again = induced_framing(spec, uncarried(loop))
+        assert evaluated == {"jacobian_evaluations": len(loop)}
+        ambient = euclidean_ambient(4)
+        own = invariant_report(FramedLink([_orient(loop, framing, ambient)], ambient))
+        copy = invariant_report(FramedLink([_orient(loop, again, ambient)], ambient))
+        assert np.array_equal(framing.fields, again.fields)
+        assert json.dumps(own.to_dict()) == json.dumps(copy.to_dict())
+        assert [c.index for c in own.components] == [c.index for c in report.components]
+
+    @pytest.mark.parametrize("name", ["euclidean-quadric-twisted", "suspended-hopf"])
+    def test_carried_fields_equal_evaluated_ones(self, name):
+        # at the samples and at a stack of params, the pull-back through the
+        # Jacobians a traced loop carries is bit for bit the pull-back of a
+        # copy that evaluates its own at the same points
+        spec, opts = REGISTRY[name].traced(resolve_options(REGISTRY[name], {}))
+        loop = trace_component(spec, opts.seeds[0], opts)
+        copy = uncarried(loop)
+        carried, evaluated = induced_framing(spec, loop), induced_framing(spec, copy)
+        assert np.array_equal(carried.fields, evaluated.fields)
+        # the copy shares the loop's resampler and its cache: with the points
+        # corrected first, the record holds the pull-back's Jacobians alone
+        copy._points_at(self.PARAMS)
         with recording() as record:
-            framing = induced_framing(quadric_spec(), loop, jacobians=jacobians)
-        assert record == {}
-        plain = induced_framing(quadric_spec(), loop)
-        assert all(np.array_equal(a, b) for a, b in zip(framing.fields, plain.fields))
+            at_params = evaluated._fields_at(self.PARAMS)
+        assert record == {"jacobian_evaluations": len(self.PARAMS)}
+        assert np.array_equal(carried._fields_at(self.PARAMS), at_params)
+
+    def test_one_correction_and_one_jacobian_per_param(self):
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        # a points-only resample: one correction each, which factors the
+        # Jacobian at its start and nothing more
+        with recording() as points_only:
+            points = loop._points_at(self.PARAMS)
+        assert points_only["newton_calls"] == points_only["jacobian_evaluations"] == 3
+        # the tangents take one Jacobian a point, and the carried Jacobians are those
+        with recording() as record:
+            tangents = loop._tangents_at(self.PARAMS)
+            jacobians = loop._jacobians_at(self.PARAMS)
+            assert np.array_equal(loop._points_at(self.PARAMS), points)
+        assert record == {"jacobian_evaluations": 3}
+        assert np.array_equal(jacobians, np.array([quadric_jac(p) for p in points]))
+        with recording() as record:
+            # asked for first, the Jacobians take the tangents with them
+            jacobians_first = loop._jacobians_at(self.PARAMS + 0.1)
+            tangents_after = loop._tangents_at(self.PARAMS + 0.1)
+        assert record["newton_calls"] == 3
+        assert record["jacobian_evaluations"] == 3 + 3
+        assert jacobians_first.shape == (3, 3, 4) and tangents_after.shape == tangents.shape
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
+    def test_section_refiners_take_two_jacobians_per_term_and_param(self, name, analytic):
+        # term 1 [position, tangent, aux] and term 2 [position, v, dw(aux)]:
+        # the correction's one Jacobian and one that the tangent, the
+        # transported frame and dw share
+        import fbk.tracer as tracer
+
+        section, jac, seed = S5_SECTIONS[name]
+        spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
+        traced = _section_map(spec)
+        [loop] = tracer._traced_components(traced, TraceOptions(seeds=[seed]))
+        ambient = sphere_ambient(6)
+        system = _map_system(traced)
+        parts = tracer._section_parts(spec, system, loop, ambient, DEFAULT_TOL, 1)
+        for shift, part in zip((0.0, 0.1), parts):
+            rl = frame_matrix_loop(part.loop, part.framing, ambient, middle=part.middle)
+            with recording() as record:
+                rl.refiner(self.PARAMS + shift)
+            assert record["newton_calls"] == len(self.PARAMS)
+            assert record["jacobian_evaluations"] == 2 * len(self.PARAMS)
+            assert record["frames_assembled"] == len(self.PARAMS)
+
+    def test_hausdorff_probes_resample_points_only(self):
+        a = trace_component(quadric_spec(), SEED, TraceOptions())
+        b = trace_component(quadric_spec(), SEED, TraceOptions(initial_step=0.025, max_step=0.05))
+        with recording() as record:
+            hausdorff_distance(a, b)
+        # each probe is one correction, factoring at most one Jacobian, at
+        # its start (none where the start is already on the curve)
+        assert 0 < record["jacobian_evaluations"] <= record["newton_calls"]
 
 
 def probe_spec() -> MapSpec:
@@ -1240,19 +1328,16 @@ class TestTransportClosedFrame:
 
     @staticmethod
     def collapsing_loop() -> SampledLoop:
-        # consecutive chord tangents made exactly perpendicular: the normal
-        # planes share only a line, so transporting a full frame must fail
-        pts = [np.array([0.1 * i, 0.0, 0.0]) for i in range(8)]
-        last = pts[-1]
-        tangent_at_8 = np.array([1.0, 1.0, 0.0])  # chord p9 - p7 by design
-        pts.append(last + np.array([0.1, 0.0, 0.0]))
-        pts.append(pts[-1] + np.array([0.0, 0.1, 0.0]))  # makes p9 - p7 = (0.1, 0.1, 0)
-        # now force the next chord p10 - p8 perpendicular to (1,1,0)
-        pts.append(pts[8] + np.array([-0.1, 0.1, 0.0]))
+        # consecutive sample tangents made exactly perpendicular: the normal
+        # planes share only a line, so transporting a full frame must fail.
+        # Samples 7 to 10 are 0.1 apart, and between equal steps the
+        # three-point tangent at p(k) is the direction of p(k+1) - p(k-1).
+        pts = [np.array([0.1 * i, 0.0, 0.0]) for i in range(9)]
+        pts.append(pts[-1] + np.array([0.0, 0.1, 0.0]))  # tangent 8 along p9 - p7 = (0.1, 0.1, 0)
+        pts.append(pts[8] + np.array([-0.1, 0.1, 0.0]))  # tangent 9 along p10 - p8 = (-0.1, 0.1, 0)
         # wander back to close the polygon with distinct points
         for i in range(7):
             pts.append(pts[-1] + np.array([-0.12, 0.01 * (i + 1), 0.0]))
-        del tangent_at_8
         return SampledLoop(np.array(pts))
 
     def test_collapsing_normal_space(self):
@@ -1262,6 +1347,36 @@ class TestTransportClosedFrame:
         with pytest.raises(RankDeficient, match=r"at sample 9$") as info:
             transport_closed_frame(loop, [])
         assert info.value.index == 9
+
+    @staticmethod
+    def turned_circle(eps: float) -> SampledLoop:
+        """The unit circle in R^3 on 32 samples, tangent 9 within eps of sample 8's normal plane.
+
+        Tangent 9 is turned onto sample 8's outward radius and keeps a
+        component eps along tangent 8.
+        """
+        points = np.array([unit_circle(i / 32) for i in range(32)])
+        tangents = np.stack([-points[:, 1], points[:, 0], points[:, 2]], axis=1)
+        tangents[9] = eps * tangents[8] + math.sqrt(1.0 - eps * eps) * points[8]
+        return SampledLoop(points, tangents=tangents)
+
+    def test_turned_tangent_loses_a_dimension_below_the_transport_tolerance(self):
+        # sample 8's frame spans the radius there, which the projection onto
+        # sample 9's normal plane keeps a fraction 1e-10 of: below
+        # _TRANSPORT_TOL, so the frame lost a dimension at sample 9
+        message = r"^normal space of the curve lost a dimension at sample 9$"
+        with pytest.raises(RankDeficient, match=message) as info:
+            transport_closed_frame(self.turned_circle(1e-10), [])
+        assert info.value.index == 9
+
+    def test_turned_tangent_above_the_transport_tolerance_reverses_orientation(self):
+        # a fraction 1e-6 is kept: sample 8's radius goes on as minus tangent
+        # 8 and comes back round the loop as the inward radius, so the
+        # holonomy has determinant -1
+        message = r"^transport around the loop reversed orientation$"
+        with pytest.raises(RankDeficient, match=message) as info:
+            transport_closed_frame(self.turned_circle(1e-6), [])
+        assert info.value.index is None
 
 
     def test_resampled_normal_space_losing_a_dimension(self):
@@ -1563,10 +1678,9 @@ class TestSectionIndex:
         (loop,) = section_zero_loops(spec, TraceOptions(seeds=[seed]))
         for shift in (1, 17, 40):
             circle = loop.cycled(shift)
-            raws = [jac(x) for x in circle.points]
             for turns in (0, 1):
                 (bit,) = _section_indices(
-                    spec, system, [(circle, raws)], sphere_ambient(6), DEFAULT_TOL, turns
+                    spec, system, [circle], sphere_ambient(6), DEFAULT_TOL, turns
                 )
                 assert int(bit) == 1, (shift, turns)
 
@@ -1598,10 +1712,10 @@ class TestSectionIndex:
 
         spec = SectionSpec(5, _s5_splitting, section, jacobian=degenerate_jac)
         system = _map_system(_section_map(spec))
+        # the circle was traced from another spec: dw evaluates this one's at its samples
         for circle, k in ((loop, 17), (loop.reversed(), len(loop) - 17)):
-            raws = [degenerate_jac(x) for x in circle.points]
             with pytest.raises(NonTransverse, match=rf"at sample {k}$"):
-                _section_indices(spec, system, [(circle, raws)], sphere_ambient(6), DEFAULT_TOL, 0)
+                _section_indices(spec, system, [circle], sphere_ambient(6), DEFAULT_TOL, 0)
 
     def test_degenerate_circle_among_two_names_its_own_sample(self):
         # the degenerate circle of the test above, before and after a good
@@ -1617,8 +1731,10 @@ class TestSectionIndex:
 
         spec = SectionSpec(5, _s5_splitting, section, jacobian=degenerate_jac)
         system = _map_system(_section_map(spec))
-        degenerate = (loop, [degenerate_jac(x) for x in loop.points])
-        fine = (loop.cycled(5), [jac(x) for x in loop.cycled(5).points])
+        degenerate = loop
+        # the circle sampled elsewhere, so that no sample is the degenerate point
+        fine = loop.with_samples(48)
+        assert not any(np.array_equal(p, bad) for p in fine.points)
         (bit,) = _section_indices(spec, system, [fine], sphere_ambient(6), DEFAULT_TOL, 0)
         assert int(bit) == 1
         for circles in ([degenerate, fine], [fine, degenerate]):
@@ -1641,9 +1757,8 @@ class TestSectionIndex:
         system = _map_system(_section_map(spec))
         tol = Tolerances(lift_angle_max=0.05)
         for circle in (loop, loop.reversed()):
-            raws = [sampled_jac(x) for x in circle.points]
             with pytest.raises(NonTransverse, match=r"at parameter 0\.\d{6}$") as info:
-                _section_indices(spec, system, [(circle, raws)], sphere_ambient(6), tol, 0)
+                _section_indices(spec, system, [circle], sphere_ambient(6), tol, 0)
             assert "middle row" in str(info.value.__cause__)
 
     def test_intermediate_term_classes(self, monkeypatch):
@@ -1718,41 +1833,36 @@ class TestSectionIndex:
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
-    def test_dw_takes_the_walk_jacobians(self, name, analytic, monkeypatch):
+    def test_dw_takes_the_walk_jacobians(self, name, analytic):
         # dw at the samples is the same function at the same points whether
         # it takes the walk's Jacobians or Jacobians evaluated again there:
-        # the fields are bit for bit equal, and handing the walk's over
-        # spares one evaluation per sample
+        # the fields are bit for bit equal, and the Jacobians a traced
+        # circle carries spare one evaluation per sample
         import fbk.tracer as tracer
         from fbk.tracer import _section_derivative_fields
 
         section, jac, seed = S5_SECTIONS[name]
         spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
         opts = TraceOptions(seeds=[seed])
-        [(loop, raws)] = tracer._traced_components(_section_map(spec), opts)
-        system = _map_system(_section_map(spec))
+        traced = _section_map(spec)
+        system = _map_system(traced)
+        # traced from the system's spec, the circle carries the section's Jacobians
+        [loop] = tracer._traced_components(traced, opts)
         aux = transport_closed_frame(loop, sphere_ambient(6).manifold_normals)
         with recording() as record:
-            handed = _section_derivative_fields(spec, system, loop, aux, raws)
+            carried = _section_derivative_fields(spec, system, loop, aux)
         assert record == {}
-        again = [system.raw_jacobian(x) for x in loop.points]
-        evaluated = _section_derivative_fields(spec, system, loop, aux, again)
-        assert np.array_equal(handed.fields, evaluated.fields)
-
-        with recording() as carried:
+        with recording() as record:
+            evaluated = _section_derivative_fields(spec, system, uncarried(loop), aux)
+        assert record == {"jacobian_evaluations": len(loop)}
+        assert np.array_equal(carried.fields, evaluated.fields)
+        # section_index's circles carry them too: its dw evaluates none at the samples
+        with recording() as record:
             report = section_index(spec, opts)
-        traced_components = tracer._traced_components
-
-        def evaluating_again(spec, opts):
-            # the same circles, with Jacobians evaluated again at their samples
-            traced = traced_components(spec, opts)
-            return [(c, [system.raw_jacobian(x) for x in c.points]) for c, _ in traced]
-
-        monkeypatch.setattr(tracer, "_traced_components", evaluating_again)
-        with recording() as own:
-            own_report = section_index(spec, opts)
-        assert carried["jacobian_evaluations"] == own["jacobian_evaluations"] - len(loop)
-        assert json.dumps(report.to_dict()) == json.dumps(own_report.to_dict())
+        with recording() as walk:
+            section_zero_loops(spec, opts)
+        assert record["jacobian_evaluations"] == walk["jacobian_evaluations"]
+        assert [c.index for c in report.components] == [1]
 
     @pytest.mark.parametrize("turns", [0, 1])
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
@@ -1771,7 +1881,6 @@ class TestSectionIndex:
         opts = TraceOptions(seeds=[seed])
         [loop] = section_zero_loops(SectionSpec(5, _s5_splitting, section, jacobian=jac), opts)
         spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
-        system = _map_system(_section_map(spec))
         flips = []
         reverse_frames = NormalFraming.reversed
 
@@ -1795,11 +1904,10 @@ class TestSectionIndex:
         monkeypatch.setattr(framedlink, "_frame_loops", checked_assembly)
         results = []
         for circle in (loop, loop.reversed()):
-            # the circle and the spec's Jacobians at its samples, as the walk hands them over
-            raws = [system.raw_jacobian(x) for x in circle.points]
+            # traced from another spec, the circle has dw evaluate this spec's Jacobians
 
-            def stand_in(spec, opts, c=circle, raws=raws):
-                return [(c, raws)]
+            def stand_in(spec, opts, c=circle):
+                return [c]
 
             monkeypatch.setattr(tracer, "_traced_components", stand_in)
             flips.append(0)

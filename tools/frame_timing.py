@@ -26,10 +26,13 @@ samples under lift_angle_max = 0.05, and the traced refining runs of
     for the traced ones), the minimum over --repeat calls;
   - refiner_calls: the calls of the frame loops' refiners, one per
     refinement level of each refining loop, whatever its number of params;
-  - frames_assembled, lift_steps and newton_calls, as fbk.recording()
-    notes them in one report: the frames of the samples and of every
-    refined param, the lifted steps, and the Newton corrections (the
-    walk's, and one per refined param of a traced loop).
+  - frames_assembled, lift_steps, newton_calls and jacobian_evaluations,
+    as fbk.recording() notes them in one report: the frames of the samples
+    and of every refined param, the lifted steps, the Newton corrections
+    (the walk's, and one per refined param of a traced loop), and the
+    map's Jacobians (the walk's, and at a refined param of a traced loop
+    the ones of its correction and one that its tangent, pull-back,
+    transport and dw share).
 
 Then, for links shaped like link files (4 circles of 64 samples in R^4,
 R^8 and R^12, moving 4 coordinates, without resamplers), one line each:
@@ -140,7 +143,7 @@ def timed(scenario, options, repeat: int):
 
 
 def timed_refining(scenario, options, repeat: int):
-    """(report_ms, refiner_calls, frames_assembled, lift_steps, newton_calls) of one report."""
+    """(report_ms, refiner_calls, frames, lift steps, Newton calls, Jacobians) of one report."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
@@ -168,8 +171,8 @@ def timed_refining(scenario, options, repeat: int):
             scenario.run(options)
     finally:
         framedlink._frame_refiner = make_refiner
-    counts = [record.get(key, 0) for key in ("frames_assembled", "lift_steps", "newton_calls")]
-    return 1e3 * best, calls, *counts
+    keys = ("frames_assembled", "lift_steps", "newton_calls", "jacobian_evaluations")
+    return 1e3 * best, calls, *[record.get(key, 0) for key in keys]
 
 
 def link_file_shaped(rng, dim: int, components: int = 4, samples: int = 64) -> dict:
@@ -303,10 +306,14 @@ def main(argv=None) -> int:
         print(f"{label:40s} {k:4d} {count:5d} {fresh:9.3f} {cached:9.3f} {frames:16d}")
     print()
     print(f"{'refining report':52s} {'report_ms':>9s} {'refiner_calls':>13s} "
-          f"{'frames_assembled':>16s} {'lift_steps':>10s} {'newton_calls':>12s}")
+          f"{'frames_assembled':>16s} {'lift_steps':>10s} {'newton_calls':>12s} "
+          f"{'jacobian_evaluations':>20s}")
     for label, scenario, options in refining_cases():
-        report_ms, calls, frames, steps, newton = timed_refining(scenario, options, args.repeat)
-        print(f"{label:52s} {report_ms:9.3f} {calls:13d} {frames:16d} {steps:10d} {newton:12d}")
+        report_ms, calls, frames, steps, newton, jacobians = timed_refining(
+            scenario, options, args.repeat
+        )
+        print(f"{label:52s} {report_ms:9.3f} {calls:13d} {frames:16d} {steps:10d} {newton:12d} "
+              f"{jacobians:20d}")
     print()
     print(f"{'link-file-shaped link':40s} {'K':>4s} {'loops':>5s} {'report_ms':>9s} "
           f"{'frames_assembled':>16s} {'qr_calls':>8s} {'det_calls':>9s} {'givens_passes':>13s}")

@@ -47,7 +47,8 @@ the tracer (`Scenario.traced`) and prints one line:
     to lift_deg, the case's lift_angle_max in degrees, which bounds every
     step of the lift; and dw_ms: milliseconds per
     `tracer._section_derivative_fields` call, dw applied to that frame at
-    the samples from the walk's Jacobians. Other cases print "-".
+    the samples from the Jacobians the walk took there, which the traced
+    loop carries. Other cases print "-".
 
 Times are the minimum over --repeat repeats; nothing is asserted about them.
 """
@@ -165,7 +166,7 @@ def main(argv=None) -> int:
     for label, system, opts, section in traced_cases():
         seed, tol = opts.seeds[0], opts.tolerances
         with recording() as record:
-            loop, raws, _, _ = _trace(system, seed, opts)
+            loop, _, _ = _trace(system, seed, opts)
         svds = svd_calls(lambda: _trace(system, seed, opts))
         trace_s = best_of(args.repeat, lambda: _trace(system, seed, opts))
         points, tangents = loop.points, loop.tangents
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
             aux = transport_closed_frame(loop, normals, tol)
             transport_s = best_of(args.repeat, lambda: transport_closed_frame(loop, normals, tol))
             dw_s = best_of(
-                args.repeat, lambda: _section_derivative_fields(section, system, loop, aux, raws)
+                args.repeat, lambda: _section_derivative_fields(section, system, loop, aux)
             )
             transport_ms, dw_ms = f"{transport_s * 1e3:.2f}", f"{dw_s * 1e3:.2f}"
             closing_deg = f"{closing_degrees(loop, normals, tol):.2g}"
