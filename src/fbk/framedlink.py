@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property, reduce
@@ -1116,6 +1115,6 @@ def load_link_file(path: str) -> FramedLink:
             document = orjson.loads(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     return load_link(document)

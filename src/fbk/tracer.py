@@ -16,9 +16,11 @@ closure-twist invariance suite checks explicitly.
 
 A traced report is its spec and its seeds. Both sources trace the seeds
 through one loop, and the domain fixes the ambient: R^N or the unit sphere
-S^(N-1), each with exactly one spin structure. One rule orients a traced
-circle, a preimage circle with its induced framing and term 1 of a zero
-circle with its auxiliary frame alike.
+S^(N-1), each with exactly one spin structure. One rule orients every frame
+loop of a traced report, a preimage circle's and both terms of a zero
+circle's alike: the circle is kept as traced, and a frame that is
+left-handed at sample 0 has its first field negated. Neither a constant
+rotation nor the direction of travel changes a frame loop's class.
 
 Sphere-valued maps are reduced near the regular value to R^n-valued
 residuals by projecting onto the tangent space of the target at that value;
@@ -767,23 +769,26 @@ def induced_framing(
     return NormalFraming(X.transpose(1, 0, 2), resample)
 
 
-def _frame_det(loop, middle, framing, ambient, k) -> float:
-    """Sign-relevant determinant of the raw frame rows at sample k."""
-    fields = framing.fields[:, k : k + 1].transpose(1, 0, 2)
-    rows = _frame_rows(ambient, loop.points[k : k + 1], middle[None], fields)
-    return float(np.linalg.det(rows[0]))
+def _oriented(loop, framing, ambient, middle=None):
+    """(loop, framing), the framing's first field negated unless its frame at sample 0 has det > 0.
 
-
-def _oriented(loop, framing, ambient):
-    """(loop, framing), both reversed unless [normals, tangent, fields] at sample 0 has det > 0.
-
-    The one orientation rule of a traced circle: a preimage circle with its
-    induced framing, and term 1 of a zero circle with its auxiliary frame.
+    The frame is the rows [manifold normals, middle row, fields], the middle
+    row the loop's tangent, or middle(point) when given. The one orientation
+    rule of a traced report: a preimage circle with its induced framing, and
+    both terms of a zero circle. The loop is kept as traced.
     """
-    d = _frame_det(loop, loop.tangent_at_sample(0), framing, ambient, 0)
-    if d > 0.0:
+    points = loop.points[:1]
+    if middle is None:
+        middles = loop.tangent_at_sample(0)[None]
+    else:
+        middles = _on_stack(middle, points, "middle row", loop.dimension)
+    rows = _frame_rows(ambient, points, middles, framing.fields[:, :1].transpose(1, 0, 2))
+    if np.linalg.det(rows[0]) > 0.0:
         return loop, framing
-    return loop.reversed(), framing.reversed()
+    flip = np.diag([-1.0] + [1.0] * (framing.count - 1))
+    return loop, _recombined(
+        framing, loop.params, lambda ts: np.broadcast_to(flip, (len(ts), *flip.shape))
+    )
 
 
 def _point_to_curve_distance(p: np.ndarray, b: SampledLoop) -> float:
@@ -838,9 +843,11 @@ def hausdorff_distance(a: SampledLoop, b: SampledLoop, probes: int = 16) -> floa
 
 
 def _check_distinct(loops: Sequence[SampledLoop], tol: Tolerances):
+    # two traced components of one regular preimage are equal or disjoint,
+    # so one point of the later loop decides
     for i in range(len(loops)):
         for j in range(i + 1, len(loops)):
-            if hausdorff_distance(loops[i], loops[j]) <= 10.0 * tol.closure_tol:
+            if _point_to_curve_distance(loops[j].points[0], loops[i]) <= 10.0 * tol.closure_tol:
                 raise DuplicateComponent(f"seeds {i} and {j} traced the same component")
 
 
@@ -875,13 +882,12 @@ def kappa_of_map(spec: MapSpec, opts: TraceOptions) -> InvariantReport:
     else:
         ambient = euclidean_ambient(spec.dimension)
     with recording() as record:
-        components = [
-            _oriented(loop, induced_framing(spec, loop), ambient)
-            for loop in _traced_components(spec, opts)
-        ]
-        link = FramedLink(components, ambient)
+        loops = _traced_components(spec, opts)
+        link = FramedLink(
+            [_oriented(loop, induced_framing(spec, loop), ambient) for loop in loops], ambient
+        )
         bits = _circle_indices(link.components, ambient, tol)
-    return _report(bits, [loop for loop, _ in components], ambient, tol, record, traced=True)
+    return _report(bits, loops, ambient, tol, record, traced=True)
 
 
 # The transport's rank threshold: a frame direction is lost where a
@@ -1110,25 +1116,18 @@ def _section_derivative_fields(
 def _section_parts(spec, system, loop, ambient, tol, aux_twist_turns):
     """The frame loops of one zero circle, term 1 and term 2, as _FrameParts.
 
-    Term 1 is [position, tangent, aux], term 2 [position, v, dw(aux)]; a
-    rank error of term 2's frames, at a sample or in its refiner, is the
-    section failing to be transverse (NonTransverse).
+    Term 1 is [position, tangent, aux], term 2 [position, v, dw(aux)], each
+    _oriented on the traced circle; a rank error of term 2's frames, at a
+    sample or in its refiner, is the section failing to be transverse
+    (NonTransverse).
     """
     v_of = spec.splitting_field
     aux = transport_closed_frame(loop, ambient.manifold_normals, tol)
     if aux_twist_turns:
         aux = twist_framing(loop, aux, aux_twist_turns)
     tau = _section_derivative_fields(spec, system, loop, aux)
-    v0 = _on_stack(v_of, loop.points[:1], "splitting field", loop.dimension)[0]
-    if _frame_det(loop, v0, tau, ambient, 0) < 0.0:
-        flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
-        flips = lambda ts: np.broadcast_to(flip, (len(ts), *flip.shape))  # noqa: E731
-        aux = _recombined(aux, loop.params, flips)
-        tau = _recombined(tau, loop.params, flips)
-    # Only term 1's middle row, the tangent, depends on the direction of
-    # travel; a loop traversed backwards has the same class.
     term1 = _FramePart(*_oriented(loop, aux, ambient))
-    return term1, _FramePart(loop, tau, v_of, _non_transverse)
+    return term1, _FramePart(*_oriented(loop, tau, ambient, v_of), v_of, _non_transverse)
 
 
 def _non_transverse(where: str) -> NonTransverse:

@@ -18,8 +18,8 @@ from fbk.errors import (
 )
 from fbk.framedlink import (
     FramedLink,
-    NormalFraming,
     SampledLoop,
+    _frame_rows,
     _recombined,
     euclidean_ambient,
     frame_matrix_loop,
@@ -28,7 +28,7 @@ from fbk.framedlink import (
     sphere_ambient,
     twist_framing,
 )
-from fbk.numkit import DEFAULT_TOL, Tolerances, jacobian_fd, recording
+from fbk.numkit import DEFAULT_TOL, Tolerances, _on_stack, jacobian_fd, recording, stacked
 from fbk.scenarios import (
     _S5_SECTION_JAC,
     REGISTRY,
@@ -38,6 +38,7 @@ from fbk.scenarios import (
     _s5_splitting,
     resolve_options,
 )
+from fbk.spinlift import loop_class
 from fbk.tracer import (
     _CHORD_CONTRACTION,
     _JACOBIAN_CHECK_TOL,
@@ -46,7 +47,11 @@ from fbk.tracer import (
     SectionSpec,
     TraceOptions,
     _TracedSystem,
+    _oriented,
+    _section_derivative_fields,
     _section_indices,
+    _section_parts,
+    _traced_components,
     _descent,
     _factored,
     _givens_path,
@@ -233,8 +238,8 @@ class TestInducedFraming:
         Q = random_rotation(rng, 3)
         plain = induced_framing(spec, loop)
         rotated = induced_framing(spec, loop, basis=Q)
-        want = index_of_circle(*_orient(loop, plain, ambient), ambient)
-        got = index_of_circle(*_orient(loop, rotated, ambient), ambient)
+        want = index_of_circle(*_oriented(loop, plain, ambient), ambient)
+        got = index_of_circle(*_oriented(loop, rotated, ambient), ambient)
         assert got == want
 
 
@@ -336,7 +341,7 @@ class TestCarriedKernelTangents:
         spec = quadric_spec()
         ambient = euclidean_ambient(4)
         loop = trace_component(spec, SEED, TraceOptions())
-        loop, framing = _orient(loop, induced_framing(spec, loop), ambient)
+        loop, framing = _oriented(loop, induced_framing(spec, loop), ambient)
         with recording() as carried:
             frame_matrix_loop(loop, framing, ambient)
         assert carried.get("newton_calls", 0) == 0
@@ -835,7 +840,7 @@ class TestOneTangentOnAndBetweenSamples:
         spec = quadric_spec()
         ambient = euclidean_ambient(4)
         loop = trace_component(spec, SEED, TraceOptions())
-        loop, framing = _orient(loop, induced_framing(spec, loop), ambient)
+        loop, framing = _oriented(loop, induced_framing(spec, loop), ambient)
         refiner = frame_matrix_loop(loop, framing, ambient).refiner
         for t in (0.013, 0.5, 0.77):
             with recording() as record:
@@ -883,8 +888,8 @@ class TestCarriedJacobians:
             again = induced_framing(spec, uncarried(loop))
         assert evaluated == {"jacobian_evaluations": len(loop)}
         ambient = euclidean_ambient(4)
-        own = invariant_report(FramedLink([_orient(loop, framing, ambient)], ambient))
-        copy = invariant_report(FramedLink([_orient(loop, again, ambient)], ambient))
+        own = invariant_report(FramedLink([_oriented(loop, framing, ambient)], ambient))
+        copy = invariant_report(FramedLink([_oriented(loop, again, ambient)], ambient))
         assert np.array_equal(framing.fields, again.fields)
         assert json.dumps(own.to_dict()) == json.dumps(copy.to_dict())
         assert [c.index for c in own.components] == [c.index for c in report.components]
@@ -1205,12 +1210,6 @@ class TestSphereRegularValue:
             kappa_of_map(spec, TraceOptions(seeds=[hopf_seed()]))
 
 
-def _orient(loop, framing, ambient):
-    from fbk.tracer import _oriented
-
-    return _oriented(loop, framing, ambient)
-
-
 def _traced_report(name: str, extra_seed):
     """The report on a traced registry scenario, its seeds followed by extra_seed."""
     scenario = REGISTRY[name]
@@ -1221,6 +1220,13 @@ def _traced_report(name: str, extra_seed):
         return spec, opts
 
     return dataclasses.replace(scenario, traced=traced).run(resolve_options(scenario, {}))
+
+
+def two_circles(x):
+    """A map R^4 -> R^3 whose zeros are two unit circles in the x0-x1 plane, centred 4 apart."""
+    a = x[0] ** 2 + x[1] ** 2 - 1.0
+    b = (x[0] - 4.0) ** 2 + x[1] ** 2 - 1.0
+    return np.array([a * b, x[2], x[3]])
 
 
 class TestSeedPath:
@@ -1238,6 +1244,21 @@ class TestSeedPath:
     def test_duplicate_seeds_detected(self, name):
         with pytest.raises(DuplicateComponent, match="seeds 0 and 1 traced the same component"):
             _traced_report(name, self.SEEDS[name][0])
+
+    def test_separate_circles_are_told_apart_by_one_point(self):
+        # two traced components of one preimage are equal or disjoint, so
+        # the duplicate check measures one point of the second circle
+        # against the first: one golden-section search, 2 + 36 corrections
+        spec = MapSpec(two_circles, dimension=4)
+        seeds = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([5.0, 0.0, 0.0, 0.0])]
+        with recording() as traces:
+            for seed in seeds:
+                trace_component(spec, seed, TraceOptions())
+        with recording() as record:
+            report = kappa_of_map(spec, TraceOptions(seeds=seeds))
+        assert [c.index for c in report.components] == [0, 0]
+        assert traces["newton_calls"] == 128
+        assert record["newton_calls"] == 128 + 38
 
     @pytest.mark.parametrize("name", sorted(SEEDS))
     def test_far_seed_is_skipped(self, name):
@@ -1868,9 +1889,9 @@ class TestSectionIndex:
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("name", sorted(S5_SECTIONS))
     def test_both_directions_of_a_zero_circle(self, name, analytic, turns, monkeypatch):
-        # term 1 of a left-handed circle takes the circle and its auxiliary
-        # frame reversed, term 2 never; the traced circle and its reversal
-        # take the two orientation branches.
+        # both terms frame the circle as given; a circle and its reversal
+        # have opposite tangents at sample 0 and the same auxiliary frame
+        # there, so exactly one of them negates term 1's first field.
         # The circle is traced once, with the analytic Jacobian, so both
         # specs see the same samples; the index is then taken with the spec
         # under test.
@@ -1881,12 +1902,8 @@ class TestSectionIndex:
         opts = TraceOptions(seeds=[seed])
         [loop] = section_zero_loops(SectionSpec(5, _s5_splitting, section, jacobian=jac), opts)
         spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
-        flips = []
-        reverse_frames = NormalFraming.reversed
-
-        def counted_reversed(framing):
-            flips[-1] += 1
-            return reverse_frames(framing)
+        ambient = sphere_ambient(6)
+        negated = []
 
         # both terms' frames follow their loop: resampling a framing at a
         # sample's parameter gives back that sample's fields
@@ -1894,13 +1911,20 @@ class TestSectionIndex:
         assemble = framedlink._frame_loops
 
         def checked_assembly(parts, *args, **kwargs):
+            assert len(parts) == 2 and all(part.loop is circle for part in parts)
+            aux = transport_closed_frame(circle, ambient.manifold_normals, DEFAULT_TOL)
+            if turns:
+                aux = twist_framing(circle, aux, turns)
+            first, given = parts[0].framing.at_sample(0), aux.at_sample(0)
+            np.testing.assert_array_equal(first[1:], given[1:])
+            negated.append(bool(np.array_equal(first[0], -given[0])))
+            assert negated[-1] or np.array_equal(first[0], given[0])
             for loop, framing, *_ in parts:
                 for k in range(0, len(loop), 4):
                     at_param = np.vstack(framing.at(loop.params[k]))
                     gaps.append(float(np.max(np.abs(at_param - np.vstack(framing.at_sample(k))))))
             return assemble(parts, *args, **kwargs)
 
-        monkeypatch.setattr(NormalFraming, "reversed", counted_reversed)
         monkeypatch.setattr(framedlink, "_frame_loops", checked_assembly)
         results = []
         for circle in (loop, loop.reversed()):
@@ -1910,12 +1934,122 @@ class TestSectionIndex:
                 return [c]
 
             monkeypatch.setattr(tracer, "_traced_components", stand_in)
-            flips.append(0)
             report = section_index(spec, opts, aux_twist_turns=turns)
             results.append((int(report.kappa), [c.index for c in report.components]))
         assert results == [(1, [1]), (1, [1])]
-        assert sorted(flips) == [0, 1]
+        assert sorted(negated) == [False, True]
         assert max(gaps) < 1e-9
+
+
+def det_at_sample_0(loop, middle_row, framing, ambient) -> float:
+    """det of the frame rows [manifold normals, middle_row, fields] at sample 0."""
+    fields = framing.fields[:, :1].transpose(1, 0, 2)
+    return float(np.linalg.det(_frame_rows(ambient, loop.points[:1], middle_row[None], fields)[0]))
+
+
+def reversal_rule(loop, framing, ambient):
+    """The orientation rule before _oriented, as (loop, framing, reversed).
+
+    Loop and framing are reversed unless the frame at sample 0 is right-handed.
+    """
+    if det_at_sample_0(loop, loop.tangent_at_sample(0), framing, ambient) > 0.0:
+        return loop, framing, False
+    return loop.reversed(), framing.reversed(), True
+
+
+def reversal_rule_parts(spec, system, loop, ambient, tol, turns):
+    """A zero circle's two terms under the reversal rule, as (loop, framing, middle, changed).
+
+    A left-handed term 2 negates the first field of aux and dw(aux) alike
+    (changed for term 2); term 1 is then the reversal rule's on aux.
+    """
+    aux = transport_closed_frame(loop, ambient.manifold_normals, tol)
+    if turns:
+        aux = twist_framing(loop, aux, turns)
+    tau = _section_derivative_fields(spec, system, loop, aux)
+    v0 = _on_stack(spec.splitting_field, loop.points[:1], "splitting field", loop.dimension)[0]
+    flipped = det_at_sample_0(loop, v0, tau, ambient) < 0.0
+    if flipped:
+        flip = np.diag([-1.0] + [1.0] * (aux.count - 1))
+        flips = lambda ts: np.broadcast_to(flip, (len(ts), *flip.shape))  # noqa: E731
+        aux = _recombined(aux, loop.params, flips)
+        tau = _recombined(tau, loop.params, flips)
+    back, aux, reversed_term = reversal_rule(loop, aux, ambient)
+    return [(back, aux, None, reversed_term), (loop, tau, spec.splitting_field, flipped)]
+
+
+def negated(fn):
+    """fn's values negated, called as fn is: on a stack or point by point."""
+    out = lambda x: -np.asarray(fn(x), dtype=float)  # noqa: E731
+    return stacked(out) if getattr(fn, "fbk_stacked", False) else out
+
+
+# every traced registry scenario at its defaults and with a refining lift,
+# and both S^5 sections with a twisted auxiliary frame
+ORIENTATION_CASES = [
+    *[
+        (name, overrides, 0)
+        for name in sorted(n for n, scenario in REGISTRY.items() if scenario.traced)
+        for overrides in ({}, {"lift_angle_max": 0.05})
+    ],
+    *[(name, {}, 1) for name in sorted(S5_SECTIONS)],
+]
+
+
+class TestOneOrientationRule:
+    # a frame loop's class changes neither under reversal nor under a
+    # constant rotation, so negating the first field of a left-handed frame
+    # loop gives each term the bit that reversing it gave
+    @pytest.mark.parametrize(
+        "name, overrides, turns",
+        ORIENTATION_CASES,
+        ids=[f"{n}-{'refining' if o else 'defaults'}-turns{t}" for n, o, t in ORIENTATION_CASES],
+    )
+    def test_each_term_keeps_its_bit_under_the_reversal_rule(self, name, overrides, turns):
+        scenario = REGISTRY[name]
+        spec, opts = scenario.traced(resolve_options(scenario, overrides))
+        tol = opts.tolerances
+        if isinstance(spec, SectionSpec):
+            traced = _section_map(spec)
+            ambient = sphere_ambient(traced.dimension)
+            # -v splits off the same bundle and turns term 2's frames
+            # left-handed: each rule's other branch for term 2
+            flipped = dataclasses.replace(spec, splitting_field=negated(spec.splitting_field))
+            specs = [spec, flipped]
+        else:
+            traced = spec
+            if spec.domain == "unit_sphere":
+                ambient = sphere_ambient(spec.dimension)
+            else:
+                ambient = euclidean_ambient(spec.dimension)
+            specs = [spec]
+        system = _map_system(traced)
+
+        def bits(terms):
+            return [
+                int(loop_class(frame_matrix_loop(loop, framing, ambient, tol, middle), tol))
+                for loop, framing, middle, *_ in terms
+            ]
+
+        changed = []
+        [traced_loop] = _traced_components(traced, opts)
+        # the traced circle and its reversal take both branches for term 1
+        for loop in (traced_loop, traced_loop.reversed()):
+            for each in specs:
+                if each is traced:
+                    framing = induced_framing(each, loop)
+                    back, framing_back, reversed_term = reversal_rule(loop, framing, ambient)
+                    new = [(*_oriented(loop, framing, ambient), None)]
+                    old = [(back, framing_back, None, reversed_term)]
+                else:
+                    new = _section_parts(each, system, loop, ambient, tol, turns)
+                    old = reversal_rule_parts(each, system, loop, ambient, tol, turns)
+                assert all(term[0] is loop for term in new)
+                assert bits(new) == bits(old)
+                changed.append([term[3] for term in old])
+        # the reversal rule changed each term in half of the frame loops
+        for flags in zip(*changed):
+            assert sorted(flags) == sorted([False, True] * (len(flags) // 2))
 
 
 class TestSuggestSeeds:
@@ -1926,11 +2060,6 @@ class TestSuggestSeeds:
             assert np.linalg.norm(quadric(s)) < 1e-9
 
     def test_finds_both_circles(self):
-        def two_circles(x):
-            a = x[0] ** 2 + x[1] ** 2 - 1.0
-            b = (x[0] - 4.0) ** 2 + x[1] ** 2 - 1.0
-            return np.array([a * b, x[2], x[3]])
-
         spec = MapSpec(two_circles, dimension=4)
         seeds = suggest_seeds(spec, bounds=[(-2, 6), (-2, 2), (-1, 1), (-1, 1)], per_axis=5)
         near_first = any(abs(math.hypot(s[0], s[1]) - 1.0) < 1e-6 for s in seeds)

@@ -64,8 +64,8 @@ ACCEPTANCE_OVERRIDES = (
 
 # Traced scenarios with a step cap tight enough that the lift refines: these
 # runs reach the traced loop's resamplers (the Newton point, the transported
-# frame, dw, and their reversed copies). Kept apart from ACCEPTANCE_OVERRIDES,
-# which tools/frame_timing.py reads too.
+# frame, dw, and framings whose first field is negated). Kept apart from
+# ACCEPTANCE_OVERRIDES, which tools/frame_timing.py reads too.
 TRACED_REFINERS = (
     ("suspended-hopf", ("lift_angle_max=0.05",)),
     ("s5-alt-section", ("lift_angle_max=0.05",)),
