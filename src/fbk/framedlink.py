@@ -13,9 +13,15 @@ the square matrix whose rows are [manifold normals, curve tangent, framing
 fields] (_frame_rows) orthonormalized, classifying that rotation loop, and
 flipping the bit once (plus the spin twist). A report's frames, of link
 circles or of a section's two-term zero circles, go through _frame_bits:
-one (samples, N, N) stack, one batched QR, whose Householder count gives
-each frame's orientation, and one lift; a frame loop's refiner goes
-through the same assembly one refinement level at a time. Each stage returns
+one (samples, N, N) stack, one batched QR per frame size, whose
+Householder count gives each frame's orientation, and one lift; a frame
+loop's refiner goes through the same assembly one refinement level at a
+time. A frame loop without refiner is assembled in the coordinates it
+moves: a framing field that is a constant coordinate vector e_c, with
+coordinate c zero in every other row, is dropped with c before the QR
+(_inert_reductions), since the frame is then a constant permutation of
+B + I and its loop has the class of B's (Freudenthal suspension); a
+refiner's frames at new params need not keep such pairs. Each stage returns
 the results of the components before the first failing one, and its
 error, which the report raises. kappa of a link is the xor of the
 component indices; on Euclidean ambients it agrees with the classical
@@ -693,21 +699,143 @@ def _middle_rows(part: _FramePart, points: np.ndarray, tangents: Callable[[], np
     return _on_stack(part.middle, points, "middle row", points.shape[1])
 
 
+def _inversions(order: list[int]) -> int:
+    """The pairs i < j with order[i] > order[j]: their parity is the permutation's."""
+    return sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+
+
+def _reduction(pairs: np.ndarray) -> tuple | None:
+    """The kept (frame rows, coordinates) and pairing parity of an (N, N) inert-pair mask.
+
+    Pairs are dropped highest row first, down to at least 3 kept rows;
+    None when none is dropped. The frame's determinant is B's times the
+    signs of ordering its rows and its columns as [kept, dropped pair by
+    pair], which makes it B + I; odd is whether that sign is -1.
+    """
+    dim = len(pairs)
+    rows, cols = (index.tolist() for index in pairs.nonzero())
+    kept = max(0, 3 - (dim - len(rows)))
+    if len(rows) <= kept:
+        return None
+    rows, cols = rows[kept:], cols[kept:]
+    keep_rows = [r for r in range(dim) if r not in rows]
+    keep_cols = [c for c in range(dim) if c not in cols]
+    odd = (_inversions(keep_rows + rows) + _inversions(keep_cols + cols)) % 2 == 1
+    return np.array(keep_rows), np.array(keep_cols), odd
+
+
+def _inert_reductions(
+    stack: np.ndarray, ends: Sequence[int], reducible: Sequence[bool], count: int
+) -> list:
+    """Each part's _reduction: its kept frame rows and coordinates, and their parity, or None.
+
+    A framing-field row r and a coordinate c are an inert pair of a part
+    when row r is exactly e_c at every sample and column c is exactly zero
+    in every other row; count is the number of manifold normals, whose rows
+    and the middle row never pair. Up to constant permutations of its rows
+    and columns such a frame is B + I, B its kept rows and coordinates, so
+    its orthonormalized frame is B's plus I, and its loop has B's class in
+    pi1(SO(m)) for m >= 3 (Freudenthal suspension). Only the parts flagged
+    in reducible, of the parts of the stack that end at ends, are reduced.
+    One pass over the stack finds the pairs of all parts: the entries that
+    are 1 at every sample of a part, and those that are 0.
+    """
+    out: list = [None] * len(ends)
+    dim = stack.shape[2]
+    if dim <= 3 or stack.shape[1] != dim or not any(reducible[: len(ends)]):
+        return out
+    starts = [0, *ends[:-1]]
+    zeros = np.logical_and.reduceat(stack == 0.0, starts, axis=0)
+    if not zeros[:, count].any():  # the middle row moves every coordinate
+        return out
+    ones = np.logical_and.reduceat(stack == 1.0, starts, axis=0)
+    inert = ones & (zeros.sum(axis=2) == dim - 1)[:, :, None]
+    inert &= (zeros.sum(axis=1) == dim - 1)[:, None, :]
+    inert[:, : count + 1] = False
+    found: dict[bytes, tuple | None] = {}
+    for p in np.flatnonzero(inert.any(axis=(1, 2))):
+        if reducible[p]:
+            key = inert[p].tobytes()
+            if key not in found:
+                found[key] = _reduction(inert[p])
+            out[p] = found[key]
+    return out
+
+
+def _reduced_rows(rows: np.ndarray, keep_rows, keep_cols, odd: bool) -> np.ndarray:
+    """The kept rows and coordinates of a part's rows; an odd pairing negates the last kept row.
+
+    With that row negated the reduced frame has the full frame's
+    determinant, so the QR's orientation is the full frame's, and its loop
+    is B's conjugated by a constant reflection, of the same class.
+    """
+    out = rows[:, keep_rows[:, None], keep_cols]
+    if odd:
+        out[:, -1] *= -1.0
+    return out
+
+
+def _frame_sets(stack: np.ndarray, ends: Sequence[int], reductions: Sequence, tol: Tolerances):
+    """The QR of the parts' frame rows: their frames, each row's orientation, the first rank error.
+
+    Parts of one frame size share one _orthonormal_sets call; a part with
+    a reduction enters as its _reduced_rows and numbers its vectors by
+    their rows among all N. Returns each part's frames, a (rows,) bool
+    array that is True where det < 0, and (row in the stack, RankDeficient)
+    of the first dependent row, or None.
+    """
+    bounds = [0, *ends]
+    groups: dict[int, list[int]] = {}
+    for p, reduction in enumerate(reductions):
+        groups.setdefault(-1 if reduction is None else len(reduction[0]), []).append(p)
+    frames: list = [None] * len(ends)
+    flipped = np.zeros(len(stack), dtype=bool)
+    dependent = None
+
+    def part_rows(p: int) -> np.ndarray:
+        rows = stack[bounds[p] : bounds[p + 1]]
+        return rows if reductions[p] is None else _reduced_rows(rows, *reductions[p])
+
+    for members in groups.values():
+        if not any(reductions):
+            group = stack
+        else:
+            sets = [part_rows(p) for p in members]
+            group = sets[0] if len(sets) == 1 else np.concatenate(sets)
+        vectors = None if reductions[members[0]] is None else [reductions[p][0] for p in members]
+        firsts = [0, *itertools.accumulate(bounds[p + 1] - bounds[p] for p in members)]
+        (q, orientation), failed = _orthonormal_sets(group, tol.ortho_tol, firsts[:-1], vectors)
+        for p, a, b in zip(members, firsts, firsts[1:]):
+            frames[p] = q[a:b]
+            if orientation is not None:
+                flipped[bounds[p] : bounds[p + 1]] = orientation[a:b]
+        if failed is not None:
+            n = bisect.bisect_right(firsts, failed.index) - 1
+            row = bounds[members[n]] + failed.index - firsts[n]
+            if dependent is None or row < dependent[0]:
+                dependent = row, failed
+    return frames, flipped, dependent
+
+
 def _assemble_frames(
     ambient: AmbientPresentation,
     parts: Sequence[_FramePart],
     rows: Sequence[np.ndarray],
     tol: Tolerances,
     where: Callable[[int], str],
+    reducible: Sequence[bool] = (),
 ) -> tuple[list[np.ndarray], Exception | None]:
-    """The (K, N, N) frames of the parts before the first failing one, and its error.
+    """The frames of the parts before the first failing one, and its error.
 
-    rows holds the _frame_rows of the first parts, orthonormalized by one
-    QR. Each check runs over the parts that passed the earlier ones:
-    finite rows, orthonormal normals orthogonal to the middle row, rank
-    (or the part's rank_error), orientation (det Q < 0, the parity that
-    the QR gives). A failing row cuts the stack before its part, and the
-    error names it as where(k), k in the part.
+    rows holds the _frame_rows of the first parts. Each check runs over
+    the parts that passed the earlier ones: finite rows, orthonormal
+    normals orthogonal to the middle row, rank (or the part's rank_error),
+    orientation (det < 0, the parity that the QR gives). A failing row cuts
+    the stack before its part, and the error names it as where(k), k in
+    the part. A part flagged in reducible has its inert pairs dropped
+    (_inert_reductions) before the QR, and its frames are (K, m, m);
+    parts of one frame size share one QR. A rank error still numbers the
+    vectors among all N rows, and the orientation is the full frame's.
     """
     if not rows:
         return [], None
@@ -745,12 +873,13 @@ def _assemble_frames(
             failure = ValidationError(
                 f"manifold normal {np.argmax(leaning[row])} is not orthogonal to the curve at {at}"
             )
-    (frames, flipped), dependent = _orthonormal_sets(stack, tol.ortho_tol, [0, *ends[:-1]])
+    reductions = _inert_reductions(stack, ends, reducible, count)
+    frames, flipped, dependent = _frame_sets(stack, ends, reductions, tol)
     if dependent is not None:
-        part, k = cut(dependent.index)
+        part, k = cut(dependent[0])
         failure = RankDeficient(
             f"frame rows [manifold normals, {_middle_name(part.middle)}, framing fields] are "
-            f"dependent at {where(k)}: {dependent}",
+            f"dependent at {where(k)}: {dependent[1]}",
             index=k,
         )
         if part.rank_error is not None:
@@ -758,14 +887,14 @@ def _assemble_frames(
             failure.__cause__ = cause
     if not ends:  # every part failed; with more rows than N, frames is not square
         return [], failure
-    frames, flipped = frames[: len(stack)], flipped[: len(stack)]
+    flipped = flipped[: len(stack)]
     if flipped.any():
         part, k = cut(int(np.argmax(flipped)))
         failure = OrientationMismatch(
             f"assembled frame has determinant -1 at {where(k)}; row order is "
             f"[manifold normals, {_middle_name(part.middle)}, framing fields]"
         )
-    return [frames[a:b] for a, b in zip([0, *ends], ends)], failure
+    return frames[: len(ends)], failure
 
 
 def _frame_loops(
@@ -775,9 +904,12 @@ def _frame_loops(
 
     Each part in turn meets _check_component and runs its callbacks, once
     per stack; a breach, or a callback that raises, fails its part. Each
-    RotationLoop holds a view of the frames and its part's refiner.
-    Nothing is noted.
+    RotationLoop holds a view of the frames and its part's refiner. A part
+    without a refiner is assembled in the coordinates it moves: its inert
+    pairs are dropped (_inert_reductions), since a refiner's frames at new
+    params need not keep them. Nothing is noted.
     """
+    refiners = [_frame_refiner(part, ambient, tol) for part in parts]
     rows, failure = [], None
     for part in parts:
         loop = part.loop
@@ -789,11 +921,13 @@ def _frame_loops(
         except Exception as exc:  # noqa: BLE001 - a geometry callback's error is its part's
             failure = exc
             break
-    frames, assembly_failure = _assemble_frames(ambient, parts, rows, tol, lambda k: f"sample {k}")
+    frames, assembly_failure = _assemble_frames(
+        ambient, parts, rows, tol, lambda k: f"sample {k}", [r is None for r in refiners]
+    )
     # _assemble_frames has checked the frames and SampledLoop the params
     loops = [
-        RotationLoop._prechecked(f, _frame_refiner(part, ambient, tol), list(part.loop.params))
-        for part, f in zip(parts, frames)
+        RotationLoop._prechecked(f, refiner, list(part.loop.params))
+        for part, f, refiner in zip(parts, frames, refiners)
     ]
     return loops, assembly_failure or failure
 
@@ -836,9 +970,14 @@ def frame_matrix_loop(
     orthonormalized frame in the standard basis, of determinant +1; all
     samples are assembled as one stack. When both the loop and the framing
     resample, the loop carries a refiner that assembles the frames at a
-    stack of params the same way. Every assembled frame is noted as
-    frames_assembled. The reports assemble the frame loops of all their
-    components as one stack, of which this is the stack of one.
+    stack of params the same way. Otherwise the frames are those rows and
+    coordinates that are not inert pairs (a framing field that is e_c at
+    every sample, coordinate c zero in every other row), at least 3: the
+    samples are (K, m, m), of the class of the N x N loop, the last kept
+    row negated where the pairing is odd. Every assembled frame is noted
+    as frames_assembled. The reports assemble the frame loops of all their
+    components as one stack, of which this is the stack of one: the loop
+    a report lifts.
     """
     (rl,) = _values(_frame_loops([_FramePart(loop, framing, middle)], ambient, tol))
     _note_add("frames_assembled", len(rl))

@@ -54,14 +54,17 @@ the Householder scalars tau that np.linalg.qr drops: each reflector
 I - tau v v^T of LAPACK's dgeqrf is the identity when tau = 0 and has
 determinant -1 otherwise (LAPACK Users' Guide, 3rd ed., on elementary
 reflectors), so the orientation of a square set is a parity and needs no
-determinant. jacobian_fd calls f once per row of one (2N, N) stack of
-perturbations, p + h I on top of p - h I, and makes one array of the 2N
-values. The traced map stays a per-point callable because the walk
-evaluates its residual one point at a time: on a 2-core Xeon VM a
-stacked suspended-Hopf map cost 54 us at K = 1 against 12 us per point,
-and stacking jacobian_fd saved 0.05 s per 3 scenarios rounds while the
-residual lost 0.11 s. The dot products of
-_mgs stay one 1-d `q @ w` at a time: the BLAS dot rounds differently from
+determinant. Where numpy has renamed or moved those private gufuncs, _svd
+and _qr call np.linalg.svd and np.linalg.qr (mode "raw" for tau, mode
+"reduced" for Q and R) instead: the same gufuncs behind the wrappers, so
+the same bits and the same typed failures. jacobian_fd calls f once per
+row of one (2N, N) stack of perturbations, p + h I on top of p - h I, and
+makes one array of the 2N values. The traced map stays a per-point
+callable because the walk evaluates its residual one point at a time: on
+a 2-core Xeon VM a stacked suspended-Hopf map cost 54 us at K = 1 against
+12 us per point, and stacking jacobian_fd saved 0.05 s per 3 scenarios
+rounds while the residual lost 0.11 s. The dot products of _mgs stay
+one 1-d `q @ w` at a time: the BLAS dot rounds differently from
 a matrix-vector product, einsum or a row sum (it fuses multiply-adds even
 at length 2), so a vectorized projection would move the bits of the two
 bases _mgs builds. The transported frame's projections are matrix
@@ -82,25 +85,33 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import EvaluationFailure, RankDeficient
 
 
-def _gufunc_pair(name: str, wide: str, other: str) -> tuple:
+def _gufunc_pair(module, name: str, wide: str, other: str) -> tuple:
     """numpy's LAPACK gufunc for wide matrices and for the others, as numpy.linalg picks them.
 
     numpy 2 has one gufunc, `name`, for both; numpy 1.x has `wide` for an
     (m, n) matrix with m < n (m <= n for the QR) and `other` for the rest.
+    A name missing from module is an AttributeError.
     """
-    if hasattr(_umath_linalg, name):
-        return (getattr(_umath_linalg, name),) * 2
-    return getattr(_umath_linalg, wide), getattr(_umath_linalg, other)
+    if hasattr(module, name):
+        return (getattr(module, name),) * 2
+    return getattr(module, wide), getattr(module, other)
 
 
-# np.linalg.svd's gufunc for full matrices, and the first stage of np.linalg.qr
-_SVD_GUFUNCS = _gufunc_pair("svd_f", "svd_m_f", "svd_n_f")
-_QR_RAW_GUFUNCS = _gufunc_pair("qr_r_raw", "qr_r_raw_m", "qr_r_raw_n")
+try:
+    from numpy.linalg import _umath_linalg
+
+    # np.linalg.svd's gufunc for full matrices, and the two stages of np.linalg.qr
+    _SVD_GUFUNCS = _gufunc_pair(_umath_linalg, "svd_f", "svd_m_f", "svd_n_f")
+    _QR_RAW_GUFUNCS = _gufunc_pair(_umath_linalg, "qr_r_raw", "qr_r_raw_m", "qr_r_raw_n")
+    _QR_REDUCED = _umath_linalg.qr_reduced
+except (ImportError, AttributeError):
+    # numpy's private gufuncs moved: _svd and _qr call np.linalg.svd and
+    # np.linalg.qr, which call the same gufuncs through their wrappers
+    _SVD_GUFUNCS = _QR_RAW_GUFUNCS = _QR_REDUCED = None
 
 
 @dataclass(frozen=True)
@@ -337,14 +348,21 @@ def _svd(J: np.ndarray) -> tuple:
     """
     try:
         with np.errstate(invalid="raise"):
+            if _SVD_GUFUNCS is None:
+                return np.linalg.svd(J)
             return _SVD_GUFUNCS[J.shape[0] >= J.shape[1]](J, signature="d->ddd")
-    except FloatingPointError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise EvaluationFailure(
             f"the SVD of a {J.shape[0]} x {J.shape[1]} matrix failed in LAPACK"
         ) from exc
 
 
-def _qr(stack: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
+def _qr(
+    stack: np.ndarray,
+    tol: float,
+    starts: Sequence[int] = (0,),
+    vectors: Sequence[Sequence[int]] | None = None,
+) -> tuple:
     """Q (K, N, c), R (K, c, c), orientation and rank failure of the transposed (K, c, N) stack.
 
     Q and R are np.linalg.qr's of the transposed stack, bit for bit, with
@@ -356,33 +374,41 @@ def _qr(stack: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
     with tau != 0 and f the flipped columns. The failure is None, or the
     RankDeficient of the first set with some |R_ii| < tol, index its place
     in the stack and counted in its message from the last of starts at or
-    before it; the sets before it keep their Q and R. When c > N it is the
-    whole stack's, index 0, and Q and R hold no sets. A non-finite stack,
-    or a failure inside LAPACK, is an EvaluationFailure.
+    before it, whose entry of vectors, when given, numbers its vectors in
+    the message (by default, vector i is i); the sets before it keep their
+    Q and R. When c > N it is the whole stack's, index 0, and Q and R hold
+    no sets. A non-finite stack, or a failure inside LAPACK, is an
+    EvaluationFailure.
     """
     _require_finite(stack)
     count, dim = stack.shape[1:]
     if count > dim:
         failure = RankDeficient(f"{count} vectors cannot be independent in R^{dim}", index=0)
         return np.empty((0, dim, count)), np.empty((0, count, count)), None, failure
-    # qr_r_raw overwrites its input with R and the reflectors, so it gets
-    # a private copy, laid out as np.linalg.qr lays out its own
-    A = stack.transpose(0, 2, 1).copy(order="K")
+    A = stack.transpose(0, 2, 1)
     try:
         with np.errstate(invalid="raise"):
-            tau = _QR_RAW_GUFUNCS[dim > count](A, signature="d->d")
-            Q = _umath_linalg.qr_reduced(A, tau, signature="dd->d")
-    except FloatingPointError as exc:
+            if _QR_REDUCED is None:
+                tau = np.linalg.qr(A, mode="raw")[1]
+                Q, R = np.linalg.qr(A)
+            else:
+                # qr_r_raw overwrites its input with R and the reflectors, so
+                # it gets a private copy, laid out as np.linalg.qr lays out its own
+                A = A.copy(order="K")
+                tau = _QR_RAW_GUFUNCS[dim > count](A, signature="d->d")
+                Q = _QR_REDUCED(A, tau, signature="dd->d")
+                R = np.triu(A[:, :count, :])
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise EvaluationFailure(f"the QR of a {stack.shape} stack failed in LAPACK") from exc
-    R = np.triu(A[:, :count, :])
     diag = np.diagonal(R, axis1=1, axis2=2)
     dependent = np.abs(diag) < tol
     failure = None
     if dependent.any():
         k, i = np.argwhere(dependent)[0]
+        j = max(n for n, s in enumerate(starts) if s <= k)
         failure = RankDeficient(
-            f"vector {i} of set {k - max(s for s in starts if s <= k)} is dependent on its "
-            f"predecessors (residual {abs(diag[k, i]):.3e})",
+            f"vector {i if vectors is None else vectors[j][i]} of set {k - starts[j]} is "
+            f"dependent on its predecessors (residual {abs(diag[k, i]):.3e})",
             index=int(k),
         )
     sign = np.sign(diag)
@@ -397,9 +423,14 @@ def _qr(stack: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
     return Q, R, flipped, failure
 
 
-def _orthonormal_sets(V: np.ndarray, tol: float, starts: Sequence[int] = (0,)) -> tuple:
+def _orthonormal_sets(
+    V: np.ndarray,
+    tol: float,
+    starts: Sequence[int] = (0,),
+    vectors: Sequence[Sequence[int]] | None = None,
+) -> tuple:
     """((sets, orientation), failure) of `_qr`: its Q as the (K, c, N) orthonormal sets of V."""
-    Q, _, flipped, failure = _qr(V, tol, starts)
+    Q, _, flipped, failure = _qr(V, tol, starts, vectors)
     return (Q.transpose(0, 2, 1), flipped), failure
 
 

@@ -82,7 +82,7 @@ from .numkit import (
     jacobian_fd,
     recording,
 )
-from .spinlift import Z2, _givens
+from .spinlift import _MAX_REFINED_SAMPLES, Z2, _givens
 
 
 @dataclass
@@ -597,22 +597,30 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         raise NotClosed(f"no closure within {opts.max_steps} steps")
     pts = np.asarray(points)
     carried = np.asarray(tangents)
-    # the latest stack of params resampled: its corrected points and, once
-    # asked for, their tangents and raw Jacobians. The lift's refiners ask
-    # for the points, the tangents and the fields at one stack in turn.
-    last: dict = {}
+    # every stack of params resampled, keyed on its bytes: its corrected
+    # points and, once asked for, their tangents and raw Jacobians. A lift's
+    # refiner asks for the points, the tangents and the fields at one stack
+    # in turn, and both terms of a zero circle refine this one loop at the
+    # same stacks, the second after the first has refined all its levels.
+    # The stacks kept hold at most _MAX_REFINED_SAMPLES params, the params
+    # of one refinement to the cap; the oldest go first.
+    stacks: dict[bytes, dict] = {}
 
     def resampled(ts: np.ndarray, key: str) -> np.ndarray:
-        if not np.array_equal(ts, last.get("ts")):
+        entry = stacks.get(ts.tobytes())
+        if entry is None:
+            held = sum(len(kept["points"]) for kept in stacks.values())
+            while stacks and held + len(ts) > _MAX_REFINED_SAMPLES:
+                held -= len(stacks.pop(next(iter(stacks)))["points"])
             i, w = loop._segment(ts)
             starts = (1.0 - w)[:, None] * pts[i] + w[:, None] * pts[(i + 1) % len(pts)]
-            last.clear()
-            last.update(ts=ts.copy(), points=np.array([_newton(system, x, tol)[0] for x in starts]))
-        if key not in last:
+            entry = {"points": np.array([_newton(system, x, tol)[0] for x in starts])}
+            stacks[ts.tobytes()] = entry
+        if key not in entry:
             previous = carried[loop._segment(ts)[0]]
-            found = [_tangent_of(system, p, t, tol)[:2] for p, t in zip(last["points"], previous)]
-            last["tangents"], last["jacobians"] = map(np.array, zip(*found))
-        return last[key].copy()
+            found = [_tangent_of(system, p, t, tol)[:2] for p, t in zip(entry["points"], previous)]
+            entry["tangents"], entry["jacobians"] = map(np.array, zip(*found))
+        return entry[key].copy()
 
     resample = _one_or_stack(lambda ts: resampled(ts, "points"))
     resample_tangent = _one_or_stack(lambda ts: resampled(ts, "tangents"))

@@ -1180,22 +1180,40 @@ class TestLinkStack:
         return calls
 
     def test_one_qr_and_one_kernel_pass_per_report(self, rng, monkeypatch):
-        # link-files-shaped: 4 components of 64 samples in R^8, all moving
-        # the same 4 coordinates
-        in_four = np.arange(8) < 4
-        comps = [
-            twisted_circle(8, 64, (t, 0), 3.0 * i, rng.normal(size=(2, 2, 8)) * 0.02 * in_four)
-            for i, t in enumerate((0, 1, 2, 3))
-        ]
-        link = FramedLink(comps, euclidean_ambient(8))
-        alone = [index_of_circle(loop, framing, link.ambient) for loop, framing in comps]
-        assert alone == [Z2(0), Z2(1), Z2(0), Z2(1)]
+        # link-files-shaped: 4 components of 64 samples in R^8 and in R^12,
+        # all moving the same 4 coordinates, so the one QR factors 4 x 4 frames
+        import fbk.numkit as numkit
+
+        links = []
+        for dim in (8, 12):
+            in_four = np.arange(dim) < 4
+            comps = [
+                twisted_circle(
+                    dim, 64, (t, 0), 3.0 * i, rng.normal(size=(2, 2, dim)) * 0.02 * in_four
+                )
+                for i, t in enumerate((0, 1, 2, 3))
+            ]
+            links.append(FramedLink(comps, euclidean_ambient(dim)))
+        for link in links:
+            alone = [index_of_circle(loop, framing, link.ambient) for loop, framing in link.components]
+            assert alone == [Z2(0), Z2(1), Z2(0), Z2(1)]
         calls = self.spied(monkeypatch)
-        report = invariant_report(link)
-        assert calls == {"_rotors": 1, "_qr": 1}
-        assert [c.index for c in report.components] == [int(b) for b in alone]
-        assert kappa(link) == Z2(0) and delta_pontryagin(link) == Z2(0)
-        assert calls == {"_rotors": 3, "_qr": 3}
+        sizes = []
+        counted = numkit._qr
+
+        def sized(stack, *args):
+            sizes.append(stack.shape[1:])
+            return counted(stack, *args)
+
+        monkeypatch.setattr(numkit, "_qr", sized)
+        for link in links:
+            calls.update(_rotors=0, _qr=0)
+            sizes.clear()
+            report = invariant_report(link)
+            assert calls == {"_rotors": 1, "_qr": 1} and sizes == [(4, 4)]
+            assert [c.index for c in report.components] == [0, 1, 0, 1]
+            assert kappa(link) == Z2(0) and delta_pontryagin(link) == Z2(0)
+            assert calls == {"_rotors": 3, "_qr": 3}
 
     def spied_with_callbacks(self, monkeypatch):
         """Calls of _qr, _rotors, the loops' stacked tangents and the frame refiners."""
@@ -1392,3 +1410,163 @@ class TestLinkStack:
             with recording() as got, pytest.raises(Exception):
                 report(link)
             assert got == want
+
+
+def stabilized(rng, loop: SampledLoop, framing: NormalFraming, dim: int) -> tuple:
+    """A framed circle of R^m moved into R^dim with constant fields e_c in the new coordinates.
+
+    The new coordinates are dim - m random ones, each constant along the
+    loop; the fields e_c of those coordinates, in random order, take random
+    places among the framing's fields. Where that pairing is odd, the frame
+    is left-handed until the first old field is negated, which conjugates
+    the frame loop by a constant reflection and keeps its class. Returns
+    the loop, its framing (neither resamples) and whether it was odd.
+    """
+    m = loop.dimension
+    new = np.sort(rng.choice(dim, size=dim - m, replace=False))
+    old = np.setdiff1d(np.arange(dim), new)
+    points = np.zeros((len(loop), dim))
+    points[:, old] = loop.points
+    points[:, new] = rng.normal(size=dim - m)
+    places = set(rng.choice(dim - 1, size=dim - m, replace=False).tolist())
+    olds, constants = iter(framing.fields), iter(rng.permutation(new))
+    fields = np.zeros((dim - 1, len(loop), dim))
+    for j in range(dim - 1):
+        if j in places:
+            fields[j, :, next(constants)] = 1.0
+        else:
+            fields[j][:, old] = next(olds)
+    stable = SampledLoop(points)
+    first_old = min(set(range(dim - 1)) - places)
+    odd = np.linalg.det(np.vstack([stable.tangent_at_sample(0), fields[:, 0]])) < 0.0
+    if odd:
+        fields[first_old] *= -1.0
+    return stable, NormalFraming(fields), bool(odd)
+
+
+def generic_link(rng, m: int, turns) -> list:
+    """Framed wavy circles in R^m, one per twist count, 3 apart, rotated to move every coordinate."""
+    comps = []
+    for i, t in enumerate(turns):
+        loop = wavy_circle(rng, dim=m, samples=96)
+        framing = twist_framing(loop, standard_framing(loop, m), t)
+        Q = random_rotation(rng, m)
+        points = loop.points @ Q.T + 3.0 * i * np.eye(m)[0]
+        comps.append((SampledLoop(points), NormalFraming(framing.fields @ Q.T)))
+    return comps
+
+
+class TestInertPairs:
+    """A frame loop without refiner drops its constant coordinate fields before the QR."""
+
+    def test_stabilized_links_keep_their_bits(self, rng, tmp_path, capsys):
+        from fbk import cli
+
+        pairings = set()
+        for m in (3, 4, 5):
+            for trial in range(4):
+                comps = generic_link(rng, m, rng.integers(0, 3, size=2))
+                want = invariant_report(FramedLink(comps, euclidean_ambient(m))).to_dict()
+                indices = [c["index"] for c in want["components"]]
+                dim = int(rng.integers(m + 1, 13))
+                moved = [stabilized(rng, loop, framing, dim) for loop, framing in comps]
+                pairings.update(odd for _, _, odd in moved)
+                moved = [(loop, framing) for loop, framing, _ in moved]
+                ambient = euclidean_ambient(dim)
+                for loop, framing in moved:
+                    rl = frame_matrix_loop(loop, framing, ambient)
+                    assert rl.dim == max(m, 3)
+                    RotationLoop(rl.samples, None, rl.params)  # rotations, odd pairings too
+                got = invariant_report(FramedLink(moved, ambient))
+                assert [c.index for c in got.components] == indices
+                assert int(got.kappa) == want["kappa"]
+                doc = {
+                    "ambient": {"kind": "euclidean", "dimension": dim},
+                    "components": [
+                        {"points": loop.points.tolist(), "framing": framing.fields.tolist()}
+                        for loop, framing in moved
+                    ],
+                }
+                path = write_link_file(tmp_path, doc, f"stable-{m}-{trial}.json")
+                assert cli.main(["link", path]) == 0
+                out = json.loads(capsys.readouterr().out)
+                assert [c["index"] for c in out["components"]] == indices
+                assert out["kappa"] == want["kappa"]
+        assert pairings == {False, True}
+
+    @pytest.mark.parametrize("entry", ["the field's one", "the field's zero", "another row's zero"])
+    def test_one_ulp_off_keeps_every_coordinate(self, rng, entry):
+        # four moving coordinates of R^5, and field 3 is the constant e_4
+        wobble = rng.normal(size=(2, 2, 5)) * 0.02 * (np.arange(5) < 4)
+        loop, framing = twisted_circle(5, 64, (1, 0), 0.0, wobble)
+        fields = framing.fields.copy()
+        ambient = euclidean_ambient(5)
+        rl = frame_matrix_loop(loop, NormalFraming(fields), ambient)
+        bit = index_of_circle(loop, NormalFraming(fields), ambient)
+        assert rl.dim == 4 and bit == Z2(1)
+        row, coordinate = {
+            "the field's one": (3, 4), "the field's zero": (3, 0), "another row's zero": (0, 4)
+        }[entry]
+        value = fields[row, 40, coordinate]
+        fields[row, 40, coordinate] = np.nextafter(value, 2.0)
+        assert frame_matrix_loop(loop, NormalFraming(fields), ambient).dim == 5
+        assert index_of_circle(loop, NormalFraming(fields), ambient) == bit
+
+    def test_resampled_loop_keeps_every_coordinate(self):
+        # a plane circle of R^6 framed by e_3, e_4 and e_5 among its fields
+        loop, framing = resampled_circle(6, 64, 1, 0.0)
+        ambient = euclidean_ambient(6)
+        assert frame_matrix_loop(loop, framing, ambient).dim == 6
+        bare = SampledLoop(loop.points, None, loop.params, loop._sample_tangents)
+        assert frame_matrix_loop(bare, NormalFraming(framing.fields), ambient).dim == 3
+        assert index_of_circle(loop, framing, ambient) == index_of_circle(
+            bare, NormalFraming(framing.fields), ambient
+        )
+
+    @staticmethod
+    def full_and_reduced(loop: SampledLoop, fields: np.ndarray):
+        """The component without resamplers, and with them: the second keeps all N coordinates.
+
+        Both have the same sample tangents and fields, so the same frame rows.
+        """
+        tangents = loop._sample_tangents
+        bare = (SampledLoop(loop.points, None, loop.params, tangents), NormalFraming(fields))
+        resampled = (
+            SampledLoop(loop.points, lambda t: loop.points[0], loop.params, tangents),
+            NormalFraming(fields, lambda t: fields[:, 0]),
+        )
+        return bare, resampled
+
+    # the pairs of e_4 and e_5 with their rows are even in the first two
+    # orders and odd in the last, whose radial field is negated to keep the
+    # frames right-handed
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (3, 0, 1, 4, 2), (3, 0, 1, 2, 4)])
+    def test_errors_are_those_of_the_full_frames(self, rng, order):
+        # R^6 with 4 moving coordinates: fields 3 and 4 are e_4 and e_5, and
+        # order puts them in other rows too; sample 17 makes field 0 the
+        # tangent, and from sample 23 field 1 is negated
+        wobble = rng.normal(size=(2, 2, 6)) * 0.02 * (np.arange(6) < 4)
+        loop, framing = twisted_circle(6, 64, (1, 0), 0.0, wobble)
+        fields = framing.fields[list(order)].copy()
+        radial = order.index(0)
+        if np.linalg.det(np.vstack([loop.tangent_at_sample(0), fields[:, 0]])) < 0.0:
+            fields[radial] *= -1.0
+        dependent = fields.copy()
+        dependent[radial, 17] = loop.tangent_at_sample(17)
+        flipped = fields.copy()
+        flipped[order.index(1), 23:] *= -1.0
+        ambient = euclidean_ambient(6)
+        bare, resampled = self.full_and_reduced(loop, fields)
+        assert frame_matrix_loop(*bare, ambient).dim == 4
+        assert frame_matrix_loop(*resampled, ambient).dim == 6
+        for bad, error, message in (
+            (dependent, RankDeficient, f"at sample 17: vector {radial + 1} of set 17 "),
+            (flipped, OrientationMismatch, "determinant -1 at sample 23;"),
+        ):
+            bare, resampled = self.full_and_reduced(loop, bad)
+            with pytest.raises(error, match=message) as full:
+                frame_matrix_loop(*resampled, ambient)
+            for compute in (frame_matrix_loop, index_of_circle):
+                with pytest.raises(error) as reduced:
+                    compute(*bare, ambient)
+                assert str(reduced.value) == str(full.value)

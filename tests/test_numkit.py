@@ -169,6 +169,65 @@ class TestLapackEntries:
                 _qr(J[None, :, :4], DEFAULT_TOL.ortho_tol)
 
 
+# the private gufunc names numkit reads, with their numpy 1.x spellings
+GUFUNC_NAMES = {
+    "svd_f": ("svd_f", "svd_m_f", "svd_n_f"),
+    "qr_r_raw": ("qr_r_raw", "qr_r_raw_m", "qr_r_raw_n"),
+    "qr_reduced": ("qr_reduced",),
+}
+
+
+class TestLapackFallback(TestLapackEntries):
+    """Every test of TestLapackEntries, with numkit imported as if numpy had moved its gufuncs."""
+
+    @pytest.fixture(autouse=True, params=["module", *GUFUNC_NAMES])
+    def moved(self, request, monkeypatch):
+        """numkit reloaded without numpy.linalg._umath_linalg, or without one of its names.
+
+        The reload runs in numkit's own module dict, which the functions
+        imported above read; the dict is restored afterwards.
+        """
+        import importlib
+        import sys
+        import types
+
+        import numpy.linalg
+
+        import fbk.numkit as numkit
+
+        real = numpy.linalg._umath_linalg
+        if request.param == "module":
+            monkeypatch.setitem(sys.modules, real.__name__, None)
+            monkeypatch.delattr(numpy.linalg, "_umath_linalg")
+        else:
+            stripped = types.ModuleType(real.__name__)
+            for name in dir(real):
+                if name not in GUFUNC_NAMES[request.param]:
+                    setattr(stripped, name, getattr(real, name))
+            monkeypatch.setattr(numpy.linalg, "_umath_linalg", stripped)
+        saved = dict(vars(numkit))
+        try:
+            importlib.reload(numkit)
+            assert numkit._SVD_GUFUNCS is numkit._QR_RAW_GUFUNCS is numkit._QR_REDUCED is None
+            yield
+        finally:
+            vars(numkit).clear()
+            vars(numkit).update(saved)
+
+    def test_calls_go_through_numpy_linalg(self, rng, monkeypatch):
+        calls = []
+        for name in ("svd", "qr"):
+
+            def spy(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+                calls.append((name, kwargs.get("mode")))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        _svd(rng.normal(size=(3, 4)))
+        _qr(rng.normal(size=(2, 3, 3)), DEFAULT_TOL.ortho_tol)
+        assert calls == [("svd", None), ("qr", "raw"), ("qr", None)]
+
+
 class TestLeastSquares:
     def test_identity(self):
         x = least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))

@@ -75,6 +75,24 @@ def test_integer_diagnostics(
     assert record.get("jacobian_evaluations") == jacobians
 
 
+@pytest.mark.parametrize(
+    "name, iterations, jacobians", [("s5-alt-section", 824, 443), ("s5-vector-fields", 826, 442)]
+)
+def test_zero_circle_terms_share_their_resampled_points(name, iterations, jacobians):
+    # at lift_angle_max 0.05 both terms of the zero circle refine the one
+    # traced loop at the same param stacks, and the second term takes the
+    # first's corrected points, tangents and Jacobians: 188 Newton calls and
+    # 376 Jacobians fewer than correcting each term's params anew (440 calls,
+    # 819 and 818 Jacobians)
+    with recording() as record:
+        report = run_scenario(name, {"lift_angle_max": 0.05})
+    assert int(report.kappa) == 1 and report.diagnostics["refinement_depth"] == 3
+    assert record["lift_steps"] == record["frames_assembled"] == 500
+    assert record["newton_calls"] == 252
+    assert record["newton_iterations"] == iterations
+    assert record["jacobian_evaluations"] == jacobians
+
+
 TRACED = sorted(name for name, scenario in REGISTRY.items() if scenario.traced)
 
 

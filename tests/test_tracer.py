@@ -858,6 +858,29 @@ class TestOneTangentOnAndBetweenSamples:
         assert record["jacobian_evaluations"] == 3 * (1 + 1)
         assert record["frames_assembled"] == 3
 
+    def test_resampled_stacks_are_kept_up_to_the_refinement_cap(self, monkeypatch):
+        # every stack of params is corrected once while the stacks kept hold
+        # at most _MAX_REFINED_SAMPLES params; the oldest stack goes first
+        import fbk.tracer as tracer
+
+        monkeypatch.setattr(tracer, "_MAX_REFINED_SAMPLES", 5)
+        loop = trace_component(quadric_spec(), SEED, TraceOptions())
+        first, second = np.array([0.013, 0.5, 0.77]), np.array([0.2, 0.6])
+
+        def corrections(ts):
+            with recording() as record:
+                points = loop._points_at(ts)
+            return record.get("newton_calls", 0), points
+
+        calls, points = corrections(first)
+        assert calls == 3
+        assert corrections(second)[0] == 2
+        again, kept = corrections(first)
+        assert again == 0 and np.array_equal(kept, points)
+        assert corrections(np.array([0.9]))[0] == 1  # 6 params: the first stack goes
+        assert corrections(second)[0] == 0
+        assert corrections(first)[0] == 3
+
 
 def uncarried(loop: SampledLoop) -> SampledLoop:
     """loop as a plain SampledLoop: the same samples, tangents and resamplers, no Jacobians."""

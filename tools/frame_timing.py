@@ -41,9 +41,12 @@ R^8 and R^12, moving 4 coordinates, without resamplers), one line each:
     assembles all its components' frames as one stack and lifts them
     together, the minimum over --repeat calls;
   - frames_assembled, as above; qr_calls, the calls of the batched QR
-    `numkit._qr`; det_calls, the calls of `numpy.linalg.det` (0: the QR
-    gives each frame's orientation); and givens_passes, the calls of the
-    lift's Givens kernel `spinlift._rotors`, each in one report.
+    `numkit._qr`; frame_size, the size of the frames those calls factor
+    (4 for all three: a component's constant coordinate fields are dropped
+    before its QR, so each link is factored in the 4 coordinates it
+    moves); det_calls, the calls of `numpy.linalg.det` (0: the QR gives
+    each frame's orientation); and givens_passes, the calls of the lift's
+    Givens kernel `spinlift._rotors`, each in one report.
 
 The R^8 link is run once more with its last component coarse (its framing
 turned 16 more times, past the lift's angle bound at every step), so its
@@ -243,19 +246,25 @@ def report(link):
 
 
 def timed_report(link, repeat: int):
-    """(report_ms, frames_assembled, qr_calls, det_calls, givens_passes) of one link's report."""
+    """(report_ms, frames_assembled, qr_calls, frame_size, det_calls, givens_passes) of a report.
+
+    frame_size is the sizes of the frames the QR calls factor, comma-separated.
+    """
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
         report(link)
         best = min(best, time.perf_counter() - start)
     calls = {"_qr": 0, "det": 0, "_rotors": 0}
+    sizes = set()
     spied = [(numkit, "_qr"), (np.linalg, "det"), (spinlift, "_rotors")]
     originals = [getattr(module, name) for module, name in spied]
     for (module, name), real in zip(spied, originals):
 
         def counted(*args, real=real, name=name):
             calls[name] += 1
+            if name == "_qr":
+                sizes.add(args[0].shape[2])
             return real(*args)
 
         setattr(module, name, counted)
@@ -266,7 +275,8 @@ def timed_report(link, repeat: int):
         for (module, name), real in zip(spied, originals):
             setattr(module, name, real)
     frames = record.get("frames_assembled", 0)
-    return 1e3 * best, frames, calls["_qr"], calls["det"], calls["_rotors"]
+    size = ",".join(map(str, sorted(sizes)))
+    return 1e3 * best, frames, calls["_qr"], size, calls["det"], calls["_rotors"]
 
 
 def timed_load(document: dict, directory: str, repeat: int):
@@ -316,7 +326,8 @@ def main(argv=None) -> int:
               f"{jacobians:20d}")
     print()
     print(f"{'link-file-shaped link':40s} {'K':>4s} {'loops':>5s} {'report_ms':>9s} "
-          f"{'frames_assembled':>16s} {'qr_calls':>8s} {'det_calls':>9s} {'givens_passes':>13s}")
+          f"{'frames_assembled':>16s} {'qr_calls':>8s} {'frame_size':>10s} {'det_calls':>9s} "
+          f"{'givens_passes':>13s}")
     rng = np.random.default_rng(7)
     documents = {}
     for dim in (4, 8, 12):
@@ -324,10 +335,10 @@ def main(argv=None) -> int:
     reports = {**documents, "R8 4x64, last coarse: raises": coarse_last(documents["R8 4x64"])}
     for label, document in reports.items():
         link = load_link(document)
-        report_ms, frames, qr_calls, det_calls, passes = timed_report(link, args.repeat)
+        report_ms, frames, qr_calls, size, det_calls, passes = timed_report(link, args.repeat)
         count, k = len(link.components), len(link.components[0][0])
         print(f"{label:40s} {k:4d} {count:5d} {report_ms:9.3f} {frames:16d} {qr_calls:8d} "
-              f"{det_calls:9d} {passes:13d}")
+              f"{size:>10s} {det_calls:9d} {passes:13d}")
     for samples in (4000, 20000):
         documents[f"Hopf R4 2x{samples}"] = hopf_link(samples)
     print()
