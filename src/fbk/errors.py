@@ -64,7 +64,18 @@ class EvaluationFailure(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Newton correction from a seed did not reach the solution set."""
+    """Newton correction from a seed did not reach the solution set.
+
+    When a correction stalled, residual is the residual norm it stalled at
+    and scale the map's scale there, its Jacobian's norm times one plus the
+    point's norm: a residual of a few eps * scale is rounding. Both are
+    None otherwise.
+    """
+
+    def __init__(self, message: str, residual: float | None = None, scale: float | None = None):
+        super().__init__(message)
+        self.residual = residual
+        self.scale = scale
 
 
 class NotClosed(NumericalError):

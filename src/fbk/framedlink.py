@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import struct
 from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Sequence
@@ -73,7 +74,9 @@ _NORMAL_TANGENT_CHECK = 1e-4
 # A link file's frame rows [manifold normals, sample tangent, framing fields]
 # must have |det| / (product of row norms) above this at every sample: the
 # ratio is 1 for orthogonal rows and 0 for dependent ones, which frame
-# assembly would reject later as a numerical failure.
+# assembly would reject later as a numerical failure. The ratio is read in
+# the coordinates the frames move, with their inert pairs dropped: the same
+# quantity, since an inert row is e_c with column c zero in the other rows.
 _MIN_FRAME_VOLUME = 1e-6
 # Orthonormalizing those rows leaves each a residual |R_ii| of at least its
 # norm times that ratio (the ratio is the product of the per-row residual
@@ -775,22 +778,18 @@ def _reduced_rows(rows: np.ndarray, keep_rows, keep_cols, odd: bool) -> np.ndarr
     return out
 
 
-def _frame_sets(stack: np.ndarray, ends: Sequence[int], reductions: Sequence, tol: Tolerances):
-    """The QR of the parts' frame rows: their frames, each row's orientation, the first rank error.
+def _reduced_groups(stack: np.ndarray, ends: Sequence[int], reductions: Sequence):
+    """The parts' frame rows grouped by frame size: (members, rows, firsts) per size.
 
-    Parts of one frame size share one _orthonormal_sets call; a part with
-    a reduction enters as its _reduced_rows and numbers its vectors by
-    their rows among all N. Returns each part's frames, a (rows,) bool
-    array that is True where det < 0, and (row in the stack, RankDeficient)
-    of the first dependent row, or None.
+    members are the group's parts in stack order, rows their rows as one
+    (rows, m, m) stack, a part with a reduction entering as its
+    _reduced_rows, and firsts[i] where member i starts in it, the group's
+    end last. Without reductions the stack is the one group.
     """
     bounds = [0, *ends]
     groups: dict[int, list[int]] = {}
     for p, reduction in enumerate(reductions):
         groups.setdefault(-1 if reduction is None else len(reduction[0]), []).append(p)
-    frames: list = [None] * len(ends)
-    flipped = np.zeros(len(stack), dtype=bool)
-    dependent = None
 
     def part_rows(p: int) -> np.ndarray:
         rows = stack[bounds[p] : bounds[p + 1]]
@@ -798,12 +797,28 @@ def _frame_sets(stack: np.ndarray, ends: Sequence[int], reductions: Sequence, to
 
     for members in groups.values():
         if not any(reductions):
-            group = stack
+            rows = stack
         else:
             sets = [part_rows(p) for p in members]
-            group = sets[0] if len(sets) == 1 else np.concatenate(sets)
+            rows = sets[0] if len(sets) == 1 else np.concatenate(sets)
+        yield members, rows, [0, *itertools.accumulate(bounds[p + 1] - bounds[p] for p in members)]
+
+
+def _frame_sets(stack: np.ndarray, ends: Sequence[int], reductions: Sequence, tol: Tolerances):
+    """The QR of the parts' frame rows: their frames, each row's orientation, the first rank error.
+
+    Each group of _reduced_groups, the parts of one frame size, is one
+    _orthonormal_sets call; a reduced part numbers its vectors by their
+    rows among all N. Returns each part's frames, a (rows,) bool array
+    that is True where det < 0, and (row in the stack, RankDeficient) of
+    the first dependent row, or None.
+    """
+    bounds = [0, *ends]
+    frames: list = [None] * len(ends)
+    flipped = np.zeros(len(stack), dtype=bool)
+    dependent = None
+    for members, group, firsts in _reduced_groups(stack, ends, reductions):
         vectors = None if reductions[members[0]] is None else [reductions[p][0] for p in members]
-        firsts = [0, *itertools.accumulate(bounds[p + 1] - bounds[p] for p in members)]
         (q, orientation), failed = _orthonormal_sets(group, tol.ortho_tol, firsts[:-1], vectors)
         for p, a, b in zip(members, firsts, firsts[1:]):
             frames[p] = q[a:b]
@@ -1164,7 +1179,16 @@ def _require(condition: bool, message: str):
 
 
 def load_link(document: dict) -> FramedLink:
-    """Build a FramedLink from a parsed link document (see load_link_file)."""
+    """Build a FramedLink from a parsed link document (see load_link_file).
+
+    Each component's points and framing are converted to float arrays
+    (_float_array) and checked in turn: their shapes against the ambient,
+    then the sphere's or the cylinder's radius, up to the first component
+    that fails. The frame volume and handedness rule then runs once over
+    the frames of the components before it (_frame_volume_error), in the
+    coordinates the frames move, and its error goes first; then that
+    component's error, then FramedLink's disjointness check.
+    """
     _require(isinstance(document, dict), "top level must be an object")
     _require("ambient" in document, "missing field: ambient")
     _require("components" in document, "missing field: components")
@@ -1189,56 +1213,133 @@ def load_link(document: dict) -> FramedLink:
         ambient = cylinder_ambient(dim, spin)
     else:
         raise ValidationError(f"unknown ambient kind {kind!r}")
-    comps = []
     _require(isinstance(document["components"], list), "components must be a list")
+    comps, rows, failure = [], [], None
     for n, comp in enumerate(document["components"]):
-        _require(isinstance(comp, dict), f"component {n} must be an object")
-        _require("points" in comp, f"component {n}: missing field points")
-        _require("framing" in comp, f"component {n}: missing field framing")
         try:
-            pts = np.asarray(comp["points"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"component {n}: points are not numeric") from exc
-        _require(pts.ndim == 2, f"component {n}: points must be a list of vectors")
-        try:
-            fields = np.asarray(comp["framing"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"component {n}: framing is not numeric") from exc
-        _require(fields.ndim == 3, f"component {n}: framing must be [field][sample][coordinate]")
-        loop, framing = SampledLoop(pts), NormalFraming(fields)
-        _check_component(loop, framing, ambient, f"component {n}: ")
-        if kind == "sphere":
-            radii = np.linalg.norm(pts, axis=1)
-            _require(
-                bool(np.max(np.abs(radii - 1.0)) < 1e-6),
-                f"component {n}: points must lie on the unit sphere",
-            )
-        if kind == "cylinder":
-            rho = np.hypot(pts[:, 0], pts[:, 1])
-            _require(
-                bool(np.max(np.abs(rho - 1.0)) < 1e-6),
-                f"component {n}: points must lie on the unit circle factor",
-            )
-        rows = _frame_rows(ambient, pts, loop._sample_tangents, fields.transpose(1, 0, 2))
-        norms = np.linalg.norm(rows, axis=2)
-        det = np.linalg.det(rows)
-        bad = np.abs(det) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)
-        bad |= np.any(norms[:, -framing.count :] <= _MIN_FIELD_NORM, axis=1)
-        flat = np.flatnonzero(bad)
-        if flat.size:
-            raise ValidationError(
-                f"component {n}: frame [manifold normals, tangent, framing] is degenerate "
-                f"at sample {flat[0]}; |det| / row norms must exceed {_MIN_FRAME_VOLUME:.0e} "
-                f"and framing fields must be longer than {_MIN_FIELD_NORM:.0e}"
-            )
-        flipped = np.flatnonzero(det < 0.0)
-        if flipped.size:
-            raise ValidationError(
-                f"component {n}: frame [manifold normals, tangent, framing] is left-handed "
-                f"at sample {flipped[0]}; its determinant must be positive"
-            )
+            loop, framing = _loaded_component(n, comp, ambient)
+            fields = framing.fields.transpose(1, 0, 2)
+            rows.append(_frame_rows(ambient, loop.points, loop._sample_tangents, fields))
+        except Exception as exc:  # noqa: BLE001 - raised after the volume rule of those before
+            failure = exc
+            break
         comps.append((loop, framing))
+    volume_error = _frame_volume_error(rows, ambient)
+    if volume_error is not None:
+        raise volume_error
+    if failure is not None:
+        raise failure
     return FramedLink(comps, ambient)
+
+
+def _loaded_component(n: int, comp, ambient: AmbientPresentation):
+    """Component n of a link document as its loop and framing, checked up to its frames' volume."""
+    _require(isinstance(comp, dict), f"component {n} must be an object")
+    _require("points" in comp, f"component {n}: missing field points")
+    _require("framing" in comp, f"component {n}: missing field framing")
+    try:
+        pts = _float_array(comp["points"], 2)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"component {n}: points are not numeric") from exc
+    _require(pts.ndim == 2, f"component {n}: points must be a list of vectors")
+    try:
+        fields = _float_array(comp["framing"], 3)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"component {n}: framing is not numeric") from exc
+    _require(fields.ndim == 3, f"component {n}: framing must be [field][sample][coordinate]")
+    loop, framing = SampledLoop(pts), NormalFraming(fields)
+    _check_component(loop, framing, ambient, f"component {n}: ")
+    if ambient.kind == "sphere":
+        radii = np.linalg.norm(pts, axis=1)
+        _require(
+            bool(np.max(np.abs(radii - 1.0)) < 1e-6),
+            f"component {n}: points must lie on the unit sphere",
+        )
+    if ambient.kind == "cylinder":
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        _require(
+            bool(np.max(np.abs(rho - 1.0)) < 1e-6),
+            f"component {n}: points must lie on the unit circle factor",
+        )
+    return loop, framing
+
+
+def _float_array(value, depth: int) -> np.ndarray:
+    """np.asarray(value, dtype=float), bit for bit, packed when value is a plain nested list.
+
+    A list nested depth deep, with equal lengths at every level, as a
+    parsed document holds its rows, is flattened level by level and its
+    numbers are packed into one float64 buffer by struct, whose "d" format
+    stores the double float() gives each number, as numpy does, without
+    numpy's walk of the nested sequences. Anything else goes through
+    np.asarray, which accepts or raises as it would alone: another nesting
+    or type, a ragged row, and a leaf struct refuses (a numeric string,
+    None, a list, a dict, an integer past the double range).
+    """
+    level, shape = [value], []
+    for d in range(depth):
+        if not level or set(map(type, level)) != {list} or len(set(map(len, level))) != 1:
+            return np.asarray(value, dtype=float)
+        shape.append(len(level[0]))
+        if d < depth - 1:
+            level = list(itertools.chain.from_iterable(level))
+    out = np.empty(math.prod(shape))
+    try:
+        struct.pack_into(f"{len(out)}d", out, 0, *itertools.chain.from_iterable(level))
+    except (struct.error, TypeError, OverflowError):
+        return np.asarray(value, dtype=float)
+    return out.reshape(shape)
+
+
+def _frame_volume_error(
+    rows: Sequence[np.ndarray], ambient: AmbientPresentation
+) -> ValidationError | None:
+    """load_link's error for the first component whose frames are degenerate or left-handed.
+
+    rows holds the components' _frame_rows, checked as one stack. A frame is
+    degenerate where |det| / (product of row norms) is at most
+    _MIN_FRAME_VOLUME or a framing field is at most _MIN_FIELD_NORM long,
+    and left-handed where det < 0. Both are read in the coordinates the
+    frames move: the inert pairs of every component (_inert_reductions)
+    are dropped, and each frame size takes one det. That is the same
+    quantity: an inert row is e_c with column c zero in every other row,
+    so dropping it with c keeps |det|, _reduced_rows keeps its sign, and a
+    kept row loses only zeros, the dropped row's norm being 1. The error
+    names the first failing component and its first failing sample; a
+    degenerate frame goes before a left-handed one.
+    """
+    if not rows:
+        return None
+    count = len(ambient.manifold_normals)
+    ends = list(itertools.accumulate(map(len, rows)))
+    stack = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    reductions = _inert_reductions(stack, ends, [True] * len(ends), count)
+    bad = np.empty(len(stack), dtype=bool)
+    flipped = np.empty(len(stack), dtype=bool)
+    bounds = [0, *ends]
+    for members, frames, firsts in _reduced_groups(stack, ends, reductions):
+        norms = np.linalg.norm(frames, axis=2)
+        det = np.linalg.det(frames)
+        degenerate = np.abs(det) <= _MIN_FRAME_VOLUME * np.prod(norms, axis=1)
+        degenerate |= np.any(norms[:, count + 1 :] <= _MIN_FIELD_NORM, axis=1)
+        for p, a, b in zip(members, firsts, firsts[1:]):
+            bad[bounds[p] : bounds[p + 1]] = degenerate[a:b]
+            flipped[bounds[p] : bounds[p + 1]] = det[a:b] < 0.0
+    failing = bad | flipped
+    if not failing.any():
+        return None
+    n = bisect.bisect_right(ends, int(np.argmax(failing)))
+    part = slice(bounds[n], ends[n])
+    if bad[part].any():
+        return ValidationError(
+            f"component {n}: frame [manifold normals, tangent, framing] is degenerate "
+            f"at sample {np.argmax(bad[part])}; |det| / row norms must exceed "
+            f"{_MIN_FRAME_VOLUME:.0e} and framing fields must be longer than {_MIN_FIELD_NORM:.0e}"
+        )
+    return ValidationError(
+        f"component {n}: frame [manifold normals, tangent, framing] is left-handed "
+        f"at sample {np.argmax(flipped[part])}; its determinant must be positive"
+    )
 
 
 def load_link_file(path: str) -> FramedLink:

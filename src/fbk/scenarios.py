@@ -29,6 +29,7 @@ from .framedlink import (
     twist_framing,
 )
 from .numkit import Tolerances, _norm, _on_stack, _one_or_stack, stacked
+from .spinlift import _MAX_REFINED_SAMPLES
 from .tracer import MapSpec, SectionSpec, TraceOptions, kappa_of_map, section_index
 
 
@@ -490,7 +491,9 @@ def resolve_options(scenario: Scenario, overrides: dict | None) -> dict:
     An override of a default must have the default's type, int or str (a
     bool is not an int). Tolerance keys take an int or float and are
     gathered, with the defaults for the rest, into one Tolerances under
-    options["tolerances"]. An unknown key or a bad value is a
+    options["tolerances"]. A samples override may not pass the lift's cap
+    of _MAX_REFINED_SAMPLES samples per loop, so it is rejected before
+    anything is allocated. An unknown key or a bad value is a
     ValidationError.
     """
     options = dict(scenario.defaults)
@@ -505,6 +508,11 @@ def resolve_options(scenario: Scenario, overrides: dict | None) -> dict:
             kind = type(scenario.defaults[key])
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValidationError(f"override {key}={value!r} must be of type {kind.__name__}")
+            if key == "samples" and value > _MAX_REFINED_SAMPLES:
+                raise ValidationError(
+                    f"override samples={value} is above the cap of {_MAX_REFINED_SAMPLES} "
+                    "samples per loop"
+                )
             options[key] = value
         else:
             raise ValidationError(f"scenario {scenario.name!r} does not accept override {key!r}")

@@ -361,6 +361,16 @@ _NEWTON_RCOND = 1e-8
 # which a factor of 0.25 would accept, taking the walk's whole iteration cap.
 _CHORD_CONTRACTION = 0.05
 
+# A seed's correction that stalls at a residual norm at or below this
+# fraction of the map's scale there (NoConvergence.scale) has come within
+# rounding of a zero, short of a newton_tol set below the rounding floor; a
+# seed far from every zero stalls at a residual of the order of that scale.
+# The bound is tied to the machine epsilon and to the map's own scale, not
+# to newton_tol: under newton_tol = 1e-300 a stall at the rounding floor
+# lies far above sqrt(newton_tol), and a map whose values are of order 1e-9
+# stalls far from its zeros below any fixed floor.
+_SEED_STALL_FLOOR = math.sqrt(np.finfo(float).eps)
+
 
 def _factored(J: np.ndarray):
     """(V, Ut, S, rank, Vt) of a finite system Jacobian: its SVD, cut to its rank.
@@ -449,7 +459,11 @@ def _newton(
             if rn < tol.newton_tol:
                 return p, rn
             if step == max_iter:
-                raise NoConvergence(f"corrector stalled at residual {rn:.3e}")
+                S = factored[2]
+                size = (float(S[0]) if S.size else 0.0) * (1.0 + _norm(p))
+                raise NoConvergence(
+                    f"corrector stalled at residual {rn:.3e}", residual=rn, scale=size
+                )
             if factored is None or rn > _CHORD_CONTRACTION * previous:
                 J = system.jacobian(p)
                 if not np.isfinite(J).all():
@@ -519,13 +533,22 @@ class _TracedLoop(SampledLoop):
     """
 
 
+class _NoZeroNear(NoConvergence):
+    """A seed whose correction shows no zero of the map near it: _traced_components skips it."""
+
+
 def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
     """The traced loop (a _TracedLoop), its closure error and largest residual.
 
     An analytic Jacobian is checked at the seed (system.check) before the
-    seed is corrected. The loop carries the unit kernel tangent found at
-    each of its samples and the raw Jacobian (system.raw_jacobian) that
-    tangent came from. That Jacobian's factorization is the chord the next
+    seed is corrected. The correction distance is capped, so that a seed
+    far from the solution set fails instead of wandering onto an arbitrary
+    component: the cap running out, a diverging step or a stall above
+    _SEED_STALL_FLOOR times the map's scale raise _NoZeroNear. A stall at
+    or below it is a NoConvergence that names the residual reached and
+    newton_tol. The loop carries the unit kernel tangent found at each of
+    its samples and the raw Jacobian (system.raw_jacobian) that tangent
+    came from. That Jacobian's factorization is the chord the next
     predictor's correction holds, retries after a halved step included:
     _newton takes every step from it and evaluates a new Jacobian only
     after a step that contracts too little, so most accepted points cost
@@ -539,8 +562,15 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
     if seed.size != system.dimension:
         raise ValueError(f"seed has dimension {seed.size}, expected {system.dimension}")
     system.check(seed)
-    # seeds must sit near their component: cap the correction distance
-    p0, _ = _newton(system, seed, tol, max_move=max(8.0 * opts.initial_step, 0.25))
+    try:
+        p0, _ = _newton(system, seed, tol, max_move=max(8.0 * opts.initial_step, 0.25))
+    except NoConvergence as exc:
+        if exc.residual is not None and exc.residual <= _SEED_STALL_FLOOR * exc.scale:
+            raise NoConvergence(
+                f"seed correction stalled at residual {exc.residual:.3e}, within rounding of a "
+                f"zero but above newton_tol {tol.newton_tol:.3e}"
+            ) from exc
+        raise _NoZeroNear(str(exc)) from exc
     t0, raw0, factored = _tangent_of(system, p0, None, tol)
     points = [p0]
     tangents = [t0]
@@ -700,7 +730,7 @@ def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> Samp
         value = _evaluated(spec.evaluator, loop.points[0], "map evaluation")
         val = float(np.asarray(value, dtype=float).dot(x0))
         if val <= 0.0:
-            raise NoConvergence("seed converged to the preimage of the antipodal value")
+            raise _NoZeroNear("seed converged to the preimage of the antipodal value")
     _note_append("closure_errors", closure_error)
     _note_max("max_residual", max_residual)
     return loop
@@ -862,15 +892,19 @@ def _check_distinct(loops: Sequence[SampledLoop], tol: Tolerances):
 def _traced_components(spec: MapSpec, opts: TraceOptions) -> list[SampledLoop]:
     """The traced loop of every seed, through trace_component.
 
-    Seeds whose correction fails to converge are skipped and noted as
-    seeds_skipped (an empty preimage contributes nothing); two seeds tracing
-    one component raise DuplicateComponent.
+    A seed with no zero of the map near it (_NoZeroNear: its correction ran
+    out of its distance cap, diverged or stalled far from rounding, or a
+    sphere-valued map's seed reached the preimage of the antipodal value)
+    is skipped and noted as seeds_skipped (an empty preimage contributes
+    nothing); any other failure, a walk's after its seed converged
+    included, is raised. Two seeds tracing one component raise
+    DuplicateComponent.
     """
     traced = []
     for seed in opts.seeds:
         try:
             traced.append(trace_component(spec, np.asarray(seed, dtype=float), opts))
-        except NoConvergence:
+        except _NoZeroNear:
             _note_add("seeds_skipped", 1)
     _check_distinct(traced, opts.tolerances)
     return traced
@@ -1168,7 +1202,7 @@ def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoo
     """Traced zero circles of the section, one per converging seed.
 
     The section is traced as a map from the unit sphere (_traced_components):
-    seeds whose correction diverges are skipped (noted as seeds_skipped), and
+    seeds with no zero near are skipped (noted as seeds_skipped), and
     seeds reaching one component twice raise DuplicateComponent.
     """
     return _traced_components(_section_map(spec), opts)

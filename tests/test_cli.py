@@ -147,6 +147,24 @@ class TestScenario:
         assert "RefinementExhausted: refinement to 32768 samples passes the cap of 16384" in err
         assert "lift_angle_max = 1e-07" in err
 
+    @pytest.mark.parametrize(
+        "name, newton_tol", [("euclidean-quadric-twisted", "1e-16"), ("suspended-hopf", "1e-300")]
+    )
+    def test_seed_stalled_at_the_rounding_floor_exit_code(self, capsys, name, newton_tol):
+        code, out, err = run_cli(capsys, ["scenario", name, "--set", f"newton_tol={newton_tol}"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: NoConvergence: seed correction stalled at residual ")
+
+    def test_samples_above_the_lift_cap_exit_code(self, capsys):
+        argv = ["scenario", "pontryagin-circle", "--set", "samples=16385"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: override samples=16385 is above the cap of 16384 samples per loop\n"
+        )
+
     def test_check_mismatch_exit_code(self, capsys, monkeypatch):
         scenario = REGISTRY["pontryagin-circle"]
         monkeypatch.setattr(scenario, "expected", lambda options: {"kappa": 1})

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -1570,3 +1571,227 @@ class TestInertPairs:
                 with pytest.raises(error) as reduced:
                     compute(*bare, ambient)
                 assert str(reduced.value) == str(full.value)
+
+
+def shaped_document(rng, dim: int, odd: bool = False, components: int = 3) -> dict:
+    """A link document like a link file: circles of 64 samples in R^dim moving coordinates 0-3.
+
+    Component i is twisted_circle(dim, 64, (i, 0), 3 i) with a random
+    wobble in coordinates 0-3, so its constant fields e_4 .. e_{dim-1} are
+    inert pairs. odd swaps the last two fields, which pairs them oddly,
+    and negates the radial field, which keeps every frame right-handed.
+    """
+    in_four = np.arange(dim) < 4
+    comps = []
+    for i in range(components):
+        wobble = rng.normal(size=(2, 2, dim)) * 0.02 * in_four
+        loop, framing = twisted_circle(dim, 64, (i, 0), 3.0 * i, wobble, flip=odd)
+        fields = framing.fields.copy()
+        if odd:
+            fields[[-2, -1]] = fields[[-1, -2]]
+        comps.append({"points": loop.points.tolist(), "framing": fields.tolist()})
+    return {"ambient": {"kind": "euclidean", "dimension": dim}, "components": comps}
+
+
+def with_defect(document: dict, n: int, defect: str, sample: int) -> dict:
+    """The document with component n's frames made degenerate or left-handed from sample on.
+
+    A kept field zeroed, or the radial field set to the tangent, at sample;
+    a kept field negated from sample on; or a dropped field (the constant
+    e_{dim-1} or e_{dim-2}) zeroed at sample, which keeps the component's
+    frames at full size.
+    """
+    comps = [dict(comp) for comp in document["components"]]
+    fields = np.array(comps[n]["framing"])
+    if defect == "zero kept field":
+        fields[1, sample] = 0.0
+    elif defect == "field along the tangent":
+        fields[0, sample] = SampledLoop(np.array(comps[n]["points"])).tangent_at_sample(sample)
+    elif defect == "left-handed":
+        fields[1, sample:] *= -1.0
+    else:
+        fields[-1, sample] = 0.0
+    comps[n]["framing"] = fields.tolist()
+    return {**document, "components": comps}
+
+
+DEGENERATE = "frame [manifold normals, tangent, framing] is degenerate at sample {}; "
+LEFT_HANDED = "frame [manifold normals, tangent, framing] is left-handed at sample {}; "
+
+
+def frame_error(n: int, message: str, sample: int) -> str:
+    """The pattern of load_link's volume rule error for component n at sample."""
+    return f"^component {n}: " + re.escape(message.format(sample))
+
+
+class TestLoadLinkVolumeRule:
+    """load_link's frame volume and handedness rule, in the coordinates the frames move.
+
+    Dropping a component's inert pairs keeps |det| / (product of row norms)
+    and the sign of det, so every document gives the error it gave on full
+    frames: the first failing component, its first failing sample, and a
+    degenerate frame before a left-handed one.
+    """
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_documents_reduce_to_the_coordinates_they_move(self, rng, dim, odd):
+        link = load_link(shaped_document(rng, dim, odd))
+        for loop, framing in link.components:
+            assert frame_matrix_loop(loop, framing, link.ambient).dim == 4
+        assert [c.index for c in invariant_report(link).components] == [0, 1, 0]
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("zero kept field", DEGENERATE),
+            ("field along the tangent", DEGENERATE),
+            ("left-handed", LEFT_HANDED),
+            ("zero dropped field", DEGENERATE),
+        ],
+    )
+    def test_error_names_the_component_and_sample(self, rng, dim, odd, defect, message):
+        document = with_defect(shaped_document(rng, dim, odd), 1, defect, 37)
+        with pytest.raises(ValidationError) as raised:
+            load_link(document)
+        assert re.match(frame_error(1, message, 37), str(raised.value))
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_degenerate_goes_before_left_handed(self, rng, odd):
+        document = shaped_document(rng, 12, odd)
+        within = with_defect(with_defect(document, 1, "left-handed", 5), 1, "zero kept field", 40)
+        with pytest.raises(ValidationError, match=frame_error(1, DEGENERATE, 40)):
+            load_link(within)
+        earlier = with_defect(with_defect(document, 0, "left-handed", 50), 1, "zero kept field", 3)
+        with pytest.raises(ValidationError, match=frame_error(0, LEFT_HANDED, 50)):
+            load_link(earlier)
+
+    def test_volume_error_goes_before_a_later_components_error(self, rng):
+        document = shaped_document(rng, 8)
+        # component 0 left-handed everywhere, component 1 with a ragged point
+        flipped = with_defect(document, 0, "left-handed", 0)
+        ragged = [dict(comp) for comp in flipped["components"]]
+        ragged[1]["points"] = [*ragged[1]["points"][:-1], ragged[1]["points"][-1][:-1]]
+        with pytest.raises(ValidationError, match=frame_error(0, LEFT_HANDED, 0)):
+            load_link({**flipped, "components": ragged})
+        alone = [document["components"][0], *ragged[1:]]
+        with pytest.raises(ValidationError, match="^component 1: points are not numeric$"):
+            load_link({**document, "components": alone})
+        # component 1 degenerate at sample 37, component 2 without framing
+        degenerate = with_defect(document, 1, "zero kept field", 37)
+        missing = [dict(comp) for comp in degenerate["components"]]
+        del missing[2]["framing"]
+        with pytest.raises(ValidationError, match=frame_error(1, DEGENERATE, 37)):
+            load_link({**degenerate, "components": missing})
+        alone = [*document["components"][:2], missing[2]]
+        with pytest.raises(ValidationError, match="^component 2: missing field framing$"):
+            load_link({**document, "components": alone})
+
+
+class TestLoadLinkConversion:
+    """load_link converts points and framing as np.asarray does, and names what is not numeric."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("points", "dict leaf", "component 0: points are not numeric"),
+            ("framing", "word leaf", "component 0: framing is not numeric"),
+            ("points", "flat", "component 0: points must be a list of vectors"),
+            ("framing", "flat", "component 0: framing must be [field][sample][coordinate]"),
+        ],
+    )
+    def test_messages(self, key, value, message):
+        doc = circle_link_doc()
+        comp = doc["components"][0]
+        if value == "dict leaf":
+            comp[key][3][1] = {"x": 1.0}
+        elif value == "word leaf":
+            comp[key][1][3][2] = "one"
+        else:
+            comp[key] = comp[key][0]
+        with pytest.raises(ValidationError) as raised:
+            load_link(doc)
+        assert str(raised.value) == message
+
+    def test_numeric_strings_are_accepted(self):
+        doc = circle_link_doc()
+        want = load_link(doc).components[0]
+        comp = doc["components"][0]
+        comp["points"] = [[repr(x) for x in row] for row in comp["points"]]
+        comp["framing"][1] = [[repr(x) for x in row] for row in comp["framing"][1]]
+        loop, framing = load_link(doc).components[0]
+        assert loop.points.tobytes() == want[0].points.tobytes()
+        assert framing.fields.tobytes() == want[1].fields.tobytes()
+
+
+# Leaves of the nests: floats, -0.0, subnormals, integers (2^53 + 1 rounds
+# to even, 10^300 is past 64 bits) and bools; and leaves np.asarray reads or
+# refuses on its own: a numeric string, None (NaN), a list, dicts, a word
+# and an integer past the double range.
+NUMBER_LEAVES = (1.5, -2.75e-3, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 0, -7, 2**53 + 1,
+                 10**300, True, False)
+ODD_LEAVES = ("1.5", None, [1.0], {}, {"x": 1.0}, "one", 10**400)
+
+
+def random_nest(rng, depth: int):
+    """A list nested depth deep, with equal lengths at every level unless made ragged.
+
+    Levels are 0 to 3 long; the leaves are mostly random floats. Three
+    cases in eight then have one leaf replaced by an odd leaf, a row
+    shortened, or a leaf wrapped in a list.
+    """
+
+    def level(d: int):
+        if d == depth:
+            pick = rng.integers(len(NUMBER_LEAVES) + 2)
+            if pick < len(NUMBER_LEAVES):
+                return NUMBER_LEAVES[pick]
+            return float(rng.normal() * 10.0 ** rng.integers(-5, 5))
+        return [level(d + 1) for _ in range(size[d])]
+
+    size = rng.integers(0, 4, size=depth)
+    nest = level(0)
+    change = rng.integers(8)
+    rows = [nest]
+    for _ in range(depth - 1):
+        rows = [row for parent in rows for row in parent]
+    rows = [row for row in rows if row]
+    if change < 3 and rows:
+        row = rows[rng.integers(len(rows))]
+        if change == 0:
+            row[rng.integers(len(row))] = ODD_LEAVES[rng.integers(len(ODD_LEAVES))]
+        elif change == 1:
+            row.pop()
+        else:
+            k = rng.integers(len(row))
+            row[k] = [row[k]]
+    return nest
+
+
+class TestFloatArray:
+    """framedlink._float_array(value, depth) is np.asarray(value, dtype=float), errors included."""
+
+    def test_agrees_with_asarray(self):
+        from fbk.framedlink import _float_array
+
+        rng = np.random.default_rng(36)
+        values = [random_nest(rng, depth) for depth in (2, 3) for _ in range(300)]
+        values += [np.arange(6.0).reshape(2, 3), {"x": [1.0]}, "1.5", None, [], [[]], [[], []]]
+        outcomes = {"value": 0, "error": 0}
+        for n, value in enumerate(values):
+            depth = 2 if n < 300 or n >= 600 else 3
+            try:
+                want = np.asarray(value, dtype=float)
+            except Exception as exc:  # noqa: BLE001 - the error to match
+                outcomes["error"] += 1
+                with pytest.raises(type(exc)) as got:
+                    _float_array(value, depth)
+                assert str(got.value) == str(exc), value
+                continue
+            outcomes["value"] += 1
+            got = _float_array(value, depth)
+            assert got.dtype == want.dtype and got.shape == want.shape, value
+            assert got.tobytes() == want.tobytes(), value
+        assert min(outcomes.values()) > 50, outcomes

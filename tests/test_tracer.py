@@ -1303,6 +1303,60 @@ class TestKappaOfMap:
         assert report.components == []
         assert report.diagnostics["seeds_skipped"] == 2
 
+    @pytest.mark.parametrize("factor", [1e-9, 1.0, 1e9])
+    def test_stalled_far_seed_is_skipped_at_any_scale(self, factor):
+        # on x0 = x1 = 0 the first row of the Jacobian vanishes: the seed's
+        # correction stalls at the residual factor, the map's own scale there
+        spec = MapSpec(
+            lambda x: factor * np.array([x[0] ** 2 + x[1] ** 2 + 1.0, x[2], x[3]]), dimension=4
+        )
+        seed = np.array([0.0, 0.0, 0.05, 0.02])
+        with pytest.raises(NoConvergence, match="stalled at residual") as raised:
+            trace_component(spec, seed, TraceOptions())
+        assert raised.value.__cause__.residual == pytest.approx(factor)
+        report = kappa_of_map(spec, TraceOptions(seeds=[seed]))
+        assert report.components == []
+        assert report.diagnostics["seeds_skipped"] == 1
+
+    def test_seed_of_a_large_map_stalled_at_rounding_is_raised(self):
+        # values of order 1e9 round at about 1e-7, above newton_tol 1e-10:
+        # the seed's correction stalls within rounding of the circle
+        scenario = REGISTRY["euclidean-quadric-twisted"]
+        spec, opts = scenario.traced(resolve_options(scenario, {}))
+        f, J = spec.evaluator, spec.jacobian
+        large = MapSpec(lambda x: 1e9 * f(x), dimension=4, jacobian=lambda x: 1e9 * J(x))
+        with recording() as record, pytest.raises(NoConvergence, match="within rounding"):
+            kappa_of_map(large, opts)
+        assert "seeds_skipped" not in record
+
+    def test_walk_failure_after_a_converged_seed_is_raised(self):
+        # the zeros are the x0 axis for |x0| <= 0.5 and none past it: the
+        # seed converges, and the walk along the axis fails at the wall
+        def walled(x):
+            return np.array([x[1], x[2], x[3] + (10.0 if abs(x[0]) > 0.5 else 0.0)])
+
+        opts = TraceOptions(seeds=[np.array([0.1, 0.02, 0.0, 0.01])])
+        with pytest.raises(NoConvergence, match="minimum step size"):
+            kappa_of_map(MapSpec(walled, dimension=4), opts)
+
+    @pytest.mark.parametrize(
+        "name, newton_tol", [("euclidean-quadric-twisted", 1e-16), ("suspended-hopf", 1e-300)]
+    )
+    def test_seed_stalled_at_the_rounding_floor_is_raised(self, name, newton_tol):
+        # newton_tol below the rounding floor: the seed's correction stalls
+        # within rounding of its zero, which is no sign of an empty preimage
+        options = resolve_options(REGISTRY[name], {"newton_tol": newton_tol})
+        with recording() as record, pytest.raises(NoConvergence) as raised:
+            REGISTRY[name].run(options)
+        assert re.fullmatch(
+            r"seed correction stalled at residual \S+, within rounding of a zero but above "
+            rf"newton_tol {newton_tol:.3e}",
+            str(raised.value),
+        )
+        stalled = raised.value.__cause__
+        assert stalled.residual <= math.sqrt(np.finfo(float).eps) * stalled.scale
+        assert "seeds_skipped" not in record
+
     def test_report_counts_match(self):
         report = kappa_of_map(quadric_spec(), TraceOptions(seeds=[SEED]))
         assert int(report.nonzero_count_mod2) == int(report.kappa)

@@ -61,6 +61,15 @@ samples), one line each:
   - validate_ms: milliseconds per `load_link` of that document (the
     arrays, the document's checks and the disjointness check), the rest
     of `load_link_file`;
+  - convert_ms: milliseconds to convert every component's points and
+    framing of a freshly parsed document to float arrays,
+    `framedlink._float_array`;
+  - volume_ms: milliseconds per frame volume and handedness rule over
+    the components' frame rows, `framedlink._frame_volume_error`;
+  - volume_size: the size of the frames that rule's determinants factor,
+    comma-separated (4 for the R^8 and R^12 links: their constant
+    coordinate fields are dropped with their coordinates, as in the
+    report);
   - disjoint_ms: milliseconds per disjointness check of its components'
     samples, `framedlink._check_disjoint`;
   - disjoint_pairs: the candidate segment pairs of that check's sweep, as
@@ -89,7 +98,16 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from fbk import frame_matrix_loop, framedlink, numkit, recording, spinlift, stacked  # noqa: E402
 from fbk.errors import RefinementExhausted  # noqa: E402
-from fbk.framedlink import _check_disjoint, invariant_report, load_link  # noqa: E402
+from fbk.framedlink import (  # noqa: E402
+    _check_disjoint,
+    _float_array,
+    _frame_rows,
+    _frame_volume_error,
+    _inert_reductions,
+    _reduced_groups,
+    invariant_report,
+    load_link,
+)
 from fbk.cli import _parse_override  # noqa: E402
 from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
 from report_digest import ACCEPTANCE_OVERRIDES, TRACED_REFINERS  # noqa: E402
@@ -279,12 +297,22 @@ def timed_report(link, repeat: int):
     return 1e3 * best, frames, calls["_qr"], size, calls["det"], calls["_rotors"]
 
 
+def volume_size(link, rows) -> str:
+    """The sizes of the frames the volume rule's determinants factor: its _reduced_groups'."""
+    ends = list(np.cumsum([len(r) for r in rows]))
+    stack = np.concatenate(rows)
+    count = len(link.ambient.manifold_normals)
+    reductions = _inert_reductions(stack, ends, [True] * len(ends), count)
+    sizes = {group.shape[1] for _, group, _ in _reduced_groups(stack, ends, reductions)}
+    return ",".join(map(str, sorted(sizes)))
+
+
 def timed_load(document: dict, directory: str, repeat: int):
-    """(parse_ms, validate_ms, disjoint_ms, disjoint_pairs) of one link document as a file."""
+    """(parse, validate, convert, volume ms, volume_size, disjoint ms, disjoint_pairs) of a doc."""
     path = os.path.join(directory, "link.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh)
-    parse = validate = check = float("inf")
+    parse = validate = convert = volume = check = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
         with open(path, "rb") as fh:
@@ -293,6 +321,20 @@ def timed_load(document: dict, directory: str, repeat: int):
         link = load_link(parsed)
         parse = min(parse, middle - start)
         validate = min(validate, time.perf_counter() - middle)
+        comps = orjson.loads(orjson.dumps(parsed))["components"]
+        start = time.perf_counter()
+        for comp in comps:
+            _float_array(comp["points"], 2)
+            _float_array(comp["framing"], 3)
+        convert = min(convert, time.perf_counter() - start)
+    rows = [  # the components' frame rows, as load_link builds them
+        _frame_rows(link.ambient, loop.points, loop._sample_tangents, f.fields.transpose(1, 0, 2))
+        for loop, f in link.components
+    ]
+    for _ in range(repeat):
+        start = time.perf_counter()
+        _frame_volume_error(rows, link.ambient)
+        volume = min(volume, time.perf_counter() - start)
     points = [loop.points for loop, _ in link.components]
     for _ in range(repeat):
         start = time.perf_counter()
@@ -300,7 +342,8 @@ def timed_load(document: dict, directory: str, repeat: int):
         check = min(check, time.perf_counter() - start)
     with recording() as record:
         _check_disjoint(points)
-    return 1e3 * parse, 1e3 * validate, 1e3 * check, record.get("disjoint_pairs", 0)
+    times = (1e3 * parse, 1e3 * validate, 1e3 * convert, 1e3 * volume)
+    return *times, volume_size(link, rows), 1e3 * check, record.get("disjoint_pairs", 0)
 
 
 def main(argv=None) -> int:
@@ -343,13 +386,17 @@ def main(argv=None) -> int:
         documents[f"Hopf R4 2x{samples}"] = hopf_link(samples)
     print()
     print(f"{'link-file load':40s} {'K':>5s} {'loops':>5s} {'parse_ms':>9s} {'validate_ms':>11s} "
-          f"{'disjoint_ms':>11s} {'disjoint_pairs':>14s}")
+          f"{'convert_ms':>10s} {'volume_ms':>9s} {'volume_size':>11s} {'disjoint_ms':>11s} "
+          f"{'disjoint_pairs':>14s}")
     with tempfile.TemporaryDirectory() as directory:
         for label, document in documents.items():
-            parse_ms, validate_ms, disjoint_ms, pairs = timed_load(document, directory, args.repeat)
+            parse_ms, validate_ms, convert_ms, volume_ms, size, disjoint_ms, pairs = timed_load(
+                document, directory, args.repeat
+            )
             comps = document["components"]
             print(f"{label:40s} {len(comps[0]['points']):5d} {len(comps):5d} {parse_ms:9.3f} "
-                  f"{validate_ms:11.3f} {disjoint_ms:11.3f} {pairs:14d}")
+                  f"{validate_ms:11.3f} {convert_ms:10.3f} {volume_ms:9.3f} {size:>11s} "
+                  f"{disjoint_ms:11.3f} {pairs:14d}")
     return 0
 
 
