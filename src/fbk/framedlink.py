@@ -103,6 +103,17 @@ def _identity(value):
     return value
 
 
+def _step_lengths(points: np.ndarray) -> np.ndarray:
+    """Lengths of the steps points[k + 1] - points[k] of a closed (K, N) stack, the last closing."""
+    return np.linalg.norm(_successors(points) - points, axis=1)
+
+
+def _arc_fractions(lengths: np.ndarray) -> np.ndarray:
+    """Normalized cumulative arclength before each step of the (K,) step lengths (starts at 0)."""
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    return cum[:-1] / cum[-1]
+
+
 @dataclass
 class SampledLoop:
     """Closed curve in R^N: cyclic samples plus an optional exact resampler.
@@ -196,7 +207,7 @@ class SampledLoop:
     @cached_property
     def _segment_lengths(self) -> np.ndarray:
         """Lengths of the steps points[k + 1] - points[k], the last one closing on points[0]."""
-        return np.linalg.norm(_successors(self.points) - self.points, axis=1)
+        return _step_lengths(self.points)
 
     @cached_property
     def _knots(self) -> np.ndarray:
@@ -256,8 +267,7 @@ class SampledLoop:
 
     def arc_fractions(self) -> np.ndarray:
         """Normalized cumulative polygonal arclength at each sample (starts at 0)."""
-        cum = np.concatenate([[0.0], np.cumsum(self._segment_lengths)])
-        return cum[:-1] / cum[-1]
+        return _arc_fractions(self._segment_lengths)
 
     def arc_fraction(self, t):
         """Arc fraction at parameter t (or an array of them), linear between samples."""

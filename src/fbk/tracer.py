@@ -53,6 +53,7 @@ from .framedlink import (
     InvariantReport,
     NormalFraming,
     SampledLoop,
+    _arc_fractions,
     _circle_indices,
     _frame_bits,
     _frame_rows,
@@ -60,6 +61,7 @@ from .framedlink import (
     _normals_at,
     _recombined,
     _report,
+    _step_lengths,
     euclidean_ambient,
     sphere_ambient,
     twist_framing,
@@ -185,13 +187,17 @@ def target_basis(spec: MapSpec, target_dim: int) -> np.ndarray:
 class _TracedSystem:
     """Residual/Jacobian pair whose zero set is the traced curve.
 
+    residual(p) is the system's residual at p, one call per point.
     raw_jacobian(p) is the derivative of the caller's map (its analytic
     Jacobian, else central differences), noted as one jacobian_evaluation;
     every derivative of the map the tracer takes goes through it.
-    assemble(p, raw) builds the system Jacobian from it. basis is the
+    assemble(p, raw) builds the system Jacobian from it, and factored(p,
+    where) is the one call per point of the walk and the corrector: the raw
+    Jacobian, and the _factored assembled one, which must be finite (else an
+    EvaluationFailure "non-finite Jacobian " + where). basis is the
     target_basis the residual is projected onto for sphere targets, None for
     R^n targets. check(seed) compares an analytic Jacobian with central
-    differences at a seed (_counted); a system without one checks nothing.
+    differences at a seed (_map_system); a system without one checks nothing.
     spec is the MapSpec _map_system built it from, None for any other.
     """
 
@@ -204,8 +210,13 @@ class _TracedSystem:
         self.check = check or (lambda seed: None)
         self.spec = spec
 
-    def jacobian(self, p: np.ndarray) -> np.ndarray:
-        return self.assemble(p, self.raw_jacobian(p))
+    def factored(self, p: np.ndarray, where: str):
+        raw = self.raw_jacobian(p)
+        J = self.assemble(p, raw)
+        # counting the finite entries takes half the time of .all() at these sizes
+        if np.count_nonzero(np.isfinite(J)) != J.size:
+            raise EvaluationFailure(f"non-finite Jacobian {where}")
+        return raw, _factored(J)
 
 
 # An analytic Jacobian J fails its check against the central differences F
@@ -225,32 +236,55 @@ def _evaluated(fn, p: np.ndarray, what: str):
         raise EvaluationFailure(f"{what} failed at {p.tolist()}") from exc
 
 
-def _counted(spec: MapSpec):
-    """spec's raw Jacobian (analytic, else jacobian_fd), noted and shaped as (outputs, N).
+def _map_system(spec: MapSpec) -> _TracedSystem:
+    """The traced system of spec, built once per report.
 
-    outputs is the length of the evaluator's values, read from one extra
-    evaluation at the first analytic Jacobian (jacobian_fd's rows are those
-    values). A vector of length N is one row; any other shape is an
-    EvaluationFailure naming it and the point's. The Jacobian and the row
-    probe are _evaluated: an error they raise is an EvaluationFailure
-    naming the point.
+    The residual is the map's value, projected onto target_basis minus the
+    regular value for a sphere target (whose values must have the regular
+    value's length), with the sphere equation (|p|^2 - 1) / 2 last for a
+    unit-sphere domain: one call per point for each (domain, target) pair.
+    raw_jacobian is spec's Jacobian (analytic, else jacobian_fd), noted and
+    shaped as (outputs, N). outputs is the length of the evaluator's values,
+    read from one extra evaluation at the first analytic Jacobian
+    (jacobian_fd's rows are those values). A vector of length N is one row;
+    any other shape is an EvaluationFailure naming it and the point's. The
+    Jacobian and the row probe are _evaluated: an error they raise is an
+    EvaluationFailure naming the point.
 
-    Returned with it is the seed check: check(seed) evaluates an analytic
-    Jacobian at the seed on the same shape rule, notes it as one
-    jacobian_checks (not as a jacobian_evaluation), and compares it with
-    jacobian_fd there. A mismatch above _JACOBIAN_CHECK_TOL is an
-    EvaluationFailure naming the seed, the entry and both values. A
-    non-finite Jacobian is left to the walk, which refuses it; without an
-    analytic Jacobian there is nothing to check.
+    check(seed) evaluates an analytic Jacobian at the seed on the same shape
+    rule, notes it as one jacobian_checks (not as a jacobian_evaluation),
+    and compares it with jacobian_fd there. A mismatch above
+    _JACOBIAN_CHECK_TOL is an EvaluationFailure naming the seed, the entry
+    and both values. A non-finite Jacobian is left to the walk, which
+    refuses it; without an analytic Jacobian there is nothing to check.
     """
-    dimension = spec.dimension
-    rows = None
+    evaluator, jacobian, dimension = spec.evaluator, spec.jacobian, spec.dimension
+    on_sphere = spec.domain == "unit_sphere"
+    x0 = basis = rows = None
+    if spec.target == "sphere":
+        x0 = spec.regular_value
+        basis = target_basis(spec, x0.size - 1)
+
+    def residual(p):
+        value = np.asarray(evaluator(p), dtype=float)
+        if basis is not None:
+            if value.size != x0.size:
+                raise EvaluationFailure(
+                    f"map values have length {value.size}, the regular value {x0.size}"
+                )
+            value = basis.dot(value - x0)
+        if not on_sphere:
+            return value
+        r = np.empty(len(value) + 1)
+        r[:-1] = value
+        r[-1] = (float(p.dot(p)) - 1.0) / 2.0
+        return r
 
     def analytic(p):
         nonlocal rows
-        J = np.asarray(_evaluated(spec.jacobian, p, "map Jacobian"), dtype=float)
+        J = np.asarray(_evaluated(jacobian, p, "map Jacobian"), dtype=float)
         if rows is None:
-            rows = np.asarray(_evaluated(spec.evaluator, p, "map evaluation"), dtype=float).size
+            rows = np.asarray(_evaluated(evaluator, p, "map evaluation"), dtype=float).size
         if J.shape == (dimension,) and rows == 1:
             return J[None]
         if J.shape != (rows, dimension):
@@ -262,18 +296,25 @@ def _counted(spec: MapSpec):
 
     def raw_jacobian(p):
         _note_add("jacobian_evaluations", 1)
-        if spec.jacobian is None:
-            return jacobian_fd(spec.evaluator, p)
-        return analytic(p)
+        return jacobian_fd(evaluator, p) if jacobian is None else analytic(p)
+
+    def assemble(p, raw):
+        J = raw if basis is None else basis.dot(raw)
+        if not on_sphere:
+            return J
+        stacked = np.empty((J.shape[0] + 1, J.shape[1]))
+        stacked[:-1] = J
+        stacked[-1] = p
+        return stacked
 
     def check(seed):
-        if spec.jacobian is None:
+        if jacobian is None:
             return
         _note_add("jacobian_checks", 1)
         J = analytic(seed)
         if not np.isfinite(J).all():
             return
-        F = jacobian_fd(spec.evaluator, seed)
+        F = jacobian_fd(evaluator, seed)
         # a non-finite difference is a mismatch too
         gap = np.nan_to_num(np.abs(J - F), nan=math.inf)
         i, j = np.unravel_index(np.argmax(gap), gap.shape)
@@ -283,58 +324,7 @@ def _counted(spec: MapSpec):
                 f"entry ({i}, {j}) is {J[i, j]:.10g}, central differences give {F[i, j]:.10g}"
             )
 
-    return raw_jacobian, check
-
-
-def _map_system(spec: MapSpec) -> _TracedSystem:
-    raw_jacobian, check = _counted(spec)
-    basis = None
-    if spec.target == "sphere":
-        x0 = spec.regular_value
-        basis = target_basis(spec, x0.size - 1)
-
-        def f_target(p):
-            value = np.asarray(spec.evaluator(p), dtype=float)
-            if value.size != x0.size:
-                raise EvaluationFailure(
-                    f"map values have length {value.size}, the regular value {x0.size}"
-                )
-            return basis.dot(value - x0)
-
-        def j_target(raw):
-            return basis.dot(raw)
-
-    else:
-
-        def f_target(p):
-            return np.asarray(spec.evaluator(p), dtype=float)
-
-        def j_target(raw):
-            return raw
-
-    if spec.domain == "unit_sphere":
-
-        def residual(p):
-            f = f_target(p)
-            r = np.empty(len(f) + 1)
-            r[:-1] = f
-            r[-1] = (p.dot(p) - 1.0) / 2.0
-            return r
-
-        def assemble(p, raw):
-            rows = j_target(raw)
-            J = np.empty((rows.shape[0] + 1, rows.shape[1]))
-            J[:-1] = rows
-            J[-1] = p
-            return J
-
-    else:
-        residual = f_target
-
-        def assemble(p, raw):
-            return j_target(raw)
-
-    return _TracedSystem(residual, raw_jacobian, assemble, spec.dimension, basis, check, spec)
+    return _TracedSystem(residual, raw_jacobian, assemble, dimension, basis, check, spec)
 
 
 def _section_map(spec: SectionSpec) -> MapSpec:
@@ -433,12 +423,14 @@ def _newton(
     EvaluationFailure, as a map that raises is; on _evaluated's rule, the
     error names the point and an FbkError of the map's goes through as it
     is. Counts its correction steps and notes them as newton_iterations,
-    with one newton_calls, once when it returns or raises.
+    with one newton_calls, once when it returns or raises. start is not
+    copied: it may be returned as the point, so a caller that keeps its
+    start passes a copy (the walk's predictor is its own).
     """
     iterations = 0
     try:
         # p and every descent are contiguous, so sqrt(x.dot(x)) is _norm(x)
-        p = np.asarray(start, dtype=float).copy()
+        p = np.ascontiguousarray(start, dtype=float)
         scale = 1.0 + math.sqrt(p.dot(p))
         budget = 10.0 * scale if max_move is None else max_move
         moved = 0.0
@@ -465,10 +457,7 @@ def _newton(
                     f"corrector stalled at residual {rn:.3e}", residual=rn, scale=size
                 )
             if factored is None or rn > _CHORD_CONTRACTION * previous:
-                J = system.jacobian(p)
-                if not np.isfinite(J).all():
-                    raise EvaluationFailure("non-finite Jacobian during correction")
-                factored = _factored(J)
+                factored = system.factored(p, "during correction")[1]
             previous = rn
             iterations += 1
             descent = _descent(factored, r)
@@ -499,18 +488,16 @@ def _newton_aligned(system, start, anchor, direction, tol):
 
 
 def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances):
-    """Unit kernel tangent at p, the raw Jacobian it came from, and its factorization.
+    """Unit kernel tangent at p, its raw Jacobian and factorization, and its dot with previous.
 
     The tangent is the last right singular vector of the system Jacobian,
     whose rank must be one less than the dimension (else Singular). It
-    points along previous when given and not orthogonal to it, otherwise
-    its first entry larger than ortho_tol in magnitude is positive.
+    points along previous when given and not orthogonal to it; otherwise
+    its first entry larger than ortho_tol in magnitude is positive, or its
+    largest entry where none is (a unit vector has one of at least
+    1/sqrt(N)), and the dot returned is 0.
     """
-    raw = system.raw_jacobian(p)
-    J = system.assemble(p, raw)
-    if not np.isfinite(J).all():
-        raise EvaluationFailure("non-finite Jacobian along the curve")
-    factored = _factored(J)
+    raw, factored = system.factored(p, "along the curve")
     rank, Vt = factored[3:]
     n = Vt.shape[0]
     if rank != n - 1:
@@ -519,10 +506,12 @@ def _tangent_of(system: _TracedSystem, p: np.ndarray, previous, tol: Tolerances)
             "transversality violated"
         )
     t = Vt[n - 1]
-    d = 0.0 if previous is None else float(t.dot(previous))
+    d = along = 0.0 if previous is None else float(t.dot(previous))
     if d == 0.0:
-        d = t[np.abs(t) > tol.ortho_tol][0]
-    return (-t if d < 0.0 else t), raw, factored
+        a = np.abs(t)
+        i = int(np.argmax(a > tol.ortho_tol))
+        d = t[i if a[i] > tol.ortho_tol else np.argmax(a)]
+    return (-t if d < 0.0 else t), raw, factored, abs(along)
 
 
 class _TracedLoop(SampledLoop):
@@ -563,7 +552,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         raise ValueError(f"seed has dimension {seed.size}, expected {system.dimension}")
     system.check(seed)
     try:
-        p0, _ = _newton(system, seed, tol, max_move=max(8.0 * opts.initial_step, 0.25))
+        p0, rn0 = _newton(system, seed.copy(), tol, max_move=max(8.0 * opts.initial_step, 0.25))
     except NoConvergence as exc:
         if exc.residual is not None and exc.residual <= _SEED_STALL_FLOOR * exc.scale:
             raise NoConvergence(
@@ -571,11 +560,11 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
                 f"zero but above newton_tol {tol.newton_tol:.3e}"
             ) from exc
         raise _NoZeroNear(str(exc)) from exc
-    t0, raw0, factored = _tangent_of(system, p0, None, tol)
+    t0, raw0, factored, _ = _tangent_of(system, p0, None, tol)
     points = [p0]
     tangents = [t0]
     raws = [raw0]
-    residuals = [_norm(system.residual(p0))]
+    residuals = [rn0]
     p, t = p0, t0
     h = opts.initial_step
     escaped = False
@@ -590,9 +579,8 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
         except (NoConvergence, EvaluationFailure) as exc:
             q, rn, ok, failure = None, None, False, exc
         if ok:
-            t_new, raw, factored_new = _tangent_of(system, q, t, tol)
-            if float(t_new.dot(t)) < 0.2:
-                ok = False
+            t_new, raw, factored_new, along = _tangent_of(system, q, t, tol)
+            ok = along >= 0.2
         if not ok:
             h *= 0.5
             if h < opts.min_step:
@@ -609,7 +597,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
             escaped = True
         if escaped and dist0 < 1.5 * h and float(t_new.dot(t0)) > 0.9:
             try:
-                closer, _ = _newton_aligned(system, q, p0, t0, tol)
+                closer, _ = _newton_aligned(system, q.copy(), p0, t0, tol)
                 err = _norm(closer - p0)
             except (NoConvergence, EvaluationFailure):
                 err = math.inf
@@ -644,7 +632,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
                 held -= len(stacks.pop(next(iter(stacks)))["points"])
             i, w = loop._segment(ts)
             starts = (1.0 - w)[:, None] * pts[i] + w[:, None] * pts[(i + 1) % len(pts)]
-            entry = {"points": np.array([_newton(system, x, tol)[0] for x in starts])}
+            entry = {"points": np.array([_newton(system, x.copy(), tol)[0] for x in starts])}
             stacks[ts.tobytes()] = entry
         if key not in entry:
             previous = carried[loop._segment(ts)[0]]
@@ -654,7 +642,7 @@ def _trace(system: _TracedSystem, seed: np.ndarray, opts: TraceOptions):
 
     resample = _one_or_stack(lambda ts: resampled(ts, "points"))
     resample_tangent = _one_or_stack(lambda ts: resampled(ts, "tangents"))
-    loop = _TracedLoop(pts, resample, SampledLoop(pts).arc_fractions(), carried, resample_tangent)
+    loop = _TracedLoop(pts, resample, _arc_fractions(_step_lengths(pts)), carried, resample_tangent)
     loop._system, loop._jacobians = system, np.asarray(raws)
     loop._jacobians.setflags(write=False)
     # keyed as SampledLoop._points_at and _tangents_at call the resamplers
@@ -697,7 +685,7 @@ def suggest_seeds(
     cap = max(8.0 * opts.initial_step, 0.25)
     for cand in candidates:
         try:
-            p, _ = _newton(system, cand, opts.tolerances, max_move=cap)
+            p, _ = _newton(system, cand.copy(), opts.tolerances, max_move=cap)
         except (NoConvergence, EvaluationFailure):
             continue
         if all(np.linalg.norm(p - q) > dedup_radius for q in kept):
@@ -705,11 +693,13 @@ def suggest_seeds(
     return kept
 
 
-def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> SampledLoop:
+def trace_component(
+    spec: MapSpec, seed: np.ndarray, opts: TraceOptions, *, system=None
+) -> SampledLoop:
     """Trace the closed solution curve through the component nearest a seed.
 
     An analytic spec.jacobian is first compared with central differences at
-    the seed; a mismatch is an EvaluationFailure (_counted). The seed is
+    the seed; a mismatch is an EvaluationFailure (_map_system). The seed is
     then Newton-corrected onto the solution set (NoConvergence when
     that fails); the curve is then walked with an Euler predictor along the
     Jacobian kernel and a Gauss-Newton corrector, halving the step on
@@ -721,10 +711,11 @@ def trace_component(spec: MapSpec, seed: np.ndarray, opts: TraceOptions) -> Samp
     at the resampled point. The loop also carries the map's Jacobian at
     every traced point (spec.jacobian or its finite-difference stand-in, as
     the walk and the tangent resampler evaluated it for the tangent), which
-    induced_framing and the section's dw take for this spec.
+    induced_framing and the section's dw take for this spec. system is the
+    traced system of spec (_map_system) when the caller has built it, as a
+    report does once for all its seeds; else one is built here.
     """
-    system = _map_system(spec)
-    loop, closure_error, max_residual = _trace(system, seed, opts)
+    loop, closure_error, max_residual = _trace(system or _map_system(spec), seed, opts)
     if spec.target == "sphere":
         x0 = spec.regular_value
         value = _evaluated(spec.evaluator, loop.points[0], "map evaluation")
@@ -765,9 +756,12 @@ def induced_framing(
     (some |R_ii| below ortho_tol, or more rows than dimensions) is
     Singular, and a non-finite Jacobian an EvaluationFailure, each naming
     the sample; the resampler runs the same solve at its params' points.
-    The map's derivatives are _raw_jacobians, carried by a loop traced from spec.
+    The map's derivatives are _raw_jacobians, carried by a loop traced from
+    spec, whose traced system this takes instead of building another.
     """
-    system = _map_system(spec)
+    system = getattr(loop, "_system", None)  # None unless _trace made the loop
+    if system is None or system.spec is not spec:
+        system = _map_system(spec)
     B = system.basis
     if B is not None:
         src = B if basis is None else np.asarray(basis, dtype=float)
@@ -889,8 +883,8 @@ def _check_distinct(loops: Sequence[SampledLoop], tol: Tolerances):
                 raise DuplicateComponent(f"seeds {i} and {j} traced the same component")
 
 
-def _traced_components(spec: MapSpec, opts: TraceOptions) -> list[SampledLoop]:
-    """The traced loop of every seed, through trace_component.
+def _traced_components(system: _TracedSystem, opts: TraceOptions) -> list[SampledLoop]:
+    """The traced loop of every seed, through trace_component and one traced system.
 
     A seed with no zero of the map near it (_NoZeroNear: its correction ran
     out of its distance cap, diverged or stalled far from rounding, or a
@@ -903,7 +897,7 @@ def _traced_components(spec: MapSpec, opts: TraceOptions) -> list[SampledLoop]:
     traced = []
     for seed in opts.seeds:
         try:
-            traced.append(trace_component(spec, np.asarray(seed, dtype=float), opts))
+            traced.append(trace_component(system.spec, seed, opts, system=system))
         except _NoZeroNear:
             _note_add("seeds_skipped", 1)
     _check_distinct(traced, opts.tolerances)
@@ -923,8 +917,9 @@ def kappa_of_map(spec: MapSpec, opts: TraceOptions) -> InvariantReport:
         ambient = sphere_ambient(spec.dimension)
     else:
         ambient = euclidean_ambient(spec.dimension)
+    system = _map_system(spec)
     with recording() as record:
-        loops = _traced_components(spec, opts)
+        loops = _traced_components(system, opts)
         link = FramedLink(
             [_oriented(loop, induced_framing(spec, loop), ambient) for loop in loops], ambient
         )
@@ -1205,7 +1200,7 @@ def section_zero_loops(spec: SectionSpec, opts: TraceOptions) -> list[SampledLoo
     seeds with no zero near are skipped (noted as seeds_skipped), and
     seeds reaching one component twice raise DuplicateComponent.
     """
-    return _traced_components(_section_map(spec), opts)
+    return _traced_components(_map_system(_section_map(spec)), opts)
 
 
 def section_index(
@@ -1222,11 +1217,10 @@ def section_index(
     """
     tol = opts.tolerances
     ambient = sphere_ambient(spec.embedding_dimension)
-    traced = _section_map(spec)
-    # the circles traced from this spec carry the section's Jacobians for dw
-    system = _map_system(traced)
+    # the circles traced through this system carry the section's Jacobians for dw
+    system = _map_system(_section_map(spec))
     with recording() as record:
-        circles = _traced_components(traced, opts)
+        circles = _traced_components(system, opts)
         bits = _section_indices(spec, system, circles, ambient, tol, aux_twist_turns)
     return _report(bits, circles, ambient, tol, record, traced=True)
 

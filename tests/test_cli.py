@@ -156,6 +156,21 @@ class TestScenario:
         assert out == ""
         assert err.startswith("error: NoConvergence: seed correction stalled at residual ")
 
+    @pytest.mark.parametrize("name", [name for name, s in REGISTRY.items() if s.traced])
+    def test_ortho_tol_above_every_tangent_entry_exit_code(self, capsys, name):
+        # no entry of a unit tangent passes ortho_tol 0.999999, so the walk's
+        # sign rule takes the largest entry; the frames may still fail on it
+        argv = ["scenario", name, "--set", "ortho_tol=0.999999", "--check"]
+        code, _, err = run_cli(capsys, argv)
+        assert code in (0, 3, 4), err
+
+    def test_walk_that_never_closes_exit_code(self, capsys):
+        argv = ["scenario", "euclidean-quadric", "--set", "closure_tol=1e-300"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert err == "error: NotClosed: no closure within 4000 steps\n"
+
     def test_samples_above_the_lift_cap_exit_code(self, capsys):
         argv = ["scenario", "pontryagin-circle", "--set", "samples=16385"]
         code, out, err = run_cli(capsys, argv)

@@ -289,7 +289,7 @@ class TestStackedSites:
 
     def test_section_derivative_fields(self):
         spec, opts = _s5_problem(resolve_options(REGISTRY["s5-alt-section"], {}), alt=True)
-        [loop] = _traced_components(_section_map(spec), opts)
+        [loop] = _traced_components(_map_system(_section_map(spec)), opts)
         aux = transport_closed_frame(loop, sphere_ambient(6).manifold_normals)
         system = _map_system(_section_map(spec))
         slow_spec = SectionSpec(5, per_point(_s5_splitting), spec.section, spec.jacobian)
@@ -512,7 +512,7 @@ class TestStackedRefiners:
         scenario = REGISTRY["suspended-hopf"]
         spec, opts = scenario.traced(resolve_options(scenario, {}))
         ambient = sphere_ambient(spec.dimension)
-        loop = _traced_components(spec, opts)[0]
+        loop = _traced_components(_map_system(spec), opts)[0]
         loop, framing = _oriented(loop, induced_framing(spec, loop), ambient)
         record = self.assert_stack_is_each_param(frame_matrix_loop(loop, framing, ambient))
         # one correction per param, and one Jacobian its tangent and its
@@ -525,7 +525,7 @@ class TestStackedRefiners:
     def test_section_zero_circle_with_a_twisted_transport(self):
         spec, opts = _s5_problem(resolve_options(REGISTRY["s5-alt-section"], {}), alt=True)
         traced = _section_map(spec)
-        [loop] = _traced_components(traced, opts)
+        [loop] = _traced_components(_map_system(traced), opts)
         ambient = sphere_ambient(6)
         parts = _section_parts(spec, _map_system(traced), loop, ambient, opts.tolerances, 1)
         calls = []

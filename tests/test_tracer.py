@@ -12,6 +12,7 @@ from fbk.errors import (
     EvaluationFailure,
     NoConvergence,
     NonTransverse,
+    NotClosed,
     RankDeficient,
     Singular,
     ValidationError,
@@ -174,6 +175,24 @@ class TestTraceComponent:
     def test_far_seed_diverges(self):
         with pytest.raises(NoConvergence):
             trace_component(quadric_spec(), np.array([5.0, 5, 5, 5]), TraceOptions())
+
+    def test_walk_that_runs_out_of_steps_is_not_closed(self):
+        # the circle of radius 2 closes after 125 samples, past a cap of 64
+        # steps; the work noted is the walk's up to the raise
+        spec = MapSpec(
+            lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[2], x[3]]), 4, jacobian=quadric_jac
+        )
+        seed = np.array([2.0, 0.0, 0.0, 0.0])
+        with recording() as record, pytest.raises(NotClosed) as raised:
+            trace_component(spec, seed, TraceOptions(max_steps=64))
+        assert str(raised.value) == "no closure within 64 steps"
+        assert record == {
+            "newton_calls": 65,
+            "newton_iterations": 192,
+            "jacobian_evaluations": 65,
+            "jacobian_checks": 1,
+        }
+        assert len(trace_component(spec, seed, TraceOptions())) == 125
 
     def test_step_size_independence(self):
         opts_a = TraceOptions()
@@ -451,7 +470,7 @@ class TestFactoredJacobian:
                 assert np.max(np.abs(-_descent(factored, r) - least_squares(J, -r))) < 1e-12
                 previous = rng.normal(size=n)
                 for prev in (None, previous):
-                    t, raw, again = _tangent_of(constant_system(J), np.zeros(n), prev, DEFAULT_TOL)
+                    t, raw, again, _ = _tangent_of(constant_system(J), np.zeros(n), prev, DEFAULT_TOL)
                     assert raw is J and again[3] == n - 1
                     assert np.max(np.abs(t - kernel_direction(J, prev))) < 1e-12
 
@@ -468,8 +487,25 @@ class TestFactoredJacobian:
             assert factored[3] == 5
             exact = least_squares(V[:5], np.linalg.solve(X.T @ X, X.T @ -r))
             assert np.max(np.abs(-_descent(factored, r) - exact)) < 1e-12
-            t, _, _ = _tangent_of(constant_system(J), np.zeros(6), V[5], DEFAULT_TOL)
+            t, *_ = _tangent_of(constant_system(J), np.zeros(6), V[5], DEFAULT_TOL)
             assert np.max(np.abs(t - V[5])) < 1e-12
+
+    def test_tangent_sign_without_an_entry_above_ortho_tol(self, rng):
+        # the first entry above ortho_tol is positive, else the largest; a
+        # sign taken so has dot 0 with the previous tangent, which the walk's
+        # guard refuses
+        tight = Tolerances(ortho_tol=0.999999)
+        for n in range(3, 9):
+            J = rng.normal(size=(n - 1, n))
+            t, _, _, along = _tangent_of(constant_system(J), np.zeros(n), None, tight)
+            assert t[np.argmax(np.abs(t))] > 0.0 and along == 0.0
+            assert np.max(np.abs(t)) < tight.ortho_tol
+        axes = constant_system(np.eye(3)[:2])
+        for tol in (DEFAULT_TOL, tight):
+            t, _, _, along = _tangent_of(axes, np.zeros(3), np.eye(3)[0], tol)
+            assert t.tolist() == [0.0, 0.0, 1.0] and along == 0.0
+        t, _, _, along = _tangent_of(axes, np.zeros(3), -np.eye(3)[2], DEFAULT_TOL)
+        assert t.tolist() == [0.0, 0.0, -1.0] and along == 1.0
 
     def test_step_is_the_lstsq_step_it_replaced(self, rng):
         for _ in range(100):
@@ -968,7 +1004,7 @@ class TestCarriedJacobians:
         section, jac, seed = S5_SECTIONS[name]
         spec = SectionSpec(5, _s5_splitting, section, jacobian=jac if analytic else None)
         traced = _section_map(spec)
-        [loop] = tracer._traced_components(traced, TraceOptions(seeds=[seed]))
+        [loop] = tracer._traced_components(_map_system(traced), TraceOptions(seeds=[seed]))
         ambient = sphere_ambient(6)
         system = _map_system(traced)
         parts = tracer._section_parts(spec, system, loop, ambient, DEFAULT_TOL, 1)
@@ -1945,7 +1981,7 @@ class TestSectionIndex:
         traced = _section_map(spec)
         system = _map_system(traced)
         # traced from the system's spec, the circle carries the section's Jacobians
-        [loop] = tracer._traced_components(traced, opts)
+        [loop] = tracer._traced_components(_map_system(traced), opts)
         aux = transport_closed_frame(loop, sphere_ambient(6).manifold_normals)
         with recording() as record:
             carried = _section_derivative_fields(spec, system, loop, aux)
@@ -2109,7 +2145,7 @@ class TestOneOrientationRule:
             ]
 
         changed = []
-        [traced_loop] = _traced_components(traced, opts)
+        [traced_loop] = _traced_components(_map_system(traced), opts)
         # the traced circle and its reversal take both branches for term 1
         for loop in (traced_loop, traced_loop.reversed()):
             for each in specs:

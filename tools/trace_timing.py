@@ -11,6 +11,8 @@ the tracer (`Scenario.traced`) and prints one line:
   - K, the samples of the traced component;
   - trace_ms: milliseconds per `tracer._trace` call, the whole walk from the
     seed's correction to closure, for the one component;
+  - point_us: trace_ms in microseconds per sample (trace_ms * 1000 / K),
+    the walk's cost of one accepted point;
   - newton_us: microseconds per `tracer._newton` call over the walk's
     corrections, replayed from the traced loop: from every sample, the
     predictor at the distance of the next sample along the carried tangent,
@@ -23,6 +25,8 @@ the tracer (`Scenario.traced`) and prints one line:
     samples (its `residual`: the map's value, projected onto the target
     basis for a sphere target, with the sphere equation for a unit-sphere
     domain), the part of step_us that evaluates the map;
+  - map_us: microseconds per call of the map's evaluator alone at the
+    samples, so residual_us - map_us is what the residual adds to the map;
   - tangent_us: microseconds per `tracer._tangent_of` call at the samples,
     signed along the previous sample's tangent as the walk does: one map
     Jacobian, its assembly and one SVD;
@@ -71,7 +75,6 @@ from fbk.scenarios import REGISTRY, resolve_options  # noqa: E402
 from fbk.framedlink import sphere_ambient  # noqa: E402
 from fbk.tracer import (  # noqa: E402
     SectionSpec,
-    _factored,
     _map_system,
     _newton,
     _section_derivative_fields,
@@ -158,8 +161,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'newton_us':>9} {'step_us':>7} "
-          f"{'residual_us':>11} {'tangent_us':>10} {'jacobian_us':>11} {'newton_calls':>12} "
+    print(f"{'case':<36} {'K':>3} {'trace_ms':>8} {'point_us':>8} {'newton_us':>9} {'step_us':>7} "
+          f"{'residual_us':>11} {'map_us':>6} {'tangent_us':>10} {'jacobian_us':>11} "
+          f"{'newton_calls':>12} "
           f"{'newton_iterations':>17} {'jacobian_evaluations':>20} {'jacobian_checks':>15} "
           f"{'svds':>5} {'svd_us':>6} "
           f"{'transport_ms':>12} {'closing_deg':>11} {'lift_deg':>8} {'dw_ms':>6}")
@@ -172,7 +176,7 @@ def main(argv=None) -> int:
         points, tangents = loop.points, loop.tangents
         steps = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
         predictors = points + steps[:, None] * tangents
-        chords = [_factored(system.jacobian(p)) for p in points]
+        chords = [system.factored(p, "at a sample")[1] for p in points]
 
         def corrections():
             for predictor, chord in zip(predictors, chords):
@@ -189,6 +193,13 @@ def main(argv=None) -> int:
                 system.residual(p)
 
         residual_s = best_of(args.repeat, residuals_at_samples) / len(loop)
+        evaluator = system.spec.evaluator
+
+        def maps_at_samples():
+            for p in points:
+                evaluator(p)
+
+        map_s = best_of(args.repeat, maps_at_samples) / len(loop)
         previous = np.roll(tangents, 1, axis=0)
 
         def tangents_at_samples():
@@ -202,7 +213,7 @@ def main(argv=None) -> int:
                 system.raw_jacobian(p)
 
         jacobian_s = best_of(args.repeat, jacobians_at_samples) / len(loop)
-        system_jacobians = [system.jacobian(p) for p in points]
+        system_jacobians = [system.assemble(p, system.raw_jacobian(p)) for p in points]
 
         def svds_at_samples():
             for J in system_jacobians:
@@ -220,8 +231,9 @@ def main(argv=None) -> int:
             transport_ms, dw_ms = f"{transport_s * 1e3:.2f}", f"{dw_s * 1e3:.2f}"
             closing_deg = f"{closing_degrees(loop, normals, tol):.2g}"
             lift_deg = f"{math.degrees(tol.lift_angle_max):.1f}"
-        print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {newton_s * 1e6:>9.1f} "
-              f"{step_s * 1e6:>7.1f} {residual_s * 1e6:>11.1f} {tangent_s * 1e6:>10.1f} "
+        print(f"{label:<36} {len(loop):>3} {trace_s * 1e3:>8.2f} {trace_s * 1e6 / len(loop):>8.1f} "
+              f"{newton_s * 1e6:>9.1f} {step_s * 1e6:>7.1f} {residual_s * 1e6:>11.1f} "
+              f"{map_s * 1e6:>6.1f} {tangent_s * 1e6:>10.1f} "
               f"{jacobian_s * 1e6:>11.1f} "
               f"{record['newton_calls']:>12} {record['newton_iterations']:>17} "
               f"{record['jacobian_evaluations']:>20} {record.get('jacobian_checks', 0):>15} "
